@@ -9,7 +9,9 @@ Subcommands:
 
 Exact values cross this boundary as 'p/q' strings; floats appear only in
 table emission and the optional --float echo.  Exit codes: 0 success,
-1 verification failure, 2 usage error.
+1 verification failure, 2 usage error, 3 incomplete verification (the
+time budget ran out before every check ran, and none of those that ran
+failed).
 """
 from __future__ import annotations
 
@@ -39,6 +41,7 @@ __all__ = ["main", "parse_polynomial", "PolynomialParseError"]
 EXIT_OK = 0
 EXIT_VERIFICATION_FAILED = 1
 EXIT_USAGE = 2
+EXIT_INCOMPLETE = 3
 
 
 class UsageError(Exception):
@@ -295,7 +298,9 @@ def _cmd_verify(args) -> int:
     if not report.complete:
         status += f" (INCOMPLETE: {report.incomplete_reason})"
     print(f"bdk verify: {status}", file=sys.stderr)
-    return EXIT_OK if summary["failed"] == 0 else EXIT_VERIFICATION_FAILED
+    if summary["failed"]:
+        return EXIT_VERIFICATION_FAILED
+    return EXIT_OK if report.complete else EXIT_INCOMPLETE
 
 
 # -- parser ----------------------------------------------------------------

@@ -11,7 +11,7 @@ import math
 import os
 import re
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Iterable, Iterator, List, Sequence, Tuple, Union
 
 __all__ = [
     "MultiIndex",
@@ -24,6 +24,9 @@ __all__ = [
     "falling_factorial",
     "multinomial",
     "index_factorial",
+    "FactorialTable",
+    "table_multinomial",
+    "clear_denominators",
     "enumerate_multi_indices",
     "set_factorial_cache_bound",
     "factorial_cache_bound",
@@ -92,6 +95,41 @@ def factorial(n: int) -> int:
     while len(_FACT_TABLE) <= n:
         _FACT_TABLE.append(_FACT_TABLE[-1] * len(_FACT_TABLE))
     return _FACT_TABLE[n]
+
+
+class FactorialTable(dict):
+    """k -> k! for one build, each entry computed on its first lookup.
+
+    Inner loops index a local table instead of calling `factorial`.  Only
+    the entries looked up are computed: a dense list up to the largest
+    index would cost about n^2 log2(n) / 2 bits, which a high-degree
+    polynomial would pay in full to use a handful of entries.
+    """
+
+    __slots__ = ()
+
+    def __missing__(self, k: int) -> int:
+        value = self[k] = math.factorial(k)
+        return value
+
+
+def table_multinomial(parts: Sequence[int], fact: FactorialTable) -> int:
+    """|parts|! / parts! for nonnegative parts, read from a factorial table."""
+    out = fact[sum(parts)]
+    for p in parts:
+        out //= fact[p]
+    return out
+
+
+def clear_denominators(values: Iterable[Union[int, Fraction]]) -> Tuple[int, List[int]]:
+    """Common denominator D of the values and the integers D * v, in order.
+
+    D is the least common multiple of the denominators (1 for no values),
+    so every value equals its integer divided by D exactly.
+    """
+    values = list(values)
+    den = math.lcm(*(v.denominator for v in values)) if values else 1
+    return den, [v.numerator * (den // v.denominator) for v in values]
 
 
 class MultiIndex:

@@ -16,9 +16,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Sequence
 
-from .combinat import binomial, enumerate_multi_indices, factorial
-from .polynomials import CartesianPolynomial, bernstein_basis, inner_product
-from .simplex_integrals import check_dimension, inner_one_bernstein
+from .combinat import (
+    FactorialTable,
+    binomial,
+    enumerate_multi_indices,
+    factorial,
+    table_multinomial,
+)
+from .polynomials import CartesianPolynomial, bernstein_basis
+from .simplex_integrals import check_dimension
 
 __all__ = [
     "OperatorSpec",
@@ -42,16 +48,40 @@ class OperatorSpec:
 
 
 def apply_operator(spec: OperatorSpec, f: CartesianPolynomial) -> CartesianPolynomial:
-    """Exact image M_n f; the result has total degree <= n."""
+    """Exact image M_n f; the result has total degree <= n.
+
+    The moments come straight from Dirichlet's formula,
+        <f, B_a> = mult(a) * sum_e f_e (a + (0,e))! / (n+|e|+d)!,
+    and <1, B_a> = n!/(n+d)!.  With f = F / D for an integer map F and the
+    common factorial N = (n + deg f + d)!, the image is one integer sum
+        sum_a mult(a) * [sum_e F_e (a+(0,e))! N/(n+|e|+d)!] * B_a
+    times the single scale (n+d)! / (n! D N).
+    """
     if f.d != spec.dimension:
         raise ValueError(f"dimension mismatch: operator {spec.dimension}, polynomial {f.d}")
     n, d = spec.degree, spec.dimension
-    weight = 1 / inner_one_bernstein((n,) + (0,) * d, d)
-    image = CartesianPolynomial.zero(d)
+    if f.is_zero():
+        return CartesianPolynomial.zero(d)
+    den, f_terms = f.integer_terms()
+    top = n + f.total_degree() + d
+    fact = FactorialTable()
+    moments = [((0,) + exps, c * (fact[top] // fact[n + sum(exps) + d]))
+               for exps, c in f_terms]
+    image = {}
     for alpha in enumerate_multi_indices(n, d):
-        basis = bernstein_basis(alpha)
-        image = image + basis.scale(weight * inner_product(f, basis))
-    return image
+        parts = alpha.parts
+        total = 0
+        for shift, c in moments:
+            for a, e in zip(parts, shift):
+                c *= fact[a + e]
+            total += c
+        if not total:
+            continue
+        total *= table_multinomial(parts, fact)
+        for exps, b in bernstein_basis(alpha).terms.items():
+            image[exps] = image.get(exps, 0) + total * b.numerator
+    scale = Fraction(fact[n + d], fact[n] * den * fact[top])
+    return CartesianPolynomial.from_integers(d, image, scale)
 
 
 def compose_apply(specs: Sequence[OperatorSpec], f: CartesianPolynomial) -> CartesianPolynomial:

@@ -12,6 +12,11 @@ independent ways:
 Every form canonicalizes to a sparse bivariate exponent map with the
 dependent coordinates x_0, y_0 eliminated, so claimed identities are
 decided by literal map equality rather than sampling.
+
+The definitional builders and canonicalization accumulate Python ints and
+apply one rational scale per output coefficient at the end.  They use
+Dirichlet's formula  int x^mu = mu! / (|mu|+d)!  on barycentric exponents
+and mult(a) = |a|!/a!, the coefficient of x^a in B_a.
 """
 from __future__ import annotations
 
@@ -20,28 +25,27 @@ from itertools import product as _cartesian_product
 from typing import Dict, List, Optional, Tuple, Union
 
 from .combinat import (
+    FactorialTable,
     IndexLike,
     MultiIndex,
     binomial,
+    clear_denominators,
     enumerate_multi_indices,
     factorial,
     falling_factorial,
     format_rational,
     index_factorial,
     parse_rational,
+    table_multinomial,
 )
 from .polynomials import (
     BarycentricPoint,
     CartesianPolynomial,
     bernstein_basis,
     bernstein_value,
+    scaled_integer_terms,
 )
-from .simplex_integrals import (
-    bernstein_product_integral,
-    check_dimension,
-    inner_one_bernstein,
-    monomial_integral,
-)
+from .simplex_integrals import check_dimension, monomial_integral
 
 __all__ = [
     "KernelPolynomial",
@@ -87,6 +91,18 @@ class KernelPolynomial:
     @classmethod
     def zero(cls, d: int) -> "KernelPolynomial":
         return cls(d, {})
+
+    @classmethod
+    def from_integers(cls, d: int, ints: Dict[PairKey, int], scale=1) -> "KernelPolynomial":
+        """The kernel with coefficients scale * ints[(ex, ey)].
+
+        The keys must already be pairs of valid d-tuples; this is the exit
+        of the integer builders, which construct them that way.
+        """
+        kernel = cls.__new__(cls)
+        kernel.d = check_dimension(d)
+        kernel.terms = scaled_integer_terms(ints, scale)
+        return kernel
 
     @classmethod
     def outer(cls, fx: CartesianPolynomial, fy: CartesianPolynomial) -> "KernelPolynomial":
@@ -289,39 +305,45 @@ def kernel_single(n: int, d: int) -> DiagonalKernelForm:
     return DiagonalKernelForm(d, scale, [(a, 1) for a in enumerate_multi_indices(n, d)])
 
 
+def _integer_basis(n: int, d: int, fact: FactorialTable):
+    """(parts, mult(a), integer terms of B_a) for every |a| = n."""
+    return [(alpha.parts, table_multinomial(alpha.parts, fact),
+             [(exps, c.numerator) for exps, c in bernstein_basis(alpha).terms.items()])
+            for alpha in enumerate_multi_indices(n, d)]
+
+
 def kernel_definition_twofold(m: int, n: int, d: int) -> KernelPolynomial:
     """Brute-force kernel of M_m o M_n from the operator definition.
 
     Expands  sum_{|b|=m} sum_{|a|=n} B_a(y) B_b(x)
              * int B_a B_b / (<1,B_a> <1,B_b>)
     term by term.  This is the oracle: it never touches the closed form.
+    By Dirichlet's formula the Gram ratio is the integer
+    mult(a) mult(b) (a+b)! times the one scale
+        S2 = (m+d)! (n+d)! / (m! n! (m+n+d)!),
+    so the double sum runs in integers and S2 is applied once per term.
     """
     if m < 0 or n < 0:
         raise ValueError("degrees must be >= 0")
     check_dimension(d)
-    x_side = [(b, bernstein_basis(b)) for b in enumerate_multi_indices(m, d)]
-    acc: Dict[PairKey, Fraction] = {}
-    for alpha in enumerate_multi_indices(n, d):
-        one_alpha = inner_one_bernstein(alpha, d)
-        inner: Dict[Tuple[int, ...], Fraction] = {}
-        for beta, bx in x_side:
-            c = bernstein_product_integral(alpha, beta, d) / (
-                one_alpha * inner_one_bernstein(beta, d))
-            for ex, cx in bx.terms.items():
-                val = inner.get(ex, 0) + c * cx
-                if val:
-                    inner[ex] = val
-                else:
-                    inner.pop(ex, None)
-        for ey, cy in bernstein_basis(alpha).terms.items():
+    fact = FactorialTable()
+    x_side = _integer_basis(m, d, fact)
+    acc: Dict[PairKey, int] = {}
+    for alpha, mult_a, y_terms in _integer_basis(n, d, fact):
+        inner: Dict[Tuple[int, ...], int] = {}
+        for beta, mult_b, x_terms in x_side:
+            c = mult_b
+            for a, b in zip(alpha, beta):
+                c *= fact[a + b]
+            for ex, cx in x_terms:
+                inner[ex] = inner.get(ex, 0) + c * cx
+        for ey, cy in y_terms:
+            cy *= mult_a
             for ex, cx in inner.items():
                 key = (ex, ey)
-                val = acc.get(key, 0) + cx * cy
-                if val:
-                    acc[key] = val
-                else:
-                    acc.pop(key, None)
-    return KernelPolynomial(d, acc)
+                acc[key] = acc.get(key, 0) + cx * cy
+    scale = Fraction(fact[m + d] * fact[n + d], fact[m] * fact[n] * fact[m + n + d])
+    return KernelPolynomial.from_integers(d, acc, scale)
 
 
 def kernel_closed_twofold(m: int, n: int, d: int) -> DiagonalKernelForm:
@@ -388,40 +410,39 @@ def kernel_definition_threefold(n3: int, n2: int, n1: int, d: int) -> KernelPoly
     Iterating the operator definition gives the triple sum
         sum_{|g|=n3} sum_{|b|=n2} sum_{|a|=n1}  B_g(x) B_a(y)
         * <B_a, B_b> <B_b, B_g> / (<1,B_a> <1,B_b> <1,B_g>)
-    assembled from pairwise product integrals.  Works for any d.
+    assembled from pairwise product integrals.  Works for any d.  By
+    Dirichlet's formula the inner b-sum is the integer
+        mult(a) mult(g) * sum_b mult(b)^2 (a+b)! (b+g)!
+    times the one scale
+        S3 = (n1+d)! (n2+d)! (n3+d)! / (n1! n2! n3! (n1+n2+d)! (n2+n3+d)!).
     """
     if min(n3, n2, n1) < 0:
         raise ValueError("degrees must be >= 0")
     check_dimension(d)
-    gammas = enumerate_multi_indices(n3, d)
-    betas = enumerate_multi_indices(n2, d)
-    alphas = enumerate_multi_indices(n1, d)
-    acc: Dict[PairKey, Fraction] = {}
-    for gamma in gammas:
-        one_gamma = inner_one_bernstein(gamma, d)
-        inner: Dict[Tuple[int, ...], Fraction] = {}
-        for alpha in alphas:
-            ratio = Fraction(0)
-            for beta in betas:
-                ratio += (bernstein_product_integral(alpha, beta, d)
-                          * bernstein_product_integral(beta, gamma, d)
-                          / inner_one_bernstein(beta, d))
-            ratio /= inner_one_bernstein(alpha, d) * one_gamma
-            for ey, cy in bernstein_basis(alpha).terms.items():
-                val = inner.get(ey, 0) + ratio * cy
-                if val:
-                    inner[ey] = val
-                else:
-                    inner.pop(ey, None)
-        for ex, cx in bernstein_basis(gamma).terms.items():
+    fact = FactorialTable()
+    betas = [(beta.parts, table_multinomial(beta.parts, fact) ** 2)
+             for beta in enumerate_multi_indices(n2, d)]
+    alphas = _integer_basis(n1, d, fact)
+    acc: Dict[PairKey, int] = {}
+    for gamma, mult_g, x_terms in _integer_basis(n3, d, fact):
+        inner: Dict[Tuple[int, ...], int] = {}
+        for alpha, mult_a, y_terms in alphas:
+            ratio = 0
+            for beta, weight in betas:
+                for a, b, g in zip(alpha, beta, gamma):
+                    weight *= fact[a + b] * fact[b + g]
+                ratio += weight
+            ratio *= mult_a
+            for ey, cy in y_terms:
+                inner[ey] = inner.get(ey, 0) + ratio * cy
+        for ex, cx in x_terms:
+            cx *= mult_g
             for ey, cy in inner.items():
                 key = (ex, ey)
-                val = acc.get(key, 0) + cx * cy
-                if val:
-                    acc[key] = val
-                else:
-                    acc.pop(key, None)
-    return KernelPolynomial(d, acc)
+                acc[key] = acc.get(key, 0) + cx * cy
+    scale = Fraction(fact[n1 + d] * fact[n2 + d] * fact[n3 + d],
+                     fact[n1] * fact[n2] * fact[n3] * fact[n1 + n2 + d] * fact[n2 + n3 + d])
+    return KernelPolynomial.from_integers(d, acc, scale)
 
 
 def kernel_closed_threefold(n3: int, n2: int, n1: int) -> DiagonalKernelForm:
@@ -484,20 +505,22 @@ def inner_sum_identity(n: int, beta: IndexLike, y: PointLike) -> Tuple[Fraction,
 
 
 def to_canonical(form: DiagonalKernelForm) -> KernelPolynomial:
-    """Expand a diagonal form into the canonical bivariate map."""
-    acc: Dict[PairKey, Fraction] = {}
-    for mi, weight in form.terms:
-        basis = bernstein_basis(mi)
-        w = form.scale * weight
-        for ex, cx in basis.terms.items():
-            for ey, cy in basis.terms.items():
+    """Expand a diagonal form into the canonical bivariate map.
+
+    With the weights over their common denominator D, w_l = W_l / D, the
+    map is the integer sum  sum_l W_l b_l[ex] b_l[ey]  over the integer
+    coefficients b_l of B_l, times the one scale  scale / D.
+    """
+    den, weights = clear_denominators(w for _, w in form.terms)
+    acc: Dict[PairKey, int] = {}
+    for (mi, _), w in zip(form.terms, weights):
+        terms = [(exps, c.numerator) for exps, c in bernstein_basis(mi).terms.items()]
+        for ex, cx in terms:
+            cx *= w
+            for ey, cy in terms:
                 key = (ex, ey)
-                val = acc.get(key, 0) + w * cx * cy
-                if val:
-                    acc[key] = val
-                else:
-                    acc.pop(key, None)
-    return KernelPolynomial(form.d, acc)
+                acc[key] = acc.get(key, 0) + cx * cy
+    return KernelPolynomial.from_integers(form.d, acc, form.scale / den)
 
 
 def eval_kernel(kernel: KernelPolynomial, x: PointLike, y: PointLike) -> Fraction:

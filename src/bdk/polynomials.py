@@ -5,22 +5,29 @@ coordinate x_0 = 1 - x_1 - ... - x_d eliminated.  That makes the sparse
 exponent->coefficient map a canonical form: two expressions denote the
 same polynomial exactly when their maps are equal.  All identity checks
 in the library reduce to this equality.
+
+Exact sums are accumulated in Python ints: coefficients are brought to a
+common denominator once, Dirichlet integrals share one factorial
+denominator, and one rational scale is applied per output coefficient at
+the end (`CartesianPolynomial.from_integers`).
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, Iterable, Sequence, Tuple, Union
+from typing import Dict, Hashable, Iterable, List, Sequence, Tuple, TypeVar, Union
 
 from .combinat import (
     IndexLike,
     MultiIndex,
+    clear_denominators,
     enumerate_multi_indices,
+    FactorialTable,
     format_rational,
     multinomial,
     parse_rational,
 )
-from .simplex_integrals import check_dimension, monomial_integral
+from .simplex_integrals import check_dimension
 
 __all__ = [
     "CartesianPolynomial",
@@ -29,10 +36,21 @@ __all__ = [
     "bernstein_value",
     "integrate_simplex",
     "inner_product",
+    "scaled_integer_terms",
 ]
 
 Exponents = Tuple[int, ...]
 Scalar = Union[int, Fraction]
+Key = TypeVar("Key", bound=Hashable)
+
+
+def scaled_integer_terms(ints: Dict[Key, int], scale: Scalar) -> Dict[Key, Fraction]:
+    """{key: scale * c} for the nonzero integers c; zeros are dropped here, once."""
+    scale = Fraction(scale)
+    num, den = scale.numerator, scale.denominator
+    if not num:
+        return {}
+    return {key: Fraction(c * num, den) for key, c in ints.items() if c}
 
 
 class BarycentricPoint:
@@ -127,6 +145,24 @@ class CartesianPolynomial:
     @classmethod
     def monomial(cls, d: int, exps: Sequence[int], coef: Scalar = 1) -> "CartesianPolynomial":
         return cls(d, {tuple(exps): Fraction(coef)})
+
+    @classmethod
+    def from_integers(cls, d: int, ints: Dict[Exponents, int],
+                      scale: Scalar = 1) -> "CartesianPolynomial":
+        """The polynomial with coefficients scale * ints[e].
+
+        The keys must already be valid d-tuples of nonnegative ints; this is
+        the exit of the integer fast paths, which build them that way.
+        """
+        poly = cls.__new__(cls)
+        poly.d = check_dimension(d)
+        poly.terms = scaled_integer_terms(ints, scale)
+        return poly
+
+    def integer_terms(self) -> Tuple[int, List[Tuple[Exponents, int]]]:
+        """Common denominator D and the (exponents, D * coefficient) pairs."""
+        den, ints = clear_denominators(self.terms.values())
+        return den, list(zip(self.terms, ints))
 
     # -- ring operations ----------------------------------------------
 
@@ -263,17 +299,12 @@ def bernstein_basis(alpha: MultiIndex) -> CartesianPolynomial:
     check_dimension(d)
     a0, rest = alpha.parts[0], alpha.parts[1:]
     scale = multinomial(alpha)
-    terms: Dict[Exponents, Fraction] = {}
+    # distinct kappa give distinct exponents, so nothing accumulates
+    terms: Dict[Exponents, int] = {}
     for kappa in enumerate_multi_indices(a0, d):
         sign = -1 if (a0 - kappa[0]) % 2 else 1
-        coef = Fraction(sign * scale * multinomial(kappa))
-        exps = tuple(kappa[i + 1] + rest[i] for i in range(d))
-        acc = terms.get(exps, 0) + coef
-        if acc:
-            terms[exps] = acc
-        else:
-            terms.pop(exps, None)
-    return CartesianPolynomial(d, terms)
+        terms[tuple(kappa[i + 1] + rest[i] for i in range(d))] = sign * scale * multinomial(kappa)
+    return CartesianPolynomial.from_integers(d, terms)
 
 
 def bernstein_value(alpha: IndexLike, pt: Union[BarycentricPoint, Sequence[Scalar]]) -> Fraction:
@@ -292,20 +323,57 @@ def bernstein_value(alpha: IndexLike, pt: Union[BarycentricPoint, Sequence[Scala
     return value
 
 
+def _dirichlet_sum(weighted: Iterable[Tuple[Exponents, int]], d: int, top: int,
+                   den: int) -> Fraction:
+    """(1/den) * sum of c * int x^e over the simplex, for (e, c) with |e| <= top.
+
+    Dirichlet's formula with mu_0 = 0 gives int x^e = e! / (|e|+d)!; with
+    the shared denominator (top+d)! each term is the integer
+    c * e! * (top+d)!/(|e|+d)!, and one Fraction is built at the end.
+    """
+    fact = FactorialTable()
+    full = fact[top + d]
+    cofactors: Dict[int, int] = {}  # |e| -> (top+d)!/(|e|+d)!, for the degrees present
+    total = 0
+    for exps, c in weighted:
+        k = sum(exps)
+        cofactor = cofactors.get(k)
+        if cofactor is None:
+            cofactor = cofactors[k] = full // fact[k + d]
+        w = c * cofactor
+        for e in exps:
+            w *= fact[e]
+        total += w
+    return Fraction(total, den * full)
+
+
 def integrate_simplex(p: CartesianPolynomial) -> Fraction:
     """Exact integral of p over the standard d-simplex.
 
     Each cartesian monomial is lifted to barycentric exponents with
-    mu_0 = 0 and integrated by the Dirichlet formula.
+    mu_0 = 0 and integrated by the Dirichlet formula; with p = P / D for an
+    integer map P, the integral is sum_e P_e e! (N+d)!/(|e|+d)! / (D (N+d)!),
+    N = deg p.
     """
-    total = Fraction(0)
-    for exps, coef in p.terms.items():
-        total += coef * monomial_integral((0,) + exps, p.d)
-    return total
+    if not p.terms:
+        return Fraction(0)
+    den, terms = p.integer_terms()
+    return _dirichlet_sum(terms, p.d, p.total_degree(), den)
 
 
 def inner_product(f: CartesianPolynomial, g: CartesianPolynomial) -> Fraction:
-    """<f, g> over the standard simplex, computed exactly."""
+    """<f, g> over the standard simplex, computed exactly.
+
+    With f = F / D_f and g = G / D_g for integer maps F, G, the product is
+    never built:  <f, g> = sum_{e, e'} F_e G_e' (e+e')! (N+d)!/(|e+e'|+d)!
+    / (D_f D_g (N+d)!),  N = deg f + deg g.
+    """
     if f.d != g.d:
         raise ValueError(f"dimension mismatch: {f.d} vs {g.d}")
-    return integrate_simplex(f * g)
+    if not f.terms or not g.terms:
+        return Fraction(0)
+    den_f, f_terms = f.integer_terms()
+    den_g, g_terms = g.integer_terms()
+    pairs = ((tuple(a + b for a, b in zip(ef, eg)), cf * cg)
+             for ef, cf in f_terms for eg, cg in g_terms)
+    return _dirichlet_sum(pairs, f.d, f.total_degree() + g.total_degree(), den_f * den_g)

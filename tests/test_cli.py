@@ -275,6 +275,20 @@ class TestVerifyCommand:
         report = json.loads(out)
         assert report["complete"] is False
         assert "INCOMPLETE" in err
+        assert code == 3
+
+    def test_failure_outranks_incomplete(self, capsys, monkeypatch):
+        import bdk.cli
+        from bdk.verify import CheckRecord, VerificationReport
+
+        def cut_short(cfg):
+            failed = CheckRecord("twofold_symmetry_xy", {"d": 1, "m": 0, "n": 0},
+                                 False, {"lhs": "1", "rhs": "2"}, 0.0)
+            return VerificationReport(cfg.to_json_dict(), [failed], False, "budget", 0.0)
+        monkeypatch.setattr(bdk.cli, "run_suite", cut_short)
+        code, _, err = run_cli(capsys, "verify", "--d", "1", "--max-degree", "0")
+        assert code == 1
+        assert "INCOMPLETE" in err
 
 
     def test_restricting_dimensions_skips_univariate_families(self, capsys):

@@ -1,0 +1,277 @@
+"""The integer-accumulating builders against the plain Fraction versions.
+
+The reference functions below are the straightforward Fraction
+implementations of the five exact hot paths, kept verbatim as oracles:
+each sums Fraction terms as the definitions read.  The library versions
+accumulate Python ints and apply one rational scale at the end; they must
+return exactly the same maps and values, coefficient types included.
+"""
+import math
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import bdk.kernels
+from bdk.combinat import FactorialTable, clear_denominators, enumerate_multi_indices
+from bdk.durrmeyer import OperatorSpec, apply_operator
+from bdk.kernels import (
+    DiagonalKernelForm,
+    KernelPolynomial,
+    kernel_closed_threefold,
+    kernel_closed_twofold,
+    kernel_definition_threefold,
+    kernel_definition_twofold,
+    to_canonical,
+)
+from bdk.polynomials import (
+    CartesianPolynomial,
+    bernstein_basis,
+    inner_product,
+    integrate_simplex,
+)
+from bdk.simplex_integrals import (
+    bernstein_product_integral,
+    inner_one_bernstein,
+    monomial_integral,
+)
+
+F = Fraction
+SETTINGS = settings(max_examples=30, deadline=None)
+
+
+# -- reference implementations (Fraction arithmetic throughout) -------------
+
+
+def _accumulate(acc, key, value):
+    total = acc.get(key, 0) + value
+    if total:
+        acc[key] = total
+    else:
+        acc.pop(key, None)
+
+
+def ref_integrate_simplex(p):
+    total = Fraction(0)
+    for exps, coef in p.terms.items():
+        total += coef * monomial_integral((0,) + exps, p.d)
+    return total
+
+
+def ref_inner_product(f, g):
+    return ref_integrate_simplex(f * g)
+
+
+def ref_apply_operator(spec, f):
+    n, d = spec.degree, spec.dimension
+    weight = 1 / inner_one_bernstein((n,) + (0,) * d, d)
+    image = CartesianPolynomial.zero(d)
+    for alpha in enumerate_multi_indices(n, d):
+        basis = bernstein_basis(alpha)
+        image = image + basis.scale(weight * ref_inner_product(f, basis))
+    return image
+
+
+def ref_definition_twofold(m, n, d):
+    x_side = [(b, bernstein_basis(b)) for b in enumerate_multi_indices(m, d)]
+    acc = {}
+    for alpha in enumerate_multi_indices(n, d):
+        one_alpha = inner_one_bernstein(alpha, d)
+        inner = {}
+        for beta, bx in x_side:
+            c = bernstein_product_integral(alpha, beta, d) / (
+                one_alpha * inner_one_bernstein(beta, d))
+            for ex, cx in bx.terms.items():
+                _accumulate(inner, ex, c * cx)
+        for ey, cy in bernstein_basis(alpha).terms.items():
+            for ex, cx in inner.items():
+                _accumulate(acc, (ex, ey), cx * cy)
+    return KernelPolynomial(d, acc)
+
+
+def ref_definition_threefold(n3, n2, n1, d):
+    betas = enumerate_multi_indices(n2, d)
+    alphas = enumerate_multi_indices(n1, d)
+    acc = {}
+    for gamma in enumerate_multi_indices(n3, d):
+        one_gamma = inner_one_bernstein(gamma, d)
+        inner = {}
+        for alpha in alphas:
+            ratio = Fraction(0)
+            for beta in betas:
+                ratio += (bernstein_product_integral(alpha, beta, d)
+                          * bernstein_product_integral(beta, gamma, d)
+                          / inner_one_bernstein(beta, d))
+            ratio /= inner_one_bernstein(alpha, d) * one_gamma
+            for ey, cy in bernstein_basis(alpha).terms.items():
+                _accumulate(inner, ey, ratio * cy)
+        for ex, cx in bernstein_basis(gamma).terms.items():
+            for ey, cy in inner.items():
+                _accumulate(acc, (ex, ey), cx * cy)
+    return KernelPolynomial(d, acc)
+
+
+def ref_to_canonical(form):
+    acc = {}
+    for mi, weight in form.terms:
+        basis = bernstein_basis(mi)
+        w = form.scale * weight
+        for ex, cx in basis.terms.items():
+            for ey, cy in basis.terms.items():
+                _accumulate(acc, (ex, ey), w * cx * cy)
+    return KernelPolynomial(form.d, acc)
+
+
+# -- strategies -------------------------------------------------------------
+
+dims = st.integers(min_value=1, max_value=3)
+degrees = st.integers(min_value=0, max_value=4)
+rationals = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+nonzero_rationals = rationals.filter(bool)
+
+
+@st.composite
+def polynomials(draw, d=None, max_degree=4):
+    """Sparse polynomials: zero, constants, mixed denominators, negative terms."""
+    d = draw(dims) if d is None else d
+    exps = st.sampled_from([mi.parts[1:] for k in range(max_degree + 1)
+                            for mi in enumerate_multi_indices(k, d)])
+    return CartesianPolynomial(d, draw(st.dictionaries(exps, rationals, max_size=6)))
+
+
+@st.composite
+def diagonal_forms(draw):
+    d = draw(dims)
+    index = st.integers(0, 4).flatmap(
+        lambda k: st.sampled_from(enumerate_multi_indices(k, d)))
+    terms = draw(st.lists(st.tuples(index, nonzero_rationals), max_size=6))
+    return DiagonalKernelForm(d, draw(rationals), terms)
+
+
+def assert_identical(new, ref):
+    """Same map, and every coefficient a Fraction, so the JSON is the same too."""
+    assert new.d == ref.d
+    assert new.terms == ref.terms
+    assert all(type(c) is Fraction for c in new.terms.values())
+    assert new.to_json_dict() == ref.to_json_dict()
+
+
+# -- the five paths ---------------------------------------------------------
+
+
+class TestReferenceEquivalence:
+    @SETTINGS
+    @given(dims, degrees, degrees)
+    def test_definition_twofold(self, d, m, n):
+        assert_identical(kernel_definition_twofold(m, n, d), ref_definition_twofold(m, n, d))
+
+    @SETTINGS
+    @given(st.data())
+    def test_definition_threefold(self, data):
+        d = data.draw(dims)
+        # the reference triple sum costs C(n+d,d)^3; d=3 stays at degree 2
+        deg = st.integers(0, 4 if d < 3 else 2)
+        n3, n2, n1 = data.draw(deg), data.draw(deg), data.draw(deg)
+        assert_identical(kernel_definition_threefold(n3, n2, n1, d),
+                         ref_definition_threefold(n3, n2, n1, d))
+
+    @SETTINGS
+    @given(diagonal_forms())
+    def test_to_canonical(self, form):
+        assert_identical(to_canonical(form), ref_to_canonical(form))
+
+    @pytest.mark.parametrize("form", [
+        kernel_closed_twofold(4, 3, 2),
+        kernel_closed_twofold(0, 0, 3),
+        kernel_closed_threefold(3, 2, 4),
+        DiagonalKernelForm(2, 0, [((1, 0, 1), 5)]),
+        DiagonalKernelForm(1, F(3, 7), []),
+    ])
+    def test_to_canonical_closed_and_degenerate_forms(self, form):
+        assert_identical(to_canonical(form), ref_to_canonical(form))
+
+    @SETTINGS
+    @given(st.data())
+    def test_apply_operator(self, data):
+        f = data.draw(polynomials())
+        spec = OperatorSpec(data.draw(degrees), f.d)
+        assert_identical(apply_operator(spec, f), ref_apply_operator(spec, f))
+
+    @SETTINGS
+    @given(st.data())
+    def test_inner_product(self, data):
+        f = data.draw(polynomials())
+        g = data.draw(polynomials(d=f.d))
+        value = inner_product(f, g)
+        assert type(value) is Fraction
+        assert value == ref_inner_product(f, g)
+
+    @SETTINGS
+    @given(polynomials())
+    def test_integrate_simplex(self, p):
+        value = integrate_simplex(p)
+        assert type(value) is Fraction
+        assert value == ref_integrate_simplex(p)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_zero_and_constant_inputs(self, d):
+        zero = CartesianPolynomial.zero(d)
+        half = CartesianPolynomial.constant(d, F(-1, 2))
+        for n in (0, 1, 3):
+            spec = OperatorSpec(n, d)
+            assert apply_operator(spec, zero).is_zero()
+            assert_identical(apply_operator(spec, half), half)
+        assert inner_product(zero, half) == 0
+        assert inner_product(half, half) == ref_inner_product(half, half)
+
+
+class TestIntegerHelpers:
+    def test_clear_denominators(self):
+        assert clear_denominators([F(1, 6), F(-3, 4), 2]) == (12, [2, -9, 24])
+        assert clear_denominators([]) == (1, [])
+
+    def test_from_integers_drops_zeros_and_scales(self):
+        poly = CartesianPolynomial.from_integers(1, {(0,): 3, (1,): 0, (2,): -4}, F(1, 6))
+        assert poly.terms == {(0,): F(1, 2), (2,): F(-2, 3)}
+        assert CartesianPolynomial.from_integers(1, {(0,): 3}, 0).is_zero()
+        kernel = KernelPolynomial.from_integers(1, {((0,), (1,)): 2, ((1,), (0,)): 0}, F(3, 4))
+        assert kernel.terms == {((0,), (1,)): F(3, 2)}
+
+    def test_factorial_table_fills_on_lookup(self):
+        fact = FactorialTable()
+        assert [fact[k] for k in range(7)] == [1, 1, 2, 6, 24, 120, 720]
+        assert fact[1500] == math.factorial(1500)
+        assert len(fact) == 8  # only the entries looked up are computed
+        with pytest.raises(ValueError):
+            fact[-1]
+
+    def test_high_degree_inputs(self):
+        f = CartesianPolynomial(1, {(1500,): F(-2, 3), (1,): F(1, 5)})
+        g = CartesianPolynomial(1, {(2,): F(3, 7)})
+        assert inner_product(f, g) == ref_inner_product(f, g)
+        spec = OperatorSpec(2, 1)
+        assert_identical(apply_operator(spec, f), ref_apply_operator(spec, f))
+
+    def test_integer_terms_round_trip(self):
+        poly = CartesianPolynomial(2, {(0, 1): F(1, 3), (2, 0): F(-5, 2)})
+        den, terms = poly.integer_terms()
+        assert den == 6
+        assert CartesianPolynomial.from_integers(2, dict(terms), F(1, den)) == poly
+
+
+# -- the oracle never reaches for what it checks -----------------------------
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_definitional_builders_use_no_closed_form_code(monkeypatch, d):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a definitional builder called closed-form code")
+
+    for name in ("kernel_closed_twofold", "kernel_closed_threefold", "kernel_single",
+                 "to_canonical", "DiagonalKernelForm"):
+        monkeypatch.setattr(bdk.kernels, name, forbidden)
+    two = bdk.kernels.kernel_definition_twofold(3, 2, d)
+    three = bdk.kernels.kernel_definition_threefold(2, 1, 2, d)
+    monkeypatch.undo()
+    assert two == to_canonical(kernel_closed_twofold(3, 2, d))
+    assert three == ref_definition_threefold(2, 1, 2, d)

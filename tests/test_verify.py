@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 from fractions import Fraction
@@ -11,6 +12,16 @@ from bdk.verify import (
     run_suite,
     sample_simplex_point,
 )
+
+
+#: sha256 of the default report body; any change to an answer, a check or the
+#: report schema moves it.
+DEFAULT_BODY_SHA256 = "553d05801ec49ce10860486b10973eea2e20d74a68c5ad9563fba7c9659c7d72"
+
+
+@pytest.fixture(scope="module")
+def default_report():
+    return run_suite(SuiteConfig())
 
 
 def tiny_config(**overrides):
@@ -74,11 +85,14 @@ class TestRunSuite:
         assert summary["failed"] == 0
         assert summary["total"] == summary["passed"] > 0
 
-    def test_default_suite_is_green(self):
+    def test_default_suite_is_green(self, default_report):
         # the full claimed identity set at default ranges; the artifact's
         # definition of done
-        report = run_suite(SuiteConfig())
+        report = default_report
         assert report.ok, [(c.name, c.params, c.witness) for c in report.failures][:3]
+
+    def test_default_report_body_is_pinned(self, default_report):
+        assert hashlib.sha256(default_report.body_bytes()).hexdigest() == DEFAULT_BODY_SHA256
 
     def test_degree_zero_suite_is_trivial_and_green(self):
         cfg = tiny_config(degree_caps={1: 0}, threefold_cap=0, univariate_cap=0,
