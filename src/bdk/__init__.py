@@ -21,7 +21,6 @@ from .durrmeyer import OperatorSpec, apply_operator, compose_apply, composition_
 from .kernels import (
     DiagonalKernelForm,
     KernelPolynomial,
-    eval_kernel,
     first_kernel_difference,
     inner_sum_identity,
     kernel_closed_threefold,
@@ -68,7 +67,6 @@ __all__ = [
     "composition_coefficients",
     "DiagonalKernelForm",
     "KernelPolynomial",
-    "eval_kernel",
     "first_kernel_difference",
     "inner_sum_identity",
     "kernel_closed_threefold",

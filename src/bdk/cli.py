@@ -21,11 +21,12 @@ import json
 import re
 import sys
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple, Union
 
 from .combinat import format_rational, parse_rational
 from .durrmeyer import OperatorSpec, compose_apply, composition_coefficients
 from .kernels import (
+    DiagonalKernelForm,
     KernelPolynomial,
     kernel_closed_twofold,
     kernel_definition_twofold,
@@ -154,15 +155,16 @@ def _parse_dims(raw: str) -> Tuple[int, ...]:
     return dims
 
 
-def _build_kernel(form: str, m: int, n: int, d: int) -> KernelPolynomial:
+def _build_kernel(form: str, m: int, n: int, d: int) -> Union[KernelPolynomial, DiagonalKernelForm]:
+    """The kernel as built: diagonal for 'closed' and 'univariate', canonical otherwise."""
     if form == "definition":
         return kernel_definition_twofold(m, n, d)
     if form == "closed":
-        return to_canonical(kernel_closed_twofold(m, n, d))
+        return kernel_closed_twofold(m, n, d)
     if d != 1:
         raise UsageError(f"--form {form} is univariate; it requires --d 1")
     if form == "univariate":
-        return to_canonical(kernel_univariate_twofold(m, n))
+        return kernel_univariate_twofold(m, n)
     if form == "legendre":
         return kernel_legendre(m, n)
     raise UsageError(f"unknown kernel form {form!r}")
@@ -180,6 +182,8 @@ def _cmd_eval(args) -> int:
     if args.float:
         print(f"{float(value):.17g}")
     if args.dump_kernel:
+        if isinstance(kernel, DiagonalKernelForm):
+            kernel = to_canonical(kernel)
         payload = json.dumps(kernel.to_json_dict(), sort_keys=True)
         if args.dump_kernel == "-":
             print(payload)
@@ -225,8 +229,9 @@ def _cmd_table(args) -> int:
         raise UsageError("--d must be 1 or 2 for table emission")
     if args.grid < 2:
         raise UsageError("--grid must be >= 2")
-    kernel = to_canonical(kernel_closed_twofold(args.m, args.n, args.d))
+    kernel = kernel_closed_twofold(args.m, args.n, args.d)
     points = _grid_points(args.d, args.grid)
+    coords = [[float(c) for c in pt.coords] for pt in points]
     header = [f"x{i + 1}" for i in range(args.d)] + [f"y{i + 1}" for i in range(args.d)] + ["K"]
     try:
         fh = open(args.out, "w", newline="", encoding="utf-8") if args.out != "-" else sys.stdout
@@ -235,12 +240,9 @@ def _cmd_table(args) -> int:
     try:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for x in points:
-            for y in points:
-                value = kernel.evaluate(x, y)
-                writer.writerow([float(c) for c in x.coords]
-                                + [float(c) for c in y.coords]
-                                + [float(value)])
+        for x, row in zip(coords, kernel.evaluate_grid(points, points)):
+            for y, value in zip(coords, row):
+                writer.writerow(x + y + [float(value)])
     finally:
         if fh is not sys.stdout:
             fh.close()

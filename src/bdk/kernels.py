@@ -16,13 +16,16 @@ decided by literal map equality rather than sampling.
 The definitional builders and canonicalization accumulate Python ints and
 apply one rational scale per output coefficient at the end.  They use
 Dirichlet's formula  int x^mu = mu! / (|mu|+d)!  on barycentric exponents
-and mult(a) = |a|!/a!, the coefficient of x^a in B_a.
+and mult(a) = |a|!/a!, the coefficient of x^a in B_a.  Evaluation is exact
+integer arithmetic too, and a diagonal form is evaluated as it stands,
+without expanding it into the canonical map.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product as _cartesian_product
-from typing import Dict, List, Optional, Tuple, Union
+from operator import mul
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .combinat import (
     FactorialTable,
@@ -41,8 +44,9 @@ from .combinat import (
 from .polynomials import (
     BarycentricPoint,
     CartesianPolynomial,
+    as_point,
     bernstein_basis,
-    bernstein_value,
+    monomial_numerators,
     scaled_integer_terms,
 )
 from .simplex_integrals import check_dimension, monomial_integral
@@ -59,7 +63,6 @@ __all__ = [
     "kernel_closed_threefold",
     "inner_sum_identity",
     "to_canonical",
-    "eval_kernel",
     "first_kernel_difference",
 ]
 
@@ -152,21 +155,22 @@ class KernelPolynomial:
         return KernelPolynomial(self.d, {(ey, ex): c for (ex, ey), c in self.terms.items()})
 
     def evaluate(self, x: PointLike, y: PointLike) -> Fraction:
-        xc = x.coords if isinstance(x, BarycentricPoint) else tuple(Fraction(c) for c in x)
-        yc = y.coords if isinstance(y, BarycentricPoint) else tuple(Fraction(c) for c in y)
-        if len(xc) != self.d or len(yc) != self.d:
-            raise ValueError("evaluation point dimension mismatch")
-        total = Fraction(0)
-        for (ex, ey), coef in self.terms.items():
-            v = coef
-            for c, e in zip(xc, ex):
-                if e:
-                    v *= c ** e
-            for c, e in zip(yc, ey):
-                if e:
-                    v *= c ** e
-            total += v
-        return total
+        """K(x, y) = sum C x^ex y^ey / D over the integer coefficients C = D * coef.
+
+        Each block is homogenised to its own top degree (see
+        `monomial_numerators`), so the sum is over integers and one Fraction
+        is built at the end.
+        """
+        qx, x_bary = as_point(x, self.d).integer_form()
+        qy, y_bary = as_point(y, self.d).integer_form()
+        den, coefs = clear_denominators(self.terms.values())
+        x_keys = list(dict.fromkeys(ex for ex, _ in self.terms))
+        y_keys = list(dict.fromkeys(ey for _, ey in self.terms))
+        qx_top, x_values = monomial_numerators(qx, x_bary[1:], x_keys)
+        qy_top, y_values = monomial_numerators(qy, y_bary[1:], y_keys)
+        xv, yv = dict(zip(x_keys, x_values)), dict(zip(y_keys, y_values))
+        total = sum(c * xv[ex] * yv[ey] for (ex, ey), c in zip(self.terms, coefs))
+        return Fraction(total, den * qx_top * qy_top)
 
     def integrate_y(self) -> CartesianPolynomial:
         """Integrate the y block over the simplex, leaving a polynomial in x.
@@ -246,12 +250,36 @@ class DiagonalKernelForm:
         return DiagonalKernelForm(self.d, scale, self.terms)
 
     def evaluate(self, x: PointLike, y: PointLike) -> Fraction:
-        x = x if isinstance(x, BarycentricPoint) else BarycentricPoint(x)
-        y = y if isinstance(y, BarycentricPoint) else BarycentricPoint(y)
-        total = Fraction(0)
-        for mi, weight in self.terms:
-            total += weight * bernstein_value(mi, x) * bernstein_value(mi, y)
-        return self.scale * total
+        (row,) = self.evaluate_grid([x], [y])
+        return row[0]
+
+    def evaluate_grid(self, xs: Sequence[PointLike],
+                      ys: Sequence[PointLike]) -> Iterator[List[Fraction]]:
+        """Yield [K(x, y) for y in ys] for each x in xs.
+
+        A point p = A / q in barycentric integer form has the integer basis
+        vector  v_l = q^top B_l(p) = mult(l) prod A_v^l_v q^(top-|l|),
+        top = max |l|, computed once per point.  With w_l = W_l / D over a
+        common denominator, each value is the one integer dot product
+            K(x, y) = scale * sum_l W_l v_l(x) v_l(y) / (D qx^top qy^top).
+        """
+        fact = FactorialTable()
+        indices = [mi.parts for mi, _ in self.terms]
+        mults = [table_multinomial(parts, fact) for parts in indices]
+        w_den, weights = clear_denominators(w for _, w in self.terms)
+        num, den = self.scale.numerator, self.scale.denominator * w_den
+
+        def vector(pt: PointLike) -> Tuple[int, List[int]]:
+            q, bary = as_point(pt, self.d).integer_form()
+            q_top, values = monomial_numerators(q, bary, indices)
+            return q_top, list(map(mul, mults, values))
+
+        columns = [vector(y) for y in ys]
+        for x in xs:
+            qx_top, vx = vector(x)
+            wx = list(map(mul, weights, vx))
+            yield [Fraction(num * sum(map(mul, wx, vy)), den * qx_top * qy_top)
+                   for qy_top, vy in columns]
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, DiagonalKernelForm):
@@ -486,22 +514,33 @@ def inner_sum_identity(n: int, beta: IndexLike, y: PointLike) -> Tuple[Fraction,
     y = y if isinstance(y, BarycentricPoint) else BarycentricPoint(y)
     if y.dimension != d:
         raise ValueError("point/index dimension mismatch")
+    # B_a(y) = mult(a) * values[a] / q^top, from y's integer form (q; A)
+    q, bary = y.integer_form()
+    fact = FactorialTable()
 
-    lhs = Fraction(0)
-    for alpha in enumerate_multi_indices(n, d):
-        shifted = index_factorial(alpha + beta) // index_factorial(alpha)
-        lhs += bernstein_value(alpha, y) * shifted
+    alphas = [alpha.parts for alpha in enumerate_multi_indices(n, d)]
+    q_top, values = monomial_numerators(q, bary, alphas)
+    lhs = 0
+    for alpha, value in zip(alphas, values):
+        shifted = 1
+        for a, b in zip(alpha, beta.parts):
+            shifted *= fact[a + b] // fact[a]
+        lhs += table_multinomial(alpha, fact) * value * shifted
+    lhs = Fraction(lhs, q_top)
 
-    rhs = Fraction(0)
+    ells = list(_cartesian_product(*(range(b + 1) for b in beta.parts)))
+    q_top, values = monomial_numerators(q, bary, ells)
     beta_fact = index_factorial(beta)
-    for parts in _cartesian_product(*(range(b + 1) for b in beta.parts)):
-        ell = MultiIndex(parts)
+    rhs = 0
+    for ell, value in zip(ells, values):
+        k = sum(ell)
         prod_binom = 1
-        for b, l in zip(beta.parts, parts):
+        for b, l in zip(beta.parts, ell):
             prod_binom *= binomial(b, l)
-        rhs += (Fraction(falling_factorial(n, ell.degree), factorial(ell.degree))
-                * bernstein_value(ell, y) * beta_fact * prod_binom)
-    return lhs, rhs
+        # n_(k) / k! is the integer C(n, k)
+        rhs += (falling_factorial(n, k) // fact[k]
+                * table_multinomial(ell, fact) * value * beta_fact * prod_binom)
+    return lhs, Fraction(rhs, q_top)
 
 
 def to_canonical(form: DiagonalKernelForm) -> KernelPolynomial:
@@ -523,11 +562,6 @@ def to_canonical(form: DiagonalKernelForm) -> KernelPolynomial:
     return KernelPolynomial.from_integers(form.d, acc, form.scale / den)
 
 
-def eval_kernel(kernel: KernelPolynomial, x: PointLike, y: PointLike) -> Fraction:
-    """Exact kernel value at cartesian points x, y."""
-    return kernel.evaluate(x, y)
-
-
 def first_kernel_difference(lhs: KernelPolynomial, rhs: KernelPolynomial) -> Optional[dict]:
     """First monomial (in canonical order) where two kernels disagree.
 
@@ -536,6 +570,8 @@ def first_kernel_difference(lhs: KernelPolynomial, rhs: KernelPolynomial) -> Opt
     """
     if lhs.d != rhs.d:
         raise ValueError("dimension mismatch")
+    if lhs.terms == rhs.terms:
+        return None
     for key in sorted(set(lhs.terms) | set(rhs.terms)):
         a = lhs.terms.get(key, Fraction(0))
         b = rhs.terms.get(key, Fraction(0))

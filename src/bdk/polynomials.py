@@ -9,12 +9,16 @@ in the library reduce to this equality.
 Exact sums are accumulated in Python ints: coefficients are brought to a
 common denominator once, Dirichlet integrals share one factorial
 denominator, and one rational scale is applied per output coefficient at
-the end (`CartesianPolynomial.from_integers`).
+the end (`CartesianPolynomial.from_integers`).  Evaluation works the same
+way: a rational point is written over its common denominator q, each
+monomial is homogenised to the top degree with powers of q, and one
+Fraction is built from the integer sum (`monomial_numerators`).
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 from typing import Dict, Hashable, Iterable, List, Sequence, Tuple, TypeVar, Union
 
 from .combinat import (
@@ -32,10 +36,12 @@ from .simplex_integrals import check_dimension
 __all__ = [
     "CartesianPolynomial",
     "BarycentricPoint",
+    "as_point",
     "bernstein_basis",
     "bernstein_value",
     "integrate_simplex",
     "inner_product",
+    "monomial_numerators",
     "scaled_integer_terms",
 ]
 
@@ -60,12 +66,13 @@ class BarycentricPoint:
     evaluated are defined on all of R^d.
     """
 
-    __slots__ = ("coords",)
+    __slots__ = ("coords", "_integer_form")
 
     def __init__(self, coords: Iterable[Scalar]):
         self.coords = tuple(Fraction(c) for c in coords)
         if not self.coords:
             raise ValueError("point needs at least one coordinate")
+        self._integer_form = None
 
     @property
     def dimension(self) -> int:
@@ -78,6 +85,17 @@ class BarycentricPoint:
     def barycentric(self) -> Tuple[Fraction, ...]:
         """The d+1 barycentric values (x_0, x_1, ..., x_d)."""
         return (self.x0,) + self.coords
+
+    def integer_form(self) -> Tuple[int, Tuple[int, ...]]:
+        """(q, (A_0, A_1, ..., A_d)) with x_v = A_v / q exactly.
+
+        q is the least common denominator of the coordinates and
+        A_0 = q - A_1 - ... - A_d; computed once per point.
+        """
+        if self._integer_form is None:
+            q, nums = clear_denominators(self.coords)
+            self._integer_form = (q, (q - sum(nums), *nums))
+        return self._integer_form
 
     def in_simplex(self) -> bool:
         return all(c >= 0 for c in self.coords) and self.x0 >= 0
@@ -94,21 +112,49 @@ class BarycentricPoint:
         return f"BarycentricPoint({', '.join(map(str, self.coords))})"
 
 
-def _as_coords(pt: Union[BarycentricPoint, Sequence[Scalar]], d: int) -> Tuple[Fraction, ...]:
-    coords = pt.coords if isinstance(pt, BarycentricPoint) else tuple(Fraction(c) for c in pt)
-    if len(coords) != d:
-        raise ValueError(f"point has {len(coords)} coordinates, polynomial has {d}")
-    return coords
+def as_point(pt: Union[BarycentricPoint, Sequence[Scalar]], d: int) -> BarycentricPoint:
+    """pt as a BarycentricPoint, checked to have d coordinates."""
+    if not isinstance(pt, BarycentricPoint):
+        pt = tuple(pt)
+        if len(pt) != d:
+            raise ValueError(f"point has {len(pt)} coordinates, polynomial has {d}")
+        return BarycentricPoint(pt)
+    if pt.dimension != d:
+        raise ValueError(f"point has {pt.dimension} coordinates, polynomial has {d}")
+    return pt
+
+
+def monomial_numerators(q: int, nums: Sequence[int],
+                        keys: Sequence[Sequence[int]]) -> Tuple[int, List[int]]:
+    """q^top and the integers q^top * (a/q)^e for each key e, top = max |e|.
+
+    For the point a/q = (a_1/q, ..., a_k/q) the value for e is
+    prod a_i^e_i * q^(top - |e|).  The powers of q and of each a_i come
+    from tables built once per call, holding the exponents that occur.
+    """
+    degrees = [sum(e) for e in keys]
+    top = max(degrees, default=0)
+    q_powers = {top - k: q ** (top - k) for k in set(degrees)}
+    tables = [{k: a ** k for k in column} for a, column in zip(nums, map(set, zip(*keys)))]
+    values = []
+    for e, degree in zip(keys, degrees):
+        v = q_powers[top - degree]
+        for table, k in zip(tables, e):
+            if k:
+                v *= table[k]
+        values.append(v)
+    return q ** top, values
 
 
 class CartesianPolynomial:
     """Sparse exact polynomial in x_1..x_d.
 
     terms maps exponent tuples (e_1..e_d) to nonzero Fraction coefficients.
-    Instances are treated as immutable; all operators return new objects.
+    Instances are treated as immutable; all operators return new objects,
+    and the hash is computed once, on first use.
     """
 
-    __slots__ = ("d", "terms")
+    __slots__ = ("d", "terms", "_hash")
 
     def __init__(self, d: int, terms: Dict[Exponents, Scalar] = None):
         self.d = check_dimension(d)
@@ -123,6 +169,7 @@ class CartesianPolynomial:
             if coef:
                 clean[exps] = coef
         self.terms = clean
+        self._hash = None
 
     # -- constructors -------------------------------------------------
 
@@ -157,6 +204,7 @@ class CartesianPolynomial:
         poly = cls.__new__(cls)
         poly.d = check_dimension(d)
         poly.terms = scaled_integer_terms(ints, scale)
+        poly._hash = None
         return poly
 
     def integer_terms(self) -> Tuple[int, List[Tuple[Exponents, int]]]:
@@ -231,7 +279,9 @@ class CartesianPolynomial:
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash((self.d, frozenset(self.terms.items())))
+        if self._hash is None:
+            self._hash = hash((self.d, frozenset(self.terms.items())))
+        return self._hash
 
     # -- queries ------------------------------------------------------
 
@@ -243,15 +293,11 @@ class CartesianPolynomial:
         return max((sum(e) for e in self.terms), default=-1)
 
     def evaluate(self, pt: Union[BarycentricPoint, Sequence[Scalar]]) -> Fraction:
-        coords = _as_coords(pt, self.d)
-        total = Fraction(0)
-        for exps, coef in self.terms.items():
-            v = coef
-            for c, e in zip(coords, exps):
-                if e:
-                    v *= c ** e
-            total += v
-        return total
+        """p(pt) = sum_e C_e a^e q^(N-|e|) / (D q^N), with p = C / D, pt = a / q, N = deg p."""
+        q, bary = as_point(pt, self.d).integer_form()
+        den, coefs = clear_denominators(self.terms.values())
+        q_top, values = monomial_numerators(q, bary[1:], list(self.terms))
+        return Fraction(sum(map(mul, coefs, values)), den * q_top)
 
     def sorted_terms(self):
         """Terms in the canonical serialization order (ascending exponents)."""
@@ -311,16 +357,16 @@ def bernstein_value(alpha: IndexLike, pt: Union[BarycentricPoint, Sequence[Scala
     """Evaluate B_alpha at a point directly from barycentric values.
 
     Avoids the cartesian expansion; used where only values are needed.
+    With the point's integer form (q; A_0..A_d),
+    B_alpha = mult(alpha) prod A_v^alpha_v / q^|alpha|.
     """
     alpha = alpha if isinstance(alpha, MultiIndex) else MultiIndex(alpha)
     pt = pt if isinstance(pt, BarycentricPoint) else BarycentricPoint(pt)
     if pt.dimension != alpha.dimension:
         raise ValueError("point/index dimension mismatch")
-    value = Fraction(multinomial(alpha))
-    for coord, exp in zip(pt.barycentric(), alpha.parts):
-        if exp:
-            value *= coord ** exp
-    return value
+    q, bary = pt.integer_form()
+    q_top, (value,) = monomial_numerators(q, bary, [alpha.parts])
+    return Fraction(multinomial(alpha) * value, q_top)
 
 
 def _dirichlet_sum(weighted: Iterable[Tuple[Exponents, int]], d: int, top: int,

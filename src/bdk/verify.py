@@ -244,9 +244,10 @@ class _SuiteState:
 
     def image(self, d: int, degree: int, f: CartesianPolynomial) -> CartesianPolynomial:
         key = (d, degree, f)
-        if key not in self.operator_images:
-            self.operator_images[key] = apply_operator(OperatorSpec(degree, d), f)
-        return self.operator_images[key]
+        image = self.operator_images.get(key)
+        if image is None:
+            image = self.operator_images[key] = apply_operator(OperatorSpec(degree, d), f)
+        return image
 
 
 def _monomials_up_to(d: int, max_degree: int) -> List[CartesianPolynomial]:

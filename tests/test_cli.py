@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 from fractions import Fraction
 
@@ -84,6 +85,46 @@ class TestEval:
     def test_unknown_flag_rejected(self, capsys):
         code, _, _ = run_cli(capsys, "eval", "--bogus", "1")
         assert code == 2
+
+
+class TestNoCanonicalization:
+    """eval's closed and univariate forms and table read the diagonal form as built."""
+
+    @pytest.fixture(autouse=True)
+    def refuse_canonicalization(self, monkeypatch):
+        import bdk.cli
+        import bdk.kernels
+
+        def refuse(form):
+            raise AssertionError("to_canonical called")
+
+        monkeypatch.setattr(bdk.cli, "to_canonical", refuse)
+        monkeypatch.setattr(bdk.kernels, "to_canonical", refuse)
+
+    @pytest.mark.parametrize("form", ["closed", "univariate"])
+    def test_eval(self, capsys, form):
+        code, out, _ = run_cli(capsys, "eval", "--d", "1", "--m", "3", "--n", "2",
+                               "--x", "1/3", "--y", "4/7", "--form", form, "--float")
+        assert code == 0
+        assert out.splitlines()[0] == "143/147"
+
+    def test_eval_closed_d3(self, capsys):
+        code, out, _ = run_cli(capsys, "eval", "--d", "3", "--m", "2", "--n", "2",
+                               "--x", "0,0,0", "--y", "0,0,0")
+        assert code == 0
+        assert out.strip() == "120/7"
+
+    def test_table(self, capsys, tmp_path):
+        path = tmp_path / "t.csv"
+        code, _, _ = run_cli(capsys, "table", "--d", "2", "--m", "2", "--n", "3",
+                             "--grid", "4", "--out", str(path))
+        assert code == 0
+        assert len(list(csv.DictReader(path.open()))) == 100
+
+    def test_dump_kernel_still_canonicalizes(self, capsys):
+        with pytest.raises(AssertionError, match="to_canonical called"):
+            main(["eval", "--d", "1", "--m", "1", "--n", "1", "--x", "0", "--y", "0",
+                  "--dump-kernel", "-"])
 
 
 class TestCoeffs:
@@ -211,6 +252,18 @@ class TestTable:
         for r in rows:
             assert float(r["x1"]) + float(r["x2"]) <= 1.0 + 1e-12
             assert float(r["y1"]) + float(r["y2"]) <= 1.0 + 1e-12
+
+    @pytest.mark.parametrize("d, m, n, grid, sha256", [
+        (1, 8, 8, 21, "c9fd3c64d3be08910a431813d6667b8a4e718ac63d4110501e22b4ffafed3979"),
+        (2, 4, 4, 7, "dde1f68721c7937bbad63df6f1195d5726820d97bcd77adeeeaff62ccc3152e7"),
+    ])
+    def test_csv_bytes_are_pinned(self, capsys, tmp_path, d, m, n, grid, sha256):
+        # digests of the CSV files written by the canonicalizing evaluator
+        path = tmp_path / "pinned.csv"
+        code, _, _ = run_cli(capsys, "table", "--d", str(d), "--m", str(m), "--n", str(n),
+                             "--grid", str(grid), "--out", str(path))
+        assert code == 0
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == sha256
 
     def test_unsupported_dimension(self, capsys):
         code, _, err = run_cli(capsys, "table", "--d", "3", "--m", "1", "--n", "1",

@@ -8,7 +8,6 @@ from bdk.combinat import MultiIndex, enumerate_multi_indices, index_factorial
 from bdk.kernels import (
     DiagonalKernelForm,
     KernelPolynomial,
-    eval_kernel,
     first_kernel_difference,
     inner_sum_identity,
     kernel_closed_threefold,
@@ -230,16 +229,16 @@ class TestInnerSumIdentity:
 class TestEvalAndDiff:
     def test_eval_constant(self):
         k = KernelPolynomial(1, {((0,), (0,)): F(1)})
-        assert eval_kernel(k, [F(1, 3)], [F(2, 3)]) == 1
+        assert k.evaluate([F(1, 3)], [F(2, 3)]) == 1
 
     def test_eval_closed_value(self):
         k = to_canonical(kernel_closed_twofold(1, 1, 1))
-        assert eval_kernel(k, [0], [0]) == F(4, 3)
+        assert k.evaluate([0], [0]) == F(4, 3)
 
     def test_eval_respects_symmetry(self):
         k = kernel_definition_twofold(2, 3, 1)
         x, y = BarycentricPoint([F(1, 7)]), BarycentricPoint([F(3, 5)])
-        assert eval_kernel(k, x, y) == eval_kernel(k, y, x)
+        assert k.evaluate(x, y) == k.evaluate(y, x)
 
     def test_first_difference_none_for_equal(self):
         k = kernel_definition_twofold(1, 1, 1)
