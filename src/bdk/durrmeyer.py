@@ -23,7 +23,7 @@ from .combinat import (
     factorial,
     table_multinomial,
 )
-from .polynomials import CartesianPolynomial, bernstein_basis
+from .polynomials import CartesianPolynomial, bernstein_basis, check_polynomial
 from .simplex_integrals import check_dimension
 
 __all__ = [
@@ -57,6 +57,7 @@ def apply_operator(spec: OperatorSpec, f: CartesianPolynomial) -> CartesianPolyn
         sum_a mult(a) * [sum_e F_e (a+(0,e))! N/(n+|e|+d)!] * B_a
     times the single scale (n+d)! / (n! D N).
     """
+    check_polynomial(f)
     if f.d != spec.dimension:
         raise ValueError(f"dimension mismatch: operator {spec.dimension}, polynomial {f.d}")
     n, d = spec.degree, spec.dimension

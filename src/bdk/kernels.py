@@ -9,9 +9,10 @@ independent ways:
 * diagonal closed forms: a factorial prefactor times a short sum of
   products B_l(x) B_l(y) over a single multi-index l.
 
-Every form canonicalizes to a sparse bivariate exponent map with the
-dependent coordinates x_0, y_0 eliminated, so claimed identities are
-decided by literal map equality rather than sampling.
+Every form canonicalizes to a sparse polynomial in the 2d variables
+x_1..x_d, y_1..y_d (the dependent coordinates x_0, y_0 eliminated), so
+claimed identities are decided by literal map equality rather than
+sampling.
 
 The definitional builders and canonicalization accumulate Python ints and
 apply one rational scale per output coefficient at the end.  They use
@@ -46,8 +47,8 @@ from .polynomials import (
     CartesianPolynomial,
     as_point,
     bernstein_basis,
+    check_polynomial,
     monomial_numerators,
-    scaled_integer_terms,
 )
 from .simplex_integrals import check_dimension, monomial_integral
 
@@ -66,93 +67,36 @@ __all__ = [
     "first_kernel_difference",
 ]
 
-PairKey = Tuple[Tuple[int, ...], Tuple[int, ...]]
 PointLike = Union[BarycentricPoint, "list[Fraction]", tuple]
 
 
-class KernelPolynomial:
-    """Canonical bivariate polynomial in (x_1..x_d, y_1..y_d).
+class KernelPolynomial(CartesianPolynomial):
+    """Canonical kernel K(x, y): a polynomial in x_1..x_d, y_1..y_d.
 
-    terms maps ((e^x), (e^y)) pairs to nonzero Fraction coefficients.
-    Equality of kernels is literal map equality.
+    terms maps flat 2d-tuples, x's d exponents then y's, to nonzero
+    Fraction coefficients; d is still the simplex dimension.  Arithmetic,
+    equality and hashing are those of CartesianPolynomial, so equality of
+    kernels is literal map equality.
     """
 
-    __slots__ = ("d", "terms")
-
-    def __init__(self, d: int, terms: Dict[PairKey, Fraction] = None):
-        self.d = check_dimension(d)
-        clean: Dict[PairKey, Fraction] = {}
-        for (ex, ey), coef in (terms or {}).items():
-            ex, ey = tuple(ex), tuple(ey)
-            if len(ex) != d or len(ey) != d:
-                raise ValueError("kernel exponent tuples must have d entries each")
-            coef = Fraction(coef)
-            if coef:
-                clean[(ex, ey)] = coef
-        self.terms = clean
-
-    @classmethod
-    def zero(cls, d: int) -> "KernelPolynomial":
-        return cls(d, {})
-
-    @classmethod
-    def from_integers(cls, d: int, ints: Dict[PairKey, int], scale=1) -> "KernelPolynomial":
-        """The kernel with coefficients scale * ints[(ex, ey)].
-
-        The keys must already be pairs of valid d-tuples; this is the exit
-        of the integer builders, which construct them that way.
-        """
-        kernel = cls.__new__(cls)
-        kernel.d = check_dimension(d)
-        kernel.terms = scaled_integer_terms(ints, scale)
-        return kernel
+    __slots__ = ()
+    BLOCKS = 2
 
     @classmethod
     def outer(cls, fx: CartesianPolynomial, fy: CartesianPolynomial) -> "KernelPolynomial":
         """The separable kernel fx(x) * fy(y)."""
+        check_polynomial(fx)
+        check_polynomial(fy)
         if fx.d != fy.d:
             raise ValueError("dimension mismatch in outer product")
-        return cls(fx.d, {(ex, ey): cx * cy
-                          for ex, cx in fx.terms.items()
-                          for ey, cy in fy.terms.items()})
-
-    def __add__(self, other: "KernelPolynomial") -> "KernelPolynomial":
-        if not isinstance(other, KernelPolynomial):
-            return NotImplemented
-        if self.d != other.d:
-            raise ValueError("dimension mismatch")
-        out = dict(self.terms)
-        for key, coef in other.terms.items():
-            acc = out.get(key, 0) + coef
-            if acc:
-                out[key] = acc
-            else:
-                out.pop(key, None)
-        return KernelPolynomial(self.d, out)
-
-    def __sub__(self, other: "KernelPolynomial") -> "KernelPolynomial":
-        return self + other.scale(-1)
-
-    def scale(self, c) -> "KernelPolynomial":
-        c = Fraction(c)
-        if not c:
-            return KernelPolynomial.zero(self.d)
-        return KernelPolynomial(self.d, {k: c * v for k, v in self.terms.items()})
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, KernelPolynomial):
-            return self.d == other.d and self.terms == other.terms
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.d, frozenset(self.terms.items())))
-
-    def is_zero(self) -> bool:
-        return not self.terms
+        return cls._from_terms(fx.d, {ex + ey: cx * cy
+                                      for ex, cx in fx.terms.items()
+                                      for ey, cy in fy.terms.items()})
 
     def transpose(self) -> "KernelPolynomial":
         """Swap the roles of x and y."""
-        return KernelPolynomial(self.d, {(ey, ex): c for (ex, ey), c in self.terms.items()})
+        d = self.d
+        return self._from_terms(d, {e[d:] + e[:d]: c for e, c in self.terms.items()})
 
     def evaluate(self, x: PointLike, y: PointLike) -> Fraction:
         """K(x, y) = sum C x^ex y^ey / D over the integer coefficients C = D * coef.
@@ -161,15 +105,16 @@ class KernelPolynomial:
         `monomial_numerators`), so the sum is over integers and one Fraction
         is built at the end.
         """
-        qx, x_bary = as_point(x, self.d).integer_form()
-        qy, y_bary = as_point(y, self.d).integer_form()
+        d = self.d
+        qx, x_bary = as_point(x, d).integer_form()
+        qy, y_bary = as_point(y, d).integer_form()
         den, coefs = clear_denominators(self.terms.values())
-        x_keys = list(dict.fromkeys(ex for ex, _ in self.terms))
-        y_keys = list(dict.fromkeys(ey for _, ey in self.terms))
+        x_keys = list(dict.fromkeys(e[:d] for e in self.terms))
+        y_keys = list(dict.fromkeys(e[d:] for e in self.terms))
         qx_top, x_values = monomial_numerators(qx, x_bary[1:], x_keys)
         qy_top, y_values = monomial_numerators(qy, y_bary[1:], y_keys)
         xv, yv = dict(zip(x_keys, x_values)), dict(zip(y_keys, y_values))
-        total = sum(c * xv[ex] * yv[ey] for (ex, ey), c in zip(self.terms, coefs))
+        total = sum(c * xv[e[:d]] * yv[e[d:]] for e, c in zip(self.terms, coefs))
         return Fraction(total, den * qx_top * qy_top)
 
     def integrate_y(self) -> CartesianPolynomial:
@@ -177,29 +122,25 @@ class KernelPolynomial:
 
         For a stochastic kernel this must come out as the constant 1.
         """
+        d = self.d
         out: Dict[Tuple[int, ...], Fraction] = {}
-        for (ex, ey), coef in self.terms.items():
-            acc = out.get(ex, 0) + coef * monomial_integral((0,) + ey, self.d)
-            if acc:
-                out[ex] = acc
-            else:
-                out.pop(ex, None)
-        return CartesianPolynomial(self.d, out)
-
-    def sorted_terms(self):
-        return sorted(self.terms.items())
+        for e, coef in self.terms.items():
+            ex = e[:d]
+            out[ex] = out.get(ex, 0) + coef * monomial_integral((0,) + e[d:], d)
+        return CartesianPolynomial._from_terms(d, out)
 
     def __repr__(self) -> str:
         return f"<kernel d={self.d} terms={len(self.terms)}>"
 
     def to_json_dict(self) -> dict:
+        d = self.d
         return {
-            "d": self.d,
+            "d": d,
             "form": "canonical",
             "scale": "1",
             "terms": [
-                {"exp_x": list(ex), "exp_y": list(ey), "coef": format_rational(c)}
-                for (ex, ey), c in self.sorted_terms()
+                {"exp_x": list(e[:d]), "exp_y": list(e[d:]), "coef": format_rational(c)}
+                for e, c in self.sorted_terms()
             ],
         }
 
@@ -207,12 +148,15 @@ class KernelPolynomial:
     def from_json_dict(cls, obj: dict) -> "KernelPolynomial":
         if obj.get("form") != "canonical":
             raise ValueError("expected a canonical-form kernel object")
-        terms = {
-            (tuple(t["exp_x"]), tuple(t["exp_y"])): parse_rational(t["coef"])
-            for t in obj["terms"]
-        }
+        d = int(obj["d"])
+        terms = {}
+        for t in obj["terms"]:
+            ex, ey = tuple(t["exp_x"]), tuple(t["exp_y"])
+            if len(ex) != d or len(ey) != d:
+                raise ValueError("kernel exponent tuples must have d entries each")
+            terms[ex + ey] = parse_rational(t["coef"])
         scale = parse_rational(obj.get("scale", "1"))
-        return cls(int(obj["d"]), terms).scale(scale) if scale != 1 else cls(int(obj["d"]), terms)
+        return cls(d, terms).scale(scale) if scale != 1 else cls(d, terms)
 
 
 class DiagonalKernelForm:
@@ -356,7 +300,7 @@ def kernel_definition_twofold(m: int, n: int, d: int) -> KernelPolynomial:
     check_dimension(d)
     fact = FactorialTable()
     x_side = _integer_basis(m, d, fact)
-    acc: Dict[PairKey, int] = {}
+    acc: Dict[Tuple[int, ...], int] = {}
     for alpha, mult_a, y_terms in _integer_basis(n, d, fact):
         inner: Dict[Tuple[int, ...], int] = {}
         for beta, mult_b, x_terms in x_side:
@@ -368,7 +312,7 @@ def kernel_definition_twofold(m: int, n: int, d: int) -> KernelPolynomial:
         for ey, cy in y_terms:
             cy *= mult_a
             for ex, cx in inner.items():
-                key = (ex, ey)
+                key = ex + ey
                 acc[key] = acc.get(key, 0) + cx * cy
     scale = Fraction(fact[m + d] * fact[n + d], fact[m] * fact[n] * fact[m + n + d])
     return KernelPolynomial.from_integers(d, acc, scale)
@@ -451,7 +395,7 @@ def kernel_definition_threefold(n3: int, n2: int, n1: int, d: int) -> KernelPoly
     betas = [(beta.parts, table_multinomial(beta.parts, fact) ** 2)
              for beta in enumerate_multi_indices(n2, d)]
     alphas = _integer_basis(n1, d, fact)
-    acc: Dict[PairKey, int] = {}
+    acc: Dict[Tuple[int, ...], int] = {}
     for gamma, mult_g, x_terms in _integer_basis(n3, d, fact):
         inner: Dict[Tuple[int, ...], int] = {}
         for alpha, mult_a, y_terms in alphas:
@@ -466,7 +410,7 @@ def kernel_definition_threefold(n3: int, n2: int, n1: int, d: int) -> KernelPoly
         for ex, cx in x_terms:
             cx *= mult_g
             for ey, cy in inner.items():
-                key = (ex, ey)
+                key = ex + ey
                 acc[key] = acc.get(key, 0) + cx * cy
     scale = Fraction(fact[n1 + d] * fact[n2 + d] * fact[n3 + d],
                      fact[n1] * fact[n2] * fact[n3] * fact[n1 + n2 + d] * fact[n2 + n3 + d])
@@ -551,13 +495,13 @@ def to_canonical(form: DiagonalKernelForm) -> KernelPolynomial:
     coefficients b_l of B_l, times the one scale  scale / D.
     """
     den, weights = clear_denominators(w for _, w in form.terms)
-    acc: Dict[PairKey, int] = {}
+    acc: Dict[Tuple[int, ...], int] = {}
     for (mi, _), w in zip(form.terms, weights):
         terms = [(exps, c.numerator) for exps, c in bernstein_basis(mi).terms.items()]
         for ex, cx in terms:
             cx *= w
             for ey, cy in terms:
-                key = (ex, ey)
+                key = ex + ey
                 acc[key] = acc.get(key, 0) + cx * cy
     return KernelPolynomial.from_integers(form.d, acc, form.scale / den)
 
@@ -568,19 +512,13 @@ def first_kernel_difference(lhs: KernelPolynomial, rhs: KernelPolynomial) -> Opt
     Returns None when the kernels are identical; otherwise a witness dict
     with the exponent pair and both coefficients, for failure reports.
     """
-    if lhs.d != rhs.d:
-        raise ValueError("dimension mismatch")
-    if lhs.terms == rhs.terms:
+    found = lhs.first_difference(rhs)
+    if found is None:
         return None
-    for key in sorted(set(lhs.terms) | set(rhs.terms)):
-        a = lhs.terms.get(key, Fraction(0))
-        b = rhs.terms.get(key, Fraction(0))
-        if a != b:
-            ex, ey = key
-            return {
-                "exp_x": list(ex),
-                "exp_y": list(ey),
-                "lhs": format_rational(a),
-                "rhs": format_rational(b),
-            }
-    return None
+    key, a, b = found
+    return {
+        "exp_x": list(key[:lhs.d]),
+        "exp_y": list(key[lhs.d:]),
+        "lhs": format_rational(a),
+        "rhs": format_rational(b),
+    }

@@ -4,7 +4,8 @@ Polynomials live in the variables x_1..x_d with the dependent barycentric
 coordinate x_0 = 1 - x_1 - ... - x_d eliminated.  That makes the sparse
 exponent->coefficient map a canonical form: two expressions denote the
 same polynomial exactly when their maps are equal.  All identity checks
-in the library reduce to this equality.
+in the library reduce to this equality.  A kernel K(x, y) is the same
+sparse type in the 2d variables x_1..x_d, y_1..y_d (`bdk.kernels`).
 
 Exact sums are accumulated in Python ints: coefficients are brought to a
 common denominator once, Dirichlet integrals share one factorial
@@ -19,7 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from operator import mul
-from typing import Dict, Hashable, Iterable, List, Sequence, Tuple, TypeVar, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .combinat import (
     IndexLike,
@@ -39,24 +40,14 @@ __all__ = [
     "as_point",
     "bernstein_basis",
     "bernstein_value",
+    "check_polynomial",
     "integrate_simplex",
     "inner_product",
     "monomial_numerators",
-    "scaled_integer_terms",
 ]
 
 Exponents = Tuple[int, ...]
 Scalar = Union[int, Fraction]
-Key = TypeVar("Key", bound=Hashable)
-
-
-def scaled_integer_terms(ints: Dict[Key, int], scale: Scalar) -> Dict[Key, Fraction]:
-    """{key: scale * c} for the nonzero integers c; zeros are dropped here, once."""
-    scale = Fraction(scale)
-    num, den = scale.numerator, scale.denominator
-    if not num:
-        return {}
-    return {key: Fraction(c * num, den) for key, c in ints.items() if c}
 
 
 class BarycentricPoint:
@@ -149,20 +140,26 @@ def monomial_numerators(q: int, nums: Sequence[int],
 class CartesianPolynomial:
     """Sparse exact polynomial in x_1..x_d.
 
-    terms maps exponent tuples (e_1..e_d) to nonzero Fraction coefficients.
-    Instances are treated as immutable; all operators return new objects,
-    and the hash is computed once, on first use.
+    terms maps exponent tuples to nonzero Fraction coefficients.  A key
+    holds BLOCKS blocks of d exponents: one block here, two for a kernel
+    K(x, y) (x's exponents, then y's).  Instances are treated as immutable;
+    all operators return new objects, and the hash is computed once, on
+    first use.
     """
 
     __slots__ = ("d", "terms", "_hash")
 
+    #: Exponent blocks of d entries in each key; fixed per class.
+    BLOCKS = 1
+
     def __init__(self, d: int, terms: Dict[Exponents, Scalar] = None):
         self.d = check_dimension(d)
+        width = self.BLOCKS * d
         clean: Dict[Exponents, Fraction] = {}
         for exps, coef in (terms or {}).items():
             exps = tuple(int(e) for e in exps)
-            if len(exps) != d:
-                raise ValueError(f"exponent tuple {exps} does not have {d} entries")
+            if len(exps) != width:
+                raise ValueError(f"exponent tuple {exps} does not have {width} entries")
             if any(e < 0 for e in exps):
                 raise ValueError(f"negative exponent in {exps}")
             coef = Fraction(coef)
@@ -171,41 +168,50 @@ class CartesianPolynomial:
         self.terms = clean
         self._hash = None
 
+    @classmethod
+    def _from_terms(cls, d: int, terms: Dict[Exponents, Fraction]):
+        """Wrap a map built by an internal operation: its keys are trusted,
+        and zero coefficients are dropped here, the one place that does."""
+        poly = cls.__new__(cls)
+        poly.d = d
+        poly.terms = {e: c for e, c in terms.items() if c}
+        poly._hash = None
+        return poly
+
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def zero(cls, d: int) -> "CartesianPolynomial":
+    def zero(cls, d: int):
         return cls(d, {})
 
     @classmethod
-    def constant(cls, d: int, value: Scalar) -> "CartesianPolynomial":
-        return cls(d, {(0,) * d: Fraction(value)})
+    def constant(cls, d: int, value: Scalar):
+        return cls(d, {(0,) * (cls.BLOCKS * d): Fraction(value)})
 
     @classmethod
-    def variable(cls, d: int, i: int) -> "CartesianPolynomial":
-        """The coordinate polynomial x_i for 1 <= i <= d."""
-        if not 1 <= i <= d:
-            raise ValueError(f"variable index {i} out of range 1..{d}")
-        exps = tuple(1 if j == i - 1 else 0 for j in range(d))
+    def variable(cls, d: int, i: int):
+        """The coordinate polynomial in the i-th of the key's variables."""
+        width = cls.BLOCKS * d
+        if not 1 <= i <= width:
+            raise ValueError(f"variable index {i} out of range 1..{width}")
+        exps = tuple(1 if j == i - 1 else 0 for j in range(width))
         return cls(d, {exps: Fraction(1)})
 
     @classmethod
-    def monomial(cls, d: int, exps: Sequence[int], coef: Scalar = 1) -> "CartesianPolynomial":
+    def monomial(cls, d: int, exps: Sequence[int], coef: Scalar = 1):
         return cls(d, {tuple(exps): Fraction(coef)})
 
     @classmethod
-    def from_integers(cls, d: int, ints: Dict[Exponents, int],
-                      scale: Scalar = 1) -> "CartesianPolynomial":
+    def from_integers(cls, d: int, ints: Dict[Exponents, int], scale: Scalar = 1):
         """The polynomial with coefficients scale * ints[e].
 
-        The keys must already be valid d-tuples of nonnegative ints; this is
-        the exit of the integer fast paths, which build them that way.
+        The keys must already be valid exponent tuples; this is the exit of
+        the integer fast paths, which build them that way.
         """
-        poly = cls.__new__(cls)
-        poly.d = check_dimension(d)
-        poly.terms = scaled_integer_terms(ints, scale)
-        poly._hash = None
-        return poly
+        scale = Fraction(scale)
+        num, den = scale.numerator, scale.denominator
+        return cls._from_terms(check_dimension(d),
+                               {e: Fraction(c * num, den) for e, c in ints.items()})
 
     def integer_terms(self) -> Tuple[int, List[Tuple[Exponents, int]]]:
         """Common denominator D and the (exponents, D * coefficient) pairs."""
@@ -214,42 +220,36 @@ class CartesianPolynomial:
 
     # -- ring operations ----------------------------------------------
 
-    def _check_same_dimension(self, other: "CartesianPolynomial") -> None:
+    def _check_compatible(self, other: "CartesianPolynomial") -> None:
         if self.d != other.d:
             raise ValueError(f"dimension mismatch: {self.d} vs {other.d}")
+        if self.BLOCKS != other.BLOCKS:
+            raise ValueError(f"cannot combine {type(self).__name__} with {type(other).__name__}")
 
-    def __add__(self, other: "CartesianPolynomial") -> "CartesianPolynomial":
+    def __add__(self, other):
         if not isinstance(other, CartesianPolynomial):
             return NotImplemented
-        self._check_same_dimension(other)
+        self._check_compatible(other)
         out = dict(self.terms)
         for exps, coef in other.terms.items():
-            acc = out.get(exps, 0) + coef
-            if acc:
-                out[exps] = acc
-            else:
-                out.pop(exps, None)
-        return CartesianPolynomial(self.d, out)
+            out[exps] = out.get(exps, 0) + coef
+        return self._from_terms(self.d, out)
 
-    def __sub__(self, other: "CartesianPolynomial") -> "CartesianPolynomial":
+    def __sub__(self, other):
         return self + (-other)
 
-    def __neg__(self) -> "CartesianPolynomial":
-        return CartesianPolynomial(self.d, {e: -c for e, c in self.terms.items()})
+    def __neg__(self):
+        return self._from_terms(self.d, {e: -c for e, c in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, CartesianPolynomial):
-            self._check_same_dimension(other)
+            self._check_compatible(other)
             out: Dict[Exponents, Fraction] = {}
             for e1, c1 in self.terms.items():
                 for e2, c2 in other.terms.items():
                     key = tuple(a + b for a, b in zip(e1, e2))
-                    acc = out.get(key, 0) + c1 * c2
-                    if acc:
-                        out[key] = acc
-                    else:
-                        out.pop(key, None)
-            return CartesianPolynomial(self.d, out)
+                    out[key] = out.get(key, 0) + c1 * c2
+            return self._from_terms(self.d, out)
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         return NotImplemented
@@ -259,23 +259,22 @@ class CartesianPolynomial:
             return self.scale(other)
         return NotImplemented
 
-    def scale(self, c: Scalar) -> "CartesianPolynomial":
+    def scale(self, c: Scalar):
         c = Fraction(c)
-        if not c:
-            return CartesianPolynomial.zero(self.d)
-        return CartesianPolynomial(self.d, {e: c * v for e, v in self.terms.items()})
+        return self._from_terms(self.d, {e: c * v for e, v in self.terms.items()})
 
-    def __pow__(self, k: int) -> "CartesianPolynomial":
+    def __pow__(self, k: int):
         if k < 0:
             raise ValueError("negative power of a polynomial")
-        out = CartesianPolynomial.constant(self.d, 1)
+        out = self.constant(self.d, 1)
         for _ in range(k):
             out = out * self
         return out
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, CartesianPolynomial):
-            return self.d == other.d and self.terms == other.terms
+            return (self.d == other.d and self.BLOCKS == other.BLOCKS
+                    and self.terms == other.terms)
         return NotImplemented
 
     def __hash__(self) -> int:
@@ -291,6 +290,18 @@ class CartesianPolynomial:
     def total_degree(self) -> int:
         """Max total degree over terms; -1 for the zero polynomial."""
         return max((sum(e) for e in self.terms), default=-1)
+
+    def first_difference(self, other: "CartesianPolynomial"
+                         ) -> Optional[Tuple[Exponents, Fraction, Fraction]]:
+        """(key, self's coefficient, other's) at the first key, in canonical
+        order, where the two differ; None when they are equal."""
+        self._check_compatible(other)
+        if self.terms == other.terms:
+            return None
+        for key in sorted(self.terms.keys() | other.terms.keys()):
+            a, b = self.terms.get(key, 0), other.terms.get(key, 0)
+            if a != b:
+                return key, Fraction(a), Fraction(b)
 
     def evaluate(self, pt: Union[BarycentricPoint, Sequence[Scalar]]) -> Fraction:
         """p(pt) = sum_e C_e a^e q^(N-|e|) / (D q^N), with p = C / D, pt = a / q, N = deg p."""
@@ -329,6 +340,13 @@ class CartesianPolynomial:
             int(obj["d"]),
             {tuple(t["exp"]): parse_rational(t["coef"]) for t in obj["terms"]},
         )
+
+
+def check_polynomial(p: CartesianPolynomial) -> CartesianPolynomial:
+    """p, checked to be a polynomial in x_1..x_d alone and not a kernel."""
+    if p.BLOCKS != 1:
+        raise ValueError(f"expected a polynomial in x_1..x_d, got a {type(p).__name__}")
+    return p
 
 
 @lru_cache(maxsize=None)
@@ -401,6 +419,7 @@ def integrate_simplex(p: CartesianPolynomial) -> Fraction:
     integer map P, the integral is sum_e P_e e! (N+d)!/(|e|+d)! / (D (N+d)!),
     N = deg p.
     """
+    check_polynomial(p)
     if not p.terms:
         return Fraction(0)
     den, terms = p.integer_terms()
@@ -414,6 +433,8 @@ def inner_product(f: CartesianPolynomial, g: CartesianPolynomial) -> Fraction:
     never built:  <f, g> = sum_{e, e'} F_e G_e' (e+e')! (N+d)!/(|e+e'|+d)!
     / (D_f D_g (N+d)!),  N = deg f + deg g.
     """
+    check_polynomial(f)
+    check_polynomial(g)
     if f.d != g.d:
         raise ValueError(f"dimension mismatch: {f.d} vs {g.d}")
     if not f.terms or not g.terms:

@@ -201,14 +201,11 @@ def _kernel_equal(lhs: KernelPolynomial, rhs: KernelPolynomial) -> Tuple[bool, O
 
 
 def _poly_witness(lhs: CartesianPolynomial, rhs: CartesianPolynomial) -> Tuple[bool, Optional[dict]]:
-    if lhs == rhs:
+    found = lhs.first_difference(rhs)
+    if found is None:
         return True, None
-    for key in sorted(set(lhs.terms) | set(rhs.terms)):
-        a, b = lhs.terms.get(key, Fraction(0)), rhs.terms.get(key, Fraction(0))
-        if a != b:
-            return False, {"exp": list(key), "lhs": format_rational(a),
-                           "rhs": format_rational(b)}
-    return True, None
+    key, a, b = found
+    return False, {"exp": list(key), "lhs": format_rational(a), "rhs": format_rational(b)}
 
 
 class _SuiteState:

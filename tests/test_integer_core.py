@@ -85,7 +85,7 @@ def ref_definition_twofold(m, n, d):
                 _accumulate(inner, ex, c * cx)
         for ey, cy in bernstein_basis(alpha).terms.items():
             for ex, cx in inner.items():
-                _accumulate(acc, (ex, ey), cx * cy)
+                _accumulate(acc, ex + ey, cx * cy)
     return KernelPolynomial(d, acc)
 
 
@@ -107,7 +107,7 @@ def ref_definition_threefold(n3, n2, n1, d):
                 _accumulate(inner, ey, ratio * cy)
         for ex, cx in bernstein_basis(gamma).terms.items():
             for ey, cy in inner.items():
-                _accumulate(acc, (ex, ey), cx * cy)
+                _accumulate(acc, ex + ey, cx * cy)
     return KernelPolynomial(d, acc)
 
 
@@ -118,7 +118,7 @@ def ref_to_canonical(form):
         w = form.scale * weight
         for ex, cx in basis.terms.items():
             for ey, cy in basis.terms.items():
-                _accumulate(acc, (ex, ey), w * cx * cy)
+                _accumulate(acc, ex + ey, w * cx * cy)
     return KernelPolynomial(form.d, acc)
 
 
@@ -234,8 +234,8 @@ class TestIntegerHelpers:
         poly = CartesianPolynomial.from_integers(1, {(0,): 3, (1,): 0, (2,): -4}, F(1, 6))
         assert poly.terms == {(0,): F(1, 2), (2,): F(-2, 3)}
         assert CartesianPolynomial.from_integers(1, {(0,): 3}, 0).is_zero()
-        kernel = KernelPolynomial.from_integers(1, {((0,), (1,)): 2, ((1,), (0,)): 0}, F(3, 4))
-        assert kernel.terms == {((0,), (1,)): F(3, 2)}
+        kernel = KernelPolynomial.from_integers(1, {(0, 1): 2, (1, 0): 0}, F(3, 4))
+        assert kernel.terms == {(0, 1): F(3, 2)}
 
     def test_factorial_table_fills_on_lookup(self):
         fact = FactorialTable()

@@ -3,6 +3,7 @@ from fractions import Fraction
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bdk.combinat import MultiIndex, enumerate_multi_indices, index_factorial
 from bdk.kernels import (
@@ -19,17 +20,23 @@ from bdk.kernels import (
     kernel_univariate_twofold,
     to_canonical,
 )
-from bdk.polynomials import BarycentricPoint, CartesianPolynomial
+from bdk.durrmeyer import OperatorSpec, apply_operator
+from bdk.polynomials import (
+    BarycentricPoint,
+    CartesianPolynomial,
+    inner_product,
+    integrate_simplex,
+)
 from bdk.verify import sample_simplex_point
 
 F = Fraction
 
 # K_{1,1} = (2/3) * (1 + (1-x)(1-y) + x y), expanded by hand
 K11_TERMS = {
-    ((0,), (0,)): F(4, 3),
-    ((1,), (0,)): F(-2, 3),
-    ((0,), (1,)): F(-2, 3),
-    ((1,), (1,)): F(4, 3),
+    (0, 0): F(4, 3),
+    (1, 0): F(-2, 3),
+    (0, 1): F(-2, 3),
+    (1, 1): F(4, 3),
 }
 
 
@@ -37,24 +44,90 @@ class TestKernelPolynomial:
     def test_outer_product(self):
         x = CartesianPolynomial.variable(1, 1)
         k = KernelPolynomial.outer(x, x)
-        assert k.terms == {((1,), (1,)): F(1)}
+        assert k.terms == {(1, 1): F(1)}
 
     def test_zero_coefficients_dropped(self):
-        k = KernelPolynomial(1, {((0,), (0,)): F(0), ((1,), (0,)): F(2)})
-        assert k.terms == {((1,), (0,)): F(2)}
+        k = KernelPolynomial(1, {(0, 0): F(0), (1, 0): F(2)})
+        assert k.terms == {(1, 0): F(2)}
 
     def test_transpose(self):
-        k = KernelPolynomial(1, {((1,), (0,)): F(2)})
-        assert k.transpose().terms == {((0,), (1,)): F(2)}
+        k = KernelPolynomial(1, {(1, 0): F(2)})
+        assert k.transpose().terms == {(0, 1): F(2)}
 
     def test_json_round_trip(self):
-        k = KernelPolynomial(2, {((1, 0), (0, 2)): F(-3, 7)})
+        k = KernelPolynomial(2, {(1, 0, 0, 2): F(-3, 7)})
         assert KernelPolynomial.from_json_dict(k.to_json_dict()) == k
 
     def test_evaluation_dimension_mismatch(self):
-        k = KernelPolynomial(2, {((1, 0), (0, 1)): F(1)})
+        k = KernelPolynomial(2, {(1, 0, 0, 1): F(1)})
         with pytest.raises(ValueError):
             k.evaluate([F(1)], [F(0), F(0)])
+
+
+rationals = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+
+
+@st.composite
+def kernel_and_parts(draw):
+    """(a, b, fx, fy): two kernels and two polynomials sharing one d <= 3."""
+    d = draw(st.integers(1, 3))
+    kernel_keys = st.tuples(*[st.integers(0, 3)] * (2 * d))
+    poly_keys = st.tuples(*[st.integers(0, 3)] * d)
+    a, b = (KernelPolynomial(d, draw(st.dictionaries(kernel_keys, rationals, max_size=6)))
+            for _ in range(2))
+    fx, fy = (CartesianPolynomial(d, draw(st.dictionaries(poly_keys, rationals, max_size=4)))
+              for _ in range(2))
+    return a, b, fx, fy
+
+
+class TestKernelIsAPolynomial:
+    @settings(max_examples=60, deadline=None)
+    @given(kernel_and_parts(), rationals)
+    def test_operations_stay_exact_kernels(self, parts, c):
+        a, b, fx, fy = parts
+        results = [a + b, a - b, -a, a.scale(c), a.transpose(), KernelPolynomial.outer(fx, fy)]
+        for k in results:
+            assert type(k) is KernelPolynomial
+            assert all(type(v) is Fraction and v for v in k.terms.values())
+            assert KernelPolynomial.from_json_dict(k.to_json_dict()) == k
+        assert (a + b) - b == a
+        assert hash((a + b) - b) == hash(a)
+        assert a.transpose().transpose() == a
+        assert hash(a.transpose().transpose()) == hash(a)
+        assert a - a == KernelPolynomial.zero(a.d)
+        x = [F(1, 3)] * a.d
+        y = [F(-2, 5)] * a.d
+        assert KernelPolynomial.outer(fx, fy).evaluate(x, y) == fx.evaluate(x) * fy.evaluate(y)
+        assert a.transpose().evaluate(x, y) == a.evaluate(y, x)
+
+    def test_json_block_must_have_d_entries(self):
+        obj = {"d": 2, "form": "canonical", "scale": "1",
+               "terms": [{"exp_x": [1], "exp_y": [0, 0, 1], "coef": "1"}]}
+        with pytest.raises(ValueError):
+            KernelPolynomial.from_json_dict(obj)
+
+    def test_polynomial_functions_refuse_a_kernel(self):
+        kernel = kernel_definition_twofold(1, 1, 1)
+        one = CartesianPolynomial.constant(1, 1)
+        with pytest.raises(ValueError):
+            integrate_simplex(kernel)
+        with pytest.raises(ValueError):
+            inner_product(kernel, one)
+        with pytest.raises(ValueError):
+            inner_product(one, kernel)
+        with pytest.raises(ValueError):
+            apply_operator(OperatorSpec(2, 1), kernel)
+
+    def test_kernel_and_polynomial_never_mix(self):
+        # a d = 1 kernel and a d = 2 polynomial both have 2-tuple keys
+        kernel = KernelPolynomial(1, {(1, 0): 1})
+        poly = CartesianPolynomial(2, {(1, 0): 1})
+        assert kernel != poly
+        assert KernelPolynomial.zero(1) != CartesianPolynomial.zero(1)
+        with pytest.raises(ValueError):
+            kernel + CartesianPolynomial.constant(1, 1)
+        with pytest.raises(ValueError):
+            KernelPolynomial.outer(kernel, kernel)
 
 
 class TestDiagonalKernelForm:
@@ -87,8 +160,8 @@ class TestDiagonalKernelForm:
 
 class TestKernelSingle:
     def test_degree_zero_is_inverse_volume(self):
-        assert to_canonical(kernel_single(0, 1)).terms == {((0,), (0,)): F(1)}
-        assert to_canonical(kernel_single(0, 2)).terms == {((0, 0), (0, 0)): F(2)}
+        assert to_canonical(kernel_single(0, 1)).terms == {(0, 0): F(1)}
+        assert to_canonical(kernel_single(0, 2)).terms == {(0, 0, 0, 0): F(2)}
 
     def test_scale_and_unit_weights(self):
         form = kernel_single(3, 2)
@@ -103,8 +176,8 @@ class TestKernelSingle:
 
 class TestTwofoldKernels:
     def test_definition_trivial_cases(self):
-        assert kernel_definition_twofold(0, 0, 1).terms == {((0,), (0,)): F(1)}
-        assert kernel_definition_twofold(0, 0, 2).terms == {((0, 0), (0, 0)): F(2)}
+        assert kernel_definition_twofold(0, 0, 1).terms == {(0, 0): F(1)}
+        assert kernel_definition_twofold(0, 0, 2).terms == {(0, 0, 0, 0): F(2)}
 
     def test_definition_value_at_origin(self):
         # only the alpha = beta = (1,0) term survives at x = y = 0
@@ -124,7 +197,7 @@ class TestTwofoldKernels:
         for d in (1, 2, 3):
             for n in (0, 2, 4):
                 kernel = to_canonical(kernel_closed_twofold(0, n, d))
-                assert kernel.terms == {((0,) * d, (0,) * d): F(index_factorial((d,)))}
+                assert kernel.terms == {(0,) * (2 * d): F(index_factorial((d,)))}
 
     def test_form_symmetric_in_degrees(self):
         assert kernel_closed_twofold(2, 5, 2) == kernel_closed_twofold(5, 2, 2)
@@ -150,7 +223,7 @@ class TestUnivariateTwofold:
 
     def test_degree_zero_is_constant_one(self):
         for n in range(4):
-            assert to_canonical(kernel_univariate_twofold(0, n)).terms == {((0,), (0,)): F(1)}
+            assert to_canonical(kernel_univariate_twofold(0, n)).terms == {(0, 0): F(1)}
 
 
 class TestLegendreKernel:
@@ -158,7 +231,7 @@ class TestLegendreKernel:
         assert kernel_legendre(1, 1).terms == K11_TERMS
 
     def test_zero_zero_is_one(self):
-        assert kernel_legendre(0, 0).terms == {((0,), (0,)): F(1)}
+        assert kernel_legendre(0, 0).terms == {(0, 0): F(1)}
 
     def test_matches_univariate_closed_form(self):
         for m in range(5):
@@ -169,7 +242,7 @@ class TestLegendreKernel:
 
 class TestThreefoldKernels:
     def test_definition_trivial(self):
-        assert kernel_definition_threefold(0, 0, 0, 1).terms == {((0,), (0,)): F(1)}
+        assert kernel_definition_threefold(0, 0, 0, 1).terms == {(0, 0): F(1)}
 
     def test_definition_value_frozen(self):
         # triple-sum brute force at the origin, cross-checked by hand
@@ -178,7 +251,7 @@ class TestThreefoldKernels:
     def test_closed_trivial_prefactor(self):
         form = kernel_closed_threefold(0, 0, 0)
         assert form.scale == 1
-        assert to_canonical(form).terms == {((0,), (0,)): F(1)}
+        assert to_canonical(form).terms == {(0, 0): F(1)}
 
     def test_closed_equals_definition_small(self):
         for a in range(3):
@@ -228,7 +301,7 @@ class TestInnerSumIdentity:
 
 class TestEvalAndDiff:
     def test_eval_constant(self):
-        k = KernelPolynomial(1, {((0,), (0,)): F(1)})
+        k = KernelPolynomial(1, {(0, 0): F(1)})
         assert k.evaluate([F(1, 3)], [F(2, 3)]) == 1
 
     def test_eval_closed_value(self):
@@ -246,6 +319,6 @@ class TestEvalAndDiff:
 
     def test_first_difference_witness(self):
         k = to_canonical(kernel_closed_twofold(1, 1, 1))
-        perturbed = k + KernelPolynomial(1, {((1,), (1,)): F(1, 2)})
+        perturbed = k + KernelPolynomial(1, {(1, 1): F(1, 2)})
         diff = first_kernel_difference(k, perturbed)
         assert diff == {"exp_x": [1], "exp_y": [1], "lhs": "4/3", "rhs": "11/6"}
