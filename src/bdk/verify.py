@@ -52,9 +52,7 @@ class SuiteConfig:
     """Ranges, seed and execution hints for one verification run.
 
     The default ranges reproduce the full claimed identity set; shrink
-    them for quick smoke runs.  `parallelism` is a worker-count hint --
-    exact arithmetic makes results independent of any partitioning, and
-    the current executor runs checks sequentially.
+    them for quick smoke runs.
     """
 
     d_range: Tuple[int, ...] = (1, 2, 3)
@@ -69,7 +67,6 @@ class SuiteConfig:
     moment_cap: int = 6
     points_per_case: int = 5
     seed: int = 271828
-    parallelism: int = 1
     time_budget_s: Optional[float] = None
     corrupt_scale: bool = False
 
@@ -103,7 +100,6 @@ class SuiteConfig:
             "moment_cap": self.moment_cap,
             "points_per_case": self.points_per_case,
             "seed": self.seed,
-            "parallelism": self.parallelism,
             "time_budget_s": self.time_budget_s,
             "corrupt_scale": self.corrupt_scale,
         }

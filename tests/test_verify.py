@@ -16,7 +16,7 @@ from bdk.verify import (
 
 #: sha256 of the default report body; any change to an answer, a check or the
 #: report schema moves it.
-DEFAULT_BODY_SHA256 = "553d05801ec49ce10860486b10973eea2e20d74a68c5ad9563fba7c9659c7d72"
+DEFAULT_BODY_SHA256 = "3a5d50b4c388abc3a60e063cd90f2984f5b788e5dd423c6d2beb12f899929e21"
 
 
 @pytest.fixture(scope="module")
