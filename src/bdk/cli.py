@@ -253,34 +253,20 @@ def _cmd_verify(args) -> int:
     dims = _parse_dims(args.d)
     if args.max_degree is not None and args.max_degree < 0:
         raise UsageError("--max-degree must be >= 0")
-
-    if args.max_degree is not None:
-        caps = {d: args.max_degree for d in dims}
-        clamp = lambda default: min(default, args.max_degree)  # noqa: E731
-    else:
-        missing = [d for d in dims if d not in DEFAULT_DEGREE_CAPS]
-        if missing:
-            raise UsageError(
-                f"no default degree cap for d={missing}; pass --max-degree")
-        caps = {d: DEFAULT_DEGREE_CAPS[d] for d in dims}
-        clamp = lambda default: default  # noqa: E731
-
+    settings = dict(d_range=dims, seed=args.seed, time_budget_s=args.time_budget,
+                    corrupt_scale=args.self_test_corrupt)
+    if args.threefold_cap is not None:
+        settings["threefold_cap"] = args.threefold_cap
     try:
-        cfg = SuiteConfig(
-            d_range=dims,
-            degree_caps=caps,
-            threefold_cap=args.threefold_cap if args.threefold_cap is not None else clamp(5),
-            univariate_cap=clamp(10),
-            legendre_cap=clamp(8),
-            combination_cap=clamp(5),
-            lemma_cap=clamp(4),
-            operator_cap=clamp(5),
-            operator_monomial_degree=clamp(4),
-            moment_cap=clamp(6),
-            seed=args.seed,
-            time_budget_s=args.time_budget,
-            corrupt_scale=args.self_test_corrupt,
-        )
+        if args.max_degree is not None:
+            cfg = SuiteConfig.capped(args.max_degree, **settings)
+        else:
+            missing = [d for d in dims if d not in DEFAULT_DEGREE_CAPS]
+            if missing:
+                raise UsageError(
+                    f"no default degree cap for d={missing}; pass --max-degree")
+            cfg = SuiteConfig(degree_caps={d: DEFAULT_DEGREE_CAPS[d] for d in dims},
+                              **settings)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 

@@ -8,7 +8,6 @@ bases on the simplex, so exactness is non-negotiable; no floats appear.
 from __future__ import annotations
 
 import math
-import os
 import re
 from fractions import Fraction
 from typing import Iterable, Iterator, List, Sequence, Tuple, Union
@@ -28,8 +27,6 @@ __all__ = [
     "table_multinomial",
     "clear_denominators",
     "enumerate_multi_indices",
-    "set_factorial_cache_bound",
-    "factorial_cache_bound",
 ]
 
 #: Exact arbitrary-precision rational; always reduced, denominator > 0.
@@ -59,42 +56,11 @@ def format_rational(value: Fraction) -> str:
     return str(Fraction(value))
 
 
-def _read_cache_bound() -> int:
-    raw = os.environ.get("BDK_MAX_FACTORIAL", "")
-    try:
-        bound = int(raw)
-    except ValueError:
-        return 256
-    return bound if bound >= 1 else 256
-
-
-_FACT_BOUND = _read_cache_bound()
-_FACT_TABLE = [1]
-
-
-def set_factorial_cache_bound(bound: int) -> None:
-    """Resize the factorial cache; values beyond it are computed on demand."""
-    global _FACT_BOUND, _FACT_TABLE
-    if bound < 1:
-        raise ValueError("factorial cache bound must be >= 1")
-    _FACT_BOUND = bound
-    if len(_FACT_TABLE) > bound + 1:
-        del _FACT_TABLE[bound + 1:]
-
-
-def factorial_cache_bound() -> int:
-    return _FACT_BOUND
-
-
 def factorial(n: int) -> int:
-    """n! as an exact integer, cached up to the configured bound."""
+    """n! as an exact integer."""
     if n < 0:
         raise ValueError("factorial of negative integer")
-    if n > _FACT_BOUND:
-        return math.factorial(n)
-    while len(_FACT_TABLE) <= n:
-        _FACT_TABLE.append(_FACT_TABLE[-1] * len(_FACT_TABLE))
-    return _FACT_TABLE[n]
+    return math.factorial(n)
 
 
 class FactorialTable(dict):
@@ -159,12 +125,6 @@ class MultiIndex:
     def dimension(self) -> int:
         """Simplex dimension d implied by the part count (d+1 parts)."""
         return len(self.parts) - 1
-
-    def dominates(self, other: "MultiIndex") -> bool:
-        """Componentwise partial order: other <= self in every slot."""
-        if len(self.parts) != len(other.parts):
-            raise ValueError("multi-index length mismatch")
-        return all(o <= s for s, o in zip(self.parts, other.parts))
 
     def __add__(self, other: "MultiIndex") -> "MultiIndex":
         if len(self.parts) != len(other.parts):

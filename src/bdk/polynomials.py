@@ -169,9 +169,12 @@ class CartesianPolynomial:
         self._hash = None
 
     @classmethod
-    def _from_terms(cls, d: int, terms: Dict[Exponents, Fraction]):
-        """Wrap a map built by an internal operation: its keys are trusted,
-        and zero coefficients are dropped here, the one place that does."""
+    def _from_terms(cls, d: int, terms: Dict[Exponents, Fraction]) -> "CartesianPolynomial":
+        """The polynomial over a map that an internal operation built.
+
+        Its keys are trusted as built; zero coefficients are dropped here,
+        the one place that does.
+        """
         poly = cls.__new__(cls)
         poly.d = d
         poly.terms = {e: c for e, c in terms.items() if c}
@@ -181,15 +184,15 @@ class CartesianPolynomial:
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def zero(cls, d: int):
+    def zero(cls, d: int) -> "CartesianPolynomial":
         return cls(d, {})
 
     @classmethod
-    def constant(cls, d: int, value: Scalar):
+    def constant(cls, d: int, value: Scalar) -> "CartesianPolynomial":
         return cls(d, {(0,) * (cls.BLOCKS * d): Fraction(value)})
 
     @classmethod
-    def variable(cls, d: int, i: int):
+    def variable(cls, d: int, i: int) -> "CartesianPolynomial":
         """The coordinate polynomial in the i-th of the key's variables."""
         width = cls.BLOCKS * d
         if not 1 <= i <= width:
@@ -198,11 +201,12 @@ class CartesianPolynomial:
         return cls(d, {exps: Fraction(1)})
 
     @classmethod
-    def monomial(cls, d: int, exps: Sequence[int], coef: Scalar = 1):
+    def monomial(cls, d: int, exps: Sequence[int], coef: Scalar = 1) -> "CartesianPolynomial":
         return cls(d, {tuple(exps): Fraction(coef)})
 
     @classmethod
-    def from_integers(cls, d: int, ints: Dict[Exponents, int], scale: Scalar = 1):
+    def from_integers(cls, d: int, ints: Dict[Exponents, int],
+                      scale: Scalar = 1) -> "CartesianPolynomial":
         """The polynomial with coefficients scale * ints[e].
 
         The keys must already be valid exponent tuples; this is the exit of
@@ -226,7 +230,7 @@ class CartesianPolynomial:
         if self.BLOCKS != other.BLOCKS:
             raise ValueError(f"cannot combine {type(self).__name__} with {type(other).__name__}")
 
-    def __add__(self, other):
+    def __add__(self, other: "CartesianPolynomial") -> "CartesianPolynomial":
         if not isinstance(other, CartesianPolynomial):
             return NotImplemented
         self._check_compatible(other)
@@ -235,10 +239,10 @@ class CartesianPolynomial:
             out[exps] = out.get(exps, 0) + coef
         return self._from_terms(self.d, out)
 
-    def __sub__(self, other):
+    def __sub__(self, other: "CartesianPolynomial") -> "CartesianPolynomial":
         return self + (-other)
 
-    def __neg__(self):
+    def __neg__(self) -> "CartesianPolynomial":
         return self._from_terms(self.d, {e: -c for e, c in self.terms.items()})
 
     def __mul__(self, other):
@@ -259,11 +263,11 @@ class CartesianPolynomial:
             return self.scale(other)
         return NotImplemented
 
-    def scale(self, c: Scalar):
+    def scale(self, c: Scalar) -> "CartesianPolynomial":
         c = Fraction(c)
         return self._from_terms(self.d, {e: c * v for e, v in self.terms.items()})
 
-    def __pow__(self, k: int):
+    def __pow__(self, k: int) -> "CartesianPolynomial":
         if k < 0:
             raise ValueError("negative power of a polynomial")
         out = self.constant(self.d, 1)

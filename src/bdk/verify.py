@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
@@ -39,12 +39,17 @@ __all__ = [
     "run_suite",
     "sample_simplex_point",
     "DEFAULT_DEGREE_CAPS",
+    "CAP_FIELDS",
 ]
 
 REPORT_SCHEMA = "bdk-report/1"
 ARTIFACT_VERSION = "0.1.0"
 
 DEFAULT_DEGREE_CAPS = {1: 8, 2: 6, 3: 4}
+
+#: The SuiteConfig fields that bound a check family's degrees.
+CAP_FIELDS = ("threefold_cap", "univariate_cap", "legendre_cap", "combination_cap",
+              "lemma_cap", "operator_cap", "operator_monomial_degree", "moment_cap")
 
 
 @dataclass
@@ -78,13 +83,23 @@ class SuiteConfig:
                 raise ValueError("dimensions must be >= 1")
             if self.degree_caps.get(d, -1) < 0:
                 raise ValueError(f"degree cap for d={d} missing or negative")
-        for name in ("threefold_cap", "univariate_cap", "legendre_cap",
-                     "combination_cap", "lemma_cap", "operator_cap",
-                     "operator_monomial_degree", "moment_cap"):
+        for name in CAP_FIELDS:
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
         if self.points_per_case < 1:
             raise ValueError("points_per_case must be >= 1")
+
+    @classmethod
+    def capped(cls, max_degree: int, **settings) -> "SuiteConfig":
+        """The default ranges with every degree held to at most max_degree.
+
+        Each cap field becomes min(its default, max_degree), and every
+        dimension in d_range gets the degree cap max_degree; settings
+        override any field.
+        """
+        caps = {f.name: min(f.default, max_degree) for f in fields(cls) if f.name in CAP_FIELDS}
+        d_range = settings.get("d_range", cls.d_range)
+        return cls(**{**caps, "degree_caps": {d: max_degree for d in d_range}, **settings})
 
     def to_json_dict(self) -> dict:
         return {

@@ -359,30 +359,3 @@ class TestTopLevel:
 
     def test_unknown_command(self, capsys):
         assert run_cli(capsys, "frobnicate")[0] == 2
-
-    def test_factorial_cache_env_override(self):
-        import os
-        import subprocess
-        import sys
-
-        from bdk import combinat
-
-        # The bound is read at import time, so it needs a fresh interpreter.
-        # Its environment is minimal except for the directory holding the
-        # `bdk` this process imported, so the child checks the same code
-        # whether the suite runs from PYTHONPATH=src or from an install.
-        package_root = os.path.dirname(os.path.dirname(combinat.__file__))
-        out = subprocess.run(
-            [sys.executable, "-c",
-             "from bdk import combinat as c; print(c.__file__); "
-             "print(c.factorial_cache_bound()); print(c.factorial(40))"],
-            capture_output=True, text=True, timeout=60,
-            env={"BDK_MAX_FACTORIAL": "32", "PATH": "/usr/bin:/bin",
-                 "PYTHONPATH": package_root},
-        )
-        assert out.returncode == 0, out.stderr
-        child_file, bound, value = out.stdout.splitlines()
-        assert os.path.realpath(child_file) == os.path.realpath(combinat.__file__)
-        assert bound == "32"
-        import math
-        assert int(value) == math.factorial(40)

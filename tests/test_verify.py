@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import random
@@ -6,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from bdk.verify import (
+    CAP_FIELDS,
     REPORT_SCHEMA,
     SuiteConfig,
     canonical_json_bytes,
@@ -59,6 +61,15 @@ class TestSuiteConfig:
     def test_rejects_negative_caps(self):
         with pytest.raises(ValueError):
             SuiteConfig(d_range=(1,), degree_caps={1: 1}, threefold_cap=-1)
+
+    def test_capped_holds_every_cap_to_min_of_default_and_k(self):
+        defaults = {f.name: f.default for f in dataclasses.fields(SuiteConfig)}
+        for k in range(12):
+            cfg = SuiteConfig.capped(k, d_range=(1, 2))
+            for name in CAP_FIELDS:
+                assert getattr(cfg, name) == min(defaults[name], k), (name, k)
+            assert cfg.degree_caps == {1: k, 2: k}
+            assert SuiteConfig.capped(k, threefold_cap=2).threefold_cap == 2
 
 
 class TestSamplePoint:
