@@ -322,3 +322,7 @@ class TestEvalAndDiff:
         perturbed = k + KernelPolynomial(1, {(1, 1): F(1, 2)})
         diff = first_kernel_difference(k, perturbed)
         assert diff == {"exp_x": [1], "exp_y": [1], "lhs": "4/3", "rhs": "11/6"}
+        lhs = KernelPolynomial(2, {(1, 0, 0, 2): F(1)})
+        rhs = lhs + KernelPolynomial(2, {(0, 1, 2, 0): F(3)})
+        diff = first_kernel_difference(lhs, rhs)
+        assert diff == {"exp_x": [0, 1], "exp_y": [2, 0], "lhs": "0", "rhs": "3"}
