@@ -50,7 +50,7 @@ from .polynomials import (
     check_polynomial,
     monomial_numerators,
 )
-from .simplex_integrals import check_dimension, monomial_integral
+from .simplex_integrals import check_dimension
 
 __all__ = [
     "KernelPolynomial",
@@ -120,14 +120,29 @@ class KernelPolynomial(CartesianPolynomial):
     def integrate_y(self) -> CartesianPolynomial:
         """Integrate the y block over the simplex, leaving a polynomial in x.
 
-        For a stochastic kernel this must come out as the constant 1.
+        For a stochastic kernel this must come out as the constant 1.  With
+        the coefficients over their common denominator D and N the top y
+        degree, Dirichlet's formula makes the x^ex coefficient the integer
+        sum_ey C ey! (N+d)!/(|ey|+d)!  times the one scale 1 / (D (N+d)!).
         """
         d = self.d
-        out: Dict[Tuple[int, ...], Fraction] = {}
-        for e, coef in self.terms.items():
+        den, coefs = clear_denominators(self.terms.values())
+        fact = FactorialTable()
+        full = fact[max((sum(e[d:]) for e in self.terms), default=0) + d]
+        cofactors: Dict[int, int] = {}  # |ey| -> (N+d)!/(|ey|+d)!, for the degrees present
+        acc: Dict[Tuple[int, ...], int] = {}
+        for e, c in zip(self.terms, coefs):
+            ey = e[d:]
+            k = sum(ey)
+            cofactor = cofactors.get(k)
+            if cofactor is None:
+                cofactor = cofactors[k] = full // fact[k + d]
+            w = c * cofactor
+            for p in ey:
+                w *= fact[p]
             ex = e[:d]
-            out[ex] = out.get(ex, 0) + coef * monomial_integral((0,) + e[d:], d)
-        return CartesianPolynomial._from_terms(d, out)
+            acc[ex] = acc.get(ex, 0) + w
+        return CartesianPolynomial.from_integers(d, acc, Fraction(1, den * full))
 
     def __repr__(self) -> str:
         return f"<kernel d={self.d} terms={len(self.terms)}>"

@@ -78,6 +78,8 @@ class SuiteConfig:
     def __post_init__(self):
         if not self.d_range:
             raise ValueError("d_range must not be empty")
+        if len(set(self.d_range)) != len(self.d_range):
+            raise ValueError(f"d_range repeats a dimension: {list(self.d_range)}")
         for d in self.d_range:
             if d < 1:
                 raise ValueError("dimensions must be >= 1")
@@ -220,12 +222,32 @@ def _poly_witness(lhs: CartesianPolynomial, rhs: CartesianPolynomial) -> Tuple[b
 
 
 class _SuiteState:
-    """Shared lazy caches so families reuse expensive kernel builds."""
+    """Shared lazy caches, so each artifact with more than one reader is
+    built once per run.
 
-    def __init__(self, cfg: SuiteConfig):
-        self.cfg = cfg
+    - twofold_def, the definitional kernel of M_m o M_n per (d, m, n):
+      twofold_closed_equals_definition, twofold_stochastic_in_y,
+      twofold_symmetry_xy, twofold_symmetry_degrees,
+      univariate_twofold_vs_definition and
+      composition_linear_combination_kernel.
+    - single_canonical, to_canonical(kernel_single(k, d)) per (d, k):
+      single_stochastic_in_y and composition_linear_combination_kernel.
+    - univariate_canonical, to_canonical(kernel_univariate_twofold(m, n))
+      per (m, n): univariate_twofold_vs_definition and
+      legendre_matches_univariate.
+    - threefold_def, the d = 1 definitional kernel of M_a o M_b o M_c per
+      (a, b, c): threefold_closed_equals_definition and
+      threefold_permutation_invariance.
+    - operator_images, M_n f per (d, n, f): every operator_* family.
+
+    The canonical closed two-fold kernel has one reader per key, so it is
+    built in its check and not kept.
+    """
+
+    def __init__(self):
         self.twofold_def: Dict[Tuple[int, int, int], KernelPolynomial] = {}
-        self.twofold_closed: Dict[Tuple[int, int, int], KernelPolynomial] = {}
+        self.single_canonical: Dict[Tuple[int, int], KernelPolynomial] = {}
+        self.univariate_canonical: Dict[Tuple[int, int], KernelPolynomial] = {}
         self.threefold_def: Dict[Tuple[int, int, int], KernelPolynomial] = {}
         self.operator_images: Dict[Tuple[int, int, object], CartesianPolynomial] = {}
 
@@ -235,14 +257,17 @@ class _SuiteState:
             self.twofold_def[key] = kernel_definition_twofold(m, n, d)
         return self.twofold_def[key]
 
-    def closed_canonical(self, d: int, m: int, n: int) -> KernelPolynomial:
-        key = (d, m, n)
-        if key not in self.twofold_closed:
-            form = kernel_closed_twofold(m, n, d)
-            if self.cfg.corrupt_scale:
-                form = form.with_scale(2 * form.scale)
-            self.twofold_closed[key] = to_canonical(form)
-        return self.twofold_closed[key]
+    def single(self, d: int, k: int) -> KernelPolynomial:
+        key = (d, k)
+        if key not in self.single_canonical:
+            self.single_canonical[key] = to_canonical(kernel_single(k, d))
+        return self.single_canonical[key]
+
+    def univariate(self, m: int, n: int) -> KernelPolynomial:
+        key = (m, n)
+        if key not in self.univariate_canonical:
+            self.univariate_canonical[key] = to_canonical(kernel_univariate_twofold(m, n))
+        return self.univariate_canonical[key]
 
     def threefold(self, a: int, b: int, c: int) -> KernelPolynomial:
         key = (a, b, c)
@@ -259,12 +284,14 @@ class _SuiteState:
 
 
 def _monomials_up_to(d: int, max_degree: int) -> List[CartesianPolynomial]:
-    out = []
-    for deg in range(max_degree + 1):
-        for mi in enumerate_multi_indices(deg, d):
-            # drop the slack slot: cartesian exponents only
-            out.append(CartesianPolynomial.monomial(d, mi.parts[1:]))
-    return out
+    """Each monomial in x_1..x_d of degree <= max_degree once, by degree.
+
+    The degree-deg monomials are the multi-indices of degree deg with a
+    zero slack slot, in enumeration order.
+    """
+    return [CartesianPolynomial.monomial(d, mi.parts[1:])
+            for deg in range(max_degree + 1)
+            for mi in enumerate_multi_indices(deg, d) if mi.parts[0] == 0]
 
 
 def _iter_jobs(cfg: SuiteConfig, state: _SuiteState, rng: random.Random) -> Iterator[Job]:
@@ -286,8 +313,10 @@ def _twofold_jobs(cfg: SuiteConfig, state: _SuiteState) -> Iterator[Job]:
                 params = {"d": d, "m": m, "n": n}
 
                 def closed_vs_def(d=d, m=m, n=n):
-                    return _kernel_equal(state.closed_canonical(d, m, n),
-                                         state.definition(d, m, n))
+                    form = kernel_closed_twofold(m, n, d)
+                    if cfg.corrupt_scale:
+                        form = form.with_scale(2 * form.scale)
+                    return _kernel_equal(to_canonical(form), state.definition(d, m, n))
                 yield "twofold_closed_equals_definition", params, closed_vs_def
 
                 def stochastic(d=d, m=m, n=n):
@@ -316,8 +345,7 @@ def _twofold_jobs(cfg: SuiteConfig, state: _SuiteState) -> Iterator[Job]:
 
         for k in range(cap + 1):
             def single_stochastic(d=d, k=k):
-                kernel = to_canonical(kernel_single(k, d))
-                return _poly_witness(kernel.integrate_y(),
+                return _poly_witness(state.single(d, k).integrate_y(),
                                      CartesianPolynomial.constant(d, 1))
             yield "single_stochastic_in_y", {"d": d, "n": k}, single_stochastic
 
@@ -334,15 +362,13 @@ def _univariate_jobs(cfg: SuiteConfig, state: _SuiteState) -> Iterator[Job]:
             yield "univariate_twofold_path", {"m": m, "n": n}, uni_path
 
             def uni_vs_def(m=m, n=n):
-                return _kernel_equal(to_canonical(kernel_univariate_twofold(m, n)),
-                                     state.definition(1, m, n))
+                return _kernel_equal(state.univariate(m, n), state.definition(1, m, n))
             yield "univariate_twofold_vs_definition", {"m": m, "n": n}, uni_vs_def
 
     for m in range(cfg.legendre_cap + 1):
         for n in range(cfg.legendre_cap + 1):
             def legendre(m=m, n=n):
-                return _kernel_equal(kernel_legendre(m, n),
-                                     to_canonical(kernel_univariate_twofold(m, n)))
+                return _kernel_equal(kernel_legendre(m, n), state.univariate(m, n))
             yield "legendre_matches_univariate", {"m": m, "n": n}, legendre
 
 
@@ -396,7 +422,7 @@ def _combination_jobs(cfg: SuiteConfig, state: _SuiteState) -> Iterator[Job]:
                     coeffs = composition_coefficients(m, n, d)
                     acc = KernelPolynomial.zero(d)
                     for k, ck in enumerate(coeffs):
-                        acc = acc + to_canonical(kernel_single(k, d)).scale(ck)
+                        acc = acc + state.single(d, k).scale(ck)
                     return _kernel_equal(acc, state.definition(d, m, n))
                 yield "composition_linear_combination_kernel", params, combo_kernel
 
@@ -526,7 +552,7 @@ def run_suite(cfg: SuiteConfig) -> VerificationReport:
     budget runs out, the report is flagged incomplete rather than
     silently truncated.
     """
-    state = _SuiteState(cfg)
+    state = _SuiteState()
     rng = random.Random(cfg.seed)
     start = time.perf_counter()
     checks: List[CheckRecord] = []

@@ -308,6 +308,16 @@ class TestVerifyCommand:
         assert code == 2
         assert "--max-degree" in err
 
+    @pytest.mark.parametrize("argv", [
+        ("--d", "1,1", "--max-degree", "1"),
+        ("--d", "1,2,1"),
+    ])
+    def test_repeated_dimension_is_usage_error(self, capsys, argv):
+        code, out, err = run_cli(capsys, "verify", *argv)
+        assert code == 2
+        assert "repeats a dimension" in err
+        assert out == ""
+
     def test_byte_identical_bodies_for_same_seed(self, capsys, tmp_path):
         bodies = []
         for name in ("a.json", "b.json"):

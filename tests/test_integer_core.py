@@ -1,7 +1,7 @@
 """The integer-accumulating builders against the plain Fraction versions.
 
 The reference functions below are the straightforward Fraction
-implementations of the five exact hot paths, kept verbatim as oracles:
+implementations of the six exact hot paths, kept verbatim as oracles:
 each sums Fraction terms as the definitions read.  The library versions
 accumulate Python ints and apply one rational scale at the end; they must
 return exactly the same maps and values, coefficient types included.
@@ -56,6 +56,15 @@ def ref_integrate_simplex(p):
     for exps, coef in p.terms.items():
         total += coef * monomial_integral((0,) + exps, p.d)
     return total
+
+
+def ref_integrate_y(kernel):
+    d = kernel.d
+    out = {}
+    for e, coef in kernel.terms.items():
+        ex = e[:d]
+        out[ex] = out.get(ex, 0) + coef * monomial_integral((0,) + e[d:], d)
+    return CartesianPolynomial(d, out)
 
 
 def ref_inner_product(f, g):
@@ -140,6 +149,16 @@ def polynomials(draw, d=None, max_degree=4):
 
 
 @st.composite
+def kernels(draw):
+    """Sparse kernels in 2d variables, y-degree-0 terms and the zero kernel included."""
+    d = draw(dims)
+    block = st.sampled_from([mi.parts[1:] for k in range(4)
+                             for mi in enumerate_multi_indices(k, d)])
+    keys = st.tuples(block, block).map(lambda xy: xy[0] + xy[1])
+    return KernelPolynomial(d, draw(st.dictionaries(keys, rationals, max_size=8)))
+
+
+@st.composite
 def diagonal_forms(draw):
     d = draw(dims)
     index = st.integers(0, 4).flatmap(
@@ -156,7 +175,7 @@ def assert_identical(new, ref):
     assert new.to_json_dict() == ref.to_json_dict()
 
 
-# -- the five paths ---------------------------------------------------------
+# -- the six paths ----------------------------------------------------------
 
 
 class TestReferenceEquivalence:
@@ -212,6 +231,30 @@ class TestReferenceEquivalence:
         value = integrate_simplex(p)
         assert type(value) is Fraction
         assert value == ref_integrate_simplex(p)
+
+    @SETTINGS
+    @given(kernels())
+    def test_integrate_y(self, kernel):
+        result = kernel.integrate_y()
+        assert type(result) is CartesianPolynomial
+        assert_identical(result, ref_integrate_y(kernel))
+
+    @pytest.mark.parametrize("kernel", [
+        KernelPolynomial.zero(1),
+        KernelPolynomial.zero(3),
+        # mixed denominators, and terms of y-degree 0 beside higher ones
+        KernelPolynomial(2, {(0, 0, 0, 0): F(1, 6), (1, 0, 0, 0): F(-3, 4),
+                             (1, 0, 2, 1): F(5, 7), (0, 2, 0, 3): F(2, 9)}),
+        # only y-degree 0: integrate_y multiplies by the simplex volume 1/d!
+        KernelPolynomial(3, {(1, 1, 0, 0, 0, 0): F(7, 5), (0, 0, 2, 0, 0, 0): 3}),
+        # terms that cancel after integration
+        KernelPolynomial(1, {(0, 1): 1, (0, 0): F(-1, 2)}),
+        to_canonical(kernel_closed_twofold(3, 2, 2)),
+    ])
+    def test_integrate_y_degenerate_and_mixed_inputs(self, kernel):
+        result = kernel.integrate_y()
+        assert type(result) is CartesianPolynomial
+        assert_identical(result, ref_integrate_y(kernel))
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_zero_and_constant_inputs(self, d):

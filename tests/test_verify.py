@@ -3,13 +3,19 @@ import hashlib
 import json
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
+import bdk.polynomials
+import bdk.verify
+from bdk.combinat import enumerate_multi_indices
+from bdk.polynomials import CartesianPolynomial
 from bdk.verify import (
     CAP_FIELDS,
     REPORT_SCHEMA,
     SuiteConfig,
+    _monomials_up_to,
     canonical_json_bytes,
     run_suite,
     sample_simplex_point,
@@ -21,9 +27,53 @@ from bdk.verify import (
 DEFAULT_BODY_SHA256 = "3a5d50b4c388abc3a60e063cd90f2984f5b788e5dd423c6d2beb12f899929e21"
 
 
+#: (module, name) of the functions whose calls the work-count tests count.
+COUNTED = ((bdk.verify, "to_canonical"), (bdk.verify, "kernel_single"),
+           (bdk.polynomials, "inner_product"))
+
+
+def run_counted(cfg):
+    """The report of run_suite(cfg) and the number of calls to each COUNTED name."""
+    counts = dict.fromkeys((name for _, name in COUNTED), 0)
+
+    def counter(name, fn):
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    with pytest.MonkeyPatch.context() as mp:
+        for module, name in COUNTED:
+            mp.setattr(module, name, counter(name, getattr(module, name)))
+        report = run_suite(cfg)
+    return report, counts
+
+
+def expected_work(cfg):
+    """The call counts of run_counted(cfg) when each distinct input is built once."""
+    operator_dims = [d for d in cfg.d_range if d <= 2]
+    monomials = {d: comb(cfg.operator_monomial_degree + d, d) for d in operator_dims}
+    singles = sum(cfg.degree_caps[d] + 1 for d in cfg.d_range)
+    canonical = singles + sum((cfg.degree_caps[d] + 1) ** 2 for d in cfg.d_range)
+    if 1 in cfg.d_range:
+        canonical += (max(cfg.univariate_cap, cfg.legendre_cap) + 1) ** 2
+        canonical += (cfg.threefold_cap + 1) ** 3
+    return {
+        "to_canonical": canonical,
+        "kernel_single": singles,
+        "inner_product": sum(2 * (cfg.operator_cap + 1) * monomials[d] ** 2
+                             for d in operator_dims),
+    }
+
+
 @pytest.fixture(scope="module")
-def default_report():
-    return run_suite(SuiteConfig())
+def default_run():
+    return run_counted(SuiteConfig())
+
+
+@pytest.fixture(scope="module")
+def default_report(default_run):
+    return default_run[0]
 
 
 def tiny_config(**overrides):
@@ -58,6 +108,12 @@ class TestSuiteConfig:
         with pytest.raises(ValueError):
             SuiteConfig(d_range=(1, 4), degree_caps={1: 2})
 
+    def test_rejects_repeated_dimension(self):
+        with pytest.raises(ValueError, match="repeats"):
+            SuiteConfig(d_range=(1, 1), degree_caps={1: 1})
+        with pytest.raises(ValueError, match="repeats"):
+            SuiteConfig.capped(1, d_range=(1, 2, 1))
+
     def test_rejects_negative_caps(self):
         with pytest.raises(ValueError):
             SuiteConfig(d_range=(1,), degree_caps={1: 1}, threefold_cap=-1)
@@ -70,6 +126,23 @@ class TestSuiteConfig:
                 assert getattr(cfg, name) == min(defaults[name], k), (name, k)
             assert cfg.degree_caps == {1: k, 2: k}
             assert SuiteConfig.capped(k, threefold_cap=2).threefold_cap == 2
+
+
+def old_monomials_up_to(d, max_degree):
+    """The slack-dropping enumeration, which repeats each monomial once per
+    degree from its own up to max_degree."""
+    return [CartesianPolynomial.monomial(d, mi.parts[1:])
+            for deg in range(max_degree + 1)
+            for mi in enumerate_multi_indices(deg, d)]
+
+
+class TestMonomials:
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("k", range(6))
+    def test_each_monomial_once_in_first_appearance_order(self, d, k):
+        monomials = _monomials_up_to(d, k)
+        assert len(monomials) == len(set(monomials)) == comb(k + d, d)
+        assert monomials == list(dict.fromkeys(old_monomials_up_to(d, k)))
 
 
 class TestSamplePoint:
@@ -138,6 +211,40 @@ class TestRunSuite:
             "univariate_first_moment",
             "inner_sum_collapse",
         }
+
+    def test_default_run_builds_each_input_once(self, default_run):
+        _, counts = default_run
+        assert counts == {"to_canonical": 513, "kernel_single": 21, "inner_product": 3000}
+        assert counts == expected_work(SuiteConfig())
+
+    @pytest.mark.parametrize("cfg", [
+        tiny_config(),
+        tiny_config(d_range=(1, 2), degree_caps={1: 3, 2: 2}, legendre_cap=3),
+        tiny_config(d_range=(2, 3), degree_caps={2: 2, 3: 1}),
+    ])
+    def test_small_run_builds_each_input_once(self, cfg):
+        report, counts = run_counted(cfg)
+        assert report.ok
+        assert counts == expected_work(cfg)
+
+    def test_operator_checks_catch_a_perturbed_image(self, monkeypatch):
+        target = CartesianPolynomial.monomial(2, (2, 0))
+        original = bdk.verify.apply_operator
+
+        def perturbed(spec, f):
+            image = original(spec, f)
+            return image + CartesianPolynomial.variable(2, 1) if f == target else image
+        monkeypatch.setattr(bdk.verify, "apply_operator", perturbed)
+        report = run_suite(tiny_config(d_range=(2,), degree_caps={2: 1}))
+        named = target.to_json_dict()["terms"]
+        for family in ("operator_self_adjoint", "operator_integral_preservation",
+                       "operator_linear_combination"):
+            records = [c for c in report.checks if c.name == family]
+            assert records, family
+            for record in records:
+                assert not record.passed, (family, record.params)
+                assert named in (record.witness.get("f"), record.witness.get("g")), \
+                    (family, record.witness)
 
     def test_corrupted_prefactor_is_caught_with_witness(self):
         report = run_suite(tiny_config(corrupt_scale=True))
