@@ -7,7 +7,8 @@ independent ways:
 * definitional forms: brute-force double (or triple) sums over Bernstein
   index pairs, straight from the operator definition -- the oracle;
 * diagonal closed forms: a factorial prefactor times a short sum of
-  products B_l(x) B_l(y) over a single multi-index l.
+  products B_l(x) B_l(y) over a single multi-index l, with a weight that
+  depends on l only through its degree |l|; one weight per degree is stored.
 
 Every form canonicalizes to a sparse polynomial in the 2d variables
 x_1..x_d, y_1..y_d (the dependent coordinates x_0, y_0 eliminated), so
@@ -175,10 +176,12 @@ class KernelPolynomial(CartesianPolynomial):
 
 
 class DiagonalKernelForm:
-    """Structured kernel: scale * sum of weight(l) * B_l(x) B_l(y).
+    """Structured kernel: scale * sum over degrees j of w_j * sum_{|l|=j} B_l(x) B_l(y).
 
     The whole point of the closed-form results is that composition kernels
-    admit this shape, with only matching-index basis products.
+    admit this shape, with only matching-index basis products and a weight
+    that depends on the index only through its degree.  terms holds the
+    (j, w_j) pairs in ascending j, each weight nonzero.
     """
 
     __slots__ = ("d", "scale", "terms")
@@ -186,23 +189,18 @@ class DiagonalKernelForm:
     def __init__(self, d: int, scale, terms):
         self.d = check_dimension(d)
         self.scale = Fraction(scale)
-        clean: List[Tuple[MultiIndex, Fraction]] = []
-        for mi, weight in terms:
-            mi = mi if isinstance(mi, MultiIndex) else MultiIndex(mi)
-            if mi.dimension != d:
-                raise ValueError("diagonal index dimension mismatch")
-            weight = Fraction(weight)
-            if not weight:
-                raise ValueError("diagonal weights must be nonzero")
-            clean.append((mi, weight))
-        self.terms = tuple(clean)
-
-    def sorted_terms(self):
-        return sorted(self.terms, key=lambda t: (t[0].degree, t[0].parts))
+        self.terms = tuple(sorted(((int(j), Fraction(w)) for j, w in terms), key=lambda t: t[0]))
+        degrees = [j for j, _ in self.terms]
+        if degrees and degrees[0] < 0:
+            raise ValueError("diagonal degrees must be >= 0")
+        if len(set(degrees)) != len(degrees):
+            raise ValueError("diagonal degrees must not repeat")
+        if not all(w for _, w in self.terms):
+            raise ValueError("diagonal weights must be nonzero")
 
     def max_index_degree(self) -> int:
         """Largest |l| appearing; -1 when the form is empty."""
-        return max((mi.degree for mi, _ in self.terms), default=-1)
+        return self.terms[-1][0] if self.terms else -1
 
     def with_scale(self, scale) -> "DiagonalKernelForm":
         """Copy with a replaced prefactor (used by mutation self-tests)."""
@@ -218,14 +216,19 @@ class DiagonalKernelForm:
 
         A point p = A / q in barycentric integer form has the integer basis
         vector  v_l = q^top B_l(p) = mult(l) prod A_v^l_v q^(top-|l|),
-        top = max |l|, computed once per point.  With w_l = W_l / D over a
+        top = max |l|, computed once per point.  With w_j = W_j / D over a
         common denominator, each value is the one integer dot product
-            K(x, y) = scale * sum_l W_l v_l(x) v_l(y) / (D qx^top qy^top).
+            K(x, y) = scale * sum_l W_|l| v_l(x) v_l(y) / (D qx^top qy^top).
         """
         fact = FactorialTable()
-        indices = [mi.parts for mi, _ in self.terms]
+        w_den, degree_weights = clear_denominators(w for _, w in self.terms)
+        indices: List[Tuple[int, ...]] = []
+        weights: List[int] = []
+        for (j, _), w in zip(self.terms, degree_weights):
+            block = [mi.parts for mi in enumerate_multi_indices(j, self.d)]
+            indices += block
+            weights += [w] * len(block)
         mults = [table_multinomial(parts, fact) for parts in indices]
-        w_den, weights = clear_denominators(w for _, w in self.terms)
         num, den = self.scale.numerator, self.scale.denominator * w_den
 
         def vector(pt: PointLike) -> Tuple[int, List[int]]:
@@ -242,37 +245,14 @@ class DiagonalKernelForm:
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, DiagonalKernelForm):
-            return (self.d == other.d and self.scale == other.scale
-                    and sorted((mi.parts, w) for mi, w in self.terms)
-                    == sorted((mi.parts, w) for mi, w in other.terms))
+            return (self.d, self.scale, self.terms) == (other.d, other.scale, other.terms)
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash((self.d, self.scale, frozenset((mi.parts, w) for mi, w in self.terms)))
+        return hash((self.d, self.scale, self.terms))
 
     def __repr__(self) -> str:
         return f"<diagonal-kernel d={self.d} scale={self.scale} terms={len(self.terms)}>"
-
-    def to_json_dict(self) -> dict:
-        return {
-            "d": self.d,
-            "form": "diagonal",
-            "scale": format_rational(self.scale),
-            "terms": [
-                {"index": list(mi.parts), "weight": format_rational(w)}
-                for mi, w in self.sorted_terms()
-            ],
-        }
-
-    @classmethod
-    def from_json_dict(cls, obj: dict) -> "DiagonalKernelForm":
-        if obj.get("form") != "diagonal":
-            raise ValueError("expected a diagonal-form kernel object")
-        return cls(
-            int(obj["d"]),
-            parse_rational(obj["scale"]),
-            [(MultiIndex(t["index"]), parse_rational(t["weight"])) for t in obj["terms"]],
-        )
 
 
 # -- kernel builders ----------------------------------------------------
@@ -289,7 +269,7 @@ def kernel_single(n: int, d: int) -> DiagonalKernelForm:
         raise ValueError("degree must be >= 0")
     check_dimension(d)
     scale = Fraction(factorial(n + d), factorial(n))
-    return DiagonalKernelForm(d, scale, [(a, 1) for a in enumerate_multi_indices(n, d)])
+    return DiagonalKernelForm(d, scale, [(n, 1)])
 
 
 def _integer_basis(n: int, d: int, fact: FactorialTable):
@@ -297,6 +277,19 @@ def _integer_basis(n: int, d: int, fact: FactorialTable):
     return [(alpha.parts, table_multinomial(alpha.parts, fact),
              [(exps, c.numerator) for exps, c in bernstein_basis(alpha).terms.items()])
             for alpha in enumerate_multi_indices(n, d)]
+
+
+def _outer_sum(weighted) -> Dict[Tuple[int, ...], int]:
+    """sum W b[ex] b[ey] over (W, b) pairs: integer weights W and the
+    (exponents, integer coefficient) terms b of one polynomial each."""
+    acc: Dict[Tuple[int, ...], int] = {}
+    for w, terms in weighted:
+        for ex, cx in terms:
+            cx *= w
+            for ey, cy in terms:
+                key = ex + ey
+                acc[key] = acc.get(key, 0) + cx * cy
+    return acc
 
 
 def kernel_definition_twofold(m: int, n: int, d: int) -> KernelPolynomial:
@@ -343,27 +336,20 @@ def kernel_closed_twofold(m: int, n: int, d: int) -> DiagonalKernelForm:
         raise ValueError("degrees must be >= 0")
     check_dimension(d)
     scale = Fraction(factorial(m + d) * factorial(n + d), factorial(m + n + d))
-    terms = []
-    for k in range(min(m, n) + 1):
-        weight = binomial(m, k) * binomial(n, k)
-        for ell in enumerate_multi_indices(k, d):
-            terms.append((ell, weight))
-    return DiagonalKernelForm(d, scale, terms)
+    return DiagonalKernelForm(d, scale, [(k, binomial(m, k) * binomial(n, k))
+                                         for k in range(min(m, n) + 1)])
 
 
 def kernel_univariate_twofold(m: int, n: int) -> DiagonalKernelForm:
-    """Univariate (d=1) closed form built through the classical double sum
-    over degree k and basis position, independent of the multivariate path.
+    """Univariate (d=1) closed form from the classical sum over degree k,
+    written out on its own rather than through the multivariate builder:
+    scale (m+1)! (n+1)! / (m+n+1)!, weight C(m,k) C(n,k) at degree k.
     """
     if m < 0 or n < 0:
         raise ValueError("degrees must be >= 0")
     scale = Fraction(factorial(m + 1) * factorial(n + 1), factorial(m + n + 1))
-    terms = []
-    for k in range(min(m, n) + 1):
-        weight = binomial(m, k) * binomial(n, k)
-        for j in range(k + 1):
-            terms.append((MultiIndex((k - j, j)), weight))
-    return DiagonalKernelForm(1, scale, terms)
+    return DiagonalKernelForm(1, scale, [(k, binomial(m, k) * binomial(n, k))
+                                         for k in range(min(m, n) + 1)])
 
 
 def kernel_legendre(m: int, n: int) -> KernelPolynomial:
@@ -374,21 +360,27 @@ def kernel_legendre(m: int, n: int) -> KernelPolynomial:
     where s_(k) is the falling factorial and L_k is the alternating
     Bernstein combination sum_i (-1)^i C(k,i) p_{k,i}, i.e. the shifted
     Legendre polynomial on [0,1] up to sign.  Returned canonicalized.
+    Each L_k has integer coefficients; with the weights over their common
+    denominator D the kernel is an integer sum times the one scale 1 / D.
     """
     if m < 0 or n < 0:
         raise ValueError("degrees must be >= 0")
-    acc = KernelPolynomial.zero(1)
-    for k in range(min(m, n) + 1):
-        weight = (Fraction(falling_factorial(m, k), falling_factorial(m + k + 1, k))
-                  * Fraction(falling_factorial(n, k), falling_factorial(n + k + 1, k))
-                  * (2 * k + 1))
-        legendre_k = CartesianPolynomial.zero(1)
-        for i in range(k + 1):
-            sign = -1 if i % 2 else 1
-            legendre_k = legendre_k + bernstein_basis(MultiIndex((k - i, i))).scale(
-                sign * binomial(k, i))
-        acc = acc + KernelPolynomial.outer(legendre_k, legendre_k).scale(weight)
-    return acc
+    top = min(m, n)
+    den, weights = clear_denominators(
+        Fraction(falling_factorial(m, k) * falling_factorial(n, k) * (2 * k + 1),
+                 falling_factorial(m + k + 1, k) * falling_factorial(n + k + 1, k))
+        for k in range(top + 1))
+    fact = FactorialTable()
+    legendre = []
+    for k in range(top + 1):
+        coefs: Dict[Tuple[int, ...], int] = {}
+        # _integer_basis lists B_(k-i, i) in ascending i
+        for i, (_, _, terms) in enumerate(_integer_basis(k, 1, fact)):
+            c_i = -binomial(k, i) if i % 2 else binomial(k, i)
+            for e, c in terms:
+                coefs[e] = coefs.get(e, 0) + c_i * c
+        legendre.append(list(coefs.items()))
+    return KernelPolynomial.from_integers(1, _outer_sum(zip(weights, legendre)), Fraction(1, den))
 
 
 def kernel_definition_threefold(n3: int, n2: int, n1: int, d: int) -> KernelPolynomial:
@@ -446,13 +438,9 @@ def kernel_closed_threefold(n3: int, n2: int, n1: int) -> DiagonalKernelForm:
     scale = Fraction(
         factorial(n3 + 1) * factorial(n2 + 1) * factorial(n1 + 1) * factorial(total + 1),
         factorial(n3 + n2 + 1) * factorial(n3 + n1 + 1) * factorial(n2 + n1 + 1))
-    terms = []
-    for k in range(min(n3, n2, n1) + 1):
-        weight = Fraction(binomial(n3, k) * binomial(n2, k) * binomial(n1, k),
-                          binomial(total + 1, k))
-        for j in range(k + 1):
-            terms.append((MultiIndex((k - j, j)), weight))
-    return DiagonalKernelForm(1, scale, terms)
+    return DiagonalKernelForm(1, scale, [
+        (k, Fraction(binomial(n3, k) * binomial(n2, k) * binomial(n1, k), binomial(total + 1, k)))
+        for k in range(min(n3, n2, n1) + 1)])
 
 
 def inner_sum_identity(n: int, beta: IndexLike, y: PointLike) -> Tuple[Fraction, Fraction]:
@@ -505,19 +493,14 @@ def inner_sum_identity(n: int, beta: IndexLike, y: PointLike) -> Tuple[Fraction,
 def to_canonical(form: DiagonalKernelForm) -> KernelPolynomial:
     """Expand a diagonal form into the canonical bivariate map.
 
-    With the weights over their common denominator D, w_l = W_l / D, the
-    map is the integer sum  sum_l W_l b_l[ex] b_l[ey]  over the integer
+    With the weights over their common denominator D, w_j = W_j / D, the
+    map is the integer sum  sum_l W_|l| b_l[ex] b_l[ey]  over the integer
     coefficients b_l of B_l, times the one scale  scale / D.
     """
     den, weights = clear_denominators(w for _, w in form.terms)
-    acc: Dict[Tuple[int, ...], int] = {}
-    for (mi, _), w in zip(form.terms, weights):
-        terms = [(exps, c.numerator) for exps, c in bernstein_basis(mi).terms.items()]
-        for ex, cx in terms:
-            cx *= w
-            for ey, cy in terms:
-                key = ex + ey
-                acc[key] = acc.get(key, 0) + cx * cy
+    fact = FactorialTable()
+    acc = _outer_sum((w, terms) for (j, _), w in zip(form.terms, weights)
+                     for _, _, terms in _integer_basis(j, form.d, fact))
     return KernelPolynomial.from_integers(form.d, acc, form.scale / den)
 
 

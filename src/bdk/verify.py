@@ -9,6 +9,7 @@ directly from the report.
 from __future__ import annotations
 
 import json
+import math
 import random
 import time
 from dataclasses import dataclass, field, fields
@@ -90,6 +91,9 @@ class SuiteConfig:
                 raise ValueError(f"{name} must be >= 0")
         if self.points_per_case < 1:
             raise ValueError("points_per_case must be >= 1")
+        if self.time_budget_s is not None and not 0 <= self.time_budget_s < math.inf:
+            raise ValueError(
+                f"time_budget_s must be a finite number >= 0, got {self.time_budget_s}")
 
     @classmethod
     def capped(cls, max_degree: int, **settings) -> "SuiteConfig":

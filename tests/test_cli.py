@@ -340,6 +340,14 @@ class TestVerifyCommand:
         assert "INCOMPLETE" in err
         assert code == 3
 
+    @pytest.mark.parametrize("budget", ["nan", "inf", "-1"])
+    def test_bad_time_budget_is_usage_error(self, capsys, budget):
+        code, out, err = run_cli(capsys, "verify", "--d", "1", "--max-degree", "0",
+                                 "--time-budget", budget)
+        assert code == 2
+        assert out == ""
+        assert "time_budget_s" in err
+
     def test_failure_outranks_incomplete(self, capsys, monkeypatch):
         import bdk.cli
         from bdk.verify import CheckRecord, VerificationReport

@@ -82,8 +82,9 @@ def ref_bernstein_value(alpha, pt):
 
 def ref_diagonal_evaluate(form, x, y):
     total = Fraction(0)
-    for mi, weight in form.terms:
-        total += weight * ref_bernstein_value(mi, x) * ref_bernstein_value(mi, y)
+    for degree, weight in form.terms:
+        for mi in enumerate_multi_indices(degree, form.d):
+            total += weight * ref_bernstein_value(mi, x) * ref_bernstein_value(mi, y)
     return form.scale * total
 
 
@@ -146,12 +147,11 @@ def kernels(draw, d):
 
 @st.composite
 def diagonal_forms(draw, d):
-    indices = draw(st.lists(st.integers(0, 4).flatmap(
-        lambda k: st.sampled_from(enumerate_multi_indices(k, d))), max_size=8))
-    weights = draw(st.lists(rationals.filter(bool), min_size=len(indices),
-                            max_size=len(indices)))
+    """Graded forms: distinct degrees in any order, each with a nonzero weight."""
+    degrees = draw(st.lists(st.integers(0, 4), unique=True, max_size=5))
+    weights = draw(st.lists(coefs.filter(bool), min_size=len(degrees), max_size=len(degrees)))
     scale = draw(rationals)
-    return DiagonalKernelForm(d, scale, list(zip(indices, weights)))
+    return DiagonalKernelForm(d, scale, list(zip(degrees, weights)))
 
 
 # -- the four evaluators -------------------------------------------------------

@@ -5,6 +5,7 @@ from itertools import permutations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import bdk.kernels
 from bdk.combinat import MultiIndex, enumerate_multi_indices, index_factorial
 from bdk.kernels import (
     DiagonalKernelForm,
@@ -132,16 +133,36 @@ class TestKernelIsAPolynomial:
 
 class TestDiagonalKernelForm:
     def test_rejects_zero_weight(self):
-        with pytest.raises(ValueError):
-            DiagonalKernelForm(1, 1, [(MultiIndex((1, 0)), 0)])
+        with pytest.raises(ValueError, match="nonzero"):
+            DiagonalKernelForm(1, 1, [(0, 2), (1, 0)])
 
-    def test_rejects_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            DiagonalKernelForm(2, 1, [(MultiIndex((1, 0)), 1)])
+    def test_rejects_negative_degree(self):
+        with pytest.raises(ValueError, match=">= 0"):
+            DiagonalKernelForm(2, 1, [(1, 1), (-1, 1)])
 
-    def test_json_round_trip(self):
-        form = kernel_closed_twofold(2, 3, 2)
-        assert DiagonalKernelForm.from_json_dict(form.to_json_dict()) == form
+    def test_rejects_repeated_degree(self):
+        with pytest.raises(ValueError, match="repeat"):
+            DiagonalKernelForm(2, 1, [(1, 1), (0, 3), (1, F(1, 2))])
+
+    def test_sorts_degrees(self):
+        form = DiagonalKernelForm(2, F(1, 2), [(3, F(2, 5)), (0, 7), (1, -1)])
+        assert form.terms == ((0, F(7)), (1, F(-1)), (3, F(2, 5)))
+        assert all(type(w) is Fraction for _, w in form.terms)
+        assert form.max_index_degree() == 3
+        assert form == DiagonalKernelForm(2, F(1, 2), [(0, 7), (1, -1), (3, F(2, 5))])
+        assert DiagonalKernelForm(2, 1, []).max_index_degree() == -1
+
+    def test_closed_builders_enumerate_no_index(self, monkeypatch):
+        calls = []
+
+        def counted(n, d):
+            calls.append((n, d))
+            return enumerate_multi_indices(n, d)
+        monkeypatch.setattr(bdk.kernels, "enumerate_multi_indices", counted)
+        forms = [kernel_single(30, 3), kernel_closed_twofold(30, 30, 3),
+                 kernel_univariate_twofold(20, 20), kernel_closed_threefold(5, 4, 3)]
+        assert calls == []
+        assert [len(f.terms) for f in forms] == [1, 31, 21, 4]
 
     def test_with_scale(self):
         form = kernel_single(1, 1)
@@ -166,8 +187,7 @@ class TestKernelSingle:
     def test_scale_and_unit_weights(self):
         form = kernel_single(3, 2)
         assert form.scale == F(120, 6)  # (3+2)!/3!
-        assert all(w == 1 for _, w in form.terms)
-        assert len(form.terms) == len(enumerate_multi_indices(3, 2))
+        assert form.terms == ((3, F(1)),)  # weight 1 on every index of degree 3
 
     def test_row_integral_is_one(self):
         kernel = to_canonical(kernel_single(1, 1))

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import math
 import random
 from fractions import Fraction
 from math import comb
@@ -25,6 +26,11 @@ from bdk.verify import (
 #: sha256 of the default report body; any change to an answer, a check or the
 #: report schema moves it.
 DEFAULT_BODY_SHA256 = "3a5d50b4c388abc3a60e063cd90f2984f5b788e5dd423c6d2beb12f899929e21"
+
+#: sha256 of the default report body with the closed-form prefactor doubled
+#: (`--self-test-corrupt`), and how many of its checks fail.
+CORRUPT_BODY_SHA256 = "e27254010e61807febd8a2651a25b9b2130ffef44f026a3a5d9f6133c8648844"
+CORRUPT_FAILURES = 155
 
 
 #: (module, name) of the functions whose calls the work-count tests count.
@@ -118,6 +124,11 @@ class TestSuiteConfig:
         with pytest.raises(ValueError):
             SuiteConfig(d_range=(1,), degree_caps={1: 1}, threefold_cap=-1)
 
+    @pytest.mark.parametrize("budget", [math.nan, math.inf, -math.inf, -1.0, -1e-9])
+    def test_rejects_time_budget_that_is_not_finite_and_nonnegative(self, budget):
+        with pytest.raises(ValueError, match="time_budget_s"):
+            SuiteConfig(d_range=(1,), degree_caps={1: 1}, time_budget_s=budget)
+
     def test_capped_holds_every_cap_to_min_of_default_and_k(self):
         defaults = {f.name: f.default for f in dataclasses.fields(SuiteConfig)}
         for k in range(12):
@@ -177,6 +188,12 @@ class TestRunSuite:
 
     def test_default_report_body_is_pinned(self, default_report):
         assert hashlib.sha256(default_report.body_bytes()).hexdigest() == DEFAULT_BODY_SHA256
+
+    def test_corrupted_report_body_is_pinned(self):
+        report = run_suite(SuiteConfig(corrupt_scale=True))
+        assert hashlib.sha256(report.body_bytes()).hexdigest() == CORRUPT_BODY_SHA256
+        assert len(report.checks) == 1618
+        assert len(report.failures) == CORRUPT_FAILURES
 
     def test_degree_zero_suite_is_trivial_and_green(self):
         cfg = tiny_config(degree_caps={1: 0}, threefold_cap=0, univariate_cap=0,
