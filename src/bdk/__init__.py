@@ -6,7 +6,6 @@ Bernstein-Durrmeyer operators against brute-force definitional
 expansions, and ships the operators, kernels and a CLI around them.
 """
 from .combinat import (
-    MultiIndex,
     Rational,
     binomial,
     enumerate_multi_indices,
@@ -51,7 +50,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    "MultiIndex",
     "Rational",
     "binomial",
     "enumerate_multi_indices",

@@ -4,17 +4,20 @@ Everything here is integer arithmetic: factorials, binomial and multinomial
 coefficients, falling factorials, and the enumeration of all (d+1)-part
 compositions of a degree.  These are the building blocks for Bernstein
 bases on the simplex, so exactness is non-negotiable; no floats appear.
+
+A multi-index on the d-simplex is a plain tuple of d+1 nonnegative ints.
+`check_index` and `check_dimension` are the one place that validates
+indices and dimensions.
 """
 from __future__ import annotations
 
 import math
+import operator
 import re
 from fractions import Fraction
-from typing import Iterable, Iterator, List, Sequence, Tuple, Union
+from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 __all__ = [
-    "MultiIndex",
-    "IndexLike",
     "Rational",
     "parse_rational",
     "format_rational",
@@ -27,6 +30,8 @@ __all__ = [
     "table_multinomial",
     "clear_denominators",
     "enumerate_multi_indices",
+    "check_index",
+    "check_dimension",
 ]
 
 #: Exact arbitrary-precision rational; always reduced, denominator > 0.
@@ -98,93 +103,62 @@ def clear_denominators(values: Iterable[Union[int, Fraction]]) -> Tuple[int, Lis
     return den, [v.numerator * (den // v.denominator) for v in values]
 
 
-class MultiIndex:
-    """A vector of nonnegative integer exponents in barycentric variables.
+def _as_int(value, what: str) -> int:
+    """value as an int; ValueError naming it when it is not an integer.
 
-    A multi-index of dimension d has d+1 parts (the extra slot belongs to
-    the dependent coordinate x_0).  Instances are immutable, hashable and
-    compare by value.
+    operator.index refuses floats, Fractions and strings, which int()
+    would truncate or parse.
     """
-
-    __slots__ = ("parts",)
-
-    def __init__(self, parts: Iterable[int]):
-        pts = tuple(int(p) for p in parts)
-        if not pts:
-            raise ValueError("multi-index needs at least one part")
-        if any(p < 0 for p in pts):
-            raise ValueError(f"multi-index parts must be nonnegative, got {pts}")
-        self.parts = pts
-
-    @property
-    def degree(self) -> int:
-        """Total degree |alpha|, the sum of all parts."""
-        return sum(self.parts)
-
-    @property
-    def dimension(self) -> int:
-        """Simplex dimension d implied by the part count (d+1 parts)."""
-        return len(self.parts) - 1
-
-    def __add__(self, other: "MultiIndex") -> "MultiIndex":
-        if len(self.parts) != len(other.parts):
-            raise ValueError("multi-index length mismatch")
-        return MultiIndex(s + o for s, o in zip(self.parts, other.parts))
-
-    def __len__(self) -> int:
-        return len(self.parts)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.parts)
-
-    def __getitem__(self, i: int) -> int:
-        return self.parts[i]
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, MultiIndex):
-            return self.parts == other.parts
-        if isinstance(other, tuple):
-            return self.parts == other
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self.parts)
-
-    def __repr__(self) -> str:
-        return f"MultiIndex{self.parts}"
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer, got {value!r}") from None
 
 
-IndexLike = Union[MultiIndex, Sequence[int]]
+def check_dimension(d: int) -> int:
+    """Validate a simplex dimension (an integer d >= 1) and return it."""
+    d = _as_int(d, "simplex dimension")
+    if d < 1:
+        raise ValueError(f"simplex dimension must be >= 1, got {d}")
+    return d
 
 
-def _parts(mi: IndexLike) -> tuple:
-    if isinstance(mi, MultiIndex):
-        return mi.parts
-    return tuple(int(p) for p in mi)
+def check_index(parts: Iterable[int], d: Optional[int] = None) -> Tuple[int, ...]:
+    """parts as a multi-index: a tuple of at least two nonnegative ints.
+
+    A multi-index on the d-simplex has d+1 parts, the first for the
+    dependent coordinate x_0; when d is given the count must match.
+    """
+    pts = tuple(_as_int(p, "multi-index part") for p in parts)
+    if len(pts) < 2:
+        raise ValueError(f"multi-index needs at least two parts, got {pts}")
+    if d is not None and len(pts) != d + 1:
+        raise ValueError(f"expected {d + 1} multi-index parts, got {len(pts)}")
+    if any(p < 0 for p in pts):
+        raise ValueError(f"multi-index parts must be nonnegative, got {pts}")
+    return pts
 
 
-def multinomial(mi: IndexLike) -> int:
-    """|mi|! / mi! for nonnegative parts; 0 if any part is negative.
+def multinomial(parts: Sequence[int]) -> int:
+    """|parts|! / parts! for nonnegative parts; 0 if any part is negative.
 
     The zero convention on negative parts lets downstream summation
     formulas run without boundary guards.
     """
-    pts = _parts(mi)
-    if any(p < 0 for p in pts):
+    if any(p < 0 for p in parts):
         return 0
-    out = factorial(sum(pts))
-    for p in pts:
+    out = factorial(sum(parts))
+    for p in parts:
         out //= factorial(p)
     return out
 
 
-def index_factorial(mi: IndexLike) -> int:
-    """mi! = product of the factorials of the parts."""
-    pts = _parts(mi)
-    if any(p < 0 for p in pts):
+def index_factorial(parts: Sequence[int]) -> int:
+    """parts! = product of the factorials of the parts."""
+    if any(p < 0 for p in parts):
         raise ValueError("index factorial needs nonnegative parts")
     out = 1
-    for p in pts:
+    for p in parts:
         out *= factorial(p)
     return out
 
@@ -214,8 +188,8 @@ def falling_factorial(s: int, k: int) -> int:
     return out
 
 
-def enumerate_multi_indices(n: int, d: int) -> list:
-    """All multi-indices with d+1 parts summing to n, in a fixed order.
+def enumerate_multi_indices(n: int, d: int) -> List[Tuple[int, ...]]:
+    """All multi-indices with d+1 parts summing to n, as tuples in a fixed order.
 
     Order is lexicographic with the first part most significant and
     descending, e.g. (2,0), (1,1), (0,2) for n=2, d=1.  The list has
@@ -225,7 +199,7 @@ def enumerate_multi_indices(n: int, d: int) -> list:
         raise ValueError("simplex dimension d must be >= 1")
     if n < 0:
         raise ValueError("degree n must be >= 0")
-    return [MultiIndex(c) for c in _compositions(n, d + 1)]
+    return list(_compositions(n, d + 1))
 
 
 def _compositions(total: int, parts: int):

@@ -19,12 +19,12 @@ from typing import List, Sequence
 from .combinat import (
     FactorialTable,
     binomial,
+    check_dimension,
     enumerate_multi_indices,
     factorial,
     table_multinomial,
 )
 from .polynomials import CartesianPolynomial, bernstein_basis, check_polynomial
-from .simplex_integrals import check_dimension
 
 __all__ = [
     "OperatorSpec",
@@ -70,15 +70,14 @@ def apply_operator(spec: OperatorSpec, f: CartesianPolynomial) -> CartesianPolyn
                for exps, c in f_terms]
     image = {}
     for alpha in enumerate_multi_indices(n, d):
-        parts = alpha.parts
         total = 0
         for shift, c in moments:
-            for a, e in zip(parts, shift):
+            for a, e in zip(alpha, shift):
                 c *= fact[a + e]
             total += c
         if not total:
             continue
-        total *= table_multinomial(parts, fact)
+        total *= table_multinomial(alpha, fact)
         for exps, b in bernstein_basis(alpha).terms.items():
             image[exps] = image.get(exps, 0) + total * b.numerator
     scale = Fraction(fact[n + d], fact[n] * den * fact[top])

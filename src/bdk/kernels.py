@@ -31,9 +31,9 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .combinat import (
     FactorialTable,
-    IndexLike,
-    MultiIndex,
     binomial,
+    check_dimension,
+    check_index,
     clear_denominators,
     enumerate_multi_indices,
     factorial,
@@ -46,12 +46,12 @@ from .combinat import (
 from .polynomials import (
     BarycentricPoint,
     CartesianPolynomial,
+    _dirichlet_terms,
     as_point,
     bernstein_basis,
     check_polynomial,
     monomial_numerators,
 )
-from .simplex_integrals import check_dimension
 
 __all__ = [
     "KernelPolynomial",
@@ -129,21 +129,13 @@ class KernelPolynomial(CartesianPolynomial):
         d = self.d
         den, coefs = clear_denominators(self.terms.values())
         fact = FactorialTable()
-        full = fact[max((sum(e[d:]) for e in self.terms), default=0) + d]
-        cofactors: Dict[int, int] = {}  # |ey| -> (N+d)!/(|ey|+d)!, for the degrees present
+        top = max((sum(e[d:]) for e in self.terms), default=0)
+        values = _dirichlet_terms(((e[d:], c) for e, c in zip(self.terms, coefs)), d, top, fact)
         acc: Dict[Tuple[int, ...], int] = {}
-        for e, c in zip(self.terms, coefs):
-            ey = e[d:]
-            k = sum(ey)
-            cofactor = cofactors.get(k)
-            if cofactor is None:
-                cofactor = cofactors[k] = full // fact[k + d]
-            w = c * cofactor
-            for p in ey:
-                w *= fact[p]
+        for e, w in zip(self.terms, values):
             ex = e[:d]
             acc[ex] = acc.get(ex, 0) + w
-        return CartesianPolynomial.from_integers(d, acc, Fraction(1, den * full))
+        return CartesianPolynomial.from_integers(d, acc, Fraction(1, den * fact[top + d]))
 
     def __repr__(self) -> str:
         return f"<kernel d={self.d} terms={len(self.terms)}>"
@@ -164,7 +156,7 @@ class KernelPolynomial(CartesianPolynomial):
     def from_json_dict(cls, obj: dict) -> "KernelPolynomial":
         if obj.get("form") != "canonical":
             raise ValueError("expected a canonical-form kernel object")
-        d = int(obj["d"])
+        d = check_dimension(obj["d"])
         terms = {}
         for t in obj["terms"]:
             ex, ey = tuple(t["exp_x"]), tuple(t["exp_y"])
@@ -225,7 +217,7 @@ class DiagonalKernelForm:
         indices: List[Tuple[int, ...]] = []
         weights: List[int] = []
         for (j, _), w in zip(self.terms, degree_weights):
-            block = [mi.parts for mi in enumerate_multi_indices(j, self.d)]
+            block = enumerate_multi_indices(j, self.d)
             indices += block
             weights += [w] * len(block)
         mults = [table_multinomial(parts, fact) for parts in indices]
@@ -273,8 +265,8 @@ def kernel_single(n: int, d: int) -> DiagonalKernelForm:
 
 
 def _integer_basis(n: int, d: int, fact: FactorialTable):
-    """(parts, mult(a), integer terms of B_a) for every |a| = n."""
-    return [(alpha.parts, table_multinomial(alpha.parts, fact),
+    """(a, mult(a), integer terms of B_a) for every |a| = n."""
+    return [(alpha, table_multinomial(alpha, fact),
              [(exps, c.numerator) for exps, c in bernstein_basis(alpha).terms.items()])
             for alpha in enumerate_multi_indices(n, d)]
 
@@ -399,7 +391,7 @@ def kernel_definition_threefold(n3: int, n2: int, n1: int, d: int) -> KernelPoly
         raise ValueError("degrees must be >= 0")
     check_dimension(d)
     fact = FactorialTable()
-    betas = [(beta.parts, table_multinomial(beta.parts, fact) ** 2)
+    betas = [(beta, table_multinomial(beta, fact) ** 2)
              for beta in enumerate_multi_indices(n2, d)]
     alphas = _integer_basis(n1, d, fact)
     acc: Dict[Tuple[int, ...], int] = {}
@@ -443,7 +435,7 @@ def kernel_closed_threefold(n3: int, n2: int, n1: int) -> DiagonalKernelForm:
         for k in range(min(n3, n2, n1) + 1)])
 
 
-def inner_sum_identity(n: int, beta: IndexLike, y: PointLike) -> Tuple[Fraction, Fraction]:
+def inner_sum_identity(n: int, beta: Sequence[int], y: PointLike) -> Tuple[Fraction, Fraction]:
     """Both sides of the collapse identity used to diagonalize the kernel.
 
     Left side:   sum over |a| = n of  B_a(y) * (a+beta)!/a!
@@ -455,34 +447,30 @@ def inner_sum_identity(n: int, beta: IndexLike, y: PointLike) -> Tuple[Fraction,
     """
     if n < 0:
         raise ValueError("degree must be >= 0")
-    beta = beta if isinstance(beta, MultiIndex) else MultiIndex(beta)
-    d = beta.dimension
-    check_dimension(d)
-    y = y if isinstance(y, BarycentricPoint) else BarycentricPoint(y)
-    if y.dimension != d:
-        raise ValueError("point/index dimension mismatch")
+    beta = check_index(beta)
+    d = len(beta) - 1
     # B_a(y) = mult(a) * values[a] / q^top, from y's integer form (q; A)
-    q, bary = y.integer_form()
+    q, bary = as_point(y, d).integer_form()
     fact = FactorialTable()
 
-    alphas = [alpha.parts for alpha in enumerate_multi_indices(n, d)]
+    alphas = enumerate_multi_indices(n, d)
     q_top, values = monomial_numerators(q, bary, alphas)
     lhs = 0
     for alpha, value in zip(alphas, values):
         shifted = 1
-        for a, b in zip(alpha, beta.parts):
+        for a, b in zip(alpha, beta):
             shifted *= fact[a + b] // fact[a]
         lhs += table_multinomial(alpha, fact) * value * shifted
     lhs = Fraction(lhs, q_top)
 
-    ells = list(_cartesian_product(*(range(b + 1) for b in beta.parts)))
+    ells = list(_cartesian_product(*(range(b + 1) for b in beta)))
     q_top, values = monomial_numerators(q, bary, ells)
     beta_fact = index_factorial(beta)
     rhs = 0
     for ell, value in zip(ells, values):
         k = sum(ell)
         prod_binom = 1
-        for b, l in zip(beta.parts, ell):
+        for b, l in zip(beta, ell):
             prod_binom *= binomial(b, l)
         # n_(k) / k! is the integer C(n, k)
         rhs += (falling_factorial(n, k) // fact[k]

@@ -20,11 +20,12 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from operator import mul
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .combinat import (
-    IndexLike,
-    MultiIndex,
+    _as_int,
+    check_dimension,
+    check_index,
     clear_denominators,
     enumerate_multi_indices,
     FactorialTable,
@@ -32,7 +33,6 @@ from .combinat import (
     multinomial,
     parse_rational,
 )
-from .simplex_integrals import check_dimension
 
 __all__ = [
     "CartesianPolynomial",
@@ -108,10 +108,10 @@ def as_point(pt: Union[BarycentricPoint, Sequence[Scalar]], d: int) -> Barycentr
     if not isinstance(pt, BarycentricPoint):
         pt = tuple(pt)
         if len(pt) != d:
-            raise ValueError(f"point has {len(pt)} coordinates, polynomial has {d}")
+            raise ValueError(f"point has {len(pt)} coordinates, expected {d}")
         return BarycentricPoint(pt)
     if pt.dimension != d:
-        raise ValueError(f"point has {pt.dimension} coordinates, polynomial has {d}")
+        raise ValueError(f"point has {pt.dimension} coordinates, expected {d}")
     return pt
 
 
@@ -154,10 +154,10 @@ class CartesianPolynomial:
 
     def __init__(self, d: int, terms: Dict[Exponents, Scalar] = None):
         self.d = check_dimension(d)
-        width = self.BLOCKS * d
+        width = self.BLOCKS * self.d
         clean: Dict[Exponents, Fraction] = {}
         for exps, coef in (terms or {}).items():
-            exps = tuple(int(e) for e in exps)
+            exps = tuple(_as_int(e, "exponent") for e in exps)
             if len(exps) != width:
                 raise ValueError(f"exponent tuple {exps} does not have {width} entries")
             if any(e < 0 for e in exps):
@@ -341,7 +341,7 @@ class CartesianPolynomial:
     @classmethod
     def from_json_dict(cls, obj: dict) -> "CartesianPolynomial":
         return cls(
-            int(obj["d"]),
+            obj["d"],
             {tuple(t["exp"]): parse_rational(t["coef"]) for t in obj["terms"]},
         )
 
@@ -354,18 +354,18 @@ def check_polynomial(p: CartesianPolynomial) -> CartesianPolynomial:
 
 
 @lru_cache(maxsize=None)
-def bernstein_basis(alpha: MultiIndex) -> CartesianPolynomial:
+def bernstein_basis(alpha: Sequence[int]) -> CartesianPolynomial:
     """The Bernstein basis polynomial C(|a|,a) x_0^a0 x_1^a1 ... x_d^ad,
     fully expanded into cartesian monomials.
 
-    The expansion substitutes x_0 = 1 - x_1 - ... - x_d and multiplies out
-    the power via the multinomial theorem; all coefficients are integers.
+    alpha is a hashable multi-index, normally a tuple; the result is cached
+    per index.  The expansion substitutes x_0 = 1 - x_1 - ... - x_d and
+    multiplies out the power via the multinomial theorem; all coefficients
+    are integers.
     """
-    if not isinstance(alpha, MultiIndex):
-        alpha = MultiIndex(alpha)
-    d = alpha.dimension
-    check_dimension(d)
-    a0, rest = alpha.parts[0], alpha.parts[1:]
+    alpha = check_index(alpha)
+    d = len(alpha) - 1
+    a0, rest = alpha[0], alpha[1:]
     scale = multinomial(alpha)
     # distinct kappa give distinct exponents, so nothing accumulates
     terms: Dict[Exponents, int] = {}
@@ -375,34 +375,29 @@ def bernstein_basis(alpha: MultiIndex) -> CartesianPolynomial:
     return CartesianPolynomial.from_integers(d, terms)
 
 
-def bernstein_value(alpha: IndexLike, pt: Union[BarycentricPoint, Sequence[Scalar]]) -> Fraction:
+def bernstein_value(alpha: Sequence[int], pt: Union[BarycentricPoint, Sequence[Scalar]]) -> Fraction:
     """Evaluate B_alpha at a point directly from barycentric values.
 
     Avoids the cartesian expansion; used where only values are needed.
     With the point's integer form (q; A_0..A_d),
     B_alpha = mult(alpha) prod A_v^alpha_v / q^|alpha|.
     """
-    alpha = alpha if isinstance(alpha, MultiIndex) else MultiIndex(alpha)
-    pt = pt if isinstance(pt, BarycentricPoint) else BarycentricPoint(pt)
-    if pt.dimension != alpha.dimension:
-        raise ValueError("point/index dimension mismatch")
-    q, bary = pt.integer_form()
-    q_top, (value,) = monomial_numerators(q, bary, [alpha.parts])
+    alpha = check_index(alpha)
+    q, bary = as_point(pt, len(alpha) - 1).integer_form()
+    q_top, (value,) = monomial_numerators(q, bary, [alpha])
     return Fraction(multinomial(alpha) * value, q_top)
 
 
-def _dirichlet_sum(weighted: Iterable[Tuple[Exponents, int]], d: int, top: int,
-                   den: int) -> Fraction:
-    """(1/den) * sum of c * int x^e over the simplex, for (e, c) with |e| <= top.
+def _dirichlet_terms(weighted: Iterable[Tuple[Exponents, int]], d: int, top: int,
+                     fact: FactorialTable) -> Iterator[int]:
+    """c * e! * (top+d)!/(|e|+d)! for each (e, c), |e| <= top.
 
-    Dirichlet's formula with mu_0 = 0 gives int x^e = e! / (|e|+d)!; with
-    the shared denominator (top+d)! each term is the integer
-    c * e! * (top+d)!/(|e|+d)!, and one Fraction is built at the end.
+    Dirichlet's formula with mu_0 = 0 gives int x^e = e! / (|e|+d)!, so
+    each value is the integer c * int x^e over the shared denominator
+    (top+d)! = fact[top + d].
     """
-    fact = FactorialTable()
     full = fact[top + d]
     cofactors: Dict[int, int] = {}  # |e| -> (top+d)!/(|e|+d)!, for the degrees present
-    total = 0
     for exps, c in weighted:
         k = sum(exps)
         cofactor = cofactors.get(k)
@@ -411,8 +406,19 @@ def _dirichlet_sum(weighted: Iterable[Tuple[Exponents, int]], d: int, top: int,
         w = c * cofactor
         for e in exps:
             w *= fact[e]
-        total += w
-    return Fraction(total, den * full)
+        yield w
+
+
+def _dirichlet_sum(weighted: Iterable[Tuple[Exponents, int]], d: int, top: int,
+                   den: int) -> Fraction:
+    """(1/den) * sum of c * int x^e over the simplex, for (e, c) with |e| <= top.
+
+    The integer terms share the denominator (top+d)!; one Fraction is built
+    at the end.
+    """
+    fact = FactorialTable()
+    total = sum(_dirichlet_terms(weighted, d, top, fact))
+    return Fraction(total, den * fact[top + d])
 
 
 def integrate_simplex(p: CartesianPolynomial) -> Fraction:

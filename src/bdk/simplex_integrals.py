@@ -8,32 +8,15 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from typing import Sequence
 
-from .combinat import IndexLike, MultiIndex, factorial, index_factorial, multinomial
+from .combinat import check_dimension, check_index, factorial, index_factorial, multinomial
 
 __all__ = [
-    "check_dimension",
     "monomial_integral",
     "inner_one_bernstein",
     "bernstein_product_integral",
 ]
-
-
-def check_dimension(d: int) -> int:
-    """Validate a simplex dimension (d >= 1) and return it."""
-    d = int(d)
-    if d < 1:
-        raise ValueError(f"simplex dimension must be >= 1, got {d}")
-    return d
-
-
-def _barycentric_parts(mi: IndexLike, d: int) -> tuple:
-    pts = mi.parts if isinstance(mi, MultiIndex) else tuple(int(p) for p in mi)
-    if len(pts) != d + 1:
-        raise ValueError(f"expected {d + 1} barycentric exponents, got {len(pts)}")
-    if any(p < 0 for p in pts):
-        raise ValueError("barycentric exponents must be nonnegative")
-    return pts
 
 
 @lru_cache(maxsize=None)
@@ -41,24 +24,23 @@ def _monomial_integral_cached(parts: tuple, d: int) -> Fraction:
     return Fraction(index_factorial(parts), factorial(sum(parts) + d))
 
 
-def monomial_integral(mu: IndexLike, d: int) -> Fraction:
+def monomial_integral(mu: Sequence[int], d: int) -> Fraction:
     """Integral of x_0^mu_0 ... x_d^mu_d over the standard d-simplex.
 
     Equals mu! / (|mu| + d)! exactly (Dirichlet's formula).
     """
     d = check_dimension(d)
-    return _monomial_integral_cached(_barycentric_parts(mu, d), d)
+    return _monomial_integral_cached(check_index(mu, d), d)
 
 
-def inner_one_bernstein(alpha: IndexLike, d: int) -> Fraction:
+def inner_one_bernstein(alpha: Sequence[int], d: int) -> Fraction:
     """<1, B_alpha> = |alpha|! / (|alpha| + d)!; depends only on the degree."""
     d = check_dimension(d)
-    pts = _barycentric_parts(alpha, d)
-    n = sum(pts)
+    n = sum(check_index(alpha, d))
     return Fraction(factorial(n), factorial(n + d))
 
 
-def bernstein_product_integral(alpha: IndexLike, beta: IndexLike, d: int) -> Fraction:
+def bernstein_product_integral(alpha: Sequence[int], beta: Sequence[int], d: int) -> Fraction:
     """Integral of B_alpha * B_beta over the standard d-simplex.
 
     Computed from the closed form
@@ -67,8 +49,8 @@ def bernstein_product_integral(alpha: IndexLike, beta: IndexLike, d: int) -> Fra
     expansion.
     """
     d = check_dimension(d)
-    a = _barycentric_parts(alpha, d)
-    b = _barycentric_parts(beta, d)
+    a = check_index(alpha, d)
+    b = check_index(beta, d)
     ab = tuple(x + y for x, y in zip(a, b))
     quotient = Fraction(multinomial(a) * multinomial(b), multinomial(ab))
     return quotient * inner_one_bernstein(ab, d)

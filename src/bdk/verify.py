@@ -293,9 +293,9 @@ def _monomials_up_to(d: int, max_degree: int) -> List[CartesianPolynomial]:
     The degree-deg monomials are the multi-indices of degree deg with a
     zero slack slot, in enumeration order.
     """
-    return [CartesianPolynomial.monomial(d, mi.parts[1:])
+    return [CartesianPolynomial.monomial(d, mi[1:])
             for deg in range(max_degree + 1)
-            for mi in enumerate_multi_indices(deg, d) if mi.parts[0] == 0]
+            for mi in enumerate_multi_indices(deg, d) if mi[0] == 0]
 
 
 def _iter_jobs(cfg: SuiteConfig, state: _SuiteState, rng: random.Random) -> Iterator[Job]:
@@ -538,7 +538,7 @@ def _lemma_jobs(cfg: SuiteConfig, rng: random.Random) -> Iterator[Job]:
                         lhs, rhs = inner_sum_identity(n, beta, y)
                         if lhs != rhs:
                             return False, {
-                                "beta": list(beta.parts),
+                                "beta": list(beta),
                                 "y": [format_rational(c) for c in y.coords],
                                 "lhs": format_rational(lhs),
                                 "rhs": format_rational(rhs),

@@ -1,11 +1,13 @@
 import math
+import re
 
 import pytest
 from hypothesis import given, strategies as st
 
 from bdk.combinat import (
-    MultiIndex,
     binomial,
+    check_dimension,
+    check_index,
     enumerate_multi_indices,
     factorial,
     falling_factorial,
@@ -17,37 +19,48 @@ from bdk.combinat import (
 from fractions import Fraction
 
 
-class TestMultiIndex:
-    def test_basic_fields(self):
-        mi = MultiIndex((2, 1, 0))
-        assert mi.degree == 3
-        assert mi.dimension == 2
-        assert len(mi) == 3
-        assert list(mi) == [2, 1, 0]
-        assert mi[1] == 1
+class TestCheckIndex:
+    def test_returns_tuple(self):
+        assert check_index((2, 1, 0)) == (2, 1, 0)
+        assert check_index([1, 0]) == (1, 0)
+        assert check_index(range(3)) == (0, 1, 2)
+        assert type(check_index([1, 0])) is tuple
 
-    def test_rejects_negative_parts(self):
+    def test_length_for_dimension(self):
+        assert check_index((0, 1, 2), 2) == (0, 1, 2)
+        with pytest.raises(ValueError, match="expected 3"):
+            check_index((1, 1), 2)
+
+    @pytest.mark.parametrize("parts", [(1, -1), (), (3,)])
+    def test_rejects_negative_empty_and_one_part(self, parts):
         with pytest.raises(ValueError):
-            MultiIndex((1, -1))
+            check_index(parts)
 
-    def test_rejects_empty(self):
+    @pytest.mark.parametrize("bad", [1.5, "1", Fraction(1)])
+    def test_rejects_non_integer_parts(self, bad):
+        with pytest.raises(ValueError, match=re.escape(repr(bad))):
+            check_index((bad, 1))
+
+
+class TestCheckDimension:
+    def test_accepts_positive_int(self):
+        assert check_dimension(3) == 3
+
+    @pytest.mark.parametrize("bad", [0, -1, 1.5, "2"])
+    def test_rejects(self, bad):
         with pytest.raises(ValueError):
-            MultiIndex(())
-
-    def test_add_componentwise(self):
-        assert (MultiIndex((1, 0, 2)) + MultiIndex((0, 3, 1))).parts == (1, 3, 3)
-
-    def test_hash_and_eq_match_tuple(self):
-        assert MultiIndex((1, 2)) == (1, 2)
-        assert hash(MultiIndex((1, 2))) == hash((1, 2))
+            check_dimension(bad)
 
 
 class TestEnumeration:
     def test_ordered_example_d1(self):
-        assert [m.parts for m in enumerate_multi_indices(2, 1)] == [(2, 0), (1, 1), (0, 2)]
+        assert enumerate_multi_indices(2, 1) == [(2, 0), (1, 1), (0, 2)]
+
+    def test_indices_are_plain_tuples(self):
+        assert all(type(m) is tuple for m in enumerate_multi_indices(3, 2))
 
     def test_degree_zero(self):
-        assert [m.parts for m in enumerate_multi_indices(0, 3)] == [(0, 0, 0, 0)]
+        assert enumerate_multi_indices(0, 3) == [(0, 0, 0, 0)]
 
     def test_count_d2(self):
         assert len(enumerate_multi_indices(2, 2)) == 6
@@ -63,11 +76,11 @@ class TestEnumeration:
             for n in range(11):
                 indices = enumerate_multi_indices(n, d)
                 assert len(indices) == binomial(n + d, d)
-                assert len(set(m.parts for m in indices)) == len(indices)
+                assert len(set(indices)) == len(indices)
 
     def test_order_is_descending_lexicographic(self):
         for d in (1, 2, 3):
-            parts = [m.parts for m in enumerate_multi_indices(4, d)]
+            parts = enumerate_multi_indices(4, d)
             assert parts == sorted(parts, reverse=True)
 
 
@@ -152,7 +165,7 @@ class TestFactorialCache:
 class TestIndexFactorial:
     def test_product_of_part_factorials(self):
         assert index_factorial((3, 2, 0)) == 12
-        assert index_factorial(MultiIndex((1, 1, 1))) == 1
+        assert index_factorial((1, 1, 1)) == 1
 
 
 class TestRationalStrings:

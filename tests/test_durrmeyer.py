@@ -12,7 +12,7 @@ def monomials(d, max_degree):
     out = []
     for deg in range(max_degree + 1):
         for mi in enumerate_multi_indices(deg, d):
-            out.append(CartesianPolynomial.monomial(d, mi.parts[1:]))
+            out.append(CartesianPolynomial.monomial(d, mi[1:]))
     return out
 
 

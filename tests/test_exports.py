@@ -1,0 +1,23 @@
+"""Every exported name resolves, and no `__all__` lists a name twice."""
+import importlib
+import pkgutil
+
+import pytest
+
+import bdk
+
+MODULES = ["bdk", *(f"bdk.{m.name}" for m in pkgutil.iter_modules(bdk.__path__))]
+
+
+@pytest.mark.parametrize("module_name", MODULES)
+def test_all_names_resolve_once(module_name):
+    module = importlib.import_module(module_name)
+    names = module.__all__
+    assert len(names) == len(set(names)), sorted(n for n in names if names.count(n) > 1)
+    missing = [n for n in names if not hasattr(module, n)]
+    assert not missing, missing
+
+
+def test_multi_index_class_is_gone():
+    assert not hasattr(bdk, "MultiIndex")
+    assert "MultiIndex" not in bdk.__all__

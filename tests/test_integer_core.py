@@ -144,7 +144,7 @@ nonzero_rationals = rationals.filter(bool)
 def polynomials(draw, d=None, max_degree=4):
     """Sparse polynomials: zero, constants, mixed denominators, negative terms."""
     d = draw(dims) if d is None else d
-    exps = st.sampled_from([mi.parts[1:] for k in range(max_degree + 1)
+    exps = st.sampled_from([mi[1:] for k in range(max_degree + 1)
                             for mi in enumerate_multi_indices(k, d)])
     return CartesianPolynomial(d, draw(st.dictionaries(exps, rationals, max_size=6)))
 
@@ -153,7 +153,7 @@ def polynomials(draw, d=None, max_degree=4):
 def kernels(draw):
     """Sparse kernels in 2d variables, y-degree-0 terms and the zero kernel included."""
     d = draw(dims)
-    block = st.sampled_from([mi.parts[1:] for k in range(4)
+    block = st.sampled_from([mi[1:] for k in range(4)
                              for mi in enumerate_multi_indices(k, d)])
     keys = st.tuples(block, block).map(lambda xy: xy[0] + xy[1])
     return KernelPolynomial(d, draw(st.dictionaries(keys, rationals, max_size=8)))

@@ -13,7 +13,6 @@ from itertools import product
 from hypothesis import given, settings, strategies as st
 
 from bdk.combinat import (
-    MultiIndex,
     binomial,
     enumerate_multi_indices,
     factorial,
@@ -71,10 +70,9 @@ def ref_kernel_evaluate(kernel, x, y):
 
 
 def ref_bernstein_value(alpha, pt):
-    alpha = alpha if isinstance(alpha, MultiIndex) else MultiIndex(alpha)
     coords = _coords(pt)
     value = Fraction(multinomial(alpha))
-    for coord, exp in zip((1 - sum(coords),) + coords, alpha.parts):
+    for coord, exp in zip((1 - sum(coords),) + coords, alpha):
         if exp:
             value *= coord ** exp
     return value
@@ -89,19 +87,18 @@ def ref_diagonal_evaluate(form, x, y):
 
 
 def ref_inner_sum_identity(n, beta, y):
-    beta = beta if isinstance(beta, MultiIndex) else MultiIndex(beta)
+    beta = tuple(beta)
     lhs = Fraction(0)
-    for alpha in enumerate_multi_indices(n, beta.dimension):
-        shifted = index_factorial(alpha + beta) // index_factorial(alpha)
+    for alpha in enumerate_multi_indices(n, len(beta) - 1):
+        shifted = index_factorial([a + b for a, b in zip(alpha, beta)]) // index_factorial(alpha)
         lhs += ref_bernstein_value(alpha, y) * shifted
     rhs = Fraction(0)
     beta_fact = index_factorial(beta)
-    for parts in product(*(range(b + 1) for b in beta.parts)):
-        ell = MultiIndex(parts)
+    for ell in product(*(range(b + 1) for b in beta)):
         prod_binom = 1
-        for b, l in zip(beta.parts, parts):
+        for b, l in zip(beta, ell):
             prod_binom *= binomial(b, l)
-        rhs += (Fraction(falling_factorial(n, ell.degree), factorial(ell.degree))
+        rhs += (Fraction(falling_factorial(n, sum(ell)), factorial(sum(ell)))
                 * ref_bernstein_value(ell, y) * beta_fact * prod_binom)
     return lhs, rhs
 

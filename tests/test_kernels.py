@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import bdk.kernels
-from bdk.combinat import MultiIndex, enumerate_multi_indices, index_factorial
+from bdk.combinat import enumerate_multi_indices, index_factorial
 from bdk.kernels import (
     DiagonalKernelForm,
     KernelPolynomial,
@@ -58,6 +58,15 @@ class TestKernelPolynomial:
     def test_json_round_trip(self):
         k = KernelPolynomial(2, {(1, 0, 0, 2): F(-3, 7)})
         assert KernelPolynomial.from_json_dict(k.to_json_dict()) == k
+
+    @pytest.mark.parametrize("obj", [
+        {"d": 1, "form": "canonical", "terms": [{"exp_x": [2.7], "exp_y": [0], "coef": "1"}]},
+        {"d": 1.5, "form": "canonical", "terms": []},
+        {"d": "1", "form": "canonical", "terms": []},
+    ])
+    def test_json_non_integer_fields_rejected(self, obj):
+        with pytest.raises(ValueError):
+            KernelPolynomial.from_json_dict(obj)
 
     def test_evaluation_dimension_mismatch(self):
         k = KernelPolynomial(2, {(1, 0, 0, 1): F(1)})
@@ -296,12 +305,12 @@ class TestThreefoldKernels:
 
 class TestInnerSumIdentity:
     def test_degree_zero_gives_index_factorial(self):
-        beta = MultiIndex((2, 1))
+        beta = (2, 1)
         lhs, rhs = inner_sum_identity(0, beta, [F(1, 3)])
         assert lhs == rhs == index_factorial(beta)
 
     def test_small_case_at_origin(self):
-        lhs, rhs = inner_sum_identity(1, MultiIndex((1, 0)), [F(0)])
+        lhs, rhs = inner_sum_identity(1, (1, 0), [F(0)])
         assert lhs == rhs
 
     def test_seeded_rational_points(self):
@@ -314,8 +323,13 @@ class TestInnerSumIdentity:
                         lhs, rhs = inner_sum_identity(n, beta, y)
                         assert lhs == rhs, (n, beta, y)
 
+    @pytest.mark.parametrize("beta", [(1.5, 0.5), ("1", "1"), (2,), (1, -1)])
+    def test_rejects_invalid_index(self, beta):
+        with pytest.raises(ValueError):
+            inner_sum_identity(1, beta, [F(1, 3)])
+
     def test_point_outside_simplex_still_agrees(self):
-        lhs, rhs = inner_sum_identity(2, MultiIndex((1, 1)), [F(7, 5)])
+        lhs, rhs = inner_sum_identity(2, (1, 1), [F(7, 5)])
         assert lhs == rhs
 
 

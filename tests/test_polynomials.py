@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bdk.combinat import MultiIndex, enumerate_multi_indices
+from bdk.combinat import enumerate_multi_indices
 from bdk.polynomials import (
     BarycentricPoint,
     CartesianPolynomial,
@@ -51,6 +51,15 @@ class TestConstruction:
         with pytest.raises(ValueError):
             CartesianPolynomial(1, {(-1,): 1})
 
+    @pytest.mark.parametrize("bad", [1.9, "1", Fraction(1)])
+    def test_non_integer_exponent_rejected(self, bad):
+        with pytest.raises(ValueError, match="exponent"):
+            CartesianPolynomial(1, {(bad,): 1})
+
+    def test_non_integer_dimension_rejected(self):
+        with pytest.raises(ValueError, match="dimension"):
+            CartesianPolynomial(1.5, {})
+
     def test_variable(self):
         assert CartesianPolynomial.variable(3, 2).terms == {(0, 1, 0): Fraction(1)}
         with pytest.raises(ValueError):
@@ -93,14 +102,21 @@ class TestRingOperations:
 
 class TestBernsteinBasis:
     def test_univariate_example(self):
-        assert bernstein_basis(MultiIndex((1, 1))).terms == \
+        assert bernstein_basis((1, 1)).terms == \
             {(1,): Fraction(2), (2,): Fraction(-2)}
 
+    @pytest.mark.parametrize("alpha", [(1.5, 0.5), ("1", "1"), (1,), (1, -1)])
+    def test_rejects_invalid_index(self, alpha):
+        with pytest.raises(ValueError):
+            bernstein_basis(alpha)
+        with pytest.raises(ValueError):
+            bernstein_value(alpha, [Fraction(1, 3)])
+
     def test_constant(self):
-        assert bernstein_basis(MultiIndex((0, 0, 0))).terms == {(0, 0): Fraction(1)}
+        assert bernstein_basis((0, 0, 0)).terms == {(0, 0): Fraction(1)}
 
     def test_bivariate_example(self):
-        assert bernstein_basis(MultiIndex((1, 1, 0))).terms == \
+        assert bernstein_basis((1, 1, 0)).terms == \
             {(1, 0): Fraction(2), (2, 0): Fraction(-2), (1, 1): Fraction(-2)}
 
     def test_partition_of_unity(self):
@@ -140,23 +156,23 @@ class TestBernsteinBasis:
 
 class TestEvaluation:
     def test_bernstein_midpoint(self):
-        assert bernstein_basis(MultiIndex((1, 1))).evaluate([Fraction(1, 2)]) == Fraction(1, 2)
+        assert bernstein_basis((1, 1)).evaluate([Fraction(1, 2)]) == Fraction(1, 2)
 
     def test_constant_term_at_origin(self):
         p = poly(2, {(0, 0): Fraction(5, 3), (1, 1): 7})
         assert p.evaluate([0, 0]) == Fraction(5, 3)
 
     def test_bivariate_example(self):
-        value = bernstein_value(MultiIndex((0, 1, 1)), [Fraction(1, 3), Fraction(1, 3)])
+        value = bernstein_value((0, 1, 1), [Fraction(1, 3), Fraction(1, 3)])
         assert value == Fraction(2, 9)
 
     def test_outside_simplex_is_allowed(self):
-        p = bernstein_basis(MultiIndex((1, 1)))
+        p = bernstein_basis((1, 1))
         assert p.evaluate([Fraction(2)]) == -4  # 2*2*(1-2)
 
     def test_point_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            bernstein_basis(MultiIndex((1, 1))).evaluate([Fraction(1), Fraction(2)])
+            bernstein_basis((1, 1)).evaluate([Fraction(1), Fraction(2)])
 
 
 class TestBarycentricPoint:
@@ -181,9 +197,9 @@ class TestIntegration:
         one = CartesianPolynomial.constant(1, 1)
         x = CartesianPolynomial.variable(1, 1)
         assert inner_product(x, x) == Fraction(1, 3)
-        assert inner_product(one, bernstein_basis(MultiIndex((0, 1)))) == Fraction(1, 2)
-        assert inner_product(bernstein_basis(MultiIndex((1, 0))),
-                             bernstein_basis(MultiIndex((0, 1)))) == Fraction(1, 6)
+        assert inner_product(one, bernstein_basis((0, 1))) == Fraction(1, 2)
+        assert inner_product(bernstein_basis((1, 0)),
+                             bernstein_basis((0, 1))) == Fraction(1, 6)
 
     def test_inner_product_dimension_mismatch(self):
         with pytest.raises(ValueError):
@@ -195,6 +211,15 @@ class TestSerialization:
     def test_round_trip(self):
         p = poly(2, {(2, 0): Fraction(-7, 3), (0, 1): 4})
         assert CartesianPolynomial.from_json_dict(p.to_json_dict()) == p
+
+    @pytest.mark.parametrize("obj", [
+        {"d": 1, "terms": [{"exp": [2.7], "coef": "1"}]},
+        {"d": 1.5, "terms": []},
+        {"d": "1", "terms": []},
+    ])
+    def test_non_integer_fields_rejected(self, obj):
+        with pytest.raises(ValueError):
+            CartesianPolynomial.from_json_dict(obj)
 
     def test_deterministic_term_order(self):
         p = poly(2, {(1, 0): 1, (0, 1): 2, (0, 0): 3})

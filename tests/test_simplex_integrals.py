@@ -2,11 +2,10 @@ from fractions import Fraction
 
 import pytest
 
-from bdk.combinat import enumerate_multi_indices, multinomial
+from bdk.combinat import check_dimension, enumerate_multi_indices, multinomial
 from bdk.polynomials import bernstein_basis, inner_product
 from bdk.simplex_integrals import (
     bernstein_product_integral,
-    check_dimension,
     inner_one_bernstein,
     monomial_integral,
 )
@@ -34,6 +33,11 @@ class TestMonomialIntegral:
     def test_invalid_dimension(self):
         with pytest.raises(ValueError):
             check_dimension(0)
+
+    @pytest.mark.parametrize("mu", [(1.5, 0.5), ("1", "1")])
+    def test_non_integer_exponent_rejected(self, mu):
+        with pytest.raises(ValueError):
+            monomial_integral(mu, 1)
 
 
 class TestInnerOneBernstein:

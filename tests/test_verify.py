@@ -142,7 +142,7 @@ class TestSuiteConfig:
 def old_monomials_up_to(d, max_degree):
     """The slack-dropping enumeration, which repeats each monomial once per
     degree from its own up to max_degree."""
-    return [CartesianPolynomial.monomial(d, mi.parts[1:])
+    return [CartesianPolynomial.monomial(d, mi[1:])
             for deg in range(max_degree + 1)
             for mi in enumerate_multi_indices(deg, d)]
 
