@@ -24,6 +24,7 @@ from .kernels import (
     inner_sum_identity,
     kernel_closed_threefold,
     kernel_closed_twofold,
+    kernel_definition,
     kernel_definition_threefold,
     kernel_definition_twofold,
     kernel_legendre,
@@ -69,6 +70,7 @@ __all__ = [
     "inner_sum_identity",
     "kernel_closed_threefold",
     "kernel_closed_twofold",
+    "kernel_definition",
     "kernel_definition_threefold",
     "kernel_definition_twofold",
     "kernel_legendre",

@@ -6,8 +6,8 @@ compositions of a degree.  These are the building blocks for Bernstein
 bases on the simplex, so exactness is non-negotiable; no floats appear.
 
 A multi-index on the d-simplex is a plain tuple of d+1 nonnegative ints.
-`check_index` and `check_dimension` are the one place that validates
-indices and dimensions.
+`check_index`, `check_dimension` and `check_degree` are the one place
+that validates indices, dimensions and degrees.
 """
 from __future__ import annotations
 
@@ -32,6 +32,7 @@ __all__ = [
     "enumerate_multi_indices",
     "check_index",
     "check_dimension",
+    "check_degree",
 ]
 
 #: Exact arbitrary-precision rational; always reduced, denominator > 0.
@@ -123,6 +124,14 @@ def check_dimension(d: int) -> int:
     return d
 
 
+def check_degree(n: int) -> int:
+    """Validate a polynomial or operator degree (an integer n >= 0) and return it."""
+    n = _as_int(n, "degree")
+    if n < 0:
+        raise ValueError(f"degree must be >= 0, got {n}")
+    return n
+
+
 def check_index(parts: Iterable[int], d: Optional[int] = None) -> Tuple[int, ...]:
     """parts as a multi-index: a tuple of at least two nonnegative ints.
 
@@ -195,11 +204,7 @@ def enumerate_multi_indices(n: int, d: int) -> List[Tuple[int, ...]]:
     descending, e.g. (2,0), (1,1), (0,2) for n=2, d=1.  The list has
     exactly C(n+d, d) entries.
     """
-    if d < 1:
-        raise ValueError("simplex dimension d must be >= 1")
-    if n < 0:
-        raise ValueError("degree n must be >= 0")
-    return list(_compositions(n, d + 1))
+    return list(_compositions(check_degree(n), check_dimension(d) + 1))
 
 
 def _compositions(total: int, parts: int):

@@ -19,6 +19,7 @@ from typing import List, Sequence
 from .combinat import (
     FactorialTable,
     binomial,
+    check_degree,
     check_dimension,
     enumerate_multi_indices,
     factorial,
@@ -42,8 +43,7 @@ class OperatorSpec:
     dimension: int
 
     def __post_init__(self):
-        if self.degree < 0:
-            raise ValueError(f"operator degree must be >= 0, got {self.degree}")
+        check_degree(self.degree)
         check_dimension(self.dimension)
 
 
@@ -106,9 +106,7 @@ def composition_coefficients(m: int, n: int, d: int) -> List[Fraction]:
     All coefficients are positive and sum to one, so the composition is a
     convex combination of the operators themselves.
     """
-    if m < 0 or n < 0:
-        raise ValueError("degrees must be >= 0")
-    check_dimension(d)
+    m, n, d = check_degree(m), check_degree(n), check_dimension(d)
     prefactor = Fraction(factorial(m + d) * factorial(n + d), factorial(m + n + d))
     return [
         prefactor * binomial(m, k) * binomial(n, k) * Fraction(factorial(k), factorial(k + d))

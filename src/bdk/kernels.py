@@ -1,11 +1,12 @@
 """Integral kernels of composed Bernstein-Durrmeyer operators.
 
-A composition M_m o M_n acts by integration against a bivariate
-polynomial kernel K_{m,n}(x, y).  This module builds that kernel two
+A composition M_{n_r} o ... o M_{n_1} acts by integration against a
+bivariate polynomial kernel K(x, y).  This module builds that kernel two
 independent ways:
 
-* definitional forms: brute-force double (or triple) sums over Bernstein
-  index pairs, straight from the operator definition -- the oracle;
+* the definitional form: `kernel_definition`, a brute-force sum over
+  Bernstein index chains b_r, ..., b_1 of any length, straight from the
+  operator definition -- the oracle;
 * diagonal closed forms: a factorial prefactor times a short sum of
   products B_l(x) B_l(y) over a single multi-index l, with a weight that
   depends on l only through its degree |l|; one weight per degree is stored.
@@ -15,7 +16,7 @@ x_1..x_d, y_1..y_d (the dependent coordinates x_0, y_0 eliminated), so
 claimed identities are decided by literal map equality rather than
 sampling.
 
-The definitional builders and canonicalization accumulate Python ints and
+The definitional builder and canonicalization accumulate Python ints and
 apply one rational scale per output coefficient at the end.  They use
 Dirichlet's formula  int x^mu = mu! / (|mu|+d)!  on barycentric exponents
 and mult(a) = |a|!/a!, the coefficient of x^a in B_a.  Evaluation is exact
@@ -26,12 +27,14 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product as _cartesian_product
-from operator import mul
+from math import prod
+from operator import add, mul
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .combinat import (
     FactorialTable,
     binomial,
+    check_degree,
     check_dimension,
     check_index,
     clear_denominators,
@@ -57,6 +60,7 @@ __all__ = [
     "KernelPolynomial",
     "DiagonalKernelForm",
     "kernel_single",
+    "kernel_definition",
     "kernel_definition_twofold",
     "kernel_closed_twofold",
     "kernel_univariate_twofold",
@@ -181,10 +185,9 @@ class DiagonalKernelForm:
     def __init__(self, d: int, scale, terms):
         self.d = check_dimension(d)
         self.scale = Fraction(scale)
-        self.terms = tuple(sorted(((int(j), Fraction(w)) for j, w in terms), key=lambda t: t[0]))
+        self.terms = tuple(sorted(((check_degree(j), Fraction(w)) for j, w in terms),
+                                  key=lambda t: t[0]))
         degrees = [j for j, _ in self.terms]
-        if degrees and degrees[0] < 0:
-            raise ValueError("diagonal degrees must be >= 0")
         if len(set(degrees)) != len(degrees):
             raise ValueError("diagonal degrees must not repeat")
         if not all(w for _, w in self.terms):
@@ -257,9 +260,7 @@ def kernel_single(n: int, d: int) -> DiagonalKernelForm:
     depends only on the degree, this is (n+d)!/n! times the unit-weight
     diagonal sum.
     """
-    if n < 0:
-        raise ValueError("degree must be >= 0")
-    check_dimension(d)
+    n, d = check_degree(n), check_dimension(d)
     scale = Fraction(factorial(n + d), factorial(n))
     return DiagonalKernelForm(d, scale, [(n, 1)])
 
@@ -284,29 +285,52 @@ def _outer_sum(weighted) -> Dict[Tuple[int, ...], int]:
     return acc
 
 
-def kernel_definition_twofold(m: int, n: int, d: int) -> KernelPolynomial:
-    """Brute-force kernel of M_m o M_n from the operator definition.
+def kernel_definition(degrees: Sequence[int], d: int) -> KernelPolynomial:
+    """Brute-force kernel of M_{n_r} o ... o M_{n_1}, degrees listed outermost first.
 
-    Expands  sum_{|b|=m} sum_{|a|=n} B_a(y) B_b(x)
-             * int B_a B_b / (<1,B_a> <1,B_b>)
-    term by term.  This is the oracle: it never touches the closed form.
-    By Dirichlet's formula the Gram ratio is the integer
-    mult(a) mult(b) (a+b)! times the one scale
-        S2 = (m+d)! (n+d)! / (m! n! (m+n+d)!),
-    so the double sum runs in integers and S2 is applied once per term.
+    Iterating the operator definition gives the sum over index chains
+    b_r, ..., b_1 with |b_i| = n_i of
+        B_{b_r}(x) B_{b_1}(y) prod_i <B_{b_i}, B_{b_{i+1}}> / prod_i <1, B_{b_i}>.
+    This is the oracle: it never touches a closed form.  By Dirichlet's
+    formula a chain's Gram ratio is the integer
+        mult(b_1) mult(b_r) prod_{1<i<r} mult(b_i)^2 prod_i (b_i+b_{i+1})!
+    times the one scale
+        S = prod_i (n_i+d)!/n_i!  /  prod_i (n_i+n_{i+1}+d)!;
+    a single operator (r = 1) has weight 1.  For each innermost index b_1
+    the chain weights are carried outward one level at a time as one
+    integer vector over that level's indices, then expanded against the
+    outer basis.  The Gram rows between two later levels are shared by
+    every b_1; no matrix over a whole chain is ever held.
     """
-    if m < 0 or n < 0:
-        raise ValueError("degrees must be >= 0")
+    degrees = [check_degree(n) for n in degrees]
+    if not degrees:
+        raise ValueError("a composition needs at least one degree")
     check_dimension(d)
     fact = FactorialTable()
-    x_side = _integer_basis(m, d, fact)
+    outer = _integer_basis(degrees[0], d, fact)
+    innermost = outer if degrees[-1] == degrees[0] else _integer_basis(degrees[-1], d, fact)
+    x_side = [x_terms for _, _, x_terms in outer]
+    # the levels after b_1, outward, as (b, weight) pairs: interior indices
+    # weigh mult(b)^2, the outer ones mult(b)
+    levels = [[(beta, table_multinomial(beta, fact) ** 2) for beta in enumerate_multi_indices(n, d)]
+              for n in degrees[-2:0:-1]]
+    levels.append([(beta, mult_b) for beta, mult_b, _ in outer])
+    # prod(map(get, map(add, a, b))) is (a+b)! = prod_v (a_v+b_v)! for indices a, b
+    get = fact.__getitem__
+    # for each index b of a later level: (its weight, [(b+c)! for c in the level before])
+    steps = [[(w, [prod(map(get, map(add, beta, c))) for c, _ in before]) for beta, w in level]
+             for before, level in zip(levels, levels[1:])]
     acc: Dict[Tuple[int, ...], int] = {}
-    for alpha, mult_a, y_terms in _integer_basis(n, d, fact):
+    for alpha, mult_a, y_terms in innermost:
+        if len(degrees) == 1:
+            weighted, mult_a = [(1, y_terms)], 1
+        else:
+            vector = [w * prod(map(get, map(add, alpha, beta))) for beta, w in levels[0]]
+            for step in steps:
+                vector = [w * sum(map(mul, vector, row)) for w, row in step]
+            weighted = zip(vector, x_side)
         inner: Dict[Tuple[int, ...], int] = {}
-        for beta, mult_b, x_terms in x_side:
-            c = mult_b
-            for a, b in zip(alpha, beta):
-                c *= fact[a + b]
+        for c, x_terms in weighted:
             for ex, cx in x_terms:
                 inner[ex] = inner.get(ex, 0) + c * cx
         for ey, cy in y_terms:
@@ -314,8 +338,18 @@ def kernel_definition_twofold(m: int, n: int, d: int) -> KernelPolynomial:
             for ex, cx in inner.items():
                 key = ex + ey
                 acc[key] = acc.get(key, 0) + cx * cy
-    scale = Fraction(fact[m + d] * fact[n + d], fact[m] * fact[n] * fact[m + n + d])
-    return KernelPolynomial.from_integers(d, acc, scale)
+    num = den = 1
+    for n in degrees:
+        num *= fact[n + d]
+        den *= fact[n]
+    for a, b in zip(degrees, degrees[1:]):
+        den *= fact[a + b + d]
+    return KernelPolynomial.from_integers(d, acc, Fraction(num, den))
+
+
+def kernel_definition_twofold(m: int, n: int, d: int) -> KernelPolynomial:
+    """Brute-force kernel of M_m o M_n; see `kernel_definition`."""
+    return kernel_definition((m, n), d)
 
 
 def kernel_closed_twofold(m: int, n: int, d: int) -> DiagonalKernelForm:
@@ -324,9 +358,7 @@ def kernel_closed_twofold(m: int, n: int, d: int) -> DiagonalKernelForm:
     scale = (m+d)! (n+d)! / (m+n+d)!, weight C(m,|l|) C(n,|l|) for every
     multi-index l; the binomials cut the sum off at |l| = min(m, n).
     """
-    if m < 0 or n < 0:
-        raise ValueError("degrees must be >= 0")
-    check_dimension(d)
+    m, n, d = check_degree(m), check_degree(n), check_dimension(d)
     scale = Fraction(factorial(m + d) * factorial(n + d), factorial(m + n + d))
     return DiagonalKernelForm(d, scale, [(k, binomial(m, k) * binomial(n, k))
                                          for k in range(min(m, n) + 1)])
@@ -337,8 +369,7 @@ def kernel_univariate_twofold(m: int, n: int) -> DiagonalKernelForm:
     written out on its own rather than through the multivariate builder:
     scale (m+1)! (n+1)! / (m+n+1)!, weight C(m,k) C(n,k) at degree k.
     """
-    if m < 0 or n < 0:
-        raise ValueError("degrees must be >= 0")
+    m, n = check_degree(m), check_degree(n)
     scale = Fraction(factorial(m + 1) * factorial(n + 1), factorial(m + n + 1))
     return DiagonalKernelForm(1, scale, [(k, binomial(m, k) * binomial(n, k))
                                          for k in range(min(m, n) + 1)])
@@ -355,9 +386,7 @@ def kernel_legendre(m: int, n: int) -> KernelPolynomial:
     Each L_k has integer coefficients; with the weights over their common
     denominator D the kernel is an integer sum times the one scale 1 / D.
     """
-    if m < 0 or n < 0:
-        raise ValueError("degrees must be >= 0")
-    top = min(m, n)
+    top = min(check_degree(m), check_degree(n))
     den, weights = clear_denominators(
         Fraction(falling_factorial(m, k) * falling_factorial(n, k) * (2 * k + 1),
                  falling_factorial(m + k + 1, k) * falling_factorial(n + k + 1, k))
@@ -376,44 +405,8 @@ def kernel_legendre(m: int, n: int) -> KernelPolynomial:
 
 
 def kernel_definition_threefold(n3: int, n2: int, n1: int, d: int) -> KernelPolynomial:
-    """Brute-force kernel of M_n3 o M_n2 o M_n1 (innermost degree n1).
-
-    Iterating the operator definition gives the triple sum
-        sum_{|g|=n3} sum_{|b|=n2} sum_{|a|=n1}  B_g(x) B_a(y)
-        * <B_a, B_b> <B_b, B_g> / (<1,B_a> <1,B_b> <1,B_g>)
-    assembled from pairwise product integrals.  Works for any d.  By
-    Dirichlet's formula the inner b-sum is the integer
-        mult(a) mult(g) * sum_b mult(b)^2 (a+b)! (b+g)!
-    times the one scale
-        S3 = (n1+d)! (n2+d)! (n3+d)! / (n1! n2! n3! (n1+n2+d)! (n2+n3+d)!).
-    """
-    if min(n3, n2, n1) < 0:
-        raise ValueError("degrees must be >= 0")
-    check_dimension(d)
-    fact = FactorialTable()
-    betas = [(beta, table_multinomial(beta, fact) ** 2)
-             for beta in enumerate_multi_indices(n2, d)]
-    alphas = _integer_basis(n1, d, fact)
-    acc: Dict[Tuple[int, ...], int] = {}
-    for gamma, mult_g, x_terms in _integer_basis(n3, d, fact):
-        inner: Dict[Tuple[int, ...], int] = {}
-        for alpha, mult_a, y_terms in alphas:
-            ratio = 0
-            for beta, weight in betas:
-                for a, b, g in zip(alpha, beta, gamma):
-                    weight *= fact[a + b] * fact[b + g]
-                ratio += weight
-            ratio *= mult_a
-            for ey, cy in y_terms:
-                inner[ey] = inner.get(ey, 0) + ratio * cy
-        for ex, cx in x_terms:
-            cx *= mult_g
-            for ey, cy in inner.items():
-                key = ex + ey
-                acc[key] = acc.get(key, 0) + cx * cy
-    scale = Fraction(fact[n1 + d] * fact[n2 + d] * fact[n3 + d],
-                     fact[n1] * fact[n2] * fact[n3] * fact[n1 + n2 + d] * fact[n2 + n3 + d])
-    return KernelPolynomial.from_integers(d, acc, scale)
+    """Brute-force kernel of M_n3 o M_n2 o M_n1 (innermost n1); see `kernel_definition`."""
+    return kernel_definition((n3, n2, n1), d)
 
 
 def kernel_closed_threefold(n3: int, n2: int, n1: int) -> DiagonalKernelForm:
@@ -424,8 +417,7 @@ def kernel_closed_threefold(n3: int, n2: int, n1: int) -> DiagonalKernelForm:
     weight_k = C(n3,k) C(n2,k) C(n1,k) / C(n3+n2+n1+1, k); symmetric in
     the three degrees.
     """
-    if min(n3, n2, n1) < 0:
-        raise ValueError("degrees must be >= 0")
+    n3, n2, n1 = check_degree(n3), check_degree(n2), check_degree(n1)
     total = n3 + n2 + n1
     scale = Fraction(
         factorial(n3 + 1) * factorial(n2 + 1) * factorial(n1 + 1) * factorial(total + 1),
@@ -445,9 +437,7 @@ def inner_sum_identity(n: int, beta: Sequence[int], y: PointLike) -> Tuple[Fract
     The two sides are computed by entirely separate summations and are
     returned as a pair for the caller to compare.
     """
-    if n < 0:
-        raise ValueError("degree must be >= 0")
-    beta = check_index(beta)
+    n, beta = check_degree(n), check_index(beta)
     d = len(beta) - 1
     # B_a(y) = mult(a) * values[a] / q^top, from y's integer form (q; A)
     q, bary = as_point(y, d).integer_form()

@@ -108,22 +108,10 @@ class SuiteConfig:
         return cls(**{**caps, "degree_caps": {d: max_degree for d in d_range}, **settings})
 
     def to_json_dict(self) -> dict:
-        return {
-            "d_range": list(self.d_range),
-            "degree_caps": {str(d): c for d, c in sorted(self.degree_caps.items())},
-            "threefold_cap": self.threefold_cap,
-            "univariate_cap": self.univariate_cap,
-            "legendre_cap": self.legendre_cap,
-            "combination_cap": self.combination_cap,
-            "lemma_cap": self.lemma_cap,
-            "operator_cap": self.operator_cap,
-            "operator_monomial_degree": self.operator_monomial_degree,
-            "moment_cap": self.moment_cap,
-            "points_per_case": self.points_per_case,
-            "seed": self.seed,
-            "time_budget_s": self.time_budget_s,
-            "corrupt_scale": self.corrupt_scale,
-        }
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out["d_range"] = list(self.d_range)
+        out["degree_caps"] = {str(d): c for d, c in sorted(self.degree_caps.items())}
+        return out
 
 
 @dataclass

@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 from bdk.combinat import (
     binomial,
+    check_degree,
     check_dimension,
     check_index,
     enumerate_multi_indices,
@@ -17,6 +18,18 @@ from bdk.combinat import (
     parse_rational,
 )
 from fractions import Fraction
+
+from bdk.durrmeyer import OperatorSpec, composition_coefficients
+from bdk.kernels import (
+    DiagonalKernelForm,
+    inner_sum_identity,
+    kernel_closed_threefold,
+    kernel_closed_twofold,
+    kernel_definition,
+    kernel_legendre,
+    kernel_single,
+    kernel_univariate_twofold,
+)
 
 
 class TestCheckIndex:
@@ -50,6 +63,44 @@ class TestCheckDimension:
     def test_rejects(self, bad):
         with pytest.raises(ValueError):
             check_dimension(bad)
+
+
+#: every entry point that takes a degree, with a fractional or a negative one
+BAD_DEGREE_CALLS = [
+    (OperatorSpec, (1.5, 1)),
+    (OperatorSpec, (-1, 1)),
+    (composition_coefficients, (2.5, 1, 1)),
+    (enumerate_multi_indices, (1.5, 1)),
+    (enumerate_multi_indices, (-1, 1)),
+    (kernel_single, (1.5, 1)),
+    (kernel_closed_twofold, (2.5, 2, 1)),
+    (kernel_closed_twofold, (2, -2, 1)),
+    (kernel_univariate_twofold, (1, 1.5)),
+    (kernel_legendre, (-1, 1)),
+    (kernel_closed_threefold, (1, 1, 0.5)),
+    (inner_sum_identity, (1.5, (1, 1), [Fraction(1, 2)])),
+    (DiagonalKernelForm, (1, 1, [(1.9, 1)])),
+    (DiagonalKernelForm, (1, 1, [(-1, 1)])),
+    (kernel_definition, ((2, 1.5), 1)),
+    (kernel_definition, ((2, -1, 1), 1)),
+]
+
+
+class TestCheckDegree:
+    def test_accepts_nonnegative_int(self):
+        assert check_degree(0) == 0
+        assert check_degree(7) == 7
+
+    @pytest.mark.parametrize("bad", [-1, 1.5, "2", Fraction(1)])
+    def test_rejects(self, bad):
+        with pytest.raises(ValueError, match="degree"):
+            check_degree(bad)
+
+    @pytest.mark.parametrize("call, args", BAD_DEGREE_CALLS,
+                             ids=[f"{call.__name__}{args}" for call, args in BAD_DEGREE_CALLS])
+    def test_entry_points_reject_bad_degrees(self, call, args):
+        with pytest.raises(ValueError, match="degree"):
+            call(*args)
 
 
 class TestEnumeration:

@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 import bdk.kernels
 from bdk.combinat import FactorialTable, clear_denominators, enumerate_multi_indices
-from bdk.durrmeyer import OperatorSpec, apply_operator
+from bdk.durrmeyer import OperatorSpec, apply_operator, compose_apply
 from bdk.kernels import (
     DiagonalKernelForm,
     KernelPolynomial,
@@ -22,6 +22,7 @@ from bdk.kernels import (
     kernel_closed_twofold,
     kernel_definition_threefold,
     kernel_definition_twofold,
+    kernel_single,
     to_canonical,
 )
 from bdk.polynomials import (
@@ -317,6 +318,13 @@ def test_definitional_builders_use_no_closed_form_code(monkeypatch, d):
         monkeypatch.setattr(bdk.kernels, name, forbidden)
     two = bdk.kernels.kernel_definition_twofold(3, 2, d)
     three = bdk.kernels.kernel_definition_threefold(2, 1, 2, d)
+    one = bdk.kernels.kernel_definition((3,), d)
+    four = bdk.kernels.kernel_definition((1, 2, 2, 1), d)
     monkeypatch.undo()
     assert two == to_canonical(kernel_closed_twofold(3, 2, d))
     assert three == ref_definition_threefold(2, 1, 2, d)
+    assert one == to_canonical(kernel_single(3, d))
+    x = CartesianPolynomial.variable(d, 1)
+    specs = [OperatorSpec(n, d) for n in (1, 2, 2, 1)]
+    one_x = KernelPolynomial.outer(CartesianPolynomial.constant(d, 1), x)
+    assert (four * one_x).integrate_y() == compose_apply(specs, x)

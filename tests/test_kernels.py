@@ -14,6 +14,7 @@ from bdk.kernels import (
     inner_sum_identity,
     kernel_closed_threefold,
     kernel_closed_twofold,
+    kernel_definition,
     kernel_definition_threefold,
     kernel_definition_twofold,
     kernel_legendre,
@@ -21,7 +22,7 @@ from bdk.kernels import (
     kernel_univariate_twofold,
     to_canonical,
 )
-from bdk.durrmeyer import OperatorSpec, apply_operator
+from bdk.durrmeyer import OperatorSpec, apply_operator, compose_apply
 from bdk.polynomials import (
     BarycentricPoint,
     CartesianPolynomial,
@@ -301,6 +302,51 @@ class TestThreefoldKernels:
     def test_definition_supports_higher_dimension(self):
         kernel = kernel_definition_threefold(1, 0, 1, 2)
         assert kernel.integrate_y() == CartesianPolynomial.constant(2, 1)
+
+
+def monomials_up_to(degree, d):
+    return [CartesianPolynomial(d, {mi[1:]: 1})
+            for k in range(degree + 1) for mi in enumerate_multi_indices(k, d)]
+
+
+def applied(kernel, f):
+    """x -> int K(x, y) f(y) dy, the operator a kernel represents, applied to f."""
+    one = CartesianPolynomial.constant(f.d, 1)
+    return (kernel * KernelPolynomial.outer(one, f)).integrate_y()
+
+
+class TestChainDefinition:
+    """kernel_definition against the single kernel and against operator application."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_one_operator_is_the_single_kernel(self, d):
+        for n in range(5):
+            assert kernel_definition((n,), d) == to_canonical(kernel_single(n, d)), n
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("degrees", [(3,), (2, 3), (2, 1, 3), (1, 2, 2, 1)],
+                             ids=["r1", "r2", "r3", "r4"])
+    def test_kernel_applies_the_composition(self, d, degrees):
+        # compose_apply runs apply_operator once per operator: no kernel involved
+        kernel = kernel_definition(degrees, d)
+        specs = [OperatorSpec(n, d) for n in degrees]
+        for f in monomials_up_to(2, d):
+            assert applied(kernel, f) == compose_apply(specs, f), f
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.data())
+    def test_random_chains(self, data):
+        d = data.draw(st.integers(1, 2))
+        degrees = data.draw(st.lists(st.integers(0, 3 if d == 1 else 2), min_size=1, max_size=4))
+        f = data.draw(st.sampled_from(monomials_up_to(2, d)))
+        kernel = kernel_definition(degrees, d)
+        assert applied(kernel, f) == compose_apply([OperatorSpec(n, d) for n in degrees], f)
+        # each operator is self-adjoint, so reversing the chain transposes the kernel
+        assert kernel_definition(degrees[::-1], d) == kernel.transpose()
+
+    def test_rejects_an_empty_chain(self):
+        with pytest.raises(ValueError, match="at least one degree"):
+            kernel_definition((), 1)
 
 
 class TestInnerSumIdentity:
