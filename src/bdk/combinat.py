@@ -6,8 +6,9 @@ compositions of a degree.  These are the building blocks for Bernstein
 bases on the simplex, so exactness is non-negotiable; no floats appear.
 
 A multi-index on the d-simplex is a plain tuple of d+1 nonnegative ints.
-`check_index`, `check_dimension` and `check_degree` are the one place
-that validates indices, dimensions and degrees.
+`check_index`, `check_dimension`, `check_degree` and `check_rational`
+are the one place that validates indices, dimensions, degrees and exact
+scalars.
 """
 from __future__ import annotations
 
@@ -33,6 +34,7 @@ __all__ = [
     "check_index",
     "check_dimension",
     "check_degree",
+    "check_rational",
 ]
 
 #: Exact arbitrary-precision rational; always reduced, denominator > 0.
@@ -116,20 +118,36 @@ def _as_int(value, what: str) -> int:
         raise ValueError(f"{what} must be an integer, got {value!r}") from None
 
 
-def check_dimension(d: int) -> int:
-    """Validate a simplex dimension (an integer d >= 1) and return it."""
-    d = _as_int(d, "simplex dimension")
+def check_dimension(d: int, what: str = "simplex dimension") -> int:
+    """Validate a simplex dimension (an integer d >= 1) and return it; what
+    names the value in the error."""
+    d = _as_int(d, what)
     if d < 1:
-        raise ValueError(f"simplex dimension must be >= 1, got {d}")
+        raise ValueError(f"{what} must be >= 1, got {d}")
     return d
 
 
-def check_degree(n: int) -> int:
-    """Validate a polynomial or operator degree (an integer n >= 0) and return it."""
-    n = _as_int(n, "degree")
+def check_degree(n: int, what: str = "degree") -> int:
+    """Validate a polynomial or operator degree (an integer n >= 0) and
+    return it; what names the value in the error."""
+    n = _as_int(n, what)
     if n < 0:
-        raise ValueError(f"degree must be >= 0, got {n}")
+        raise ValueError(f"{what} must be >= 0, got {n}")
     return n
+
+
+def check_rational(value, what: str) -> Fraction:
+    """value as a Fraction; ValueError naming it unless it is an int or a Fraction.
+
+    A float is refused, as `parse_rational` refuses decimal text: 0.1 would
+    be stored as 3602879701896397/36028797018963968.
+    """
+    if isinstance(value, Fraction):
+        return value
+    try:
+        return Fraction(operator.index(value))
+    except TypeError:
+        raise ValueError(f"{what} must be an int or a Fraction, got {value!r}") from None
 
 
 def check_index(parts: Iterable[int], d: Optional[int] = None) -> Tuple[int, ...]:

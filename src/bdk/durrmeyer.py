@@ -63,11 +63,10 @@ def apply_operator(spec: OperatorSpec, f: CartesianPolynomial) -> CartesianPolyn
     n, d = spec.degree, spec.dimension
     if f.is_zero():
         return CartesianPolynomial.zero(d)
-    den, f_terms = f.integer_terms()
     top = n + f.total_degree() + d
     fact = FactorialTable()
     moments = [((0,) + exps, c * (fact[top] // fact[n + sum(exps) + d]))
-               for exps, c in f_terms]
+               for exps, c in f.nums.items()]
     image = {}
     for alpha in enumerate_multi_indices(n, d):
         total = 0
@@ -78,9 +77,9 @@ def apply_operator(spec: OperatorSpec, f: CartesianPolynomial) -> CartesianPolyn
         if not total:
             continue
         total *= table_multinomial(alpha, fact)
-        for exps, b in bernstein_basis(alpha).terms.items():
-            image[exps] = image.get(exps, 0) + total * b.numerator
-    scale = Fraction(fact[n + d], fact[n] * den * fact[top])
+        for exps, b in bernstein_basis(alpha).nums.items():
+            image[exps] = image.get(exps, 0) + total * b
+    scale = Fraction(fact[n + d], fact[n] * f.den * fact[top])
     return CartesianPolynomial.from_integers(d, image, scale)
 
 

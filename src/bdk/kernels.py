@@ -37,6 +37,7 @@ from .combinat import (
     check_degree,
     check_dimension,
     check_index,
+    check_rational,
     clear_denominators,
     enumerate_multi_indices,
     factorial,
@@ -78,10 +79,10 @@ PointLike = Union[BarycentricPoint, "list[Fraction]", tuple]
 class KernelPolynomial(CartesianPolynomial):
     """Canonical kernel K(x, y): a polynomial in x_1..x_d, y_1..y_d.
 
-    terms maps flat 2d-tuples, x's d exponents then y's, to nonzero
-    Fraction coefficients; d is still the simplex dimension.  Arithmetic,
-    equality and hashing are those of CartesianPolynomial, so equality of
-    kernels is literal map equality.
+    nums maps flat 2d-tuples, x's d exponents then y's, to nonzero integer
+    numerators over the one denominator den; d is still the simplex
+    dimension.  Arithmetic, equality and hashing are those of
+    CartesianPolynomial, so equality of kernels is literal map equality.
     """
 
     __slots__ = ()
@@ -94,17 +95,18 @@ class KernelPolynomial(CartesianPolynomial):
         check_polynomial(fy)
         if fx.d != fy.d:
             raise ValueError("dimension mismatch in outer product")
-        return cls._from_terms(fx.d, {ex + ey: cx * cy
-                                      for ex, cx in fx.terms.items()
-                                      for ey, cy in fy.terms.items()})
+        y_nums = fy.nums.items()
+        return cls._make(fx.d, fx.den * fy.den, {ex + ey: cx * cy
+                                                 for ex, cx in fx.nums.items()
+                                                 for ey, cy in y_nums})
 
     def transpose(self) -> "KernelPolynomial":
         """Swap the roles of x and y."""
         d = self.d
-        return self._from_terms(d, {e[d:] + e[:d]: c for e, c in self.terms.items()})
+        return self._make(d, self.den, {e[d:] + e[:d]: c for e, c in self.nums.items()})
 
     def evaluate(self, x: PointLike, y: PointLike) -> Fraction:
-        """K(x, y) = sum C x^ex y^ey / D over the integer coefficients C = D * coef.
+        """K(x, y) = sum C_e x^ex y^ey / D, with K = C / D for an integer map C.
 
         Each block is homogenised to its own top degree (see
         `monomial_numerators`), so the sum is over integers and one Fraction
@@ -113,36 +115,35 @@ class KernelPolynomial(CartesianPolynomial):
         d = self.d
         qx, x_bary = as_point(x, d).integer_form()
         qy, y_bary = as_point(y, d).integer_form()
-        den, coefs = clear_denominators(self.terms.values())
-        x_keys = list(dict.fromkeys(e[:d] for e in self.terms))
-        y_keys = list(dict.fromkeys(e[d:] for e in self.terms))
+        nums = self.nums
+        x_keys = list(dict.fromkeys(e[:d] for e in nums))
+        y_keys = list(dict.fromkeys(e[d:] for e in nums))
         qx_top, x_values = monomial_numerators(qx, x_bary[1:], x_keys)
         qy_top, y_values = monomial_numerators(qy, y_bary[1:], y_keys)
         xv, yv = dict(zip(x_keys, x_values)), dict(zip(y_keys, y_values))
-        total = sum(c * xv[e[:d]] * yv[e[d:]] for e, c in zip(self.terms, coefs))
-        return Fraction(total, den * qx_top * qy_top)
+        total = sum(c * xv[e[:d]] * yv[e[d:]] for e, c in nums.items())
+        return Fraction(total, self.den * qx_top * qy_top)
 
     def integrate_y(self) -> CartesianPolynomial:
         """Integrate the y block over the simplex, leaving a polynomial in x.
 
         For a stochastic kernel this must come out as the constant 1.  With
-        the coefficients over their common denominator D and N the top y
-        degree, Dirichlet's formula makes the x^ex coefficient the integer
-        sum_ey C ey! (N+d)!/(|ey|+d)!  times the one scale 1 / (D (N+d)!).
+        K = C / D for an integer map C and N the top y degree, Dirichlet's
+        formula makes the x^ex coefficient the integer
+        sum_ey C_e ey! (N+d)!/(|ey|+d)!  over the one denominator D (N+d)!.
         """
-        d = self.d
-        den, coefs = clear_denominators(self.terms.values())
+        d, nums = self.d, self.nums
         fact = FactorialTable()
-        top = max((sum(e[d:]) for e in self.terms), default=0)
-        values = _dirichlet_terms(((e[d:], c) for e, c in zip(self.terms, coefs)), d, top, fact)
+        top = max((sum(e[d:]) for e in nums), default=0)
+        values = _dirichlet_terms(((e[d:], c) for e, c in nums.items()), d, top, fact)
         acc: Dict[Tuple[int, ...], int] = {}
-        for e, w in zip(self.terms, values):
+        for e, w in zip(nums, values):
             ex = e[:d]
             acc[ex] = acc.get(ex, 0) + w
-        return CartesianPolynomial.from_integers(d, acc, Fraction(1, den * fact[top + d]))
+        return CartesianPolynomial.from_integers(d, acc, Fraction(1, self.den * fact[top + d]))
 
     def __repr__(self) -> str:
-        return f"<kernel d={self.d} terms={len(self.terms)}>"
+        return f"<kernel d={self.d} terms={len(self.nums)}>"
 
     def to_json_dict(self) -> dict:
         d = self.d
@@ -184,8 +185,9 @@ class DiagonalKernelForm:
 
     def __init__(self, d: int, scale, terms):
         self.d = check_dimension(d)
-        self.scale = Fraction(scale)
-        self.terms = tuple(sorted(((check_degree(j), Fraction(w)) for j, w in terms),
+        self.scale = check_rational(scale, "scale")
+        self.terms = tuple(sorted(((check_degree(j), check_rational(w, "weight"))
+                                   for j, w in terms),
                                   key=lambda t: t[0]))
         degrees = [j for j, _ in self.terms]
         if len(set(degrees)) != len(degrees):
@@ -268,7 +270,7 @@ def kernel_single(n: int, d: int) -> DiagonalKernelForm:
 def _integer_basis(n: int, d: int, fact: FactorialTable):
     """(a, mult(a), integer terms of B_a) for every |a| = n."""
     return [(alpha, table_multinomial(alpha, fact),
-             [(exps, c.numerator) for exps, c in bernstein_basis(alpha).terms.items()])
+             list(bernstein_basis(alpha).nums.items()))
             for alpha in enumerate_multi_indices(n, d)]
 
 

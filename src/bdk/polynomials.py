@@ -7,18 +7,24 @@ same polynomial exactly when their maps are equal.  All identity checks
 in the library reduce to this equality.  A kernel K(x, y) is the same
 sparse type in the 2d variables x_1..x_d, y_1..y_d (`bdk.kernels`).
 
-Exact sums are accumulated in Python ints: coefficients are brought to a
-common denominator once, Dirichlet integrals share one factorial
-denominator, and one rational scale is applied per output coefficient at
-the end (`CartesianPolynomial.from_integers`).  Evaluation works the same
-way: a rational point is written over its common denominator q, each
-monomial is homogenised to the top degree with powers of q, and one
-Fraction is built from the integer sum (`monomial_numerators`).
+A polynomial is stored as one positive denominator over an integer map,
+p = nums / den, reduced so that gcd(den, *nums) == 1; equality and hashing
+compare the pair.  The exponent -> Fraction map `terms` is a view derived
+from it on first read, for display and tests; no exact path reads it.
+Exact sums are accumulated in Python ints: Dirichlet integrals share one
+factorial denominator, and an integer fast path ends with one rational
+scale for the whole map (`CartesianPolynomial.from_integers`), which
+only multiplies nums and den and reduces them by one gcd.  Evaluation
+works the same way: a rational point is written over its common
+denominator q, each monomial is homogenised to the top degree with
+powers of q, and one Fraction is built from the integer sum
+(`monomial_numerators`).
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
 from operator import mul
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
@@ -26,6 +32,7 @@ from .combinat import (
     _as_int,
     check_dimension,
     check_index,
+    check_rational,
     clear_denominators,
     enumerate_multi_indices,
     FactorialTable,
@@ -138,16 +145,20 @@ def monomial_numerators(q: int, nums: Sequence[int],
 
 
 class CartesianPolynomial:
-    """Sparse exact polynomial in x_1..x_d.
+    """Sparse exact polynomial in x_1..x_d, stored as an integer map over one
+    denominator.
 
-    terms maps exponent tuples to nonzero Fraction coefficients.  A key
-    holds BLOCKS blocks of d exponents: one block here, two for a kernel
-    K(x, y) (x's exponents, then y's).  Instances are treated as immutable;
-    all operators return new objects, and the hash is computed once, on
-    first use.
+    nums maps exponent tuples to nonzero ints and den is a positive int:
+    the coefficient of x^e is nums[e] / den.  The pair is kept canonical,
+    gcd(den, *nums.values()) == 1, so two polynomials are equal exactly
+    when their d, den and nums are.  A key holds BLOCKS blocks of d
+    exponents: one block here, two for a kernel K(x, y) (x's exponents,
+    then y's).  Instances are treated as immutable; all operators return
+    new objects, and the hash is computed once, on first use.  `terms` is
+    a derived exponent -> Fraction view for display and tests.
     """
 
-    __slots__ = ("d", "terms", "_hash")
+    __slots__ = ("d", "den", "nums", "_terms", "_hash")
 
     #: Exponent blocks of d entries in each key; fixed per class.
     BLOCKS = 1
@@ -162,24 +173,38 @@ class CartesianPolynomial:
                 raise ValueError(f"exponent tuple {exps} does not have {width} entries")
             if any(e < 0 for e in exps):
                 raise ValueError(f"negative exponent in {exps}")
-            coef = Fraction(coef)
-            if coef:
-                clean[exps] = coef
-        self.terms = clean
-        self._hash = None
+            clean[exps] = check_rational(coef, "coefficient")
+        den, nums = clear_denominators(clean.values())
+        self._reduce(den, dict(zip(clean, nums)))
+
+    def _reduce(self, den: int, nums: Dict[Exponents, int]) -> None:
+        """Store nums / den canonically: zero entries dropped and den and
+        the map divided by their gcd.  The one place that normalizes."""
+        nums = {e: c for e, c in nums.items() if c}
+        g = gcd(den, *nums.values())
+        if g != 1:
+            den //= g
+            nums = {e: c // g for e, c in nums.items()}
+        self.den, self.nums, self._terms, self._hash = den, nums, None, None
 
     @classmethod
-    def _from_terms(cls, d: int, terms: Dict[Exponents, Fraction]) -> "CartesianPolynomial":
-        """The polynomial over a map that an internal operation built.
-
-        Its keys are trusted as built; zero coefficients are dropped here,
-        the one place that does.
-        """
+    def _make(cls, d: int, den: int, nums: Dict[Exponents, int]) -> "CartesianPolynomial":
+        """The polynomial nums / den over a map an internal operation built,
+        den > 0; its keys are trusted as built."""
         poly = cls.__new__(cls)
         poly.d = d
-        poly.terms = {e: c for e, c in terms.items() if c}
-        poly._hash = None
+        poly._reduce(den, nums)
         return poly
+
+    @property
+    def terms(self) -> Dict[Exponents, Fraction]:
+        """Exponents -> Fraction coefficient, built from den and nums on
+        first read and kept; treat it as read-only.  Display and tests read
+        it; no exact path does."""
+        if self._terms is None:
+            den = self.den
+            self._terms = {e: Fraction(c, den) for e, c in self.nums.items()}
+        return self._terms
 
     # -- constructors -------------------------------------------------
 
@@ -189,7 +214,7 @@ class CartesianPolynomial:
 
     @classmethod
     def constant(cls, d: int, value: Scalar) -> "CartesianPolynomial":
-        return cls(d, {(0,) * (cls.BLOCKS * d): Fraction(value)})
+        return cls(d, {(0,) * (cls.BLOCKS * d): value})
 
     @classmethod
     def variable(cls, d: int, i: int) -> "CartesianPolynomial":
@@ -198,11 +223,11 @@ class CartesianPolynomial:
         if not 1 <= i <= width:
             raise ValueError(f"variable index {i} out of range 1..{width}")
         exps = tuple(1 if j == i - 1 else 0 for j in range(width))
-        return cls(d, {exps: Fraction(1)})
+        return cls(d, {exps: 1})
 
     @classmethod
     def monomial(cls, d: int, exps: Sequence[int], coef: Scalar = 1) -> "CartesianPolynomial":
-        return cls(d, {tuple(exps): Fraction(coef)})
+        return cls(d, {tuple(exps): coef})
 
     @classmethod
     def from_integers(cls, d: int, ints: Dict[Exponents, int],
@@ -212,15 +237,11 @@ class CartesianPolynomial:
         The keys must already be valid exponent tuples; this is the exit of
         the integer fast paths, which build them that way.
         """
-        scale = Fraction(scale)
-        num, den = scale.numerator, scale.denominator
-        return cls._from_terms(check_dimension(d),
-                               {e: Fraction(c * num, den) for e, c in ints.items()})
-
-    def integer_terms(self) -> Tuple[int, List[Tuple[Exponents, int]]]:
-        """Common denominator D and the (exponents, D * coefficient) pairs."""
-        den, ints = clear_denominators(self.terms.values())
-        return den, list(zip(self.terms, ints))
+        scale = check_rational(scale, "scale")
+        num = scale.numerator
+        if num != 1:
+            ints = {e: c * num for e, c in ints.items()}
+        return cls._make(check_dimension(d), scale.denominator, ints)
 
     # -- ring operations ----------------------------------------------
 
@@ -234,26 +255,28 @@ class CartesianPolynomial:
         if not isinstance(other, CartesianPolynomial):
             return NotImplemented
         self._check_compatible(other)
-        out = dict(self.terms)
-        for exps, coef in other.terms.items():
-            out[exps] = out.get(exps, 0) + coef
-        return self._from_terms(self.d, out)
+        den = lcm(self.den, other.den)
+        fa, fb = den // self.den, den // other.den
+        out = {e: c * fa for e, c in self.nums.items()}
+        for exps, c in other.nums.items():
+            out[exps] = out.get(exps, 0) + c * fb
+        return self._make(self.d, den, out)
 
     def __sub__(self, other: "CartesianPolynomial") -> "CartesianPolynomial":
         return self + (-other)
 
     def __neg__(self) -> "CartesianPolynomial":
-        return self._from_terms(self.d, {e: -c for e, c in self.terms.items()})
+        return self._make(self.d, self.den, {e: -c for e, c in self.nums.items()})
 
     def __mul__(self, other):
         if isinstance(other, CartesianPolynomial):
             self._check_compatible(other)
-            out: Dict[Exponents, Fraction] = {}
-            for e1, c1 in self.terms.items():
-                for e2, c2 in other.terms.items():
+            out: Dict[Exponents, int] = {}
+            for e1, c1 in self.nums.items():
+                for e2, c2 in other.nums.items():
                     key = tuple(a + b for a, b in zip(e1, e2))
                     out[key] = out.get(key, 0) + c1 * c2
-            return self._from_terms(self.d, out)
+            return self._make(self.d, self.den * other.den, out)
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         return NotImplemented
@@ -264,8 +287,10 @@ class CartesianPolynomial:
         return NotImplemented
 
     def scale(self, c: Scalar) -> "CartesianPolynomial":
-        c = Fraction(c)
-        return self._from_terms(self.d, {e: c * v for e, v in self.terms.items()})
+        c = check_rational(c, "scale")
+        num = c.numerator
+        return self._make(self.d, self.den * c.denominator,
+                          {e: v * num for e, v in self.nums.items()})
 
     def __pow__(self, k: int) -> "CartesianPolynomial":
         if k < 0:
@@ -278,48 +303,49 @@ class CartesianPolynomial:
     def __eq__(self, other: object) -> bool:
         if isinstance(other, CartesianPolynomial):
             return (self.d == other.d and self.BLOCKS == other.BLOCKS
-                    and self.terms == other.terms)
+                    and self.den == other.den and self.nums == other.nums)
         return NotImplemented
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash((self.d, frozenset(self.terms.items())))
+            self._hash = hash((self.d, self.den, frozenset(self.nums.items())))
         return self._hash
 
     # -- queries ------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.nums
 
     def total_degree(self) -> int:
         """Max total degree over terms; -1 for the zero polynomial."""
-        return max((sum(e) for e in self.terms), default=-1)
+        return max((sum(e) for e in self.nums), default=-1)
 
     def first_difference(self, other: "CartesianPolynomial"
                          ) -> Optional[Tuple[Exponents, Fraction, Fraction]]:
         """(key, self's coefficient, other's) at the first key, in canonical
         order, where the two differ; None when they are equal."""
         self._check_compatible(other)
-        if self.terms == other.terms:
+        da, db = self.den, other.den
+        if da == db and self.nums == other.nums:
             return None
-        for key in sorted(self.terms.keys() | other.terms.keys()):
-            a, b = self.terms.get(key, 0), other.terms.get(key, 0)
-            if a != b:
-                return key, Fraction(a), Fraction(b)
+        for key in sorted(self.nums.keys() | other.nums.keys()):
+            a, b = self.nums.get(key, 0), other.nums.get(key, 0)
+            if a * db != b * da:
+                return key, Fraction(a, da), Fraction(b, db)
 
     def evaluate(self, pt: Union[BarycentricPoint, Sequence[Scalar]]) -> Fraction:
-        """p(pt) = sum_e C_e a^e q^(N-|e|) / (D q^N), with p = C / D, pt = a / q, N = deg p."""
+        """p(pt) = sum_e P_e a^e q^(N-|e|) / (D q^N), with p = P / D, pt = a / q, N = deg p."""
         q, bary = as_point(pt, self.d).integer_form()
-        den, coefs = clear_denominators(self.terms.values())
-        q_top, values = monomial_numerators(q, bary[1:], list(self.terms))
-        return Fraction(sum(map(mul, coefs, values)), den * q_top)
+        q_top, values = monomial_numerators(q, bary[1:], list(self.nums))
+        return Fraction(sum(map(mul, self.nums.values(), values)), self.den * q_top)
 
-    def sorted_terms(self):
+    def sorted_terms(self) -> List[Tuple[Exponents, Fraction]]:
         """Terms in the canonical serialization order (ascending exponents)."""
-        return sorted(self.terms.items())
+        den = self.den
+        return [(e, Fraction(c, den)) for e, c in sorted(self.nums.items())]
 
     def __repr__(self) -> str:
-        if not self.terms:
+        if not self.nums:
             return "<poly 0>"
         bits = []
         for exps, coef in self.sorted_terms():
@@ -430,10 +456,9 @@ def integrate_simplex(p: CartesianPolynomial) -> Fraction:
     N = deg p.
     """
     check_polynomial(p)
-    if not p.terms:
+    if not p.nums:
         return Fraction(0)
-    den, terms = p.integer_terms()
-    return _dirichlet_sum(terms, p.d, p.total_degree(), den)
+    return _dirichlet_sum(p.nums.items(), p.d, p.total_degree(), p.den)
 
 
 def inner_product(f: CartesianPolynomial, g: CartesianPolynomial) -> Fraction:
@@ -447,10 +472,9 @@ def inner_product(f: CartesianPolynomial, g: CartesianPolynomial) -> Fraction:
     check_polynomial(g)
     if f.d != g.d:
         raise ValueError(f"dimension mismatch: {f.d} vs {g.d}")
-    if not f.terms or not g.terms:
+    if not f.nums or not g.nums:
         return Fraction(0)
-    den_f, f_terms = f.integer_terms()
-    den_g, g_terms = g.integer_terms()
+    g_terms = g.nums.items()
     pairs = ((tuple(a + b for a, b in zip(ef, eg)), cf * cg)
-             for ef, cf in f_terms for eg, cg in g_terms)
-    return _dirichlet_sum(pairs, f.d, f.total_degree() + g.total_degree(), den_f * den_g)
+             for ef, cf in f.nums.items() for eg, cg in g_terms)
+    return _dirichlet_sum(pairs, f.d, f.total_degree() + g.total_degree(), f.den * g.den)

@@ -16,7 +16,13 @@ from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
-from .combinat import enumerate_multi_indices, format_rational
+from .combinat import (
+    _as_int,
+    check_degree,
+    check_dimension,
+    enumerate_multi_indices,
+    format_rational,
+)
 from .durrmeyer import OperatorSpec, apply_operator, composition_coefficients
 from .kernels import (
     KernelPolynomial,
@@ -82,15 +88,14 @@ class SuiteConfig:
         if len(set(self.d_range)) != len(self.d_range):
             raise ValueError(f"d_range repeats a dimension: {list(self.d_range)}")
         for d in self.d_range:
-            if d < 1:
-                raise ValueError("dimensions must be >= 1")
-            if self.degree_caps.get(d, -1) < 0:
-                raise ValueError(f"degree cap for d={d} missing or negative")
+            check_dimension(d, "d_range entry")
+            if d not in self.degree_caps:
+                raise ValueError(f"degree cap for d={d} missing")
+            check_degree(self.degree_caps[d], f"degree_caps[{d}]")
         for name in CAP_FIELDS:
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
-        if self.points_per_case < 1:
-            raise ValueError("points_per_case must be >= 1")
+            check_degree(getattr(self, name), name)
+        if _as_int(self.points_per_case, "points_per_case") < 1:
+            raise ValueError(f"points_per_case must be >= 1, got {self.points_per_case}")
         if self.time_budget_s is not None and not 0 <= self.time_budget_s < math.inf:
             raise ValueError(
                 f"time_budget_s must be a finite number >= 0, got {self.time_budget_s}")

@@ -1,27 +1,42 @@
-"""Every span the benchmark's tracer patches must still name a bdk function.
+"""Every span the benchmark's tracer patches must still name a bdk function,
+and its exact counts must read the same from bdk's objects.
 
 bench/tracer.py rebinds listed functions and methods by name; a name that
 no longer exists makes its install step raise, so traced benchmark runs
-fail.  The tracer is loaded by path, as it is not part of the package.
+fail.  Its term and coefficient-bit counts read the `terms` view of each
+kernel it sees, so they are pinned here on fixed kernels: a change of
+representation must not move `kernels.coef_bits_max` or the `*.terms`
+counts.  The tracer is loaded by path, as it is not part of the package.
 """
 import importlib
 import importlib.util
 import inspect
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from bdk.durrmeyer import OperatorSpec, apply_operator
+from bdk.kernels import (
+    kernel_closed_threefold,
+    kernel_closed_twofold,
+    kernel_definition_twofold,
+    to_canonical,
+)
+from bdk.polynomials import CartesianPolynomial
+
 TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 
 
-def load_spans():
+def load_tracer():
     spec = importlib.util.spec_from_file_location("bdk_bench_tracer", TRACER)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
-    return tracer.SPANS
+    return tracer
 
 
-SPANS = load_spans()
+TRACER_MODULE = load_tracer()
+SPANS = TRACER_MODULE.SPANS
 
 
 @pytest.mark.parametrize("module_name, attr", [(m, a) for m, a, _, _ in SPANS],
@@ -36,3 +51,24 @@ def test_span_resolves(module_name, attr):
         assert callable(owner.__dict__.get(method)), attr
     else:
         assert callable(getattr(module, attr, None)), attr
+
+
+def _image():
+    f = CartesianPolynomial(2, {(2, 1): Fraction(-3, 97), (0, 3): Fraction(5, 97),
+                                (1, 0): Fraction(7, 2)})
+    return apply_operator(OperatorSpec(6, 2), f)
+
+
+@pytest.mark.parametrize("build, terms, coef_bits", [
+    (lambda: kernel_definition_twofold(8, 8, 2), 2025, 32),
+    (lambda: to_canonical(kernel_closed_threefold(3, 4, 5)), 16, 11),
+    (_image, 8, 17),
+], ids=["definition_8_8_d2", "canonical_threefold_3_4_5", "image_6_d2"])
+def test_counts_read_the_same(build, terms, coef_bits):
+    obj = build()
+    assert TRACER_MODULE._terms(obj) == terms
+    assert TRACER_MODULE._coef_bits(obj) == coef_bits
+
+
+def test_coef_bits_of_a_diagonal_form():
+    assert TRACER_MODULE._coef_bits(kernel_closed_twofold(8, 8, 2)) == 13

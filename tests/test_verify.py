@@ -124,6 +124,34 @@ class TestSuiteConfig:
         with pytest.raises(ValueError):
             SuiteConfig(d_range=(1,), degree_caps={1: 1}, threefold_cap=-1)
 
+    @pytest.mark.parametrize("name", CAP_FIELDS)
+    @pytest.mark.parametrize("bad, problem", [(1.5, "an integer"), ("2", "an integer"),
+                                              (-1, ">= 0")])
+    def test_rejects_cap_field_that_is_not_a_degree(self, name, bad, problem):
+        with pytest.raises(ValueError, match=f"^{name} must be {problem}"):
+            SuiteConfig(d_range=(1,), degree_caps={1: 1}, **{name: bad})
+
+    @pytest.mark.parametrize("bad, problem", [(1.5, "an integer"), (-1, ">= 0")])
+    def test_rejects_degree_cap_that_is_not_a_degree(self, bad, problem):
+        with pytest.raises(ValueError, match=rf"^degree_caps\[2\] must be {problem}"):
+            SuiteConfig(d_range=(1, 2), degree_caps={1: 1, 2: bad})
+        with pytest.raises(ValueError, match=r"^degree_caps\[1\]"):
+            run_suite(SuiteConfig(d_range=(1,), degree_caps={1: bad}))
+
+    @pytest.mark.parametrize("bad, problem", [(1.5, "an integer"), (0, ">= 1")])
+    def test_rejects_points_per_case_below_one_or_fractional(self, bad, problem):
+        with pytest.raises(ValueError, match=f"^points_per_case must be {problem}"):
+            SuiteConfig(d_range=(1,), degree_caps={1: 1}, points_per_case=bad)
+
+    @pytest.mark.parametrize("bad, problem", [(1.0, "an integer"), (0, ">= 1")])
+    def test_rejects_dimension_that_is_not_one_or_more(self, bad, problem):
+        with pytest.raises(ValueError, match=f"^d_range entry must be {problem}"):
+            SuiteConfig(d_range=(bad,), degree_caps={bad: 1})
+
+    def test_rejects_fractional_max_degree_in_capped(self):
+        with pytest.raises(ValueError, match="must be an integer, got 1.5"):
+            SuiteConfig.capped(1.5, d_range=(1,))
+
     @pytest.mark.parametrize("budget", [math.nan, math.inf, -math.inf, -1.0, -1e-9])
     def test_rejects_time_budget_that_is_not_finite_and_nonnegative(self, budget):
         with pytest.raises(ValueError, match="time_budget_s"):
