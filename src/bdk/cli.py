@@ -16,7 +16,6 @@ failed).
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import re
 import sys
@@ -225,6 +224,8 @@ def _grid_points(d: int, grid: int) -> List[BarycentricPoint]:
 
 
 def _cmd_table(args) -> int:
+    import csv  # only table emission writes CSV; other requests skip the import
+
     if args.d not in (1, 2):
         raise UsageError("--d must be 1 or 2 for table emission")
     if args.grid < 2:

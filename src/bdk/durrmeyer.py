@@ -12,7 +12,6 @@ compares full canonical forms.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Sequence
 
@@ -35,16 +34,32 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class OperatorSpec:
-    """Degree and simplex dimension identifying one operator M_n."""
+    """Degree and simplex dimension identifying one operator M_n.
 
-    degree: int
-    dimension: int
+    Immutable; two specs are equal, and hash alike, when their degree and
+    dimension are.
+    """
 
-    def __post_init__(self):
-        check_degree(self.degree)
-        check_dimension(self.dimension)
+    __slots__ = ("degree", "dimension")
+
+    def __init__(self, degree: int, dimension: int):
+        object.__setattr__(self, "degree", check_degree(degree))
+        object.__setattr__(self, "dimension", check_dimension(dimension))
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r} of an OperatorSpec")
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, OperatorSpec):
+            return self.degree == other.degree and self.dimension == other.dimension
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.degree, self.dimension))
+
+    def __repr__(self) -> str:
+        return f"OperatorSpec(degree={self.degree}, dimension={self.dimension})"
 
 
 def apply_operator(spec: OperatorSpec, f: CartesianPolynomial) -> CartesianPolynomial:

@@ -25,11 +25,12 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
-from operator import mul
+from operator import add, mul
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .combinat import (
     _as_int,
+    check_degree,
     check_dimension,
     check_index,
     check_rational,
@@ -39,6 +40,7 @@ from .combinat import (
     format_rational,
     multinomial,
     parse_rational,
+    table_multinomial,
 )
 
 __all__ = [
@@ -67,7 +69,7 @@ class BarycentricPoint:
     __slots__ = ("coords", "_integer_form")
 
     def __init__(self, coords: Iterable[Scalar]):
-        self.coords = tuple(Fraction(c) for c in coords)
+        self.coords = tuple(check_rational(c, "point coordinate") for c in coords)
         if not self.coords:
             raise ValueError("point needs at least one coordinate")
         self._integer_form = None
@@ -293,8 +295,7 @@ class CartesianPolynomial:
                           {e: v * num for e, v in self.nums.items()})
 
     def __pow__(self, k: int) -> "CartesianPolynomial":
-        if k < 0:
-            raise ValueError("negative power of a polynomial")
+        k = check_degree(k, "exponent")
         out = self.constant(self.d, 1)
         for _ in range(k):
             out = out * self
@@ -380,24 +381,35 @@ def check_polynomial(p: CartesianPolynomial) -> CartesianPolynomial:
 
 
 @lru_cache(maxsize=None)
+def _x0_power(a0: int, d: int) -> Tuple[Tuple[Exponents, int], ...]:
+    """The signed integer terms of x_0^a0 = (1 - x_1 - ... - x_d)^a0.
+
+    By the multinomial theorem the coefficient of x^k, |k| <= a0, is
+    (-1)^|k| a0! / ((a0 - |k|)! k!); the pairs (k, coefficient) follow the
+    enumeration order of the (d+1)-part compositions of a0.  The power
+    depends only on (a0, d), so it is expanded once per pair.
+    """
+    fact = FactorialTable()
+    return tuple((kappa[1:], (-1) ** (a0 - kappa[0]) * table_multinomial(kappa, fact))
+                 for kappa in enumerate_multi_indices(a0, d))
+
+
+@lru_cache(maxsize=None)
 def bernstein_basis(alpha: Sequence[int]) -> CartesianPolynomial:
     """The Bernstein basis polynomial C(|a|,a) x_0^a0 x_1^a1 ... x_d^ad,
     fully expanded into cartesian monomials.
 
     alpha is a hashable multi-index, normally a tuple; the result is cached
-    per index.  The expansion substitutes x_0 = 1 - x_1 - ... - x_d and
-    multiplies out the power via the multinomial theorem; all coefficients
-    are integers.
+    per index.  The expansion is the cached power x_0^a0 with
+    x_0 = 1 - x_1 - ... - x_d substituted, each term shifted by
+    (a1, ..., ad) and scaled by C(|a|,a); all coefficients are integers.
     """
     alpha = check_index(alpha)
     d = len(alpha) - 1
-    a0, rest = alpha[0], alpha[1:]
+    rest = alpha[1:]
     scale = multinomial(alpha)
-    # distinct kappa give distinct exponents, so nothing accumulates
-    terms: Dict[Exponents, int] = {}
-    for kappa in enumerate_multi_indices(a0, d):
-        sign = -1 if (a0 - kappa[0]) % 2 else 1
-        terms[tuple(kappa[i + 1] + rest[i] for i in range(d))] = sign * scale * multinomial(kappa)
+    # distinct powers of x_0 have distinct exponents, so nothing accumulates
+    terms = {tuple(map(add, k, rest)): scale * c for k, c in _x0_power(alpha[0], d)}
     return CartesianPolynomial.from_integers(d, terms)
 
 

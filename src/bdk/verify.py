@@ -12,9 +12,8 @@ import json
 import math
 import random
 import time
-from dataclasses import dataclass, field, fields
 from fractions import Fraction
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 from .combinat import (
     _as_int,
@@ -59,30 +58,45 @@ CAP_FIELDS = ("threefold_cap", "univariate_cap", "legendre_cap", "combination_ca
               "lemma_cap", "operator_cap", "operator_monomial_degree", "moment_cap")
 
 
-@dataclass
 class SuiteConfig:
     """Ranges, seed and execution hints for one verification run.
 
     The default ranges reproduce the full claimed identity set; shrink
-    them for quick smoke runs.
+    them for quick smoke runs.  The keyword defaults of __init__ are the
+    one list of fields and defaults; degree_caps=None stands for a fresh
+    copy of DEFAULT_DEGREE_CAPS.
     """
 
-    d_range: Tuple[int, ...] = (1, 2, 3)
-    degree_caps: Dict[int, int] = field(default_factory=lambda: dict(DEFAULT_DEGREE_CAPS))
-    threefold_cap: int = 5
-    univariate_cap: int = 10
-    legendre_cap: int = 8
-    combination_cap: int = 5
-    lemma_cap: int = 4
-    operator_cap: int = 5
-    operator_monomial_degree: int = 4
-    moment_cap: int = 6
-    points_per_case: int = 5
-    seed: int = 271828
-    time_budget_s: Optional[float] = None
-    corrupt_scale: bool = False
+    def __init__(self, *,
+                 d_range: Tuple[int, ...] = (1, 2, 3),
+                 degree_caps: Optional[Dict[int, int]] = None,
+                 threefold_cap: int = 5,
+                 univariate_cap: int = 10,
+                 legendre_cap: int = 8,
+                 combination_cap: int = 5,
+                 lemma_cap: int = 4,
+                 operator_cap: int = 5,
+                 operator_monomial_degree: int = 4,
+                 moment_cap: int = 6,
+                 points_per_case: int = 5,
+                 seed: int = 271828,
+                 time_budget_s: Optional[float] = None,
+                 corrupt_scale: bool = False):
+        self.d_range = d_range
+        self.degree_caps = dict(DEFAULT_DEGREE_CAPS) if degree_caps is None else degree_caps
+        self.threefold_cap = threefold_cap
+        self.univariate_cap = univariate_cap
+        self.legendre_cap = legendre_cap
+        self.combination_cap = combination_cap
+        self.lemma_cap = lemma_cap
+        self.operator_cap = operator_cap
+        self.operator_monomial_degree = operator_monomial_degree
+        self.moment_cap = moment_cap
+        self.points_per_case = points_per_case
+        self.seed = seed
+        self.time_budget_s = time_budget_s
+        self.corrupt_scale = corrupt_scale
 
-    def __post_init__(self):
         if not self.d_range:
             raise ValueError("d_range must not be empty")
         if len(set(self.d_range)) != len(self.d_range):
@@ -108,19 +122,19 @@ class SuiteConfig:
         dimension in d_range gets the degree cap max_degree; settings
         override any field.
         """
-        caps = {f.name: min(f.default, max_degree) for f in fields(cls) if f.name in CAP_FIELDS}
-        d_range = settings.get("d_range", cls.d_range)
+        defaults = cls.__init__.__kwdefaults__
+        caps = {name: min(defaults[name], max_degree) for name in CAP_FIELDS}
+        d_range = settings.get("d_range", defaults["d_range"])
         return cls(**{**caps, "degree_caps": {d: max_degree for d in d_range}, **settings})
 
     def to_json_dict(self) -> dict:
-        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out = {name: getattr(self, name) for name in self.__init__.__kwdefaults__}
         out["d_range"] = list(self.d_range)
         out["degree_caps"] = {str(d): c for d, c in sorted(self.degree_caps.items())}
         return out
 
 
-@dataclass
-class CheckRecord:
+class CheckRecord(NamedTuple):
     name: str
     params: dict
     passed: bool
@@ -128,8 +142,7 @@ class CheckRecord:
     wall_ms: float
 
 
-@dataclass
-class VerificationReport:
+class VerificationReport(NamedTuple):
     config: dict
     checks: List[CheckRecord]
     complete: bool

@@ -4,9 +4,11 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bdk.cli import PolynomialParseError, main, parse_polynomial
 from bdk.combinat import parse_rational
+from bdk.polynomials import CartesianPolynomial
 
 
 def run_cli(capsys, *argv):
@@ -185,6 +187,35 @@ class TestPolynomialGrammar:
     def test_missing_star(self):
         with pytest.raises(PolynomialParseError):
             parse_polynomial("2 x1", 1)
+
+
+@st.composite
+def grammar_polynomials(draw):
+    d = draw(st.integers(1, 3))
+    terms = draw(st.dictionaries(
+        st.tuples(*[st.integers(0, 4)] * d),
+        st.fractions(min_value=-30, max_value=30, max_denominator=12), max_size=6))
+    return CartesianPolynomial(d, terms)
+
+
+def print_polynomial(p):
+    """p in the `apply --poly` grammar: signed terms, each 'c*x1^a*...'."""
+    if p.is_zero():
+        return "0"
+    text = ""
+    for exps, coef in p.sorted_terms():
+        factors = [str(abs(coef))] + [f"x{v}" if e == 1 else f"x{v}^{e}"
+                                      for v, e in enumerate(exps, 1) if e]
+        sign = "-" if coef < 0 else "+"
+        text += f" {sign} " + "*".join(factors)
+    return text.lstrip(" +")
+
+
+class TestPolynomialGrammarRoundTrip:
+    @settings(max_examples=150, deadline=None)
+    @given(grammar_polynomials())
+    def test_printed_polynomial_parses_back_equal(self, p):
+        assert parse_polynomial(print_polynomial(p), p.d) == p
 
 
 class TestApply:

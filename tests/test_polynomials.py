@@ -1,10 +1,12 @@
 import random
 from fractions import Fraction
+from math import prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bdk.combinat import enumerate_multi_indices
+from bdk.combinat import enumerate_multi_indices, multinomial
+from bdk.kernels import inner_sum_identity
 from bdk.polynomials import (
     BarycentricPoint,
     CartesianPolynomial,
@@ -85,6 +87,11 @@ class TestRingOperations:
         assert (x ** 3).terms == {(3,): Fraction(1)}
         assert (x ** 0).terms == {(0,): Fraction(1)}
 
+    @pytest.mark.parametrize("k", [1.5, "2", -1])
+    def test_pow_rejects_exponent_that_is_not_a_nonnegative_int(self, k):
+        with pytest.raises(ValueError, match="exponent"):
+            CartesianPolynomial.variable(1, 1) ** k
+
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             CartesianPolynomial.variable(1, 1) + CartesianPolynomial.variable(2, 1)
@@ -154,6 +161,24 @@ class TestBernsteinBasis:
                     assert bernstein_value(alpha, pt) == expanded.evaluate(pt)
 
 
+    def test_matches_product_of_powers(self):
+        # B_a = mult(a) * (1 - x_1 - ... - x_d)^a0 * x_1^a1 ... x_d^ad, by ring
+        # arithmetic alone
+        for d in (1, 2, 3):
+            x = [CartesianPolynomial.variable(d, v) for v in range(1, d + 1)]
+            x0 = CartesianPolynomial.constant(d, 1) - sum(x, CartesianPolynomial.zero(d))
+            for n in range(9):
+                for alpha in enumerate_multi_indices(n, d):
+                    expected = prod((xv ** a for xv, a in zip(x, alpha[1:])),
+                                    start=multinomial(alpha) * x0 ** alpha[0])
+                    assert bernstein_basis(alpha) == expected, alpha
+
+    def test_keeps_cache_info(self):
+        # the benchmark reads the basis cache's hit and miss counts
+        info = bernstein_basis.cache_info()
+        assert info.hits >= 0 and info.misses >= 0
+
+
 class TestEvaluation:
     def test_bernstein_midpoint(self):
         assert bernstein_basis((1, 1)).evaluate([Fraction(1, 2)]) == Fraction(1, 2)
@@ -184,6 +209,20 @@ class TestBarycentricPoint:
     def test_in_simplex(self):
         assert BarycentricPoint([Fraction(1, 2), Fraction(1, 2)]).in_simplex()
         assert not BarycentricPoint([Fraction(3, 4), Fraction(1, 2)]).in_simplex()
+
+    def test_ints_and_fractions_accepted(self):
+        assert BarycentricPoint([1, Fraction(1, 3)]).coords == (Fraction(1), Fraction(1, 3))
+        assert CartesianPolynomial.variable(1, 1).evaluate([Fraction(1, 2)]) == Fraction(1, 2)
+
+    @pytest.mark.parametrize("build", [
+        lambda: BarycentricPoint([0.1]),
+        lambda: BarycentricPoint([Fraction(1, 3), "1/3"]),
+        lambda: inner_sum_identity(2, (1, 1), [0.1]),
+        lambda: CartesianPolynomial.variable(1, 1).evaluate([0.5]),
+    ], ids=["point", "string", "inner_sum_identity", "evaluate"])
+    def test_float_and_string_coordinates_rejected(self, build):
+        with pytest.raises(ValueError, match="point coordinate"):
+            build()
 
 
 class TestIntegration:

@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import json
 import math
@@ -158,7 +157,8 @@ class TestSuiteConfig:
             SuiteConfig(d_range=(1,), degree_caps={1: 1}, time_budget_s=budget)
 
     def test_capped_holds_every_cap_to_min_of_default_and_k(self):
-        defaults = {f.name: f.default for f in dataclasses.fields(SuiteConfig)}
+        default = SuiteConfig()
+        defaults = {name: getattr(default, name) for name in CAP_FIELDS}
         for k in range(12):
             cfg = SuiteConfig.capped(k, d_range=(1, 2))
             for name in CAP_FIELDS:
