@@ -18,6 +18,7 @@ from .combinat import (
 )
 from .durrmeyer import OperatorSpec, apply_operator, compose_apply, composition_coefficients
 from .kernels import (
+    BernsteinKernelForm,
     DiagonalKernelForm,
     KernelPolynomial,
     first_kernel_difference,
@@ -25,6 +26,7 @@ from .kernels import (
     kernel_closed_threefold,
     kernel_closed_twofold,
     kernel_definition,
+    kernel_definition_coordinates,
     kernel_definition_threefold,
     kernel_definition_twofold,
     kernel_legendre,
@@ -64,6 +66,7 @@ __all__ = [
     "apply_operator",
     "compose_apply",
     "composition_coefficients",
+    "BernsteinKernelForm",
     "DiagonalKernelForm",
     "KernelPolynomial",
     "first_kernel_difference",
@@ -71,6 +74,7 @@ __all__ = [
     "kernel_closed_threefold",
     "kernel_closed_twofold",
     "kernel_definition",
+    "kernel_definition_coordinates",
     "kernel_definition_threefold",
     "kernel_definition_twofold",
     "kernel_legendre",

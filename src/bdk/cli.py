@@ -25,10 +25,12 @@ from typing import List, Optional, Sequence, Tuple, Union
 from .combinat import format_rational, parse_rational
 from .durrmeyer import OperatorSpec, compose_apply, composition_coefficients
 from .kernels import (
+    BernsteinKernelForm,
     DiagonalKernelForm,
     KernelPolynomial,
+    _expand_coordinates,
     kernel_closed_twofold,
-    kernel_definition_twofold,
+    kernel_definition_coordinates,
     kernel_legendre,
     kernel_univariate_twofold,
     to_canonical,
@@ -135,7 +137,9 @@ def parse_polynomial(text: str, d: int) -> CartesianPolynomial:
 
 
 def _parse_point(raw: str, d: int, flag: str) -> BarycentricPoint:
-    parts = [p for p in raw.split(",") if p.strip()]
+    parts = raw.split(",")
+    if not all(p.strip() for p in parts):
+        raise UsageError(f"{flag}: empty field in {raw!r}")
     if len(parts) != d:
         raise UsageError(f"{flag} needs {d} comma-separated rationals, got {len(parts)}")
     try:
@@ -154,10 +158,20 @@ def _parse_dims(raw: str) -> Tuple[int, ...]:
     return dims
 
 
-def _build_kernel(form: str, m: int, n: int, d: int) -> Union[KernelPolynomial, DiagonalKernelForm]:
-    """The kernel as built: diagonal for 'closed' and 'univariate', canonical otherwise."""
+def _open_for_writing(path: str, flag: str, **kwargs):
+    """path opened for writing; a path that cannot be opened is a usage error."""
+    try:
+        return open(path, "w", encoding="utf-8", **kwargs)
+    except OSError as exc:
+        raise UsageError(f"{flag}: cannot write {path!r}: {exc}") from exc
+
+
+def _build_kernel(form: str, m: int, n: int, d: int
+                  ) -> Union[BernsteinKernelForm, DiagonalKernelForm, KernelPolynomial]:
+    """The kernel as built: Bernstein coordinates for 'definition', diagonal
+    for 'closed' and 'univariate', canonical for 'legendre'."""
     if form == "definition":
-        return kernel_definition_twofold(m, n, d)
+        return kernel_definition_coordinates((m, n), d)
     if form == "closed":
         return kernel_closed_twofold(m, n, d)
     if d != 1:
@@ -176,19 +190,22 @@ def _cmd_eval(args) -> int:
     kernel = _build_kernel(args.form, args.m, args.n, args.d)
     x = _parse_point(args.x, args.d, "--x")
     y = _parse_point(args.y, args.d, "--y")
-    value = kernel.evaluate(x, y)
-    print(format_rational(value))
-    if args.float:
-        print(f"{float(value):.17g}")
-    if args.dump_kernel:
-        if isinstance(kernel, DiagonalKernelForm):
-            kernel = to_canonical(kernel)
-        payload = json.dumps(kernel.to_json_dict(), sort_keys=True)
-        if args.dump_kernel == "-":
-            print(payload)
-        else:
-            with open(args.dump_kernel, "w", encoding="utf-8") as fh:
-                fh.write(payload + "\n")
+    dump = args.dump_kernel
+    fh = _open_for_writing(dump, "--dump-kernel") if dump and dump != "-" else sys.stdout
+    try:
+        value = kernel.evaluate(x, y)
+        print(format_rational(value))
+        if args.float:
+            print(f"{float(value):.17g}")
+        if dump:
+            if isinstance(kernel, DiagonalKernelForm):
+                kernel = to_canonical(kernel)
+            elif isinstance(kernel, BernsteinKernelForm):
+                kernel = _expand_coordinates(kernel)
+            fh.write(json.dumps(kernel.to_json_dict(), sort_keys=True) + "\n")
+    finally:
+        if fh is not sys.stdout:
+            fh.close()
     return EXIT_OK
 
 
@@ -234,10 +251,7 @@ def _cmd_table(args) -> int:
     points = _grid_points(args.d, args.grid)
     coords = [[float(c) for c in pt.coords] for pt in points]
     header = [f"x{i + 1}" for i in range(args.d)] + [f"y{i + 1}" for i in range(args.d)] + ["K"]
-    try:
-        fh = open(args.out, "w", newline="", encoding="utf-8") if args.out != "-" else sys.stdout
-    except OSError as exc:
-        raise UsageError(f"--out: cannot write {args.out!r}: {exc}") from exc
+    fh = _open_for_writing(args.out, "--out", newline="") if args.out != "-" else sys.stdout
     try:
         writer = csv.writer(fh)
         writer.writerow(header)
@@ -271,16 +285,22 @@ def _cmd_verify(args) -> int:
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
-    report = run_suite(cfg)
-    payload = json.dumps(report.to_json_dict(), sort_keys=True, indent=2)
-    if args.report:
-        try:
-            with open(args.report, "w", encoding="utf-8") as fh:
-                fh.write(payload + "\n")
-        except OSError as exc:
-            raise UsageError(f"--report: cannot write {args.report!r}: {exc}") from exc
-    else:
-        print(payload)
+    # open the report before the suite runs, so an unwritable path fails at once
+    fh = _open_for_writing(args.report, "--report") if args.report else None
+    try:
+        report = run_suite(cfg)
+        payload = json.dumps(report.to_json_dict(), sort_keys=True, indent=2)
+        if fh is None:
+            print(payload)
+        else:
+            try:
+                with fh:
+                    fh.write(payload + "\n")
+            except OSError as exc:
+                raise UsageError(f"--report: cannot write {args.report!r}: {exc}") from exc
+    finally:
+        if fh is not None:
+            fh.close()
 
     summary = report.summary()
     status = f"{summary['total']} checks, {summary['passed']} passed, {summary['failed']} failed"

@@ -4,9 +4,11 @@ A composition M_{n_r} o ... o M_{n_1} acts by integration against a
 bivariate polynomial kernel K(x, y).  This module builds that kernel two
 independent ways:
 
-* the definitional form: `kernel_definition`, a brute-force sum over
-  Bernstein index chains b_r, ..., b_1 of any length, straight from the
-  operator definition -- the oracle;
+* the definitional form: `kernel_definition_coordinates`, a brute-force
+  sum over Bernstein index chains b_r, ..., b_1 of any length, straight
+  from the operator definition -- the oracle.  It yields one integer
+  coefficient per basis product B_{b_r}(x) B_{b_1}(y); `kernel_definition`
+  expands those products into monomials;
 * diagonal closed forms: a factorial prefactor times a short sum of
   products B_l(x) B_l(y) over a single multi-index l, with a weight that
   depends on l only through its degree |l|; one weight per degree is stored.
@@ -20,8 +22,9 @@ The definitional builder and canonicalization accumulate Python ints and
 apply one rational scale per output coefficient at the end.  They use
 Dirichlet's formula  int x^mu = mu! / (|mu|+d)!  on barycentric exponents
 and mult(a) = |a|!/a!, the coefficient of x^a in B_a.  Evaluation is exact
-integer arithmetic too, and a diagonal form is evaluated as it stands,
-without expanding it into the canonical map.
+integer arithmetic too, and a diagonal form or a definitional kernel in
+Bernstein coordinates is evaluated as it stands, without expanding it
+into the canonical map.
 """
 from __future__ import annotations
 
@@ -60,7 +63,9 @@ from .polynomials import (
 __all__ = [
     "KernelPolynomial",
     "DiagonalKernelForm",
+    "BernsteinKernelForm",
     "kernel_single",
+    "kernel_definition_coordinates",
     "kernel_definition",
     "kernel_definition_twofold",
     "kernel_closed_twofold",
@@ -252,6 +257,53 @@ class DiagonalKernelForm:
         return f"<diagonal-kernel d={self.d} scale={self.scale} terms={len(self.terms)}>"
 
 
+class BernsteinKernelForm:
+    """Kernel in the product Bernstein basis: scale * sum_{b, a} C[b][a] B_a(x) B_b(y).
+
+    x_indices lists the indices a of the outermost degree m, y_indices the
+    indices b of the innermost degree n, and rows[i] is the integer row
+    C[y_indices[i]] over x_indices.  This is the definitional kernel as
+    `kernel_definition_coordinates` computes it, before anything is
+    expanded into monomials.
+    """
+
+    __slots__ = ("d", "scale", "x_indices", "y_indices", "rows")
+
+    def __init__(self, d: int, scale: Fraction, x_indices: List[Tuple[int, ...]],
+                 y_indices: List[Tuple[int, ...]], rows: List[List[int]]):
+        self.d = d
+        self.scale = scale
+        self.x_indices = x_indices
+        self.y_indices = y_indices
+        self.rows = rows
+
+    def evaluate(self, x: PointLike, y: PointLike) -> Fraction:
+        """K(x, y) as one integer sum over the coordinates.
+
+        A point p = A / q in barycentric integer form has the integer basis
+        vector  v_a = q^m B_a(p) = mult(a) prod A_v^a_v  over the indices of
+        degree m, computed once per point.  Then
+            K(x, y) = scale * sum_b v_b(y) (sum_a C[b][a] v_a(x)) / (qx^m qy^n):
+        one dot product per row, and one Fraction at the end.
+        """
+        fact = FactorialTable()
+
+        def vector(pt: PointLike, indices: List[Tuple[int, ...]]) -> Tuple[int, List[int]]:
+            q, bary = as_point(pt, self.d).integer_form()
+            q_top, values = monomial_numerators(q, bary, indices)
+            return q_top, [table_multinomial(a, fact) * v for a, v in zip(indices, values)]
+
+        qx_top, vx = vector(x, self.x_indices)
+        qy_top, vy = vector(y, self.y_indices)
+        total = sum(v * sum(map(mul, row, vx)) for v, row in zip(vy, self.rows))
+        return Fraction(self.scale.numerator * total,
+                        self.scale.denominator * qx_top * qy_top)
+
+    def __repr__(self) -> str:
+        return (f"<bernstein-kernel d={self.d} scale={self.scale} "
+                f"rows={len(self.y_indices)} columns={len(self.x_indices)}>")
+
+
 # -- kernel builders ----------------------------------------------------
 
 
@@ -267,11 +319,9 @@ def kernel_single(n: int, d: int) -> DiagonalKernelForm:
     return DiagonalKernelForm(d, scale, [(n, 1)])
 
 
-def _integer_basis(n: int, d: int, fact: FactorialTable):
-    """(a, mult(a), integer terms of B_a) for every |a| = n."""
-    return [(alpha, table_multinomial(alpha, fact),
-             list(bernstein_basis(alpha).nums.items()))
-            for alpha in enumerate_multi_indices(n, d)]
+def _basis_terms(indices: Sequence[Tuple[int, ...]]) -> List[List[Tuple[Tuple[int, ...], int]]]:
+    """The integer terms of B_a, expanded into cartesian monomials, for each index a."""
+    return [list(bernstein_basis(alpha).nums.items()) for alpha in indices]
 
 
 def _outer_sum(weighted) -> Dict[Tuple[int, ...], int]:
@@ -287,8 +337,9 @@ def _outer_sum(weighted) -> Dict[Tuple[int, ...], int]:
     return acc
 
 
-def kernel_definition(degrees: Sequence[int], d: int) -> KernelPolynomial:
-    """Brute-force kernel of M_{n_r} o ... o M_{n_1}, degrees listed outermost first.
+def kernel_definition_coordinates(degrees: Sequence[int], d: int) -> BernsteinKernelForm:
+    """Brute-force kernel of M_{n_r} o ... o M_{n_1} in Bernstein coordinates,
+    degrees listed outermost first.
 
     Iterating the operator definition gives the sum over index chains
     b_r, ..., b_1 with |b_i| = n_i of
@@ -298,55 +349,78 @@ def kernel_definition(degrees: Sequence[int], d: int) -> KernelPolynomial:
         mult(b_1) mult(b_r) prod_{1<i<r} mult(b_i)^2 prod_i (b_i+b_{i+1})!
     times the one scale
         S = prod_i (n_i+d)!/n_i!  /  prod_i (n_i+n_{i+1}+d)!;
-    a single operator (r = 1) has weight 1.  For each innermost index b_1
-    the chain weights are carried outward one level at a time as one
-    integer vector over that level's indices, then expanded against the
-    outer basis.  The Gram rows between two later levels are shared by
-    every b_1; no matrix over a whole chain is ever held.
+    a single operator (r = 1) has weight 1 on each pair b_r = b_1.  For each
+    innermost index b_1 the chain weights are carried outward one level at
+    a time as one integer vector over that level's indices; the last vector
+    is the row C[b_1] over the outermost indices.  The Gram rows between two
+    later levels are shared by every b_1; no matrix over a whole chain is
+    ever held.
     """
     degrees = [check_degree(n) for n in degrees]
     if not degrees:
         raise ValueError("a composition needs at least one degree")
     check_dimension(d)
     fact = FactorialTable()
-    outer = _integer_basis(degrees[0], d, fact)
-    innermost = outer if degrees[-1] == degrees[0] else _integer_basis(degrees[-1], d, fact)
-    x_side = [x_terms for _, _, x_terms in outer]
-    # the levels after b_1, outward, as (b, weight) pairs: interior indices
-    # weigh mult(b)^2, the outer ones mult(b)
-    levels = [[(beta, table_multinomial(beta, fact) ** 2) for beta in enumerate_multi_indices(n, d)]
-              for n in degrees[-2:0:-1]]
-    levels.append([(beta, mult_b) for beta, mult_b, _ in outer])
-    # prod(map(get, map(add, a, b))) is (a+b)! = prod_v (a_v+b_v)! for indices a, b
-    get = fact.__getitem__
-    # for each index b of a later level: (its weight, [(b+c)! for c in the level before])
-    steps = [[(w, [prod(map(get, map(add, beta, c))) for c, _ in before]) for beta, w in level]
-             for before, level in zip(levels, levels[1:])]
-    acc: Dict[Tuple[int, ...], int] = {}
-    for alpha, mult_a, y_terms in innermost:
-        if len(degrees) == 1:
-            weighted, mult_a = [(1, y_terms)], 1
-        else:
-            vector = [w * prod(map(get, map(add, alpha, beta))) for beta, w in levels[0]]
+    outer = enumerate_multi_indices(degrees[0], d)
+    innermost = outer if degrees[-1] == degrees[0] else enumerate_multi_indices(degrees[-1], d)
+    if len(degrees) == 1:
+        rows = [[int(alpha == beta) for beta in outer] for alpha in innermost]
+    else:
+        # the levels after b_1, outward, as (b, weight) pairs: interior indices
+        # weigh mult(b)^2, the outer ones mult(b)
+        levels = [[(beta, table_multinomial(beta, fact) ** 2)
+                   for beta in enumerate_multi_indices(n, d)]
+                  for n in degrees[-2:0:-1]]
+        levels.append([(beta, table_multinomial(beta, fact)) for beta in outer])
+        # prod(map(get, map(add, a, b))) is (a+b)! = prod_v (a_v+b_v)! for indices a, b
+        get = fact.__getitem__
+        # for each index b of a later level: (its weight, [(b+c)! for c in the level before])
+        steps = [[(w, [prod(map(get, map(add, beta, c))) for c, _ in before])
+                  for beta, w in level]
+                 for before, level in zip(levels, levels[1:])]
+        rows = []
+        for alpha in innermost:
+            mult_a = table_multinomial(alpha, fact)
+            vector = [mult_a * w * prod(map(get, map(add, alpha, beta))) for beta, w in levels[0]]
             for step in steps:
                 vector = [w * sum(map(mul, vector, row)) for w, row in step]
-            weighted = zip(vector, x_side)
-        inner: Dict[Tuple[int, ...], int] = {}
-        for c, x_terms in weighted:
-            for ex, cx in x_terms:
-                inner[ex] = inner.get(ex, 0) + c * cx
-        for ey, cy in y_terms:
-            cy *= mult_a
-            for ex, cx in inner.items():
-                key = ex + ey
-                acc[key] = acc.get(key, 0) + cx * cy
+            rows.append(vector)
     num = den = 1
     for n in degrees:
         num *= fact[n + d]
         den *= fact[n]
     for a, b in zip(degrees, degrees[1:]):
         den *= fact[a + b + d]
-    return KernelPolynomial.from_integers(d, acc, Fraction(num, den))
+    return BernsteinKernelForm(d, Fraction(num, den), outer, innermost, rows)
+
+
+def _expand_coordinates(form: BernsteinKernelForm) -> KernelPolynomial:
+    """The canonical map of a coordinate form: each B_a(x) B_b(y) multiplied out.
+
+    For each row b the x side  sum_a C[b][a] B_a(x)  is accumulated once as
+    an integer map, then multiplied against the terms of B_b(y); the one
+    scale is applied at the end.
+    """
+    x_side = _basis_terms(form.x_indices)
+    y_side = x_side if form.y_indices == form.x_indices else _basis_terms(form.y_indices)
+    acc: Dict[Tuple[int, ...], int] = {}
+    for row, y_terms in zip(form.rows, y_side):
+        inner: Dict[Tuple[int, ...], int] = {}
+        for c, x_terms in zip(row, x_side):
+            if c:
+                for ex, cx in x_terms:
+                    inner[ex] = inner.get(ex, 0) + c * cx
+        for ey, cy in y_terms:
+            for ex, cx in inner.items():
+                key = ex + ey
+                acc[key] = acc.get(key, 0) + cx * cy
+    return KernelPolynomial.from_integers(form.d, acc, form.scale)
+
+
+def kernel_definition(degrees: Sequence[int], d: int) -> KernelPolynomial:
+    """Brute-force kernel of M_{n_r} o ... o M_{n_1}, degrees listed outermost
+    first, as a canonical map: `kernel_definition_coordinates`, then expanded."""
+    return _expand_coordinates(kernel_definition_coordinates(degrees, d))
 
 
 def kernel_definition_twofold(m: int, n: int, d: int) -> KernelPolynomial:
@@ -393,12 +467,11 @@ def kernel_legendre(m: int, n: int) -> KernelPolynomial:
         Fraction(falling_factorial(m, k) * falling_factorial(n, k) * (2 * k + 1),
                  falling_factorial(m + k + 1, k) * falling_factorial(n + k + 1, k))
         for k in range(top + 1))
-    fact = FactorialTable()
     legendre = []
     for k in range(top + 1):
         coefs: Dict[Tuple[int, ...], int] = {}
-        # _integer_basis lists B_(k-i, i) in ascending i
-        for i, (_, _, terms) in enumerate(_integer_basis(k, 1, fact)):
+        # enumerate_multi_indices lists (k-i, i) in ascending i
+        for i, terms in enumerate(_basis_terms(enumerate_multi_indices(k, 1))):
             c_i = -binomial(k, i) if i % 2 else binomial(k, i)
             for e, c in terms:
                 coefs[e] = coefs.get(e, 0) + c_i * c
@@ -478,9 +551,8 @@ def to_canonical(form: DiagonalKernelForm) -> KernelPolynomial:
     coefficients b_l of B_l, times the one scale  scale / D.
     """
     den, weights = clear_denominators(w for _, w in form.terms)
-    fact = FactorialTable()
     acc = _outer_sum((w, terms) for (j, _), w in zip(form.terms, weights)
-                     for _, _, terms in _integer_basis(j, form.d, fact))
+                     for terms in _basis_terms(enumerate_multi_indices(j, form.d)))
     return KernelPolynomial.from_integers(form.d, acc, form.scale / den)
 
 

@@ -88,6 +88,106 @@ class TestEval:
         code, _, _ = run_cli(capsys, "eval", "--bogus", "1")
         assert code == 2
 
+    def test_unwritable_dump_path_is_usage_error_before_any_output(self, capsys):
+        code, out, err = run_cli(capsys, "eval", "--d", "1", "--m", "2", "--n", "2",
+                                 "--x", "1/2", "--y", "1/3",
+                                 "--dump-kernel", "/nonexistent-dir/k.json")
+        assert code == 2
+        assert out == ""
+        assert "bdk: error: --dump-kernel: cannot write" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("raw", ["1/2,,1/3", ",1/2,1/3,", "1/2,1/3,", ",1/2,1/3",
+                                     "1/2, ,1/3", ""])
+    def test_empty_point_field_is_usage_error(self, capsys, raw):
+        code, out, err = run_cli(capsys, "eval", "--d", "2", "--m", "2", "--n", "2",
+                                 "--x", raw, "--y", "1/3,1/3")
+        assert code == 2
+        assert out == ""
+        assert "--x" in err and "empty field" in err
+
+    def test_empty_field_in_y_names_y(self, capsys):
+        code, _, err = run_cli(capsys, "eval", "--d", "1", "--m", "1", "--n", "1",
+                               "--x", "1/2", "--y", "1/3,")
+        assert code == 2
+        assert "--y: empty field" in err
+
+    def test_spaces_around_fields_still_parse(self, capsys):
+        args = ["eval", "--d", "2", "--m", "2", "--n", "2", "--y", "1/3,1/3"]
+        code, spaced, _ = run_cli(capsys, *args, "--x", "1/2, 1/3")
+        assert code == 0
+        _, plain, _ = run_cli(capsys, *args, "--x", "1/2,1/3")
+        assert spaced == plain
+
+
+#: eval --form definition stdout, read from the canonicalizing evaluator:
+#: (d, m, n, x, y, exact value, 17-digit float echo)
+DEFINITION_PINS = [
+    (1, 20, 20, "3/97", "50/97",
+     "4746810678075728080682883665755775375008627416989356954457998091225044162233807115916377"
+     "/85574982398520222650719008717270502480207106005793623459030868908317854849223466793891540",
+     "0.05546960741364769"),
+    (2, 8, 8, "3/97,40/97", "17/97,61/97",
+     "353725104568379729832396599604300990/149325063156778894754706773024711551",
+     "2.3688260837833885"),
+    (3, 6, 6, "5/97,21/97,33/97", "48/97,12/97,30/97",
+     "140727262806359643835997208/45099753464703470019177665", "3.1203554785836549"),
+    (2, 5, 3, "1/3,1/5", "2/7,3/11", "1416176/622545", "2.2748170814961166"),
+    (3, 0, 4, "1/2,1/4,1/8", "1/3,1/6,1/9", "6", "6"),
+    (2, 4, 0, "1/2,1/3", "1/5,2/5", "2", "2"),
+]
+
+
+class TestDefinitionInCoordinates:
+    """eval --form definition reads the Bernstein coordinates; only a dump expands them."""
+
+    @staticmethod
+    def eval_argv(d, m, n, x, y):
+        return ["eval", "--d", str(d), "--m", str(m), "--n", str(n), "--x", x, "--y", y,
+                "--form", "definition"]
+
+    @pytest.mark.parametrize("d, m, n, x, y, exact, echo", DEFINITION_PINS,
+                             ids=[f"d{p[0]}-m{p[1]}-n{p[2]}" for p in DEFINITION_PINS])
+    def test_stdout_bytes_are_pinned(self, capsys, d, m, n, x, y, exact, echo):
+        argv = self.eval_argv(d, m, n, x, y)
+        assert run_cli(capsys, *argv) == (0, exact + "\n", "")
+        assert run_cli(capsys, *argv, "--float") == (0, f"{exact}\n{echo}\n", "")
+
+    def test_value_never_expands_the_kernel(self, capsys, monkeypatch):
+        import bdk.cli
+        import bdk.kernels
+        import bdk.polynomials
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("expanded into monomials")
+
+        for module in (bdk.polynomials, bdk.kernels):
+            monkeypatch.setattr(module, "bernstein_basis", refuse)
+        for module in (bdk.kernels, bdk.cli):
+            monkeypatch.setattr(module, "_expand_coordinates", refuse)
+        code, out, _ = run_cli(capsys, *self.eval_argv(2, 3, 2, "1/5,1/5", "1/7,2/7"), "--float")
+        assert code == 0
+        assert out.splitlines()[0] == "3016/1225"
+        with pytest.raises(AssertionError, match="expanded into monomials"):
+            main([*self.eval_argv(2, 3, 2, "1/5,1/5", "1/7,2/7"), "--dump-kernel", "-"])
+
+    def test_dump_writes_the_canonical_kernel(self, capsys, tmp_path):
+        from bdk.kernels import kernel_definition_twofold
+
+        path = tmp_path / "k.json"
+        code, out, _ = run_cli(capsys, *self.eval_argv(2, 3, 2, "1/5,1/5", "1/7,2/7"),
+                               "--dump-kernel", str(path))
+        assert code == 0
+        assert out == "3016/1225\n"
+        expected = json.dumps(kernel_definition_twofold(3, 2, 2).to_json_dict(), sort_keys=True)
+        assert path.read_text() == expected + "\n"
+        # digest of the file written when the definitional form was built canonical
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == \
+            "aac5e3c11f5dbe0e7df3503570e7084f22aa3c4fdbf91c1f4f87b562834f8145"
+        _, to_stdout, _ = run_cli(capsys, *self.eval_argv(2, 3, 2, "1/5,1/5", "1/7,2/7"),
+                                  "--dump-kernel", "-")
+        assert to_stdout == out + expected + "\n"
+
 
 class TestNoCanonicalization:
     """eval's closed and univariate forms and table read the diagonal form as built."""
@@ -309,6 +409,19 @@ class TestTable:
 
 
 class TestVerifyCommand:
+    def test_unwritable_report_fails_before_the_suite_runs(self, capsys, monkeypatch):
+        import bdk.cli
+
+        def refuse(cfg):
+            raise AssertionError("the suite ran")
+
+        monkeypatch.setattr(bdk.cli, "run_suite", refuse)
+        code, out, err = run_cli(capsys, "verify", "--d", "1", "--max-degree", "1",
+                                 "--report", "/nonexistent-dir/r.json")
+        assert code == 2
+        assert out == ""
+        assert "bdk: error: --report: cannot write" in err
+
     def test_trivial_run_exits_zero(self, capsys, tmp_path):
         path = tmp_path / "report.json"
         code, _, err = run_cli(capsys, "verify", "--d", "1", "--max-degree", "0",

@@ -319,7 +319,13 @@ def test_definitional_builders_use_no_closed_form_code(monkeypatch, d):
     three = bdk.kernels.kernel_definition_threefold(2, 1, 2, d)
     one = bdk.kernels.kernel_definition((3,), d)
     four = bdk.kernels.kernel_definition((1, 2, 2, 1), d)
+    x, y = [F(1, 5)] * d, [F(2, 7)] * d
+    coords = bdk.kernels.kernel_definition_coordinates((3, 2), d)
+    value = coords.evaluate(x, y)
+    expanded = bdk.kernels._expand_coordinates(coords)
     monkeypatch.undo()
+    assert value == kernel_closed_twofold(3, 2, d).evaluate(x, y)
+    assert expanded == two
     assert two == to_canonical(kernel_closed_twofold(3, 2, d))
     assert three == ref_definition_threefold(2, 1, 2, d)
     assert one == to_canonical(kernel_single(3, d))

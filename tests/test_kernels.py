@@ -15,6 +15,7 @@ from bdk.kernels import (
     kernel_closed_threefold,
     kernel_closed_twofold,
     kernel_definition,
+    kernel_definition_coordinates,
     kernel_definition_threefold,
     kernel_definition_twofold,
     kernel_legendre,
@@ -347,6 +348,51 @@ class TestChainDefinition:
     def test_rejects_an_empty_chain(self):
         with pytest.raises(ValueError, match="at least one degree"):
             kernel_definition((), 1)
+
+
+def rational_points(d):
+    coordinate = st.fractions(min_value=-2, max_value=2, max_denominator=97)
+    return st.lists(coordinate, min_size=d, max_size=d)
+
+
+class TestCoordinateForm:
+    """kernel_definition_coordinates: the definitional kernel before expansion."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.data())
+    def test_random_chains_match_the_expanded_kernel(self, data):
+        d = data.draw(st.integers(1, 3))
+        degrees = data.draw(st.lists(st.integers(0, 3 if d < 3 else 2), min_size=1, max_size=4))
+        x, y = data.draw(rational_points(d)), data.draw(rational_points(d))
+        coords = kernel_definition_coordinates(degrees, d)
+        kernel = kernel_definition(degrees, d)
+        assert coords.evaluate(x, y) == kernel.evaluate(x, y)
+        assert bdk.kernels._expand_coordinates(coords) == kernel
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_twofold_values_match_the_closed_form(self, d):
+        rng = random.Random(d)
+        for m, n in [(0, 0), (2, 0), (1, 3), (4, 4)]:
+            coords = kernel_definition_coordinates((m, n), d)
+            closed = kernel_closed_twofold(m, n, d)
+            for _ in range(3):
+                x, y = sample_simplex_point(rng, d), sample_simplex_point(rng, d)
+                assert coords.evaluate(x, y) == closed.evaluate(x, y), (m, n, x, y)
+
+    def test_shape_and_scale(self):
+        # M_2 o M_1 at d = 1: rows over |b| = 1 (y), columns over |a| = 2 (x)
+        coords = kernel_definition_coordinates((2, 1), 1)
+        assert coords.x_indices == [(2, 0), (1, 1), (0, 2)]
+        assert coords.y_indices == [(1, 0), (0, 1)]
+        # mult(a) mult(b) (a+b)!, and S = 3! 2! / (2! 1! 4!)
+        assert coords.rows == [[6, 4, 2], [2, 4, 6]]
+        assert coords.scale == F(1, 4)
+
+    def test_a_single_operator_has_identity_coordinates(self):
+        coords = kernel_definition_coordinates((2,), 2)
+        size = len(coords.x_indices)
+        assert coords.rows == [[int(i == j) for j in range(size)] for i in range(size)]
+        assert coords.scale == 12  # (n+d)!/n! = 4!/2!
 
 
 class TestInnerSumIdentity:
