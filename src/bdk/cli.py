@@ -25,12 +25,10 @@ from typing import List, Optional, Sequence, Tuple, Union
 from .combinat import format_rational, parse_rational
 from .durrmeyer import OperatorSpec, compose_apply, composition_coefficients
 from .kernels import (
-    BernsteinKernelForm,
     DiagonalKernelForm,
     KernelPolynomial,
-    _expand_coordinates,
     kernel_closed_twofold,
-    kernel_definition_coordinates,
+    kernel_definition_twofold,
     kernel_legendre,
     kernel_univariate_twofold,
     to_canonical,
@@ -158,20 +156,25 @@ def _parse_dims(raw: str) -> Tuple[int, ...]:
     return dims
 
 
-def _open_for_writing(path: str, flag: str, **kwargs):
-    """path opened for writing; a path that cannot be opened is a usage error."""
+def _write_file(path: str, flag: str, text: str, mode: str = "w") -> None:
+    """Write text to path; a path that cannot be written is a usage error.
+
+    Mode "a" with empty text checks, before any output or long work, that
+    path can be written, and leaves what it holds as it is.
+    """
     try:
-        return open(path, "w", encoding="utf-8", **kwargs)
+        with open(path, mode, encoding="utf-8") as fh:
+            fh.write(text)
     except OSError as exc:
         raise UsageError(f"{flag}: cannot write {path!r}: {exc}") from exc
 
 
-def _build_kernel(form: str, m: int, n: int, d: int
-                  ) -> Union[BernsteinKernelForm, DiagonalKernelForm, KernelPolynomial]:
-    """The kernel as built: Bernstein coordinates for 'definition', diagonal
-    for 'closed' and 'univariate', canonical for 'legendre'."""
+def _build_kernel(form: str, m: int, n: int, d: int) -> Union[KernelPolynomial, DiagonalKernelForm]:
+    """The kernel as built: diagonal for 'closed' and 'univariate', canonical
+    otherwise; the definitional one keeps its Bernstein coordinates, and its
+    map is built only when read."""
     if form == "definition":
-        return kernel_definition_coordinates((m, n), d)
+        return kernel_definition_twofold(m, n, d)
     if form == "closed":
         return kernel_closed_twofold(m, n, d)
     if d != 1:
@@ -191,21 +194,20 @@ def _cmd_eval(args) -> int:
     x = _parse_point(args.x, args.d, "--x")
     y = _parse_point(args.y, args.d, "--y")
     dump = args.dump_kernel
-    fh = _open_for_writing(dump, "--dump-kernel") if dump and dump != "-" else sys.stdout
-    try:
-        value = kernel.evaluate(x, y)
-        print(format_rational(value))
-        if args.float:
-            print(f"{float(value):.17g}")
-        if dump:
-            if isinstance(kernel, DiagonalKernelForm):
-                kernel = to_canonical(kernel)
-            elif isinstance(kernel, BernsteinKernelForm):
-                kernel = _expand_coordinates(kernel)
-            fh.write(json.dumps(kernel.to_json_dict(), sort_keys=True) + "\n")
-    finally:
-        if fh is not sys.stdout:
-            fh.close()
+    if dump and dump != "-":
+        _write_file(dump, "--dump-kernel", "", "a")
+    value = kernel.evaluate(x, y)
+    print(format_rational(value))
+    if args.float:
+        print(f"{float(value):.17g}")
+    if dump:
+        if isinstance(kernel, DiagonalKernelForm):
+            kernel = to_canonical(kernel)
+        payload = json.dumps(kernel.to_json_dict(), sort_keys=True)
+        if dump == "-":
+            print(payload)
+        else:
+            _write_file(dump, "--dump-kernel", payload + "\n")
     return EXIT_OK
 
 
@@ -251,7 +253,10 @@ def _cmd_table(args) -> int:
     points = _grid_points(args.d, args.grid)
     coords = [[float(c) for c in pt.coords] for pt in points]
     header = [f"x{i + 1}" for i in range(args.d)] + [f"y{i + 1}" for i in range(args.d)] + ["K"]
-    fh = _open_for_writing(args.out, "--out", newline="") if args.out != "-" else sys.stdout
+    try:
+        fh = open(args.out, "w", newline="", encoding="utf-8") if args.out != "-" else sys.stdout
+    except OSError as exc:
+        raise UsageError(f"--out: cannot write {args.out!r}: {exc}") from exc
     try:
         writer = csv.writer(fh)
         writer.writerow(header)
@@ -285,22 +290,14 @@ def _cmd_verify(args) -> int:
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
-    # open the report before the suite runs, so an unwritable path fails at once
-    fh = _open_for_writing(args.report, "--report") if args.report else None
-    try:
-        report = run_suite(cfg)
-        payload = json.dumps(report.to_json_dict(), sort_keys=True, indent=2)
-        if fh is None:
-            print(payload)
-        else:
-            try:
-                with fh:
-                    fh.write(payload + "\n")
-            except OSError as exc:
-                raise UsageError(f"--report: cannot write {args.report!r}: {exc}") from exc
-    finally:
-        if fh is not None:
-            fh.close()
+    if args.report:
+        _write_file(args.report, "--report", "", "a")
+    report = run_suite(cfg)
+    payload = json.dumps(report.to_json_dict(), sort_keys=True, indent=2)
+    if args.report:
+        _write_file(args.report, "--report", payload + "\n")
+    else:
+        print(payload)
 
     summary = report.summary()
     status = f"{summary['total']} checks, {summary['passed']} passed, {summary['failed']} failed"

@@ -8,7 +8,8 @@ independent ways:
   sum over Bernstein index chains b_r, ..., b_1 of any length, straight
   from the operator definition -- the oracle.  It yields one integer
   coefficient per basis product B_{b_r}(x) B_{b_1}(y); `kernel_definition`
-  expands those products into monomials;
+  is the same kernel as a canonical map, whose products are multiplied out
+  into monomials the first time the map is read;
 * diagonal closed forms: a factorial prefactor times a short sum of
   products B_l(x) B_l(y) over a single multi-index l, with a weight that
   depends on l only through its degree |l|; one weight per degree is stored.
@@ -80,6 +81,19 @@ __all__ = [
 
 PointLike = Union[BarycentricPoint, "list[Fraction]", tuple]
 
+#: The slots of a kernel's map that `KernelPolynomial.from_coordinates` leaves unset.
+_MAP_SLOTS = ("den", "nums", "_terms", "_hash")
+
+
+def _basis_vector(pt: PointLike, d: int, indices: Sequence[Tuple[int, ...]],
+                  mults: Sequence[int]) -> Tuple[int, List[int]]:
+    """(q^top, [q^top B_a(p) for a in indices]) for a point p = A / q in
+    barycentric integer form, top = max |a|: each entry is the integer
+    mult(a) prod A_v^a_v q^(top-|a|), mults holding the mult(a)."""
+    q, bary = as_point(pt, d).integer_form()
+    q_top, values = monomial_numerators(q, bary, indices)
+    return q_top, list(map(mul, mults, values))
+
 
 class KernelPolynomial(CartesianPolynomial):
     """Canonical kernel K(x, y): a polynomial in x_1..x_d, y_1..y_d.
@@ -88,10 +102,38 @@ class KernelPolynomial(CartesianPolynomial):
     numerators over the one denominator den; d is still the simplex
     dimension.  Arithmetic, equality and hashing are those of
     CartesianPolynomial, so equality of kernels is literal map equality.
+    coordinates is None, except on a definitional kernel made
+    `from_coordinates`, which keeps its `BernsteinKernelForm` there until
+    its map is built.
     """
 
-    __slots__ = ()
+    __slots__ = ("coordinates",)
     BLOCKS = 2
+
+    def _reduce(self, den: int, nums: Dict[Tuple[int, ...], int]) -> None:
+        super()._reduce(den, nums)
+        self.coordinates = None
+
+    @classmethod
+    def from_coordinates(cls, form: "BernsteinKernelForm") -> "KernelPolynomial":
+        """The kernel of a coordinate form, its map left unbuilt until first read.
+
+        coordinates keeps the form: `evaluate` reads it, and the first read
+        of den or nums (equality, hashing, JSON, arithmetic) runs
+        `form.expand()` once, through `__getattr__`, and drops the form.
+        """
+        kernel = cls.__new__(cls)
+        kernel.d, kernel.coordinates = form.d, form
+        return kernel
+
+    def __getattr__(self, name: str):
+        # Python calls this only for an attribute it cannot find: on a kernel,
+        # one of the map's slots, still unset after `from_coordinates`
+        if name not in _MAP_SLOTS or self.coordinates is None:
+            raise AttributeError(name)
+        full = self.coordinates.expand()
+        self._reduce(full.den, full.nums)
+        return getattr(self, name)
 
     @classmethod
     def outer(cls, fx: CartesianPolynomial, fy: CartesianPolynomial) -> "KernelPolynomial":
@@ -115,8 +157,11 @@ class KernelPolynomial(CartesianPolynomial):
 
         Each block is homogenised to its own top degree (see
         `monomial_numerators`), so the sum is over integers and one Fraction
-        is built at the end.
+        is built at the end.  A kernel that keeps its Bernstein coordinates
+        is evaluated from them instead, without building the map.
         """
+        if self.coordinates is not None:
+            return self.coordinates.evaluate(x, y)
         d = self.d
         qx, x_bary = as_point(x, d).integer_form()
         qy, y_bary = as_point(y, d).integer_form()
@@ -232,15 +277,9 @@ class DiagonalKernelForm:
             weights += [w] * len(block)
         mults = [table_multinomial(parts, fact) for parts in indices]
         num, den = self.scale.numerator, self.scale.denominator * w_den
-
-        def vector(pt: PointLike) -> Tuple[int, List[int]]:
-            q, bary = as_point(pt, self.d).integer_form()
-            q_top, values = monomial_numerators(q, bary, indices)
-            return q_top, list(map(mul, mults, values))
-
-        columns = [vector(y) for y in ys]
+        columns = [_basis_vector(y, self.d, indices, mults) for y in ys]
         for x in xs:
-            qx_top, vx = vector(x)
+            qx_top, vx = _basis_vector(x, self.d, indices, mults)
             wx = list(map(mul, weights, vx))
             yield [Fraction(num * sum(map(mul, wx, vy)), den * qx_top * qy_top)
                    for qy_top, vy in columns]
@@ -287,17 +326,36 @@ class BernsteinKernelForm:
         one dot product per row, and one Fraction at the end.
         """
         fact = FactorialTable()
-
-        def vector(pt: PointLike, indices: List[Tuple[int, ...]]) -> Tuple[int, List[int]]:
-            q, bary = as_point(pt, self.d).integer_form()
-            q_top, values = monomial_numerators(q, bary, indices)
-            return q_top, [table_multinomial(a, fact) * v for a, v in zip(indices, values)]
-
-        qx_top, vx = vector(x, self.x_indices)
-        qy_top, vy = vector(y, self.y_indices)
+        x_mults = [table_multinomial(a, fact) for a in self.x_indices]
+        y_mults = x_mults if self.y_indices == self.x_indices else \
+            [table_multinomial(b, fact) for b in self.y_indices]
+        qx_top, vx = _basis_vector(x, self.d, self.x_indices, x_mults)
+        qy_top, vy = _basis_vector(y, self.d, self.y_indices, y_mults)
         total = sum(v * sum(map(mul, row, vx)) for v, row in zip(vy, self.rows))
         return Fraction(self.scale.numerator * total,
                         self.scale.denominator * qx_top * qy_top)
+
+    def expand(self) -> KernelPolynomial:
+        """The canonical map: each B_a(x) B_b(y) multiplied out into monomials.
+
+        For each row b the x side  sum_a C[b][a] B_a(x)  is accumulated once as
+        an integer map, then multiplied against the terms of B_b(y); the one
+        scale is applied at the end.
+        """
+        x_side = _basis_terms(self.x_indices)
+        y_side = x_side if self.y_indices == self.x_indices else _basis_terms(self.y_indices)
+        acc: Dict[Tuple[int, ...], int] = {}
+        for row, y_terms in zip(self.rows, y_side):
+            inner: Dict[Tuple[int, ...], int] = {}
+            for c, x_terms in zip(row, x_side):
+                if c:
+                    for ex, cx in x_terms:
+                        inner[ex] = inner.get(ex, 0) + c * cx
+            for ey, cy in y_terms:
+                for ex, cx in inner.items():
+                    key = ex + ey
+                    acc[key] = acc.get(key, 0) + cx * cy
+        return KernelPolynomial.from_integers(self.d, acc, self.scale)
 
     def __repr__(self) -> str:
         return (f"<bernstein-kernel d={self.d} scale={self.scale} "
@@ -394,33 +452,11 @@ def kernel_definition_coordinates(degrees: Sequence[int], d: int) -> BernsteinKe
     return BernsteinKernelForm(d, Fraction(num, den), outer, innermost, rows)
 
 
-def _expand_coordinates(form: BernsteinKernelForm) -> KernelPolynomial:
-    """The canonical map of a coordinate form: each B_a(x) B_b(y) multiplied out.
-
-    For each row b the x side  sum_a C[b][a] B_a(x)  is accumulated once as
-    an integer map, then multiplied against the terms of B_b(y); the one
-    scale is applied at the end.
-    """
-    x_side = _basis_terms(form.x_indices)
-    y_side = x_side if form.y_indices == form.x_indices else _basis_terms(form.y_indices)
-    acc: Dict[Tuple[int, ...], int] = {}
-    for row, y_terms in zip(form.rows, y_side):
-        inner: Dict[Tuple[int, ...], int] = {}
-        for c, x_terms in zip(row, x_side):
-            if c:
-                for ex, cx in x_terms:
-                    inner[ex] = inner.get(ex, 0) + c * cx
-        for ey, cy in y_terms:
-            for ex, cx in inner.items():
-                key = ex + ey
-                acc[key] = acc.get(key, 0) + cx * cy
-    return KernelPolynomial.from_integers(form.d, acc, form.scale)
-
-
 def kernel_definition(degrees: Sequence[int], d: int) -> KernelPolynomial:
     """Brute-force kernel of M_{n_r} o ... o M_{n_1}, degrees listed outermost
-    first, as a canonical map: `kernel_definition_coordinates`, then expanded."""
-    return _expand_coordinates(kernel_definition_coordinates(degrees, d))
+    first, as a canonical map: `kernel_definition_coordinates`, expanded when
+    the map is first read (see `KernelPolynomial.from_coordinates`)."""
+    return KernelPolynomial.from_coordinates(kernel_definition_coordinates(degrees, d))
 
 
 def kernel_definition_twofold(m: int, n: int, d: int) -> KernelPolynomial:

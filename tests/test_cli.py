@@ -163,8 +163,7 @@ class TestDefinitionInCoordinates:
 
         for module in (bdk.polynomials, bdk.kernels):
             monkeypatch.setattr(module, "bernstein_basis", refuse)
-        for module in (bdk.kernels, bdk.cli):
-            monkeypatch.setattr(module, "_expand_coordinates", refuse)
+        monkeypatch.setattr(bdk.kernels.BernsteinKernelForm, "expand", refuse)
         code, out, _ = run_cli(capsys, *self.eval_argv(2, 3, 2, "1/5,1/5", "1/7,2/7"), "--float")
         assert code == 0
         assert out.splitlines()[0] == "3016/1225"
@@ -421,6 +420,27 @@ class TestVerifyCommand:
         assert code == 2
         assert out == ""
         assert "bdk: error: --report: cannot write" in err
+
+    def test_existing_report_survives_a_suite_that_raises(self, capsys, monkeypatch, tmp_path):
+        import bdk.cli
+
+        def interrupted(cfg):
+            raise KeyboardInterrupt
+
+        path = tmp_path / "report.json"
+        path.write_text("old report\n")
+        monkeypatch.setattr(bdk.cli, "run_suite", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            main(["verify", "--d", "1", "--max-degree", "1", "--report", str(path)])
+        assert path.read_text() == "old report\n"
+
+    def test_report_replaces_a_longer_file(self, capsys, tmp_path):
+        path = tmp_path / "report.json"
+        path.write_text("x" * 100000)
+        code, out, _ = run_cli(capsys, "verify", "--d", "1", "--max-degree", "0",
+                               "--report", str(path))
+        assert code == 0 and out == ""
+        assert json.loads(path.read_text())["summary"]["failed"] == 0
 
     def test_trivial_run_exits_zero(self, capsys, tmp_path):
         path = tmp_path / "report.json"

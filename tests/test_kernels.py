@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 import bdk.kernels
 from bdk.combinat import enumerate_multi_indices, index_factorial
 from bdk.kernels import (
+    BernsteinKernelForm,
     DiagonalKernelForm,
     KernelPolynomial,
     first_kernel_difference,
@@ -367,7 +368,7 @@ class TestCoordinateForm:
         coords = kernel_definition_coordinates(degrees, d)
         kernel = kernel_definition(degrees, d)
         assert coords.evaluate(x, y) == kernel.evaluate(x, y)
-        assert bdk.kernels._expand_coordinates(coords) == kernel
+        assert coords.expand() == kernel
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_twofold_values_match_the_closed_form(self, d):
@@ -387,6 +388,28 @@ class TestCoordinateForm:
         # mult(a) mult(b) (a+b)!, and S = 3! 2! / (2! 1! 4!)
         assert coords.rows == [[6, 4, 2], [2, 4, 6]]
         assert coords.scale == F(1, 4)
+
+    def test_definitional_kernel_expands_once_on_first_read(self, monkeypatch):
+        calls = []
+        expand = BernsteinKernelForm.expand
+
+        def counted(form):
+            calls.append(form)
+            return expand(form)
+
+        monkeypatch.setattr(BernsteinKernelForm, "expand", counted)
+        kernel = kernel_definition_twofold(2, 3, 2)
+        x, y = [F(1, 4), F(1, 3)], [F(2, 5), F(-1, 7)]
+        coordinates = kernel.coordinates
+        value = kernel.evaluate(x, y)
+        assert calls == [] and kernel.coordinates is coordinates
+        assert repr(kernel).startswith("<kernel d=2")
+        assert calls == [coordinates] and kernel.coordinates is None
+        closed = to_canonical(kernel_closed_twofold(2, 3, 2))
+        assert kernel == closed and hash(kernel) == hash(closed)
+        assert kernel.terms == closed.terms and kernel.den == closed.den
+        assert kernel.evaluate(x, y) == value == closed.evaluate(x, y)
+        assert len(calls) == 1
 
     def test_a_single_operator_has_identity_coordinates(self):
         coords = kernel_definition_coordinates((2,), 2)
