@@ -34,7 +34,7 @@ from .kernels import (
     to_canonical,
 )
 from .polynomials import BarycentricPoint, CartesianPolynomial
-from .verify import DEFAULT_DEGREE_CAPS, SuiteConfig, run_suite
+from .verify import SuiteConfig, run_suite
 
 __all__ = ["main", "parse_polynomial", "PolynomialParseError"]
 
@@ -134,10 +134,16 @@ def parse_polynomial(text: str, d: int) -> CartesianPolynomial:
 # -- shared flag helpers ---------------------------------------------------
 
 
-def _parse_point(raw: str, d: int, flag: str) -> BarycentricPoint:
+def _fields(raw: str, flag: str) -> List[str]:
+    """The comma-separated fields of raw; an empty one is a usage error."""
     parts = raw.split(",")
     if not all(p.strip() for p in parts):
         raise UsageError(f"{flag}: empty field in {raw!r}")
+    return parts
+
+
+def _parse_point(raw: str, d: int, flag: str) -> BarycentricPoint:
+    parts = _fields(raw, flag)
     if len(parts) != d:
         raise UsageError(f"{flag} needs {d} comma-separated rationals, got {len(parts)}")
     try:
@@ -146,14 +152,11 @@ def _parse_point(raw: str, d: int, flag: str) -> BarycentricPoint:
         raise UsageError(f"{flag}: {exc}") from exc
 
 
-def _parse_dims(raw: str) -> Tuple[int, ...]:
+def _parse_ints(raw: str, flag: str) -> Tuple[int, ...]:
     try:
-        dims = tuple(int(p) for p in raw.split(","))
+        return tuple(int(p) for p in _fields(raw, flag))
     except ValueError as exc:
-        raise UsageError(f"--d: {exc}") from exc
-    if not dims:
-        raise UsageError("--d needs at least one dimension")
-    return dims
+        raise UsageError(f"{flag}: {exc}") from exc
 
 
 def _write_file(path: str, flag: str, text: str, mode: str = "w") -> None:
@@ -219,10 +222,7 @@ def _cmd_coeffs(args) -> int:
 
 
 def _cmd_apply(args) -> int:
-    try:
-        degrees = [int(p) for p in args.degrees.split(",")]
-    except ValueError as exc:
-        raise UsageError(f"--degrees: {exc}") from exc
+    degrees = _parse_ints(args.degrees, "--degrees")
     poly = parse_polynomial(args.poly, args.d)
     specs = [OperatorSpec(k, args.d) for k in degrees]
     image = compose_apply(specs, poly)
@@ -270,26 +270,9 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    dims = _parse_dims(args.d)
-    if args.max_degree is not None and args.max_degree < 0:
-        raise UsageError("--max-degree must be >= 0")
-    settings = dict(d_range=dims, seed=args.seed, time_budget_s=args.time_budget,
-                    corrupt_scale=args.self_test_corrupt)
-    if args.threefold_cap is not None:
-        settings["threefold_cap"] = args.threefold_cap
-    try:
-        if args.max_degree is not None:
-            cfg = SuiteConfig.capped(args.max_degree, **settings)
-        else:
-            missing = [d for d in dims if d not in DEFAULT_DEGREE_CAPS]
-            if missing:
-                raise UsageError(
-                    f"no default degree cap for d={missing}; pass --max-degree")
-            cfg = SuiteConfig(degree_caps={d: DEFAULT_DEGREE_CAPS[d] for d in dims},
-                              **settings)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-
+    cfg = SuiteConfig(d_range=_parse_ints(args.d, "--d"), max_degree=args.max_degree,
+                      threefold_cap=args.threefold_cap, seed=args.seed,
+                      time_budget_s=args.time_budget, corrupt_scale=args.self_test_corrupt)
     if args.report:
         _write_file(args.report, "--report", "", "a")
     report = run_suite(cfg)

@@ -16,7 +16,6 @@ from fractions import Fraction
 from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 from .combinat import (
-    _as_int,
     check_degree,
     check_dimension,
     enumerate_multi_indices,
@@ -45,92 +44,82 @@ __all__ = [
     "run_suite",
     "sample_simplex_point",
     "DEFAULT_DEGREE_CAPS",
-    "CAP_FIELDS",
+    "FAMILY_CAPS",
 ]
 
 REPORT_SCHEMA = "bdk-report/1"
 ARTIFACT_VERSION = "0.1.0"
 
+#: The default two-fold degree bound of each dimension.
 DEFAULT_DEGREE_CAPS = {1: 8, 2: 6, 3: 4}
 
-#: The SuiteConfig fields that bound a check family's degrees.
-CAP_FIELDS = ("threefold_cap", "univariate_cap", "legendre_cap", "combination_cap",
-              "lemma_cap", "operator_cap", "operator_monomial_degree", "moment_cap")
+#: The default degree bound of each check family.
+FAMILY_CAPS = {"threefold_cap": 5, "univariate_cap": 10, "legendre_cap": 8,
+               "combination_cap": 5, "lemma_cap": 4, "operator_cap": 5,
+               "operator_monomial_degree": 4, "moment_cap": 6}
 
 
 class SuiteConfig:
-    """Ranges, seed and execution hints for one verification run.
+    """Dimensions, degree bound, seed and execution hints for one run.
 
-    The default ranges reproduce the full claimed identity set; shrink
-    them for quick smoke runs.  The keyword defaults of __init__ are the
-    one list of fields and defaults; degree_caps=None stands for a fresh
-    copy of DEFAULT_DEGREE_CAPS.
+    With max_degree None, each dimension in d_range gets its
+    DEFAULT_DEGREE_CAPS bound and each family its FAMILY_CAPS bound, which
+    together reproduce the full claimed identity set.  With max_degree K,
+    each dimension's bound is K and each family's min(default, K).
+    threefold_cap, when given, replaces the three-fold bound.  The bounds
+    are plain attributes: degree_caps and one per FAMILY_CAPS name.
     """
+
+    #: Seeded points per multi-index in each inner_sum_collapse check.
+    points_per_case = 5
 
     def __init__(self, *,
                  d_range: Tuple[int, ...] = (1, 2, 3),
-                 degree_caps: Optional[Dict[int, int]] = None,
-                 threefold_cap: int = 5,
-                 univariate_cap: int = 10,
-                 legendre_cap: int = 8,
-                 combination_cap: int = 5,
-                 lemma_cap: int = 4,
-                 operator_cap: int = 5,
-                 operator_monomial_degree: int = 4,
-                 moment_cap: int = 6,
-                 points_per_case: int = 5,
+                 max_degree: Optional[int] = None,
+                 threefold_cap: Optional[int] = None,
                  seed: int = 271828,
                  time_budget_s: Optional[float] = None,
                  corrupt_scale: bool = False):
-        self.d_range = d_range
-        self.degree_caps = dict(DEFAULT_DEGREE_CAPS) if degree_caps is None else degree_caps
-        self.threefold_cap = threefold_cap
-        self.univariate_cap = univariate_cap
-        self.legendre_cap = legendre_cap
-        self.combination_cap = combination_cap
-        self.lemma_cap = lemma_cap
-        self.operator_cap = operator_cap
-        self.operator_monomial_degree = operator_monomial_degree
-        self.moment_cap = moment_cap
-        self.points_per_case = points_per_case
+        if not d_range:
+            raise ValueError("d_range must not be empty")
+        if len(set(d_range)) != len(d_range):
+            raise ValueError(f"d_range repeats a dimension: {list(d_range)}")
+        self.d_range = tuple(check_dimension(d, "d_range entry") for d in d_range)
+        if max_degree is None:
+            missing = [d for d in self.d_range if d not in DEFAULT_DEGREE_CAPS]
+            if missing:
+                raise ValueError(f"no default degree cap for d={missing}; "
+                                 "set max_degree (--max-degree)")
+            self.degree_caps = {d: DEFAULT_DEGREE_CAPS[d] for d in self.d_range}
+            caps = dict(FAMILY_CAPS)
+        else:
+            max_degree = check_degree(max_degree, "max_degree")
+            self.degree_caps = dict.fromkeys(self.d_range, max_degree)
+            caps = {name: min(cap, max_degree) for name, cap in FAMILY_CAPS.items()}
+        if threefold_cap is not None:
+            caps["threefold_cap"] = check_degree(threefold_cap, "threefold_cap")
+        for name, cap in caps.items():
+            setattr(self, name, cap)
+
+        if time_budget_s is not None:
+            if isinstance(time_budget_s, bool) or not isinstance(time_budget_s, (int, float)):
+                raise ValueError(
+                    f"time_budget_s must be an int or a float, got {time_budget_s!r}")
+            if not 0 <= time_budget_s < math.inf:
+                raise ValueError(
+                    f"time_budget_s must be a finite number >= 0, got {time_budget_s}")
+        if not isinstance(corrupt_scale, bool):
+            raise ValueError(f"corrupt_scale must be a bool, got {corrupt_scale!r}")
         self.seed = seed
         self.time_budget_s = time_budget_s
         self.corrupt_scale = corrupt_scale
 
-        if not self.d_range:
-            raise ValueError("d_range must not be empty")
-        if len(set(self.d_range)) != len(self.d_range):
-            raise ValueError(f"d_range repeats a dimension: {list(self.d_range)}")
-        for d in self.d_range:
-            check_dimension(d, "d_range entry")
-            if d not in self.degree_caps:
-                raise ValueError(f"degree cap for d={d} missing")
-            check_degree(self.degree_caps[d], f"degree_caps[{d}]")
-        for name in CAP_FIELDS:
-            check_degree(getattr(self, name), name)
-        if _as_int(self.points_per_case, "points_per_case") < 1:
-            raise ValueError(f"points_per_case must be >= 1, got {self.points_per_case}")
-        if self.time_budget_s is not None and not 0 <= self.time_budget_s < math.inf:
-            raise ValueError(
-                f"time_budget_s must be a finite number >= 0, got {self.time_budget_s}")
-
-    @classmethod
-    def capped(cls, max_degree: int, **settings) -> "SuiteConfig":
-        """The default ranges with every degree held to at most max_degree.
-
-        Each cap field becomes min(its default, max_degree), and every
-        dimension in d_range gets the degree cap max_degree; settings
-        override any field.
-        """
-        defaults = cls.__init__.__kwdefaults__
-        caps = {name: min(defaults[name], max_degree) for name in CAP_FIELDS}
-        d_range = settings.get("d_range", defaults["d_range"])
-        return cls(**{**caps, "degree_caps": {d: max_degree for d in d_range}, **settings})
-
     def to_json_dict(self) -> dict:
-        out = {name: getattr(self, name) for name in self.__init__.__kwdefaults__}
-        out["d_range"] = list(self.d_range)
-        out["degree_caps"] = {str(d): c for d, c in sorted(self.degree_caps.items())}
+        out = {name: getattr(self, name) for name in FAMILY_CAPS}
+        out.update(d_range=list(self.d_range),
+                   degree_caps={str(d): c for d, c in sorted(self.degree_caps.items())},
+                   points_per_case=self.points_per_case, seed=self.seed,
+                   time_budget_s=self.time_budget_s, corrupt_scale=self.corrupt_scale)
         return out
 
 
@@ -232,65 +221,56 @@ def _poly_witness(lhs: CartesianPolynomial, rhs: CartesianPolynomial) -> Tuple[b
 
 
 class _SuiteState:
-    """Shared lazy caches, so each artifact with more than one reader is
-    built once per run.
+    """Shared lazy artifacts, so each one with more than one reader is
+    built once per run.  Every artifact is kept in one memo, keyed by its
+    kind and parameters:
 
-    - twofold_def, the definitional kernel of M_m o M_n per (d, m, n):
+    - "definition", the definitional kernel of M_m o M_n per (d, m, n):
       twofold_closed_equals_definition, twofold_stochastic_in_y,
       twofold_symmetry_xy, twofold_symmetry_degrees,
       univariate_twofold_vs_definition and
       composition_linear_combination_kernel.
-    - single_canonical, to_canonical(kernel_single(k, d)) per (d, k):
+    - "single", to_canonical(kernel_single(k, d)) per (d, k):
       single_stochastic_in_y and composition_linear_combination_kernel.
-    - univariate_canonical, to_canonical(kernel_univariate_twofold(m, n))
-      per (m, n): univariate_twofold_vs_definition and
+    - "univariate", to_canonical(kernel_univariate_twofold(m, n)) per
+      (m, n): univariate_twofold_vs_definition and
       legendre_matches_univariate.
-    - threefold_def, the d = 1 definitional kernel of M_a o M_b o M_c per
+    - "threefold", the d = 1 definitional kernel of M_a o M_b o M_c per
       (a, b, c): threefold_closed_equals_definition and
       threefold_permutation_invariance.
-    - operator_images, M_n f per (d, n, f): every operator_* family.
+    - "image", M_n f per (d, n, f): every operator_* family.
 
     The canonical closed two-fold kernel has one reader per key, so it is
     built in its check and not kept.
     """
 
     def __init__(self):
-        self.twofold_def: Dict[Tuple[int, int, int], KernelPolynomial] = {}
-        self.single_canonical: Dict[Tuple[int, int], KernelPolynomial] = {}
-        self.univariate_canonical: Dict[Tuple[int, int], KernelPolynomial] = {}
-        self.threefold_def: Dict[Tuple[int, int, int], KernelPolynomial] = {}
-        self.operator_images: Dict[Tuple[int, int, object], CartesianPolynomial] = {}
+        self._built: Dict[tuple, object] = {}
+
+    def _memo(self, key: tuple, build: Callable[[], object]):
+        """The artifact stored under key, built by build() on first use."""
+        value = self._built.get(key)
+        if value is None:
+            value = self._built[key] = build()
+        return value
 
     def definition(self, d: int, m: int, n: int) -> KernelPolynomial:
-        key = (d, m, n)
-        if key not in self.twofold_def:
-            self.twofold_def[key] = kernel_definition_twofold(m, n, d)
-        return self.twofold_def[key]
+        return self._memo(("definition", d, m, n), lambda: kernel_definition_twofold(m, n, d))
 
     def single(self, d: int, k: int) -> KernelPolynomial:
-        key = (d, k)
-        if key not in self.single_canonical:
-            self.single_canonical[key] = to_canonical(kernel_single(k, d))
-        return self.single_canonical[key]
+        return self._memo(("single", d, k), lambda: to_canonical(kernel_single(k, d)))
 
     def univariate(self, m: int, n: int) -> KernelPolynomial:
-        key = (m, n)
-        if key not in self.univariate_canonical:
-            self.univariate_canonical[key] = to_canonical(kernel_univariate_twofold(m, n))
-        return self.univariate_canonical[key]
+        return self._memo(("univariate", m, n),
+                          lambda: to_canonical(kernel_univariate_twofold(m, n)))
 
     def threefold(self, a: int, b: int, c: int) -> KernelPolynomial:
-        key = (a, b, c)
-        if key not in self.threefold_def:
-            self.threefold_def[key] = kernel_definition_threefold(a, b, c, 1)
-        return self.threefold_def[key]
+        return self._memo(("threefold", a, b, c),
+                          lambda: kernel_definition_threefold(a, b, c, 1))
 
     def image(self, d: int, degree: int, f: CartesianPolynomial) -> CartesianPolynomial:
-        key = (d, degree, f)
-        image = self.operator_images.get(key)
-        if image is None:
-            image = self.operator_images[key] = apply_operator(OperatorSpec(degree, d), f)
-        return image
+        return self._memo(("image", d, degree, f),
+                          lambda: apply_operator(OperatorSpec(degree, d), f))
 
 
 def _monomials_up_to(d: int, max_degree: int) -> List[CartesianPolynomial]:

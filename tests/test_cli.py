@@ -343,6 +343,18 @@ class TestApply:
         assert code == 2
         assert "position" in err
 
+    @pytest.mark.parametrize("raw", ["2,", ",2", "2,,3", "2, ,3", ""])
+    def test_empty_degree_field_is_usage_error(self, capsys, raw):
+        code, out, err = run_cli(capsys, "apply", "--d", "1", "--degrees", raw, "--poly", "x1")
+        assert code == 2
+        assert out == ""
+        assert f"bdk: error: --degrees: empty field in {raw!r}" in err
+
+    def test_degrees_with_spaces_still_parse(self, capsys):
+        _, spaced, _ = run_cli(capsys, "apply", "--d", "1", "--degrees", "2, 3", "--poly", "x1")
+        _, plain, _ = run_cli(capsys, "apply", "--d", "1", "--degrees", "2,3", "--poly", "x1")
+        assert spaced == plain != ""
+
 
 class TestTable:
     def test_corner_values_d1(self, capsys, tmp_path):
@@ -407,7 +419,119 @@ class TestTable:
         assert "cannot write" in err
 
 
+class BuiltConfig(Exception):
+    """Raised in place of running the suite once its config is built."""
+
+
+#: The report's config echo for each `bdk verify` argument list: the bounds
+#: each invocation asks for, pinned so that deriving them cannot drift.
+DEFAULT_ECHO = {
+    "d_range": [1, 2, 3], "degree_caps": {"1": 8, "2": 6, "3": 4}, "threefold_cap": 5,
+    "univariate_cap": 10, "legendre_cap": 8, "combination_cap": 5, "lemma_cap": 4,
+    "operator_cap": 5, "operator_monomial_degree": 4, "moment_cap": 6,
+    "points_per_case": 5, "seed": 271828, "time_budget_s": None, "corrupt_scale": False,
+}
+VERIFY_CONFIGS = {
+    "": DEFAULT_ECHO,
+    "--self-test-corrupt": {**DEFAULT_ECHO, "corrupt_scale": True},
+    "--d 1": {**DEFAULT_ECHO, "d_range": [1], "degree_caps": {"1": 8}},
+    "--d 2,1": {**DEFAULT_ECHO, "d_range": [2, 1], "degree_caps": {"1": 8, "2": 6}},
+    "--d 3 --max-degree 2": {
+        **DEFAULT_ECHO, "d_range": [3], "degree_caps": {"3": 2}, "threefold_cap": 2,
+        "univariate_cap": 2, "legendre_cap": 2, "combination_cap": 2, "lemma_cap": 2,
+        "operator_cap": 2, "operator_monomial_degree": 2, "moment_cap": 2},
+    "--d 1 --max-degree 0": {
+        **DEFAULT_ECHO, "d_range": [1], "degree_caps": {"1": 0}, "threefold_cap": 0,
+        "univariate_cap": 0, "legendre_cap": 0, "combination_cap": 0, "lemma_cap": 0,
+        "operator_cap": 0, "operator_monomial_degree": 0, "moment_cap": 0},
+    "--d 1,2 --max-degree 3 --threefold-cap 1": {
+        **DEFAULT_ECHO, "d_range": [1, 2], "degree_caps": {"1": 3, "2": 3},
+        "threefold_cap": 1, "univariate_cap": 3, "legendre_cap": 3, "combination_cap": 3,
+        "lemma_cap": 3, "operator_cap": 3, "operator_monomial_degree": 3, "moment_cap": 3},
+    "--d 1 --threefold-cap 2": {
+        **DEFAULT_ECHO, "d_range": [1], "degree_caps": {"1": 8}, "threefold_cap": 2},
+    "--max-degree 5 --seed 7": {
+        **DEFAULT_ECHO, "degree_caps": {"1": 5, "2": 5, "3": 5}, "univariate_cap": 5,
+        "legendre_cap": 5, "moment_cap": 5, "seed": 7},
+    "--d 1,4 --max-degree 1": {
+        **DEFAULT_ECHO, "d_range": [1, 4], "degree_caps": {"1": 1, "4": 1},
+        "threefold_cap": 1, "univariate_cap": 1, "legendre_cap": 1, "combination_cap": 1,
+        "lemma_cap": 1, "operator_cap": 1, "operator_monomial_degree": 1, "moment_cap": 1},
+    "--d 1 --max-degree 9 --time-budget 0": {
+        **DEFAULT_ECHO, "d_range": [1], "degree_caps": {"1": 9}, "univariate_cap": 9,
+        "time_budget_s": 0.0},
+}
+
+#: A non-default value for each `bdk verify` flag that reaches SuiteConfig.
+SUITE_FLAG_SAMPLES = {"--d": ["2"], "--max-degree": ["3"], "--threefold-cap": ["1"],
+                      "--seed": ["7"], "--time-budget": ["9"], "--self-test-corrupt": []}
+
+
 class TestVerifyCommand:
+    @pytest.mark.parametrize("argv", list(VERIFY_CONFIGS))
+    def test_config_built_for_each_invocation_is_pinned(self, monkeypatch, argv):
+        import bdk.cli
+
+        def stop(cfg):
+            raise BuiltConfig(cfg)
+
+        monkeypatch.setattr(bdk.cli, "run_suite", stop)
+        with pytest.raises(BuiltConfig) as built:
+            main(["verify", *argv.split()])
+        echo = built.value.args[0].to_json_dict()
+        assert echo == VERIFY_CONFIGS[argv]
+        # the JSON text also tells 0 from 0.0 and from False
+        assert json.dumps(echo, sort_keys=True) == json.dumps(VERIFY_CONFIGS[argv],
+                                                              sort_keys=True)
+
+    def test_every_suite_keyword_is_set_by_exactly_one_flag(self, monkeypatch):
+        """A SuiteConfig keyword that no `bdk verify` flag sets has no caller."""
+        import argparse
+        import inspect
+
+        import bdk.cli
+        from bdk.verify import SuiteConfig
+
+        keywords = {name for name, p in inspect.signature(SuiteConfig).parameters.items()
+                    if p.kind is p.KEYWORD_ONLY}
+
+        def record(**kwargs):
+            raise BuiltConfig(kwargs)
+
+        monkeypatch.setattr(bdk.cli, "SuiteConfig", record)
+
+        def built(*argv):
+            with pytest.raises(BuiltConfig) as exc:
+                main(["verify", *argv])
+            return exc.value.args[0]
+
+        base = built()
+        assert set(base) == keywords
+        sub = next(a for a in bdk.cli.build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        flags = {opt for action in sub.choices["verify"]._actions
+                 for opt in action.option_strings if opt.startswith("--")}
+        assert flags - {"--help", "--report"} == set(SUITE_FLAG_SAMPLES)
+        setters = {}
+        for flag, value in SUITE_FLAG_SAMPLES.items():
+            changed = [k for k, v in built(flag, *value).items() if v != base[k]]
+            assert len(changed) == 1, (flag, changed)
+            setters.setdefault(changed[0], []).append(flag)
+        assert {k: len(v) for k, v in setters.items()} == dict.fromkeys(keywords, 1)
+
+    @pytest.mark.parametrize("raw", ["1,", ",1", "1,,2", "1, ,2", ""])
+    def test_empty_dimension_field_is_usage_error(self, capsys, monkeypatch, raw):
+        import bdk.cli
+
+        def refuse(cfg):
+            raise AssertionError("the suite ran")
+
+        monkeypatch.setattr(bdk.cli, "run_suite", refuse)
+        code, out, err = run_cli(capsys, "verify", "--d", raw, "--max-degree", "0")
+        assert code == 2
+        assert out == ""
+        assert f"bdk: error: --d: empty field in {raw!r}" in err
+
     def test_unwritable_report_fails_before_the_suite_runs(self, capsys, monkeypatch):
         import bdk.cli
 

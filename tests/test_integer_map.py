@@ -245,7 +245,7 @@ def test_verify_never_builds_the_fraction_view(monkeypatch):
         return view.fget(self)
 
     monkeypatch.setattr(CartesianPolynomial, "terms", property(counted))
-    cfg = SuiteConfig.capped(2, d_range=(1, 2))
+    cfg = SuiteConfig(d_range=(1, 2), max_degree=2)
     report = run_suite(cfg)
     assert report.ok and len(report.checks) > 100
     assert reads == []

@@ -12,7 +12,7 @@ import bdk.verify
 from bdk.combinat import enumerate_multi_indices
 from bdk.polynomials import CartesianPolynomial
 from bdk.verify import (
-    CAP_FIELDS,
+    FAMILY_CAPS,
     REPORT_SCHEMA,
     SuiteConfig,
     _monomials_up_to,
@@ -82,19 +82,7 @@ def default_report(default_run):
 
 
 def tiny_config(**overrides):
-    base = dict(
-        d_range=(1,),
-        degree_caps={1: 2},
-        threefold_cap=1,
-        univariate_cap=2,
-        legendre_cap=2,
-        combination_cap=2,
-        lemma_cap=2,
-        operator_cap=2,
-        operator_monomial_degree=2,
-        moment_cap=2,
-        seed=20260810,
-    )
+    base = dict(d_range=(1,), max_degree=2, threefold_cap=1, seed=20260810)
     base.update(overrides)
     return SuiteConfig(**base)
 
@@ -110,61 +98,64 @@ class TestSuiteConfig:
             SuiteConfig(d_range=())
 
     def test_rejects_missing_cap(self):
-        with pytest.raises(ValueError):
-            SuiteConfig(d_range=(1, 4), degree_caps={1: 2})
+        with pytest.raises(ValueError, match=r"no default degree cap for d=\[4\]"):
+            SuiteConfig(d_range=(1, 4))
+        assert SuiteConfig(d_range=(1, 4), max_degree=1).degree_caps == {1: 1, 4: 1}
 
     def test_rejects_repeated_dimension(self):
         with pytest.raises(ValueError, match="repeats"):
-            SuiteConfig(d_range=(1, 1), degree_caps={1: 1})
+            SuiteConfig(d_range=(1, 1), max_degree=1)
         with pytest.raises(ValueError, match="repeats"):
-            SuiteConfig.capped(1, d_range=(1, 2, 1))
+            SuiteConfig(d_range=(1, 2, 1))
 
-    def test_rejects_negative_caps(self):
-        with pytest.raises(ValueError):
-            SuiteConfig(d_range=(1,), degree_caps={1: 1}, threefold_cap=-1)
-
-    @pytest.mark.parametrize("name", CAP_FIELDS)
+    @pytest.mark.parametrize("name", ["max_degree", "threefold_cap"])
     @pytest.mark.parametrize("bad, problem", [(1.5, "an integer"), ("2", "an integer"),
                                               (-1, ">= 0")])
     def test_rejects_cap_field_that_is_not_a_degree(self, name, bad, problem):
         with pytest.raises(ValueError, match=f"^{name} must be {problem}"):
-            SuiteConfig(d_range=(1,), degree_caps={1: 1}, **{name: bad})
-
-    @pytest.mark.parametrize("bad, problem", [(1.5, "an integer"), (-1, ">= 0")])
-    def test_rejects_degree_cap_that_is_not_a_degree(self, bad, problem):
-        with pytest.raises(ValueError, match=rf"^degree_caps\[2\] must be {problem}"):
-            SuiteConfig(d_range=(1, 2), degree_caps={1: 1, 2: bad})
-        with pytest.raises(ValueError, match=r"^degree_caps\[1\]"):
-            run_suite(SuiteConfig(d_range=(1,), degree_caps={1: bad}))
-
-    @pytest.mark.parametrize("bad, problem", [(1.5, "an integer"), (0, ">= 1")])
-    def test_rejects_points_per_case_below_one_or_fractional(self, bad, problem):
-        with pytest.raises(ValueError, match=f"^points_per_case must be {problem}"):
-            SuiteConfig(d_range=(1,), degree_caps={1: 1}, points_per_case=bad)
+            SuiteConfig(d_range=(1,), **{name: bad})
 
     @pytest.mark.parametrize("bad, problem", [(1.0, "an integer"), (0, ">= 1")])
     def test_rejects_dimension_that_is_not_one_or_more(self, bad, problem):
         with pytest.raises(ValueError, match=f"^d_range entry must be {problem}"):
-            SuiteConfig(d_range=(bad,), degree_caps={bad: 1})
-
-    def test_rejects_fractional_max_degree_in_capped(self):
-        with pytest.raises(ValueError, match="must be an integer, got 1.5"):
-            SuiteConfig.capped(1.5, d_range=(1,))
+            SuiteConfig(d_range=(bad,), max_degree=1)
 
     @pytest.mark.parametrize("budget", [math.nan, math.inf, -math.inf, -1.0, -1e-9])
     def test_rejects_time_budget_that_is_not_finite_and_nonnegative(self, budget):
         with pytest.raises(ValueError, match="time_budget_s"):
-            SuiteConfig(d_range=(1,), degree_caps={1: 1}, time_budget_s=budget)
+            SuiteConfig(d_range=(1,), max_degree=1, time_budget_s=budget)
 
-    def test_capped_holds_every_cap_to_min_of_default_and_k(self):
-        default = SuiteConfig()
-        defaults = {name: getattr(default, name) for name in CAP_FIELDS}
+    @pytest.mark.parametrize("budget", ["5", True, Fraction(1, 2)])
+    def test_time_budget_must_be_an_int_or_a_float(self, budget):
+        with pytest.raises(ValueError, match="^time_budget_s must be an int or a float"):
+            SuiteConfig(d_range=(1,), time_budget_s=budget)
+        for ok in (0, 2.5):
+            assert SuiteConfig(d_range=(1,), time_budget_s=ok).time_budget_s == ok
+
+    @pytest.mark.parametrize("flag", ["no", 1, 0, None, "True"])
+    def test_corrupt_scale_must_be_a_bool(self, flag):
+        with pytest.raises(ValueError, match="^corrupt_scale must be a bool"):
+            SuiteConfig(d_range=(1,), corrupt_scale=flag)
+
+    def test_max_degree_holds_every_cap_to_min_of_default_and_k(self):
+        default = SuiteConfig(d_range=(1, 2))
+        assert default.degree_caps == {1: 8, 2: 6}
+        assert {name: getattr(default, name) for name in FAMILY_CAPS} == FAMILY_CAPS
         for k in range(12):
-            cfg = SuiteConfig.capped(k, d_range=(1, 2))
-            for name in CAP_FIELDS:
-                assert getattr(cfg, name) == min(defaults[name], k), (name, k)
+            cfg = SuiteConfig(d_range=(1, 2), max_degree=k)
+            for name, cap in FAMILY_CAPS.items():
+                assert getattr(cfg, name) == min(cap, k), (name, k)
             assert cfg.degree_caps == {1: k, 2: k}
-            assert SuiteConfig.capped(k, threefold_cap=2).threefold_cap == 2
+            assert SuiteConfig(max_degree=k, threefold_cap=2).threefold_cap == 2
+        assert SuiteConfig(threefold_cap=7).threefold_cap == 7
+
+    def test_config_echo_keeps_every_bound(self):
+        assert SuiteConfig(d_range=(2, 1), max_degree=3, threefold_cap=1).to_json_dict() == {
+            "d_range": [2, 1], "degree_caps": {"1": 3, "2": 3}, "threefold_cap": 1,
+            "univariate_cap": 3, "legendre_cap": 3, "combination_cap": 3, "lemma_cap": 3,
+            "operator_cap": 3, "operator_monomial_degree": 3, "moment_cap": 3,
+            "points_per_case": 5, "seed": 271828, "time_budget_s": None,
+            "corrupt_scale": False}
 
 
 def old_monomials_up_to(d, max_degree):
@@ -224,9 +215,7 @@ class TestRunSuite:
         assert len(report.failures) == CORRUPT_FAILURES
 
     def test_degree_zero_suite_is_trivial_and_green(self):
-        cfg = tiny_config(degree_caps={1: 0}, threefold_cap=0, univariate_cap=0,
-                          legendre_cap=0, combination_cap=0, lemma_cap=0,
-                          operator_cap=0, operator_monomial_degree=0, moment_cap=0)
+        cfg = tiny_config(max_degree=0, threefold_cap=0)
         report = run_suite(cfg)
         assert report.ok
 
@@ -264,8 +253,10 @@ class TestRunSuite:
 
     @pytest.mark.parametrize("cfg", [
         tiny_config(),
-        tiny_config(d_range=(1, 2), degree_caps={1: 3, 2: 2}, legendre_cap=3),
-        tiny_config(d_range=(2, 3), degree_caps={2: 2, 3: 1}),
+        # the default d = 1 bounds, where univariate_cap (10) != legendre_cap (8)
+        SuiteConfig(d_range=(1,)),
+        tiny_config(d_range=(1, 2), max_degree=3),
+        tiny_config(d_range=(2, 3), max_degree=1),
     ])
     def test_small_run_builds_each_input_once(self, cfg):
         report, counts = run_counted(cfg)
@@ -280,7 +271,7 @@ class TestRunSuite:
             image = original(spec, f)
             return image + CartesianPolynomial.variable(2, 1) if f == target else image
         monkeypatch.setattr(bdk.verify, "apply_operator", perturbed)
-        report = run_suite(tiny_config(d_range=(2,), degree_caps={2: 1}))
+        report = run_suite(tiny_config(d_range=(2,)))
         named = target.to_json_dict()["terms"]
         for family in ("operator_self_adjoint", "operator_integral_preservation",
                        "operator_linear_combination"):
@@ -349,7 +340,7 @@ class TestReportSerialization:
 
 class TestVerificationReportHelpers:
     def test_failures_property(self):
-        report = run_suite(tiny_config(degree_caps={1: 1}, corrupt_scale=True))
+        report = run_suite(tiny_config(max_degree=1, corrupt_scale=True))
         summary = report.summary()
         assert summary["failed"] == len(report.failures) > 0
         assert summary["passed"] + summary["failed"] == summary["total"]
