@@ -16,6 +16,7 @@ import math
 import operator
 import re
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 __all__ = [
@@ -220,9 +221,15 @@ def enumerate_multi_indices(n: int, d: int) -> List[Tuple[int, ...]]:
 
     Order is lexicographic with the first part most significant and
     descending, e.g. (2,0), (1,1), (0,2) for n=2, d=1.  The list has
-    exactly C(n+d, d) entries.
+    exactly C(n+d, d) entries.  Each call returns a fresh list, copied
+    from the enumeration kept once per (n, d).
     """
-    return list(_compositions(check_degree(n), check_dimension(d) + 1))
+    return list(_multi_indices(check_degree(n), check_dimension(d)))
+
+
+@lru_cache(maxsize=None)
+def _multi_indices(n: int, d: int) -> Tuple[Tuple[int, ...], ...]:
+    return tuple(_compositions(n, d + 1))
 
 
 def _compositions(total: int, parts: int):

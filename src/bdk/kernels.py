@@ -30,6 +30,7 @@ into the canonical map.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product as _cartesian_product
 from math import prod
 from operator import add, mul
@@ -335,6 +336,19 @@ class BernsteinKernelForm:
         return Fraction(self.scale.numerator * total,
                         self.scale.denominator * qx_top * qy_top)
 
+    def integrate_y(self) -> List[Fraction]:
+        """Integrate the y block over the simplex, in the Bernstein basis of x.
+
+        Each B_b of degree n integrates to n!/(n+d)!, so
+            int K(x, y) dy = sum_a c_a B_a(x),  c_a = scale n!/(n+d)! sum_b C[b][a],
+        and the c_a are returned in x_indices order.  The B_a are linearly
+        independent and sum to 1, so the kernel is stochastic in y exactly
+        when every c_a is 1.
+        """
+        n = sum(self.y_indices[0])
+        unit = self.scale * Fraction(factorial(n), factorial(n + self.d))
+        return [unit * total for total in map(sum, zip(*self.rows))]
+
     def expand(self) -> KernelPolynomial:
         """The canonical map: each B_a(x) B_b(y) multiplied out into monomials.
 
@@ -546,37 +560,44 @@ def inner_sum_identity(n: int, beta: Sequence[int], y: PointLike) -> Tuple[Fract
                  n_(|l|) / |l|! * B_l(y) * beta! * prod C(beta_v, l_v)
 
     The two sides are computed by entirely separate summations and are
-    returned as a pair for the caller to compare.
+    returned as a pair for the caller to compare.  Each is an integer dot
+    product of the point's monomial values with coefficients that depend
+    on (n, beta) only (`_inner_sum_coefficients`).
     """
     n, beta = check_degree(n), check_index(beta)
-    d = len(beta) - 1
     # B_a(y) = mult(a) * values[a] / q^top, from y's integer form (q; A)
-    q, bary = as_point(y, d).integer_form()
-    fact = FactorialTable()
-
-    alphas = enumerate_multi_indices(n, d)
+    q, bary = as_point(y, len(beta) - 1).integer_form()
+    alphas, left, ells, right = _inner_sum_coefficients(n, beta)
     q_top, values = monomial_numerators(q, bary, alphas)
-    lhs = 0
-    for alpha, value in zip(alphas, values):
+    lhs = Fraction(sum(map(mul, left, values)), q_top)
+    q_top, values = monomial_numerators(q, bary, ells)
+    return lhs, Fraction(sum(map(mul, right, values)), q_top)
+
+
+@lru_cache(maxsize=None)
+def _inner_sum_coefficients(n: int, beta: Tuple[int, ...]) -> Tuple[tuple, tuple, tuple, tuple]:
+    """(alphas, left, ells, right) for `inner_sum_identity`, built once per
+    (n, beta): left[i] = mult(a) (a+beta)!/a! for a = alphas[i], |a| = n,
+    and right[i] = C(n, |l|) mult(l) beta! prod_v C(beta_v, l_v) for
+    l = ells[i] <= beta.
+    """
+    fact = FactorialTable()
+    alphas = enumerate_multi_indices(n, len(beta) - 1)
+    left = []
+    for alpha in alphas:
         shifted = 1
         for a, b in zip(alpha, beta):
             shifted *= fact[a + b] // fact[a]
-        lhs += table_multinomial(alpha, fact) * value * shifted
-    lhs = Fraction(lhs, q_top)
-
+        left.append(table_multinomial(alpha, fact) * shifted)
     ells = list(_cartesian_product(*(range(b + 1) for b in beta)))
-    q_top, values = monomial_numerators(q, bary, ells)
     beta_fact = index_factorial(beta)
-    rhs = 0
-    for ell, value in zip(ells, values):
-        k = sum(ell)
+    right = []
+    for ell in ells:
         prod_binom = 1
         for b, l in zip(beta, ell):
             prod_binom *= binomial(b, l)
-        # n_(k) / k! is the integer C(n, k)
-        rhs += (falling_factorial(n, k) // fact[k]
-                * table_multinomial(ell, fact) * value * beta_fact * prod_binom)
-    return lhs, Fraction(rhs, q_top)
+        right.append(binomial(n, sum(ell)) * table_multinomial(ell, fact) * beta_fact * prod_binom)
+    return tuple(alphas), tuple(left), tuple(ells), tuple(right)
 
 
 def to_canonical(form: DiagonalKernelForm) -> KernelPolynomial:

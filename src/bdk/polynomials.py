@@ -253,19 +253,38 @@ class CartesianPolynomial:
         if self.BLOCKS != other.BLOCKS:
             raise ValueError(f"cannot combine {type(self).__name__} with {type(other).__name__}")
 
+    @classmethod
+    def linear_combination(cls, d: int, pairs: Iterable[Tuple[Scalar, "CartesianPolynomial"]]
+                           ) -> "CartesianPolynomial":
+        """sum c * p over the (c, p) pairs, each p of this class in dimension d.
+
+        Every term is brought over the one common denominator, the integer
+        maps are accumulated, and the sum is reduced once, where a chain of
+        `+` and `scale` would reduce after every step.
+        """
+        pairs = [(check_rational(c, "coefficient"), p) for c, p in pairs]
+        for _, p in pairs:
+            if p.d != d:
+                raise ValueError(f"dimension mismatch: {d} vs {p.d}")
+            if p.BLOCKS != cls.BLOCKS:
+                raise ValueError(f"cannot combine {cls.__name__} with {type(p).__name__}")
+        den = lcm(*(c.denominator * p.den for c, p in pairs))
+        out: Dict[Exponents, int] = {}
+        for c, p in pairs:
+            factor = c.numerator * (den // (c.denominator * p.den))
+            for exps, v in p.nums.items():
+                out[exps] = out.get(exps, 0) + v * factor
+        return cls._make(d, den, out)
+
     def __add__(self, other: "CartesianPolynomial") -> "CartesianPolynomial":
         if not isinstance(other, CartesianPolynomial):
             return NotImplemented
-        self._check_compatible(other)
-        den = lcm(self.den, other.den)
-        fa, fb = den // self.den, den // other.den
-        out = {e: c * fa for e, c in self.nums.items()}
-        for exps, c in other.nums.items():
-            out[exps] = out.get(exps, 0) + c * fb
-        return self._make(self.d, den, out)
+        return self.linear_combination(self.d, ((1, self), (1, other)))
 
     def __sub__(self, other: "CartesianPolynomial") -> "CartesianPolynomial":
-        return self + (-other)
+        if not isinstance(other, CartesianPolynomial):
+            return NotImplemented
+        return self.linear_combination(self.d, ((1, self), (-1, other)))
 
     def __neg__(self) -> "CartesianPolynomial":
         return self._make(self.d, self.den, {e: -c for e, c in self.nums.items()})

@@ -23,13 +23,15 @@ from .combinat import (
 )
 from .durrmeyer import OperatorSpec, apply_operator, composition_coefficients
 from .kernels import (
+    BernsteinKernelForm,
+    DiagonalKernelForm,
     KernelPolynomial,
     first_kernel_difference,
     inner_sum_identity,
     kernel_closed_threefold,
     kernel_closed_twofold,
+    kernel_definition_coordinates,
     kernel_definition_threefold,
-    kernel_definition_twofold,
     kernel_legendre,
     kernel_single,
     kernel_univariate_twofold,
@@ -110,6 +112,8 @@ class SuiteConfig:
                     f"time_budget_s must be a finite number >= 0, got {time_budget_s}")
         if not isinstance(corrupt_scale, bool):
             raise ValueError(f"corrupt_scale must be a bool, got {corrupt_scale!r}")
+        if isinstance(seed, bool) or not isinstance(seed, int):
+            raise ValueError(f"seed must be an int, got {seed!r}")
         self.seed = seed
         self.time_budget_s = time_budget_s
         self.corrupt_scale = corrupt_scale
@@ -225,11 +229,17 @@ class _SuiteState:
     built once per run.  Every artifact is kept in one memo, keyed by its
     kind and parameters:
 
-    - "definition", the definitional kernel of M_m o M_n per (d, m, n):
-      twofold_closed_equals_definition, twofold_stochastic_in_y,
-      twofold_symmetry_xy, twofold_symmetry_degrees,
-      univariate_twofold_vs_definition and
+    - "coordinates", kernel_definition_coordinates((m, n), d) per (d, m, n):
+      twofold_stochastic_in_y, and the "definition" kernel below.
+    - "definition", the definitional kernel of M_m o M_n per (d, m, n), a
+      map expanded from its coordinates on first read:
+      twofold_closed_equals_definition, twofold_symmetry_xy,
+      twofold_symmetry_degrees, univariate_twofold_vs_definition and
       composition_linear_combination_kernel.
+    - "closed", kernel_closed_twofold(m, n, d) per (d, m, n):
+      twofold_closed_equals_definition (which corrupts a with_scale copy,
+      never the form kept here), diagonal_truncation and
+      univariate_twofold_path.
     - "single", to_canonical(kernel_single(k, d)) per (d, k):
       single_stochastic_in_y and composition_linear_combination_kernel.
     - "univariate", to_canonical(kernel_univariate_twofold(m, n)) per
@@ -254,8 +264,16 @@ class _SuiteState:
             value = self._built[key] = build()
         return value
 
+    def coordinates(self, d: int, m: int, n: int) -> BernsteinKernelForm:
+        return self._memo(("coordinates", d, m, n),
+                          lambda: kernel_definition_coordinates((m, n), d))
+
     def definition(self, d: int, m: int, n: int) -> KernelPolynomial:
-        return self._memo(("definition", d, m, n), lambda: kernel_definition_twofold(m, n, d))
+        return self._memo(("definition", d, m, n),
+                          lambda: KernelPolynomial.from_coordinates(self.coordinates(d, m, n)))
+
+    def closed(self, d: int, m: int, n: int) -> DiagonalKernelForm:
+        return self._memo(("closed", d, m, n), lambda: kernel_closed_twofold(m, n, d))
 
     def single(self, d: int, k: int) -> KernelPolynomial:
         return self._memo(("single", d, k), lambda: to_canonical(kernel_single(k, d)))
@@ -303,15 +321,18 @@ def _twofold_jobs(cfg: SuiteConfig, state: _SuiteState) -> Iterator[Job]:
                 params = {"d": d, "m": m, "n": n}
 
                 def closed_vs_def(d=d, m=m, n=n):
-                    form = kernel_closed_twofold(m, n, d)
+                    form = state.closed(d, m, n)
                     if cfg.corrupt_scale:
                         form = form.with_scale(2 * form.scale)
                     return _kernel_equal(to_canonical(form), state.definition(d, m, n))
                 yield "twofold_closed_equals_definition", params, closed_vs_def
 
                 def stochastic(d=d, m=m, n=n):
-                    return _poly_witness(state.definition(d, m, n).integrate_y(),
-                                         CartesianPolynomial.constant(d, 1))
+                    form = state.coordinates(d, m, n)
+                    for a, c in zip(form.x_indices, form.integrate_y()):
+                        if c != 1:
+                            return False, {"a": list(a), "lhs": format_rational(c), "rhs": "1"}
+                    return True, None
                 yield "twofold_stochastic_in_y", params, stochastic
 
                 def symmetric_xy(d=d, m=m, n=n):
@@ -320,8 +341,7 @@ def _twofold_jobs(cfg: SuiteConfig, state: _SuiteState) -> Iterator[Job]:
                 yield "twofold_symmetry_xy", params, symmetric_xy
 
                 def truncated(d=d, m=m, n=n):
-                    form = kernel_closed_twofold(m, n, d)
-                    top = form.max_index_degree()
+                    top = state.closed(d, m, n).max_index_degree()
                     if top <= min(m, n):
                         return True, None
                     return False, {"max_index_degree": top, "min_degree": min(m, n)}
@@ -345,7 +365,7 @@ def _univariate_jobs(cfg: SuiteConfig, state: _SuiteState) -> Iterator[Job]:
         for n in range(cfg.univariate_cap + 1):
             def uni_path(m=m, n=n):
                 uni = kernel_univariate_twofold(m, n)
-                multi = kernel_closed_twofold(m, n, 1)
+                multi = state.closed(1, m, n)
                 if uni == multi:
                     return True, None
                 return _kernel_equal(to_canonical(uni), to_canonical(multi))
@@ -409,10 +429,9 @@ def _combination_jobs(cfg: SuiteConfig, state: _SuiteState) -> Iterator[Job]:
                 yield "composition_coefficients_convex", params, convex
 
                 def combo_kernel(d=d, m=m, n=n):
-                    coeffs = composition_coefficients(m, n, d)
-                    acc = KernelPolynomial.zero(d)
-                    for k, ck in enumerate(coeffs):
-                        acc = acc + state.single(d, k).scale(ck)
+                    acc = KernelPolynomial.linear_combination(
+                        d, ((ck, state.single(d, k))
+                            for k, ck in enumerate(composition_coefficients(m, n, d))))
                     return _kernel_equal(acc, state.definition(d, m, n))
                 yield "composition_linear_combination_kernel", params, combo_kernel
 
@@ -441,14 +460,16 @@ def _operator_jobs(cfg: SuiteConfig, state: _SuiteState) -> Iterator[Job]:
 
             def self_adjoint(d=d, n=n):
                 from .polynomials import inner_product
-                for f in monomials:
-                    mf = state.image(d, n, f)
-                    for g in monomials:
-                        lhs = inner_product(mf, g)
-                        rhs = inner_product(f, state.image(d, n, g))
+                # gram[i][j] = <M_n f_i, f_j>, so <f_i, M_n f_j> = gram[j][i]; a
+                # pair can first fail at i < j, as (j, i) repeats (i, j)
+                gram = [[inner_product(state.image(d, n, f), g) for g in monomials]
+                        for f in monomials]
+                for i, f in enumerate(monomials):
+                    for j in range(i + 1, len(monomials)):
+                        lhs, rhs = gram[i][j], gram[j][i]
                         if lhs != rhs:
                             return False, {"f": f.to_json_dict()["terms"],
-                                           "g": g.to_json_dict()["terms"],
+                                           "g": monomials[j].to_json_dict()["terms"],
                                            "lhs": format_rational(lhs),
                                            "rhs": format_rational(rhs)}
                 return True, None
@@ -485,9 +506,8 @@ def _operator_jobs(cfg: SuiteConfig, state: _SuiteState) -> Iterator[Job]:
                     coeffs = composition_coefficients(m, n, d)
                     for f in monomials:
                         lhs = state.image(d, m, state.image(d, n, f))
-                        rhs = CartesianPolynomial.zero(d)
-                        for k, ck in enumerate(coeffs):
-                            rhs = rhs + state.image(d, k, f).scale(ck)
+                        rhs = CartesianPolynomial.linear_combination(
+                            d, ((ck, state.image(d, k, f)) for k, ck in enumerate(coeffs)))
                         ok, diff = _poly_witness(lhs, rhs)
                         if not ok:
                             diff["f"] = f.to_json_dict()["terms"]

@@ -134,6 +134,13 @@ class TestEnumeration:
             parts = enumerate_multi_indices(4, d)
             assert parts == sorted(parts, reverse=True)
 
+    def test_each_call_returns_a_fresh_list(self):
+        first = enumerate_multi_indices(2, 1)
+        first.append((9, 9))
+        first[0] = (0, 0)
+        assert enumerate_multi_indices(2, 1) == [(2, 0), (1, 1), (0, 2)]
+        assert enumerate_multi_indices(2, 1) is not enumerate_multi_indices(2, 1)
+
 
 class TestMultinomial:
     def test_examples(self):

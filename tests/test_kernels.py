@@ -28,6 +28,7 @@ from bdk.durrmeyer import OperatorSpec, apply_operator, compose_apply
 from bdk.polynomials import (
     BarycentricPoint,
     CartesianPolynomial,
+    bernstein_basis,
     inner_product,
     integrate_simplex,
 )
@@ -411,6 +412,21 @@ class TestCoordinateForm:
         assert kernel.evaluate(x, y) == value == closed.evaluate(x, y)
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("degrees, d", [((0, 0), 1), ((3, 2), 1), ((2, 4), 2),
+                                            ((3, 1), 3), ((2, 1, 3), 2), ((2,), 2)])
+    def test_integrate_y_gives_the_bernstein_coordinates_of_the_y_integral(self, degrees, d):
+        coords = kernel_definition_coordinates(degrees, d)
+        integral = coords.integrate_y()
+        assert integral == [1] * len(coords.x_indices)
+        x_side = CartesianPolynomial.linear_combination(
+            d, ((c, bernstein_basis(a)) for c, a in zip(integral, coords.x_indices)))
+        assert x_side == coords.expand().integrate_y()
+
+    def test_integrate_y_reads_each_column(self):
+        coords = kernel_definition_coordinates((2, 1), 1)
+        coords.rows[1][2] += 4  # C[(0, 1)][(0, 2)]: scale 1/4 and int B_b = 1/2
+        assert coords.integrate_y() == [1, 1, F(3, 2)]
+
     def test_a_single_operator_has_identity_coordinates(self):
         coords = kernel_definition_coordinates((2,), 2)
         size = len(coords.x_indices)
@@ -446,6 +462,19 @@ class TestInnerSumIdentity:
     def test_point_outside_simplex_still_agrees(self):
         lhs, rhs = inner_sum_identity(2, (1, 1), [F(7, 5)])
         assert lhs == rhs
+
+    def test_coefficients_are_built_once_per_degree_and_index(self):
+        build = bdk.kernels._inner_sum_coefficients
+        build.cache_clear()
+        for y in ([F(1, 3), F(1, 5)], [F(2, 7), F(0)], [F(1, 2), F(1, 2)]):
+            lhs, rhs = inner_sum_identity(3, (1, 0, 2), y)
+            assert lhs == rhs
+        assert (build.cache_info().hits, build.cache_info().misses) == (2, 1)
+        alphas, left, ells, right = build(1, (1, 0))
+        # alphas (1, 0), (0, 1): mult 1, (a+beta)!/a! = 2 and 1; ells (0, 0),
+        # (1, 0): C(1, |l|) mult(l) beta! C(1, l_0) = 1 each
+        assert (alphas, left, ells, right) == (((1, 0), (0, 1)), (2, 1),
+                                               ((0, 0), (1, 0)), (1, 1))
 
 
 class TestEvalAndDiff:

@@ -19,6 +19,9 @@ from bdk.simplex_integrals import inner_one_bernstein
 from bdk.verify import sample_simplex_point
 
 
+F = Fraction
+
+
 def poly(d, terms):
     return CartesianPolynomial(d, {e: Fraction(c) for e, c in terms.items()})
 
@@ -97,6 +100,34 @@ class TestRingOperations:
             CartesianPolynomial.variable(1, 1) + CartesianPolynomial.variable(2, 1)
         with pytest.raises(ValueError):
             CartesianPolynomial.variable(1, 1) * CartesianPolynomial.variable(2, 1)
+
+    @settings(max_examples=40)
+    @given(st.lists(st.tuples(rationals, polynomials_strategy()), max_size=4))
+    def test_linear_combination_matches_chained_sums(self, pairs):
+        chained = CartesianPolynomial.zero(2)
+        for c, p in pairs:
+            chained = chained + p.scale(c)
+        combined = CartesianPolynomial.linear_combination(2, pairs)
+        assert combined == chained
+        assert (combined.den, combined.nums) == (chained.den, chained.nums)
+
+    def test_linear_combination_of_nothing_is_zero(self):
+        assert CartesianPolynomial.linear_combination(3, []) == CartesianPolynomial.zero(3)
+
+    def test_linear_combination_cancels_to_reduced_form(self):
+        p = poly(1, {(0,): F(1, 6), (1,): F(1, 4)})
+        q = poly(1, {(1,): F(1, 4)})
+        diff = CartesianPolynomial.linear_combination(1, [(2, p), (-2, q)])
+        assert diff == poly(1, {(0,): F(1, 3)})
+        assert (diff.den, diff.nums) == (3, {(0,): 1})
+        assert p - q == poly(1, {(0,): F(1, 6)})
+
+    def test_linear_combination_checks_each_term(self):
+        x = CartesianPolynomial.variable(2, 1)
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            CartesianPolynomial.linear_combination(1, [(1, x)])
+        with pytest.raises(ValueError, match="coefficient"):
+            CartesianPolynomial.linear_combination(2, [(0.5, x)])
 
     @settings(max_examples=40)
     @given(polynomials_strategy(), polynomials_strategy(), polynomials_strategy())

@@ -7,6 +7,7 @@ from math import comb
 
 import pytest
 
+import bdk.kernels
 import bdk.polynomials
 import bdk.verify
 from bdk.combinat import enumerate_multi_indices
@@ -34,12 +35,17 @@ CORRUPT_FAILURES = 155
 
 #: (module, name) of the functions whose calls the work-count tests count.
 COUNTED = ((bdk.verify, "to_canonical"), (bdk.verify, "kernel_single"),
-           (bdk.polynomials, "inner_product"))
+           (bdk.verify, "kernel_closed_twofold"),
+           (bdk.verify, "kernel_definition_coordinates"),
+           (bdk.verify, "inner_sum_identity"), (bdk.polynomials, "inner_product"))
 
 
 def run_counted(cfg):
-    """The report of run_suite(cfg) and the number of calls to each COUNTED name."""
+    """The report of run_suite(cfg), the number of calls to each COUNTED name,
+    and under "lemma_coefficients" how many coefficient vectors the
+    inner-sum lemma built."""
     counts = dict.fromkeys((name for _, name in COUNTED), 0)
+    bdk.kernels._inner_sum_coefficients.cache_clear()
 
     def counter(name, fn):
         def counted(*args, **kwargs):
@@ -51,6 +57,7 @@ def run_counted(cfg):
         for module, name in COUNTED:
             mp.setattr(module, name, counter(name, getattr(module, name)))
         report = run_suite(cfg)
+    counts["lemma_coefficients"] = bdk.kernels._inner_sum_coefficients.cache_info().misses
     return report, counts
 
 
@@ -60,13 +67,23 @@ def expected_work(cfg):
     monomials = {d: comb(cfg.operator_monomial_degree + d, d) for d in operator_dims}
     singles = sum(cfg.degree_caps[d] + 1 for d in cfg.d_range)
     canonical = singles + sum((cfg.degree_caps[d] + 1) ** 2 for d in cfg.d_range)
+    # two-fold keys (d, m, n): the d = 1 checks reach univariate_cap
+    twofold = {d: cfg.degree_caps[d] for d in cfg.d_range}
     if 1 in cfg.d_range:
         canonical += (max(cfg.univariate_cap, cfg.legendre_cap) + 1) ** 2
         canonical += (cfg.threefold_cap + 1) ** 3
+        twofold[1] = max(twofold[1], cfg.univariate_cap)
+    twofold_keys = sum((cap + 1) ** 2 for cap in twofold.values())
+    # one lemma check per (n, beta degree), points_per_case points per beta
+    betas = sum((cfg.lemma_cap + 1) * comb(cfg.lemma_cap + d + 1, d + 1) for d in operator_dims)
     return {
         "to_canonical": canonical,
         "kernel_single": singles,
-        "inner_product": sum(2 * (cfg.operator_cap + 1) * monomials[d] ** 2
+        "kernel_closed_twofold": twofold_keys,
+        "kernel_definition_coordinates": twofold_keys,
+        "inner_sum_identity": betas * cfg.points_per_case,
+        "lemma_coefficients": betas,
+        "inner_product": sum((cfg.operator_cap + 1) * monomials[d] ** 2
                              for d in operator_dims),
     }
 
@@ -131,6 +148,13 @@ class TestSuiteConfig:
             SuiteConfig(d_range=(1,), time_budget_s=budget)
         for ok in (0, 2.5):
             assert SuiteConfig(d_range=(1,), time_budget_s=ok).time_budget_s == ok
+
+    @pytest.mark.parametrize("seed", [[1], 1.5, "abc", True, None, Fraction(3)])
+    def test_seed_must_be_an_int(self, seed):
+        with pytest.raises(ValueError, match="^seed must be an int"):
+            SuiteConfig(d_range=(1,), seed=seed)
+        for ok in (0, -3, 2 ** 70):
+            assert SuiteConfig(d_range=(1,), seed=ok).to_json_dict()["seed"] == ok
 
     @pytest.mark.parametrize("flag", ["no", 1, 0, None, "True"])
     def test_corrupt_scale_must_be_a_bool(self, flag):
@@ -248,7 +272,10 @@ class TestRunSuite:
 
     def test_default_run_builds_each_input_once(self, default_run):
         _, counts = default_run
-        assert counts == {"to_canonical": 513, "kernel_single": 21, "inner_product": 3000}
+        assert counts == {"to_canonical": 513, "kernel_single": 21,
+                          "kernel_closed_twofold": 195, "kernel_definition_coordinates": 195,
+                          "inner_sum_identity": 1250, "lemma_coefficients": 250,
+                          "inner_product": 1500}
         assert counts == expected_work(SuiteConfig())
 
     @pytest.mark.parametrize("cfg", [
@@ -281,6 +308,45 @@ class TestRunSuite:
                 assert not record.passed, (family, record.params)
                 assert named in (record.witness.get("f"), record.witness.get("g")), \
                     (family, record.witness)
+
+    def test_lemma_check_catches_a_perturbed_side(self, monkeypatch):
+        original = bdk.kernels._inner_sum_coefficients
+
+        def perturbed(n, beta):
+            alphas, left, ells, right = original(n, beta)
+            # ells[0] is l = 0, whose B_l is 1: the right side grows by 1
+            return alphas, left, ells, (right[0] + 1,) + right[1:]
+        monkeypatch.setattr(bdk.kernels, "_inner_sum_coefficients", perturbed)
+        report = run_suite(tiny_config(d_range=(1, 2)))
+        records = [c for c in report.checks if c.name == "inner_sum_collapse"]
+        assert records
+        for record in records:
+            assert not record.passed, record.params
+            witness = record.witness
+            assert set(witness) == {"beta", "y", "lhs", "rhs"}
+            assert len(witness["beta"]) == len(witness["y"]) + 1 == record.params["d"] + 1
+            assert sum(witness["beta"]) == record.params["beta_degree"]
+            assert Fraction(witness["rhs"]) - Fraction(witness["lhs"]) == 1
+        assert {c.name for c in report.failures} == {"inner_sum_collapse"}
+
+    def test_stochastic_check_catches_a_perturbed_coordinate(self, monkeypatch):
+        original = bdk.verify.kernel_definition_coordinates
+
+        def perturbed(degrees, d):
+            form = original(degrees, d)
+            form.rows[0][-1] += 1
+            return form
+        monkeypatch.setattr(bdk.verify, "kernel_definition_coordinates", perturbed)
+        report = run_suite(tiny_config(d_range=(1, 2)))
+        records = [c for c in report.checks if c.name == "twofold_stochastic_in_y"]
+        assert records
+        for record in records:
+            assert not record.passed, record.params
+            d, m = record.params["d"], record.params["m"]
+            # the last outermost index is (0, ..., 0, m)
+            assert record.witness["a"] == [0] * d + [m]
+            assert record.witness["rhs"] == "1"
+            assert Fraction(record.witness["lhs"]) > 1
 
     def test_corrupted_prefactor_is_caught_with_witness(self):
         report = run_suite(tiny_config(corrupt_scale=True))
