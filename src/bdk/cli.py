@@ -25,10 +25,11 @@ from typing import List, Optional, Sequence, Tuple, Union
 from .combinat import format_rational, parse_rational
 from .durrmeyer import OperatorSpec, compose_apply, composition_coefficients
 from .kernels import (
+    BernsteinKernelForm,
     DiagonalKernelForm,
     KernelPolynomial,
     kernel_closed_twofold,
-    kernel_definition_twofold,
+    kernel_definition_coordinates,
     kernel_legendre,
     kernel_univariate_twofold,
     to_canonical,
@@ -172,12 +173,13 @@ def _write_file(path: str, flag: str, text: str, mode: str = "w") -> None:
         raise UsageError(f"{flag}: cannot write {path!r}: {exc}") from exc
 
 
-def _build_kernel(form: str, m: int, n: int, d: int) -> Union[KernelPolynomial, DiagonalKernelForm]:
-    """The kernel as built: diagonal for 'closed' and 'univariate', canonical
-    otherwise; the definitional one keeps its Bernstein coordinates, and its
-    map is built only when read."""
+def _build_kernel(form: str, m: int, n: int, d: int
+                  ) -> Union[KernelPolynomial, DiagonalKernelForm, BernsteinKernelForm]:
+    """The kernel as built: diagonal for 'closed' and 'univariate', the
+    Bernstein coordinate form for 'definition', canonical for 'legendre'.
+    Each is evaluated as it stands; only --dump-kernel canonicalizes it."""
     if form == "definition":
-        return kernel_definition_twofold(m, n, d)
+        return kernel_definition_coordinates((m, n), d)
     if form == "closed":
         return kernel_closed_twofold(m, n, d)
     if d != 1:
@@ -187,6 +189,15 @@ def _build_kernel(form: str, m: int, n: int, d: int) -> Union[KernelPolynomial, 
     if form == "legendre":
         return kernel_legendre(m, n)
     raise UsageError(f"unknown kernel form {form!r}")
+
+
+def _to_float(value: Fraction) -> float:
+    """The nearest float to value, and past the float range its IEEE
+    rounding, inf or -inf, where float() raises OverflowError instead."""
+    try:
+        return float(value)
+    except OverflowError:
+        return float("inf") if value > 0 else float("-inf")
 
 
 # -- subcommands -----------------------------------------------------------
@@ -202,10 +213,12 @@ def _cmd_eval(args) -> int:
     value = kernel.evaluate(x, y)
     print(format_rational(value))
     if args.float:
-        print(f"{float(value):.17g}")
+        print(f"{_to_float(value):.17g}")
     if dump:
         if isinstance(kernel, DiagonalKernelForm):
             kernel = to_canonical(kernel)
+        elif isinstance(kernel, BernsteinKernelForm):
+            kernel = kernel.expand()
         payload = json.dumps(kernel.to_json_dict(), sort_keys=True)
         if dump == "-":
             print(payload)
@@ -262,7 +275,7 @@ def _cmd_table(args) -> int:
         writer.writerow(header)
         for x, row in zip(coords, kernel.evaluate_grid(points, points)):
             for y, value in zip(coords, row):
-                writer.writerow(x + y + [float(value)])
+                writer.writerow(x + y + [_to_float(value)])
     finally:
         if fh is not sys.stdout:
             fh.close()

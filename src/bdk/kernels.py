@@ -7,9 +7,9 @@ independent ways:
 * the definitional form: `kernel_definition_coordinates`, a brute-force
   sum over Bernstein index chains b_r, ..., b_1 of any length, straight
   from the operator definition -- the oracle.  It yields one integer
-  coefficient per basis product B_{b_r}(x) B_{b_1}(y); `kernel_definition`
-  is the same kernel as a canonical map, whose products are multiplied out
-  into monomials the first time the map is read;
+  coefficient per basis product B_{b_r}(x) B_{b_1}(y), a
+  `BernsteinKernelForm`; `kernel_definition` returns the same kernel as a
+  canonical map, its products multiplied out into monomials;
 * diagonal closed forms: a factorial prefactor times a short sum of
   products B_l(x) B_l(y) over a single multi-index l, with a weight that
   depends on l only through its degree |l|; one weight per degree is stored.
@@ -82,9 +82,6 @@ __all__ = [
 
 PointLike = Union[BarycentricPoint, "list[Fraction]", tuple]
 
-#: The slots of a kernel's map that `KernelPolynomial.from_coordinates` leaves unset.
-_MAP_SLOTS = ("den", "nums", "_terms", "_hash")
-
 
 def _basis_vector(pt: PointLike, d: int, indices: Sequence[Tuple[int, ...]],
                   mults: Sequence[int]) -> Tuple[int, List[int]]:
@@ -103,38 +100,13 @@ class KernelPolynomial(CartesianPolynomial):
     numerators over the one denominator den; d is still the simplex
     dimension.  Arithmetic, equality and hashing are those of
     CartesianPolynomial, so equality of kernels is literal map equality.
-    coordinates is None, except on a definitional kernel made
-    `from_coordinates`, which keeps its `BernsteinKernelForm` there until
-    its map is built.
+    A kernel is always its built map: one kept in another basis has its
+    own type, `DiagonalKernelForm` or `BernsteinKernelForm`, and becomes a
+    map only through `to_canonical` or `BernsteinKernelForm.expand`.
     """
 
-    __slots__ = ("coordinates",)
+    __slots__ = ()
     BLOCKS = 2
-
-    def _reduce(self, den: int, nums: Dict[Tuple[int, ...], int]) -> None:
-        super()._reduce(den, nums)
-        self.coordinates = None
-
-    @classmethod
-    def from_coordinates(cls, form: "BernsteinKernelForm") -> "KernelPolynomial":
-        """The kernel of a coordinate form, its map left unbuilt until first read.
-
-        coordinates keeps the form: `evaluate` reads it, and the first read
-        of den or nums (equality, hashing, JSON, arithmetic) runs
-        `form.expand()` once, through `__getattr__`, and drops the form.
-        """
-        kernel = cls.__new__(cls)
-        kernel.d, kernel.coordinates = form.d, form
-        return kernel
-
-    def __getattr__(self, name: str):
-        # Python calls this only for an attribute it cannot find: on a kernel,
-        # one of the map's slots, still unset after `from_coordinates`
-        if name not in _MAP_SLOTS or self.coordinates is None:
-            raise AttributeError(name)
-        full = self.coordinates.expand()
-        self._reduce(full.den, full.nums)
-        return getattr(self, name)
 
     @classmethod
     def outer(cls, fx: CartesianPolynomial, fy: CartesianPolynomial) -> "KernelPolynomial":
@@ -158,11 +130,8 @@ class KernelPolynomial(CartesianPolynomial):
 
         Each block is homogenised to its own top degree (see
         `monomial_numerators`), so the sum is over integers and one Fraction
-        is built at the end.  A kernel that keeps its Bernstein coordinates
-        is evaluated from them instead, without building the map.
+        is built at the end.
         """
-        if self.coordinates is not None:
-            return self.coordinates.evaluate(x, y)
         d = self.d
         qx, x_bary = as_point(x, d).integer_form()
         qy, y_bary = as_point(y, d).integer_form()
@@ -468,9 +437,8 @@ def kernel_definition_coordinates(degrees: Sequence[int], d: int) -> BernsteinKe
 
 def kernel_definition(degrees: Sequence[int], d: int) -> KernelPolynomial:
     """Brute-force kernel of M_{n_r} o ... o M_{n_1}, degrees listed outermost
-    first, as a canonical map: `kernel_definition_coordinates`, expanded when
-    the map is first read (see `KernelPolynomial.from_coordinates`)."""
-    return KernelPolynomial.from_coordinates(kernel_definition_coordinates(degrees, d))
+    first, as a canonical map: `kernel_definition_coordinates`, expanded."""
+    return kernel_definition_coordinates(degrees, d).expand()
 
 
 def kernel_definition_twofold(m: int, n: int, d: int) -> KernelPolynomial:

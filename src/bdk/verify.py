@@ -231,8 +231,8 @@ class _SuiteState:
 
     - "coordinates", kernel_definition_coordinates((m, n), d) per (d, m, n):
       twofold_stochastic_in_y, and the "definition" kernel below.
-    - "definition", the definitional kernel of M_m o M_n per (d, m, n), a
-      map expanded from its coordinates on first read:
+    - "definition", the definitional kernel of M_m o M_n per (d, m, n): the
+      coordinates above, expanded into the canonical map once, here:
       twofold_closed_equals_definition, twofold_symmetry_xy,
       twofold_symmetry_degrees, univariate_twofold_vs_definition and
       composition_linear_combination_kernel.
@@ -270,7 +270,7 @@ class _SuiteState:
 
     def definition(self, d: int, m: int, n: int) -> KernelPolynomial:
         return self._memo(("definition", d, m, n),
-                          lambda: KernelPolynomial.from_coordinates(self.coordinates(d, m, n)))
+                          lambda: self.coordinates(d, m, n).expand())
 
     def closed(self, d: int, m: int, n: int) -> DiagonalKernelForm:
         return self._memo(("closed", d, m, n), lambda: kernel_closed_twofold(m, n, d))

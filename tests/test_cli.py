@@ -44,6 +44,18 @@ class TestEval:
         assert lines[0] == "4/3"
         assert lines[1] == f"{4 / 3:.17g}"
 
+    @pytest.mark.parametrize("form", ["closed", "definition"])
+    @pytest.mark.parametrize("m, x, y, exact, echo", [
+        # K_{2,2}(x, 0) = (3/10) (x^2 - 6x + 6) and K_{1,1}(x, 2) = 2x at d = 1
+        (2, 10 ** 400, 0, Fraction(3, 10) * (10 ** 800 - 6 * 10 ** 400 + 6), "inf"),
+        (1, -10 ** 400, 2, -2 * 10 ** 400, "-inf"),
+    ], ids=["positive", "negative"])
+    def test_float_echo_past_float_range(self, capsys, form, m, x, y, exact, echo):
+        # float(Fraction) raises OverflowError here; the echo is the IEEE rounding
+        code, out, err = run_cli(capsys, "eval", "--d", "1", "--m", str(m), "--n", str(m),
+                                 "--x", str(x), "--y", str(y), "--form", form, "--float")
+        assert (code, out, err) == (0, f"{exact}\n{echo}\n", "")
+
     def test_univariate_form_value(self, capsys):
         code, out, _ = run_cli(capsys, "eval", "--d", "1", "--m", "1", "--n", "1",
                                "--x", "0", "--y", "0", "--form", "univariate")

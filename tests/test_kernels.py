@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 import bdk.kernels
 from bdk.combinat import enumerate_multi_indices, index_factorial
 from bdk.kernels import (
-    BernsteinKernelForm,
     DiagonalKernelForm,
     KernelPolynomial,
     first_kernel_difference,
@@ -390,27 +389,15 @@ class TestCoordinateForm:
         assert coords.rows == [[6, 4, 2], [2, 4, 6]]
         assert coords.scale == F(1, 4)
 
-    def test_definitional_kernel_expands_once_on_first_read(self, monkeypatch):
-        calls = []
-        expand = BernsteinKernelForm.expand
-
-        def counted(form):
-            calls.append(form)
-            return expand(form)
-
-        monkeypatch.setattr(BernsteinKernelForm, "expand", counted)
+    def test_definitional_kernel_is_the_canonical_map(self):
         kernel = kernel_definition_twofold(2, 3, 2)
-        x, y = [F(1, 4), F(1, 3)], [F(2, 5), F(-1, 7)]
-        coordinates = kernel.coordinates
-        value = kernel.evaluate(x, y)
-        assert calls == [] and kernel.coordinates is coordinates
-        assert repr(kernel).startswith("<kernel d=2")
-        assert calls == [coordinates] and kernel.coordinates is None
         closed = to_canonical(kernel_closed_twofold(2, 3, 2))
+        x, y = [F(1, 4), F(1, 3)], [F(2, 5), F(-1, 7)]
+        assert type(kernel) is KernelPolynomial
         assert kernel == closed and hash(kernel) == hash(closed)
         assert kernel.terms == closed.terms and kernel.den == closed.den
-        assert kernel.evaluate(x, y) == value == closed.evaluate(x, y)
-        assert len(calls) == 1
+        assert kernel.evaluate(x, y) == closed.evaluate(x, y) == \
+            kernel_definition_coordinates((2, 3), 2).evaluate(x, y)
 
     @pytest.mark.parametrize("degrees, d", [((0, 0), 1), ((3, 2), 1), ((2, 4), 2),
                                             ((3, 1), 3), ((2, 1, 3), 2), ((2,), 2)])

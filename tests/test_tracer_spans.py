@@ -11,6 +11,10 @@ counts.  The tracer is loaded by path, as it is not part of the package.
 import importlib
 import importlib.util
 import inspect
+import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -25,7 +29,8 @@ from bdk.kernels import (
 )
 from bdk.polynomials import CartesianPolynomial
 
-TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACER = ROOT / "bench" / "tracer.py"
 
 
 def load_tracer():
@@ -72,3 +77,37 @@ def test_counts_read_the_same(build, terms, coef_bits):
 
 def test_coef_bits_of_a_diagonal_form():
     assert TRACER_MODULE._coef_bits(kernel_closed_twofold(8, 8, 2)) == 13
+
+
+#: Runs `bdk ARGS...` under the recorder, as a traced benchmark request does,
+#: with expansion into monomials refused; the summary goes to argv[1].
+TRACED_EVAL = """
+import sys
+import bdk.cli, bdk.kernels
+import tracer
+
+def refuse(*args, **kwargs):
+    raise AssertionError("expanded into monomials")
+
+bdk.kernels.BernsteinKernelForm.expand = refuse
+rec = tracer.install()
+code = bdk.cli.main(sys.argv[2:])
+tracer.write(rec, sys.argv[1])
+sys.exit(code)
+"""
+
+
+def test_traced_definition_eval_never_expands(tmp_path):
+    # the recorder reads counts off what each span returns; eval --form
+    # definition must hand it nothing whose reading expands the kernel
+    env = {"PATH": os.environ.get("PATH", os.defpath),
+           "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), str(TRACER.parent)])}
+    summary = tmp_path / "trace.json"
+    argv = ["eval", "--d", "3", "--m", "6", "--n", "6", "--x", "5/97,21/97,33/97",
+            "--y", "48/97,12/97,30/97", "--form", "definition"]
+    run = subprocess.run([sys.executable, "-c", TRACED_EVAL, str(summary), *argv], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert (run.returncode, run.stderr) == (0, "")
+    assert run.stdout == "140727262806359643835997208/45099753464703470019177665\n"
+    layers = json.loads(summary.read_text())["layers"]
+    assert layers["kernels.definition"][0] == 0

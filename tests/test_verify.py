@@ -37,6 +37,7 @@ CORRUPT_FAILURES = 155
 COUNTED = ((bdk.verify, "to_canonical"), (bdk.verify, "kernel_single"),
            (bdk.verify, "kernel_closed_twofold"),
            (bdk.verify, "kernel_definition_coordinates"),
+           (bdk.kernels.BernsteinKernelForm, "expand"),
            (bdk.verify, "inner_sum_identity"), (bdk.polynomials, "inner_product"))
 
 
@@ -69,9 +70,11 @@ def expected_work(cfg):
     canonical = singles + sum((cfg.degree_caps[d] + 1) ** 2 for d in cfg.d_range)
     # two-fold keys (d, m, n): the d = 1 checks reach univariate_cap
     twofold = {d: cfg.degree_caps[d] for d in cfg.d_range}
+    threefold = 0
     if 1 in cfg.d_range:
         canonical += (max(cfg.univariate_cap, cfg.legendre_cap) + 1) ** 2
-        canonical += (cfg.threefold_cap + 1) ** 3
+        threefold = (cfg.threefold_cap + 1) ** 3
+        canonical += threefold
         twofold[1] = max(twofold[1], cfg.univariate_cap)
     twofold_keys = sum((cap + 1) ** 2 for cap in twofold.values())
     # one lemma check per (n, beta degree), points_per_case points per beta
@@ -81,6 +84,8 @@ def expected_work(cfg):
         "kernel_single": singles,
         "kernel_closed_twofold": twofold_keys,
         "kernel_definition_coordinates": twofold_keys,
+        # one expansion into the canonical map per definitional kernel
+        "expand": twofold_keys + threefold,
         "inner_sum_identity": betas * cfg.points_per_case,
         "lemma_coefficients": betas,
         "inner_product": sum((cfg.operator_cap + 1) * monomials[d] ** 2
@@ -274,7 +279,7 @@ class TestRunSuite:
         _, counts = default_run
         assert counts == {"to_canonical": 513, "kernel_single": 21,
                           "kernel_closed_twofold": 195, "kernel_definition_coordinates": 195,
-                          "inner_sum_identity": 1250, "lemma_coefficients": 250,
+                          "expand": 411, "inner_sum_identity": 1250, "lemma_coefficients": 250,
                           "inner_product": 1500}
         assert counts == expected_work(SuiteConfig())
 
