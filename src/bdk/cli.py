@@ -29,7 +29,7 @@ from .kernels import (
     DiagonalKernelForm,
     KernelPolynomial,
     kernel_closed_twofold,
-    kernel_definition_coordinates,
+    kernel_definition_twofold,
     kernel_legendre,
     kernel_univariate_twofold,
     to_canonical,
@@ -179,7 +179,7 @@ def _build_kernel(form: str, m: int, n: int, d: int
     Bernstein coordinate form for 'definition', canonical for 'legendre'.
     Each is evaluated as it stands; only --dump-kernel canonicalizes it."""
     if form == "definition":
-        return kernel_definition_coordinates((m, n), d)
+        return kernel_definition_twofold(m, n, d)
     if form == "closed":
         return kernel_closed_twofold(m, n, d)
     if d != 1:

@@ -8,7 +8,8 @@ independent ways:
   sum over Bernstein index chains b_r, ..., b_1 of any length, straight
   from the operator definition -- the oracle.  It yields one integer
   coefficient per basis product B_{b_r}(x) B_{b_1}(y), a
-  `BernsteinKernelForm`; `kernel_definition` returns the same kernel as a
+  `BernsteinKernelForm`, as do `kernel_definition_twofold` and
+  `_threefold`; `kernel_definition` returns the same kernel as a
   canonical map, its products multiplied out into monomials;
 * diagonal closed forms: a factorial prefactor times a short sum of
   products B_l(x) B_l(y) over a single multi-index l, with a weight that
@@ -305,6 +306,13 @@ class BernsteinKernelForm:
         return Fraction(self.scale.numerator * total,
                         self.scale.denominator * qx_top * qy_top)
 
+    @property
+    def terms(self) -> Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], Fraction]:
+        """The nonzero coefficients scale * C[b][a] of B_a(x) B_b(y), keyed by (a, b)."""
+        scale = self.scale
+        return {(a, b): scale * c for b, row in zip(self.y_indices, self.rows)
+                for a, c in zip(self.x_indices, row) if c}
+
     def integrate_y(self) -> List[Fraction]:
         """Integrate the y block over the simplex, in the Bernstein basis of x.
 
@@ -441,9 +449,9 @@ def kernel_definition(degrees: Sequence[int], d: int) -> KernelPolynomial:
     return kernel_definition_coordinates(degrees, d).expand()
 
 
-def kernel_definition_twofold(m: int, n: int, d: int) -> KernelPolynomial:
-    """Brute-force kernel of M_m o M_n; see `kernel_definition`."""
-    return kernel_definition((m, n), d)
+def kernel_definition_twofold(m: int, n: int, d: int) -> BernsteinKernelForm:
+    """Brute-force kernel of M_m o M_n; see `kernel_definition_coordinates`."""
+    return kernel_definition_coordinates((m, n), d)
 
 
 def kernel_closed_twofold(m: int, n: int, d: int) -> DiagonalKernelForm:
@@ -497,9 +505,10 @@ def kernel_legendre(m: int, n: int) -> KernelPolynomial:
     return KernelPolynomial.from_integers(1, _outer_sum(zip(weights, legendre)), Fraction(1, den))
 
 
-def kernel_definition_threefold(n3: int, n2: int, n1: int, d: int) -> KernelPolynomial:
-    """Brute-force kernel of M_n3 o M_n2 o M_n1 (innermost n1); see `kernel_definition`."""
-    return kernel_definition((n3, n2, n1), d)
+def kernel_definition_threefold(n3: int, n2: int, n1: int, d: int) -> BernsteinKernelForm:
+    """Brute-force kernel of M_n3 o M_n2 o M_n1 (innermost n1); see
+    `kernel_definition_coordinates`."""
+    return kernel_definition_coordinates((n3, n2, n1), d)
 
 
 def kernel_closed_threefold(n3: int, n2: int, n1: int) -> DiagonalKernelForm:

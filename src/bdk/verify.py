@@ -30,8 +30,8 @@ from .kernels import (
     inner_sum_identity,
     kernel_closed_threefold,
     kernel_closed_twofold,
-    kernel_definition_coordinates,
     kernel_definition_threefold,
+    kernel_definition_twofold,
     kernel_legendre,
     kernel_single,
     kernel_univariate_twofold,
@@ -229,7 +229,7 @@ class _SuiteState:
     built once per run.  Every artifact is kept in one memo, keyed by its
     kind and parameters:
 
-    - "coordinates", kernel_definition_coordinates((m, n), d) per (d, m, n):
+    - "coordinates", kernel_definition_twofold(m, n, d) per (d, m, n):
       twofold_stochastic_in_y, and the "definition" kernel below.
     - "definition", the definitional kernel of M_m o M_n per (d, m, n): the
       coordinates above, expanded into the canonical map once, here:
@@ -246,7 +246,8 @@ class _SuiteState:
       (m, n): univariate_twofold_vs_definition and
       legendre_matches_univariate.
     - "threefold", the d = 1 definitional kernel of M_a o M_b o M_c per
-      (a, b, c): threefold_closed_equals_definition and
+      (a, b, c), expanded into the canonical map once, here:
+      threefold_closed_equals_definition and
       threefold_permutation_invariance.
     - "image", M_n f per (d, n, f): every operator_* family.
 
@@ -266,7 +267,7 @@ class _SuiteState:
 
     def coordinates(self, d: int, m: int, n: int) -> BernsteinKernelForm:
         return self._memo(("coordinates", d, m, n),
-                          lambda: kernel_definition_coordinates((m, n), d))
+                          lambda: kernel_definition_twofold(m, n, d))
 
     def definition(self, d: int, m: int, n: int) -> KernelPolynomial:
         return self._memo(("definition", d, m, n),
@@ -284,7 +285,7 @@ class _SuiteState:
 
     def threefold(self, a: int, b: int, c: int) -> KernelPolynomial:
         return self._memo(("threefold", a, b, c),
-                          lambda: kernel_definition_threefold(a, b, c, 1))
+                          lambda: kernel_definition_threefold(a, b, c, 1).expand())
 
     def image(self, d: int, degree: int, f: CartesianPolynomial) -> CartesianPolynomial:
         return self._memo(("image", d, degree, f),

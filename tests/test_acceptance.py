@@ -48,7 +48,7 @@ def twofold_kernels():
         key = (d, m, n)
         if key not in cache:
             cache[key] = (
-                kernel_definition_twofold(m, n, d),
+                kernel_definition_twofold(m, n, d).expand(),
                 to_canonical(kernel_closed_twofold(m, n, d)),
             )
         return cache[key]
@@ -77,7 +77,7 @@ def test_criterion_02_univariate_closed_form(twofold_kernels):
                 failures.append({"m": m, "n": n, "mismatch": "multivariate path"})
                 continue
             oracle = (twofold_kernels(1, m, n)[0] if max(m, n) <= TWOFOLD_CAPS[1]
-                      else kernel_definition_twofold(m, n, 1))
+                      else kernel_definition_twofold(m, n, 1).expand())
             diff = first_kernel_difference(to_canonical(univariate), oracle)
             if diff is not None:
                 failures.append({"m": m, "n": n, "diff": diff})
@@ -102,7 +102,7 @@ def test_criterion_04_threefold_closed_form():
     for a in range(6):
         for b in range(6):
             for c in range(6):
-                oracles[(a, b, c)] = kernel_definition_threefold(a, b, c, 1)
+                oracles[(a, b, c)] = kernel_definition_threefold(a, b, c, 1).expand()
                 diff = first_kernel_difference(
                     to_canonical(kernel_closed_threefold(a, b, c)), oracles[(a, b, c)])
                 if diff is not None:

@@ -190,7 +190,7 @@ class TestDefinitionInCoordinates:
                                "--dump-kernel", str(path))
         assert code == 0
         assert out == "3016/1225\n"
-        expected = json.dumps(kernel_definition_twofold(3, 2, 2).to_json_dict(), sort_keys=True)
+        expected = json.dumps(kernel_definition_twofold(3, 2, 2).expand().to_json_dict(), sort_keys=True)
         assert path.read_text() == expected + "\n"
         # digest of the file written when the definitional form was built canonical
         assert hashlib.sha256(path.read_bytes()).hexdigest() == \

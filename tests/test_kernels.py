@@ -120,7 +120,7 @@ class TestKernelIsAPolynomial:
             KernelPolynomial.from_json_dict(obj)
 
     def test_polynomial_functions_refuse_a_kernel(self):
-        kernel = kernel_definition_twofold(1, 1, 1)
+        kernel = kernel_definition_twofold(1, 1, 1).expand()
         one = CartesianPolynomial.constant(1, 1)
         with pytest.raises(ValueError):
             integrate_simplex(kernel)
@@ -208,8 +208,8 @@ class TestKernelSingle:
 
 class TestTwofoldKernels:
     def test_definition_trivial_cases(self):
-        assert kernel_definition_twofold(0, 0, 1).terms == {(0, 0): F(1)}
-        assert kernel_definition_twofold(0, 0, 2).terms == {(0, 0, 0, 0): F(2)}
+        assert kernel_definition_twofold(0, 0, 1).expand().terms == {(0, 0): F(1)}
+        assert kernel_definition_twofold(0, 0, 2).expand().terms == {(0, 0, 0, 0): F(2)}
 
     def test_definition_value_at_origin(self):
         # only the alpha = beta = (1,0) term survives at x = y = 0
@@ -220,7 +220,7 @@ class TestTwofoldKernels:
             for m in range(3):
                 for n in range(3):
                     closed = to_canonical(kernel_closed_twofold(m, n, d))
-                    assert closed == kernel_definition_twofold(m, n, d), (d, m, n)
+                    assert closed == kernel_definition_twofold(m, n, d).expand(), (d, m, n)
 
     def test_closed_one_one_expansion(self):
         assert to_canonical(kernel_closed_twofold(1, 1, 1)).terms == K11_TERMS
@@ -240,7 +240,7 @@ class TestTwofoldKernels:
 
     def test_stochastic_in_y(self):
         for d in (1, 2):
-            kernel = kernel_definition_twofold(2, 1, d)
+            kernel = kernel_definition_twofold(2, 1, d).expand()
             assert kernel.integrate_y() == CartesianPolynomial.constant(d, 1)
 
 
@@ -274,7 +274,7 @@ class TestLegendreKernel:
 
 class TestThreefoldKernels:
     def test_definition_trivial(self):
-        assert kernel_definition_threefold(0, 0, 0, 1).terms == {(0, 0): F(1)}
+        assert kernel_definition_threefold(0, 0, 0, 1).expand().terms == {(0, 0): F(1)}
 
     def test_definition_value_frozen(self):
         # triple-sum brute force at the origin, cross-checked by hand
@@ -290,19 +290,19 @@ class TestThreefoldKernels:
             for b in range(3):
                 for c in range(3):
                     closed = to_canonical(kernel_closed_threefold(a, b, c))
-                    assert closed == kernel_definition_threefold(a, b, c, 1), (a, b, c)
+                    assert closed == kernel_definition_threefold(a, b, c, 1).expand(), (a, b, c)
 
     def test_definition_permutation_invariance(self):
-        base = kernel_definition_threefold(2, 1, 0, 1)
+        base = kernel_definition_threefold(2, 1, 0, 1).expand()
         for perm in permutations((2, 1, 0)):
-            assert kernel_definition_threefold(*perm, 1) == base, perm
+            assert kernel_definition_threefold(*perm, 1).expand() == base, perm
 
     def test_closed_form_symmetric(self):
         forms = {kernel_closed_threefold(*perm) for perm in permutations((3, 1, 2))}
         assert len(forms) == 1
 
     def test_definition_supports_higher_dimension(self):
-        kernel = kernel_definition_threefold(1, 0, 1, 2)
+        kernel = kernel_definition_threefold(1, 0, 1, 2).expand()
         assert kernel.integrate_y() == CartesianPolynomial.constant(2, 1)
 
 
@@ -388,9 +388,13 @@ class TestCoordinateForm:
         # mult(a) mult(b) (a+b)!, and S = 3! 2! / (2! 1! 4!)
         assert coords.rows == [[6, 4, 2], [2, 4, 6]]
         assert coords.scale == F(1, 4)
+        # terms: scale * C[b][a], keyed by (a, b)
+        assert coords.terms == {((2, 0), (1, 0)): F(3, 2), ((1, 1), (1, 0)): F(1),
+                                ((0, 2), (1, 0)): F(1, 2), ((2, 0), (0, 1)): F(1, 2),
+                                ((1, 1), (0, 1)): F(1), ((0, 2), (0, 1)): F(3, 2)}
 
     def test_definitional_kernel_is_the_canonical_map(self):
-        kernel = kernel_definition_twofold(2, 3, 2)
+        kernel = kernel_definition((2, 3), 2)
         closed = to_canonical(kernel_closed_twofold(2, 3, 2))
         x, y = [F(1, 4), F(1, 3)], [F(2, 5), F(-1, 7)]
         assert type(kernel) is KernelPolynomial
@@ -479,7 +483,7 @@ class TestEvalAndDiff:
         assert k.evaluate(x, y) == k.evaluate(y, x)
 
     def test_first_difference_none_for_equal(self):
-        k = kernel_definition_twofold(1, 1, 1)
+        k = kernel_definition_twofold(1, 1, 1).expand()
         assert first_kernel_difference(k, k) is None
 
     def test_first_difference_witness(self):

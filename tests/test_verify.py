@@ -36,7 +36,7 @@ CORRUPT_FAILURES = 155
 #: (module, name) of the functions whose calls the work-count tests count.
 COUNTED = ((bdk.verify, "to_canonical"), (bdk.verify, "kernel_single"),
            (bdk.verify, "kernel_closed_twofold"),
-           (bdk.verify, "kernel_definition_coordinates"),
+           (bdk.verify, "kernel_definition_twofold"),
            (bdk.kernels.BernsteinKernelForm, "expand"),
            (bdk.verify, "inner_sum_identity"), (bdk.polynomials, "inner_product"))
 
@@ -83,7 +83,7 @@ def expected_work(cfg):
         "to_canonical": canonical,
         "kernel_single": singles,
         "kernel_closed_twofold": twofold_keys,
-        "kernel_definition_coordinates": twofold_keys,
+        "kernel_definition_twofold": twofold_keys,
         # one expansion into the canonical map per definitional kernel
         "expand": twofold_keys + threefold,
         "inner_sum_identity": betas * cfg.points_per_case,
@@ -278,7 +278,7 @@ class TestRunSuite:
     def test_default_run_builds_each_input_once(self, default_run):
         _, counts = default_run
         assert counts == {"to_canonical": 513, "kernel_single": 21,
-                          "kernel_closed_twofold": 195, "kernel_definition_coordinates": 195,
+                          "kernel_closed_twofold": 195, "kernel_definition_twofold": 195,
                           "expand": 411, "inner_sum_identity": 1250, "lemma_coefficients": 250,
                           "inner_product": 1500}
         assert counts == expected_work(SuiteConfig())
@@ -335,13 +335,13 @@ class TestRunSuite:
         assert {c.name for c in report.failures} == {"inner_sum_collapse"}
 
     def test_stochastic_check_catches_a_perturbed_coordinate(self, monkeypatch):
-        original = bdk.verify.kernel_definition_coordinates
+        original = bdk.verify.kernel_definition_twofold
 
-        def perturbed(degrees, d):
-            form = original(degrees, d)
+        def perturbed(m, n, d):
+            form = original(m, n, d)
             form.rows[0][-1] += 1
             return form
-        monkeypatch.setattr(bdk.verify, "kernel_definition_coordinates", perturbed)
+        monkeypatch.setattr(bdk.verify, "kernel_definition_twofold", perturbed)
         report = run_suite(tiny_config(d_range=(1, 2)))
         records = [c for c in report.checks if c.name == "twofold_stochastic_in_y"]
         assert records
