@@ -21,6 +21,7 @@ from .kernels import (
     BernsteinKernelForm,
     DiagonalKernelForm,
     KernelPolynomial,
+    first_coordinate_difference,
     first_kernel_difference,
     inner_sum_identity,
     kernel_closed_threefold,
@@ -69,6 +70,7 @@ __all__ = [
     "BernsteinKernelForm",
     "DiagonalKernelForm",
     "KernelPolynomial",
+    "first_coordinate_difference",
     "first_kernel_difference",
     "inner_sum_identity",
     "kernel_closed_threefold",

@@ -15,10 +15,17 @@ independent ways:
   products B_l(x) B_l(y) over a single multi-index l, with a weight that
   depends on l only through its degree |l|; one weight per degree is stored.
 
-Every form canonicalizes to a sparse polynomial in the 2d variables
-x_1..x_d, y_1..y_d (the dependent coordinates x_0, y_0 eliminated), so
-claimed identities are decided by literal map equality rather than
-sampling.
+Claimed identities are decided in Bernstein coordinates.  The products
+B_a(x) B_b(y), |a| = m and |b| = n, form a basis of the kernels of those
+degrees, so two kernels are equal exactly when their coefficient matrices
+in that basis are: `DiagonalKernelForm.coordinates` writes a closed form
+there by degree elevation, `BernsteinKernelForm.elevate` raises either
+side of a form to a higher degree, and `first_coordinate_difference`
+compares two forms entry by entry with their scales cross-multiplied.
+Every form also canonicalizes to a sparse polynomial in the 2d variables
+x_1..x_d, y_1..y_d (the dependent coordinates x_0, y_0 eliminated), the
+map `to_canonical` and `BernsteinKernelForm.expand` build for output and
+for the Legendre expansion, which has no Bernstein form.
 
 The definitional builder and canonicalization accumulate Python ints and
 apply one rational scale per output coefficient at the end.  They use
@@ -33,9 +40,9 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product as _cartesian_product
-from math import prod
+from math import comb, gcd, prod
 from operator import add, mul
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .combinat import (
     FactorialTable,
@@ -79,6 +86,7 @@ __all__ = [
     "inner_sum_identity",
     "to_canonical",
     "first_kernel_difference",
+    "first_coordinate_difference",
 ]
 
 PointLike = Union[BarycentricPoint, "list[Fraction]", tuple]
@@ -224,6 +232,39 @@ class DiagonalKernelForm:
         """Copy with a replaced prefactor (used by mutation self-tests)."""
         return DiagonalKernelForm(self.d, scale, self.terms)
 
+    def coordinates(self, m: int, n: int) -> "BernsteinKernelForm":
+        """This kernel in the product basis B_a(x) B_b(y), |a| = m and |b| = n.
+
+        Degree elevation (`_elevation`) writes each B_l of degree j <= m as
+        sum_{|a|=m, a>=l} C(a, l)/C(m, j) B_a, so the coefficient of
+        B_a(x) B_b(y) is
+            scale * sum_{|l| <= min(m, n)} w_|l| / (C(m, |l|) C(n, |l|)) * C(a, l) C(b, l).
+        With those degree factors over a common denominator D, each l adds
+        its integer factor times the outer product of its two elevation
+        columns, and the scale is scale / D.  Only the weights are read.
+        The indices are listed as `kernel_definition_coordinates((m, n), d)`
+        lists them.
+        """
+        m, n = check_degree(m), check_degree(n)
+        top = self.max_index_degree()
+        if top > min(m, n):
+            raise ValueError(f"a diagonal form of index degree {top} has no "
+                             f"coordinates at degrees ({m}, {n})")
+        d = self.d
+        x_indices = enumerate_multi_indices(m, d)
+        y_indices = x_indices if n == m else enumerate_multi_indices(n, d)
+        den, factors = clear_denominators(w / (comb(m, j) * comb(n, j)) for j, w in self.terms)
+        rows = [[0] * len(x_indices) for _ in y_indices]
+        for (j, _), factor in zip(self.terms, factors):
+            x_columns = _elevation(j, m, d)
+            y_columns = x_columns if n == m else _elevation(j, n, d)
+            for x_column, y_column in zip(x_columns, y_columns):
+                for i, e in y_column:
+                    row, e = rows[i], factor * e
+                    for k, c in x_column:
+                        row[k] += e * c
+        return BernsteinKernelForm(d, self.scale / den, x_indices, y_indices, rows)
+
     def evaluate(self, x: PointLike, y: PointLike) -> Fraction:
         (row,) = self.evaluate_grid([x], [y])
         return row[0]
@@ -274,7 +315,9 @@ class BernsteinKernelForm:
     indices b of the innermost degree n, and rows[i] is the integer row
     C[y_indices[i]] over x_indices.  This is the definitional kernel as
     `kernel_definition_coordinates` computes it, before anything is
-    expanded into monomials.
+    expanded into monomials, and a closed form as
+    `DiagonalKernelForm.coordinates` elevates it; two forms on one basis
+    are compared by `first_coordinate_difference`.
     """
 
     __slots__ = ("d", "scale", "x_indices", "y_indices", "rows")
@@ -325,6 +368,65 @@ class BernsteinKernelForm:
         n = sum(self.y_indices[0])
         unit = self.scale * Fraction(factorial(n), factorial(n + self.d))
         return [unit * total for total in map(sum, zip(*self.rows))]
+
+    def transpose(self) -> "BernsteinKernelForm":
+        """Swap the roles of x and y."""
+        return BernsteinKernelForm(self.d, self.scale, self.y_indices, self.x_indices,
+                                   [list(column) for column in zip(*self.rows)])
+
+    def elevate(self, m: int, n: int) -> "BernsteinKernelForm":
+        """The same kernel over x degree m >= m0 and y degree n >= n0.
+
+        Degree elevation (`_elevation`) writes each B_a of degree m0 as
+        sum_{|a'|=m, a'>=a} C(a', a)/C(m, m0) B_a', so the matrix becomes
+            C'[b'][a'] = sum_{a<=a', b<=b'} C(a', a) C(b', b) C[b][a]
+        and the scale falls by C(m, m0) C(n, n0).  The y side is elevated
+        row by row, the x side the same way on the transpose.
+        """
+        m, n = check_degree(m), check_degree(n)
+        m0, n0 = sum(self.x_indices[0]), sum(self.y_indices[0])
+        if m < m0 or n < n0:
+            raise ValueError(f"cannot lower degrees ({m0}, {n0}) to ({m}, {n})")
+        form = self._elevate_y(n)
+        return form if m == m0 else form.transpose()._elevate_y(m).transpose()
+
+    def _elevate_y(self, n: int) -> "BernsteinKernelForm":
+        n0 = sum(self.y_indices[0])
+        if n == n0:
+            return self
+        d = self.d
+        rows = [[0] * len(self.x_indices) for _ in range(comb(n + d, d))]
+        for row, column in zip(self.rows, _elevation(n0, n, d)):
+            # a column repeats its coefficients: scale the row once per value
+            scaled = {1: row}
+            for i, e in column:
+                v = scaled.get(e)
+                if v is None:
+                    v = scaled[e] = [e * c for c in row]
+                rows[i] = list(map(add, rows[i], v))
+        return BernsteinKernelForm(d, self.scale / comb(n, n0), self.x_indices,
+                                   enumerate_multi_indices(n, d), rows)
+
+    @staticmethod
+    def linear_combination(pairs: Iterable[Tuple[Fraction, "BernsteinKernelForm"]]
+                           ) -> "BernsteinKernelForm":
+        """sum c_k K_k over (c_k, K_k) pairs of forms on one basis.
+
+        With c_k scale_k = W_k / D over a common denominator, the matrix is
+        the integer sum  sum W_k C_k  and the scale 1 / D.
+        """
+        pairs = list(pairs)
+        first = pairs[0][1]
+        den, weights = clear_denominators(c * form.scale for c, form in pairs)
+        rows = [[0] * len(first.x_indices) for _ in first.y_indices]
+        for w, (_, form) in zip(weights, pairs):
+            if (form.d, form.x_indices, form.y_indices) != (first.d, first.x_indices,
+                                                            first.y_indices):
+                raise ValueError("a linear combination needs forms on one basis")
+            rows = [[t + w * c for t, c in zip(total, row)]
+                    for total, row in zip(rows, form.rows)]
+        return BernsteinKernelForm(first.d, Fraction(1, den), first.x_indices,
+                                   first.y_indices, rows)
 
     def expand(self) -> KernelPolynomial:
         """The canonical map: each B_a(x) B_b(y) multiplied out into monomials.
@@ -588,6 +690,51 @@ def to_canonical(form: DiagonalKernelForm) -> KernelPolynomial:
     acc = _outer_sum((w, terms) for (j, _), w in zip(form.terms, weights)
                      for terms in _basis_terms(enumerate_multi_indices(j, form.d)))
     return KernelPolynomial.from_integers(form.d, acc, form.scale / den)
+
+
+@lru_cache(maxsize=None)
+def _elevation(j: int, m: int, d: int) -> Tuple[Tuple[Tuple[int, int], ...], ...]:
+    """Degree elevation from j to m >= j: one column per index l of degree j.
+
+    Multiplying B_l = mult(l) x^l by 1 = (x_0 + ... + x_d)^(m-j) gives
+        B_l = sum_{|a|=m, a>=l} C(a, l) / C(m, j) * B_a,
+    with C(a, l) = prod_v C(a_v, l_v).  The column of l lists the pairs
+    (i, C(a, l)) over those a, i the position of a in
+    `enumerate_multi_indices(m, d)`; the columns follow
+    `enumerate_multi_indices(j, d)`.  Built once per (j, m, d).
+    """
+    position = {a: i for i, a in enumerate(enumerate_multi_indices(m, d))}
+    shifts = enumerate_multi_indices(m - j, d)
+    columns = []
+    for ell in enumerate_multi_indices(j, d):
+        above = [tuple(map(add, ell, c)) for c in shifts]
+        columns.append(tuple((position[a], prod(map(comb, a, ell))) for a in above))
+    return tuple(columns)
+
+
+def first_coordinate_difference(lhs: BernsteinKernelForm,
+                                rhs: BernsteinKernelForm) -> Optional[dict]:
+    """First coefficient, row by row, where two kernels on one basis differ.
+
+    With lhs.scale = p/q and rhs.scale = p'/q', the coefficients of
+    B_a(x) B_b(y) agree exactly when  p q' C[b][a] = p' q C'[b][a], so the
+    rows are compared as integers.  Returns None when the kernels are
+    identical; otherwise a witness with the indices a and b and both
+    coefficients, for failure reports.
+    """
+    if (lhs.d, lhs.x_indices, lhs.y_indices) != (rhs.d, rhs.x_indices, rhs.y_indices):
+        raise ValueError("kernels in Bernstein coordinates are compared on one basis")
+    p = lhs.scale.numerator * rhs.scale.denominator
+    q = rhs.scale.numerator * lhs.scale.denominator
+    g = gcd(p, q) or 1
+    p, q = p // g, q // g
+    for b, left, right in zip(lhs.y_indices, lhs.rows, rhs.rows):
+        if left != right if p == q else [p * c for c in left] != [q * c for c in right]:
+            for a, u, v in zip(lhs.x_indices, left, right):
+                if p * u != q * v:
+                    return {"a": list(a), "b": list(b), "lhs": format_rational(lhs.scale * u),
+                            "rhs": format_rational(rhs.scale * v)}
+    return None
 
 
 def first_kernel_difference(lhs: KernelPolynomial, rhs: KernelPolynomial) -> Optional[dict]:

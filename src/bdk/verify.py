@@ -2,9 +2,10 @@
 
 Runs every kernel and operator identity the library claims, across
 configurable degree/dimension ranges, and assembles a deterministic JSON
-report.  A failing polynomial identity is reported with the first
-differing monomial pair so exact-arithmetic mismatches can be debugged
-directly from the report.
+report.  Kernel identities are decided in Bernstein coordinates: a failing
+one is reported with the first differing basis pair B_a(x) B_b(y), and a
+failing polynomial identity with the first differing monomial, so
+exact-arithmetic mismatches can be debugged directly from the report.
 """
 from __future__ import annotations
 
@@ -26,6 +27,7 @@ from .kernels import (
     BernsteinKernelForm,
     DiagonalKernelForm,
     KernelPolynomial,
+    first_coordinate_difference,
     first_kernel_difference,
     inner_sum_identity,
     kernel_closed_threefold,
@@ -216,6 +218,22 @@ def _kernel_equal(lhs: KernelPolynomial, rhs: KernelPolynomial) -> Tuple[bool, O
     return (diff is None), diff
 
 
+def _coordinates_equal(lhs: BernsteinKernelForm,
+                       rhs: BernsteinKernelForm) -> Tuple[bool, Optional[dict]]:
+    diff = first_coordinate_difference(lhs, rhs)
+    return (diff is None), diff
+
+
+def _stochastic(form: BernsteinKernelForm) -> Tuple[bool, Optional[dict]]:
+    """Whether the y integral of a kernel is 1: every coefficient of
+    `BernsteinKernelForm.integrate_y` is, as the B_a(x) are independent and
+    sum to 1.  The witness names the first outermost index a that is not."""
+    for a, c in zip(form.x_indices, form.integrate_y()):
+        if c != 1:
+            return False, {"a": list(a), "lhs": format_rational(c), "rhs": "1"}
+    return True, None
+
+
 def _poly_witness(lhs: CartesianPolynomial, rhs: CartesianPolynomial) -> Tuple[bool, Optional[dict]]:
     found = lhs.first_difference(rhs)
     if found is None:
@@ -229,30 +247,28 @@ class _SuiteState:
     built once per run.  Every artifact is kept in one memo, keyed by its
     kind and parameters:
 
-    - "coordinates", kernel_definition_twofold(m, n, d) per (d, m, n):
-      twofold_stochastic_in_y, and the "definition" kernel below.
-    - "definition", the definitional kernel of M_m o M_n per (d, m, n): the
-      coordinates above, expanded into the canonical map once, here:
-      twofold_closed_equals_definition, twofold_symmetry_xy,
-      twofold_symmetry_degrees, univariate_twofold_vs_definition and
+    - "coordinates", kernel_definition_twofold(m, n, d) per (d, m, n), in
+      Bernstein coordinates: twofold_closed_equals_definition,
+      twofold_stochastic_in_y, twofold_symmetry_xy, twofold_symmetry_degrees,
+      univariate_twofold_vs_definition and
       composition_linear_combination_kernel.
     - "closed", kernel_closed_twofold(m, n, d) per (d, m, n):
       twofold_closed_equals_definition (which corrupts a with_scale copy,
       never the form kept here), diagonal_truncation and
       univariate_twofold_path.
-    - "single", to_canonical(kernel_single(k, d)) per (d, k):
-      single_stochastic_in_y and composition_linear_combination_kernel.
-    - "univariate", to_canonical(kernel_univariate_twofold(m, n)) per
-      (m, n): univariate_twofold_vs_definition and
+    - "single", kernel_single(k, d) per (d, k): single_stochastic_in_y and
+      composition_linear_combination_kernel.
+    - "univariate", kernel_univariate_twofold(m, n) per (m, n):
+      univariate_twofold_path, univariate_twofold_vs_definition and
       legendre_matches_univariate.
-    - "threefold", the d = 1 definitional kernel of M_a o M_b o M_c per
-      (a, b, c), expanded into the canonical map once, here:
+    - "threefold", kernel_definition_threefold(a, b, c, 1) per (a, b, c):
       threefold_closed_equals_definition and
       threefold_permutation_invariance.
     - "image", M_n f per (d, n, f): every operator_* family.
 
-    The canonical closed two-fold kernel has one reader per key, so it is
-    built in its check and not kept.
+    What a check derives from these, a closed form's coordinates, a form
+    elevated to a common degree or the canonical map the Legendre check
+    compares, has one reader and is built in the check, not kept.
     """
 
     def __init__(self):
@@ -269,23 +285,18 @@ class _SuiteState:
         return self._memo(("coordinates", d, m, n),
                           lambda: kernel_definition_twofold(m, n, d))
 
-    def definition(self, d: int, m: int, n: int) -> KernelPolynomial:
-        return self._memo(("definition", d, m, n),
-                          lambda: self.coordinates(d, m, n).expand())
-
     def closed(self, d: int, m: int, n: int) -> DiagonalKernelForm:
         return self._memo(("closed", d, m, n), lambda: kernel_closed_twofold(m, n, d))
 
-    def single(self, d: int, k: int) -> KernelPolynomial:
-        return self._memo(("single", d, k), lambda: to_canonical(kernel_single(k, d)))
+    def single(self, d: int, k: int) -> DiagonalKernelForm:
+        return self._memo(("single", d, k), lambda: kernel_single(k, d))
 
-    def univariate(self, m: int, n: int) -> KernelPolynomial:
-        return self._memo(("univariate", m, n),
-                          lambda: to_canonical(kernel_univariate_twofold(m, n)))
+    def univariate(self, m: int, n: int) -> DiagonalKernelForm:
+        return self._memo(("univariate", m, n), lambda: kernel_univariate_twofold(m, n))
 
-    def threefold(self, a: int, b: int, c: int) -> KernelPolynomial:
+    def threefold(self, a: int, b: int, c: int) -> BernsteinKernelForm:
         return self._memo(("threefold", a, b, c),
-                          lambda: kernel_definition_threefold(a, b, c, 1).expand())
+                          lambda: kernel_definition_threefold(a, b, c, 1))
 
     def image(self, d: int, degree: int, f: CartesianPolynomial) -> CartesianPolynomial:
         return self._memo(("image", d, degree, f),
@@ -325,20 +336,18 @@ def _twofold_jobs(cfg: SuiteConfig, state: _SuiteState) -> Iterator[Job]:
                     form = state.closed(d, m, n)
                     if cfg.corrupt_scale:
                         form = form.with_scale(2 * form.scale)
-                    return _kernel_equal(to_canonical(form), state.definition(d, m, n))
+                    return _coordinates_equal(form.coordinates(m, n),
+                                              state.coordinates(d, m, n))
                 yield "twofold_closed_equals_definition", params, closed_vs_def
 
                 def stochastic(d=d, m=m, n=n):
-                    form = state.coordinates(d, m, n)
-                    for a, c in zip(form.x_indices, form.integrate_y()):
-                        if c != 1:
-                            return False, {"a": list(a), "lhs": format_rational(c), "rhs": "1"}
-                    return True, None
+                    return _stochastic(state.coordinates(d, m, n))
                 yield "twofold_stochastic_in_y", params, stochastic
 
                 def symmetric_xy(d=d, m=m, n=n):
-                    k = state.definition(d, m, n)
-                    return _kernel_equal(k, k.transpose())
+                    top = max(m, n)
+                    k = state.coordinates(d, m, n).elevate(top, top)
+                    return _coordinates_equal(k, k.transpose())
                 yield "twofold_symmetry_xy", params, symmetric_xy
 
                 def truncated(d=d, m=m, n=n):
@@ -350,14 +359,13 @@ def _twofold_jobs(cfg: SuiteConfig, state: _SuiteState) -> Iterator[Job]:
 
                 if m < n:
                     def symmetric_degrees(d=d, m=m, n=n):
-                        return _kernel_equal(state.definition(d, m, n),
-                                             state.definition(d, n, m))
+                        return _coordinates_equal(state.coordinates(d, m, n).elevate(n, n),
+                                                  state.coordinates(d, n, m).elevate(n, n))
                     yield "twofold_symmetry_degrees", params, symmetric_degrees
 
         for k in range(cap + 1):
             def single_stochastic(d=d, k=k):
-                return _poly_witness(state.single(d, k).integrate_y(),
-                                     CartesianPolynomial.constant(d, 1))
+                return _stochastic(state.single(d, k).coordinates(k, k))
             yield "single_stochastic_in_y", {"d": d, "n": k}, single_stochastic
 
 
@@ -365,21 +373,23 @@ def _univariate_jobs(cfg: SuiteConfig, state: _SuiteState) -> Iterator[Job]:
     for m in range(cfg.univariate_cap + 1):
         for n in range(cfg.univariate_cap + 1):
             def uni_path(m=m, n=n):
-                uni = kernel_univariate_twofold(m, n)
+                uni = state.univariate(m, n)
                 multi = state.closed(1, m, n)
                 if uni == multi:
                     return True, None
-                return _kernel_equal(to_canonical(uni), to_canonical(multi))
+                return _coordinates_equal(uni.coordinates(m, n), multi.coordinates(m, n))
             yield "univariate_twofold_path", {"m": m, "n": n}, uni_path
 
             def uni_vs_def(m=m, n=n):
-                return _kernel_equal(state.univariate(m, n), state.definition(1, m, n))
+                return _coordinates_equal(state.univariate(m, n).coordinates(m, n),
+                                          state.coordinates(1, m, n))
             yield "univariate_twofold_vs_definition", {"m": m, "n": n}, uni_vs_def
 
     for m in range(cfg.legendre_cap + 1):
         for n in range(cfg.legendre_cap + 1):
             def legendre(m=m, n=n):
-                return _kernel_equal(kernel_legendre(m, n), state.univariate(m, n))
+                # the Legendre expansion has no Bernstein form: the one monomial check
+                return _kernel_equal(kernel_legendre(m, n), to_canonical(state.univariate(m, n)))
             yield "legendre_matches_univariate", {"m": m, "n": n}, legendre
 
 
@@ -389,8 +399,8 @@ def _threefold_jobs(cfg: SuiteConfig, state: _SuiteState) -> Iterator[Job]:
         for b in range(cap + 1):
             for c in range(cap + 1):
                 def closed_vs_def(a=a, b=b, c=c):
-                    return _kernel_equal(to_canonical(kernel_closed_threefold(a, b, c)),
-                                         state.threefold(a, b, c))
+                    return _coordinates_equal(kernel_closed_threefold(a, b, c).coordinates(a, c),
+                                              state.threefold(a, b, c))
                 yield ("threefold_closed_equals_definition",
                        {"n3": a, "n2": b, "n1": c}, closed_vs_def)
 
@@ -399,10 +409,10 @@ def _threefold_jobs(cfg: SuiteConfig, state: _SuiteState) -> Iterator[Job]:
         for b in range(a, perm_cap + 1):
             for c in range(b, perm_cap + 1):
                 def permuted(a=a, b=b, c=c):
-                    base = state.threefold(a, b, c)
-                    for perm in {(a, b, c), (a, c, b), (b, a, c),
-                                 (b, c, a), (c, a, b), (c, b, a)}:
-                        ok, diff = _kernel_equal(state.threefold(*perm), base)
+                    # a <= b <= c: every permutation's outer and inner degree is at most c
+                    base = state.threefold(a, b, c).elevate(c, c)
+                    for perm in {(a, c, b), (b, a, c), (b, c, a), (c, a, b), (c, b, a)}:
+                        ok, diff = _coordinates_equal(state.threefold(*perm).elevate(c, c), base)
                         if not ok:
                             diff["permutation"] = list(perm)
                             return False, diff
@@ -430,10 +440,10 @@ def _combination_jobs(cfg: SuiteConfig, state: _SuiteState) -> Iterator[Job]:
                 yield "composition_coefficients_convex", params, convex
 
                 def combo_kernel(d=d, m=m, n=n):
-                    acc = KernelPolynomial.linear_combination(
-                        d, ((ck, state.single(d, k))
-                            for k, ck in enumerate(composition_coefficients(m, n, d))))
-                    return _kernel_equal(acc, state.definition(d, m, n))
+                    acc = BernsteinKernelForm.linear_combination(
+                        (ck, state.single(d, k).coordinates(m, n))
+                        for k, ck in enumerate(composition_coefficients(m, n, d)))
+                    return _coordinates_equal(acc, state.coordinates(d, m, n))
                 yield "composition_linear_combination_kernel", params, combo_kernel
 
 

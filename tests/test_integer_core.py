@@ -314,7 +314,7 @@ def test_definitional_builders_use_no_closed_form_code(monkeypatch, d):
         raise AssertionError("a definitional builder called closed-form code")
 
     for name in ("kernel_closed_twofold", "kernel_closed_threefold", "kernel_single",
-                 "to_canonical", "DiagonalKernelForm", "_outer_sum"):
+                 "to_canonical", "DiagonalKernelForm", "_outer_sum", "_elevation"):
         monkeypatch.setattr(bdk.kernels, name, forbidden)
     two = bdk.kernels.kernel_definition_twofold(3, 2, d).expand()
     three = bdk.kernels.kernel_definition_threefold(2, 1, 2, d).expand()

@@ -8,8 +8,10 @@ from hypothesis import given, settings, strategies as st
 import bdk.kernels
 from bdk.combinat import enumerate_multi_indices, index_factorial
 from bdk.kernels import (
+    BernsteinKernelForm,
     DiagonalKernelForm,
     KernelPolynomial,
+    first_coordinate_difference,
     first_kernel_difference,
     inner_sum_identity,
     kernel_closed_threefold,
@@ -423,6 +425,97 @@ class TestCoordinateForm:
         size = len(coords.x_indices)
         assert coords.rows == [[int(i == j) for j in range(size)] for i in range(size)]
         assert coords.scale == 12  # (n+d)!/n! = 4!/2!
+
+
+nonzero_rationals = st.fractions(min_value=-9, max_value=9, max_denominator=30).filter(bool)
+
+
+@st.composite
+def diagonal_forms_and_degrees(draw):
+    """(form, m, n): a diagonal form with random rational weights whose index
+    degree is at most min(m, n) <= 4."""
+    d = draw(st.integers(1, 3))
+    m, n = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    degrees = draw(st.lists(st.integers(0, min(m, n)), unique=True, max_size=3))
+    form = DiagonalKernelForm(d, draw(nonzero_rationals),
+                              [(j, draw(nonzero_rationals)) for j in degrees])
+    return form, m, n
+
+
+@st.composite
+def bernstein_forms(draw):
+    """A kernel in Bernstein coordinates with a random integer matrix."""
+    d = draw(st.integers(1, 3))
+    m, n = draw(st.integers(0, 3 if d < 3 else 2)), draw(st.integers(0, 3 if d < 3 else 2))
+    x_indices, y_indices = enumerate_multi_indices(m, d), enumerate_multi_indices(n, d)
+    entry = st.integers(-50, 50)
+    rows = draw(st.lists(st.lists(entry, min_size=len(x_indices), max_size=len(x_indices)),
+                         min_size=len(y_indices), max_size=len(y_indices)))
+    return BernsteinKernelForm(d, draw(nonzero_rationals), x_indices, y_indices, rows)
+
+
+class TestClosedCoordinates:
+    """DiagonalKernelForm.coordinates and BernsteinKernelForm.elevate: degree
+    elevation into the product basis, checked against the canonical map."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(diagonal_forms_and_degrees())
+    def test_coordinates_expand_to_the_canonical_map(self, case):
+        form, m, n = case
+        coords = form.coordinates(m, n)
+        assert coords.x_indices == enumerate_multi_indices(m, form.d)
+        assert coords.y_indices == enumerate_multi_indices(n, form.d)
+        assert coords.expand() == to_canonical(form)
+
+    @settings(max_examples=40, deadline=None)
+    @given(bernstein_forms(), st.integers(0, 2), st.integers(0, 2))
+    def test_elevation_keeps_the_kernel(self, form, up_x, up_y):
+        m, n = sum(form.x_indices[0]) + up_x, sum(form.y_indices[0]) + up_y
+        elevated = form.elevate(m, n)
+        assert elevated.x_indices == enumerate_multi_indices(m, form.d)
+        assert elevated.y_indices == enumerate_multi_indices(n, form.d)
+        assert elevated.expand() == form.expand()
+        assert elevated.transpose().expand() == form.expand().transpose()
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_closed_coordinates_are_the_definitional_ones(self, d):
+        for m, n in [(0, 0), (3, 0), (1, 2), (3, 3)]:
+            assert first_coordinate_difference(kernel_closed_twofold(m, n, d).coordinates(m, n),
+                                               kernel_definition_twofold(m, n, d)) is None
+
+    def test_elevation_lowers_the_scale(self):
+        # B^1_(1,0) = B^2_(2,0) + B^2_(1,1) / 2: coefficients C(a, l) = 2, 1, scale / C(2, 1)
+        form = BernsteinKernelForm(1, F(3), [(1, 0), (0, 1)], [(0, 0)], [[1, 0]])
+        elevated = form.elevate(2, 0)
+        assert elevated.rows == [[2, 1, 0]] and elevated.scale == F(3, 2)
+        with pytest.raises(ValueError, match="cannot lower"):
+            elevated.elevate(1, 0)
+
+    def test_coordinates_refuse_an_index_above_the_degrees(self):
+        form = kernel_closed_twofold(3, 3, 2)
+        with pytest.raises(ValueError, match="index degree 3"):
+            form.coordinates(2, 5)
+        with pytest.raises(ValueError, match="index degree 3"):
+            form.coordinates(4, 2)
+        assert form.coordinates(3, 4).expand() == to_canonical(form)
+
+    def test_difference_cross_multiplies_the_scales(self):
+        coords = kernel_definition_twofold(2, 1, 1)
+        same = BernsteinKernelForm(1, coords.scale / 3, coords.x_indices, coords.y_indices,
+                                   [[3 * c for c in row] for row in coords.rows])
+        assert first_coordinate_difference(coords, same) is None
+        same.rows[1][2] += 1  # C[(0, 1)][(0, 2)]
+        assert first_coordinate_difference(coords, same) == {
+            "a": [0, 2], "b": [0, 1], "lhs": "3/2", "rhs": "19/12"}
+        with pytest.raises(ValueError, match="one basis"):
+            first_coordinate_difference(coords, coords.transpose())
+
+    def test_linear_combination(self):
+        parts = [(F(1, 3), kernel_single(k, 2).coordinates(2, 3)) for k in range(3)]
+        total = BernsteinKernelForm.linear_combination(parts)
+        expected = sum((c * to_canonical(kernel_single(k, 2)) for k, (c, _) in enumerate(parts)),
+                       KernelPolynomial(2, {}))
+        assert total.expand() == expected
 
 
 class TestInnerSumIdentity:

@@ -11,6 +11,7 @@ import bdk.kernels
 import bdk.polynomials
 import bdk.verify
 from bdk.combinat import enumerate_multi_indices
+from bdk.kernels import DiagonalKernelForm
 from bdk.polynomials import CartesianPolynomial
 from bdk.verify import (
     FAMILY_CAPS,
@@ -27,9 +28,13 @@ from bdk.verify import (
 #: report schema moves it.
 DEFAULT_BODY_SHA256 = "3a5d50b4c388abc3a60e063cd90f2984f5b788e5dd423c6d2beb12f899929e21"
 
+#: sha256 of the report body of SuiteConfig(d_range=(3,), max_degree=6), whose
+#: d = 3 two-fold checks elevate forms with m != n.
+D3_BODY_SHA256 = "e560a1711a825959d2af6fdae9a276c17c16e98e78081ee907f7792cd686918a"
+
 #: sha256 of the default report body with the closed-form prefactor doubled
 #: (`--self-test-corrupt`), and how many of its checks fail.
-CORRUPT_BODY_SHA256 = "e27254010e61807febd8a2651a25b9b2130ffef44f026a3a5d9f6133c8648844"
+CORRUPT_BODY_SHA256 = "0bf7e9a50a3bf474762b6ff9b4afcb38db63238d265553e8ed93ac280794af3f"
 CORRUPT_FAILURES = 155
 
 
@@ -67,14 +72,13 @@ def expected_work(cfg):
     operator_dims = [d for d in cfg.d_range if d <= 2]
     monomials = {d: comb(cfg.operator_monomial_degree + d, d) for d in operator_dims}
     singles = sum(cfg.degree_caps[d] + 1 for d in cfg.d_range)
-    canonical = singles + sum((cfg.degree_caps[d] + 1) ** 2 for d in cfg.d_range)
+    # kernels are compared in Bernstein coordinates; only the Legendre check
+    # canonicalizes, once per (m, n)
+    canonical = 0
     # two-fold keys (d, m, n): the d = 1 checks reach univariate_cap
     twofold = {d: cfg.degree_caps[d] for d in cfg.d_range}
-    threefold = 0
     if 1 in cfg.d_range:
-        canonical += (max(cfg.univariate_cap, cfg.legendre_cap) + 1) ** 2
-        threefold = (cfg.threefold_cap + 1) ** 3
-        canonical += threefold
+        canonical = (cfg.legendre_cap + 1) ** 2
         twofold[1] = max(twofold[1], cfg.univariate_cap)
     twofold_keys = sum((cap + 1) ** 2 for cap in twofold.values())
     # one lemma check per (n, beta degree), points_per_case points per beta
@@ -84,13 +88,65 @@ def expected_work(cfg):
         "kernel_single": singles,
         "kernel_closed_twofold": twofold_keys,
         "kernel_definition_twofold": twofold_keys,
-        # one expansion into the canonical map per definitional kernel
-        "expand": twofold_keys + threefold,
+        "expand": 0,
         "inner_sum_identity": betas * cfg.points_per_case,
         "lemma_coefficients": betas,
         "inner_product": sum((cfg.operator_cap + 1) * monomials[d] ** 2
                              for d in operator_dims),
     }
+
+
+def bump_top_weight(build):
+    """A closed-form builder whose top weight is one more."""
+    def bumped(*args):
+        form = build(*args)
+        terms = list(form.terms)
+        j, w = terms[-1]
+        terms[-1] = (j, w + 1)
+        return DiagonalKernelForm(form.d, form.scale, terms)
+    return bumped
+
+
+def bump_elevation(elevation):
+    """Degree elevation with the first coefficient of each raise by one or more
+    degrees off by one: B_l for l = (j, 0, ..., 0) gains B_a for a = (m, 0, ..., 0)."""
+    def bumped(j, m, d):
+        columns = elevation(j, m, d)
+        if j == m:
+            return columns
+        (i, c), *rest = columns[0]
+        return ((i, c + 1), *rest), *columns[1:]
+    return bumped
+
+
+def perturb_off_diagonal(build):
+    """A definitional builder whose entry C[b][a], b = (n, 0, ..., 0) and
+    a = (0, ..., 0, m), is one more whenever the outer and inner degrees differ."""
+    def perturbed(*args):
+        form = build(*args)
+        if sum(form.x_indices[0]) != sum(form.y_indices[0]):
+            form.rows[0][-1] += 1
+        return form
+    return perturbed
+
+
+#: One monkeypatch list per mutant: (module, name, wrapper of the original).
+MUTANTS = {
+    "top_closed_weight": [(bdk.verify, name, bump_top_weight) for name in (
+        "kernel_closed_twofold", "kernel_univariate_twofold", "kernel_closed_threefold",
+        "kernel_single")],
+    "elevation_coefficient": [(bdk.kernels, "_elevation", bump_elevation)],
+    "off_diagonal_definition": [(bdk.verify, name, perturb_off_diagonal) for name in (
+        "kernel_definition_twofold", "kernel_definition_threefold")],
+}
+
+#: The families that compare two kernels in Bernstein coordinates, and those
+#: that integrate one there.
+COORDINATE_FAMILIES = ("twofold_closed_equals_definition", "univariate_twofold_vs_definition",
+                       "threefold_closed_equals_definition", "twofold_symmetry_xy",
+                       "twofold_symmetry_degrees", "threefold_permutation_invariance",
+                       "composition_linear_combination_kernel")
+STOCHASTIC_FAMILIES = ("twofold_stochastic_in_y", "single_stochastic_in_y")
 
 
 @pytest.fixture(scope="module")
@@ -237,11 +293,18 @@ class TestRunSuite:
     def test_default_report_body_is_pinned(self, default_report):
         assert hashlib.sha256(default_report.body_bytes()).hexdigest() == DEFAULT_BODY_SHA256
 
+    def test_d3_report_body_is_pinned(self):
+        report = run_suite(SuiteConfig(d_range=(3,), max_degree=6))
+        assert report.ok
+        assert len(report.checks) == 224
+        assert hashlib.sha256(report.body_bytes()).hexdigest() == D3_BODY_SHA256
+
     def test_corrupted_report_body_is_pinned(self):
         report = run_suite(SuiteConfig(corrupt_scale=True))
         assert hashlib.sha256(report.body_bytes()).hexdigest() == CORRUPT_BODY_SHA256
         assert len(report.checks) == 1618
         assert len(report.failures) == CORRUPT_FAILURES
+        assert {c.name for c in report.failures} == {"twofold_closed_equals_definition"}
 
     def test_degree_zero_suite_is_trivial_and_green(self):
         cfg = tiny_config(max_degree=0, threefold_cap=0)
@@ -277,9 +340,9 @@ class TestRunSuite:
 
     def test_default_run_builds_each_input_once(self, default_run):
         _, counts = default_run
-        assert counts == {"to_canonical": 513, "kernel_single": 21,
+        assert counts == {"to_canonical": 81, "kernel_single": 21,
                           "kernel_closed_twofold": 195, "kernel_definition_twofold": 195,
-                          "expand": 411, "inner_sum_identity": 1250, "lemma_coefficients": 250,
+                          "expand": 0, "inner_sum_identity": 1250, "lemma_coefficients": 250,
                           "inner_product": 1500}
         assert counts == expected_work(SuiteConfig())
 
@@ -359,9 +422,31 @@ class TestRunSuite:
         assert failures
         assert all(f.name == "twofold_closed_equals_definition" for f in failures)
         witness = failures[0].witness
-        assert set(witness) == {"exp_x", "exp_y", "lhs", "rhs"}
+        assert set(witness) == {"a", "b", "lhs", "rhs"}
         # the corrupted prefactor doubles every closed-form coefficient
         assert Fraction(witness["lhs"]) == 2 * Fraction(witness["rhs"])
+
+    @pytest.mark.parametrize("mutant", sorted(MUTANTS))
+    def test_each_mutant_is_caught_in_bernstein_coordinates(self, mutant, monkeypatch):
+        for module, name, mutate in MUTANTS[mutant]:
+            monkeypatch.setattr(module, name, mutate(getattr(module, name)))
+        report = run_suite(tiny_config(d_range=(1, 2)))
+        failed = {c.name for c in report.failures}
+        assert failed & set(COORDINATE_FAMILIES), failed
+        for record in report.failures:
+            if record.name in COORDINATE_FAMILIES:
+                assert {"a", "b", "lhs", "rhs"} <= set(record.witness), record
+            elif record.name in STOCHASTIC_FAMILIES:
+                assert set(record.witness) == {"a", "lhs", "rhs"}, record
+
+    def test_every_coordinate_family_is_killed_by_a_mutant(self, monkeypatch):
+        killed = set()
+        for mutant in MUTANTS.values():
+            with monkeypatch.context() as mp:
+                for module, name, mutate in mutant:
+                    mp.setattr(module, name, mutate(getattr(module, name)))
+                killed |= {c.name for c in run_suite(tiny_config(d_range=(1, 2))).failures}
+        assert set(COORDINATE_FAMILIES) | set(STOCHASTIC_FAMILIES) <= killed
 
     def test_time_budget_flags_incomplete(self):
         report = run_suite(tiny_config(time_budget_s=0.0))
