@@ -26,7 +26,6 @@ from .kernels import (
     inner_sum_identity,
     kernel_closed_threefold,
     kernel_closed_twofold,
-    kernel_definition,
     kernel_definition_coordinates,
     kernel_definition_threefold,
     kernel_definition_twofold,
@@ -75,7 +74,6 @@ __all__ = [
     "inner_sum_identity",
     "kernel_closed_threefold",
     "kernel_closed_twofold",
-    "kernel_definition",
     "kernel_definition_coordinates",
     "kernel_definition_threefold",
     "kernel_definition_twofold",

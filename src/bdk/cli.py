@@ -27,7 +27,6 @@ from .durrmeyer import OperatorSpec, compose_apply, composition_coefficients
 from .kernels import (
     BernsteinKernelForm,
     DiagonalKernelForm,
-    KernelPolynomial,
     kernel_closed_twofold,
     kernel_definition_twofold,
     kernel_legendre,
@@ -174,10 +173,10 @@ def _write_file(path: str, flag: str, text: str, mode: str = "w") -> None:
 
 
 def _build_kernel(form: str, m: int, n: int, d: int
-                  ) -> Union[KernelPolynomial, DiagonalKernelForm, BernsteinKernelForm]:
-    """The kernel as built: diagonal for 'closed' and 'univariate', the
-    Bernstein coordinate form for 'definition', canonical for 'legendre'.
-    Each is evaluated as it stands; only --dump-kernel canonicalizes it."""
+                  ) -> Union[DiagonalKernelForm, BernsteinKernelForm]:
+    """The kernel as built: diagonal for 'closed' and 'univariate', in
+    Bernstein coordinates for 'definition' and 'legendre'.  Each is
+    evaluated as it stands; only --dump-kernel writes its canonical map."""
     if form == "definition":
         return kernel_definition_twofold(m, n, d)
     if form == "closed":
@@ -215,10 +214,8 @@ def _cmd_eval(args) -> int:
     if args.float:
         print(f"{_to_float(value):.17g}")
     if dump:
-        if isinstance(kernel, DiagonalKernelForm):
-            kernel = to_canonical(kernel)
-        elif isinstance(kernel, BernsteinKernelForm):
-            kernel = kernel.expand()
+        kernel = to_canonical(kernel) if isinstance(kernel, DiagonalKernelForm) \
+            else kernel.expand()
         payload = json.dumps(kernel.to_json_dict(), sort_keys=True)
         if dump == "-":
             print(payload)

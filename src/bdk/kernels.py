@@ -1,7 +1,7 @@
 """Integral kernels of composed Bernstein-Durrmeyer operators.
 
 A composition M_{n_r} o ... o M_{n_1} acts by integration against a
-bivariate polynomial kernel K(x, y).  This module builds that kernel two
+bivariate polynomial kernel K(x, y).  This module builds that kernel in
 independent ways:
 
 * the definitional form: `kernel_definition_coordinates`, a brute-force
@@ -9,31 +9,32 @@ independent ways:
   from the operator definition -- the oracle.  It yields one integer
   coefficient per basis product B_{b_r}(x) B_{b_1}(y), a
   `BernsteinKernelForm`, as do `kernel_definition_twofold` and
-  `_threefold`; `kernel_definition` returns the same kernel as a
-  canonical map, its products multiplied out into monomials;
+  `_threefold`;
 * diagonal closed forms: a factorial prefactor times a short sum of
   products B_l(x) B_l(y) over a single multi-index l, with a weight that
-  depends on l only through its degree |l|; one weight per degree is stored.
+  depends on l only through its degree |l|; one weight per degree is stored;
+* for d = 1, the shifted-Legendre expansion `kernel_legendre`, a weighted
+  sum of products L_k(x) L_k(y), also written as a `BernsteinKernelForm`.
 
 Claimed identities are decided in Bernstein coordinates.  The products
 B_a(x) B_b(y), |a| = m and |b| = n, form a basis of the kernels of those
 degrees, so two kernels are equal exactly when their coefficient matrices
-in that basis are: `DiagonalKernelForm.coordinates` writes a closed form
-there by degree elevation, `BernsteinKernelForm.elevate` raises either
-side of a form to a higher degree, and `first_coordinate_difference`
-compares two forms entry by entry with their scales cross-multiplied.
-Every form also canonicalizes to a sparse polynomial in the 2d variables
-x_1..x_d, y_1..y_d (the dependent coordinates x_0, y_0 eliminated), the
-map `to_canonical` and `BernsteinKernelForm.expand` build for output and
-for the Legendre expansion, which has no Bernstein form.
+in that basis are: `DiagonalKernelForm.coordinates` and `kernel_legendre`
+write a sum of outer products there by degree elevation,
+`BernsteinKernelForm.elevate` raises either side of a form to a higher
+degree, and `first_coordinate_difference` compares two forms entry by
+entry with their scales cross-multiplied.  Every form also canonicalizes
+to a sparse polynomial in the 2d variables x_1..x_d, y_1..y_d (the
+dependent coordinates x_0, y_0 eliminated), the map `to_canonical` and
+`BernsteinKernelForm.expand` build for output.
 
 The definitional builder and canonicalization accumulate Python ints and
 apply one rational scale per output coefficient at the end.  They use
 Dirichlet's formula  int x^mu = mu! / (|mu|+d)!  on barycentric exponents
 and mult(a) = |a|!/a!, the coefficient of x^a in B_a.  Evaluation is exact
-integer arithmetic too, and a diagonal form or a definitional kernel in
-Bernstein coordinates is evaluated as it stands, without expanding it
-into the canonical map.
+integer arithmetic too, and a diagonal form or a form in Bernstein
+coordinates is evaluated as it stands, without expanding it into the
+canonical map.
 """
 from __future__ import annotations
 
@@ -76,7 +77,6 @@ __all__ = [
     "BernsteinKernelForm",
     "kernel_single",
     "kernel_definition_coordinates",
-    "kernel_definition",
     "kernel_definition_twofold",
     "kernel_closed_twofold",
     "kernel_univariate_twofold",
@@ -254,15 +254,11 @@ class DiagonalKernelForm:
         x_indices = enumerate_multi_indices(m, d)
         y_indices = x_indices if n == m else enumerate_multi_indices(n, d)
         den, factors = clear_denominators(w / (comb(m, j) * comb(n, j)) for j, w in self.terms)
-        rows = [[0] * len(x_indices) for _ in y_indices]
-        for (j, _), factor in zip(self.terms, factors):
-            x_columns = _elevation(j, m, d)
-            y_columns = x_columns if n == m else _elevation(j, n, d)
-            for x_column, y_column in zip(x_columns, y_columns):
-                for i, e in y_column:
-                    row, e = rows[i], factor * e
-                    for k, c in x_column:
-                        row[k] += e * c
+        rows = _outer_products(((factor, x_column, y_column)
+                                for (j, _), factor in zip(self.terms, factors)
+                                for x_column, y_column in zip(_elevation(j, m, d),
+                                                              _elevation(j, n, d))),
+                               len(x_indices), len(y_indices))
         return BernsteinKernelForm(d, self.scale / den, x_indices, y_indices, rows)
 
     def evaluate(self, x: PointLike, y: PointLike) -> Fraction:
@@ -475,19 +471,6 @@ def _basis_terms(indices: Sequence[Tuple[int, ...]]) -> List[List[Tuple[Tuple[in
     return [list(bernstein_basis(alpha).nums.items()) for alpha in indices]
 
 
-def _outer_sum(weighted) -> Dict[Tuple[int, ...], int]:
-    """sum W b[ex] b[ey] over (W, b) pairs: integer weights W and the
-    (exponents, integer coefficient) terms b of one polynomial each."""
-    acc: Dict[Tuple[int, ...], int] = {}
-    for w, terms in weighted:
-        for ex, cx in terms:
-            cx *= w
-            for ey, cy in terms:
-                key = ex + ey
-                acc[key] = acc.get(key, 0) + cx * cy
-    return acc
-
-
 def kernel_definition_coordinates(degrees: Sequence[int], d: int) -> BernsteinKernelForm:
     """Brute-force kernel of M_{n_r} o ... o M_{n_1} in Bernstein coordinates,
     degrees listed outermost first.
@@ -545,12 +528,6 @@ def kernel_definition_coordinates(degrees: Sequence[int], d: int) -> BernsteinKe
     return BernsteinKernelForm(d, Fraction(num, den), outer, innermost, rows)
 
 
-def kernel_definition(degrees: Sequence[int], d: int) -> KernelPolynomial:
-    """Brute-force kernel of M_{n_r} o ... o M_{n_1}, degrees listed outermost
-    first, as a canonical map: `kernel_definition_coordinates`, expanded."""
-    return kernel_definition_coordinates(degrees, d).expand()
-
-
 def kernel_definition_twofold(m: int, n: int, d: int) -> BernsteinKernelForm:
     """Brute-force kernel of M_m o M_n; see `kernel_definition_coordinates`."""
     return kernel_definition_coordinates((m, n), d)
@@ -569,42 +546,48 @@ def kernel_closed_twofold(m: int, n: int, d: int) -> DiagonalKernelForm:
 
 
 def kernel_univariate_twofold(m: int, n: int) -> DiagonalKernelForm:
-    """Univariate (d=1) closed form from the classical sum over degree k,
-    written out on its own rather than through the multivariate builder:
-    scale (m+1)! (n+1)! / (m+n+1)!, weight C(m,k) C(n,k) at degree k.
-    """
-    m, n = check_degree(m), check_degree(n)
-    scale = Fraction(factorial(m + 1) * factorial(n + 1), factorial(m + n + 1))
-    return DiagonalKernelForm(1, scale, [(k, binomial(m, k) * binomial(n, k))
-                                         for k in range(min(m, n) + 1)])
+    """The univariate (d=1) two-fold closed form, `kernel_closed_twofold(m, n, 1)`."""
+    return kernel_closed_twofold(m, n, 1)
 
 
-def kernel_legendre(m: int, n: int) -> KernelPolynomial:
-    """Univariate kernel through its shifted-Legendre expansion.
+def kernel_legendre(m: int, n: int) -> BernsteinKernelForm:
+    """Univariate kernel through its shifted-Legendre expansion, in Bernstein
+    coordinates over degrees (m, n).
 
     K_{m,n} = sum_k  m_(k)/ (m+k+1)_(k) * n_(k)/(n+k+1)_(k) * (2k+1)
               * L_k(x) L_k(y),
     where s_(k) is the falling factorial and L_k is the alternating
-    Bernstein combination sum_i (-1)^i C(k,i) p_{k,i}, i.e. the shifted
-    Legendre polynomial on [0,1] up to sign.  Returned canonicalized.
-    Each L_k has integer coefficients; with the weights over their common
-    denominator D the kernel is an integer sum times the one scale 1 / D.
+    Bernstein combination sum_i (-1)^i C(k,i) B_(k-i,i), i.e. the shifted
+    Legendre polynomial on [0,1] up to sign.  Degree elevation
+    (`_elevation`) writes L_k = sum_{|a|=m} u_k[a] / C(m,k) B_a with the
+    integers  u_k[a] = sum_i (-1)^i C(k,i) C(a, (k-i,i)),  and v_k likewise
+    at degree n.  So, with w_k the weight above, the coefficient of
+    B_a(x) B_b(y) is
+        sum_k w_k / (C(m,k) C(n,k)) * u_k[a] v_k[b]:
+    an integer sum over the factors' common denominator D, and scale 1 / D.
     """
-    top = min(check_degree(m), check_degree(n))
-    den, weights = clear_denominators(
+    m, n = check_degree(m), check_degree(n)
+    den, factors = clear_denominators(
         Fraction(falling_factorial(m, k) * falling_factorial(n, k) * (2 * k + 1),
-                 falling_factorial(m + k + 1, k) * falling_factorial(n + k + 1, k))
-        for k in range(top + 1))
-    legendre = []
-    for k in range(top + 1):
-        coefs: Dict[Tuple[int, ...], int] = {}
-        # enumerate_multi_indices lists (k-i, i) in ascending i
-        for i, terms in enumerate(_basis_terms(enumerate_multi_indices(k, 1))):
-            c_i = -binomial(k, i) if i % 2 else binomial(k, i)
-            for e, c in terms:
-                coefs[e] = coefs.get(e, 0) + c_i * c
-        legendre.append(list(coefs.items()))
-    return KernelPolynomial.from_integers(1, _outer_sum(zip(weights, legendre)), Fraction(1, den))
+                 falling_factorial(m + k + 1, k) * falling_factorial(n + k + 1, k)
+                 * comb(m, k) * comb(n, k))
+        for k in range(min(m, n) + 1))
+    rows = _outer_products(((factor, _legendre_column(k, m), _legendre_column(k, n))
+                            for k, factor in enumerate(factors)), m + 1, n + 1)
+    return BernsteinKernelForm(1, Fraction(1, den), enumerate_multi_indices(m, 1),
+                               enumerate_multi_indices(n, 1), rows)
+
+
+def _legendre_column(k: int, m: int) -> List[Tuple[int, int]]:
+    """The (i, u_k[a]) pairs of `kernel_legendre`: C(m, k) L_k at degree m >= k,
+    i the position of a in `enumerate_multi_indices(m, 1)`."""
+    u = [0] * (m + 1)
+    # the columns follow enumerate_multi_indices(k, 1): (k-i, i) in ascending i
+    for i, column in enumerate(_elevation(k, m, 1)):
+        c_i = -comb(k, i) if i % 2 else comb(k, i)
+        for position, e in column:
+            u[position] += c_i * e
+    return list(enumerate(u))
 
 
 def kernel_definition_threefold(n3: int, n2: int, n1: int, d: int) -> BernsteinKernelForm:
@@ -687,8 +670,14 @@ def to_canonical(form: DiagonalKernelForm) -> KernelPolynomial:
     coefficients b_l of B_l, times the one scale  scale / D.
     """
     den, weights = clear_denominators(w for _, w in form.terms)
-    acc = _outer_sum((w, terms) for (j, _), w in zip(form.terms, weights)
-                     for terms in _basis_terms(enumerate_multi_indices(j, form.d)))
+    acc: Dict[Tuple[int, ...], int] = {}
+    for (j, _), w in zip(form.terms, weights):
+        for terms in _basis_terms(enumerate_multi_indices(j, form.d)):
+            for ex, cx in terms:
+                cx *= w
+                for ey, cy in terms:
+                    key = ex + ey
+                    acc[key] = acc.get(key, 0) + cx * cy
     return KernelPolynomial.from_integers(form.d, acc, form.scale / den)
 
 
@@ -710,6 +699,21 @@ def _elevation(j: int, m: int, d: int) -> Tuple[Tuple[Tuple[int, int], ...], ...
         above = [tuple(map(add, ell, c)) for c in shifts]
         columns.append(tuple((position[a], prod(map(comb, a, ell))) for a in above))
     return tuple(columns)
+
+
+def _outer_products(terms: Iterable[Tuple[int, Sequence[Tuple[int, int]],
+                                           Sequence[Tuple[int, int]]]],
+                    width: int, height: int) -> List[List[int]]:
+    """The integer matrix rows[i][k] = sum W x_k y_i over (W, x, y) triples:
+    an integer weight W and two sparse vectors x, y of (position, integer)
+    pairs, x over the width columns and y over the height rows."""
+    rows = [[0] * width for _ in range(height)]
+    for w, x_column, y_column in terms:
+        for i, e in y_column:
+            row, e = rows[i], w * e
+            for k, c in x_column:
+                row[k] += e * c
+    return rows
 
 
 def first_coordinate_difference(lhs: BernsteinKernelForm,

@@ -89,7 +89,7 @@ def test_criterion_03_legendre_representation():
     for m in range(9):
         for n in range(9):
             diff = first_kernel_difference(
-                kernel_legendre(m, n),
+                kernel_legendre(m, n).expand(),
                 to_canonical(kernel_univariate_twofold(m, n)))
             if diff is not None:
                 failures.append({"m": m, "n": n, "diff": diff})

@@ -68,6 +68,20 @@ class TestEval:
         _, closed_out, _ = run_cli(capsys, "eval", *args, "--form", "closed")
         assert legendre_out == closed_out
 
+    @pytest.mark.parametrize("m, n, x, y, digest", [
+        (12, 12, "1/3", "4/7", "e5e39a26f1fa0d1143acca82bb3809d5a8a04560546836f91487537036086349"),
+        (7, 4, "2/9", "5/6", "6ddcfbf4efd437c97f7959fcadaf25969a98492d3ad2f42d147810bf2bc1b174"),
+    ], ids=["m12-n12", "m7-n4"])
+    def test_legendre_dump_is_pinned(self, capsys, m, n, x, y, digest):
+        # digest of stdout when the Legendre kernel was built as a monomial map
+        outputs = [run_cli(capsys, "eval", "--d", "1", "--m", str(m), "--n", str(n), "--x", x,
+                           "--y", y, "--form", form, "--dump-kernel", "-")
+                   for form in ("legendre", "univariate")]
+        assert outputs[0] == outputs[1]
+        code, out, err = outputs[0]
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_univariate_forms_require_d1(self, capsys):
         for form in ("univariate", "legendre"):
             code, _, err = run_cli(capsys, "eval", "--d", "2", "--m", "1", "--n", "1",
@@ -201,7 +215,7 @@ class TestDefinitionInCoordinates:
 
 
 class TestNoCanonicalization:
-    """eval's closed and univariate forms and table read the diagonal form as built."""
+    """eval's closed, univariate and legendre forms and table read the kernel as built."""
 
     @pytest.fixture(autouse=True)
     def refuse_canonicalization(self, monkeypatch):
@@ -214,7 +228,7 @@ class TestNoCanonicalization:
         monkeypatch.setattr(bdk.cli, "to_canonical", refuse)
         monkeypatch.setattr(bdk.kernels, "to_canonical", refuse)
 
-    @pytest.mark.parametrize("form", ["closed", "univariate"])
+    @pytest.mark.parametrize("form", ["closed", "univariate", "legendre"])
     def test_eval(self, capsys, form):
         code, out, _ = run_cli(capsys, "eval", "--d", "1", "--m", "3", "--n", "2",
                                "--x", "1/3", "--y", "4/7", "--form", form, "--float")

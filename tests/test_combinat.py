@@ -25,7 +25,7 @@ from bdk.kernels import (
     inner_sum_identity,
     kernel_closed_threefold,
     kernel_closed_twofold,
-    kernel_definition,
+    kernel_definition_coordinates,
     kernel_legendre,
     kernel_single,
     kernel_univariate_twofold,
@@ -81,8 +81,8 @@ BAD_DEGREE_CALLS = [
     (inner_sum_identity, (1.5, (1, 1), [Fraction(1, 2)])),
     (DiagonalKernelForm, (1, 1, [(1.9, 1)])),
     (DiagonalKernelForm, (1, 1, [(-1, 1)])),
-    (kernel_definition, ((2, 1.5), 1)),
-    (kernel_definition, ((2, -1, 1), 1)),
+    (kernel_definition_coordinates, ((2, 1.5), 1)),
+    (kernel_definition_coordinates, ((2, -1, 1), 1)),
 ]
 
 

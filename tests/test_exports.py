@@ -21,3 +21,9 @@ def test_all_names_resolve_once(module_name):
 def test_multi_index_class_is_gone():
     assert not hasattr(bdk, "MultiIndex")
     assert "MultiIndex" not in bdk.__all__
+
+
+def test_expanded_definition_wrapper_is_gone():
+    # the definitional kernel is `kernel_definition_coordinates`; its map is `.expand()`
+    assert not hasattr(bdk, "kernel_definition")
+    assert not hasattr(bdk.kernels, "kernel_definition")

@@ -314,12 +314,13 @@ def test_definitional_builders_use_no_closed_form_code(monkeypatch, d):
         raise AssertionError("a definitional builder called closed-form code")
 
     for name in ("kernel_closed_twofold", "kernel_closed_threefold", "kernel_single",
-                 "to_canonical", "DiagonalKernelForm", "_outer_sum", "_elevation"):
+                 "to_canonical", "DiagonalKernelForm", "_outer_products", "_elevation",
+                 "kernel_legendre"):
         monkeypatch.setattr(bdk.kernels, name, forbidden)
     two = bdk.kernels.kernel_definition_twofold(3, 2, d).expand()
     three = bdk.kernels.kernel_definition_threefold(2, 1, 2, d).expand()
-    one = bdk.kernels.kernel_definition((3,), d)
-    four = bdk.kernels.kernel_definition((1, 2, 2, 1), d)
+    one = bdk.kernels.kernel_definition_coordinates((3,), d).expand()
+    four = bdk.kernels.kernel_definition_coordinates((1, 2, 2, 1), d).expand()
     x, y = [F(1, 5)] * d, [F(2, 7)] * d
     coords = bdk.kernels.kernel_definition_coordinates((3, 2), d)
     value = coords.evaluate(x, y)

@@ -16,7 +16,6 @@ from bdk.kernels import (
     inner_sum_identity,
     kernel_closed_threefold,
     kernel_closed_twofold,
-    kernel_definition,
     kernel_definition_coordinates,
     kernel_definition_threefold,
     kernel_definition_twofold,
@@ -262,16 +261,25 @@ class TestUnivariateTwofold:
 
 class TestLegendreKernel:
     def test_one_one_frozen_expansion(self):
-        assert kernel_legendre(1, 1).terms == K11_TERMS
+        assert kernel_legendre(1, 1).expand().terms == K11_TERMS
+
+    def test_one_one_coordinates(self):
+        # (2/3) (1 + (1-x)(1-y) + x y) with 1 = B_(1,0) + B_(0,1), B_(1,0) = 1-x, B_(0,1) = x
+        form = kernel_legendre(1, 1)
+        assert form.x_indices == form.y_indices == [(1, 0), (0, 1)]
+        assert form.terms == {((1, 0), (1, 0)): F(4, 3), ((0, 1), (1, 0)): F(2, 3),
+                              ((1, 0), (0, 1)): F(2, 3), ((0, 1), (0, 1)): F(4, 3)}
 
     def test_zero_zero_is_one(self):
-        assert kernel_legendre(0, 0).terms == {(0, 0): F(1)}
+        assert kernel_legendre(0, 0).expand().terms == {(0, 0): F(1)}
 
     def test_matches_univariate_closed_form(self):
-        for m in range(5):
-            for n in range(5):
-                assert kernel_legendre(m, n) == \
-                    to_canonical(kernel_univariate_twofold(m, n)), (m, n)
+        for m in range(6):
+            for n in range(6):
+                legendre = kernel_legendre(m, n)
+                assert legendre.x_indices == enumerate_multi_indices(m, 1)
+                assert legendre.y_indices == enumerate_multi_indices(n, 1)
+                assert legendre.expand() == to_canonical(kernel_closed_twofold(m, n, 1)), (m, n)
 
 
 class TestThreefoldKernels:
@@ -320,19 +328,21 @@ def applied(kernel, f):
 
 
 class TestChainDefinition:
-    """kernel_definition against the single kernel and against operator application."""
+    """kernel_definition_coordinates, expanded, against the single kernel and
+    against operator application."""
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_one_operator_is_the_single_kernel(self, d):
         for n in range(5):
-            assert kernel_definition((n,), d) == to_canonical(kernel_single(n, d)), n
+            assert kernel_definition_coordinates((n,), d).expand() == \
+                to_canonical(kernel_single(n, d)), n
 
     @pytest.mark.parametrize("d", [1, 2])
     @pytest.mark.parametrize("degrees", [(3,), (2, 3), (2, 1, 3), (1, 2, 2, 1)],
                              ids=["r1", "r2", "r3", "r4"])
     def test_kernel_applies_the_composition(self, d, degrees):
         # compose_apply runs apply_operator once per operator: no kernel involved
-        kernel = kernel_definition(degrees, d)
+        kernel = kernel_definition_coordinates(degrees, d).expand()
         specs = [OperatorSpec(n, d) for n in degrees]
         for f in monomials_up_to(2, d):
             assert applied(kernel, f) == compose_apply(specs, f), f
@@ -343,14 +353,14 @@ class TestChainDefinition:
         d = data.draw(st.integers(1, 2))
         degrees = data.draw(st.lists(st.integers(0, 3 if d == 1 else 2), min_size=1, max_size=4))
         f = data.draw(st.sampled_from(monomials_up_to(2, d)))
-        kernel = kernel_definition(degrees, d)
+        kernel = kernel_definition_coordinates(degrees, d).expand()
         assert applied(kernel, f) == compose_apply([OperatorSpec(n, d) for n in degrees], f)
         # each operator is self-adjoint, so reversing the chain transposes the kernel
-        assert kernel_definition(degrees[::-1], d) == kernel.transpose()
+        assert kernel_definition_coordinates(degrees[::-1], d).expand() == kernel.transpose()
 
     def test_rejects_an_empty_chain(self):
         with pytest.raises(ValueError, match="at least one degree"):
-            kernel_definition((), 1)
+            kernel_definition_coordinates((), 1)
 
 
 def rational_points(d):
@@ -368,9 +378,7 @@ class TestCoordinateForm:
         degrees = data.draw(st.lists(st.integers(0, 3 if d < 3 else 2), min_size=1, max_size=4))
         x, y = data.draw(rational_points(d)), data.draw(rational_points(d))
         coords = kernel_definition_coordinates(degrees, d)
-        kernel = kernel_definition(degrees, d)
-        assert coords.evaluate(x, y) == kernel.evaluate(x, y)
-        assert coords.expand() == kernel
+        assert coords.evaluate(x, y) == coords.expand().evaluate(x, y)
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_twofold_values_match_the_closed_form(self, d):
@@ -396,7 +404,7 @@ class TestCoordinateForm:
                                 ((1, 1), (0, 1)): F(1), ((0, 2), (0, 1)): F(3, 2)}
 
     def test_definitional_kernel_is_the_canonical_map(self):
-        kernel = kernel_definition((2, 3), 2)
+        kernel = kernel_definition_coordinates((2, 3), 2).expand()
         closed = to_canonical(kernel_closed_twofold(2, 3, 2))
         x, y = [F(1, 4), F(1, 3)], [F(2, 5), F(-1, 7)]
         assert type(kernel) is KernelPolynomial

@@ -25,7 +25,7 @@ from bdk.durrmeyer import OperatorSpec, apply_operator
 from bdk.kernels import (
     kernel_closed_threefold,
     kernel_closed_twofold,
-    kernel_definition,
+    kernel_definition_coordinates,
     kernel_definition_twofold,
     to_canonical,
 )
@@ -67,7 +67,7 @@ def _image():
 
 
 @pytest.mark.parametrize("build, terms, coef_bits", [
-    (lambda: kernel_definition((8, 8), 2), 2025, 32),
+    (lambda: kernel_definition_coordinates((8, 8), 2).expand(), 2025, 32),
     (lambda: kernel_definition_twofold(8, 8, 2), 2025, 15),
     (lambda: to_canonical(kernel_closed_threefold(3, 4, 5)), 16, 11),
     (_image, 8, 17),

@@ -7,6 +7,7 @@ from math import comb
 
 import pytest
 
+import bdk.cli
 import bdk.kernels
 import bdk.polynomials
 import bdk.verify
@@ -39,7 +40,7 @@ CORRUPT_FAILURES = 155
 
 
 #: (module, name) of the functions whose calls the work-count tests count.
-COUNTED = ((bdk.verify, "to_canonical"), (bdk.verify, "kernel_single"),
+COUNTED = ((bdk.verify, "kernel_legendre"), (bdk.verify, "kernel_single"),
            (bdk.verify, "kernel_closed_twofold"),
            (bdk.verify, "kernel_definition_twofold"),
            (bdk.kernels.BernsteinKernelForm, "expand"),
@@ -72,19 +73,19 @@ def expected_work(cfg):
     operator_dims = [d for d in cfg.d_range if d <= 2]
     monomials = {d: comb(cfg.operator_monomial_degree + d, d) for d in operator_dims}
     singles = sum(cfg.degree_caps[d] + 1 for d in cfg.d_range)
-    # kernels are compared in Bernstein coordinates; only the Legendre check
-    # canonicalizes, once per (m, n)
-    canonical = 0
+    # every kernel is compared in Bernstein coordinates; the Legendre form is
+    # built once per (m, n) up to univariate_cap, which bounds legendre_cap
+    legendre = 0
     # two-fold keys (d, m, n): the d = 1 checks reach univariate_cap
     twofold = {d: cfg.degree_caps[d] for d in cfg.d_range}
     if 1 in cfg.d_range:
-        canonical = (cfg.legendre_cap + 1) ** 2
+        legendre = (cfg.univariate_cap + 1) ** 2
         twofold[1] = max(twofold[1], cfg.univariate_cap)
     twofold_keys = sum((cap + 1) ** 2 for cap in twofold.values())
     # one lemma check per (n, beta degree), points_per_case points per beta
     betas = sum((cfg.lemma_cap + 1) * comb(cfg.lemma_cap + d + 1, d + 1) for d in operator_dims)
     return {
-        "to_canonical": canonical,
+        "kernel_legendre": legendre,
         "kernel_single": singles,
         "kernel_closed_twofold": twofold_keys,
         "kernel_definition_twofold": twofold_keys,
@@ -119,6 +120,25 @@ def bump_elevation(elevation):
     return bumped
 
 
+def extra_closed_degree(build):
+    """A closed-form builder with one more degree, above min(m, n), of weight 1."""
+    def extended(*args):
+        form = build(*args)
+        return DiagonalKernelForm(form.d, form.scale,
+                                  [*form.terms, (form.max_index_degree() + 1, 1)])
+    return extended
+
+
+def bump_first_row(build):
+    """A Bernstein-coordinate builder whose entry C[b][a], b first and a last
+    in their lists, is one more."""
+    def bumped(*args):
+        form = build(*args)
+        form.rows[0][-1] += 1
+        return form
+    return bumped
+
+
 def perturb_off_diagonal(build):
     """A definitional builder whose entry C[b][a], b = (n, 0, ..., 0) and
     a = (0, ..., 0, m), is one more whenever the outer and inner degrees differ."""
@@ -133,16 +153,17 @@ def perturb_off_diagonal(build):
 #: One monkeypatch list per mutant: (module, name, wrapper of the original).
 MUTANTS = {
     "top_closed_weight": [(bdk.verify, name, bump_top_weight) for name in (
-        "kernel_closed_twofold", "kernel_univariate_twofold", "kernel_closed_threefold",
-        "kernel_single")],
+        "kernel_closed_twofold", "kernel_closed_threefold", "kernel_single")],
     "elevation_coefficient": [(bdk.kernels, "_elevation", bump_elevation)],
     "off_diagonal_definition": [(bdk.verify, name, perturb_off_diagonal) for name in (
         "kernel_definition_twofold", "kernel_definition_threefold")],
+    "legendre_entry": [(bdk.verify, "kernel_legendre", bump_first_row)],
 }
 
 #: The families that compare two kernels in Bernstein coordinates, and those
 #: that integrate one there.
 COORDINATE_FAMILIES = ("twofold_closed_equals_definition", "univariate_twofold_vs_definition",
+                       "univariate_twofold_path", "legendre_matches_univariate",
                        "threefold_closed_equals_definition", "twofold_symmetry_xy",
                        "twofold_symmetry_degrees", "threefold_permutation_invariance",
                        "composition_linear_combination_kernel")
@@ -340,7 +361,7 @@ class TestRunSuite:
 
     def test_default_run_builds_each_input_once(self, default_run):
         _, counts = default_run
-        assert counts == {"to_canonical": 81, "kernel_single": 21,
+        assert counts == {"kernel_legendre": 121, "kernel_single": 21,
                           "kernel_closed_twofold": 195, "kernel_definition_twofold": 195,
                           "expand": 0, "inner_sum_identity": 1250, "lemma_coefficients": 250,
                           "inner_product": 1500}
@@ -398,13 +419,8 @@ class TestRunSuite:
         assert {c.name for c in report.failures} == {"inner_sum_collapse"}
 
     def test_stochastic_check_catches_a_perturbed_coordinate(self, monkeypatch):
-        original = bdk.verify.kernel_definition_twofold
-
-        def perturbed(m, n, d):
-            form = original(m, n, d)
-            form.rows[0][-1] += 1
-            return form
-        monkeypatch.setattr(bdk.verify, "kernel_definition_twofold", perturbed)
+        monkeypatch.setattr(bdk.verify, "kernel_definition_twofold",
+                            bump_first_row(bdk.verify.kernel_definition_twofold))
         report = run_suite(tiny_config(d_range=(1, 2)))
         records = [c for c in report.checks if c.name == "twofold_stochastic_in_y"]
         assert records
@@ -438,6 +454,47 @@ class TestRunSuite:
                 assert {"a", "b", "lhs", "rhs"} <= set(record.witness), record
             elif record.name in STOCHASTIC_FAMILIES:
                 assert set(record.witness) == {"a", "lhs", "rhs"}, record
+
+    def test_top_closed_weight_kills_the_univariate_path(self, monkeypatch):
+        for module, name, mutate in MUTANTS["top_closed_weight"]:
+            monkeypatch.setattr(module, name, mutate(getattr(module, name)))
+        failed = {c.name for c in run_suite(tiny_config(d_range=(1, 2))).failures}
+        assert "univariate_twofold_path" in failed, failed
+
+    def test_legendre_entry_kills_both_legendre_families_and_nothing_else(self, monkeypatch):
+        for module, name, mutate in MUTANTS["legendre_entry"]:
+            monkeypatch.setattr(module, name, mutate(getattr(module, name)))
+        report = run_suite(tiny_config(d_range=(1, 2)))
+        assert {c.name for c in report.failures} == {"univariate_twofold_path",
+                                                     "legendre_matches_univariate"}
+        # every (m, n) of both families reads a perturbed form
+        assert len(report.failures) == 2 * (tiny_config().univariate_cap + 1) ** 2
+
+    def test_a_raising_check_is_a_failed_check(self, monkeypatch, tmp_path, capsys):
+        # a closed form one degree too high has no coordinates at (m, n):
+        # each check that writes them fails with the error, and the run goes on
+        cfg = tiny_config(d_range=(1, 2))
+        total = len(run_suite(cfg).checks)
+        monkeypatch.setattr(bdk.verify, "kernel_closed_twofold",
+                            extra_closed_degree(bdk.verify.kernel_closed_twofold))
+        report = run_suite(cfg)
+        assert report.complete
+        assert len(report.checks) == total
+        failed = {c.name for c in report.failures}
+        assert {"twofold_closed_equals_definition", "diagonal_truncation",
+                "univariate_twofold_path"} <= failed, failed
+        raised = [c for c in report.failures if c.name != "diagonal_truncation"]
+        assert raised
+        for record in raised:
+            m, n = record.params["m"], record.params["n"]
+            assert record.witness == {"error": (
+                f"a diagonal form of index degree {min(m, n) + 1} has no "
+                f"coordinates at degrees ({m}, {n})")}, record
+        code = bdk.cli.main(["verify", "--d", "1,2", "--max-degree", "2", "--threefold-cap",
+                             "1", "--seed", "20260810", "--report", str(tmp_path / "r.json")])
+        assert code == 1
+        assert "failed" in capsys.readouterr().err
+        assert json.loads((tmp_path / "r.json").read_text())["complete"] is True
 
     def test_every_coordinate_family_is_killed_by_a_mutant(self, monkeypatch):
         killed = set()
