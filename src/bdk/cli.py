@@ -34,7 +34,7 @@ from .kernels import (
     to_canonical,
 )
 from .polynomials import BarycentricPoint, CartesianPolynomial
-from .verify import SuiteConfig, run_suite
+from .verify import DEFAULT_DEGREE_CAPS, SuiteConfig, run_suite
 
 __all__ = ["main", "parse_polynomial", "PolynomialParseError"]
 
@@ -281,8 +281,8 @@ def _cmd_table(args) -> int:
 
 def _cmd_verify(args) -> int:
     cfg = SuiteConfig(d_range=_parse_ints(args.d, "--d"), max_degree=args.max_degree,
-                      threefold_cap=args.threefold_cap, seed=args.seed,
-                      time_budget_s=args.time_budget, corrupt_scale=args.self_test_corrupt)
+                      threefold_cap=args.threefold_cap, time_budget_s=args.time_budget,
+                      corrupt_scale=args.self_test_corrupt)
     if args.report:
         _write_file(args.report, "--report", "", "a")
     report = run_suite(cfg)
@@ -348,11 +348,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_table.set_defaults(func=_cmd_table)
 
     p_verify = sub.add_parser("verify", help="run the identity verification suite")
-    p_verify.add_argument("--d", default="1,2,3", help="comma-separated dimensions")
+    p_verify.add_argument("--d", default=",".join(map(str, DEFAULT_DEGREE_CAPS)),
+                          help="comma-separated dimensions")
     p_verify.add_argument("--max-degree", type=int, default=None,
                           help="cap all check families at this degree")
     p_verify.add_argument("--threefold-cap", type=int, default=None)
-    p_verify.add_argument("--seed", type=int, default=271828)
     p_verify.add_argument("--time-budget", type=float, default=None,
                           help="soft wall-clock budget in seconds")
     p_verify.add_argument("--report", metavar="PATH", help="write the JSON report here")

@@ -23,7 +23,10 @@ in that basis are: `DiagonalKernelForm.coordinates` and `kernel_legendre`
 write a sum of outer products there by degree elevation,
 `BernsteinKernelForm.elevate` raises either side of a form to a higher
 degree, and `first_coordinate_difference` compares two forms entry by
-entry with their scales cross-multiplied.  Every form also canonicalizes
+entry with their scales cross-multiplied.  The collapse lemma behind the
+diagonal forms is decided the same way: `_inner_sum_coordinates` writes
+both of its sides over the degree-n Bernstein basis, and
+`inner_sum_identity` evaluates them at a point.  Every form also canonicalizes
 to a sparse polynomial in the 2d variables x_1..x_d, y_1..y_d (the
 dependent coordinates x_0, y_0 eliminated), the map `to_canonical` and
 `BernsteinKernelForm.expand` build for output.
@@ -40,7 +43,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product as _cartesian_product
 from math import comb, gcd, prod
 from operator import add, mul
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
@@ -615,51 +617,50 @@ def kernel_closed_threefold(n3: int, n2: int, n1: int) -> DiagonalKernelForm:
 
 
 def inner_sum_identity(n: int, beta: Sequence[int], y: PointLike) -> Tuple[Fraction, Fraction]:
-    """Both sides of the collapse identity used to diagonalize the kernel.
+    """Both sides of the collapse identity used to diagonalize the kernel, at y:
 
-    Left side:   sum over |a| = n of  B_a(y) * (a+beta)!/a!
-    Right side:  sum over l <= beta (componentwise) of
-                 n_(|l|) / |l|! * B_l(y) * beta! * prod C(beta_v, l_v)
+        sum over |a| = n of  B_a(y) (a+beta)!/a!
+          = sum over l <= beta of  C(n, |l|) B_l(y) beta! prod_v C(beta_v, l_v).
 
-    The two sides are computed by entirely separate summations and are
-    returned as a pair for the caller to compare.  Each is an integer dot
-    product of the point's monomial values with coefficients that depend
-    on (n, beta) only (`_inner_sum_coefficients`).
+    Each side is the integer dot product of its degree-n Bernstein
+    coordinates (`_inner_sum_coordinates`) with the basis vector of y.
     """
     n, beta = check_degree(n), check_index(beta)
-    # B_a(y) = mult(a) * values[a] / q^top, from y's integer form (q; A)
-    q, bary = as_point(y, len(beta) - 1).integer_form()
-    alphas, left, ells, right = _inner_sum_coefficients(n, beta)
-    q_top, values = monomial_numerators(q, bary, alphas)
-    lhs = Fraction(sum(map(mul, left, values)), q_top)
-    q_top, values = monomial_numerators(q, bary, ells)
-    return lhs, Fraction(sum(map(mul, right, values)), q_top)
+    alphas, left, right = _inner_sum_coordinates(n, beta)
+    fact = FactorialTable()
+    q_top, values = _basis_vector(y, len(beta) - 1, alphas,
+                                  [table_multinomial(a, fact) for a in alphas])
+    return (Fraction(sum(map(mul, left, values)), q_top),
+            Fraction(sum(map(mul, right, values)), q_top))
 
 
 @lru_cache(maxsize=None)
-def _inner_sum_coefficients(n: int, beta: Tuple[int, ...]) -> Tuple[tuple, tuple, tuple, tuple]:
-    """(alphas, left, ells, right) for `inner_sum_identity`, built once per
-    (n, beta): left[i] = mult(a) (a+beta)!/a! for a = alphas[i], |a| = n,
-    and right[i] = C(n, |l|) mult(l) beta! prod_v C(beta_v, l_v) for
-    l = ells[i] <= beta.
+def _inner_sum_coordinates(n: int, beta: Tuple[int, ...]) -> Tuple[tuple, tuple, tuple]:
+    """(alphas, left, right): both sides of `inner_sum_identity` as integer
+    vectors over the degree-n Bernstein basis, alphas its indices in
+    `enumerate_multi_indices(n, d)` order; built once per (n, beta).
+
+    The left side is already in that basis: left[i] = (a+beta)!/a! for
+    a = alphas[i].  On the right, the term of l <= beta has the weight
+    W_l = C(n, |l|) beta! prod_v C(beta_v, l_v), and degree elevation
+    (`_elevation`) writes its B_l as sum_{|a|=n, a>=l} C(a, l)/C(n, |l|) B_a,
+    so  right[i] = sum_l W_l C(a, l) / C(n, |l|),  an integer as C(n, |l|)
+    divides W_l.  Terms with |l| > n vanish, as C(n, |l|) = 0 there.
     """
+    d = len(beta) - 1
     fact = FactorialTable()
-    alphas = enumerate_multi_indices(n, len(beta) - 1)
-    left = []
-    for alpha in alphas:
-        shifted = 1
-        for a, b in zip(alpha, beta):
-            shifted *= fact[a + b] // fact[a]
-        left.append(table_multinomial(alpha, fact) * shifted)
-    ells = list(_cartesian_product(*(range(b + 1) for b in beta)))
+    alphas = enumerate_multi_indices(n, d)
+    left = [prod(fact[a + b] // fact[a] for a, b in zip(alpha, beta)) for alpha in alphas]
     beta_fact = index_factorial(beta)
-    right = []
-    for ell in ells:
-        prod_binom = 1
-        for b, l in zip(beta, ell):
-            prod_binom *= binomial(b, l)
-        right.append(binomial(n, sum(ell)) * table_multinomial(ell, fact) * beta_fact * prod_binom)
-    return tuple(alphas), tuple(left), tuple(ells), tuple(right)
+    right = [0] * len(alphas)
+    for j in range(min(n, sum(beta)) + 1):
+        for ell, column in zip(enumerate_multi_indices(j, d), _elevation(j, n, d)):
+            weight = comb(n, j) * beta_fact * prod(map(comb, beta, ell))
+            if weight:  # zero unless l <= beta
+                share = weight // comb(n, j)  # the elevation divides by C(n, j)
+                for i, e in column:
+                    right[i] += share * e
+    return tuple(alphas), tuple(left), tuple(right)
 
 
 def to_canonical(form: DiagonalKernelForm) -> KernelPolynomial:

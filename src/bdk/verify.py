@@ -2,8 +2,10 @@
 
 Runs every kernel and operator identity the library claims, across
 configurable degree/dimension ranges, and assembles a deterministic JSON
-report.  Kernel identities are decided in Bernstein coordinates: a failing
-one is reported with the first differing basis pair B_a(x) B_b(y), and a
+report.  Every check is exact and decided over a basis, never at chosen
+points.  Kernel identities are decided in Bernstein coordinates: a failing
+one is reported with the first differing basis pair B_a(x) B_b(y), a
+failing inner-sum lemma with the first differing coordinate B_a, and a
 failing polynomial identity with the first differing monomial, so
 exact-arithmetic mismatches can be debugged directly from the report.  A
 check that raises ValueError fails with the message as its witness.
@@ -12,7 +14,6 @@ from __future__ import annotations
 
 import json
 import math
-import random
 import time
 from fractions import Fraction
 from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Tuple
@@ -27,8 +28,8 @@ from .durrmeyer import OperatorSpec, apply_operator, composition_coefficients
 from .kernels import (
     BernsteinKernelForm,
     DiagonalKernelForm,
+    _inner_sum_coordinates,
     first_coordinate_difference,
-    inner_sum_identity,
     kernel_closed_threefold,
     kernel_closed_twofold,
     kernel_definition_threefold,
@@ -36,19 +37,18 @@ from .kernels import (
     kernel_legendre,
     kernel_single,
 )
-from .polynomials import BarycentricPoint, CartesianPolynomial, integrate_simplex
+from .polynomials import CartesianPolynomial, inner_product, integrate_simplex
 
 __all__ = [
     "SuiteConfig",
     "CheckRecord",
     "VerificationReport",
     "run_suite",
-    "sample_simplex_point",
     "DEFAULT_DEGREE_CAPS",
     "FAMILY_CAPS",
 ]
 
-REPORT_SCHEMA = "bdk-report/1"
+REPORT_SCHEMA = "bdk-report/2"
 ARTIFACT_VERSION = "0.1.0"
 
 #: The default two-fold degree bound of each dimension.
@@ -61,7 +61,7 @@ FAMILY_CAPS = {"threefold_cap": 5, "univariate_cap": 10, "legendre_cap": 8,
 
 
 class SuiteConfig:
-    """Dimensions, degree bound, seed and execution hints for one run.
+    """Dimensions, degree bound and execution hints for one run.
 
     With max_degree None, each dimension in d_range gets its
     DEFAULT_DEGREE_CAPS bound and each family its FAMILY_CAPS bound, which
@@ -71,14 +71,10 @@ class SuiteConfig:
     are plain attributes: degree_caps and one per FAMILY_CAPS name.
     """
 
-    #: Seeded points per multi-index in each inner_sum_collapse check.
-    points_per_case = 5
-
     def __init__(self, *,
-                 d_range: Tuple[int, ...] = (1, 2, 3),
+                 d_range: Tuple[int, ...] = tuple(DEFAULT_DEGREE_CAPS),
                  max_degree: Optional[int] = None,
                  threefold_cap: Optional[int] = None,
-                 seed: int = 271828,
                  time_budget_s: Optional[float] = None,
                  corrupt_scale: bool = False):
         if not d_range:
@@ -111,9 +107,6 @@ class SuiteConfig:
                     f"time_budget_s must be a finite number >= 0, got {time_budget_s}")
         if not isinstance(corrupt_scale, bool):
             raise ValueError(f"corrupt_scale must be a bool, got {corrupt_scale!r}")
-        if isinstance(seed, bool) or not isinstance(seed, int):
-            raise ValueError(f"seed must be an int, got {seed!r}")
-        self.seed = seed
         self.time_budget_s = time_budget_s
         self.corrupt_scale = corrupt_scale
 
@@ -121,7 +114,6 @@ class SuiteConfig:
         out = {name: getattr(self, name) for name in FAMILY_CAPS}
         out.update(d_range=list(self.d_range),
                    degree_caps={str(d): c for d, c in sorted(self.degree_caps.items())},
-                   points_per_case=self.points_per_case, seed=self.seed,
                    time_budget_s=self.time_budget_s, corrupt_scale=self.corrupt_scale)
         return out
 
@@ -178,7 +170,7 @@ class VerificationReport(NamedTuple):
     def body_bytes(self) -> bytes:
         """Canonical serialization with all timing fields stripped.
 
-        Two runs with the same config and seed produce identical bytes.
+        Two runs with the same config produce identical bytes.
         """
         return canonical_json_bytes(self.to_json_dict(include_timing=False))
 
@@ -186,22 +178,6 @@ class VerificationReport(NamedTuple):
 def canonical_json_bytes(obj: dict) -> bytes:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"),
                       ensure_ascii=False).encode("utf-8")
-
-
-def sample_simplex_point(rng: random.Random, d: int, max_denominator: int = 97) -> BarycentricPoint:
-    """A seeded rational point inside the standard d-simplex.
-
-    All coordinates share one denominator <= max_denominator, keeping the
-    exact arithmetic small and the draw reproducible.
-    """
-    q = rng.randint(1, max_denominator)
-    remaining = q
-    coords = []
-    for _ in range(d):
-        p = rng.randint(0, remaining)
-        coords.append(Fraction(p, q))
-        remaining -= p
-    return BarycentricPoint(coords)
 
 
 # -- check construction ---------------------------------------------------
@@ -312,7 +288,7 @@ def _monomials_up_to(d: int, max_degree: int) -> List[CartesianPolynomial]:
             for mi in enumerate_multi_indices(deg, d) if mi[0] == 0]
 
 
-def _iter_jobs(cfg: SuiteConfig, state: _SuiteState, rng: random.Random) -> Iterator[Job]:
+def _iter_jobs(cfg: SuiteConfig, state: _SuiteState) -> Iterator[Job]:
     yield from _twofold_jobs(cfg, state)
     if 1 in cfg.d_range:
         yield from _univariate_jobs(cfg, state)
@@ -320,7 +296,7 @@ def _iter_jobs(cfg: SuiteConfig, state: _SuiteState, rng: random.Random) -> Iter
         yield from _moment_jobs(cfg)
     yield from _combination_jobs(cfg, state)
     yield from _operator_jobs(cfg, state)
-    yield from _lemma_jobs(cfg, rng)
+    yield from _lemma_jobs(cfg)
 
 
 def _twofold_jobs(cfg: SuiteConfig, state: _SuiteState) -> Iterator[Job]:
@@ -462,7 +438,6 @@ def _operator_jobs(cfg: SuiteConfig, state: _SuiteState) -> Iterator[Job]:
             yield "operator_degree_bound", {"d": d, "n": n}, degree_bound
 
             def self_adjoint(d=d, n=n):
-                from .polynomials import inner_product
                 # gram[i][j] = <M_n f_i, f_j>, so <f_i, M_n f_j> = gram[j][i]; a
                 # pair can first fail at i < j, as (j, i) repeats (i, j)
                 gram = [[inner_product(state.image(d, n, f), g) for g in monomials]
@@ -530,48 +505,40 @@ def _moment_jobs(cfg: SuiteConfig) -> Iterator[Job]:
         yield "univariate_first_moment", {"n": n}, first_moment
 
 
-def _lemma_jobs(cfg: SuiteConfig, rng: random.Random) -> Iterator[Job]:
+def _lemma_jobs(cfg: SuiteConfig) -> Iterator[Job]:
     for d in cfg.d_range:
         if d > 2:
             continue
         for n in range(cfg.lemma_cap + 1):
             for beta_degree in range(cfg.lemma_cap + 1):
-                betas = enumerate_multi_indices(beta_degree, d)
-                cases = []
-                for beta in betas:
-                    for _ in range(cfg.points_per_case):
-                        cases.append((beta, sample_simplex_point(rng, d)))
-
-                def lemma(cases=cases, n=n):
-                    for beta, y in cases:
-                        lhs, rhs = inner_sum_identity(n, beta, y)
-                        if lhs != rhs:
-                            return False, {
-                                "beta": list(beta),
-                                "y": [format_rational(c) for c in y.coords],
-                                "lhs": format_rational(lhs),
-                                "rhs": format_rational(rhs),
-                            }
+                def lemma(d=d, n=n, beta_degree=beta_degree):
+                    # the B_a of degree n are a basis: both sides agree as
+                    # polynomials exactly when their coordinates do
+                    for beta in enumerate_multi_indices(beta_degree, d):
+                        alphas, left, right = _inner_sum_coordinates(n, beta)
+                        for a, lhs, rhs in zip(alphas, left, right):
+                            if lhs != rhs:
+                                return False, {"beta": list(beta), "a": list(a),
+                                               "lhs": format_rational(lhs),
+                                               "rhs": format_rational(rhs)}
                     return True, None
                 yield ("inner_sum_collapse",
-                       {"d": d, "n": n, "beta_degree": beta_degree,
-                        "cases": len(cases)}, lemma)
+                       {"d": d, "n": n, "beta_degree": beta_degree}, lemma)
 
 
 def run_suite(cfg: SuiteConfig) -> VerificationReport:
     """Run every configured identity check and assemble the report.
 
-    Deterministic for a fixed config and seed.  If the optional time
+    Deterministic for a fixed config.  If the optional time
     budget runs out, the report is flagged incomplete rather than
     silently truncated.
     """
     state = _SuiteState()
-    rng = random.Random(cfg.seed)
     start = time.perf_counter()
     checks: List[CheckRecord] = []
     incomplete_reason = None
 
-    for name, params, fn in _iter_jobs(cfg, state, rng):
+    for name, params, fn in _iter_jobs(cfg, state):
         if cfg.time_budget_s is not None and time.perf_counter() - start > cfg.time_budget_s:
             incomplete_reason = (
                 f"time budget of {cfg.time_budget_s}s exceeded after "

@@ -16,10 +16,12 @@ from bdk.combinat import enumerate_multi_indices
 from bdk.durrmeyer import OperatorSpec, apply_operator, composition_coefficients
 from bdk.kernels import (
     KernelPolynomial,
+    first_coordinate_difference,
     first_kernel_difference,
     inner_sum_identity,
     kernel_closed_threefold,
     kernel_closed_twofold,
+    kernel_definition_coordinates,
     kernel_definition_threefold,
     kernel_definition_twofold,
     kernel_legendre,
@@ -28,7 +30,8 @@ from bdk.kernels import (
     to_canonical,
 )
 from bdk.polynomials import CartesianPolynomial, inner_product, integrate_simplex
-from bdk.verify import sample_simplex_point
+
+from sampling import sample_simplex_point
 
 TWOFOLD_CAPS = {1: 8, 2: 6, 3: 4}
 
@@ -73,8 +76,10 @@ def test_criterion_02_univariate_closed_form(twofold_kernels):
     for m in range(11):
         for n in range(11):
             univariate = kernel_univariate_twofold(m, n)
-            if univariate != kernel_closed_twofold(m, n, 1):
-                failures.append({"m": m, "n": n, "mismatch": "multivariate path"})
+            diff = first_coordinate_difference(univariate.coordinates(m, n),
+                                               kernel_definition_coordinates((m, n), 1))
+            if diff is not None:
+                failures.append({"m": m, "n": n, "coordinates": diff})
                 continue
             oracle = (twofold_kernels(1, m, n)[0] if max(m, n) <= TWOFOLD_CAPS[1]
                       else kernel_definition_twofold(m, n, 1).expand())
@@ -215,7 +220,7 @@ def test_criterion_10_report_determinism(tmp_path, capsys):
     for name in ("first.json", "second.json"):
         path = tmp_path / name
         code = cli_main(["verify", "--d", "1,2", "--max-degree", "2",
-                         "--seed", "20260810", "--report", str(path)])
+                         "--report", str(path)])
         assert code == 0
         obj = json.loads(path.read_text())
         obj.pop("total_ms", None)
@@ -224,4 +229,4 @@ def test_criterion_10_report_determinism(tmp_path, capsys):
         bodies.append(json.dumps(obj, sort_keys=True).encode())
     capsys.readouterr()
     failures = [] if bodies[0] == bodies[1] else [{"mismatch": "report bodies differ"}]
-    _announce(10, "seeded reports are byte-identical", failures)
+    _announce(10, "reports are byte-identical", failures)

@@ -455,7 +455,7 @@ DEFAULT_ECHO = {
     "d_range": [1, 2, 3], "degree_caps": {"1": 8, "2": 6, "3": 4}, "threefold_cap": 5,
     "univariate_cap": 10, "legendre_cap": 8, "combination_cap": 5, "lemma_cap": 4,
     "operator_cap": 5, "operator_monomial_degree": 4, "moment_cap": 6,
-    "points_per_case": 5, "seed": 271828, "time_budget_s": None, "corrupt_scale": False,
+    "time_budget_s": None, "corrupt_scale": False,
 }
 VERIFY_CONFIGS = {
     "": DEFAULT_ECHO,
@@ -476,9 +476,9 @@ VERIFY_CONFIGS = {
         "lemma_cap": 3, "operator_cap": 3, "operator_monomial_degree": 3, "moment_cap": 3},
     "--d 1 --threefold-cap 2": {
         **DEFAULT_ECHO, "d_range": [1], "degree_caps": {"1": 8}, "threefold_cap": 2},
-    "--max-degree 5 --seed 7": {
+    "--max-degree 5": {
         **DEFAULT_ECHO, "degree_caps": {"1": 5, "2": 5, "3": 5}, "univariate_cap": 5,
-        "legendre_cap": 5, "moment_cap": 5, "seed": 7},
+        "legendre_cap": 5, "moment_cap": 5},
     "--d 1,4 --max-degree 1": {
         **DEFAULT_ECHO, "d_range": [1, 4], "degree_caps": {"1": 1, "4": 1},
         "threefold_cap": 1, "univariate_cap": 1, "legendre_cap": 1, "combination_cap": 1,
@@ -490,7 +490,7 @@ VERIFY_CONFIGS = {
 
 #: A non-default value for each `bdk verify` flag that reaches SuiteConfig.
 SUITE_FLAG_SAMPLES = {"--d": ["2"], "--max-degree": ["3"], "--threefold-cap": ["1"],
-                      "--seed": ["7"], "--time-budget": ["9"], "--self-test-corrupt": []}
+                      "--time-budget": ["9"], "--self-test-corrupt": []}
 
 
 class TestVerifyCommand:
@@ -598,7 +598,7 @@ class TestVerifyCommand:
                                "--report", str(path))
         assert code == 0
         report = json.loads(path.read_text())
-        assert report["schema"] == "bdk-report/1"
+        assert report["schema"] == "bdk-report/2"
         assert report["summary"]["failed"] == 0
         assert "failed" in err
 
@@ -632,12 +632,12 @@ class TestVerifyCommand:
         assert "repeats a dimension" in err
         assert out == ""
 
-    def test_byte_identical_bodies_for_same_seed(self, capsys, tmp_path):
+    def test_byte_identical_bodies_for_same_config(self, capsys, tmp_path):
         bodies = []
         for name in ("a.json", "b.json"):
             path = tmp_path / name
             code, _, _ = run_cli(capsys, "verify", "--d", "1", "--max-degree", "2",
-                                 "--seed", "13", "--report", str(path))
+                                 "--report", str(path))
             assert code == 0
             obj = json.loads(path.read_text())
             obj.pop("total_ms", None)
@@ -645,6 +645,19 @@ class TestVerifyCommand:
                 check.pop("wall_ms", None)
             bodies.append(json.dumps(obj, sort_keys=True))
         assert bodies[0] == bodies[1]
+
+    def test_seed_is_not_a_flag(self, capsys, monkeypatch):
+        # every check is exact, so there is no sampled point for a seed to fix
+        import bdk.cli
+
+        def refuse(cfg):
+            raise AssertionError("the suite ran")
+
+        monkeypatch.setattr(bdk.cli, "run_suite", refuse)
+        code, out, err = run_cli(capsys, "verify", "--seed", "1")
+        assert code == 2
+        assert out == ""
+        assert "unrecognized arguments: --seed 1" in err
 
     def test_time_budget_marks_incomplete(self, capsys):
         code, out, err = run_cli(capsys, "verify", "--d", "1", "--max-degree", "1",

@@ -32,7 +32,8 @@ from bdk.polynomials import (
     inner_product,
     integrate_simplex,
 )
-from bdk.verify import sample_simplex_point
+
+from sampling import sample_simplex_point
 
 F = Fraction
 
@@ -249,10 +250,12 @@ class TestUnivariateTwofold:
     def test_value_at_origin(self):
         assert to_canonical(kernel_univariate_twofold(1, 1)).evaluate([0], [0]) == F(4, 3)
 
-    def test_matches_multivariate_path(self):
+    def test_matches_the_definitional_coordinates(self):
         for m in range(5):
             for n in range(5):
-                assert kernel_univariate_twofold(m, n) == kernel_closed_twofold(m, n, 1)
+                univariate = kernel_univariate_twofold(m, n).coordinates(m, n)
+                assert first_coordinate_difference(
+                    univariate, kernel_definition_coordinates((m, n), 1)) is None, (m, n)
 
     def test_degree_zero_is_constant_one(self):
         for n in range(4):
@@ -555,18 +558,27 @@ class TestInnerSumIdentity:
         lhs, rhs = inner_sum_identity(2, (1, 1), [F(7, 5)])
         assert lhs == rhs
 
-    def test_coefficients_are_built_once_per_degree_and_index(self):
-        build = bdk.kernels._inner_sum_coefficients
+    def test_coordinates_are_built_once_per_degree_and_index(self):
+        build = bdk.kernels._inner_sum_coordinates
         build.cache_clear()
         for y in ([F(1, 3), F(1, 5)], [F(2, 7), F(0)], [F(1, 2), F(1, 2)]):
             lhs, rhs = inner_sum_identity(3, (1, 0, 2), y)
             assert lhs == rhs
         assert (build.cache_info().hits, build.cache_info().misses) == (2, 1)
-        alphas, left, ells, right = build(1, (1, 0))
-        # alphas (1, 0), (0, 1): mult 1, (a+beta)!/a! = 2 and 1; ells (0, 0),
-        # (1, 0): C(1, |l|) mult(l) beta! C(1, l_0) = 1 each
-        assert (alphas, left, ells, right) == (((1, 0), (0, 1)), (2, 1),
-                                               ((0, 0), (1, 0)), (1, 1))
+        # over B_(1,0), B_(0,1): the left side has (a+beta)!/a! = 2 and 1; on
+        # the right, l = (0, 0) has weight C(1, 0) 1! C(1, 0) = 1 and B_l = 1
+        # elevates to B_(1,0) + B_(0,1), and l = (1, 0) has weight
+        # C(1, 1) 1! C(1, 1) = 1 and is B_(1,0) already
+        assert build(1, (1, 0)) == (((1, 0), (0, 1)), (2, 1), (2, 1))
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_sides_have_equal_coordinates(self, d):
+        for n in range(5):
+            for beta_degree in range(5):
+                for beta in enumerate_multi_indices(beta_degree, d):
+                    alphas, left, right = bdk.kernels._inner_sum_coordinates(n, beta)
+                    assert list(alphas) == enumerate_multi_indices(n, d)
+                    assert left == right, (n, beta)
 
 
 class TestEvalAndDiff:

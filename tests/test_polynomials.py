@@ -16,7 +16,8 @@ from bdk.polynomials import (
     integrate_simplex,
 )
 from bdk.simplex_integrals import inner_one_bernstein
-from bdk.verify import sample_simplex_point
+
+from sampling import sample_simplex_point
 
 
 F = Fraction

@@ -1,7 +1,6 @@
 import hashlib
 import json
 import math
-import random
 from fractions import Fraction
 from math import comb
 
@@ -9,7 +8,6 @@ import pytest
 
 import bdk.cli
 import bdk.kernels
-import bdk.polynomials
 import bdk.verify
 from bdk.combinat import enumerate_multi_indices
 from bdk.kernels import DiagonalKernelForm
@@ -21,21 +19,20 @@ from bdk.verify import (
     _monomials_up_to,
     canonical_json_bytes,
     run_suite,
-    sample_simplex_point,
 )
 
 
 #: sha256 of the default report body; any change to an answer, a check or the
 #: report schema moves it.
-DEFAULT_BODY_SHA256 = "3a5d50b4c388abc3a60e063cd90f2984f5b788e5dd423c6d2beb12f899929e21"
+DEFAULT_BODY_SHA256 = "5b18f34471af8589a3899c814e49abd3efa601fba10c63c2ece7fefaaacdbbaf"
 
 #: sha256 of the report body of SuiteConfig(d_range=(3,), max_degree=6), whose
 #: d = 3 two-fold checks elevate forms with m != n.
-D3_BODY_SHA256 = "e560a1711a825959d2af6fdae9a276c17c16e98e78081ee907f7792cd686918a"
+D3_BODY_SHA256 = "9ecb2000155af2275c24cb81c3601055e5ff03497bf5e297d141598340ba114e"
 
 #: sha256 of the default report body with the closed-form prefactor doubled
 #: (`--self-test-corrupt`), and how many of its checks fail.
-CORRUPT_BODY_SHA256 = "0bf7e9a50a3bf474762b6ff9b4afcb38db63238d265553e8ed93ac280794af3f"
+CORRUPT_BODY_SHA256 = "7c61d87e0b81b61f57fdc90e491f59a4ab623e9e8d499912ea96b279587fea48"
 CORRUPT_FAILURES = 155
 
 
@@ -43,16 +40,15 @@ CORRUPT_FAILURES = 155
 COUNTED = ((bdk.verify, "kernel_legendre"), (bdk.verify, "kernel_single"),
            (bdk.verify, "kernel_closed_twofold"),
            (bdk.verify, "kernel_definition_twofold"),
-           (bdk.kernels.BernsteinKernelForm, "expand"),
-           (bdk.verify, "inner_sum_identity"), (bdk.polynomials, "inner_product"))
+           (bdk.kernels.BernsteinKernelForm, "expand"), (bdk.verify, "inner_product"))
 
 
 def run_counted(cfg):
     """The report of run_suite(cfg), the number of calls to each COUNTED name,
-    and under "lemma_coefficients" how many coefficient vectors the
+    and under "lemma_coordinates" how many coordinate vector pairs the
     inner-sum lemma built."""
     counts = dict.fromkeys((name for _, name in COUNTED), 0)
-    bdk.kernels._inner_sum_coefficients.cache_clear()
+    bdk.kernels._inner_sum_coordinates.cache_clear()
 
     def counter(name, fn):
         def counted(*args, **kwargs):
@@ -64,7 +60,7 @@ def run_counted(cfg):
         for module, name in COUNTED:
             mp.setattr(module, name, counter(name, getattr(module, name)))
         report = run_suite(cfg)
-    counts["lemma_coefficients"] = bdk.kernels._inner_sum_coefficients.cache_info().misses
+    counts["lemma_coordinates"] = bdk.kernels._inner_sum_coordinates.cache_info().misses
     return report, counts
 
 
@@ -82,7 +78,7 @@ def expected_work(cfg):
         legendre = (cfg.univariate_cap + 1) ** 2
         twofold[1] = max(twofold[1], cfg.univariate_cap)
     twofold_keys = sum((cap + 1) ** 2 for cap in twofold.values())
-    # one lemma check per (n, beta degree), points_per_case points per beta
+    # one lemma check per (n, beta degree), one pair of coordinate vectors per beta
     betas = sum((cfg.lemma_cap + 1) * comb(cfg.lemma_cap + d + 1, d + 1) for d in operator_dims)
     return {
         "kernel_legendre": legendre,
@@ -90,8 +86,7 @@ def expected_work(cfg):
         "kernel_closed_twofold": twofold_keys,
         "kernel_definition_twofold": twofold_keys,
         "expand": 0,
-        "inner_sum_identity": betas * cfg.points_per_case,
-        "lemma_coefficients": betas,
+        "lemma_coordinates": betas,
         "inner_product": sum((cfg.operator_cap + 1) * monomials[d] ** 2
                              for d in operator_dims),
     }
@@ -181,7 +176,7 @@ def default_report(default_run):
 
 
 def tiny_config(**overrides):
-    base = dict(d_range=(1,), max_degree=2, threefold_cap=1, seed=20260810)
+    base = dict(d_range=(1,), max_degree=2, threefold_cap=1)
     base.update(overrides)
     return SuiteConfig(**base)
 
@@ -231,12 +226,10 @@ class TestSuiteConfig:
         for ok in (0, 2.5):
             assert SuiteConfig(d_range=(1,), time_budget_s=ok).time_budget_s == ok
 
-    @pytest.mark.parametrize("seed", [[1], 1.5, "abc", True, None, Fraction(3)])
-    def test_seed_must_be_an_int(self, seed):
-        with pytest.raises(ValueError, match="^seed must be an int"):
-            SuiteConfig(d_range=(1,), seed=seed)
-        for ok in (0, -3, 2 ** 70):
-            assert SuiteConfig(d_range=(1,), seed=ok).to_json_dict()["seed"] == ok
+    def test_takes_no_seed(self):
+        # every check is exact: there is no sampled point for a seed to fix
+        with pytest.raises(TypeError, match="seed"):
+            SuiteConfig(d_range=(1,), seed=1)
 
     @pytest.mark.parametrize("flag", ["no", 1, 0, None, "True"])
     def test_corrupt_scale_must_be_a_bool(self, flag):
@@ -260,8 +253,7 @@ class TestSuiteConfig:
             "d_range": [2, 1], "degree_caps": {"1": 3, "2": 3}, "threefold_cap": 1,
             "univariate_cap": 3, "legendre_cap": 3, "combination_cap": 3, "lemma_cap": 3,
             "operator_cap": 3, "operator_monomial_degree": 3, "moment_cap": 3,
-            "points_per_case": 5, "seed": 271828, "time_budget_s": None,
-            "corrupt_scale": False}
+            "time_budget_s": None, "corrupt_scale": False}
 
 
 def old_monomials_up_to(d, max_degree):
@@ -279,21 +271,6 @@ class TestMonomials:
         monomials = _monomials_up_to(d, k)
         assert len(monomials) == len(set(monomials)) == comb(k + d, d)
         assert monomials == list(dict.fromkeys(old_monomials_up_to(d, k)))
-
-
-class TestSamplePoint:
-    def test_points_are_inside_and_small_denominator(self):
-        rng = random.Random(5)
-        for d in (1, 2, 3):
-            for _ in range(20):
-                pt = sample_simplex_point(rng, d)
-                assert pt.in_simplex()
-                assert all(c.denominator <= 97 for c in pt.coords)
-
-    def test_deterministic_for_seed(self):
-        a = [sample_simplex_point(random.Random(9), 2) for _ in range(5)]
-        b = [sample_simplex_point(random.Random(9), 2) for _ in range(5)]
-        assert a == b
 
 
 class TestRunSuite:
@@ -363,8 +340,7 @@ class TestRunSuite:
         _, counts = default_run
         assert counts == {"kernel_legendre": 121, "kernel_single": 21,
                           "kernel_closed_twofold": 195, "kernel_definition_twofold": 195,
-                          "expand": 0, "inner_sum_identity": 1250, "lemma_coefficients": 250,
-                          "inner_product": 1500}
+                          "expand": 0, "lemma_coordinates": 250, "inner_product": 1500}
         assert counts == expected_work(SuiteConfig())
 
     @pytest.mark.parametrize("cfg", [
@@ -399,23 +375,25 @@ class TestRunSuite:
                     (family, record.witness)
 
     def test_lemma_check_catches_a_perturbed_side(self, monkeypatch):
-        original = bdk.kernels._inner_sum_coefficients
+        original = bdk.verify._inner_sum_coordinates
 
         def perturbed(n, beta):
-            alphas, left, ells, right = original(n, beta)
-            # ells[0] is l = 0, whose B_l is 1: the right side grows by 1
-            return alphas, left, ells, (right[0] + 1,) + right[1:]
-        monkeypatch.setattr(bdk.kernels, "_inner_sum_coefficients", perturbed)
+            alphas, left, right = original(n, beta)
+            # the coefficient of B_a, a = (n, 0, ..., 0), on the right grows by 1
+            return alphas, left, (right[0] + 1,) + right[1:]
+        monkeypatch.setattr(bdk.verify, "_inner_sum_coordinates", perturbed)
         report = run_suite(tiny_config(d_range=(1, 2)))
         records = [c for c in report.checks if c.name == "inner_sum_collapse"]
         assert records
         for record in records:
             assert not record.passed, record.params
+            d, n = record.params["d"], record.params["n"]
             witness = record.witness
-            assert set(witness) == {"beta", "y", "lhs", "rhs"}
-            assert len(witness["beta"]) == len(witness["y"]) + 1 == record.params["d"] + 1
-            assert sum(witness["beta"]) == record.params["beta_degree"]
-            assert Fraction(witness["rhs"]) - Fraction(witness["lhs"]) == 1
+            assert set(witness) == {"beta", "a", "lhs", "rhs"}
+            # the first beta of its degree fails at the first index a
+            assert witness["beta"] == [record.params["beta_degree"]] + [0] * d
+            assert witness["a"] == [n] + [0] * d
+            assert int(witness["rhs"]) - int(witness["lhs"]) == 1
         assert {c.name for c in report.failures} == {"inner_sum_collapse"}
 
     def test_stochastic_check_catches_a_perturbed_coordinate(self, monkeypatch):
@@ -491,7 +469,7 @@ class TestRunSuite:
                 f"a diagonal form of index degree {min(m, n) + 1} has no "
                 f"coordinates at degrees ({m}, {n})")}, record
         code = bdk.cli.main(["verify", "--d", "1,2", "--max-degree", "2", "--threefold-cap",
-                             "1", "--seed", "20260810", "--report", str(tmp_path / "r.json")])
+                             "1", "--report", str(tmp_path / "r.json")])
         assert code == 1
         assert "failed" in capsys.readouterr().err
         assert json.loads((tmp_path / "r.json").read_text())["complete"] is True
@@ -524,7 +502,7 @@ class TestReportSerialization:
         assert obj["schema"] == REPORT_SCHEMA
         assert obj["version"]
         assert obj["summary"]["total"] == len(obj["checks"])
-        assert obj["config"]["seed"] == 20260810
+        assert obj["config"] == tiny_config().to_json_dict()
         assert "total_ms" in obj
         assert all("wall_ms" in c for c in obj["checks"])
 
@@ -534,15 +512,9 @@ class TestReportSerialization:
         assert "total_ms" not in body
         assert all("wall_ms" not in c for c in body["checks"])
 
-    def test_same_seed_same_body_bytes(self):
+    def test_same_config_same_body_bytes(self):
         cfg = tiny_config()
         assert run_suite(cfg).body_bytes() == run_suite(cfg).body_bytes()
-
-    def test_different_seed_changes_sampled_points_only(self):
-        a = run_suite(tiny_config(seed=1))
-        b = run_suite(tiny_config(seed=2))
-        assert a.ok and b.ok
-        assert a.body_bytes() != b.body_bytes()  # config echo includes the seed
 
     def test_report_round_trips_through_json(self):
         report = run_suite(tiny_config())
