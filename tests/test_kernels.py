@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
+from math import comb, factorial, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -29,6 +30,7 @@ from bdk.polynomials import (
     BarycentricPoint,
     CartesianPolynomial,
     bernstein_basis,
+    bernstein_value,
     inner_product,
     integrate_simplex,
 )
@@ -579,6 +581,23 @@ class TestInnerSumIdentity:
                     alphas, left, right = bdk.kernels._inner_sum_coordinates(n, beta)
                     assert list(alphas) == enumerate_multi_indices(n, d)
                     assert left == right, (n, beta)
+
+    def test_sides_match_the_sums_they_name(self):
+        # each side written out term by term with bernstein_value, independent
+        # of the elevation columns the coordinates are built with
+        rng = random.Random(31)
+        for d in (1, 2):
+            for n in range(4):
+                for beta_degree in range(4):
+                    for beta in enumerate_multi_indices(beta_degree, d):
+                        y = sample_simplex_point(rng, d)
+                        left = sum(bernstein_value(a, y) * prod(
+                            factorial(a_v + b_v) // factorial(a_v) for a_v, b_v in zip(a, beta))
+                            for a in enumerate_multi_indices(n, d))
+                        right = sum(comb(n, sum(ell)) * bernstein_value(ell, y)
+                                    * index_factorial(beta) * prod(map(comb, beta, ell))
+                                    for ell in product(*(range(b + 1) for b in beta)))
+                        assert inner_sum_identity(n, beta, y) == (left, right), (n, beta, y)
 
 
 class TestEvalAndDiff:

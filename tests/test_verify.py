@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import random
 from fractions import Fraction
 from math import comb
 
@@ -20,6 +21,8 @@ from bdk.verify import (
     canonical_json_bytes,
     run_suite,
 )
+
+from sampling import sample_simplex_point
 
 
 #: sha256 of the default report body; any change to an answer, a check or the
@@ -226,10 +229,11 @@ class TestSuiteConfig:
         for ok in (0, 2.5):
             assert SuiteConfig(d_range=(1,), time_budget_s=ok).time_budget_s == ok
 
-    def test_takes_no_seed(self):
-        # every check is exact: there is no sampled point for a seed to fix
-        with pytest.raises(TypeError, match="seed"):
-            SuiteConfig(d_range=(1,), seed=1)
+    @pytest.mark.parametrize("keyword", ["seed", "points_per_case"])
+    def test_takes_no_sampling_keyword(self, keyword):
+        # every check is exact: there is no sampled point for these to set
+        with pytest.raises(TypeError, match=keyword):
+            SuiteConfig(d_range=(1,), **{keyword: 1})
 
     @pytest.mark.parametrize("flag", ["no", 1, 0, None, "True"])
     def test_corrupt_scale_must_be_a_bool(self, flag):
@@ -271,6 +275,23 @@ class TestMonomials:
         monomials = _monomials_up_to(d, k)
         assert len(monomials) == len(set(monomials)) == comb(k + d, d)
         assert monomials == list(dict.fromkeys(old_monomials_up_to(d, k)))
+
+
+class TestSamplePoint:
+    """The test-only sampler the point-evaluating tests draw from."""
+
+    def test_points_are_inside_and_small_denominator(self):
+        rng = random.Random(5)
+        for d in (1, 2, 3):
+            for _ in range(20):
+                pt = sample_simplex_point(rng, d)
+                assert pt.in_simplex()
+                assert all(c.denominator <= 97 for c in pt.coords)
+
+    def test_deterministic_for_seed(self):
+        a = [sample_simplex_point(random.Random(9), 2) for _ in range(5)]
+        b = [sample_simplex_point(random.Random(9), 2) for _ in range(5)]
+        assert a == b
 
 
 class TestRunSuite:
@@ -373,6 +394,14 @@ class TestRunSuite:
                 assert not record.passed, (family, record.params)
                 assert named in (record.witness.get("f"), record.witness.get("g")), \
                     (family, record.witness)
+
+    def test_lemma_checks_one_degree_pair_with_no_sampled_cases(self):
+        report = run_suite(tiny_config(d_range=(1, 2)))
+        params = [c.params for c in report.checks if c.name == "inner_sum_collapse"]
+        assert all(set(p) == {"d", "n", "beta_degree"} for p in params), params
+        cap = report.config["lemma_cap"]
+        assert sorted((p["d"], p["n"], p["beta_degree"]) for p in params) == [
+            (d, n, k) for d in (1, 2) for n in range(cap + 1) for k in range(cap + 1)]
 
     def test_lemma_check_catches_a_perturbed_side(self, monkeypatch):
         original = bdk.verify._inner_sum_coordinates
