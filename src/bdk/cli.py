@@ -286,7 +286,7 @@ def _cmd_verify(args) -> int:
     if args.report:
         _write_file(args.report, "--report", "", "a")
     report = run_suite(cfg)
-    payload = json.dumps(report.to_json_dict(), sort_keys=True, indent=2)
+    payload = json.dumps(report.to_json_dict(), sort_keys=True)
     if args.report:
         _write_file(args.report, "--report", payload + "\n")
     else:

@@ -13,7 +13,10 @@ compares full canonical forms.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import List, Sequence
+from functools import lru_cache
+from itertools import accumulate
+from operator import mul
+from typing import List, Sequence, Tuple
 
 from .combinat import (
     FactorialTable,
@@ -69,8 +72,10 @@ def apply_operator(spec: OperatorSpec, f: CartesianPolynomial) -> CartesianPolyn
         <f, B_a> = mult(a) * sum_e f_e (a + (0,e))! / (n+|e|+d)!,
     and <1, B_a> = n!/(n+d)!.  With f = F / D for an integer map F and the
     common factorial N = (n + deg f + d)!, the image is one integer sum
-        sum_a mult(a) * [sum_e F_e (a+(0,e))! N/(n+|e|+d)!] * B_a
-    times the single scale (n+d)! / (n! D N).
+        sum_a mult(a) * [sum_e F_e N/(n+|e|+d)! (a+(0,e))!] * B_a
+    times the single scale (n+d)! / (n! D N).  The bracket is a dot product
+    of the weights F_e N/(n+|e|+d)! with the moment columns
+    (a+(0,e))! over |a| = n, which `_moment_column` keeps per (n, e).
     """
     check_polynomial(f)
     if f.d != spec.dimension:
@@ -80,15 +85,11 @@ def apply_operator(spec: OperatorSpec, f: CartesianPolynomial) -> CartesianPolyn
         return CartesianPolynomial.zero(d)
     top = n + f.total_degree() + d
     fact = FactorialTable()
-    moments = [((0,) + exps, c * (fact[top] // fact[n + sum(exps) + d]))
-               for exps, c in f.nums.items()]
+    weights = [c * (fact[top] // fact[n + sum(exps) + d]) for exps, c in f.nums.items()]
+    columns = [_moment_column(n, exps) for exps in f.nums]
     image = {}
-    for alpha in enumerate_multi_indices(n, d):
-        total = 0
-        for shift, c in moments:
-            for a, e in zip(alpha, shift):
-                c *= fact[a + e]
-            total += c
+    for alpha, moments in zip(enumerate_multi_indices(n, d), zip(*columns)):
+        total = sum(map(mul, weights, moments))
         if not total:
             continue
         total *= table_multinomial(alpha, fact)
@@ -96,6 +97,25 @@ def apply_operator(spec: OperatorSpec, f: CartesianPolynomial) -> CartesianPolyn
             image[exps] = image.get(exps, 0) + total * b
     scale = Fraction(fact[n + d], fact[n] * f.den * fact[top])
     return CartesianPolynomial.from_integers(d, image, scale)
+
+
+@lru_cache(maxsize=None)
+def _moment_column(n: int, exps: Tuple[int, ...]) -> Tuple[int, ...]:
+    """(a + (0, exps))! for each a of `enumerate_multi_indices(n, d)`, in
+    that order, d = len(exps).
+
+    The product is gathered one barycentric coordinate at a time: part v of
+    every a reads (a_v + shift_v)! from one table over a_v = 0..n.  Kept
+    per (n, exps), as every image under M_n of a polynomial with the term
+    x^exps reads the same column.
+    """
+    indices = enumerate_multi_indices(n, len(exps))
+    column = [1] * len(indices)
+    for parts, shift in zip(zip(*indices), (0, *exps)):
+        # (k + shift)! for k = 0..n, each from the one before
+        table = list(accumulate(range(shift + 1, shift + n + 1), mul, initial=factorial(shift)))
+        column = list(map(mul, column, map(table.__getitem__, parts)))
+    return tuple(column)
 
 
 def compose_apply(specs: Sequence[OperatorSpec], f: CartesianPolynomial) -> CartesianPolynomial:

@@ -52,6 +52,7 @@ __all__ = [
     "check_polynomial",
     "integrate_simplex",
     "inner_product",
+    "moment_numerators",
     "monomial_numerators",
 ]
 
@@ -466,46 +467,51 @@ def _dirichlet_terms(weighted: Iterable[Tuple[Exponents, int]], d: int, top: int
         yield w
 
 
-def _dirichlet_sum(weighted: Iterable[Tuple[Exponents, int]], d: int, top: int,
-                   den: int) -> Fraction:
-    """(1/den) * sum of c * int x^e over the simplex, for (e, c) with |e| <= top.
-
-    The integer terms share the denominator (top+d)!; one Fraction is built
-    at the end.
-    """
-    fact = FactorialTable()
-    total = sum(_dirichlet_terms(weighted, d, top, fact))
-    return Fraction(total, den * fact[top + d])
-
-
 def integrate_simplex(p: CartesianPolynomial) -> Fraction:
     """Exact integral of p over the standard d-simplex.
 
-    Each cartesian monomial is lifted to barycentric exponents with
-    mu_0 = 0 and integrated by the Dirichlet formula; with p = P / D for an
-    integer map P, the integral is sum_e P_e e! (N+d)!/(|e|+d)! / (D (N+d)!),
-    N = deg p.
+    This is <p, 1>, the moment of `moment_numerators` at the key 0: each
+    cartesian monomial is lifted to barycentric exponents with mu_0 = 0 and
+    integrated by the Dirichlet formula over the one denominator
+    den (N+d)!, N = deg p.
     """
-    check_polynomial(p)
-    if not p.nums:
-        return Fraction(0)
-    return _dirichlet_sum(p.nums.items(), p.d, p.total_degree(), p.den)
+    den, (value,) = moment_numerators(p, [(0,) * p.d])
+    return Fraction(value, den)
 
 
 def inner_product(f: CartesianPolynomial, g: CartesianPolynomial) -> Fraction:
     """<f, g> over the standard simplex, computed exactly.
 
-    With f = F / D_f and g = G / D_g for integer maps F, G, the product is
-    never built:  <f, g> = sum_{e, e'} F_e G_e' (e+e')! (N+d)!/(|e+e'|+d)!
-    / (D_f D_g (N+d)!),  N = deg f + deg g.
+    With g = G / D_g for an integer map G, the product is never built:
+    <f, g> = sum_e G_e <f, x^e> / D_g, over the moments of f against the
+    keys of g (`moment_numerators`), which share one denominator.
     """
-    check_polynomial(f)
     check_polynomial(g)
     if f.d != g.d:
         raise ValueError(f"dimension mismatch: {f.d} vs {g.d}")
-    if not f.nums or not g.nums:
-        return Fraction(0)
-    g_terms = g.nums.items()
-    pairs = ((tuple(a + b for a, b in zip(ef, eg)), cf * cg)
-             for ef, cf in f.nums.items() for eg, cg in g_terms)
-    return _dirichlet_sum(pairs, f.d, f.total_degree() + g.total_degree(), f.den * g.den)
+    den, moments = moment_numerators(f, list(g.nums))
+    return Fraction(sum(map(mul, g.nums.values(), moments)), den * g.den)
+
+
+def moment_numerators(p: CartesianPolynomial,
+                      keys: Sequence[Exponents]) -> Tuple[int, List[int]]:
+    """A denominator D and the integers D * <p, x^e> for each key e.
+
+    Dirichlet's formula gives int x^e = e! / (|e|+d)!, so with p = P / den
+    and N = deg p + max |e|,
+        <p, x^e> = sum_e' P_e' (e+e')! (N+d)!/(|e+e'|+d)! / (den (N+d)!),
+    and D = den (N+d)! is shared by the whole batch.  A batch of keys is
+    one row of a Gram matrix, compared by cross-multiplying denominators.
+    """
+    check_polynomial(p)
+    d = p.d
+    if any(len(e) != d for e in keys):
+        raise ValueError(f"every key must have {d} exponents")
+    terms = list(p.nums.items())
+    if not terms:
+        return 1, [0] * len(keys)
+    top = p.total_degree() + max(map(sum, keys), default=0)
+    fact = FactorialTable()
+    row = [sum(_dirichlet_terms(((tuple(map(add, e, k)), c) for k, c in terms), d, top, fact))
+           for e in keys]
+    return p.den * fact[top + d], row

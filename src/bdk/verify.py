@@ -37,7 +37,7 @@ from .kernels import (
     kernel_legendre,
     kernel_single,
 )
-from .polynomials import CartesianPolynomial, inner_product, integrate_simplex
+from .polynomials import CartesianPolynomial, integrate_simplex, moment_numerators
 
 __all__ = [
     "SuiteConfig",
@@ -175,9 +175,12 @@ class VerificationReport(NamedTuple):
         return canonical_json_bytes(self.to_json_dict(include_timing=False))
 
 
+#: One encoder for every canonical serialization; without indent it runs in C.
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+
+
 def canonical_json_bytes(obj: dict) -> bytes:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"),
-                      ensure_ascii=False).encode("utf-8")
+    return _CANONICAL.encode(obj).encode("utf-8")
 
 
 # -- check construction ---------------------------------------------------
@@ -217,16 +220,22 @@ class _SuiteState:
 
     - "coordinates", kernel_definition_twofold(m, n, d) per (d, m, n), in
       Bernstein coordinates: twofold_closed_equals_definition,
-      twofold_stochastic_in_y, twofold_symmetry_xy, twofold_symmetry_degrees,
-      univariate_twofold_vs_definition, legendre_matches_univariate and
-      composition_linear_combination_kernel.
+      twofold_stochastic_in_y, "square", univariate_twofold_vs_definition,
+      legendre_matches_univariate and composition_linear_combination_kernel.
+    - "square", the (d, m, n) coordinates elevated to (max(m, n), max(m, n))
+      per (d, m, n), m != n (at m = n they are the square already):
+      twofold_symmetry_xy, then twofold_symmetry_degrees, its last reader,
+      which drops it.  The two-fold jobs run one degree pair at a time, so
+      at most the squares of (m, n) and (n, m) are kept at once.
     - "closed", kernel_closed_twofold(m, n, d) per (d, m, n):
-      twofold_closed_equals_definition (which corrupts a with_scale copy,
-      never the form kept here), diagonal_truncation and "univariate".
+      twofold_closed_equals_definition at d > 1 and under corrupt_scale
+      (which corrupts a with_scale copy, never the form kept here),
+      diagonal_truncation and "univariate".
     - "single", kernel_single(k, d) per (d, k): single_stochastic_in_y and
       composition_linear_combination_kernel.
     - "univariate", the d = 1 closed form's coordinates at (m, n) per
-      (m, n): univariate_twofold_path and univariate_twofold_vs_definition.
+      (m, n): twofold_closed_equals_definition, univariate_twofold_path and
+      univariate_twofold_vs_definition.
     - "legendre", kernel_legendre(m, n) per (m, n), in Bernstein
       coordinates: univariate_twofold_path and legendre_matches_univariate.
     - "threefold", kernel_definition_threefold(a, b, c, 1) per (a, b, c):
@@ -236,24 +245,34 @@ class _SuiteState:
 
     So the d = 1 two-fold kernel is built three independent ways, closed,
     Legendre and definitional, and each pair is compared by one family.
-    What a check derives from these, a closed form's coordinates at d > 1
-    or a form elevated to a common degree, has one reader and is built in
-    the check, not kept.
+    What a check derives from these, a closed form's coordinates at d > 1,
+    a three-fold form elevated to a common degree or a row of moments, has
+    one reader and is built in the check, not kept.
     """
 
     def __init__(self):
         self._built: Dict[tuple, object] = {}
 
-    def _memo(self, key: tuple, build: Callable[[], object]):
-        """The artifact stored under key, built by build() on first use."""
+    def _memo(self, key: tuple, build: Callable[[], object], last: bool = False):
+        """The artifact stored under key, built by build() on first use;
+        last=True marks its last reader, and drops it from the memo."""
         value = self._built.get(key)
         if value is None:
             value = self._built[key] = build()
+        if last:
+            del self._built[key]
         return value
 
     def coordinates(self, d: int, m: int, n: int) -> BernsteinKernelForm:
         return self._memo(("coordinates", d, m, n),
                           lambda: kernel_definition_twofold(m, n, d))
+
+    def square(self, d: int, m: int, n: int, last: bool = False) -> BernsteinKernelForm:
+        if m == n:
+            return self.coordinates(d, m, n)
+        top = max(m, n)
+        return self._memo(("square", d, m, n),
+                          lambda: self.coordinates(d, m, n).elevate(top, top), last)
 
     def closed(self, d: int, m: int, n: int) -> DiagonalKernelForm:
         return self._memo(("closed", d, m, n), lambda: kernel_closed_twofold(m, n, d))
@@ -300,47 +319,58 @@ def _iter_jobs(cfg: SuiteConfig, state: _SuiteState) -> Iterator[Job]:
 
 
 def _twofold_jobs(cfg: SuiteConfig, state: _SuiteState) -> Iterator[Job]:
+    """The two-fold checks one degree pair {m, n} at a time, by (d, max(m, n)):
+    the checks of (m, n) and of (n, m), then twofold_symmetry_degrees, the
+    last reader of both squares, which drops them."""
     for d in cfg.d_range:
         cap = cfg.degree_caps[d]
-        for m in range(cap + 1):
-            for n in range(cap + 1):
-                params = {"d": d, "m": m, "n": n}
-
-                def closed_vs_def(d=d, m=m, n=n):
-                    form = state.closed(d, m, n)
-                    if cfg.corrupt_scale:
-                        form = form.with_scale(2 * form.scale)
-                    return _coordinates_equal(form.coordinates(m, n),
-                                              state.coordinates(d, m, n))
-                yield "twofold_closed_equals_definition", params, closed_vs_def
-
-                def stochastic(d=d, m=m, n=n):
-                    return _stochastic(state.coordinates(d, m, n))
-                yield "twofold_stochastic_in_y", params, stochastic
-
-                def symmetric_xy(d=d, m=m, n=n):
-                    top = max(m, n)
-                    k = state.coordinates(d, m, n).elevate(top, top)
-                    return _coordinates_equal(k, k.transpose())
-                yield "twofold_symmetry_xy", params, symmetric_xy
-
-                def truncated(d=d, m=m, n=n):
-                    top = state.closed(d, m, n).max_index_degree()
-                    if top <= min(m, n):
-                        return True, None
-                    return False, {"max_index_degree": top, "min_degree": min(m, n)}
-                yield "diagonal_truncation", params, truncated
-
+        for n in range(cap + 1):
+            for m in range(n + 1):
+                yield from _twofold_pair_jobs(cfg, state, d, m, n)
                 if m < n:
+                    yield from _twofold_pair_jobs(cfg, state, d, n, m)
+
                     def symmetric_degrees(d=d, m=m, n=n):
-                        return _coordinates_equal(state.coordinates(d, m, n).elevate(n, n),
-                                                  state.coordinates(d, n, m).elevate(n, n))
-                    yield "twofold_symmetry_degrees", params, symmetric_degrees
+                        return _coordinates_equal(state.square(d, m, n, last=True),
+                                                  state.square(d, n, m, last=True))
+                    yield "twofold_symmetry_degrees", {"d": d, "m": m, "n": n}, symmetric_degrees
 
         for k in range(cap + 1):
             def single_stochastic(d=d, k=k):
                 return _stochastic(state.single(d, k).coordinates(k, k))
             yield "single_stochastic_in_y", {"d": d, "n": k}, single_stochastic
+
+
+def _twofold_pair_jobs(cfg: SuiteConfig, state: _SuiteState,
+                       d: int, m: int, n: int) -> Iterator[Job]:
+    params = {"d": d, "m": m, "n": n}
+
+    def closed_vs_def():
+        if cfg.corrupt_scale:
+            form = state.closed(d, m, n)
+            closed = form.with_scale(2 * form.scale).coordinates(m, n)
+        elif d == 1:
+            closed = state.univariate(m, n)
+        else:
+            closed = state.closed(d, m, n).coordinates(m, n)
+        return _coordinates_equal(closed, state.coordinates(d, m, n))
+    yield "twofold_closed_equals_definition", params, closed_vs_def
+
+    def stochastic():
+        return _stochastic(state.coordinates(d, m, n))
+    yield "twofold_stochastic_in_y", params, stochastic
+
+    def symmetric_xy():
+        k = state.square(d, m, n)
+        return _coordinates_equal(k, k.transpose())
+    yield "twofold_symmetry_xy", params, symmetric_xy
+
+    def truncated():
+        top = state.closed(d, m, n).max_index_degree()
+        if top <= min(m, n):
+            return True, None
+        return False, {"max_index_degree": top, "min_degree": min(m, n)}
+    yield "diagonal_truncation", params, truncated
 
 
 def _univariate_jobs(cfg: SuiteConfig, state: _SuiteState) -> Iterator[Job]:
@@ -421,6 +451,8 @@ def _operator_jobs(cfg: SuiteConfig, state: _SuiteState) -> Iterator[Job]:
             continue
         cap = cfg.operator_cap
         monomials = _monomials_up_to(d, cfg.operator_monomial_degree)
+        # each monomial is x^e with coefficient 1, so <p, g> is the moment at e
+        exponents = [e for g in monomials for e in g.nums]
 
         for n in range(cap + 1):
             def constant_preserved(d=d, n=n):
@@ -438,18 +470,18 @@ def _operator_jobs(cfg: SuiteConfig, state: _SuiteState) -> Iterator[Job]:
             yield "operator_degree_bound", {"d": d, "n": n}, degree_bound
 
             def self_adjoint(d=d, n=n):
-                # gram[i][j] = <M_n f_i, f_j>, so <f_i, M_n f_j> = gram[j][i]; a
-                # pair can first fail at i < j, as (j, i) repeats (i, j)
-                gram = [[inner_product(state.image(d, n, f), g) for g in monomials]
-                        for f in monomials]
-                for i, f in enumerate(monomials):
-                    for j in range(i + 1, len(monomials)):
-                        lhs, rhs = gram[i][j], gram[j][i]
-                        if lhs != rhs:
-                            return False, {"f": f.to_json_dict()["terms"],
+                # rows[i] = (D_i, [D_i <M_n f_i, g_j> for each j]), so
+                # <f_i, M_n f_j> is rows[j][1][i] / D_j; a pair can first fail
+                # at i < j, as (j, i) repeats (i, j)
+                rows = [moment_numerators(state.image(d, n, f), exponents) for f in monomials]
+                for i, (den_i, row_i) in enumerate(rows):
+                    for j in range(i + 1, len(rows)):
+                        den_j, row_j = rows[j]
+                        if row_i[j] * den_j != row_j[i] * den_i:
+                            return False, {"f": monomials[i].to_json_dict()["terms"],
                                            "g": monomials[j].to_json_dict()["terms"],
-                                           "lhs": format_rational(lhs),
-                                           "rhs": format_rational(rhs)}
+                                           "lhs": format_rational(Fraction(row_i[j], den_i)),
+                                           "rhs": format_rational(Fraction(row_j[i], den_j))}
                 return True, None
             yield "operator_self_adjoint", {"d": d, "n": n}, self_adjoint
 
@@ -501,7 +533,10 @@ def _moment_jobs(cfg: SuiteConfig) -> Iterator[Job]:
             x = CartesianPolynomial.variable(1, 1)
             expected = CartesianPolynomial(
                 1, {(0,): Fraction(1, n + 2), (1,): Fraction(n, n + 2)})
-            return _poly_witness(apply_operator(OperatorSpec(n, 1), x), expected)
+            ok, diff = _poly_witness(apply_operator(OperatorSpec(n, 1), x), expected)
+            if not ok:
+                diff["f"] = x.to_json_dict()["terms"]
+            return ok, diff
         yield "univariate_first_moment", {"n": n}, first_moment
 
 

@@ -606,6 +606,8 @@ class TestVerifyCommand:
         code, out, _ = run_cli(capsys, "verify", "--d", "1", "--max-degree", "0")
         assert code == 0
         assert json.loads(out)["complete"] is True
+        # one line, as every bdk JSON output; `python -m json.tool` indents it
+        assert out.count("\n") == 1 and out.endswith("\n")
 
     def test_self_test_corruption_exits_one_with_witness(self, capsys, tmp_path):
         path = tmp_path / "bad.json"

@@ -5,6 +5,8 @@ implementations of the six exact hot paths, kept verbatim as oracles:
 each sums Fraction terms as the definitions read.  The library versions
 accumulate Python ints and apply one rational scale at the end; they must
 return exactly the same maps and values, coefficient types included.
+`loop_apply_operator` is the integer per-index loop that `apply_operator`
+ran before its moment columns were cached, kept as a second oracle.
 """
 import math
 from fractions import Fraction
@@ -13,7 +15,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import bdk.kernels
-from bdk.combinat import FactorialTable, clear_denominators, enumerate_multi_indices
+from bdk.combinat import (
+    FactorialTable,
+    clear_denominators,
+    enumerate_multi_indices,
+    table_multinomial,
+)
 from bdk.durrmeyer import OperatorSpec, apply_operator, compose_apply
 from bdk.kernels import (
     DiagonalKernelForm,
@@ -30,6 +37,7 @@ from bdk.polynomials import (
     bernstein_basis,
     inner_product,
     integrate_simplex,
+    moment_numerators,
 )
 from bdk.simplex_integrals import (
     bernstein_product_integral,
@@ -80,6 +88,30 @@ def ref_apply_operator(spec, f):
         basis = bernstein_basis(alpha)
         image = image + basis.scale(weight * ref_inner_product(f, basis))
     return image
+
+
+def loop_apply_operator(spec, f):
+    n, d = spec.degree, spec.dimension
+    if f.is_zero():
+        return CartesianPolynomial.zero(d)
+    top = n + f.total_degree() + d
+    fact = FactorialTable()
+    moments = [((0,) + exps, c * (fact[top] // fact[n + sum(exps) + d]))
+               for exps, c in f.nums.items()]
+    image = {}
+    for alpha in enumerate_multi_indices(n, d):
+        total = 0
+        for shift, c in moments:
+            for a, e in zip(alpha, shift):
+                c *= fact[a + e]
+            total += c
+        if not total:
+            continue
+        total *= table_multinomial(alpha, fact)
+        for exps, b in bernstein_basis(alpha).nums.items():
+            image[exps] = image.get(exps, 0) + total * b
+    scale = Fraction(fact[n + d], fact[n] * f.den * fact[top])
+    return CartesianPolynomial.from_integers(d, image, scale)
 
 
 def ref_definition_twofold(m, n, d):
@@ -222,6 +254,26 @@ class TestReferenceEquivalence:
 
     @SETTINGS
     @given(st.data())
+    def test_apply_operator_matches_the_per_index_loop(self, data):
+        f = data.draw(polynomials())
+        spec = OperatorSpec(data.draw(st.integers(0, 6)), f.d)
+        image, ref = apply_operator(spec, f), loop_apply_operator(spec, f)
+        assert (image.den, image.nums) == (ref.den, ref.nums)
+
+    @SETTINGS
+    @given(st.data())
+    def test_moment_numerators(self, data):
+        p = data.draw(polynomials())
+        keys = data.draw(st.lists(st.sampled_from(
+            [mi[1:] for k in range(5) for mi in enumerate_multi_indices(k, p.d)]), max_size=6))
+        den, row = moment_numerators(p, keys)
+        assert len(row) == len(keys)
+        for e, value in zip(keys, row):
+            g = CartesianPolynomial.monomial(p.d, e)
+            assert Fraction(value, den) == inner_product(p, g) == ref_inner_product(p, g)
+
+    @SETTINGS
+    @given(st.data())
     def test_inner_product(self, data):
         f = data.draw(polynomials())
         g = data.draw(polynomials(d=f.d))
@@ -298,6 +350,14 @@ class TestIntegerHelpers:
         assert inner_product(f, g) == ref_inner_product(f, g)
         spec = OperatorSpec(2, 1)
         assert_identical(apply_operator(spec, f), ref_apply_operator(spec, f))
+
+    def test_moment_numerators_rejects_keys_of_another_dimension_and_kernels(self):
+        p = CartesianPolynomial(2, {(0, 1): F(1, 3)})
+        assert moment_numerators(p, []) == (p.den * math.factorial(1 + 2), [])
+        with pytest.raises(ValueError, match="2 exponents"):
+            moment_numerators(p, [(0, 1), (1,)])
+        with pytest.raises(ValueError, match="KernelPolynomial"):
+            moment_numerators(KernelPolynomial.zero(1), [(0,)])
 
     def test_den_nums_round_trip(self):
         poly = CartesianPolynomial(2, {(0, 1): F(1, 3), (2, 0): F(-5, 2)})

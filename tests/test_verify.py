@@ -3,11 +3,13 @@ import json
 import math
 import random
 from fractions import Fraction
+from itertools import combinations_with_replacement
 from math import comb
 
 import pytest
 
 import bdk.cli
+import bdk.durrmeyer
 import bdk.kernels
 import bdk.verify
 from bdk.combinat import enumerate_multi_indices
@@ -43,20 +45,28 @@ CORRUPT_FAILURES = 155
 COUNTED = ((bdk.verify, "kernel_legendre"), (bdk.verify, "kernel_single"),
            (bdk.verify, "kernel_closed_twofold"),
            (bdk.verify, "kernel_definition_twofold"),
-           (bdk.kernels.BernsteinKernelForm, "expand"), (bdk.verify, "inner_product"))
+           (bdk.kernels.BernsteinKernelForm, "expand"),
+           (bdk.kernels.BernsteinKernelForm, "elevate"),
+           (bdk.kernels.DiagonalKernelForm, "coordinates"),
+           (bdk.verify, "moment_numerators"))
 
 
 def run_counted(cfg):
     """The report of run_suite(cfg), the number of calls to each COUNTED name,
-    and under "lemma_coordinates" how many coordinate vector pairs the
+    under "raising_elevate" how many elevate calls changed a degree, and
+    under "lemma_coordinates" how many coordinate vector pairs the
     inner-sum lemma built."""
     counts = dict.fromkeys((name for _, name in COUNTED), 0)
+    counts["raising_elevate"] = 0
     bdk.kernels._inner_sum_coordinates.cache_clear()
 
     def counter(name, fn):
         def counted(*args, **kwargs):
             counts[name] += 1
-            return fn(*args, **kwargs)
+            result = fn(*args, **kwargs)
+            if name == "elevate" and result is not args[0]:
+                counts["raising_elevate"] += 1
+            return result
         return counted
 
     with pytest.MonkeyPatch.context() as mp:
@@ -83,15 +93,39 @@ def expected_work(cfg):
     twofold_keys = sum((cap + 1) ** 2 for cap in twofold.values())
     # one lemma check per (n, beta degree), one pair of coordinate vectors per beta
     betas = sum((cfg.lemma_cap + 1) * comb(cfg.lemma_cap + d + 1, d + 1) for d in operator_dims)
+    # one square per (d, m, n) with m != n, each a raise; the permutation check
+    # elevates its base and each other ordering of a <= b <= c to (c, c), a
+    # raise unless the outer and inner degrees are both c already
+    elevations = raising = sum((cap + 1) * cap for cap in cfg.degree_caps.values())
+    if 1 in cfg.d_range:
+        for a, b, c in combinations_with_replacement(range(min(3, cfg.threefold_cap) + 1), 3):
+            forms = [(a, b, c), *{(a, c, b), (b, a, c), (b, c, a), (c, a, b), (c, b, a)}]
+            elevations += len(forms)
+            raising += sum(1 for outer, _, inner in forms if (outer, inner) != (c, c))
+    closed_coordinates = (
+        # twofold_closed_equals_definition at d > 1, once per (d, m, n)
+        sum((cfg.degree_caps[d] + 1) ** 2 for d in cfg.d_range if d > 1)
+        # the d = 1 closed coordinates, once per (m, n)
+        + ((twofold[1] + 1) ** 2 if 1 in cfg.d_range else 0)
+        # single_stochastic_in_y, once per (d, k)
+        + singles
+        # composition_linear_combination_kernel, once per single degree k <= min(m, n)
+        + sum(min(m, n) + 1 for d in operator_dims
+              for cap in [min(cfg.combination_cap, cfg.degree_caps[d])]
+              for m in range(cap + 1) for n in range(cap + 1))
+        # threefold_closed_equals_definition, once per (a, b, c)
+        + ((cfg.threefold_cap + 1) ** 3 if 1 in cfg.d_range else 0))
     return {
         "kernel_legendre": legendre,
         "kernel_single": singles,
         "kernel_closed_twofold": twofold_keys,
         "kernel_definition_twofold": twofold_keys,
         "expand": 0,
+        "elevate": elevations,
+        "raising_elevate": raising,
+        "coordinates": closed_coordinates,
         "lemma_coordinates": betas,
-        "inner_product": sum((cfg.operator_cap + 1) * monomials[d] ** 2
-                             for d in operator_dims),
+        "moment_numerators": sum((cfg.operator_cap + 1) * monomials[d] for d in operator_dims),
     }
 
 
@@ -148,6 +182,17 @@ def perturb_off_diagonal(build):
     return perturbed
 
 
+def bump_moment_column(column):
+    """Moment columns whose first entry, at a = (2, 0, ..., 0), is one more in
+    every column of degree n = 2 and exponent degree |e| = 1."""
+    def bumped(n, exps):
+        values = column(n, exps)
+        if n == 2 and sum(exps) == 1:
+            return (values[0] + 1, *values[1:])
+        return values
+    return bumped
+
+
 #: One monkeypatch list per mutant: (module, name, wrapper of the original).
 MUTANTS = {
     "top_closed_weight": [(bdk.verify, name, bump_top_weight) for name in (
@@ -166,6 +211,10 @@ COORDINATE_FAMILIES = ("twofold_closed_equals_definition", "univariate_twofold_v
                        "twofold_symmetry_degrees", "threefold_permutation_invariance",
                        "composition_linear_combination_kernel")
 STOCHASTIC_FAMILIES = ("twofold_stochastic_in_y", "single_stochastic_in_y")
+#: The families that compare operator images of the monomials f.
+OPERATOR_FAMILIES = ("operator_self_adjoint", "operator_integral_preservation",
+                     "operator_commutativity", "operator_linear_combination",
+                     "univariate_first_moment")
 
 
 @pytest.fixture(scope="module")
@@ -361,7 +410,9 @@ class TestRunSuite:
         _, counts = default_run
         assert counts == {"kernel_legendre": 121, "kernel_single": 21,
                           "kernel_closed_twofold": 195, "kernel_definition_twofold": 195,
-                          "expand": 0, "lemma_coordinates": 250, "inner_product": 1500}
+                          "expand": 0, "elevate": 214, "raising_elevate": 200,
+                          "coordinates": 614, "lemma_coordinates": 250,
+                          "moment_numerators": 120}
         assert counts == expected_work(SuiteConfig())
 
     @pytest.mark.parametrize("cfg", [
@@ -511,6 +562,36 @@ class TestRunSuite:
                     mp.setattr(module, name, mutate(getattr(module, name)))
                 killed |= {c.name for c in run_suite(tiny_config(d_range=(1, 2))).failures}
         assert set(COORDINATE_FAMILIES) | set(STOCHASTIC_FAMILIES) <= killed
+
+    def test_moment_column_mutant_kills_the_operator_families(self, monkeypatch):
+        # an operator-layer mutant: no kernel is built from operator images, so
+        # no coordinate family may fail
+        monkeypatch.setattr(bdk.durrmeyer, "_moment_column",
+                            bump_moment_column(bdk.durrmeyer._moment_column))
+        report = run_suite(tiny_config(d_range=(1, 2)))
+        assert {c.name for c in report.failures} == set(OPERATOR_FAMILIES)
+        for record in report.failures:
+            assert "f" in record.witness, record
+
+    def test_at_most_two_squares_are_kept_and_none_after_the_run(self, monkeypatch):
+        states, alive = [], []
+
+        class Watched(bdk.verify._SuiteState):
+            def __init__(self):
+                super().__init__()
+                states.append(self)
+
+            def _memo(self, key, build, last=False):
+                value = super()._memo(key, build, last)
+                alive.append(sum(k[0] == "square" for k in self._built))
+                return value
+        monkeypatch.setattr(bdk.verify, "_SuiteState", Watched)
+        assert run_suite(SuiteConfig()).ok
+        # the squares of (m, n) and (n, m) live from their first reader to
+        # twofold_symmetry_degrees, their last
+        assert max(alive) == 2
+        (state,) = states
+        assert not [key for key in state._built if key[0] == "square"]
 
     def test_time_budget_flags_incomplete(self):
         report = run_suite(tiny_config(time_budget_s=0.0))
