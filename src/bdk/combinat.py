@@ -5,6 +5,14 @@ coefficients, falling factorials, and the enumeration of all (d+1)-part
 compositions of a degree.  These are the building blocks for Bernstein
 bases on the simplex, so exactness is non-negotiable; no floats appear.
 
+This module is the one home of the exact tables the library reads: the
+process-wide factorial table `_FACT`, the multinomial of each multi-index
+(`_multinomial`) and the enumeration of each (degree, dimension)
+(`_multi_indices`).  Each entry is computed on its first lookup and kept.
+The public functions check their inputs and read the same tables; the
+library's inner loops read the tables directly, without the checks and
+without a call per entry.
+
 A multi-index on the d-simplex is a plain tuple of d+1 nonnegative ints.
 `check_index`, `check_dimension`, `check_degree` and `check_rational`
 are the one place that validates indices, dimensions, degrees and exact
@@ -28,8 +36,6 @@ __all__ = [
     "falling_factorial",
     "multinomial",
     "index_factorial",
-    "FactorialTable",
-    "table_multinomial",
     "clear_denominators",
     "enumerate_multi_indices",
     "check_index",
@@ -65,20 +71,12 @@ def format_rational(value: Fraction) -> str:
     return str(Fraction(value))
 
 
-def factorial(n: int) -> int:
-    """n! as an exact integer."""
-    if n < 0:
-        raise ValueError("factorial of negative integer")
-    return math.factorial(n)
+class _Factorials(dict):
+    """k -> k!, each entry computed on its first lookup and kept.
 
-
-class FactorialTable(dict):
-    """k -> k! for one build, each entry computed on its first lookup.
-
-    Inner loops index a local table instead of calling `factorial`.  Only
-    the entries looked up are computed: a dense list up to the largest
-    index would cost about n^2 log2(n) / 2 bits, which a high-degree
-    polynomial would pay in full to use a handful of entries.
+    Only the entries looked up are computed: a dense list up to the
+    largest index would cost about n^2 log2(n) / 2 bits, which a
+    high-degree polynomial would pay in full to use a handful of entries.
     """
 
     __slots__ = ()
@@ -88,11 +86,23 @@ class FactorialTable(dict):
         return value
 
 
-def table_multinomial(parts: Sequence[int], fact: FactorialTable) -> int:
-    """|parts|! / parts! for nonnegative parts, read from a factorial table."""
-    out = fact[sum(parts)]
+#: The factorial table of the process, shared by every exact build.
+_FACT = _Factorials()
+
+
+def factorial(n: int) -> int:
+    """n! as an exact integer."""
+    if n < 0:
+        raise ValueError("factorial of negative integer")
+    return _FACT[operator.index(n)]
+
+
+@lru_cache(maxsize=None)
+def _multinomial(parts: Tuple[int, ...]) -> int:
+    """|parts|! / parts! for a tuple of nonnegative ints, kept per index."""
+    out = _FACT[sum(parts)]
     for p in parts:
-        out //= fact[p]
+        out //= _FACT[p]
     return out
 
 
@@ -175,10 +185,7 @@ def multinomial(parts: Sequence[int]) -> int:
     """
     if any(p < 0 for p in parts):
         return 0
-    out = factorial(sum(parts))
-    for p in parts:
-        out //= factorial(p)
-    return out
+    return _multinomial(tuple(map(operator.index, parts)))
 
 
 def index_factorial(parts: Sequence[int]) -> int:
@@ -187,7 +194,7 @@ def index_factorial(parts: Sequence[int]) -> int:
         raise ValueError("index factorial needs nonnegative parts")
     out = 1
     for p in parts:
-        out *= factorial(p)
+        out *= _FACT[operator.index(p)]
     return out
 
 
@@ -203,7 +210,7 @@ def binomial(s: int, k: int) -> int:
         return 1
     if 0 <= s < k:
         return 0
-    return falling_factorial(s, k) // factorial(k)
+    return falling_factorial(s, k) // _FACT[k]
 
 
 def falling_factorial(s: int, k: int) -> int:
@@ -229,6 +236,7 @@ def enumerate_multi_indices(n: int, d: int) -> List[Tuple[int, ...]]:
 
 @lru_cache(maxsize=None)
 def _multi_indices(n: int, d: int) -> Tuple[Tuple[int, ...], ...]:
+    """The enumeration of `enumerate_multi_indices(n, d)`, kept as one tuple."""
     return tuple(_compositions(n, d + 1))
 
 

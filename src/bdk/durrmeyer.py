@@ -15,18 +15,11 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
+from math import comb
 from operator import mul
 from typing import List, Sequence, Tuple
 
-from .combinat import (
-    FactorialTable,
-    binomial,
-    check_degree,
-    check_dimension,
-    enumerate_multi_indices,
-    factorial,
-    table_multinomial,
-)
+from .combinat import _FACT, _multi_indices, _multinomial, check_degree, check_dimension
 from .polynomials import CartesianPolynomial, bernstein_basis, check_polynomial
 
 __all__ = [
@@ -84,18 +77,17 @@ def apply_operator(spec: OperatorSpec, f: CartesianPolynomial) -> CartesianPolyn
     if f.is_zero():
         return CartesianPolynomial.zero(d)
     top = n + f.total_degree() + d
-    fact = FactorialTable()
-    weights = [c * (fact[top] // fact[n + sum(exps) + d]) for exps, c in f.nums.items()]
+    weights = [c * (_FACT[top] // _FACT[n + sum(exps) + d]) for exps, c in f.nums.items()]
     columns = [_moment_column(n, exps) for exps in f.nums]
     image = {}
-    for alpha, moments in zip(enumerate_multi_indices(n, d), zip(*columns)):
+    for alpha, moments in zip(_multi_indices(n, d), zip(*columns)):
         total = sum(map(mul, weights, moments))
         if not total:
             continue
-        total *= table_multinomial(alpha, fact)
+        total *= _multinomial(alpha)
         for exps, b in bernstein_basis(alpha).nums.items():
             image[exps] = image.get(exps, 0) + total * b
-    scale = Fraction(fact[n + d], fact[n] * f.den * fact[top])
+    scale = Fraction(_FACT[n + d], _FACT[n] * f.den * _FACT[top])
     return CartesianPolynomial.from_integers(d, image, scale)
 
 
@@ -109,11 +101,11 @@ def _moment_column(n: int, exps: Tuple[int, ...]) -> Tuple[int, ...]:
     per (n, exps), as every image under M_n of a polynomial with the term
     x^exps reads the same column.
     """
-    indices = enumerate_multi_indices(n, len(exps))
+    indices = _multi_indices(n, len(exps))
     column = [1] * len(indices)
     for parts, shift in zip(zip(*indices), (0, *exps)):
         # (k + shift)! for k = 0..n, each from the one before
-        table = list(accumulate(range(shift + 1, shift + n + 1), mul, initial=factorial(shift)))
+        table = list(accumulate(range(shift + 1, shift + n + 1), mul, initial=_FACT[shift]))
         column = list(map(mul, column, map(table.__getitem__, parts)))
     return tuple(column)
 
@@ -141,8 +133,8 @@ def composition_coefficients(m: int, n: int, d: int) -> List[Fraction]:
     convex combination of the operators themselves.
     """
     m, n, d = check_degree(m), check_degree(n), check_dimension(d)
-    prefactor = Fraction(factorial(m + d) * factorial(n + d), factorial(m + n + d))
+    prefactor = Fraction(_FACT[m + d] * _FACT[n + d], _FACT[m + n + d])
     return [
-        prefactor * binomial(m, k) * binomial(n, k) * Fraction(factorial(k), factorial(k + d))
+        prefactor * comb(m, k) * comb(n, k) * Fraction(_FACT[k], _FACT[k + d])
         for k in range(min(m, n) + 1)
     ]

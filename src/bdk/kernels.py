@@ -34,10 +34,11 @@ dependent coordinates x_0, y_0 eliminated), the map `to_canonical` and
 The definitional builder and canonicalization accumulate Python ints and
 apply one rational scale per output coefficient at the end.  They use
 Dirichlet's formula  int x^mu = mu! / (|mu|+d)!  on barycentric exponents
-and mult(a) = |a|!/a!, the coefficient of x^a in B_a.  Evaluation is exact
-integer arithmetic too, and a diagonal form or a form in Bernstein
-coordinates is evaluated as it stands, without expanding it into the
-canonical map.
+and mult(a) = |a|!/a!, the coefficient of x^a in B_a.  Factorials,
+multinomials and index enumerations are read from the shared tables of
+`bdk.combinat`; no builder keeps its own.  Evaluation is exact integer
+arithmetic too, and a diagonal form or a form in Bernstein coordinates is
+evaluated as it stands, without expanding it into the canonical map.
 """
 from __future__ import annotations
 
@@ -48,20 +49,17 @@ from operator import add, mul
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .combinat import (
-    FactorialTable,
-    binomial,
+    _FACT,
+    _multi_indices,
+    _multinomial,
     check_degree,
     check_dimension,
     check_index,
     check_rational,
     clear_denominators,
-    enumerate_multi_indices,
-    factorial,
     falling_factorial,
     format_rational,
-    index_factorial,
     parse_rational,
-    table_multinomial,
 )
 from .polynomials import (
     BarycentricPoint,
@@ -164,14 +162,13 @@ class KernelPolynomial(CartesianPolynomial):
         sum_ey C_e ey! (N+d)!/(|ey|+d)!  over the one denominator D (N+d)!.
         """
         d, nums = self.d, self.nums
-        fact = FactorialTable()
         top = max((sum(e[d:]) for e in nums), default=0)
-        values = _dirichlet_terms(((e[d:], c) for e, c in nums.items()), d, top, fact)
+        values = _dirichlet_terms(((e[d:], c) for e, c in nums.items()), d, top)
         acc: Dict[Tuple[int, ...], int] = {}
         for e, w in zip(nums, values):
             ex = e[:d]
             acc[ex] = acc.get(ex, 0) + w
-        return CartesianPolynomial.from_integers(d, acc, Fraction(1, self.den * fact[top + d]))
+        return CartesianPolynomial.from_integers(d, acc, Fraction(1, self.den * _FACT[top + d]))
 
     def __repr__(self) -> str:
         return f"<kernel d={self.d} terms={len(self.nums)}>"
@@ -253,8 +250,8 @@ class DiagonalKernelForm:
             raise ValueError(f"a diagonal form of index degree {top} has no "
                              f"coordinates at degrees ({m}, {n})")
         d = self.d
-        x_indices = enumerate_multi_indices(m, d)
-        y_indices = x_indices if n == m else enumerate_multi_indices(n, d)
+        x_indices = list(_multi_indices(m, d))
+        y_indices = x_indices if n == m else list(_multi_indices(n, d))
         den, factors = clear_denominators(w / (comb(m, j) * comb(n, j)) for j, w in self.terms)
         rows = _outer_products(((factor, x_column, y_column)
                                 for (j, _), factor in zip(self.terms, factors)
@@ -277,15 +274,14 @@ class DiagonalKernelForm:
         common denominator, each value is the one integer dot product
             K(x, y) = scale * sum_l W_|l| v_l(x) v_l(y) / (D qx^top qy^top).
         """
-        fact = FactorialTable()
         w_den, degree_weights = clear_denominators(w for _, w in self.terms)
         indices: List[Tuple[int, ...]] = []
         weights: List[int] = []
         for (j, _), w in zip(self.terms, degree_weights):
-            block = enumerate_multi_indices(j, self.d)
+            block = _multi_indices(j, self.d)
             indices += block
             weights += [w] * len(block)
-        mults = [table_multinomial(parts, fact) for parts in indices]
+        mults = list(map(_multinomial, indices))
         num, den = self.scale.numerator, self.scale.denominator * w_den
         columns = [_basis_vector(y, self.d, indices, mults) for y in ys]
         for x in xs:
@@ -337,10 +333,9 @@ class BernsteinKernelForm:
             K(x, y) = scale * sum_b v_b(y) (sum_a C[b][a] v_a(x)) / (qx^m qy^n):
         one dot product per row, and one Fraction at the end.
         """
-        fact = FactorialTable()
-        x_mults = [table_multinomial(a, fact) for a in self.x_indices]
+        x_mults = list(map(_multinomial, self.x_indices))
         y_mults = x_mults if self.y_indices == self.x_indices else \
-            [table_multinomial(b, fact) for b in self.y_indices]
+            list(map(_multinomial, self.y_indices))
         qx_top, vx = _basis_vector(x, self.d, self.x_indices, x_mults)
         qy_top, vy = _basis_vector(y, self.d, self.y_indices, y_mults)
         total = sum(v * sum(map(mul, row, vx)) for v, row in zip(vy, self.rows))
@@ -364,7 +359,7 @@ class BernsteinKernelForm:
         when every c_a is 1.
         """
         n = sum(self.y_indices[0])
-        unit = self.scale * Fraction(factorial(n), factorial(n + self.d))
+        unit = self.scale * Fraction(_FACT[n], _FACT[n + self.d])
         return [unit * total for total in map(sum, zip(*self.rows))]
 
     def transpose(self) -> "BernsteinKernelForm":
@@ -403,7 +398,7 @@ class BernsteinKernelForm:
                     v = scaled[e] = [e * c for c in row]
                 rows[i] = list(map(add, rows[i], v))
         return BernsteinKernelForm(d, self.scale / comb(n, n0), self.x_indices,
-                                   enumerate_multi_indices(n, d), rows)
+                                   list(_multi_indices(n, d)), rows)
 
     @staticmethod
     def linear_combination(pairs: Iterable[Tuple[Fraction, "BernsteinKernelForm"]]
@@ -464,7 +459,7 @@ def kernel_single(n: int, d: int) -> DiagonalKernelForm:
     diagonal sum.
     """
     n, d = check_degree(n), check_dimension(d)
-    scale = Fraction(factorial(n + d), factorial(n))
+    scale = Fraction(_FACT[n + d], _FACT[n])
     return DiagonalKernelForm(d, scale, [(n, 1)])
 
 
@@ -495,38 +490,36 @@ def kernel_definition_coordinates(degrees: Sequence[int], d: int) -> BernsteinKe
     degrees = [check_degree(n) for n in degrees]
     if not degrees:
         raise ValueError("a composition needs at least one degree")
-    check_dimension(d)
-    fact = FactorialTable()
-    outer = enumerate_multi_indices(degrees[0], d)
-    innermost = outer if degrees[-1] == degrees[0] else enumerate_multi_indices(degrees[-1], d)
+    d = check_dimension(d)
+    outer = list(_multi_indices(degrees[0], d))
+    innermost = outer if degrees[-1] == degrees[0] else list(_multi_indices(degrees[-1], d))
     if len(degrees) == 1:
         rows = [[int(alpha == beta) for beta in outer] for alpha in innermost]
     else:
         # the levels after b_1, outward, as (b, weight) pairs: interior indices
         # weigh mult(b)^2, the outer ones mult(b)
-        levels = [[(beta, table_multinomial(beta, fact) ** 2)
-                   for beta in enumerate_multi_indices(n, d)]
+        levels = [[(beta, _multinomial(beta) ** 2) for beta in _multi_indices(n, d)]
                   for n in degrees[-2:0:-1]]
-        levels.append([(beta, table_multinomial(beta, fact)) for beta in outer])
+        levels.append([(beta, _multinomial(beta)) for beta in outer])
         # prod(map(get, map(add, a, b))) is (a+b)! = prod_v (a_v+b_v)! for indices a, b
-        get = fact.__getitem__
+        get = _FACT.__getitem__
         # for each index b of a later level: (its weight, [(b+c)! for c in the level before])
         steps = [[(w, [prod(map(get, map(add, beta, c))) for c, _ in before])
                   for beta, w in level]
                  for before, level in zip(levels, levels[1:])]
         rows = []
         for alpha in innermost:
-            mult_a = table_multinomial(alpha, fact)
+            mult_a = _multinomial(alpha)
             vector = [mult_a * w * prod(map(get, map(add, alpha, beta))) for beta, w in levels[0]]
             for step in steps:
                 vector = [w * sum(map(mul, vector, row)) for w, row in step]
             rows.append(vector)
     num = den = 1
     for n in degrees:
-        num *= fact[n + d]
-        den *= fact[n]
+        num *= _FACT[n + d]
+        den *= _FACT[n]
     for a, b in zip(degrees, degrees[1:]):
-        den *= fact[a + b + d]
+        den *= _FACT[a + b + d]
     return BernsteinKernelForm(d, Fraction(num, den), outer, innermost, rows)
 
 
@@ -542,8 +535,8 @@ def kernel_closed_twofold(m: int, n: int, d: int) -> DiagonalKernelForm:
     multi-index l; the binomials cut the sum off at |l| = min(m, n).
     """
     m, n, d = check_degree(m), check_degree(n), check_dimension(d)
-    scale = Fraction(factorial(m + d) * factorial(n + d), factorial(m + n + d))
-    return DiagonalKernelForm(d, scale, [(k, binomial(m, k) * binomial(n, k))
+    scale = Fraction(_FACT[m + d] * _FACT[n + d], _FACT[m + n + d])
+    return DiagonalKernelForm(d, scale, [(k, comb(m, k) * comb(n, k))
                                          for k in range(min(m, n) + 1)])
 
 
@@ -576,8 +569,8 @@ def kernel_legendre(m: int, n: int) -> BernsteinKernelForm:
         for k in range(min(m, n) + 1))
     rows = _outer_products(((factor, _legendre_column(k, m), _legendre_column(k, n))
                             for k, factor in enumerate(factors)), m + 1, n + 1)
-    return BernsteinKernelForm(1, Fraction(1, den), enumerate_multi_indices(m, 1),
-                               enumerate_multi_indices(n, 1), rows)
+    return BernsteinKernelForm(1, Fraction(1, den), list(_multi_indices(m, 1)),
+                               list(_multi_indices(n, 1)), rows)
 
 
 def _legendre_column(k: int, m: int) -> List[Tuple[int, int]]:
@@ -608,11 +601,10 @@ def kernel_closed_threefold(n3: int, n2: int, n1: int) -> DiagonalKernelForm:
     """
     n3, n2, n1 = check_degree(n3), check_degree(n2), check_degree(n1)
     total = n3 + n2 + n1
-    scale = Fraction(
-        factorial(n3 + 1) * factorial(n2 + 1) * factorial(n1 + 1) * factorial(total + 1),
-        factorial(n3 + n2 + 1) * factorial(n3 + n1 + 1) * factorial(n2 + n1 + 1))
+    scale = Fraction(_FACT[n3 + 1] * _FACT[n2 + 1] * _FACT[n1 + 1] * _FACT[total + 1],
+                     _FACT[n3 + n2 + 1] * _FACT[n3 + n1 + 1] * _FACT[n2 + n1 + 1])
     return DiagonalKernelForm(1, scale, [
-        (k, Fraction(binomial(n3, k) * binomial(n2, k) * binomial(n1, k), binomial(total + 1, k)))
+        (k, Fraction(comb(n3, k) * comb(n2, k) * comb(n1, k), comb(total + 1, k)))
         for k in range(min(n3, n2, n1) + 1)])
 
 
@@ -627,9 +619,7 @@ def inner_sum_identity(n: int, beta: Sequence[int], y: PointLike) -> Tuple[Fract
     """
     n, beta = check_degree(n), check_index(beta)
     alphas, left, right = _inner_sum_coordinates(n, beta)
-    fact = FactorialTable()
-    q_top, values = _basis_vector(y, len(beta) - 1, alphas,
-                                  [table_multinomial(a, fact) for a in alphas])
+    q_top, values = _basis_vector(y, len(beta) - 1, alphas, list(map(_multinomial, alphas)))
     return (Fraction(sum(map(mul, left, values)), q_top),
             Fraction(sum(map(mul, right, values)), q_top))
 
@@ -648,19 +638,18 @@ def _inner_sum_coordinates(n: int, beta: Tuple[int, ...]) -> Tuple[tuple, tuple,
     divides W_l.  Terms with |l| > n vanish, as C(n, |l|) = 0 there.
     """
     d = len(beta) - 1
-    fact = FactorialTable()
-    alphas = enumerate_multi_indices(n, d)
-    left = [prod(fact[a + b] // fact[a] for a, b in zip(alpha, beta)) for alpha in alphas]
-    beta_fact = index_factorial(beta)
+    alphas = _multi_indices(n, d)
+    left = [prod(_FACT[a + b] // _FACT[a] for a, b in zip(alpha, beta)) for alpha in alphas]
+    beta_fact = prod(map(_FACT.__getitem__, beta))
     right = [0] * len(alphas)
     for j in range(min(n, sum(beta)) + 1):
-        for ell, column in zip(enumerate_multi_indices(j, d), _elevation(j, n, d)):
+        for ell, column in zip(_multi_indices(j, d), _elevation(j, n, d)):
             weight = comb(n, j) * beta_fact * prod(map(comb, beta, ell))
             if weight:  # zero unless l <= beta
                 share = weight // comb(n, j)  # the elevation divides by C(n, j)
                 for i, e in column:
                     right[i] += share * e
-    return tuple(alphas), tuple(left), tuple(right)
+    return alphas, tuple(left), tuple(right)
 
 
 def to_canonical(form: DiagonalKernelForm) -> KernelPolynomial:
@@ -673,7 +662,7 @@ def to_canonical(form: DiagonalKernelForm) -> KernelPolynomial:
     den, weights = clear_denominators(w for _, w in form.terms)
     acc: Dict[Tuple[int, ...], int] = {}
     for (j, _), w in zip(form.terms, weights):
-        for terms in _basis_terms(enumerate_multi_indices(j, form.d)):
+        for terms in _basis_terms(_multi_indices(j, form.d)):
             for ex, cx in terms:
                 cx *= w
                 for ey, cy in terms:
@@ -693,10 +682,10 @@ def _elevation(j: int, m: int, d: int) -> Tuple[Tuple[Tuple[int, int], ...], ...
     `enumerate_multi_indices(m, d)`; the columns follow
     `enumerate_multi_indices(j, d)`.  Built once per (j, m, d).
     """
-    position = {a: i for i, a in enumerate(enumerate_multi_indices(m, d))}
-    shifts = enumerate_multi_indices(m - j, d)
+    position = {a: i for i, a in enumerate(_multi_indices(m, d))}
+    shifts = _multi_indices(m - j, d)
     columns = []
-    for ell in enumerate_multi_indices(j, d):
+    for ell in _multi_indices(j, d):
         above = [tuple(map(add, ell, c)) for c in shifts]
         columns.append(tuple((position[a], prod(map(comb, a, ell))) for a in above))
     return tuple(columns)

@@ -29,18 +29,17 @@ from operator import add, mul
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .combinat import (
+    _FACT,
     _as_int,
+    _multi_indices,
+    _multinomial,
     check_degree,
     check_dimension,
     check_index,
     check_rational,
     clear_denominators,
-    enumerate_multi_indices,
-    FactorialTable,
     format_rational,
-    multinomial,
     parse_rational,
-    table_multinomial,
 )
 
 __all__ = [
@@ -409,9 +408,8 @@ def _x0_power(a0: int, d: int) -> Tuple[Tuple[Exponents, int], ...]:
     enumeration order of the (d+1)-part compositions of a0.  The power
     depends only on (a0, d), so it is expanded once per pair.
     """
-    fact = FactorialTable()
-    return tuple((kappa[1:], (-1) ** (a0 - kappa[0]) * table_multinomial(kappa, fact))
-                 for kappa in enumerate_multi_indices(a0, d))
+    return tuple((kappa[1:], (-1) ** (a0 - kappa[0]) * _multinomial(kappa))
+                 for kappa in _multi_indices(a0, d))
 
 
 @lru_cache(maxsize=None)
@@ -427,7 +425,7 @@ def bernstein_basis(alpha: Sequence[int]) -> CartesianPolynomial:
     alpha = check_index(alpha)
     d = len(alpha) - 1
     rest = alpha[1:]
-    scale = multinomial(alpha)
+    scale = _multinomial(alpha)
     # distinct powers of x_0 have distinct exponents, so nothing accumulates
     terms = {tuple(map(add, k, rest)): scale * c for k, c in _x0_power(alpha[0], d)}
     return CartesianPolynomial.from_integers(d, terms)
@@ -443,27 +441,27 @@ def bernstein_value(alpha: Sequence[int], pt: Union[BarycentricPoint, Sequence[S
     alpha = check_index(alpha)
     q, bary = as_point(pt, len(alpha) - 1).integer_form()
     q_top, (value,) = monomial_numerators(q, bary, [alpha])
-    return Fraction(multinomial(alpha) * value, q_top)
+    return Fraction(_multinomial(alpha) * value, q_top)
 
 
-def _dirichlet_terms(weighted: Iterable[Tuple[Exponents, int]], d: int, top: int,
-                     fact: FactorialTable) -> Iterator[int]:
+def _dirichlet_terms(weighted: Iterable[Tuple[Exponents, int]], d: int,
+                     top: int) -> Iterator[int]:
     """c * e! * (top+d)!/(|e|+d)! for each (e, c), |e| <= top.
 
     Dirichlet's formula with mu_0 = 0 gives int x^e = e! / (|e|+d)!, so
     each value is the integer c * int x^e over the shared denominator
-    (top+d)! = fact[top + d].
+    (top+d)!.
     """
-    full = fact[top + d]
+    full = _FACT[top + d]
     cofactors: Dict[int, int] = {}  # |e| -> (top+d)!/(|e|+d)!, for the degrees present
     for exps, c in weighted:
         k = sum(exps)
         cofactor = cofactors.get(k)
         if cofactor is None:
-            cofactor = cofactors[k] = full // fact[k + d]
+            cofactor = cofactors[k] = full // _FACT[k + d]
         w = c * cofactor
         for e in exps:
-            w *= fact[e]
+            w *= _FACT[e]
         yield w
 
 
@@ -511,7 +509,6 @@ def moment_numerators(p: CartesianPolynomial,
     if not terms:
         return 1, [0] * len(keys)
     top = p.total_degree() + max(map(sum, keys), default=0)
-    fact = FactorialTable()
-    row = [sum(_dirichlet_terms(((tuple(map(add, e, k)), c) for k, c in terms), d, top, fact))
+    row = [sum(_dirichlet_terms(((tuple(map(add, e, k)), c) for k, c in terms), d, top))
            for e in keys]
-    return p.den * fact[top + d], row
+    return p.den * _FACT[top + d], row

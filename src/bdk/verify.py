@@ -18,12 +18,7 @@ import time
 from fractions import Fraction
 from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Tuple
 
-from .combinat import (
-    check_degree,
-    check_dimension,
-    enumerate_multi_indices,
-    format_rational,
-)
+from .combinat import _FACT, _multi_indices, check_degree, check_dimension, format_rational
 from .durrmeyer import OperatorSpec, apply_operator, composition_coefficients
 from .kernels import (
     BernsteinKernelForm,
@@ -196,12 +191,18 @@ def _coordinates_equal(lhs: BernsteinKernelForm,
 
 
 def _stochastic(form: BernsteinKernelForm) -> Tuple[bool, Optional[dict]]:
-    """Whether the y integral of a kernel is 1: every coefficient of
-    `BernsteinKernelForm.integrate_y` is, as the B_a(x) are independent and
-    sum to 1.  The witness names the first outermost index a that is not."""
-    for a, c in zip(form.x_indices, form.integrate_y()):
-        if c != 1:
-            return False, {"a": list(a), "lhs": format_rational(c), "rhs": "1"}
+    """Whether the y integral of a kernel is 1.
+
+    Its coefficient on B_a(x) is unit * sum_b C[b][a], with the one rational
+    unit = scale n!/(n+d)! (`BernsteinKernelForm.integrate_y`), and the
+    B_a(x) are independent and sum to 1; so each integer column sum is
+    compared with 1/unit by cross-multiplying.  The witness names the first
+    outermost index a that fails."""
+    n = sum(form.y_indices[0])
+    unit = form.scale * Fraction(_FACT[n], _FACT[n + form.d])
+    for a, total in zip(form.x_indices, map(sum, zip(*form.rows))):
+        if total * unit.numerator != unit.denominator:
+            return False, {"a": list(a), "lhs": format_rational(unit * total), "rhs": "1"}
     return True, None
 
 
@@ -242,6 +243,9 @@ class _SuiteState:
       threefold_closed_equals_definition and
       threefold_permutation_invariance.
     - "image", M_n f per (d, n, f): every operator_* family.
+    - "coefficients", composition_coefficients(m, n, d) per (d, m, n):
+      composition_coefficients_convex, composition_linear_combination_kernel
+      and operator_linear_combination.
 
     So the d = 1 two-fold kernel is built three independent ways, closed,
     Legendre and definitional, and each pair is compared by one family.
@@ -295,6 +299,10 @@ class _SuiteState:
         return self._memo(("image", d, degree, f),
                           lambda: apply_operator(OperatorSpec(degree, d), f))
 
+    def coefficients(self, d: int, m: int, n: int) -> List[Fraction]:
+        return self._memo(("coefficients", d, m, n),
+                          lambda: composition_coefficients(m, n, d))
+
 
 def _monomials_up_to(d: int, max_degree: int) -> List[CartesianPolynomial]:
     """Each monomial in x_1..x_d of degree <= max_degree once, by degree.
@@ -304,7 +312,7 @@ def _monomials_up_to(d: int, max_degree: int) -> List[CartesianPolynomial]:
     """
     return [CartesianPolynomial.monomial(d, mi[1:])
             for deg in range(max_degree + 1)
-            for mi in enumerate_multi_indices(deg, d) if mi[0] == 0]
+            for mi in _multi_indices(deg, d) if mi[0] == 0]
 
 
 def _iter_jobs(cfg: SuiteConfig, state: _SuiteState) -> Iterator[Job]:
@@ -429,7 +437,7 @@ def _combination_jobs(cfg: SuiteConfig, state: _SuiteState) -> Iterator[Job]:
                 params = {"d": d, "m": m, "n": n}
 
                 def convex(d=d, m=m, n=n):
-                    coeffs = composition_coefficients(m, n, d)
+                    coeffs = state.coefficients(d, m, n)
                     total = sum(coeffs)
                     if total == 1 and all(c > 0 for c in coeffs):
                         return True, None
@@ -440,7 +448,7 @@ def _combination_jobs(cfg: SuiteConfig, state: _SuiteState) -> Iterator[Job]:
                 def combo_kernel(d=d, m=m, n=n):
                     acc = BernsteinKernelForm.linear_combination(
                         (ck, state.single(d, k).coordinates(m, n))
-                        for k, ck in enumerate(composition_coefficients(m, n, d)))
+                        for k, ck in enumerate(state.coefficients(d, m, n)))
                     return _coordinates_equal(acc, state.coordinates(d, m, n))
                 yield "composition_linear_combination_kernel", params, combo_kernel
 
@@ -513,7 +521,7 @@ def _operator_jobs(cfg: SuiteConfig, state: _SuiteState) -> Iterator[Job]:
         for m in range(combo_cap + 1):
             for n in range(combo_cap + 1):
                 def combo_operator(d=d, m=m, n=n):
-                    coeffs = composition_coefficients(m, n, d)
+                    coeffs = state.coefficients(d, m, n)
                     for f in monomials:
                         lhs = state.image(d, m, state.image(d, n, f))
                         rhs = CartesianPolynomial.linear_combination(
@@ -549,7 +557,7 @@ def _lemma_jobs(cfg: SuiteConfig) -> Iterator[Job]:
                 def lemma(d=d, n=n, beta_degree=beta_degree):
                     # the B_a of degree n are a basis: both sides agree as
                     # polynomials exactly when their coordinates do
-                    for beta in enumerate_multi_indices(beta_degree, d):
+                    for beta in _multi_indices(beta_degree, d):
                         alphas, left, right = _inner_sum_coordinates(n, beta)
                         for a, lhs, rhs in zip(alphas, left, right):
                             if lhs != rhs:

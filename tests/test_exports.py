@@ -5,6 +5,7 @@ import pkgutil
 import pytest
 
 import bdk
+import bdk.combinat
 
 MODULES = ["bdk", *(f"bdk.{m.name}" for m in pkgutil.iter_modules(bdk.__path__))]
 
@@ -21,6 +22,13 @@ def test_all_names_resolve_once(module_name):
 def test_multi_index_class_is_gone():
     assert not hasattr(bdk, "MultiIndex")
     assert "MultiIndex" not in bdk.__all__
+
+
+def test_per_call_factorial_tables_are_gone():
+    # bdk.combinat keeps one shared factorial table and one multinomial per index
+    assert not hasattr(bdk.combinat, "FactorialTable")
+    assert not hasattr(bdk.combinat, "table_multinomial")
+    assert "FactorialTable" not in bdk.combinat.__all__
 
 
 def test_expanded_definition_wrapper_is_gone():

@@ -9,26 +9,25 @@ return exactly the same maps and values, coefficient types included.
 ran before its moment columns were cached, kept as a second oracle.
 """
 import math
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import bdk.combinat
 import bdk.kernels
-from bdk.combinat import (
-    FactorialTable,
-    clear_denominators,
-    enumerate_multi_indices,
-    table_multinomial,
-)
+from bdk.combinat import clear_denominators, enumerate_multi_indices, factorial
 from bdk.durrmeyer import OperatorSpec, apply_operator, compose_apply
 from bdk.kernels import (
     DiagonalKernelForm,
     KernelPolynomial,
+    first_coordinate_difference,
     kernel_closed_threefold,
     kernel_closed_twofold,
     kernel_definition_threefold,
     kernel_definition_twofold,
+    kernel_legendre,
     kernel_single,
     to_canonical,
 )
@@ -95,22 +94,22 @@ def loop_apply_operator(spec, f):
     if f.is_zero():
         return CartesianPolynomial.zero(d)
     top = n + f.total_degree() + d
-    fact = FactorialTable()
-    moments = [((0,) + exps, c * (fact[top] // fact[n + sum(exps) + d]))
+    fact = math.factorial
+    moments = [((0,) + exps, c * (fact(top) // fact(n + sum(exps) + d)))
                for exps, c in f.nums.items()]
     image = {}
     for alpha in enumerate_multi_indices(n, d):
         total = 0
         for shift, c in moments:
             for a, e in zip(alpha, shift):
-                c *= fact[a + e]
+                c *= fact(a + e)
             total += c
         if not total:
             continue
-        total *= table_multinomial(alpha, fact)
+        total *= fact(n) // math.prod(map(fact, alpha))
         for exps, b in bernstein_basis(alpha).nums.items():
             image[exps] = image.get(exps, 0) + total * b
-    scale = Fraction(fact[n + d], fact[n] * f.den * fact[top])
+    scale = Fraction(fact(n + d), fact(n) * f.den * fact(top))
     return CartesianPolynomial.from_integers(d, image, scale)
 
 
@@ -337,12 +336,18 @@ class TestIntegerHelpers:
         assert kernel.terms == {(0, 1): F(3, 2)}
 
     def test_factorial_table_fills_on_lookup(self):
-        fact = FactorialTable()
-        assert [fact[k] for k in range(7)] == [1, 1, 2, 6, 24, 120, 720]
-        assert fact[1500] == math.factorial(1500)
-        assert len(fact) == 8  # only the entries looked up are computed
+        table = bdk.combinat._FACT
+        table.clear()
+        assert [table[k] for k in range(7)] == [1, 1, 2, 6, 24, 120, 720]
+        assert table[1500] == math.factorial(1500)
+        # only the entries looked up are computed
+        assert sorted(table) == [0, 1, 2, 3, 4, 5, 6, 1500]
         with pytest.raises(ValueError):
-            fact[-1]
+            table[-1]
+        assert -1 not in table
+        # the public factorial reads the same table
+        assert factorial(9) == 362880
+        assert 9 in table
 
     def test_high_degree_inputs(self):
         f = CartesianPolynomial(1, {(1500,): F(-2, 3), (1,): F(1, 5)})
@@ -395,3 +400,72 @@ def test_definitional_builders_use_no_closed_form_code(monkeypatch, d):
     specs = [OperatorSpec(n, d) for n in (1, 2, 2, 1)]
     one_x = KernelPolynomial.outer(CartesianPolynomial.constant(d, 1), x)
     assert (four * one_x).integrate_y() == compose_apply(specs, x)
+
+
+# -- the shared tables --------------------------------------------------------
+
+
+def bdk_modules():
+    return [module for name, module in sorted(sys.modules.items())
+            if module is not None and (name == "bdk" or name.startswith("bdk."))]
+
+
+def empty_tables():
+    """Empty the factorial table and every cache bdk keeps, so that the next
+    build computes each entry it reads."""
+    bdk.combinat._FACT.clear()
+    for module in bdk_modules():
+        for value in vars(module).values():
+            if hasattr(value, "cache_clear"):
+                value.cache_clear()
+
+
+def build_each_layer():
+    """A definitional kernel at d = 2 and its closed form's coordinates, a
+    Legendre kernel, an operator image, a row of its moments and a basis
+    polynomial."""
+    coordinates = kernel_definition_twofold(4, 3, 2)
+    assert first_coordinate_difference(
+        kernel_closed_twofold(4, 3, 2).coordinates(4, 3), coordinates) is None
+    kernel_legendre(5, 3)
+    f = CartesianPolynomial(2, {(2, 1): F(-3, 7), (0, 3): F(5, 2), (1, 0): 1})
+    image = apply_operator(OperatorSpec(4, 2), f)
+    moment_numerators(image, [(0, 0), (1, 0), (2, 1)])
+    bernstein_basis((2, 1, 3))
+
+
+#: The combinatorial functions bench/tracer.py wraps in a span per call.
+TRACED = ("factorial", "multinomial", "index_factorial", "enumerate_multi_indices")
+
+
+class TestSharedTables:
+    def test_builds_call_no_traced_combinatorial_function(self, monkeypatch):
+        # rebind each name wherever it was imported, as the tracer does
+        for name in TRACED:
+            original = getattr(bdk.combinat, name)
+
+            def refuse(*args, name=name):
+                raise AssertionError(f"{name}{args} called")
+            for module in bdk_modules():
+                if getattr(module, name, None) is original:
+                    monkeypatch.setattr(module, name, refuse)
+        empty_tables()
+        build_each_layer()
+
+    def test_a_second_build_of_one_size_computes_no_new_factorial(self, monkeypatch):
+        computed = []
+        real = math.factorial
+
+        def counted(k):
+            computed.append(k)
+            return real(k)
+        monkeypatch.setattr(math, "factorial", counted)
+        empty_tables()
+        build_each_layer()
+        assert computed
+        assert len(computed) == len(set(computed))  # each entry once
+        first = len(computed)
+        kernel_definition_twofold(4, 3, 2)
+        kernel_definition_twofold(3, 4, 2)
+        build_each_layer()
+        assert len(computed) == first

@@ -174,7 +174,7 @@ class TestDiagonalKernelForm:
         def counted(n, d):
             calls.append((n, d))
             return enumerate_multi_indices(n, d)
-        monkeypatch.setattr(bdk.kernels, "enumerate_multi_indices", counted)
+        monkeypatch.setattr(bdk.kernels, "_multi_indices", counted)
         forms = [kernel_single(30, 3), kernel_closed_twofold(30, 30, 3),
                  kernel_univariate_twofold(20, 20), kernel_closed_threefold(5, 4, 3)]
         assert calls == []

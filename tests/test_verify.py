@@ -48,7 +48,7 @@ COUNTED = ((bdk.verify, "kernel_legendre"), (bdk.verify, "kernel_single"),
            (bdk.kernels.BernsteinKernelForm, "expand"),
            (bdk.kernels.BernsteinKernelForm, "elevate"),
            (bdk.kernels.DiagonalKernelForm, "coordinates"),
-           (bdk.verify, "moment_numerators"))
+           (bdk.verify, "moment_numerators"), (bdk.verify, "composition_coefficients"))
 
 
 def run_counted(cfg):
@@ -126,6 +126,12 @@ def expected_work(cfg):
         "coordinates": closed_coordinates,
         "lemma_coordinates": betas,
         "moment_numerators": sum((cfg.operator_cap + 1) * monomials[d] for d in operator_dims),
+        # one list per (d, m, n) that composition_coefficients_convex or
+        # operator_linear_combination reads
+        "composition_coefficients": sum(
+            (max(min(cfg.combination_cap, cfg.degree_caps[d]),
+                 min(cfg.combination_cap, cfg.operator_cap)) + 1) ** 2
+            for d in operator_dims),
     }
 
 
@@ -412,7 +418,7 @@ class TestRunSuite:
                           "kernel_closed_twofold": 195, "kernel_definition_twofold": 195,
                           "expand": 0, "elevate": 214, "raising_elevate": 200,
                           "coordinates": 614, "lemma_coordinates": 250,
-                          "moment_numerators": 120}
+                          "moment_numerators": 120, "composition_coefficients": 72}
         assert counts == expected_work(SuiteConfig())
 
     @pytest.mark.parametrize("cfg", [
