@@ -314,7 +314,7 @@ class BernsteinKernelForm:
     are compared by `first_coordinate_difference`.
     """
 
-    __slots__ = ("d", "scale", "x_indices", "y_indices", "rows")
+    __slots__ = ("d", "scale", "x_indices", "y_indices", "rows", "__weakref__")
 
     def __init__(self, d: int, scale: Fraction, x_indices: List[Tuple[int, ...]],
                  y_indices: List[Tuple[int, ...]], rows: List[List[int]]):
@@ -348,19 +348,6 @@ class BernsteinKernelForm:
         scale = self.scale
         return {(a, b): scale * c for b, row in zip(self.y_indices, self.rows)
                 for a, c in zip(self.x_indices, row) if c}
-
-    def integrate_y(self) -> List[Fraction]:
-        """Integrate the y block over the simplex, in the Bernstein basis of x.
-
-        Each B_b of degree n integrates to n!/(n+d)!, so
-            int K(x, y) dy = sum_a c_a B_a(x),  c_a = scale n!/(n+d)! sum_b C[b][a],
-        and the c_a are returned in x_indices order.  The B_a are linearly
-        independent and sum to 1, so the kernel is stochastic in y exactly
-        when every c_a is 1.
-        """
-        n = sum(self.y_indices[0])
-        unit = self.scale * Fraction(_FACT[n], _FACT[n + self.d])
-        return [unit * total for total in map(sum, zip(*self.rows))]
 
     def transpose(self) -> "BernsteinKernelForm":
         """Swap the roles of x and y."""

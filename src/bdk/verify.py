@@ -16,13 +16,13 @@ import json
 import math
 import time
 from fractions import Fraction
-from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Tuple
+from functools import cache, partial
+from typing import Callable, Iterator, List, NamedTuple, Optional, Tuple
 
 from .combinat import _FACT, _multi_indices, check_degree, check_dimension, format_rational
 from .durrmeyer import OperatorSpec, apply_operator, composition_coefficients
 from .kernels import (
     BernsteinKernelForm,
-    DiagonalKernelForm,
     _inner_sum_coordinates,
     first_coordinate_difference,
     kernel_closed_threefold,
@@ -193,11 +193,11 @@ def _coordinates_equal(lhs: BernsteinKernelForm,
 def _stochastic(form: BernsteinKernelForm) -> Tuple[bool, Optional[dict]]:
     """Whether the y integral of a kernel is 1.
 
-    Its coefficient on B_a(x) is unit * sum_b C[b][a], with the one rational
-    unit = scale n!/(n+d)! (`BernsteinKernelForm.integrate_y`), and the
-    B_a(x) are independent and sum to 1; so each integer column sum is
-    compared with 1/unit by cross-multiplying.  The witness names the first
-    outermost index a that fails."""
+    Each B_b of degree n integrates to n!/(n+d)!, so its coefficient on
+    B_a(x) is unit * sum_b C[b][a] with the one rational unit
+    scale n!/(n+d)!, and the B_a(x) are independent and sum to 1; so each
+    integer column sum is compared with 1/unit by cross-multiplying.  The
+    witness names the first outermost index a that fails."""
     n = sum(form.y_indices[0])
     unit = form.scale * Fraction(_FACT[n], _FACT[n + form.d])
     for a, total in zip(form.x_indices, map(sum, zip(*form.rows))):
@@ -214,96 +214,6 @@ def _poly_witness(lhs: CartesianPolynomial, rhs: CartesianPolynomial) -> Tuple[b
     return False, {"exp": list(key), "lhs": format_rational(a), "rhs": format_rational(b)}
 
 
-class _SuiteState:
-    """Shared lazy artifacts, so each one with more than one reader is
-    built once per run.  Every artifact is kept in one memo, keyed by its
-    kind and parameters:
-
-    - "coordinates", kernel_definition_twofold(m, n, d) per (d, m, n), in
-      Bernstein coordinates: twofold_closed_equals_definition,
-      twofold_stochastic_in_y, "square", univariate_twofold_vs_definition,
-      legendre_matches_univariate and composition_linear_combination_kernel.
-    - "square", the (d, m, n) coordinates elevated to (max(m, n), max(m, n))
-      per (d, m, n), m != n (at m = n they are the square already):
-      twofold_symmetry_xy, then twofold_symmetry_degrees, its last reader,
-      which drops it.  The two-fold jobs run one degree pair at a time, so
-      at most the squares of (m, n) and (n, m) are kept at once.
-    - "closed", kernel_closed_twofold(m, n, d) per (d, m, n):
-      twofold_closed_equals_definition at d > 1 and under corrupt_scale
-      (which corrupts a with_scale copy, never the form kept here),
-      diagonal_truncation and "univariate".
-    - "single", kernel_single(k, d) per (d, k): single_stochastic_in_y and
-      composition_linear_combination_kernel.
-    - "univariate", the d = 1 closed form's coordinates at (m, n) per
-      (m, n): twofold_closed_equals_definition, univariate_twofold_path and
-      univariate_twofold_vs_definition.
-    - "legendre", kernel_legendre(m, n) per (m, n), in Bernstein
-      coordinates: univariate_twofold_path and legendre_matches_univariate.
-    - "threefold", kernel_definition_threefold(a, b, c, 1) per (a, b, c):
-      threefold_closed_equals_definition and
-      threefold_permutation_invariance.
-    - "image", M_n f per (d, n, f): every operator_* family.
-    - "coefficients", composition_coefficients(m, n, d) per (d, m, n):
-      composition_coefficients_convex, composition_linear_combination_kernel
-      and operator_linear_combination.
-
-    So the d = 1 two-fold kernel is built three independent ways, closed,
-    Legendre and definitional, and each pair is compared by one family.
-    What a check derives from these, a closed form's coordinates at d > 1,
-    a three-fold form elevated to a common degree or a row of moments, has
-    one reader and is built in the check, not kept.
-    """
-
-    def __init__(self):
-        self._built: Dict[tuple, object] = {}
-
-    def _memo(self, key: tuple, build: Callable[[], object], last: bool = False):
-        """The artifact stored under key, built by build() on first use;
-        last=True marks its last reader, and drops it from the memo."""
-        value = self._built.get(key)
-        if value is None:
-            value = self._built[key] = build()
-        if last:
-            del self._built[key]
-        return value
-
-    def coordinates(self, d: int, m: int, n: int) -> BernsteinKernelForm:
-        return self._memo(("coordinates", d, m, n),
-                          lambda: kernel_definition_twofold(m, n, d))
-
-    def square(self, d: int, m: int, n: int, last: bool = False) -> BernsteinKernelForm:
-        if m == n:
-            return self.coordinates(d, m, n)
-        top = max(m, n)
-        return self._memo(("square", d, m, n),
-                          lambda: self.coordinates(d, m, n).elevate(top, top), last)
-
-    def closed(self, d: int, m: int, n: int) -> DiagonalKernelForm:
-        return self._memo(("closed", d, m, n), lambda: kernel_closed_twofold(m, n, d))
-
-    def single(self, d: int, k: int) -> DiagonalKernelForm:
-        return self._memo(("single", d, k), lambda: kernel_single(k, d))
-
-    def univariate(self, m: int, n: int) -> BernsteinKernelForm:
-        return self._memo(("univariate", m, n),
-                          lambda: self.closed(1, m, n).coordinates(m, n))
-
-    def legendre(self, m: int, n: int) -> BernsteinKernelForm:
-        return self._memo(("legendre", m, n), lambda: kernel_legendre(m, n))
-
-    def threefold(self, a: int, b: int, c: int) -> BernsteinKernelForm:
-        return self._memo(("threefold", a, b, c),
-                          lambda: kernel_definition_threefold(a, b, c, 1))
-
-    def image(self, d: int, degree: int, f: CartesianPolynomial) -> CartesianPolynomial:
-        return self._memo(("image", d, degree, f),
-                          lambda: apply_operator(OperatorSpec(degree, d), f))
-
-    def coefficients(self, d: int, m: int, n: int) -> List[Fraction]:
-        return self._memo(("coefficients", d, m, n),
-                          lambda: composition_coefficients(m, n, d))
-
-
 def _monomials_up_to(d: int, max_degree: int) -> List[CartesianPolynomial]:
     """Each monomial in x_1..x_d of degree <= max_degree once, by degree.
 
@@ -315,98 +225,132 @@ def _monomials_up_to(d: int, max_degree: int) -> List[CartesianPolynomial]:
             for mi in _multi_indices(deg, d) if mi[0] == 0]
 
 
-def _iter_jobs(cfg: SuiteConfig, state: _SuiteState) -> Iterator[Job]:
-    yield from _twofold_jobs(cfg, state)
+def _iter_jobs(cfg: SuiteConfig) -> Iterator[Job]:
+    """Every check, each artifact a cached local of the jobs that read it.
+
+    A cached artifact is built by the first check that calls for it and
+    freed with the last job that can read it.  The composition coefficients
+    and the single-operator kernels are read by more than one degree pair,
+    and the coefficients by operator_linear_combination too, so they are
+    kept for the run; every other kernel is kept for its degree pair only.
+    """
+    coefficients = cache(composition_coefficients)
+    single = cache(kernel_single)
+    for d in cfg.d_range:
+        top = cfg.degree_caps[d]
+        if d == 1:
+            top = max(top, cfg.univariate_cap, cfg.legendre_cap)
+        for n in range(top + 1):
+            for m in range(n + 1):
+                yield from _pair_jobs(cfg, d, m, n, single, coefficients)
     if 1 in cfg.d_range:
-        yield from _univariate_jobs(cfg, state)
-        yield from _threefold_jobs(cfg, state)
+        yield from _threefold_jobs(cfg)
         yield from _moment_jobs(cfg)
-    yield from _combination_jobs(cfg, state)
-    yield from _operator_jobs(cfg, state)
+    yield from _operator_jobs(cfg, coefficients)
     yield from _lemma_jobs(cfg)
 
 
-def _twofold_jobs(cfg: SuiteConfig, state: _SuiteState) -> Iterator[Job]:
-    """The two-fold checks one degree pair {m, n} at a time, by (d, max(m, n)):
-    the checks of (m, n) and of (n, m), then twofold_symmetry_degrees, the
-    last reader of both squares, which drops them."""
-    for d in cfg.d_range:
-        cap = cfg.degree_caps[d]
-        for n in range(cap + 1):
-            for m in range(n + 1):
-                yield from _twofold_pair_jobs(cfg, state, d, m, n)
-                if m < n:
-                    yield from _twofold_pair_jobs(cfg, state, d, n, m)
+def _pair_jobs(cfg: SuiteConfig, d: int, m: int, n: int,
+               single: Callable, coefficients: Callable) -> Iterator[Job]:
+    """Every check that reads a two-fold kernel of the degree pair {m, n},
+    m <= n, at dimension d, each family within its own bound: the checks of
+    (m, n) and of (n, m), then twofold_symmetry_degrees, which compares
+    their squares, or single_stochastic_in_y at m = n.
 
-                    def symmetric_degrees(d=d, m=m, n=n):
-                        return _coordinates_equal(state.square(d, m, n, last=True),
-                                                  state.square(d, n, m, last=True))
-                    yield "twofold_symmetry_degrees", {"d": d, "m": m, "n": n}, symmetric_degrees
+    So the d = 1 kernel is built three independent ways, closed, Legendre
+    and definitional, and each two of them are compared by one family.
+    """
+    twofold = n <= cfg.degree_caps[d]
+    squares = {}
 
-        for k in range(cap + 1):
-            def single_stochastic(d=d, k=k):
-                return _stochastic(state.single(d, k).coordinates(k, k))
-            yield "single_stochastic_in_y", {"d": d, "n": k}, single_stochastic
+    def oriented(m: int, n: int) -> Iterator[Job]:
+        definition = cache(partial(kernel_definition_twofold, m, n, d))
+        closed = cache(partial(kernel_closed_twofold, m, n, d))
+        closed_coordinates = cache(lambda: closed().coordinates(m, n))
+        legendre = cache(partial(kernel_legendre, m, n))
+        top = max(m, n)
+        # at m = n the coordinates are the square already
+        square = squares[m, n] = cache(lambda: definition().elevate(top, top)) \
+            if m != n else definition
+        params = {"d": d, "m": m, "n": n}
 
+        if twofold:
+            def closed_vs_def():
+                form = closed()
+                lhs = form.with_scale(2 * form.scale).coordinates(m, n) \
+                    if cfg.corrupt_scale else closed_coordinates()
+                return _coordinates_equal(lhs, definition())
+            yield "twofold_closed_equals_definition", params, closed_vs_def
 
-def _twofold_pair_jobs(cfg: SuiteConfig, state: _SuiteState,
-                       d: int, m: int, n: int) -> Iterator[Job]:
-    params = {"d": d, "m": m, "n": n}
+            def stochastic():
+                return _stochastic(definition())
+            yield "twofold_stochastic_in_y", params, stochastic
 
-    def closed_vs_def():
-        if cfg.corrupt_scale:
-            form = state.closed(d, m, n)
-            closed = form.with_scale(2 * form.scale).coordinates(m, n)
-        elif d == 1:
-            closed = state.univariate(m, n)
-        else:
-            closed = state.closed(d, m, n).coordinates(m, n)
-        return _coordinates_equal(closed, state.coordinates(d, m, n))
-    yield "twofold_closed_equals_definition", params, closed_vs_def
+            def symmetric_xy():
+                k = square()
+                return _coordinates_equal(k, k.transpose())
+            yield "twofold_symmetry_xy", params, symmetric_xy
 
-    def stochastic():
-        return _stochastic(state.coordinates(d, m, n))
-    yield "twofold_stochastic_in_y", params, stochastic
+            def truncated():
+                degree = closed().max_index_degree()
+                if degree <= min(m, n):
+                    return True, None
+                return False, {"max_index_degree": degree, "min_degree": min(m, n)}
+            yield "diagonal_truncation", params, truncated
 
-    def symmetric_xy():
-        k = state.square(d, m, n)
-        return _coordinates_equal(k, k.transpose())
-    yield "twofold_symmetry_xy", params, symmetric_xy
-
-    def truncated():
-        top = state.closed(d, m, n).max_index_degree()
-        if top <= min(m, n):
-            return True, None
-        return False, {"max_index_degree": top, "min_degree": min(m, n)}
-    yield "diagonal_truncation", params, truncated
-
-
-def _univariate_jobs(cfg: SuiteConfig, state: _SuiteState) -> Iterator[Job]:
-    for m in range(cfg.univariate_cap + 1):
-        for n in range(cfg.univariate_cap + 1):
-            def uni_path(m=m, n=n):
-                return _coordinates_equal(state.univariate(m, n), state.legendre(m, n))
+        if d == 1 and top <= cfg.univariate_cap:
+            def uni_path():
+                return _coordinates_equal(closed_coordinates(), legendre())
             yield "univariate_twofold_path", {"m": m, "n": n}, uni_path
 
-            def uni_vs_def(m=m, n=n):
-                return _coordinates_equal(state.univariate(m, n), state.coordinates(1, m, n))
+            def uni_vs_def():
+                return _coordinates_equal(closed_coordinates(), definition())
             yield "univariate_twofold_vs_definition", {"m": m, "n": n}, uni_vs_def
 
-    for m in range(cfg.legendre_cap + 1):
-        for n in range(cfg.legendre_cap + 1):
-            def legendre(m=m, n=n):
-                return _coordinates_equal(state.legendre(m, n), state.coordinates(1, m, n))
-            yield "legendre_matches_univariate", {"m": m, "n": n}, legendre
+        if d == 1 and top <= cfg.legendre_cap:
+            def legendre_vs_def():
+                return _coordinates_equal(legendre(), definition())
+            yield "legendre_matches_univariate", {"m": m, "n": n}, legendre_vs_def
+
+        if d <= 2 and top <= min(cfg.combination_cap, cfg.degree_caps[d]):
+            def convex():
+                coeffs = coefficients(m, n, d)
+                total = sum(coeffs)
+                if total == 1 and all(c > 0 for c in coeffs):
+                    return True, None
+                return False, {"sum": format_rational(total),
+                               "coefficients": [format_rational(c) for c in coeffs]}
+            yield "composition_coefficients_convex", params, convex
+
+            def combo_kernel():
+                acc = BernsteinKernelForm.linear_combination(
+                    (ck, single(k, d).coordinates(m, n))
+                    for k, ck in enumerate(coefficients(m, n, d)))
+                return _coordinates_equal(acc, definition())
+            yield "composition_linear_combination_kernel", params, combo_kernel
+
+    yield from oriented(m, n)
+    if m < n:
+        yield from oriented(n, m)
+        if twofold:
+            def symmetric_degrees():
+                return _coordinates_equal(squares[m, n](), squares[n, m]())
+            yield "twofold_symmetry_degrees", {"d": d, "m": m, "n": n}, symmetric_degrees
+    elif twofold:
+        def single_stochastic():
+            return _stochastic(single(n, d).coordinates(n, n))
+        yield "single_stochastic_in_y", {"d": d, "n": n}, single_stochastic
 
 
-def _threefold_jobs(cfg: SuiteConfig, state: _SuiteState) -> Iterator[Job]:
+def _threefold_jobs(cfg: SuiteConfig) -> Iterator[Job]:
+    threefold = cache(lambda a, b, c: kernel_definition_threefold(a, b, c, 1))
     cap = cfg.threefold_cap
     for a in range(cap + 1):
         for b in range(cap + 1):
             for c in range(cap + 1):
                 def closed_vs_def(a=a, b=b, c=c):
                     return _coordinates_equal(kernel_closed_threefold(a, b, c).coordinates(a, c),
-                                              state.threefold(a, b, c))
+                                              threefold(a, b, c))
                 yield ("threefold_closed_equals_definition",
                        {"n3": a, "n2": b, "n1": c}, closed_vs_def)
 
@@ -416,9 +360,9 @@ def _threefold_jobs(cfg: SuiteConfig, state: _SuiteState) -> Iterator[Job]:
             for c in range(b, perm_cap + 1):
                 def permuted(a=a, b=b, c=c):
                     # a <= b <= c: every permutation's outer and inner degree is at most c
-                    base = state.threefold(a, b, c).elevate(c, c)
+                    base = threefold(a, b, c).elevate(c, c)
                     for perm in {(a, c, b), (b, a, c), (b, c, a), (c, a, b), (c, b, a)}:
-                        ok, diff = _coordinates_equal(state.threefold(*perm).elevate(c, c), base)
+                        ok, diff = _coordinates_equal(threefold(*perm).elevate(c, c), base)
                         if not ok:
                             diff["permutation"] = list(perm)
                             return False, diff
@@ -427,33 +371,8 @@ def _threefold_jobs(cfg: SuiteConfig, state: _SuiteState) -> Iterator[Job]:
                        {"degrees": [a, b, c]}, permuted)
 
 
-def _combination_jobs(cfg: SuiteConfig, state: _SuiteState) -> Iterator[Job]:
-    for d in cfg.d_range:
-        if d > 2:
-            continue
-        cap = min(cfg.combination_cap, cfg.degree_caps.get(d, cfg.combination_cap))
-        for m in range(cap + 1):
-            for n in range(cap + 1):
-                params = {"d": d, "m": m, "n": n}
-
-                def convex(d=d, m=m, n=n):
-                    coeffs = state.coefficients(d, m, n)
-                    total = sum(coeffs)
-                    if total == 1 and all(c > 0 for c in coeffs):
-                        return True, None
-                    return False, {"sum": format_rational(total),
-                                   "coefficients": [format_rational(c) for c in coeffs]}
-                yield "composition_coefficients_convex", params, convex
-
-                def combo_kernel(d=d, m=m, n=n):
-                    acc = BernsteinKernelForm.linear_combination(
-                        (ck, state.single(d, k).coordinates(m, n))
-                        for k, ck in enumerate(state.coefficients(d, m, n)))
-                    return _coordinates_equal(acc, state.coordinates(d, m, n))
-                yield "composition_linear_combination_kernel", params, combo_kernel
-
-
-def _operator_jobs(cfg: SuiteConfig, state: _SuiteState) -> Iterator[Job]:
+def _operator_jobs(cfg: SuiteConfig, coefficients: Callable) -> Iterator[Job]:
+    image = cache(lambda d, n, f: apply_operator(OperatorSpec(n, d), f))
     for d in cfg.d_range:
         if d > 2:
             continue
@@ -465,12 +384,12 @@ def _operator_jobs(cfg: SuiteConfig, state: _SuiteState) -> Iterator[Job]:
         for n in range(cap + 1):
             def constant_preserved(d=d, n=n):
                 one = CartesianPolynomial.constant(d, 1)
-                return _poly_witness(state.image(d, n, one), one)
+                return _poly_witness(image(d, n, one), one)
             yield "operator_constant_preservation", {"d": d, "n": n}, constant_preserved
 
             def degree_bound(d=d, n=n):
                 for f in monomials:
-                    img = state.image(d, n, f)
+                    img = image(d, n, f)
                     if img.total_degree() > n:
                         return False, {"f": f.to_json_dict()["terms"],
                                        "image_degree": img.total_degree()}
@@ -481,7 +400,7 @@ def _operator_jobs(cfg: SuiteConfig, state: _SuiteState) -> Iterator[Job]:
                 # rows[i] = (D_i, [D_i <M_n f_i, g_j> for each j]), so
                 # <f_i, M_n f_j> is rows[j][1][i] / D_j; a pair can first fail
                 # at i < j, as (j, i) repeats (i, j)
-                rows = [moment_numerators(state.image(d, n, f), exponents) for f in monomials]
+                rows = [moment_numerators(image(d, n, f), exponents) for f in monomials]
                 for i, (den_i, row_i) in enumerate(rows):
                     for j in range(i + 1, len(rows)):
                         den_j, row_j = rows[j]
@@ -495,7 +414,7 @@ def _operator_jobs(cfg: SuiteConfig, state: _SuiteState) -> Iterator[Job]:
 
             def integral_preserved(d=d, n=n):
                 for f in monomials:
-                    lhs = integrate_simplex(state.image(d, n, f))
+                    lhs = integrate_simplex(image(d, n, f))
                     rhs = integrate_simplex(f)
                     if lhs != rhs:
                         return False, {"f": f.to_json_dict()["terms"],
@@ -508,8 +427,8 @@ def _operator_jobs(cfg: SuiteConfig, state: _SuiteState) -> Iterator[Job]:
             for n in range(m + 1, cap + 1):
                 def commute(d=d, m=m, n=n):
                     for f in monomials:
-                        mn = state.image(d, m, state.image(d, n, f))
-                        nm = state.image(d, n, state.image(d, m, f))
+                        mn = image(d, m, image(d, n, f))
+                        nm = image(d, n, image(d, m, f))
                         ok, diff = _poly_witness(mn, nm)
                         if not ok:
                             diff["f"] = f.to_json_dict()["terms"]
@@ -521,11 +440,11 @@ def _operator_jobs(cfg: SuiteConfig, state: _SuiteState) -> Iterator[Job]:
         for m in range(combo_cap + 1):
             for n in range(combo_cap + 1):
                 def combo_operator(d=d, m=m, n=n):
-                    coeffs = state.coefficients(d, m, n)
+                    coeffs = coefficients(m, n, d)
                     for f in monomials:
-                        lhs = state.image(d, m, state.image(d, n, f))
+                        lhs = image(d, m, image(d, n, f))
                         rhs = CartesianPolynomial.linear_combination(
-                            d, ((ck, state.image(d, k, f)) for k, ck in enumerate(coeffs)))
+                            d, ((ck, image(d, k, f)) for k, ck in enumerate(coeffs)))
                         ok, diff = _poly_witness(lhs, rhs)
                         if not ok:
                             diff["f"] = f.to_json_dict()["terms"]
@@ -576,12 +495,11 @@ def run_suite(cfg: SuiteConfig) -> VerificationReport:
     budget runs out, the report is flagged incomplete rather than
     silently truncated.
     """
-    state = _SuiteState()
     start = time.perf_counter()
     checks: List[CheckRecord] = []
     incomplete_reason = None
 
-    for name, params, fn in _iter_jobs(cfg, state):
+    for name, params, fn in _iter_jobs(cfg):
         if cfg.time_budget_s is not None and time.perf_counter() - start > cfg.time_budget_s:
             incomplete_reason = (
                 f"time budget of {cfg.time_budget_s}s exceeded after "

@@ -34,6 +34,7 @@ from bdk.polynomials import (
     inner_product,
     integrate_simplex,
 )
+from bdk.verify import _stochastic
 
 from sampling import sample_simplex_point
 
@@ -420,18 +421,18 @@ class TestCoordinateForm:
 
     @pytest.mark.parametrize("degrees, d", [((0, 0), 1), ((3, 2), 1), ((2, 4), 2),
                                             ((3, 1), 3), ((2, 1, 3), 2), ((2,), 2)])
-    def test_integrate_y_gives_the_bernstein_coordinates_of_the_y_integral(self, degrees, d):
+    def test_stochastic_check_agrees_with_the_expanded_y_integral(self, degrees, d):
         coords = kernel_definition_coordinates(degrees, d)
-        integral = coords.integrate_y()
-        assert integral == [1] * len(coords.x_indices)
+        assert _stochastic(coords) == (True, None)
+        # a y integral of 1 in every Bernstein coordinate of x is the constant 1
         x_side = CartesianPolynomial.linear_combination(
-            d, ((c, bernstein_basis(a)) for c, a in zip(integral, coords.x_indices)))
+            d, ((1, bernstein_basis(a)) for a in coords.x_indices))
         assert x_side == coords.expand().integrate_y()
 
-    def test_integrate_y_reads_each_column(self):
+    def test_stochastic_check_reads_each_column(self):
         coords = kernel_definition_coordinates((2, 1), 1)
         coords.rows[1][2] += 4  # C[(0, 1)][(0, 2)]: scale 1/4 and int B_b = 1/2
-        assert coords.integrate_y() == [1, 1, F(3, 2)]
+        assert _stochastic(coords) == (False, {"a": [0, 2], "lhs": "3/2", "rhs": "1"})
 
     def test_a_single_operator_has_identity_coordinates(self):
         coords = kernel_definition_coordinates((2,), 2)

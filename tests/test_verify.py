@@ -1,10 +1,13 @@
 import hashlib
+import importlib.util
 import json
 import math
 import random
+import weakref
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import comb
+from pathlib import Path
 
 import pytest
 
@@ -39,6 +42,17 @@ D3_BODY_SHA256 = "9ecb2000155af2275c24cb81c3601055e5ff03497bf5e297d141598340ba11
 #: (`--self-test-corrupt`), and how many of its checks fail.
 CORRUPT_BODY_SHA256 = "7c61d87e0b81b61f57fdc90e491f59a4ab623e9e8d499912ea96b279587fea48"
 CORRUPT_FAILURES = 155
+
+
+#: The benchmark's reference checks, loaded by path as they are not part of the package.
+ORACLE = Path(__file__).resolve().parents[1] / "bench" / "oracle.py"
+
+
+def load_oracle():
+    spec = importlib.util.spec_from_file_location("bdk_bench_oracle", ORACLE)
+    oracle = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(oracle)
+    return oracle
 
 
 #: (module, name) of the functions whose calls the work-count tests count.
@@ -367,6 +381,10 @@ class TestRunSuite:
     def test_default_report_body_is_pinned(self, default_report):
         assert hashlib.sha256(default_report.body_bytes()).hexdigest() == DEFAULT_BODY_SHA256
 
+    def test_default_check_count_is_the_benchmarks(self, default_report):
+        # the benchmark counts each check of a default run as one operation
+        assert len(default_report.checks) == load_oracle().VERIFY_CHECKS
+
     def test_d3_report_body_is_pinned(self):
         report = run_suite(SuiteConfig(d_range=(3,), max_degree=6))
         assert report.ok
@@ -579,25 +597,37 @@ class TestRunSuite:
         for record in report.failures:
             assert "f" in record.witness, record
 
-    def test_at_most_two_squares_are_kept_and_none_after_the_run(self, monkeypatch):
-        states, alive = [], []
+    def test_a_pairs_kernels_are_freed_before_the_next_pair_and_after_the_run(self,
+                                                                              monkeypatch):
+        # a weak reference to each two-fold form built or elevated, with its (d, {m, n})
+        forms = []
 
-        class Watched(bdk.verify._SuiteState):
-            def __init__(self):
-                super().__init__()
-                states.append(self)
+        def pairs_alive():
+            return {pair for pair, ref in forms if ref() is not None}
 
-            def _memo(self, key, build, last=False):
-                value = super()._memo(key, build, last)
-                alive.append(sum(k[0] == "square" for k in self._built))
-                return value
-        monkeypatch.setattr(bdk.verify, "_SuiteState", Watched)
+        def build(m, n, d, original=bdk.verify.kernel_definition_twofold):
+            pair = (d, frozenset((m, n)))
+            # the first form of a pair: every earlier pair's forms are freed
+            assert pairs_alive() <= {pair}
+            form = original(m, n, d)
+            forms.append((pair, weakref.ref(form)))
+            return form
+
+        def elevate(self, m, n, original=bdk.kernels.BernsteinKernelForm.elevate):
+            form = original(self, m, n)
+            # only a two-fold form keeps its pair; a three-fold one has none
+            for pair, ref in list(forms):
+                if ref() is self:
+                    forms.append((pair, weakref.ref(form)))
+            return form
+        monkeypatch.setattr(bdk.verify, "kernel_definition_twofold", build)
+        monkeypatch.setattr(bdk.kernels.BernsteinKernelForm, "elevate", elevate)
         assert run_suite(SuiteConfig()).ok
-        # the squares of (m, n) and (n, m) live from their first reader to
-        # twofold_symmetry_degrees, their last
-        assert max(alive) == 2
-        (state,) = states
-        assert not [key for key in state._built if key[0] == "square"]
+        # the pairs {m, n} of d = 1, 2, 3 up to 10, 6 and 4: (d, m, n) once
+        # each, and a square of each m != n up to 8, 6 and 4
+        assert len({pair for pair, _ in forms}) == 66 + 28 + 15
+        assert len(forms) == 121 + 49 + 25 + 72 + 42 + 20
+        assert not pairs_alive()
 
     def test_time_budget_flags_incomplete(self):
         report = run_suite(tiny_config(time_budget_s=0.0))
