@@ -16,7 +16,7 @@ from .combinat import (
     multinomial,
     parse_rational,
 )
-from .durrmeyer import OperatorSpec, apply_operator, compose_apply, composition_coefficients
+from .durrmeyer import apply_operator, compose_apply, composition_coefficients
 from .kernels import (
     BernsteinKernelForm,
     DiagonalKernelForm,
@@ -35,7 +35,6 @@ from .kernels import (
     to_canonical,
 )
 from .polynomials import (
-    BarycentricPoint,
     CartesianPolynomial,
     bernstein_basis,
     bernstein_value,
@@ -62,7 +61,6 @@ __all__ = [
     "index_factorial",
     "multinomial",
     "parse_rational",
-    "OperatorSpec",
     "apply_operator",
     "compose_apply",
     "composition_coefficients",
@@ -81,7 +79,6 @@ __all__ = [
     "kernel_single",
     "kernel_univariate_twofold",
     "to_canonical",
-    "BarycentricPoint",
     "CartesianPolynomial",
     "bernstein_basis",
     "bernstein_value",

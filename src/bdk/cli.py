@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple, Union
 
 from .combinat import format_rational, parse_rational
-from .durrmeyer import OperatorSpec, compose_apply, composition_coefficients
+from .durrmeyer import compose_apply, composition_coefficients
 from .kernels import (
     BernsteinKernelForm,
     DiagonalKernelForm,
@@ -33,7 +33,7 @@ from .kernels import (
     kernel_univariate_twofold,
     to_canonical,
 )
-from .polynomials import BarycentricPoint, CartesianPolynomial
+from .polynomials import CartesianPolynomial
 from .verify import DEFAULT_DEGREE_CAPS, SuiteConfig, run_suite
 
 __all__ = ["main", "parse_polynomial", "PolynomialParseError"]
@@ -142,12 +142,12 @@ def _fields(raw: str, flag: str) -> List[str]:
     return parts
 
 
-def _parse_point(raw: str, d: int, flag: str) -> BarycentricPoint:
+def _parse_point(raw: str, d: int, flag: str) -> Tuple[Fraction, ...]:
     parts = _fields(raw, flag)
     if len(parts) != d:
         raise UsageError(f"{flag} needs {d} comma-separated rationals, got {len(parts)}")
     try:
-        return BarycentricPoint(parse_rational(p) for p in parts)
+        return tuple(parse_rational(p) for p in parts)
     except ValueError as exc:
         raise UsageError(f"{flag}: {exc}") from exc
 
@@ -234,21 +234,20 @@ def _cmd_coeffs(args) -> int:
 def _cmd_apply(args) -> int:
     degrees = _parse_ints(args.degrees, "--degrees")
     poly = parse_polynomial(args.poly, args.d)
-    specs = [OperatorSpec(k, args.d) for k in degrees]
-    image = compose_apply(specs, poly)
+    image = compose_apply(degrees, poly)
     print(json.dumps(image.to_json_dict(), sort_keys=True))
     return EXIT_OK
 
 
-def _grid_points(d: int, grid: int) -> List[BarycentricPoint]:
+def _grid_points(d: int, grid: int) -> List[Tuple[Fraction, ...]]:
     step = Fraction(1, grid - 1)
     if d == 1:
-        return [BarycentricPoint([i * step]) for i in range(grid)]
+        return [(i * step,) for i in range(grid)]
     points = []
     for i in range(grid):
         for j in range(grid):
             if i + j <= grid - 1:
-                points.append(BarycentricPoint([i * step, j * step]))
+                points.append((i * step, j * step))
     return points
 
 
@@ -261,7 +260,7 @@ def _cmd_table(args) -> int:
         raise UsageError("--grid must be >= 2")
     kernel = kernel_closed_twofold(args.m, args.n, args.d)
     points = _grid_points(args.d, args.grid)
-    coords = [[float(c) for c in pt.coords] for pt in points]
+    coords = [[float(c) for c in pt] for pt in points]
     header = [f"x{i + 1}" for i in range(args.d)] + [f"y{i + 1}" for i in range(args.d)] + ["K"]
     try:
         fh = open(args.out, "w", newline="", encoding="utf-8") if args.out != "-" else sys.stdout

@@ -23,43 +23,15 @@ from .combinat import _FACT, _multi_indices, _multinomial, check_degree, check_d
 from .polynomials import CartesianPolynomial, bernstein_basis, check_polynomial
 
 __all__ = [
-    "OperatorSpec",
     "apply_operator",
     "compose_apply",
     "composition_coefficients",
 ]
 
 
-class OperatorSpec:
-    """Degree and simplex dimension identifying one operator M_n.
-
-    Immutable; two specs are equal, and hash alike, when their degree and
-    dimension are.
-    """
-
-    __slots__ = ("degree", "dimension")
-
-    def __init__(self, degree: int, dimension: int):
-        object.__setattr__(self, "degree", check_degree(degree))
-        object.__setattr__(self, "dimension", check_dimension(dimension))
-
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError(f"cannot assign to field {name!r} of an OperatorSpec")
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, OperatorSpec):
-            return self.degree == other.degree and self.dimension == other.dimension
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.degree, self.dimension))
-
-    def __repr__(self) -> str:
-        return f"OperatorSpec(degree={self.degree}, dimension={self.dimension})"
-
-
-def apply_operator(spec: OperatorSpec, f: CartesianPolynomial) -> CartesianPolynomial:
-    """Exact image M_n f; the result has total degree <= n.
+def apply_operator(n: int, f: CartesianPolynomial) -> CartesianPolynomial:
+    """Exact image M_n f on the simplex of f's dimension d; the result has
+    total degree <= n.
 
     The moments come straight from Dirichlet's formula,
         <f, B_a> = mult(a) * sum_e f_e (a + (0,e))! / (n+|e|+d)!,
@@ -70,10 +42,7 @@ def apply_operator(spec: OperatorSpec, f: CartesianPolynomial) -> CartesianPolyn
     of the weights F_e N/(n+|e|+d)! with the moment columns
     (a+(0,e))! over |a| = n, which `_moment_column` keeps per (n, e).
     """
-    check_polynomial(f)
-    if f.d != spec.dimension:
-        raise ValueError(f"dimension mismatch: operator {spec.dimension}, polynomial {f.d}")
-    n, d = spec.degree, spec.dimension
+    n, d = check_degree(n), check_polynomial(f).d
     if f.is_zero():
         return CartesianPolynomial.zero(d)
     top = n + f.total_degree() + d
@@ -110,18 +79,16 @@ def _moment_column(n: int, exps: Tuple[int, ...]) -> Tuple[int, ...]:
     return tuple(column)
 
 
-def compose_apply(specs: Sequence[OperatorSpec], f: CartesianPolynomial) -> CartesianPolynomial:
+def compose_apply(degrees: Sequence[int], f: CartesianPolynomial) -> CartesianPolynomial:
     """Apply a composition of operators, rightmost (innermost) first.
 
-    [M_m, M_n] means M_m o M_n, so f passes through M_n before M_m.
-    An empty list returns f unchanged.
+    Degrees [m, n] mean M_m o M_n, so f passes through M_n before M_m.
+    Every degree is checked before any is applied.  An empty list returns
+    f unchanged.
     """
-    dims = {s.dimension for s in specs}
-    if dims and dims != {f.d}:
-        raise ValueError("all operators must share the polynomial's dimension")
     out = f
-    for spec in reversed(list(specs)):
-        out = apply_operator(spec, out)
+    for n in reversed([check_degree(n) for n in degrees]):
+        out = apply_operator(n, out)
     return out
 
 

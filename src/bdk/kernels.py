@@ -46,7 +46,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd, prod
 from operator import add, mul
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .combinat import (
     _FACT,
@@ -62,12 +62,12 @@ from .combinat import (
     parse_rational,
 )
 from .polynomials import (
-    BarycentricPoint,
     CartesianPolynomial,
+    Scalar,
     _dirichlet_terms,
-    as_point,
     bernstein_basis,
     check_polynomial,
+    integer_point,
     monomial_numerators,
 )
 
@@ -89,15 +89,15 @@ __all__ = [
     "first_coordinate_difference",
 ]
 
-PointLike = Union[BarycentricPoint, "list[Fraction]", tuple]
+Point = Sequence[Scalar]
 
 
-def _basis_vector(pt: PointLike, d: int, indices: Sequence[Tuple[int, ...]],
+def _basis_vector(pt: Point, d: int, indices: Sequence[Tuple[int, ...]],
                   mults: Sequence[int]) -> Tuple[int, List[int]]:
     """(q^top, [q^top B_a(p) for a in indices]) for a point p = A / q in
     barycentric integer form, top = max |a|: each entry is the integer
     mult(a) prod A_v^a_v q^(top-|a|), mults holding the mult(a)."""
-    q, bary = as_point(pt, d).integer_form()
+    q, bary = integer_point(pt, d)
     q_top, values = monomial_numerators(q, bary, indices)
     return q_top, list(map(mul, mults, values))
 
@@ -134,7 +134,7 @@ class KernelPolynomial(CartesianPolynomial):
         d = self.d
         return self._make(d, self.den, {e[d:] + e[:d]: c for e, c in self.nums.items()})
 
-    def evaluate(self, x: PointLike, y: PointLike) -> Fraction:
+    def evaluate(self, x: Point, y: Point) -> Fraction:
         """K(x, y) = sum C_e x^ex y^ey / D, with K = C / D for an integer map C.
 
         Each block is homogenised to its own top degree (see
@@ -142,8 +142,8 @@ class KernelPolynomial(CartesianPolynomial):
         is built at the end.
         """
         d = self.d
-        qx, x_bary = as_point(x, d).integer_form()
-        qy, y_bary = as_point(y, d).integer_form()
+        qx, x_bary = integer_point(x, d)
+        qy, y_bary = integer_point(y, d)
         nums = self.nums
         x_keys = list(dict.fromkeys(e[:d] for e in nums))
         y_keys = list(dict.fromkeys(e[d:] for e in nums))
@@ -260,12 +260,12 @@ class DiagonalKernelForm:
                                len(x_indices), len(y_indices))
         return BernsteinKernelForm(d, self.scale / den, x_indices, y_indices, rows)
 
-    def evaluate(self, x: PointLike, y: PointLike) -> Fraction:
+    def evaluate(self, x: Point, y: Point) -> Fraction:
         (row,) = self.evaluate_grid([x], [y])
         return row[0]
 
-    def evaluate_grid(self, xs: Sequence[PointLike],
-                      ys: Sequence[PointLike]) -> Iterator[List[Fraction]]:
+    def evaluate_grid(self, xs: Sequence[Point],
+                      ys: Sequence[Point]) -> Iterator[List[Fraction]]:
         """Yield [K(x, y) for y in ys] for each x in xs.
 
         A point p = A / q in barycentric integer form has the integer basis
@@ -324,7 +324,7 @@ class BernsteinKernelForm:
         self.y_indices = y_indices
         self.rows = rows
 
-    def evaluate(self, x: PointLike, y: PointLike) -> Fraction:
+    def evaluate(self, x: Point, y: Point) -> Fraction:
         """K(x, y) as one integer sum over the coordinates.
 
         A point p = A / q in barycentric integer form has the integer basis
@@ -595,7 +595,7 @@ def kernel_closed_threefold(n3: int, n2: int, n1: int) -> DiagonalKernelForm:
         for k in range(min(n3, n2, n1) + 1)])
 
 
-def inner_sum_identity(n: int, beta: Sequence[int], y: PointLike) -> Tuple[Fraction, Fraction]:
+def inner_sum_identity(n: int, beta: Sequence[int], y: Point) -> Tuple[Fraction, Fraction]:
     """Both sides of the collapse identity used to diagonalize the kernel, at y:
 
         sum over |a| = n of  B_a(y) (a+beta)!/a!

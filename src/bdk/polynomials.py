@@ -44,13 +44,12 @@ from .combinat import (
 
 __all__ = [
     "CartesianPolynomial",
-    "BarycentricPoint",
-    "as_point",
     "bernstein_basis",
     "bernstein_value",
     "check_polynomial",
     "integrate_simplex",
     "inner_product",
+    "integer_point",
     "moment_numerators",
     "monomial_numerators",
 ]
@@ -59,69 +58,19 @@ Exponents = Tuple[int, ...]
 Scalar = Union[int, Fraction]
 
 
-class BarycentricPoint:
-    """A point given by cartesian coordinates x_1..x_d, with x_0 derived.
+def integer_point(pt: Sequence[Scalar], d: int) -> Tuple[int, Tuple[int, ...]]:
+    """(q, (A_0, A_1, ..., A_d)) with x_v = A_v / q exactly, for the point
+    given by its d cartesian coordinates x_1..x_d, each an int or a Fraction.
 
-    Coordinates need not lie inside the simplex; the polynomials being
-    evaluated are defined on all of R^d.
+    q is the least common denominator of the coordinates and
+    A_0 = q - A_1 - ... - A_d.  The point need not lie inside the simplex;
+    the polynomials being evaluated are defined on all of R^d.
     """
-
-    __slots__ = ("coords", "_integer_form")
-
-    def __init__(self, coords: Iterable[Scalar]):
-        self.coords = tuple(check_rational(c, "point coordinate") for c in coords)
-        if not self.coords:
-            raise ValueError("point needs at least one coordinate")
-        self._integer_form = None
-
-    @property
-    def dimension(self) -> int:
-        return len(self.coords)
-
-    @property
-    def x0(self) -> Fraction:
-        return 1 - sum(self.coords)
-
-    def barycentric(self) -> Tuple[Fraction, ...]:
-        """The d+1 barycentric values (x_0, x_1, ..., x_d)."""
-        return (self.x0,) + self.coords
-
-    def integer_form(self) -> Tuple[int, Tuple[int, ...]]:
-        """(q, (A_0, A_1, ..., A_d)) with x_v = A_v / q exactly.
-
-        q is the least common denominator of the coordinates and
-        A_0 = q - A_1 - ... - A_d; computed once per point.
-        """
-        if self._integer_form is None:
-            q, nums = clear_denominators(self.coords)
-            self._integer_form = (q, (q - sum(nums), *nums))
-        return self._integer_form
-
-    def in_simplex(self) -> bool:
-        return all(c >= 0 for c in self.coords) and self.x0 >= 0
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, BarycentricPoint):
-            return self.coords == other.coords
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self.coords)
-
-    def __repr__(self) -> str:
-        return f"BarycentricPoint({', '.join(map(str, self.coords))})"
-
-
-def as_point(pt: Union[BarycentricPoint, Sequence[Scalar]], d: int) -> BarycentricPoint:
-    """pt as a BarycentricPoint, checked to have d coordinates."""
-    if not isinstance(pt, BarycentricPoint):
-        pt = tuple(pt)
-        if len(pt) != d:
-            raise ValueError(f"point has {len(pt)} coordinates, expected {d}")
-        return BarycentricPoint(pt)
-    if pt.dimension != d:
-        raise ValueError(f"point has {pt.dimension} coordinates, expected {d}")
-    return pt
+    pt = tuple(pt)
+    if len(pt) != d:
+        raise ValueError(f"point has {len(pt)} coordinates, expected {d}")
+    q, nums = clear_denominators(check_rational(c, "point coordinate") for c in pt)
+    return q, (q - sum(nums), *nums)
 
 
 def monomial_numerators(q: int, nums: Sequence[int],
@@ -353,9 +302,9 @@ class CartesianPolynomial:
             if a * db != b * da:
                 return key, Fraction(a, da), Fraction(b, db)
 
-    def evaluate(self, pt: Union[BarycentricPoint, Sequence[Scalar]]) -> Fraction:
+    def evaluate(self, pt: Sequence[Scalar]) -> Fraction:
         """p(pt) = sum_e P_e a^e q^(N-|e|) / (D q^N), with p = P / D, pt = a / q, N = deg p."""
-        q, bary = as_point(pt, self.d).integer_form()
+        q, bary = integer_point(pt, self.d)
         q_top, values = monomial_numerators(q, bary[1:], list(self.nums))
         return Fraction(sum(map(mul, self.nums.values(), values)), self.den * q_top)
 
@@ -431,7 +380,7 @@ def bernstein_basis(alpha: Sequence[int]) -> CartesianPolynomial:
     return CartesianPolynomial.from_integers(d, terms)
 
 
-def bernstein_value(alpha: Sequence[int], pt: Union[BarycentricPoint, Sequence[Scalar]]) -> Fraction:
+def bernstein_value(alpha: Sequence[int], pt: Sequence[Scalar]) -> Fraction:
     """Evaluate B_alpha at a point directly from barycentric values.
 
     Avoids the cartesian expansion; used where only values are needed.
@@ -439,7 +388,7 @@ def bernstein_value(alpha: Sequence[int], pt: Union[BarycentricPoint, Sequence[S
     B_alpha = mult(alpha) prod A_v^alpha_v / q^|alpha|.
     """
     alpha = check_index(alpha)
-    q, bary = as_point(pt, len(alpha) - 1).integer_form()
+    q, bary = integer_point(pt, len(alpha) - 1)
     q_top, (value,) = monomial_numerators(q, bary, [alpha])
     return Fraction(_multinomial(alpha) * value, q_top)
 

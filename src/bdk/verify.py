@@ -20,7 +20,7 @@ from functools import cache, partial
 from typing import Callable, Iterator, List, NamedTuple, Optional, Tuple
 
 from .combinat import _FACT, _multi_indices, check_degree, check_dimension, format_rational
-from .durrmeyer import OperatorSpec, apply_operator, composition_coefficients
+from .durrmeyer import apply_operator, composition_coefficients
 from .kernels import (
     BernsteinKernelForm,
     _inner_sum_coordinates,
@@ -372,7 +372,7 @@ def _threefold_jobs(cfg: SuiteConfig) -> Iterator[Job]:
 
 
 def _operator_jobs(cfg: SuiteConfig, coefficients: Callable) -> Iterator[Job]:
-    image = cache(lambda d, n, f: apply_operator(OperatorSpec(n, d), f))
+    image = cache(apply_operator)
     for d in cfg.d_range:
         if d > 2:
             continue
@@ -384,23 +384,23 @@ def _operator_jobs(cfg: SuiteConfig, coefficients: Callable) -> Iterator[Job]:
         for n in range(cap + 1):
             def constant_preserved(d=d, n=n):
                 one = CartesianPolynomial.constant(d, 1)
-                return _poly_witness(image(d, n, one), one)
+                return _poly_witness(image(n, one), one)
             yield "operator_constant_preservation", {"d": d, "n": n}, constant_preserved
 
-            def degree_bound(d=d, n=n):
+            def degree_bound(n=n):
                 for f in monomials:
-                    img = image(d, n, f)
+                    img = image(n, f)
                     if img.total_degree() > n:
                         return False, {"f": f.to_json_dict()["terms"],
                                        "image_degree": img.total_degree()}
                 return True, None
             yield "operator_degree_bound", {"d": d, "n": n}, degree_bound
 
-            def self_adjoint(d=d, n=n):
+            def self_adjoint(n=n):
                 # rows[i] = (D_i, [D_i <M_n f_i, g_j> for each j]), so
                 # <f_i, M_n f_j> is rows[j][1][i] / D_j; a pair can first fail
                 # at i < j, as (j, i) repeats (i, j)
-                rows = [moment_numerators(image(d, n, f), exponents) for f in monomials]
+                rows = [moment_numerators(image(n, f), exponents) for f in monomials]
                 for i, (den_i, row_i) in enumerate(rows):
                     for j in range(i + 1, len(rows)):
                         den_j, row_j = rows[j]
@@ -412,9 +412,9 @@ def _operator_jobs(cfg: SuiteConfig, coefficients: Callable) -> Iterator[Job]:
                 return True, None
             yield "operator_self_adjoint", {"d": d, "n": n}, self_adjoint
 
-            def integral_preserved(d=d, n=n):
+            def integral_preserved(n=n):
                 for f in monomials:
-                    lhs = integrate_simplex(image(d, n, f))
+                    lhs = integrate_simplex(image(n, f))
                     rhs = integrate_simplex(f)
                     if lhs != rhs:
                         return False, {"f": f.to_json_dict()["terms"],
@@ -425,10 +425,10 @@ def _operator_jobs(cfg: SuiteConfig, coefficients: Callable) -> Iterator[Job]:
 
         for m in range(cap + 1):
             for n in range(m + 1, cap + 1):
-                def commute(d=d, m=m, n=n):
+                def commute(m=m, n=n):
                     for f in monomials:
-                        mn = image(d, m, image(d, n, f))
-                        nm = image(d, n, image(d, m, f))
+                        mn = image(m, image(n, f))
+                        nm = image(n, image(m, f))
                         ok, diff = _poly_witness(mn, nm)
                         if not ok:
                             diff["f"] = f.to_json_dict()["terms"]
@@ -442,9 +442,9 @@ def _operator_jobs(cfg: SuiteConfig, coefficients: Callable) -> Iterator[Job]:
                 def combo_operator(d=d, m=m, n=n):
                     coeffs = coefficients(m, n, d)
                     for f in monomials:
-                        lhs = image(d, m, image(d, n, f))
+                        lhs = image(m, image(n, f))
                         rhs = CartesianPolynomial.linear_combination(
-                            d, ((ck, image(d, k, f)) for k, ck in enumerate(coeffs)))
+                            d, ((ck, image(k, f)) for k, ck in enumerate(coeffs)))
                         ok, diff = _poly_witness(lhs, rhs)
                         if not ok:
                             diff["f"] = f.to_json_dict()["terms"]
@@ -460,7 +460,7 @@ def _moment_jobs(cfg: SuiteConfig) -> Iterator[Job]:
             x = CartesianPolynomial.variable(1, 1)
             expected = CartesianPolynomial(
                 1, {(0,): Fraction(1, n + 2), (1,): Fraction(n, n + 2)})
-            ok, diff = _poly_witness(apply_operator(OperatorSpec(n, 1), x), expected)
+            ok, diff = _poly_witness(apply_operator(n, x), expected)
             if not ok:
                 diff["f"] = x.to_json_dict()["terms"]
             return ok, diff

@@ -1,11 +1,11 @@
 """Seeded rational test points for the tests that evaluate at points."""
 import random
 from fractions import Fraction
+from typing import Tuple
 
-from bdk.polynomials import BarycentricPoint
 
-
-def sample_simplex_point(rng: random.Random, d: int, max_denominator: int = 97) -> BarycentricPoint:
+def sample_simplex_point(rng: random.Random, d: int,
+                         max_denominator: int = 97) -> Tuple[Fraction, ...]:
     """A seeded rational point inside the standard d-simplex.
 
     All coordinates share one denominator <= max_denominator, keeping the
@@ -18,4 +18,4 @@ def sample_simplex_point(rng: random.Random, d: int, max_denominator: int = 97) 
         p = rng.randint(0, remaining)
         coords.append(Fraction(p, q))
         remaining -= p
-    return BarycentricPoint(coords)
+    return tuple(coords)

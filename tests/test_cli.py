@@ -1,7 +1,12 @@
 import csv
 import hashlib
 import json
+import os
+import shlex
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,6 +14,9 @@ from hypothesis import given, settings, strategies as st
 from bdk.cli import PolynomialParseError, main, parse_polynomial
 from bdk.combinat import parse_rational
 from bdk.polynomials import CartesianPolynomial
+
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run_cli(capsys, *argv):
@@ -376,6 +384,13 @@ class TestApply:
         assert out == ""
         assert f"bdk: error: --degrees: empty field in {raw!r}" in err
 
+    @pytest.mark.parametrize("raw", ["3,-1", "2,-1,3"])
+    def test_negative_degree_is_usage_error(self, capsys, raw):
+        code, out, err = run_cli(capsys, "apply", "--d", "1", "--degrees", raw, "--poly", "x1")
+        assert code == 2
+        assert out == ""
+        assert "bdk: error: degree must be >= 0, got -1" in err
+
     def test_degrees_with_spaces_still_parse(self, capsys):
         _, spaced, _ = run_cli(capsys, "apply", "--d", "1", "--degrees", "2, 3", "--poly", "x1")
         _, plain, _ = run_cli(capsys, "apply", "--d", "1", "--degrees", "2,3", "--poly", "x1")
@@ -706,3 +721,28 @@ class TestTopLevel:
 
     def test_unknown_command(self, capsys):
         assert run_cli(capsys, "frobnicate")[0] == 2
+
+
+#: The outputs that the comments of the README's CLI block state.
+README_STDOUT = {
+    "bdk eval --d 1 --m 1 --n 1 --x 0 --y 0 --form closed": "4/3\n",
+    "bdk coeffs --d 1 --m 1 --n 1": '["2/3", "1/3"]\n1\n',
+}
+
+
+def test_readme_cli_block_runs(tmp_path):
+    block = (ROOT / "README.md").read_text().split("## CLI", 1)[1]
+    block = block.split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.splitlines() if line.startswith("bdk ")]
+    assert len(lines) == 6
+    env = {"PATH": os.environ.get("PATH", os.defpath), "PYTHONPATH": str(ROOT / "src")}
+    stated = {}
+    for line in lines:
+        argv = shlex.split(line, comments=True)
+        run = subprocess.run([sys.executable, "-m", "bdk.cli", *argv[1:]], cwd=tmp_path,
+                             env=env, capture_output=True, text=True, timeout=60)
+        assert run.returncode == 0, (line, run.stderr)
+        stated[" ".join(argv)] = run.stdout
+    for command, out in README_STDOUT.items():
+        assert stated[command] == out, command
+    assert (tmp_path / "kernel.csv").is_file() and (tmp_path / "report.json").is_file()

@@ -19,7 +19,7 @@ from bdk.combinat import (
 )
 from fractions import Fraction
 
-from bdk.durrmeyer import OperatorSpec, composition_coefficients
+from bdk.durrmeyer import apply_operator, compose_apply, composition_coefficients
 from bdk.kernels import (
     DiagonalKernelForm,
     inner_sum_identity,
@@ -30,6 +30,7 @@ from bdk.kernels import (
     kernel_single,
     kernel_univariate_twofold,
 )
+from bdk.polynomials import CartesianPolynomial
 
 
 class TestCheckIndex:
@@ -65,10 +66,13 @@ class TestCheckDimension:
             check_dimension(bad)
 
 
+X1 = CartesianPolynomial.variable(1, 1)
+
 #: every entry point that takes a degree, with a fractional or a negative one
 BAD_DEGREE_CALLS = [
-    (OperatorSpec, (1.5, 1)),
-    (OperatorSpec, (-1, 1)),
+    (apply_operator, (1.5, X1)),
+    (apply_operator, (-1, X1)),
+    (compose_apply, ([3, -1], X1)),
     (composition_coefficients, (2.5, 1, 1)),
     (enumerate_multi_indices, (1.5, 1)),
     (enumerate_multi_indices, (-1, 1)),

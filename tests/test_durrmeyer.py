@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from bdk.combinat import enumerate_multi_indices
-from bdk.durrmeyer import OperatorSpec, apply_operator, compose_apply, composition_coefficients
+from bdk.durrmeyer import apply_operator, compose_apply, composition_coefficients
 from bdk.polynomials import CartesianPolynomial, inner_product, integrate_simplex
 
 
@@ -16,44 +16,35 @@ def monomials(d, max_degree):
     return out
 
 
-class TestOperatorSpec:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            OperatorSpec(-1, 1)
-        with pytest.raises(ValueError):
-            OperatorSpec(2, 0)
-
-
 class TestApplyOperator:
     def test_preserves_constants(self):
         for d in (1, 2, 3):
             one = CartesianPolynomial.constant(d, 1)
             for n in range(7):
-                assert apply_operator(OperatorSpec(n, d), one) == one
+                assert apply_operator(n, one) == one
 
     def test_first_moment_degree_one(self):
         # hand computation: 2*(<x, 1-x>*(1-x) + <x, x>*x) = (1+x)/3
         x = CartesianPolynomial.variable(1, 1)
-        image = apply_operator(OperatorSpec(1, 1), x)
+        image = apply_operator(1, x)
         assert image.terms == {(0,): Fraction(1, 3), (1,): Fraction(1, 3)}
 
     def test_first_moment_degree_two(self):
         x = CartesianPolynomial.variable(1, 1)
-        image = apply_operator(OperatorSpec(2, 1), x)
+        image = apply_operator(2, x)
         assert image.terms == {(0,): Fraction(1, 4), (1,): Fraction(1, 2)}
 
     def test_degree_bound(self):
         for d in (1, 2):
             for n in range(4):
                 for f in monomials(d, 3):
-                    assert apply_operator(OperatorSpec(n, d), f).total_degree() <= n
+                    assert apply_operator(n, f).total_degree() <= n
 
     def test_self_adjoint(self):
         for d in (1, 2):
             basis = monomials(d, 2)
             for n in range(4):
-                spec = OperatorSpec(n, d)
-                images = [apply_operator(spec, f) for f in basis]
+                images = [apply_operator(n, f) for f in basis]
                 for f, mf in zip(basis, images):
                     for g, mg in zip(basis, images):
                         assert inner_product(mf, g) == inner_product(f, mg)
@@ -62,12 +53,8 @@ class TestApplyOperator:
         for d in (1, 2):
             for n in range(4):
                 for f in monomials(d, 3):
-                    image = apply_operator(OperatorSpec(n, d), f)
+                    image = apply_operator(n, f)
                     assert integrate_simplex(image) == integrate_simplex(f)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            apply_operator(OperatorSpec(1, 2), CartesianPolynomial.variable(1, 1))
 
 
 class TestComposeApply:
@@ -77,7 +64,7 @@ class TestComposeApply:
 
     def test_degree_zero_averages(self):
         f = CartesianPolynomial.variable(1, 1)
-        image = compose_apply([OperatorSpec(0, 1)], f)
+        image = compose_apply([0], f)
         assert image == CartesianPolynomial.constant(1, Fraction(1, 2))
 
     def test_commutativity_on_monomials(self):
@@ -85,21 +72,15 @@ class TestComposeApply:
             basis = monomials(d, 2)
             for m in range(4):
                 for n in range(m + 1, 4):
-                    mn = [OperatorSpec(m, d), OperatorSpec(n, d)]
-                    nm = [OperatorSpec(n, d), OperatorSpec(m, d)]
+                    mn, nm = [m, n], [n, m]
                     for f in basis:
                         assert compose_apply(mn, f) == compose_apply(nm, f), (d, m, n)
 
     def test_rightmost_applied_first(self):
         # M_0 o M_2 collapses (M_2 x) to its mean, so the outer degree wins
         x = CartesianPolynomial.variable(1, 1)
-        image = compose_apply([OperatorSpec(0, 1), OperatorSpec(2, 1)], x)
+        image = compose_apply([0, 2], x)
         assert image == CartesianPolynomial.constant(1, Fraction(1, 2))
-
-    def test_mixed_dimensions_rejected(self):
-        with pytest.raises(ValueError):
-            compose_apply([OperatorSpec(1, 1), OperatorSpec(1, 2)],
-                          CartesianPolynomial.variable(1, 1))
 
 
 class TestCompositionCoefficients:
@@ -131,10 +112,10 @@ class TestCompositionCoefficients:
                 for n in range(3):
                     coeffs = composition_coefficients(m, n, d)
                     for f in basis:
-                        lhs = compose_apply([OperatorSpec(m, d), OperatorSpec(n, d)], f)
+                        lhs = compose_apply([m, n], f)
                         rhs = CartesianPolynomial.zero(d)
                         for k, ck in enumerate(coeffs):
-                            rhs = rhs + apply_operator(OperatorSpec(k, d), f).scale(ck)
+                            rhs = rhs + apply_operator(k, f).scale(ck)
                         assert lhs == rhs, (d, m, n)
 
     def test_invalid_arguments(self):

@@ -35,3 +35,12 @@ def test_expanded_definition_wrapper_is_gone():
     # the definitional kernel is `kernel_definition_coordinates`; its map is `.expand()`
     assert not hasattr(bdk, "kernel_definition")
     assert not hasattr(bdk.kernels, "kernel_definition")
+
+
+@pytest.mark.parametrize("module_name", ["bdk", "bdk.polynomials", "bdk.durrmeyer"])
+def test_point_and_operator_wrappers_are_gone(module_name):
+    # a point is a sequence of d ints or Fractions, an operator is its degree
+    module = importlib.import_module(module_name)
+    for name in ("BarycentricPoint", "as_point", "OperatorSpec"):
+        assert not hasattr(module, name), name
+        assert name not in module.__all__, name

@@ -18,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 import bdk.combinat
 import bdk.kernels
 from bdk.combinat import clear_denominators, enumerate_multi_indices, factorial
-from bdk.durrmeyer import OperatorSpec, apply_operator, compose_apply
+from bdk.durrmeyer import apply_operator, compose_apply
 from bdk.kernels import (
     DiagonalKernelForm,
     KernelPolynomial,
@@ -79,8 +79,8 @@ def ref_inner_product(f, g):
     return ref_integrate_simplex(f * g)
 
 
-def ref_apply_operator(spec, f):
-    n, d = spec.degree, spec.dimension
+def ref_apply_operator(n, f):
+    d = f.d
     weight = 1 / inner_one_bernstein((n,) + (0,) * d, d)
     image = CartesianPolynomial.zero(d)
     for alpha in enumerate_multi_indices(n, d):
@@ -89,8 +89,8 @@ def ref_apply_operator(spec, f):
     return image
 
 
-def loop_apply_operator(spec, f):
-    n, d = spec.degree, spec.dimension
+def loop_apply_operator(n, f):
+    d = f.d
     if f.is_zero():
         return CartesianPolynomial.zero(d)
     top = n + f.total_degree() + d
@@ -248,15 +248,15 @@ class TestReferenceEquivalence:
     @given(st.data())
     def test_apply_operator(self, data):
         f = data.draw(polynomials())
-        spec = OperatorSpec(data.draw(degrees), f.d)
-        assert_identical(apply_operator(spec, f), ref_apply_operator(spec, f))
+        n = data.draw(degrees)
+        assert_identical(apply_operator(n, f), ref_apply_operator(n, f))
 
     @SETTINGS
     @given(st.data())
     def test_apply_operator_matches_the_per_index_loop(self, data):
         f = data.draw(polynomials())
-        spec = OperatorSpec(data.draw(st.integers(0, 6)), f.d)
-        image, ref = apply_operator(spec, f), loop_apply_operator(spec, f)
+        n = data.draw(st.integers(0, 6))
+        image, ref = apply_operator(n, f), loop_apply_operator(n, f)
         assert (image.den, image.nums) == (ref.den, ref.nums)
 
     @SETTINGS
@@ -316,9 +316,8 @@ class TestReferenceEquivalence:
         zero = CartesianPolynomial.zero(d)
         half = CartesianPolynomial.constant(d, F(-1, 2))
         for n in (0, 1, 3):
-            spec = OperatorSpec(n, d)
-            assert apply_operator(spec, zero).is_zero()
-            assert_identical(apply_operator(spec, half), half)
+            assert apply_operator(n, zero).is_zero()
+            assert_identical(apply_operator(n, half), half)
         assert inner_product(zero, half) == 0
         assert inner_product(half, half) == ref_inner_product(half, half)
 
@@ -353,8 +352,7 @@ class TestIntegerHelpers:
         f = CartesianPolynomial(1, {(1500,): F(-2, 3), (1,): F(1, 5)})
         g = CartesianPolynomial(1, {(2,): F(3, 7)})
         assert inner_product(f, g) == ref_inner_product(f, g)
-        spec = OperatorSpec(2, 1)
-        assert_identical(apply_operator(spec, f), ref_apply_operator(spec, f))
+        assert_identical(apply_operator(2, f), ref_apply_operator(2, f))
 
     def test_moment_numerators_rejects_keys_of_another_dimension_and_kernels(self):
         p = CartesianPolynomial(2, {(0, 1): F(1, 3)})
@@ -397,9 +395,8 @@ def test_definitional_builders_use_no_closed_form_code(monkeypatch, d):
     assert three == ref_definition_threefold(2, 1, 2, d)
     assert one == to_canonical(kernel_single(3, d))
     x = CartesianPolynomial.variable(d, 1)
-    specs = [OperatorSpec(n, d) for n in (1, 2, 2, 1)]
     one_x = KernelPolynomial.outer(CartesianPolynomial.constant(d, 1), x)
-    assert (four * one_x).integrate_y() == compose_apply(specs, x)
+    assert (four * one_x).integrate_y() == compose_apply([1, 2, 2, 1], x)
 
 
 # -- the shared tables --------------------------------------------------------
@@ -429,7 +426,7 @@ def build_each_layer():
         kernel_closed_twofold(4, 3, 2).coordinates(4, 3), coordinates) is None
     kernel_legendre(5, 3)
     f = CartesianPolynomial(2, {(2, 1): F(-3, 7), (0, 3): F(5, 2), (1, 0): 1})
-    image = apply_operator(OperatorSpec(4, 2), f)
+    image = apply_operator(4, f)
     moment_numerators(image, [(0, 0), (1, 0), (2, 1)])
     bernstein_basis((2, 1, 3))
 

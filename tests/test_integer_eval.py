@@ -29,7 +29,7 @@ from bdk.kernels import (
     kernel_definition_twofold,
     kernel_univariate_twofold,
 )
-from bdk.polynomials import BarycentricPoint, CartesianPolynomial, bernstein_value
+from bdk.polynomials import CartesianPolynomial, bernstein_value, integer_point
 
 F = Fraction
 SETTINGS = settings(max_examples=40, deadline=None)
@@ -39,7 +39,7 @@ SETTINGS = settings(max_examples=40, deadline=None)
 
 
 def _coords(pt):
-    return pt.coords if isinstance(pt, BarycentricPoint) else tuple(Fraction(c) for c in pt)
+    return tuple(Fraction(c) for c in pt)
 
 
 def ref_cartesian_evaluate(poly, pt):
@@ -118,12 +118,9 @@ coefs = st.one_of(rationals, st.integers(-9, 9))
 
 @st.composite
 def points(draw, d):
-    """A point in one of the accepted input types: BarycentricPoint, list or tuple."""
+    """A point as a list or a tuple of d ints and Fractions."""
     coords = draw(st.lists(st.one_of(rationals, st.integers(-3, 3)), min_size=d, max_size=d))
-    kind = draw(st.sampled_from(["point", "list", "tuple"]))
-    if kind == "point":
-        return BarycentricPoint(coords)
-    return coords if kind == "list" else tuple(coords)
+    return draw(st.sampled_from([coords, tuple(coords)]))
 
 
 def exponents(d, max_degree=5):
@@ -255,6 +252,4 @@ def test_high_degree_sparse_monomial():
 
 
 def test_integer_form_of_a_point():
-    pt = BarycentricPoint([F(1, 6), F(-1, 4)])
-    assert pt.integer_form() == (12, (13, 2, -3))
-    assert pt.integer_form() is pt.integer_form()
+    assert integer_point([F(1, 6), F(-1, 4)], 2) == (12, (13, 2, -3))

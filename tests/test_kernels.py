@@ -25,9 +25,8 @@ from bdk.kernels import (
     kernel_univariate_twofold,
     to_canonical,
 )
-from bdk.durrmeyer import OperatorSpec, apply_operator, compose_apply
+from bdk.durrmeyer import apply_operator, compose_apply
 from bdk.polynomials import (
-    BarycentricPoint,
     CartesianPolynomial,
     bernstein_basis,
     bernstein_value,
@@ -134,7 +133,7 @@ class TestKernelIsAPolynomial:
         with pytest.raises(ValueError):
             inner_product(one, kernel)
         with pytest.raises(ValueError):
-            apply_operator(OperatorSpec(2, 1), kernel)
+            apply_operator(2, kernel)
 
     def test_kernel_and_polynomial_never_mix(self):
         # a d = 1 kernel and a d = 2 polynomial both have 2-tuple keys
@@ -349,9 +348,8 @@ class TestChainDefinition:
     def test_kernel_applies_the_composition(self, d, degrees):
         # compose_apply runs apply_operator once per operator: no kernel involved
         kernel = kernel_definition_coordinates(degrees, d).expand()
-        specs = [OperatorSpec(n, d) for n in degrees]
         for f in monomials_up_to(2, d):
-            assert applied(kernel, f) == compose_apply(specs, f), f
+            assert applied(kernel, f) == compose_apply(degrees, f), f
 
     @settings(max_examples=25, deadline=None)
     @given(st.data())
@@ -360,7 +358,7 @@ class TestChainDefinition:
         degrees = data.draw(st.lists(st.integers(0, 3 if d == 1 else 2), min_size=1, max_size=4))
         f = data.draw(st.sampled_from(monomials_up_to(2, d)))
         kernel = kernel_definition_coordinates(degrees, d).expand()
-        assert applied(kernel, f) == compose_apply([OperatorSpec(n, d) for n in degrees], f)
+        assert applied(kernel, f) == compose_apply(degrees, f)
         # each operator is self-adjoint, so reversing the chain transposes the kernel
         assert kernel_definition_coordinates(degrees[::-1], d).expand() == kernel.transpose()
 
@@ -612,7 +610,7 @@ class TestEvalAndDiff:
 
     def test_eval_respects_symmetry(self):
         k = kernel_definition_twofold(2, 3, 1)
-        x, y = BarycentricPoint([F(1, 7)]), BarycentricPoint([F(3, 5)])
+        x, y = (F(1, 7),), (F(3, 5),)
         assert k.evaluate(x, y) == k.evaluate(y, x)
 
     def test_first_difference_none_for_equal(self):

@@ -8,11 +8,11 @@ from hypothesis import given, settings, strategies as st
 from bdk.combinat import enumerate_multi_indices, multinomial
 from bdk.kernels import inner_sum_identity
 from bdk.polynomials import (
-    BarycentricPoint,
     CartesianPolynomial,
     bernstein_basis,
     bernstein_value,
     inner_product,
+    integer_point,
     integrate_simplex,
 )
 from bdk.simplex_integrals import inner_one_bernstein
@@ -173,7 +173,7 @@ class TestBernsteinBasis:
             for alpha in enumerate_multi_indices(3, d):
                 basis = bernstein_basis(alpha)
                 for pt in points:
-                    assert pt.in_simplex()
+                    assert min(pt) >= 0 and sum(pt) <= 1
                     assert basis.evaluate(pt) >= 0
 
     def test_integral_equals_inner_one(self):
@@ -232,29 +232,25 @@ class TestEvaluation:
             bernstein_basis((1, 1)).evaluate([Fraction(1), Fraction(2)])
 
 
-class TestBarycentricPoint:
-    def test_x0_is_derived(self):
-        pt = BarycentricPoint([Fraction(1, 4), Fraction(1, 2)])
-        assert pt.x0 == Fraction(1, 4)
-        assert pt.barycentric() == (Fraction(1, 4), Fraction(1, 4), Fraction(1, 2))
-
-    def test_in_simplex(self):
-        assert BarycentricPoint([Fraction(1, 2), Fraction(1, 2)]).in_simplex()
-        assert not BarycentricPoint([Fraction(3, 4), Fraction(1, 2)]).in_simplex()
-
+class TestIntegerPoint:
     def test_ints_and_fractions_accepted(self):
-        assert BarycentricPoint([1, Fraction(1, 3)]).coords == (Fraction(1), Fraction(1, 3))
+        assert integer_point((1, Fraction(1, 3)), 2) == (3, (-1, 3, 1))
         assert CartesianPolynomial.variable(1, 1).evaluate([Fraction(1, 2)]) == Fraction(1, 2)
 
     @pytest.mark.parametrize("build", [
-        lambda: BarycentricPoint([0.1]),
-        lambda: BarycentricPoint([Fraction(1, 3), "1/3"]),
+        lambda: integer_point([0.1], 1),
+        lambda: integer_point([Fraction(1, 3), "1/3"], 2),
         lambda: inner_sum_identity(2, (1, 1), [0.1]),
         lambda: CartesianPolynomial.variable(1, 1).evaluate([0.5]),
-    ], ids=["point", "string", "inner_sum_identity", "evaluate"])
+    ], ids=["float", "string", "inner_sum_identity", "evaluate"])
     def test_float_and_string_coordinates_rejected(self, build):
         with pytest.raises(ValueError, match="point coordinate"):
             build()
+
+    @pytest.mark.parametrize("pt", [(), (Fraction(1, 3),), (0, 0, 0)])
+    def test_wrong_coordinate_count_rejected(self, pt):
+        with pytest.raises(ValueError, match=f"^point has {len(pt)} coordinates, expected 2$"):
+            integer_point(pt, 2)
 
 
 class TestIntegration:

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import pytest
 
-from bdk.durrmeyer import OperatorSpec, apply_operator
+from bdk.durrmeyer import apply_operator
 from bdk.kernels import (
     kernel_closed_threefold,
     kernel_closed_twofold,
@@ -63,7 +63,7 @@ def test_span_resolves(module_name, attr):
 def _image():
     f = CartesianPolynomial(2, {(2, 1): Fraction(-3, 97), (0, 3): Fraction(5, 97),
                                 (1, 0): Fraction(7, 2)})
-    return apply_operator(OperatorSpec(6, 2), f)
+    return apply_operator(6, f)
 
 
 @pytest.mark.parametrize("build, terms, coef_bits", [

@@ -213,6 +213,32 @@ def bump_moment_column(column):
     return bumped
 
 
+def double_first_multinomial(multinomial):
+    """Multinomials whose value at the first index of each degree,
+    (n, 0, ..., 0), is doubled: M_n weighs B_(n,0,...,0) twice."""
+    def doubled(alpha):
+        return 2 * multinomial(alpha) if not any(alpha[1:]) else multinomial(alpha)
+    return doubled
+
+
+def add_term_past_degree(apply):
+    """Operator images with the term x_1^(n+1) added."""
+    def extended(n, f):
+        return apply(n, f) + CartesianPolynomial.monomial(f.d, (n + 1,) + (0,) * (f.d - 1))
+    return extended
+
+
+def move_last_coefficient(coefficients):
+    """Composition coefficients with the last one moved onto the first: the
+    sum stays 1, and the last is 0 wherever there are two or more."""
+    def moved(m, n, d):
+        coeffs = list(coefficients(m, n, d))
+        if len(coeffs) > 1:
+            coeffs[0], coeffs[-1] = coeffs[0] + coeffs[-1], Fraction(0)
+        return coeffs
+    return moved
+
+
 #: One monkeypatch list per mutant: (module, name, wrapper of the original).
 MUTANTS = {
     "top_closed_weight": [(bdk.verify, name, bump_top_weight) for name in (
@@ -354,8 +380,8 @@ class TestSamplePoint:
         for d in (1, 2, 3):
             for _ in range(20):
                 pt = sample_simplex_point(rng, d)
-                assert pt.in_simplex()
-                assert all(c.denominator <= 97 for c in pt.coords)
+                assert min(pt) >= 0 and sum(pt) <= 1
+                assert all(c.denominator <= 97 for c in pt)
 
     def test_deterministic_for_seed(self):
         a = [sample_simplex_point(random.Random(9), 2) for _ in range(5)]
@@ -455,8 +481,8 @@ class TestRunSuite:
         target = CartesianPolynomial.monomial(2, (2, 0))
         original = bdk.verify.apply_operator
 
-        def perturbed(spec, f):
-            image = original(spec, f)
+        def perturbed(n, f):
+            image = original(n, f)
             return image + CartesianPolynomial.variable(2, 1) if f == target else image
         monkeypatch.setattr(bdk.verify, "apply_operator", perturbed)
         report = run_suite(tiny_config(d_range=(2,)))
@@ -596,6 +622,44 @@ class TestRunSuite:
         assert {c.name for c in report.failures} == set(OPERATOR_FAMILIES)
         for record in report.failures:
             assert "f" in record.witness, record
+
+    def test_doubled_multinomial_kills_constant_preservation(self, monkeypatch):
+        monkeypatch.setattr(bdk.durrmeyer, "_multinomial",
+                            double_first_multinomial(bdk.durrmeyer._multinomial))
+        records = [c for c in run_suite(tiny_config(d_range=(1, 2))).checks
+                   if c.name == "operator_constant_preservation"]
+        assert records
+        for record in records:
+            assert not record.passed, record.params
+            # M_n 1 = 1 + B_(n,0,...,0): the constant term is first and is 2
+            assert record.witness == {"exp": [0] * record.params["d"], "lhs": "2", "rhs": "1"}
+
+    def test_term_past_the_degree_kills_the_degree_bound(self, monkeypatch):
+        monkeypatch.setattr(bdk.verify, "apply_operator",
+                            add_term_past_degree(bdk.verify.apply_operator))
+        records = [c for c in run_suite(tiny_config(d_range=(1, 2))).checks
+                   if c.name == "operator_degree_bound"]
+        assert records
+        for record in records:
+            assert not record.passed, record.params
+            d, n = record.params["d"], record.params["n"]
+            # the first monomial is the constant 1
+            assert record.witness == {"f": [{"exp": [0] * d, "coef": "1"}],
+                                      "image_degree": n + 1}
+
+    def test_moved_coefficient_kills_convexity(self, monkeypatch):
+        monkeypatch.setattr(bdk.verify, "composition_coefficients",
+                            move_last_coefficient(bdk.verify.composition_coefficients))
+        records = [c for c in run_suite(tiny_config(d_range=(1, 2))).checks
+                   if c.name == "composition_coefficients_convex"]
+        assert any(min(c.params["m"], c.params["n"]) > 0 for c in records)
+        for record in records:
+            # with one coefficient there is nothing to move
+            moved = min(record.params["m"], record.params["n"]) > 0
+            assert record.passed != moved, record.params
+            if moved:
+                assert record.witness["sum"] == "1"
+                assert record.witness["coefficients"][-1] == "0"
 
     def test_a_pairs_kernels_are_freed_before_the_next_pair_and_after_the_run(self,
                                                                               monkeypatch):
