@@ -280,8 +280,7 @@ def _cmd_table(args) -> int:
 
 def _cmd_verify(args) -> int:
     cfg = SuiteConfig(d_range=_parse_ints(args.d, "--d"), max_degree=args.max_degree,
-                      threefold_cap=args.threefold_cap, time_budget_s=args.time_budget,
-                      corrupt_scale=args.self_test_corrupt)
+                      time_budget_s=args.time_budget, corrupt_scale=args.self_test_corrupt)
     if args.report:
         _write_file(args.report, "--report", "", "a")
     report = run_suite(cfg)
@@ -351,7 +350,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="comma-separated dimensions")
     p_verify.add_argument("--max-degree", type=int, default=None,
                           help="cap all check families at this degree")
-    p_verify.add_argument("--threefold-cap", type=int, default=None)
     p_verify.add_argument("--time-budget", type=float, default=None,
                           help="soft wall-clock budget in seconds")
     p_verify.add_argument("--report", metavar="PATH", help="write the JSON report here")
@@ -362,10 +360,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_dash_values(argv: Sequence[str]) -> List[str]:
+    """argv with each value that starts with '-' joined to its flag: --flag=value.
+
+    argparse reads -5/3, -1,3 or -x1^2 as an unknown option unless it is a
+    plain negative number.  Every bdk flag is long, so a token after a flag
+    that starts with one '-' and is not -h is that flag's value.
+    """
+    out: List[str] = []
+    for token in argv:
+        if (out and out[-1].startswith("--") and "=" not in out[-1]
+                and token.startswith("-") and not token.startswith("--") and token != "-h"):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_dash_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:

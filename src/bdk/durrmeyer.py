@@ -7,8 +7,8 @@ L2-type inner products over the simplex:
 
 Operators here act on exact polynomials only, which is enough to verify
 polynomial kernel identities: a degree-N identity is pinned down by
-finitely many monomial images, and the kernel module additionally
-compares full canonical forms.
+finitely many monomial images; kernel identities are decided separately,
+in Bernstein coordinates (`bdk.kernels`).
 """
 from __future__ import annotations
 

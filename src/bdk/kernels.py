@@ -59,7 +59,6 @@ from .combinat import (
     clear_denominators,
     falling_factorial,
     format_rational,
-    parse_rational,
 )
 from .polynomials import (
     CartesianPolynomial,
@@ -135,23 +134,11 @@ class KernelPolynomial(CartesianPolynomial):
         return self._make(d, self.den, {e[d:] + e[:d]: c for e, c in self.nums.items()})
 
     def evaluate(self, x: Point, y: Point) -> Fraction:
-        """K(x, y) = sum C_e x^ex y^ey / D, with K = C / D for an integer map C.
-
-        Each block is homogenised to its own top degree (see
-        `monomial_numerators`), so the sum is over integers and one Fraction
-        is built at the end.
-        """
-        d = self.d
-        qx, x_bary = integer_point(x, d)
-        qy, y_bary = integer_point(y, d)
-        nums = self.nums
-        x_keys = list(dict.fromkeys(e[:d] for e in nums))
-        y_keys = list(dict.fromkeys(e[d:] for e in nums))
-        qx_top, x_values = monomial_numerators(qx, x_bary[1:], x_keys)
-        qy_top, y_values = monomial_numerators(qy, y_bary[1:], y_keys)
-        xv, yv = dict(zip(x_keys, x_values)), dict(zip(y_keys, y_values))
-        total = sum(c * xv[e[:d]] * yv[e[d:]] for e, c in nums.items())
-        return Fraction(total, self.den * qx_top * qy_top)
+        """K(x, y): the map evaluated at the joined point (x, y) of 2d coordinates."""
+        x, y = tuple(x), tuple(y)
+        if len(x) != self.d or len(y) != self.d:
+            raise ValueError(f"points have {len(x)} and {len(y)} coordinates, expected {self.d}")
+        return super().evaluate(x + y)
 
     def integrate_y(self) -> CartesianPolynomial:
         """Integrate the y block over the simplex, leaving a polynomial in x.
@@ -184,20 +171,6 @@ class KernelPolynomial(CartesianPolynomial):
                 for e, c in self.sorted_terms()
             ],
         }
-
-    @classmethod
-    def from_json_dict(cls, obj: dict) -> "KernelPolynomial":
-        if obj.get("form") != "canonical":
-            raise ValueError("expected a canonical-form kernel object")
-        d = check_dimension(obj["d"])
-        terms = {}
-        for t in obj["terms"]:
-            ex, ey = tuple(t["exp_x"]), tuple(t["exp_y"])
-            if len(ex) != d or len(ey) != d:
-                raise ValueError("kernel exponent tuples must have d entries each")
-            terms[ex + ey] = parse_rational(t["coef"])
-        scale = parse_rational(obj.get("scale", "1"))
-        return cls(d, terms).scale(scale) if scale != 1 else cls(d, terms)
 
 
 class DiagonalKernelForm:
@@ -386,27 +359,6 @@ class BernsteinKernelForm:
                 rows[i] = list(map(add, rows[i], v))
         return BernsteinKernelForm(d, self.scale / comb(n, n0), self.x_indices,
                                    list(_multi_indices(n, d)), rows)
-
-    @staticmethod
-    def linear_combination(pairs: Iterable[Tuple[Fraction, "BernsteinKernelForm"]]
-                           ) -> "BernsteinKernelForm":
-        """sum c_k K_k over (c_k, K_k) pairs of forms on one basis.
-
-        With c_k scale_k = W_k / D over a common denominator, the matrix is
-        the integer sum  sum W_k C_k  and the scale 1 / D.
-        """
-        pairs = list(pairs)
-        first = pairs[0][1]
-        den, weights = clear_denominators(c * form.scale for c, form in pairs)
-        rows = [[0] * len(first.x_indices) for _ in first.y_indices]
-        for w, (_, form) in zip(weights, pairs):
-            if (form.d, form.x_indices, form.y_indices) != (first.d, first.x_indices,
-                                                            first.y_indices):
-                raise ValueError("a linear combination needs forms on one basis")
-            rows = [[t + w * c for t, c in zip(total, row)]
-                    for total, row in zip(rows, form.rows)]
-        return BernsteinKernelForm(first.d, Fraction(1, den), first.x_indices,
-                                   first.y_indices, rows)
 
     def expand(self) -> KernelPolynomial:
         """The canonical map: each B_a(x) B_b(y) multiplied out into monomials.
@@ -611,11 +563,11 @@ def inner_sum_identity(n: int, beta: Sequence[int], y: Point) -> Tuple[Fraction,
             Fraction(sum(map(mul, right, values)), q_top))
 
 
-@lru_cache(maxsize=None)
 def _inner_sum_coordinates(n: int, beta: Tuple[int, ...]) -> Tuple[tuple, tuple, tuple]:
     """(alphas, left, right): both sides of `inner_sum_identity` as integer
     vectors over the degree-n Bernstein basis, alphas its indices in
-    `enumerate_multi_indices(n, d)` order; built once per (n, beta).
+    `enumerate_multi_indices(n, d)` order.  Nothing is kept: a verify run
+    asks for each (n, beta) once.
 
     The left side is already in that basis: left[i] = (a+beta)!/a! for
     a = alphas[i].  On the right, the term of l <= beta has the weight

@@ -3,9 +3,9 @@
 Polynomials live in the variables x_1..x_d with the dependent barycentric
 coordinate x_0 = 1 - x_1 - ... - x_d eliminated.  That makes the sparse
 exponent->coefficient map a canonical form: two expressions denote the
-same polynomial exactly when their maps are equal.  All identity checks
-in the library reduce to this equality.  A kernel K(x, y) is the same
-sparse type in the 2d variables x_1..x_d, y_1..y_d (`bdk.kernels`).
+same polynomial exactly when their maps are equal; `bdk.verify` compares
+operator images this way.  A kernel K(x, y) is the same sparse type in the
+2d variables x_1..x_d, y_1..y_d (`bdk.kernels`), built for output.
 
 A polynomial is stored as one positive denominator over an integer map,
 p = nums / den, reduced so that gcd(den, *nums) == 1; equality and hashing
@@ -39,7 +39,6 @@ from .combinat import (
     check_rational,
     clear_denominators,
     format_rational,
-    parse_rational,
 )
 
 __all__ = [
@@ -303,8 +302,9 @@ class CartesianPolynomial:
                 return key, Fraction(a, da), Fraction(b, db)
 
     def evaluate(self, pt: Sequence[Scalar]) -> Fraction:
-        """p(pt) = sum_e P_e a^e q^(N-|e|) / (D q^N), with p = P / D, pt = a / q, N = deg p."""
-        q, bary = integer_point(pt, self.d)
+        """p(pt) = sum_e P_e a^e q^(N-|e|) / (D q^N), with p = P / D, pt = a / q, N = deg p;
+        pt has BLOCKS * d coordinates, one per entry of a key."""
+        q, bary = integer_point(pt, self.BLOCKS * self.d)
         q_top, values = monomial_numerators(q, bary[1:], list(self.nums))
         return Fraction(sum(map(mul, self.nums.values(), values)), self.den * q_top)
 
@@ -332,13 +332,6 @@ class CartesianPolynomial:
                 for exps, coef in self.sorted_terms()
             ],
         }
-
-    @classmethod
-    def from_json_dict(cls, obj: dict) -> "CartesianPolynomial":
-        return cls(
-            obj["d"],
-            {tuple(t["exp"]): parse_rational(t["coef"]) for t in obj["terms"]},
-        )
 
 
 def check_polynomial(p: CartesianPolynomial) -> CartesianPolynomial:

@@ -7,7 +7,6 @@ rationals.  No quadrature is used anywhere in the library.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from typing import Sequence
 
 from .combinat import check_dimension, check_index, factorial, index_factorial, multinomial
@@ -19,18 +18,14 @@ __all__ = [
 ]
 
 
-@lru_cache(maxsize=None)
-def _monomial_integral_cached(parts: tuple, d: int) -> Fraction:
-    return Fraction(index_factorial(parts), factorial(sum(parts) + d))
-
-
 def monomial_integral(mu: Sequence[int], d: int) -> Fraction:
     """Integral of x_0^mu_0 ... x_d^mu_d over the standard d-simplex.
 
     Equals mu! / (|mu| + d)! exactly (Dirichlet's formula).
     """
     d = check_dimension(d)
-    return _monomial_integral_cached(check_index(mu, d), d)
+    mu = check_index(mu, d)
+    return Fraction(index_factorial(mu), factorial(sum(mu) + d))
 
 
 def inner_one_bernstein(alpha: Sequence[int], d: int) -> Fraction:

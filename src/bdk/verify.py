@@ -23,6 +23,7 @@ from .combinat import _FACT, _multi_indices, check_degree, check_dimension, form
 from .durrmeyer import apply_operator, composition_coefficients
 from .kernels import (
     BernsteinKernelForm,
+    DiagonalKernelForm,
     _inner_sum_coordinates,
     first_coordinate_difference,
     kernel_closed_threefold,
@@ -61,15 +62,13 @@ class SuiteConfig:
     With max_degree None, each dimension in d_range gets its
     DEFAULT_DEGREE_CAPS bound and each family its FAMILY_CAPS bound, which
     together reproduce the full claimed identity set.  With max_degree K,
-    each dimension's bound is K and each family's min(default, K).
-    threefold_cap, when given, replaces the three-fold bound.  The bounds
-    are plain attributes: degree_caps and one per FAMILY_CAPS name.
+    each dimension's bound is K and each family's min(default, K).  The
+    bounds are plain attributes: degree_caps and one per FAMILY_CAPS name.
     """
 
     def __init__(self, *,
                  d_range: Tuple[int, ...] = tuple(DEFAULT_DEGREE_CAPS),
                  max_degree: Optional[int] = None,
-                 threefold_cap: Optional[int] = None,
                  time_budget_s: Optional[float] = None,
                  corrupt_scale: bool = False):
         if not d_range:
@@ -88,8 +87,6 @@ class SuiteConfig:
             max_degree = check_degree(max_degree, "max_degree")
             self.degree_caps = dict.fromkeys(self.d_range, max_degree)
             caps = {name: min(cap, max_degree) for name, cap in FAMILY_CAPS.items()}
-        if threefold_cap is not None:
-            caps["threefold_cap"] = check_degree(threefold_cap, "threefold_cap")
         for name, cap in caps.items():
             setattr(self, name, cap)
 
@@ -206,12 +203,25 @@ def _stochastic(form: BernsteinKernelForm) -> Tuple[bool, Optional[dict]]:
     return True, None
 
 
-def _poly_witness(lhs: CartesianPolynomial, rhs: CartesianPolynomial) -> Tuple[bool, Optional[dict]]:
+def _poly_difference(lhs: CartesianPolynomial, rhs: CartesianPolynomial) -> Optional[dict]:
+    """None when the polynomials are equal, else their first differing monomial."""
     found = lhs.first_difference(rhs)
     if found is None:
-        return True, None
+        return None
     key, a, b = found
-    return False, {"exp": list(key), "lhs": format_rational(a), "rhs": format_rational(b)}
+    return {"exp": list(key), "lhs": format_rational(a), "rhs": format_rational(b)}
+
+
+def _each_monomial(monomials: List[CartesianPolynomial],
+                   check: Callable[[CartesianPolynomial], Optional[dict]]
+                   ) -> Tuple[bool, Optional[dict]]:
+    """Whether check(f) finds no witness for any f in monomials; otherwise
+    the first witness, with the f that failed."""
+    for f in monomials:
+        diff = check(f)
+        if diff is not None:
+            return False, {**diff, "f": f.to_json_dict()["terms"]}
+    return True, None
 
 
 def _monomials_up_to(d: int, max_degree: int) -> List[CartesianPolynomial]:
@@ -323,10 +333,11 @@ def _pair_jobs(cfg: SuiteConfig, d: int, m: int, n: int,
             yield "composition_coefficients_convex", params, convex
 
             def combo_kernel():
-                acc = BernsteinKernelForm.linear_combination(
-                    (ck, single(k, d).coordinates(m, n))
-                    for k, ck in enumerate(coefficients(m, n, d)))
-                return _coordinates_equal(acc, definition())
+                # each K_k is diagonal at degree k, so sum_k c_k K_k is one
+                # diagonal form with weight c_k (k+d)!/k! at degree k
+                mix = DiagonalKernelForm(d, 1, [(k, c * single(k, d).scale)
+                                                for k, c in enumerate(coefficients(m, n, d))])
+                return _coordinates_equal(mix.coordinates(m, n), definition())
             yield "composition_linear_combination_kernel", params, combo_kernel
 
     yield from oriented(m, n)
@@ -384,16 +395,15 @@ def _operator_jobs(cfg: SuiteConfig, coefficients: Callable) -> Iterator[Job]:
         for n in range(cap + 1):
             def constant_preserved(d=d, n=n):
                 one = CartesianPolynomial.constant(d, 1)
-                return _poly_witness(image(n, one), one)
+                diff = _poly_difference(image(n, one), one)
+                return diff is None, diff
             yield "operator_constant_preservation", {"d": d, "n": n}, constant_preserved
 
             def degree_bound(n=n):
-                for f in monomials:
-                    img = image(n, f)
-                    if img.total_degree() > n:
-                        return False, {"f": f.to_json_dict()["terms"],
-                                       "image_degree": img.total_degree()}
-                return True, None
+                def above(f):
+                    degree = image(n, f).total_degree()
+                    return {"image_degree": degree} if degree > n else None
+                return _each_monomial(monomials, above)
             yield "operator_degree_bound", {"d": d, "n": n}, degree_bound
 
             def self_adjoint(n=n):
@@ -413,27 +423,18 @@ def _operator_jobs(cfg: SuiteConfig, coefficients: Callable) -> Iterator[Job]:
             yield "operator_self_adjoint", {"d": d, "n": n}, self_adjoint
 
             def integral_preserved(n=n):
-                for f in monomials:
-                    lhs = integrate_simplex(image(n, f))
-                    rhs = integrate_simplex(f)
-                    if lhs != rhs:
-                        return False, {"f": f.to_json_dict()["terms"],
-                                       "lhs": format_rational(lhs),
-                                       "rhs": format_rational(rhs)}
-                return True, None
+                def changed(f):
+                    lhs, rhs = integrate_simplex(image(n, f)), integrate_simplex(f)
+                    return None if lhs == rhs else {"lhs": format_rational(lhs),
+                                                    "rhs": format_rational(rhs)}
+                return _each_monomial(monomials, changed)
             yield "operator_integral_preservation", {"d": d, "n": n}, integral_preserved
 
         for m in range(cap + 1):
             for n in range(m + 1, cap + 1):
                 def commute(m=m, n=n):
-                    for f in monomials:
-                        mn = image(m, image(n, f))
-                        nm = image(n, image(m, f))
-                        ok, diff = _poly_witness(mn, nm)
-                        if not ok:
-                            diff["f"] = f.to_json_dict()["terms"]
-                            return False, diff
-                    return True, None
+                    return _each_monomial(monomials, lambda f: _poly_difference(
+                        image(m, image(n, f)), image(n, image(m, f))))
                 yield "operator_commutativity", {"d": d, "m": m, "n": n}, commute
 
         combo_cap = min(cfg.combination_cap, cap)
@@ -441,15 +442,9 @@ def _operator_jobs(cfg: SuiteConfig, coefficients: Callable) -> Iterator[Job]:
             for n in range(combo_cap + 1):
                 def combo_operator(d=d, m=m, n=n):
                     coeffs = coefficients(m, n, d)
-                    for f in monomials:
-                        lhs = image(m, image(n, f))
-                        rhs = CartesianPolynomial.linear_combination(
-                            d, ((ck, image(k, f)) for k, ck in enumerate(coeffs)))
-                        ok, diff = _poly_witness(lhs, rhs)
-                        if not ok:
-                            diff["f"] = f.to_json_dict()["terms"]
-                            return False, diff
-                    return True, None
+                    return _each_monomial(monomials, lambda f: _poly_difference(
+                        image(m, image(n, f)), CartesianPolynomial.linear_combination(
+                            d, ((c, image(k, f)) for k, c in enumerate(coeffs)))))
                 yield ("operator_linear_combination",
                        {"d": d, "m": m, "n": n}, combo_operator)
 
@@ -457,13 +452,10 @@ def _operator_jobs(cfg: SuiteConfig, coefficients: Callable) -> Iterator[Job]:
 def _moment_jobs(cfg: SuiteConfig) -> Iterator[Job]:
     for n in range(cfg.moment_cap + 1):
         def first_moment(n=n):
-            x = CartesianPolynomial.variable(1, 1)
             expected = CartesianPolynomial(
                 1, {(0,): Fraction(1, n + 2), (1,): Fraction(n, n + 2)})
-            ok, diff = _poly_witness(apply_operator(n, x), expected)
-            if not ok:
-                diff["f"] = x.to_json_dict()["terms"]
-            return ok, diff
+            return _each_monomial([CartesianPolynomial.variable(1, 1)],
+                                  lambda x: _poly_difference(apply_operator(n, x), expected))
         yield "univariate_first_moment", {"n": n}, first_moment
 
 

@@ -44,6 +44,16 @@ class TestEval:
         _, def_out, _ = run_cli(capsys, "eval", *args, "--form", "definition")
         assert closed_out == def_out
 
+    def test_point_may_start_with_a_minus_sign(self, capsys):
+        args = ["eval", "--d", "1", "--m", "2", "--n", "3"]
+        assert run_cli(capsys, *args, "--x", "-5/3", "--y", "7/2") == (0, "7537/60\n", "")
+        assert run_cli(capsys, *args, "--x=-5/3", "--y", "7/2") == (0, "7537/60\n", "")
+        assert run_cli(capsys, *args, "--x", "-5", "--y", "1/2") == (0, "-161/20\n", "")
+        # a flag is never taken for the value of the one before it
+        code, out, err = run_cli(capsys, *args, "--x", "--y", "1/2")
+        assert (code, out) == (2, "")
+        assert "--x: expected one argument" in err
+
     def test_float_echo(self, capsys):
         code, out, _ = run_cli(capsys, "eval", "--d", "1", "--m", "1", "--n", "1",
                                "--x", "0", "--y", "0", "--float")
@@ -384,12 +394,21 @@ class TestApply:
         assert out == ""
         assert f"bdk: error: --degrees: empty field in {raw!r}" in err
 
-    @pytest.mark.parametrize("raw", ["3,-1", "2,-1,3"])
+    @pytest.mark.parametrize("raw", ["3,-1", "2,-1,3", "-1,3"])
     def test_negative_degree_is_usage_error(self, capsys, raw):
         code, out, err = run_cli(capsys, "apply", "--d", "1", "--degrees", raw, "--poly", "x1")
         assert code == 2
         assert out == ""
         assert "bdk: error: degree must be >= 0, got -1" in err
+
+    @pytest.mark.parametrize("poly, terms", [
+        ("-x1^2", [("-1/10", 0), ("-2/5", 1), ("-1/10", 2)]),
+        ("- 5/97*x1", [("-5/388", 0), ("-5/194", 1)]),
+    ])
+    def test_polynomial_may_start_with_a_minus_sign(self, capsys, poly, terms):
+        code, out, err = run_cli(capsys, "apply", "--d", "1", "--degrees", "2", "--poly", poly)
+        assert (code, err) == (0, "")
+        assert json.loads(out) == {"d": 1, "terms": [{"coef": c, "exp": [e]} for c, e in terms]}
 
     def test_degrees_with_spaces_still_parse(self, capsys):
         _, spaced, _ = run_cli(capsys, "apply", "--d", "1", "--degrees", "2, 3", "--poly", "x1")
@@ -485,12 +504,10 @@ VERIFY_CONFIGS = {
         **DEFAULT_ECHO, "d_range": [1], "degree_caps": {"1": 0}, "threefold_cap": 0,
         "univariate_cap": 0, "legendre_cap": 0, "combination_cap": 0, "lemma_cap": 0,
         "operator_cap": 0, "operator_monomial_degree": 0, "moment_cap": 0},
-    "--d 1,2 --max-degree 3 --threefold-cap 1": {
+    "--d 1,2 --max-degree 3": {
         **DEFAULT_ECHO, "d_range": [1, 2], "degree_caps": {"1": 3, "2": 3},
-        "threefold_cap": 1, "univariate_cap": 3, "legendre_cap": 3, "combination_cap": 3,
+        "threefold_cap": 3, "univariate_cap": 3, "legendre_cap": 3, "combination_cap": 3,
         "lemma_cap": 3, "operator_cap": 3, "operator_monomial_degree": 3, "moment_cap": 3},
-    "--d 1 --threefold-cap 2": {
-        **DEFAULT_ECHO, "d_range": [1], "degree_caps": {"1": 8}, "threefold_cap": 2},
     "--max-degree 5": {
         **DEFAULT_ECHO, "degree_caps": {"1": 5, "2": 5, "3": 5}, "univariate_cap": 5,
         "legendre_cap": 5, "moment_cap": 5},
@@ -504,8 +521,8 @@ VERIFY_CONFIGS = {
 }
 
 #: A non-default value for each `bdk verify` flag that reaches SuiteConfig.
-SUITE_FLAG_SAMPLES = {"--d": ["2"], "--max-degree": ["3"], "--threefold-cap": ["1"],
-                      "--time-budget": ["9"], "--self-test-corrupt": []}
+SUITE_FLAG_SAMPLES = {"--d": ["2"], "--max-degree": ["3"], "--time-budget": ["9"],
+                      "--self-test-corrupt": []}
 
 
 class TestVerifyCommand:

@@ -5,7 +5,12 @@ import pkgutil
 import pytest
 
 import bdk
+import bdk.cli
 import bdk.combinat
+import bdk.kernels
+import bdk.polynomials
+import bdk.simplex_integrals
+from bdk.verify import SuiteConfig
 
 MODULES = ["bdk", *(f"bdk.{m.name}" for m in pkgutil.iter_modules(bdk.__path__))]
 
@@ -44,3 +49,24 @@ def test_point_and_operator_wrappers_are_gone(module_name):
     for name in ("BarycentricPoint", "as_point", "OperatorSpec"):
         assert not hasattr(module, name), name
         assert name not in module.__all__, name
+
+
+def test_second_paths_and_unread_readers_are_gone():
+    # a mix of single kernels is one diagonal form, and bdk reads no JSON back
+    assert not hasattr(bdk.kernels.BernsteinKernelForm, "linear_combination")
+    assert not hasattr(bdk.kernels.KernelPolynomial, "from_json_dict")
+    assert not hasattr(bdk.polynomials.CartesianPolynomial, "from_json_dict")
+
+
+def test_caches_with_no_hits_are_gone():
+    assert not hasattr(bdk.kernels._inner_sum_coordinates, "cache_info")
+    assert not hasattr(bdk.simplex_integrals, "_monomial_integral_cached")
+    assert not hasattr(bdk.simplex_integrals.monomial_integral, "cache_info")
+
+
+def test_threefold_cap_knob_is_gone(capsys):
+    # --max-degree bounds the three-fold family with every other one
+    with pytest.raises(TypeError, match="threefold_cap"):
+        SuiteConfig(threefold_cap=1)
+    assert bdk.cli.main(["verify", "--threefold-cap", "1"]) == 2
+    assert "unrecognized arguments: --threefold-cap 1" in capsys.readouterr().err

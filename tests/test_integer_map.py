@@ -146,25 +146,31 @@ class TestCanonicalForm:
             assert p == CartesianPolynomial.zero(p.d)
 
 
-class TestJsonRoundTrip:
+def written_kernel(obj):
+    """(d, terms) of a canonical kernel's JSON, read back by the test itself."""
+    assert (obj["form"], obj["scale"]) == ("canonical", "1")
+    return obj["d"], {tuple(t["exp_x"] + t["exp_y"]): F(t["coef"]) for t in obj["terms"]}
+
+
+class TestJsonWriter:
+    """The JSON writers list every coefficient exactly; bdk reads no JSON back."""
+
     @SETTINGS
     @given(polys())
     def test_polynomial(self, p):
-        back = CartesianPolynomial.from_json_dict(p.to_json_dict())
-        assert back == p and hash(back) == hash(p)
-        assert back.to_json_dict() == p.to_json_dict()
+        obj = p.to_json_dict()
+        assert obj["d"] == p.d
+        assert {tuple(t["exp"]): F(t["coef"]) for t in obj["terms"]} == p.terms
 
     @SETTINGS
     @given(polys(KernelPolynomial))
     def test_canonical_kernel(self, k):
-        back = KernelPolynomial.from_json_dict(k.to_json_dict())
-        assert back == k and hash(back) == hash(k)
-        assert back.to_json_dict() == k.to_json_dict()
+        assert written_kernel(k.to_json_dict()) == (k.d, k.terms)
 
     @pytest.mark.parametrize("m, n, d", [(3, 2, 1), (2, 2, 2), (1, 2, 3)])
     def test_closed_kernel(self, m, n, d):
         k = to_canonical(kernel_closed_twofold(m, n, d))
-        assert KernelPolynomial.from_json_dict(k.to_json_dict()) == k
+        assert written_kernel(k.to_json_dict()) == (d, k.terms)
 
 
 def ref_first_difference(a, b):

@@ -62,17 +62,15 @@ COUNTED = ((bdk.verify, "kernel_legendre"), (bdk.verify, "kernel_single"),
            (bdk.kernels.BernsteinKernelForm, "expand"),
            (bdk.kernels.BernsteinKernelForm, "elevate"),
            (bdk.kernels.DiagonalKernelForm, "coordinates"),
-           (bdk.verify, "moment_numerators"), (bdk.verify, "composition_coefficients"))
+           (bdk.verify, "moment_numerators"), (bdk.verify, "composition_coefficients"),
+           (bdk.verify, "_inner_sum_coordinates"))
 
 
 def run_counted(cfg):
     """The report of run_suite(cfg), the number of calls to each COUNTED name,
-    under "raising_elevate" how many elevate calls changed a degree, and
-    under "lemma_coordinates" how many coordinate vector pairs the
-    inner-sum lemma built."""
+    and under "raising_elevate" how many elevate calls changed a degree."""
     counts = dict.fromkeys((name for _, name in COUNTED), 0)
     counts["raising_elevate"] = 0
-    bdk.kernels._inner_sum_coordinates.cache_clear()
 
     def counter(name, fn):
         def counted(*args, **kwargs):
@@ -87,7 +85,6 @@ def run_counted(cfg):
         for module, name in COUNTED:
             mp.setattr(module, name, counter(name, getattr(module, name)))
         report = run_suite(cfg)
-    counts["lemma_coordinates"] = bdk.kernels._inner_sum_coordinates.cache_info().misses
     return report, counts
 
 
@@ -123,10 +120,8 @@ def expected_work(cfg):
         + ((twofold[1] + 1) ** 2 if 1 in cfg.d_range else 0)
         # single_stochastic_in_y, once per (d, k)
         + singles
-        # composition_linear_combination_kernel, once per single degree k <= min(m, n)
-        + sum(min(m, n) + 1 for d in operator_dims
-              for cap in [min(cfg.combination_cap, cfg.degree_caps[d])]
-              for m in range(cap + 1) for n in range(cap + 1))
+        # composition_linear_combination_kernel, once per (d, m, n)
+        + sum((min(cfg.combination_cap, cfg.degree_caps[d]) + 1) ** 2 for d in operator_dims)
         # threefold_closed_equals_definition, once per (a, b, c)
         + ((cfg.threefold_cap + 1) ** 3 if 1 in cfg.d_range else 0))
     return {
@@ -138,7 +133,7 @@ def expected_work(cfg):
         "elevate": elevations,
         "raising_elevate": raising,
         "coordinates": closed_coordinates,
-        "lemma_coordinates": betas,
+        "_inner_sum_coordinates": betas,
         "moment_numerators": sum((cfg.operator_cap + 1) * monomials[d] for d in operator_dims),
         # one list per (d, m, n) that composition_coefficients_convex or
         # operator_linear_combination reads
@@ -239,28 +234,85 @@ def move_last_coefficient(coefficients):
     return moved
 
 
-#: One monkeypatch list per mutant: (module, name, wrapper of the original).
+def bump_lemma_side(coordinates):
+    """Inner-sum lemma coordinates whose right side at a = (n, 0, ..., 0) is one more."""
+    def perturbed(n, beta):
+        alphas, left, right = coordinates(n, beta)
+        return alphas, left, (right[0] + 1,) + right[1:]
+    return perturbed
+
+
+#: The mutant table: for each mutant, its monkeypatches as (module, name,
+#: wrapper of the original), and the families it fails on `mutated_run`'s config.
 MUTANTS = {
-    "top_closed_weight": [(bdk.verify, name, bump_top_weight) for name in (
-        "kernel_closed_twofold", "kernel_closed_threefold", "kernel_single")],
-    "elevation_coefficient": [(bdk.kernels, "_elevation", bump_elevation)],
-    "off_diagonal_definition": [(bdk.verify, name, perturb_off_diagonal) for name in (
-        "kernel_definition_twofold", "kernel_definition_threefold")],
-    "legendre_entry": [(bdk.verify, "kernel_legendre", bump_first_row)],
+    "top_closed_weight": (
+        [(bdk.verify, name, bump_top_weight) for name in (
+            "kernel_closed_twofold", "kernel_closed_threefold", "kernel_single")],
+        {"twofold_closed_equals_definition", "univariate_twofold_path",
+         "univariate_twofold_vs_definition", "threefold_closed_equals_definition",
+         "single_stochastic_in_y"}),
+    "elevation_coefficient": (
+        [(bdk.kernels, "_elevation", bump_elevation)],
+        {"twofold_closed_equals_definition", "univariate_twofold_path",
+         "univariate_twofold_vs_definition", "legendre_matches_univariate",
+         "threefold_closed_equals_definition", "threefold_permutation_invariance",
+         "twofold_symmetry_xy", "twofold_symmetry_degrees",
+         "composition_linear_combination_kernel", "inner_sum_collapse"}),
+    "off_diagonal_definition": (
+        [(bdk.verify, name, perturb_off_diagonal) for name in (
+            "kernel_definition_twofold", "kernel_definition_threefold")],
+        {"twofold_closed_equals_definition", "univariate_twofold_vs_definition",
+         "legendre_matches_univariate", "threefold_closed_equals_definition",
+         "threefold_permutation_invariance", "twofold_symmetry_xy", "twofold_symmetry_degrees",
+         "twofold_stochastic_in_y", "composition_linear_combination_kernel"}),
+    "legendre_entry": (
+        [(bdk.verify, "kernel_legendre", bump_first_row)],
+        {"univariate_twofold_path", "legendre_matches_univariate"}),
+    "extra_closed_degree": (
+        [(bdk.verify, "kernel_closed_twofold", extra_closed_degree)],
+        {"twofold_closed_equals_definition", "univariate_twofold_path",
+         "univariate_twofold_vs_definition", "diagonal_truncation"}),
+    "lemma_side": (
+        [(bdk.verify, "_inner_sum_coordinates", bump_lemma_side)],
+        {"inner_sum_collapse"}),
+    "moment_column": (
+        [(bdk.durrmeyer, "_moment_column", bump_moment_column)],
+        {"operator_self_adjoint", "operator_integral_preservation", "operator_commutativity",
+         "operator_linear_combination", "univariate_first_moment"}),
+    "first_multinomial": (
+        [(bdk.durrmeyer, "_multinomial", double_first_multinomial)],
+        {"operator_constant_preservation", "operator_integral_preservation",
+         "operator_commutativity", "operator_linear_combination", "univariate_first_moment"}),
+    "term_past_degree": (
+        [(bdk.verify, "apply_operator", add_term_past_degree)],
+        {"operator_constant_preservation", "operator_degree_bound", "operator_self_adjoint",
+         "operator_integral_preservation", "operator_commutativity",
+         "operator_linear_combination", "univariate_first_moment"}),
+    "last_coefficient": (
+        [(bdk.verify, "composition_coefficients", move_last_coefficient)],
+        {"composition_coefficients_convex", "composition_linear_combination_kernel",
+         "operator_linear_combination"}),
 }
 
-#: The families that compare two kernels in Bernstein coordinates, and those
-#: that integrate one there.
+#: The families that compare two kernels in Bernstein coordinates, those that
+#: integrate one there, and those whose witness names the monomial f that failed.
 COORDINATE_FAMILIES = ("twofold_closed_equals_definition", "univariate_twofold_vs_definition",
                        "univariate_twofold_path", "legendre_matches_univariate",
                        "threefold_closed_equals_definition", "twofold_symmetry_xy",
                        "twofold_symmetry_degrees", "threefold_permutation_invariance",
                        "composition_linear_combination_kernel")
 STOCHASTIC_FAMILIES = ("twofold_stochastic_in_y", "single_stochastic_in_y")
-#: The families that compare operator images of the monomials f.
-OPERATOR_FAMILIES = ("operator_self_adjoint", "operator_integral_preservation",
-                     "operator_commutativity", "operator_linear_combination",
-                     "univariate_first_moment")
+MONOMIAL_FAMILIES = ("operator_degree_bound", "operator_self_adjoint",
+                     "operator_integral_preservation", "operator_commutativity",
+                     "operator_linear_combination", "univariate_first_moment")
+
+
+def mutated_run(mp, mutant):
+    """The report of run_suite on a small config, d = 1 and 2 up to degree 2,
+    with the named mutant patched in through the monkeypatch mp."""
+    for module, name, mutate in MUTANTS[mutant][0]:
+        mp.setattr(module, name, mutate(getattr(module, name)))
+    return run_suite(tiny_config(d_range=(1, 2)))
 
 
 @pytest.fixture(scope="module")
@@ -274,7 +326,7 @@ def default_report(default_run):
 
 
 def tiny_config(**overrides):
-    base = dict(d_range=(1,), max_degree=2, threefold_cap=1)
+    base = dict(d_range=(1,), max_degree=2)
     base.update(overrides)
     return SuiteConfig(**base)
 
@@ -300,12 +352,11 @@ class TestSuiteConfig:
         with pytest.raises(ValueError, match="repeats"):
             SuiteConfig(d_range=(1, 2, 1))
 
-    @pytest.mark.parametrize("name", ["max_degree", "threefold_cap"])
     @pytest.mark.parametrize("bad, problem", [(1.5, "an integer"), ("2", "an integer"),
                                               (-1, ">= 0")])
-    def test_rejects_cap_field_that_is_not_a_degree(self, name, bad, problem):
-        with pytest.raises(ValueError, match=f"^{name} must be {problem}"):
-            SuiteConfig(d_range=(1,), **{name: bad})
+    def test_rejects_max_degree_that_is_not_a_degree(self, bad, problem):
+        with pytest.raises(ValueError, match=f"^max_degree must be {problem}"):
+            SuiteConfig(d_range=(1,), max_degree=bad)
 
     @pytest.mark.parametrize("bad, problem", [(1.0, "an integer"), (0, ">= 1")])
     def test_rejects_dimension_that_is_not_one_or_more(self, bad, problem):
@@ -344,12 +395,10 @@ class TestSuiteConfig:
             for name, cap in FAMILY_CAPS.items():
                 assert getattr(cfg, name) == min(cap, k), (name, k)
             assert cfg.degree_caps == {1: k, 2: k}
-            assert SuiteConfig(max_degree=k, threefold_cap=2).threefold_cap == 2
-        assert SuiteConfig(threefold_cap=7).threefold_cap == 7
 
     def test_config_echo_keeps_every_bound(self):
-        assert SuiteConfig(d_range=(2, 1), max_degree=3, threefold_cap=1).to_json_dict() == {
-            "d_range": [2, 1], "degree_caps": {"1": 3, "2": 3}, "threefold_cap": 1,
+        assert SuiteConfig(d_range=(2, 1), max_degree=3).to_json_dict() == {
+            "d_range": [2, 1], "degree_caps": {"1": 3, "2": 3}, "threefold_cap": 3,
             "univariate_cap": 3, "legendre_cap": 3, "combination_cap": 3, "lemma_cap": 3,
             "operator_cap": 3, "operator_monomial_degree": 3, "moment_cap": 3,
             "time_budget_s": None, "corrupt_scale": False}
@@ -425,7 +474,7 @@ class TestRunSuite:
         assert {c.name for c in report.failures} == {"twofold_closed_equals_definition"}
 
     def test_degree_zero_suite_is_trivial_and_green(self):
-        cfg = tiny_config(max_degree=0, threefold_cap=0)
+        cfg = tiny_config(max_degree=0)
         report = run_suite(cfg)
         assert report.ok
 
@@ -461,7 +510,7 @@ class TestRunSuite:
         assert counts == {"kernel_legendre": 121, "kernel_single": 21,
                           "kernel_closed_twofold": 195, "kernel_definition_twofold": 195,
                           "expand": 0, "elevate": 214, "raising_elevate": 200,
-                          "coordinates": 614, "lemma_coordinates": 250,
+                          "coordinates": 504, "_inner_sum_coordinates": 250,
                           "moment_numerators": 120, "composition_coefficients": 72}
         assert counts == expected_work(SuiteConfig())
 
@@ -504,15 +553,31 @@ class TestRunSuite:
         assert sorted((p["d"], p["n"], p["beta_degree"]) for p in params) == [
             (d, n, k) for d in (1, 2) for n in range(cap + 1) for k in range(cap + 1)]
 
-    def test_lemma_check_catches_a_perturbed_side(self, monkeypatch):
-        original = bdk.verify._inner_sum_coordinates
+    @pytest.mark.parametrize("mutant", sorted(MUTANTS))
+    def test_each_mutant_fails_exactly_its_families_with_witnesses(self, mutant, monkeypatch):
+        report = mutated_run(monkeypatch, mutant)
+        assert {c.name for c in report.failures} == MUTANTS[mutant][1]
+        for record in report.failures:
+            witness = record.witness
+            if "error" in witness:
+                # a form the comparison cannot take fails with the message
+                assert set(witness) == {"error"}, record
+            elif record.name in COORDINATE_FAMILIES:
+                assert {"a", "b", "lhs", "rhs"} <= set(witness), record
+            elif record.name in STOCHASTIC_FAMILIES:
+                assert set(witness) == {"a", "lhs", "rhs"}, record
+            elif record.name in MONOMIAL_FAMILIES:
+                assert "f" in witness, record
+            else:
+                assert witness, record
 
-        def perturbed(n, beta):
-            alphas, left, right = original(n, beta)
-            # the coefficient of B_a, a = (n, 0, ..., 0), on the right grows by 1
-            return alphas, left, (right[0] + 1,) + right[1:]
-        monkeypatch.setattr(bdk.verify, "_inner_sum_coordinates", perturbed)
-        report = run_suite(tiny_config(d_range=(1, 2)))
+    def test_every_family_of_the_default_report_is_killed(self, default_report):
+        # each mutant fails exactly its listed families (the test above)
+        killed = set().union(*(families for _, families in MUTANTS.values()))
+        assert {c.name for c in default_report.checks} <= killed
+
+    def test_lemma_check_catches_a_perturbed_side(self, monkeypatch):
+        report = mutated_run(monkeypatch, "lemma_side")
         records = [c for c in report.checks if c.name == "inner_sum_collapse"]
         assert records
         for record in records:
@@ -524,7 +589,6 @@ class TestRunSuite:
             assert witness["beta"] == [record.params["beta_degree"]] + [0] * d
             assert witness["a"] == [n] + [0] * d
             assert int(witness["rhs"]) - int(witness["lhs"]) == 1
-        assert {c.name for c in report.failures} == {"inner_sum_collapse"}
 
     def test_stochastic_check_catches_a_perturbed_coordinate(self, monkeypatch):
         monkeypatch.setattr(bdk.verify, "kernel_definition_twofold",
@@ -550,47 +614,17 @@ class TestRunSuite:
         # the corrupted prefactor doubles every closed-form coefficient
         assert Fraction(witness["lhs"]) == 2 * Fraction(witness["rhs"])
 
-    @pytest.mark.parametrize("mutant", sorted(MUTANTS))
-    def test_each_mutant_is_caught_in_bernstein_coordinates(self, mutant, monkeypatch):
-        for module, name, mutate in MUTANTS[mutant]:
-            monkeypatch.setattr(module, name, mutate(getattr(module, name)))
-        report = run_suite(tiny_config(d_range=(1, 2)))
-        failed = {c.name for c in report.failures}
-        assert failed & set(COORDINATE_FAMILIES), failed
-        for record in report.failures:
-            if record.name in COORDINATE_FAMILIES:
-                assert {"a", "b", "lhs", "rhs"} <= set(record.witness), record
-            elif record.name in STOCHASTIC_FAMILIES:
-                assert set(record.witness) == {"a", "lhs", "rhs"}, record
-
-    def test_top_closed_weight_kills_the_univariate_path(self, monkeypatch):
-        for module, name, mutate in MUTANTS["top_closed_weight"]:
-            monkeypatch.setattr(module, name, mutate(getattr(module, name)))
-        failed = {c.name for c in run_suite(tiny_config(d_range=(1, 2))).failures}
-        assert "univariate_twofold_path" in failed, failed
-
-    def test_legendre_entry_kills_both_legendre_families_and_nothing_else(self, monkeypatch):
-        for module, name, mutate in MUTANTS["legendre_entry"]:
-            monkeypatch.setattr(module, name, mutate(getattr(module, name)))
-        report = run_suite(tiny_config(d_range=(1, 2)))
-        assert {c.name for c in report.failures} == {"univariate_twofold_path",
-                                                     "legendre_matches_univariate"}
-        # every (m, n) of both families reads a perturbed form
+    def test_legendre_entry_fails_every_pair_of_both_legendre_families(self, monkeypatch):
+        report = mutated_run(monkeypatch, "legendre_entry")
         assert len(report.failures) == 2 * (tiny_config().univariate_cap + 1) ** 2
 
     def test_a_raising_check_is_a_failed_check(self, monkeypatch, tmp_path, capsys):
         # a closed form one degree too high has no coordinates at (m, n):
         # each check that writes them fails with the error, and the run goes on
-        cfg = tiny_config(d_range=(1, 2))
-        total = len(run_suite(cfg).checks)
-        monkeypatch.setattr(bdk.verify, "kernel_closed_twofold",
-                            extra_closed_degree(bdk.verify.kernel_closed_twofold))
-        report = run_suite(cfg)
+        total = len(run_suite(tiny_config(d_range=(1, 2))).checks)
+        report = mutated_run(monkeypatch, "extra_closed_degree")
         assert report.complete
         assert len(report.checks) == total
-        failed = {c.name for c in report.failures}
-        assert {"twofold_closed_equals_definition", "diagonal_truncation",
-                "univariate_twofold_path"} <= failed, failed
         raised = [c for c in report.failures if c.name != "diagonal_truncation"]
         assert raised
         for record in raised:
@@ -598,35 +632,14 @@ class TestRunSuite:
             assert record.witness == {"error": (
                 f"a diagonal form of index degree {min(m, n) + 1} has no "
                 f"coordinates at degrees ({m}, {n})")}, record
-        code = bdk.cli.main(["verify", "--d", "1,2", "--max-degree", "2", "--threefold-cap",
-                             "1", "--report", str(tmp_path / "r.json")])
+        code = bdk.cli.main(["verify", "--d", "1,2", "--max-degree", "2",
+                             "--report", str(tmp_path / "r.json")])
         assert code == 1
         assert "failed" in capsys.readouterr().err
         assert json.loads((tmp_path / "r.json").read_text())["complete"] is True
 
-    def test_every_coordinate_family_is_killed_by_a_mutant(self, monkeypatch):
-        killed = set()
-        for mutant in MUTANTS.values():
-            with monkeypatch.context() as mp:
-                for module, name, mutate in mutant:
-                    mp.setattr(module, name, mutate(getattr(module, name)))
-                killed |= {c.name for c in run_suite(tiny_config(d_range=(1, 2))).failures}
-        assert set(COORDINATE_FAMILIES) | set(STOCHASTIC_FAMILIES) <= killed
-
-    def test_moment_column_mutant_kills_the_operator_families(self, monkeypatch):
-        # an operator-layer mutant: no kernel is built from operator images, so
-        # no coordinate family may fail
-        monkeypatch.setattr(bdk.durrmeyer, "_moment_column",
-                            bump_moment_column(bdk.durrmeyer._moment_column))
-        report = run_suite(tiny_config(d_range=(1, 2)))
-        assert {c.name for c in report.failures} == set(OPERATOR_FAMILIES)
-        for record in report.failures:
-            assert "f" in record.witness, record
-
     def test_doubled_multinomial_kills_constant_preservation(self, monkeypatch):
-        monkeypatch.setattr(bdk.durrmeyer, "_multinomial",
-                            double_first_multinomial(bdk.durrmeyer._multinomial))
-        records = [c for c in run_suite(tiny_config(d_range=(1, 2))).checks
+        records = [c for c in mutated_run(monkeypatch, "first_multinomial").checks
                    if c.name == "operator_constant_preservation"]
         assert records
         for record in records:
@@ -635,9 +648,7 @@ class TestRunSuite:
             assert record.witness == {"exp": [0] * record.params["d"], "lhs": "2", "rhs": "1"}
 
     def test_term_past_the_degree_kills_the_degree_bound(self, monkeypatch):
-        monkeypatch.setattr(bdk.verify, "apply_operator",
-                            add_term_past_degree(bdk.verify.apply_operator))
-        records = [c for c in run_suite(tiny_config(d_range=(1, 2))).checks
+        records = [c for c in mutated_run(monkeypatch, "term_past_degree").checks
                    if c.name == "operator_degree_bound"]
         assert records
         for record in records:
@@ -647,11 +658,9 @@ class TestRunSuite:
             assert record.witness == {"f": [{"exp": [0] * d, "coef": "1"}],
                                       "image_degree": n + 1}
 
-    def test_moved_coefficient_kills_convexity(self, monkeypatch):
-        monkeypatch.setattr(bdk.verify, "composition_coefficients",
-                            move_last_coefficient(bdk.verify.composition_coefficients))
-        records = [c for c in run_suite(tiny_config(d_range=(1, 2))).checks
-                   if c.name == "composition_coefficients_convex"]
+    def test_moved_coefficient_kills_convexity_and_the_kernel_mix(self, monkeypatch):
+        report = mutated_run(monkeypatch, "last_coefficient")
+        records = [c for c in report.checks if c.name == "composition_coefficients_convex"]
         assert any(min(c.params["m"], c.params["n"]) > 0 for c in records)
         for record in records:
             # with one coefficient there is nothing to move
@@ -660,6 +669,12 @@ class TestRunSuite:
             if moved:
                 assert record.witness["sum"] == "1"
                 assert record.witness["coefficients"][-1] == "0"
+        # a zero coefficient is a zero weight, which the diagonal mix refuses
+        for record in report.checks:
+            if record.name == "composition_linear_combination_kernel":
+                moved = min(record.params["m"], record.params["n"]) > 0
+                assert record.witness == ({"error": "diagonal weights must be nonzero"}
+                                          if moved else None), record
 
     def test_a_pairs_kernels_are_freed_before_the_next_pair_and_after_the_run(self,
                                                                               monkeypatch):
