@@ -385,10 +385,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"bdk: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
+    except (UsageError, ValueError) as exc:
         print(f"bdk: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

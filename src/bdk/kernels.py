@@ -200,10 +200,6 @@ class DiagonalKernelForm:
         """Largest |l| appearing; -1 when the form is empty."""
         return self.terms[-1][0] if self.terms else -1
 
-    def with_scale(self, scale) -> "DiagonalKernelForm":
-        """Copy with a replaced prefactor (used by mutation self-tests)."""
-        return DiagonalKernelForm(self.d, scale, self.terms)
-
     def coordinates(self, m: int, n: int) -> "BernsteinKernelForm":
         """This kernel in the product basis B_a(x) B_b(y), |a| = m and |b| = n.
 

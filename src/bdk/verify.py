@@ -8,7 +8,9 @@ one is reported with the first differing basis pair B_a(x) B_b(y), a
 failing inner-sum lemma with the first differing coordinate B_a, and a
 failing polynomial identity with the first differing monomial, so
 exact-arithmetic mismatches can be debugged directly from the report.  A
-check that raises ValueError fails with the message as its witness.
+check returns its witness when its identity fails and None when it holds,
+so it passes exactly when it returns no witness; a check that raises
+ValueError fails with the message as its witness.
 """
 from __future__ import annotations
 
@@ -177,18 +179,13 @@ def canonical_json_bytes(obj: dict) -> bytes:
 
 # -- check construction ---------------------------------------------------
 
-CheckFn = Callable[[], Tuple[bool, Optional[dict]]]
-Job = Tuple[str, dict, CheckFn]
+#: A check returns None when its identity holds, else its witness.
+Check = Callable[[], Optional[dict]]
+Job = Tuple[str, dict, Check]
 
 
-def _coordinates_equal(lhs: BernsteinKernelForm,
-                       rhs: BernsteinKernelForm) -> Tuple[bool, Optional[dict]]:
-    diff = first_coordinate_difference(lhs, rhs)
-    return (diff is None), diff
-
-
-def _stochastic(form: BernsteinKernelForm) -> Tuple[bool, Optional[dict]]:
-    """Whether the y integral of a kernel is 1.
+def _stochastic(form: BernsteinKernelForm) -> Optional[dict]:
+    """None when the y integral of a kernel is 1.
 
     Each B_b of degree n integrates to n!/(n+d)!, so its coefficient on
     B_a(x) is unit * sum_b C[b][a] with the one rational unit
@@ -199,8 +196,8 @@ def _stochastic(form: BernsteinKernelForm) -> Tuple[bool, Optional[dict]]:
     unit = form.scale * Fraction(_FACT[n], _FACT[n + form.d])
     for a, total in zip(form.x_indices, map(sum, zip(*form.rows))):
         if total * unit.numerator != unit.denominator:
-            return False, {"a": list(a), "lhs": format_rational(unit * total), "rhs": "1"}
-    return True, None
+            return {"a": list(a), "lhs": format_rational(unit * total), "rhs": "1"}
+    return None
 
 
 def _poly_difference(lhs: CartesianPolynomial, rhs: CartesianPolynomial) -> Optional[dict]:
@@ -213,15 +210,14 @@ def _poly_difference(lhs: CartesianPolynomial, rhs: CartesianPolynomial) -> Opti
 
 
 def _each_monomial(monomials: List[CartesianPolynomial],
-                   check: Callable[[CartesianPolynomial], Optional[dict]]
-                   ) -> Tuple[bool, Optional[dict]]:
-    """Whether check(f) finds no witness for any f in monomials; otherwise
+                   check: Callable[[CartesianPolynomial], Optional[dict]]) -> Optional[dict]:
+    """None when check(f) finds no witness for any f in monomials; otherwise
     the first witness, with the f that failed."""
     for f in monomials:
         diff = check(f)
         if diff is not None:
-            return False, {**diff, "f": f.to_json_dict()["terms"]}
-    return True, None
+            return {**diff, "f": f.to_json_dict()["terms"]}
+    return None
 
 
 def _monomials_up_to(d: int, max_degree: int) -> List[CartesianPolynomial]:
@@ -287,49 +283,38 @@ def _pair_jobs(cfg: SuiteConfig, d: int, m: int, n: int,
         if twofold:
             def closed_vs_def():
                 form = closed()
-                lhs = form.with_scale(2 * form.scale).coordinates(m, n) \
+                lhs = DiagonalKernelForm(d, 2 * form.scale, form.terms).coordinates(m, n) \
                     if cfg.corrupt_scale else closed_coordinates()
-                return _coordinates_equal(lhs, definition())
+                return first_coordinate_difference(lhs, definition())
             yield "twofold_closed_equals_definition", params, closed_vs_def
-
-            def stochastic():
-                return _stochastic(definition())
-            yield "twofold_stochastic_in_y", params, stochastic
-
-            def symmetric_xy():
-                k = square()
-                return _coordinates_equal(k, k.transpose())
-            yield "twofold_symmetry_xy", params, symmetric_xy
+            yield "twofold_stochastic_in_y", params, lambda: _stochastic(definition())
+            yield "twofold_symmetry_xy", params, \
+                lambda: first_coordinate_difference(square(), square().transpose())
 
             def truncated():
                 degree = closed().max_index_degree()
-                if degree <= min(m, n):
-                    return True, None
-                return False, {"max_index_degree": degree, "min_degree": min(m, n)}
+                return None if degree <= min(m, n) else {"max_index_degree": degree,
+                                                         "min_degree": min(m, n)}
             yield "diagonal_truncation", params, truncated
 
         if d == 1 and top <= cfg.univariate_cap:
-            def uni_path():
-                return _coordinates_equal(closed_coordinates(), legendre())
-            yield "univariate_twofold_path", {"m": m, "n": n}, uni_path
-
-            def uni_vs_def():
-                return _coordinates_equal(closed_coordinates(), definition())
-            yield "univariate_twofold_vs_definition", {"m": m, "n": n}, uni_vs_def
+            yield "univariate_twofold_path", {"m": m, "n": n}, \
+                lambda: first_coordinate_difference(closed_coordinates(), legendre())
+            yield "univariate_twofold_vs_definition", {"m": m, "n": n}, \
+                lambda: first_coordinate_difference(closed_coordinates(), definition())
 
         if d == 1 and top <= cfg.legendre_cap:
-            def legendre_vs_def():
-                return _coordinates_equal(legendre(), definition())
-            yield "legendre_matches_univariate", {"m": m, "n": n}, legendre_vs_def
+            yield "legendre_matches_univariate", {"m": m, "n": n}, \
+                lambda: first_coordinate_difference(legendre(), definition())
 
         if d <= 2 and top <= min(cfg.combination_cap, cfg.degree_caps[d]):
             def convex():
                 coeffs = coefficients(m, n, d)
                 total = sum(coeffs)
                 if total == 1 and all(c > 0 for c in coeffs):
-                    return True, None
-                return False, {"sum": format_rational(total),
-                               "coefficients": [format_rational(c) for c in coeffs]}
+                    return None
+                return {"sum": format_rational(total),
+                        "coefficients": [format_rational(c) for c in coeffs]}
             yield "composition_coefficients_convex", params, convex
 
             def combo_kernel():
@@ -337,20 +322,18 @@ def _pair_jobs(cfg: SuiteConfig, d: int, m: int, n: int,
                 # diagonal form with weight c_k (k+d)!/k! at degree k
                 mix = DiagonalKernelForm(d, 1, [(k, c * single(k, d).scale)
                                                 for k, c in enumerate(coefficients(m, n, d))])
-                return _coordinates_equal(mix.coordinates(m, n), definition())
+                return first_coordinate_difference(mix.coordinates(m, n), definition())
             yield "composition_linear_combination_kernel", params, combo_kernel
 
     yield from oriented(m, n)
     if m < n:
         yield from oriented(n, m)
         if twofold:
-            def symmetric_degrees():
-                return _coordinates_equal(squares[m, n](), squares[n, m]())
-            yield "twofold_symmetry_degrees", {"d": d, "m": m, "n": n}, symmetric_degrees
+            yield "twofold_symmetry_degrees", {"d": d, "m": m, "n": n}, \
+                lambda: first_coordinate_difference(squares[m, n](), squares[n, m]())
     elif twofold:
-        def single_stochastic():
-            return _stochastic(single(n, d).coordinates(n, n))
-        yield "single_stochastic_in_y", {"d": d, "n": n}, single_stochastic
+        yield "single_stochastic_in_y", {"d": d, "n": n}, \
+            lambda: _stochastic(single(n, d).coordinates(n, n))
 
 
 def _threefold_jobs(cfg: SuiteConfig) -> Iterator[Job]:
@@ -359,11 +342,9 @@ def _threefold_jobs(cfg: SuiteConfig) -> Iterator[Job]:
     for a in range(cap + 1):
         for b in range(cap + 1):
             for c in range(cap + 1):
-                def closed_vs_def(a=a, b=b, c=c):
-                    return _coordinates_equal(kernel_closed_threefold(a, b, c).coordinates(a, c),
-                                              threefold(a, b, c))
-                yield ("threefold_closed_equals_definition",
-                       {"n3": a, "n2": b, "n1": c}, closed_vs_def)
+                yield ("threefold_closed_equals_definition", {"n3": a, "n2": b, "n1": c},
+                       lambda a=a, b=b, c=c: first_coordinate_difference(
+                           kernel_closed_threefold(a, b, c).coordinates(a, c), threefold(a, b, c)))
 
     perm_cap = min(3, cap)
     for a in range(perm_cap + 1):
@@ -373,11 +354,10 @@ def _threefold_jobs(cfg: SuiteConfig) -> Iterator[Job]:
                     # a <= b <= c: every permutation's outer and inner degree is at most c
                     base = threefold(a, b, c).elevate(c, c)
                     for perm in {(a, c, b), (b, a, c), (b, c, a), (c, a, b), (c, b, a)}:
-                        ok, diff = _coordinates_equal(threefold(*perm).elevate(c, c), base)
-                        if not ok:
-                            diff["permutation"] = list(perm)
-                            return False, diff
-                    return True, None
+                        diff = first_coordinate_difference(threefold(*perm).elevate(c, c), base)
+                        if diff is not None:
+                            return {**diff, "permutation": list(perm)}
+                    return None
                 yield ("threefold_permutation_invariance",
                        {"degrees": [a, b, c]}, permuted)
 
@@ -395,8 +375,7 @@ def _operator_jobs(cfg: SuiteConfig, coefficients: Callable) -> Iterator[Job]:
         for n in range(cap + 1):
             def constant_preserved(d=d, n=n):
                 one = CartesianPolynomial.constant(d, 1)
-                diff = _poly_difference(image(n, one), one)
-                return diff is None, diff
+                return _poly_difference(image(n, one), one)
             yield "operator_constant_preservation", {"d": d, "n": n}, constant_preserved
 
             def degree_bound(n=n):
@@ -415,11 +394,11 @@ def _operator_jobs(cfg: SuiteConfig, coefficients: Callable) -> Iterator[Job]:
                     for j in range(i + 1, len(rows)):
                         den_j, row_j = rows[j]
                         if row_i[j] * den_j != row_j[i] * den_i:
-                            return False, {"f": monomials[i].to_json_dict()["terms"],
-                                           "g": monomials[j].to_json_dict()["terms"],
-                                           "lhs": format_rational(Fraction(row_i[j], den_i)),
-                                           "rhs": format_rational(Fraction(row_j[i], den_j))}
-                return True, None
+                            return {"f": monomials[i].to_json_dict()["terms"],
+                                    "g": monomials[j].to_json_dict()["terms"],
+                                    "lhs": format_rational(Fraction(row_i[j], den_i)),
+                                    "rhs": format_rational(Fraction(row_j[i], den_j))}
+                return None
             yield "operator_self_adjoint", {"d": d, "n": n}, self_adjoint
 
             def integral_preserved(n=n):
@@ -432,10 +411,9 @@ def _operator_jobs(cfg: SuiteConfig, coefficients: Callable) -> Iterator[Job]:
 
         for m in range(cap + 1):
             for n in range(m + 1, cap + 1):
-                def commute(m=m, n=n):
-                    return _each_monomial(monomials, lambda f: _poly_difference(
+                yield "operator_commutativity", {"d": d, "m": m, "n": n}, \
+                    lambda m=m, n=n: _each_monomial(monomials, lambda f: _poly_difference(
                         image(m, image(n, f)), image(n, image(m, f))))
-                yield "operator_commutativity", {"d": d, "m": m, "n": n}, commute
 
         combo_cap = min(cfg.combination_cap, cap)
         for m in range(combo_cap + 1):
@@ -472,10 +450,9 @@ def _lemma_jobs(cfg: SuiteConfig) -> Iterator[Job]:
                         alphas, left, right = _inner_sum_coordinates(n, beta)
                         for a, lhs, rhs in zip(alphas, left, right):
                             if lhs != rhs:
-                                return False, {"beta": list(beta), "a": list(a),
-                                               "lhs": format_rational(lhs),
-                                               "rhs": format_rational(rhs)}
-                    return True, None
+                                return {"beta": list(beta), "a": list(a),
+                                        "lhs": format_rational(lhs), "rhs": format_rational(rhs)}
+                    return None
                 yield ("inner_sum_collapse",
                        {"d": d, "n": n, "beta_degree": beta_degree}, lemma)
 
@@ -499,12 +476,12 @@ def run_suite(cfg: SuiteConfig) -> VerificationReport:
             break
         t0 = time.perf_counter()
         try:
-            passed, witness = fn()
+            witness = fn()
         except ValueError as exc:
             # a form the comparison cannot take (say, a closed form above the
             # degrees it is written at) fails its check, it does not end the run
-            passed, witness = False, {"error": str(exc)}
-        checks.append(CheckRecord(name, params, passed, witness,
+            witness = {"error": str(exc)}
+        checks.append(CheckRecord(name, params, witness is None, witness,
                                   (time.perf_counter() - t0) * 1000.0))
 
     checks.sort(key=lambda c: (c.name, canonical_json_bytes(c.params)))

@@ -236,9 +236,10 @@ class TestExactScalarsOnly:
             DiagonalKernelForm(1, bad, [(0, 1)])
         with pytest.raises(ValueError, match=f"weight must be an int or a Fraction, got {bad!r}"):
             DiagonalKernelForm(1, 1, [(0, 1), (1, bad)])
+        # rebuilding a valid form's terms under a new scale checks the scale too
         form = DiagonalKernelForm(1, 1, [(0, 1)])
         with pytest.raises(ValueError, match="scale"):
-            form.with_scale(bad)
+            DiagonalKernelForm(form.d, bad, form.terms)
 
 
 def test_verify_never_builds_the_fraction_view(monkeypatch):

@@ -169,12 +169,6 @@ class TestDiagonalKernelForm:
         assert calls == []
         assert [len(f.terms) for f in forms] == [1, 31, 21, 4]
 
-    def test_with_scale(self):
-        form = kernel_single(1, 1)
-        doubled = form.with_scale(2 * form.scale)
-        assert doubled.scale == 2 * form.scale
-        assert doubled.terms == form.terms
-
     def test_empty_form_canonicalizes_to_zero(self):
         assert to_canonical(DiagonalKernelForm(1, 5, [])).is_zero()
 
@@ -410,7 +404,7 @@ class TestCoordinateForm:
                                             ((3, 1), 3), ((2, 1, 3), 2), ((2,), 2)])
     def test_stochastic_check_agrees_with_the_expanded_y_integral(self, degrees, d):
         coords = kernel_definition_coordinates(degrees, d)
-        assert _stochastic(coords) == (True, None)
+        assert _stochastic(coords) is None
         # a y integral of 1 in every Bernstein coordinate of x is the constant 1
         x_side = CartesianPolynomial.linear_combination(
             d, ((1, bernstein_basis(a)) for a in coords.x_indices))
@@ -419,7 +413,7 @@ class TestCoordinateForm:
     def test_stochastic_check_reads_each_column(self):
         coords = kernel_definition_coordinates((2, 1), 1)
         coords.rows[1][2] += 4  # C[(0, 1)][(0, 2)]: scale 1/4 and int B_b = 1/2
-        assert _stochastic(coords) == (False, {"a": [0, 2], "lhs": "3/2", "rhs": "1"})
+        assert _stochastic(coords) == {"a": [0, 2], "lhs": "3/2", "rhs": "1"}
 
     def test_a_single_operator_has_identity_coordinates(self):
         coords = kernel_definition_coordinates((2,), 2)

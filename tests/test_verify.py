@@ -325,6 +325,16 @@ def default_report(default_run):
     return default_run[0]
 
 
+@pytest.fixture(scope="module")
+def d3_report():
+    return run_suite(SuiteConfig(d_range=(3,), max_degree=6))
+
+
+@pytest.fixture(scope="module")
+def corrupt_report():
+    return run_suite(SuiteConfig(corrupt_scale=True))
+
+
 def tiny_config(**overrides):
     base = dict(d_range=(1,), max_degree=2)
     base.update(overrides)
@@ -460,18 +470,26 @@ class TestRunSuite:
         # the benchmark counts each check of a default run as one operation
         assert len(default_report.checks) == load_oracle().VERIFY_CHECKS
 
-    def test_d3_report_body_is_pinned(self):
-        report = run_suite(SuiteConfig(d_range=(3,), max_degree=6))
+    def test_d3_report_body_is_pinned(self, d3_report):
+        report = d3_report
         assert report.ok
         assert len(report.checks) == 224
         assert hashlib.sha256(report.body_bytes()).hexdigest() == D3_BODY_SHA256
 
-    def test_corrupted_report_body_is_pinned(self):
-        report = run_suite(SuiteConfig(corrupt_scale=True))
+    def test_corrupted_report_body_is_pinned(self, corrupt_report):
+        report = corrupt_report
         assert hashlib.sha256(report.body_bytes()).hexdigest() == CORRUPT_BODY_SHA256
         assert len(report.checks) == 1618
         assert len(report.failures) == CORRUPT_FAILURES
         assert {c.name for c in report.failures} == {"twofold_closed_equals_definition"}
+
+    def test_a_check_passes_exactly_when_it_returns_no_witness(
+            self, default_report, d3_report, corrupt_report):
+        for report in (default_report, d3_report, corrupt_report):
+            assert all(c.passed is (c.witness is None) for c in report.checks)
+        witnessed = [c for c in corrupt_report.checks if c.witness is not None]
+        assert len(witnessed) == CORRUPT_FAILURES
+        assert all(c.witness for c in witnessed)
 
     def test_degree_zero_suite_is_trivial_and_green(self):
         cfg = tiny_config(max_degree=0)
