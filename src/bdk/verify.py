@@ -304,7 +304,7 @@ def _pair_jobs(cfg: SuiteConfig, d: int, m: int, n: int,
                 lambda: first_coordinate_difference(closed_coordinates(), definition())
 
         if d == 1 and top <= cfg.legendre_cap:
-            yield "legendre_matches_univariate", {"m": m, "n": n}, \
+            yield "legendre_equals_definition", {"m": m, "n": n}, \
                 lambda: first_coordinate_difference(legendre(), definition())
 
         if d <= 2 and top <= min(cfg.combination_cap, cfg.degree_caps[d]):

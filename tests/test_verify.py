@@ -32,7 +32,7 @@ from sampling import sample_simplex_point
 
 #: sha256 of the default report body; any change to an answer, a check or the
 #: report schema moves it.
-DEFAULT_BODY_SHA256 = "5b18f34471af8589a3899c814e49abd3efa601fba10c63c2ece7fefaaacdbbaf"
+DEFAULT_BODY_SHA256 = "5696c436014e494bd15620c9a50c8ff08bb42e8db634b3167e9e16bca31bbb7d"
 
 #: sha256 of the report body of SuiteConfig(d_range=(3,), max_degree=6), whose
 #: d = 3 two-fold checks elevate forms with m != n.
@@ -40,7 +40,7 @@ D3_BODY_SHA256 = "9ecb2000155af2275c24cb81c3601055e5ff03497bf5e297d141598340ba11
 
 #: sha256 of the default report body with the closed-form prefactor doubled
 #: (`--self-test-corrupt`), and how many of its checks fail.
-CORRUPT_BODY_SHA256 = "7c61d87e0b81b61f57fdc90e491f59a4ab623e9e8d499912ea96b279587fea48"
+CORRUPT_BODY_SHA256 = "ccbf7ca5ba2a0223b428925f0eac71f61ee73ce33037ed7080d5127ae997caad"
 CORRUPT_FAILURES = 155
 
 
@@ -254,7 +254,7 @@ MUTANTS = {
     "elevation_coefficient": (
         [(bdk.kernels, "_elevation", bump_elevation)],
         {"twofold_closed_equals_definition", "univariate_twofold_path",
-         "univariate_twofold_vs_definition", "legendre_matches_univariate",
+         "univariate_twofold_vs_definition", "legendre_equals_definition",
          "threefold_closed_equals_definition", "threefold_permutation_invariance",
          "twofold_symmetry_xy", "twofold_symmetry_degrees",
          "composition_linear_combination_kernel", "inner_sum_collapse"}),
@@ -262,12 +262,12 @@ MUTANTS = {
         [(bdk.verify, name, perturb_off_diagonal) for name in (
             "kernel_definition_twofold", "kernel_definition_threefold")],
         {"twofold_closed_equals_definition", "univariate_twofold_vs_definition",
-         "legendre_matches_univariate", "threefold_closed_equals_definition",
+         "legendre_equals_definition", "threefold_closed_equals_definition",
          "threefold_permutation_invariance", "twofold_symmetry_xy", "twofold_symmetry_degrees",
          "twofold_stochastic_in_y", "composition_linear_combination_kernel"}),
     "legendre_entry": (
         [(bdk.verify, "kernel_legendre", bump_first_row)],
-        {"univariate_twofold_path", "legendre_matches_univariate"}),
+        {"univariate_twofold_path", "legendre_equals_definition"}),
     "extra_closed_degree": (
         [(bdk.verify, "kernel_closed_twofold", extra_closed_degree)],
         {"twofold_closed_equals_definition", "univariate_twofold_path",
@@ -297,7 +297,7 @@ MUTANTS = {
 #: The families that compare two kernels in Bernstein coordinates, those that
 #: integrate one there, and those whose witness names the monomial f that failed.
 COORDINATE_FAMILIES = ("twofold_closed_equals_definition", "univariate_twofold_vs_definition",
-                       "univariate_twofold_path", "legendre_matches_univariate",
+                       "univariate_twofold_path", "legendre_equals_definition",
                        "threefold_closed_equals_definition", "twofold_symmetry_xy",
                        "twofold_symmetry_degrees", "threefold_permutation_invariance",
                        "composition_linear_combination_kernel")
@@ -508,7 +508,7 @@ class TestRunSuite:
             "single_stochastic_in_y",
             "univariate_twofold_path",
             "univariate_twofold_vs_definition",
-            "legendre_matches_univariate",
+            "legendre_equals_definition",
             "threefold_closed_equals_definition",
             "threefold_permutation_invariance",
             "composition_coefficients_convex",
