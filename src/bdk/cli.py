@@ -16,6 +16,7 @@ failed).
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import re
 import sys
@@ -303,12 +304,7 @@ def _cmd_verify(args) -> int:
 # -- parser ----------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="bdk",
-        description="Exact Bernstein-Durrmeyer kernel algebra on the simplex.")
-    sub = parser.add_subparsers(dest="command", required=True)
-
+def _add_eval(sub) -> None:
     p_eval = sub.add_parser("eval", help="evaluate a composition kernel at rational points")
     p_eval.add_argument("--d", type=int, required=True, help="simplex dimension")
     p_eval.add_argument("--m", type=int, required=True, help="outer operator degree")
@@ -323,12 +319,16 @@ def build_parser() -> argparse.ArgumentParser:
                         help="write the canonical kernel JSON to PATH ('-' for stdout)")
     p_eval.set_defaults(func=_cmd_eval)
 
+
+def _add_coeffs(sub) -> None:
     p_coeffs = sub.add_parser("coeffs", help="linear-combination coefficients of a composition")
     p_coeffs.add_argument("--d", type=int, required=True)
     p_coeffs.add_argument("--m", type=int, required=True)
     p_coeffs.add_argument("--n", type=int, required=True)
     p_coeffs.set_defaults(func=_cmd_coeffs)
 
+
+def _add_apply(sub) -> None:
     p_apply = sub.add_parser("apply", help="apply composed operators to a polynomial")
     p_apply.add_argument("--d", type=int, required=True)
     p_apply.add_argument("--degrees", required=True,
@@ -337,6 +337,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="polynomial like '2/3*x1^2*x2 - x1 + 1'")
     p_apply.set_defaults(func=_cmd_apply)
 
+
+def _add_table(sub) -> None:
     p_table = sub.add_parser("table", help="CSV float table of kernel values on a grid")
     p_table.add_argument("--d", type=int, required=True)
     p_table.add_argument("--m", type=int, required=True)
@@ -345,6 +347,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_table.add_argument("--out", default="-", help="output CSV path ('-' for stdout)")
     p_table.set_defaults(func=_cmd_table)
 
+
+def _add_verify(sub) -> None:
     p_verify = sub.add_parser("verify", help="run the identity verification suite")
     p_verify.add_argument("--d", default=",".join(map(str, DEFAULT_DEGREE_CAPS)),
                           help="comma-separated dimensions")
@@ -357,6 +361,33 @@ def build_parser() -> argparse.ArgumentParser:
                           help="corrupt the closed-form prefactor to prove failures are caught")
     p_verify.set_defaults(func=_cmd_verify)
 
+
+#: Each subcommand's parser builder, in the order `bdk --help` lists them.
+_SUBCOMMANDS = {"eval": _add_eval, "coeffs": _add_coeffs, "apply": _add_apply,
+                "table": _add_table, "verify": _add_verify}
+
+
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The bdk parser.  When command names a subcommand, only that
+    subcommand's parser is built; otherwise all of them are.
+
+    A request pays for the one parser it uses, and reads the same help,
+    usage and errors as with all five.  Once a subcommand's name is read,
+    the top level can print only its usage line, which lists the names
+    through the metavar.  Otherwise the metavar stays unset: argparse
+    names the subcommand argument by its metavar, and "bdk" alone and
+    "bdk nosuch" report it as 'command'.
+    """
+    parser = argparse.ArgumentParser(
+        prog="bdk",
+        description="Exact Bernstein-Durrmeyer kernel algebra on the simplex.")
+    single = command in _SUBCOMMANDS
+    sub = parser.add_subparsers(
+        dest="command", required=True,
+        metavar="{" + ",".join(_SUBCOMMANDS) + "}" if single else None)
+    for name, add in _SUBCOMMANDS.items():
+        if not single or name == command:
+            add(sub)
     return parser
 
 
@@ -378,9 +409,9 @@ def _attach_dash_values(argv: Sequence[str]) -> List[str]:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
+    argv = _attach_dash_values(sys.argv[1:] if argv is None else argv)
     try:
-        args = parser.parse_args(_attach_dash_values(sys.argv[1:] if argv is None else argv))
+        args = build_parser(argv[0] if argv else None).parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
@@ -391,7 +422,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 
 def cli_entry() -> None:
-    sys.exit(main())
+    code = main()
+    # Move every live object out of the collector's reach, so the full
+    # collection at interpreter exit skips them; the OS reclaims the memory.
+    # Only here: tests and tracers call main() in-process and go on running.
+    gc.freeze()
+    sys.exit(code)
 
 
 if __name__ == "__main__":

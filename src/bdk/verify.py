@@ -365,66 +365,75 @@ def _threefold_jobs(cfg: SuiteConfig) -> Iterator[Job]:
 def _operator_jobs(cfg: SuiteConfig, coefficients: Callable) -> Iterator[Job]:
     image = cache(apply_operator)
     for d in cfg.d_range:
-        if d > 2:
-            continue
-        cap = cfg.operator_cap
-        monomials = _monomials_up_to(d, cfg.operator_monomial_degree)
-        # each monomial is x^e with coefficient 1, so <p, g> is the moment at e
-        exponents = [e for g in monomials for e in g.nums]
+        if d <= 2:
+            yield from _operator_dimension_jobs(cfg, d, image, coefficients)
 
-        for n in range(cap + 1):
-            def constant_preserved(d=d, n=n):
-                one = CartesianPolynomial.constant(d, 1)
-                return _poly_difference(image(n, one), one)
-            yield "operator_constant_preservation", {"d": d, "n": n}, constant_preserved
 
-            def degree_bound(n=n):
-                def above(f):
-                    degree = image(n, f).total_degree()
-                    return {"image_degree": degree} if degree > n else None
-                return _each_monomial(monomials, above)
-            yield "operator_degree_bound", {"d": d, "n": n}, degree_bound
+def _operator_dimension_jobs(cfg: SuiteConfig, d: int, image: Callable,
+                             coefficients: Callable) -> Iterator[Job]:
+    """The operator checks in dimension d.
 
-            def self_adjoint(n=n):
-                # rows[i] = (D_i, [D_i <M_n f_i, g_j> for each j]), so
-                # <f_i, M_n f_j> is rows[j][1][i] / D_j; a pair can first fail
-                # at i < j, as (j, i) repeats (i, j)
-                rows = [moment_numerators(image(n, f), exponents) for f in monomials]
-                for i, (den_i, row_i) in enumerate(rows):
-                    for j in range(i + 1, len(rows)):
-                        den_j, row_j = rows[j]
-                        if row_i[j] * den_j != row_j[i] * den_i:
-                            return {"f": monomials[i].to_json_dict()["terms"],
-                                    "g": monomials[j].to_json_dict()["terms"],
-                                    "lhs": format_rational(Fraction(row_i[j], den_i)),
-                                    "rhs": format_rational(Fraction(row_j[i], den_j))}
-                return None
-            yield "operator_self_adjoint", {"d": d, "n": n}, self_adjoint
+    Each call has its own monomials and exponents, so a job keeps reading
+    its own dimension's even when every job is built before any runs.
+    """
+    cap = cfg.operator_cap
+    monomials = _monomials_up_to(d, cfg.operator_monomial_degree)
+    # each monomial is x^e with coefficient 1, so <p, g> is the moment at e
+    exponents = [e for g in monomials for e in g.nums]
 
-            def integral_preserved(n=n):
-                def changed(f):
-                    lhs, rhs = integrate_simplex(image(n, f)), integrate_simplex(f)
-                    return None if lhs == rhs else {"lhs": format_rational(lhs),
-                                                    "rhs": format_rational(rhs)}
-                return _each_monomial(monomials, changed)
-            yield "operator_integral_preservation", {"d": d, "n": n}, integral_preserved
+    for n in range(cap + 1):
+        def constant_preserved(n=n):
+            one = CartesianPolynomial.constant(d, 1)
+            return _poly_difference(image(n, one), one)
+        yield "operator_constant_preservation", {"d": d, "n": n}, constant_preserved
 
-        for m in range(cap + 1):
-            for n in range(m + 1, cap + 1):
-                yield "operator_commutativity", {"d": d, "m": m, "n": n}, \
-                    lambda m=m, n=n: _each_monomial(monomials, lambda f: _poly_difference(
-                        image(m, image(n, f)), image(n, image(m, f))))
+        def degree_bound(n=n):
+            def above(f):
+                degree = image(n, f).total_degree()
+                return {"image_degree": degree} if degree > n else None
+            return _each_monomial(monomials, above)
+        yield "operator_degree_bound", {"d": d, "n": n}, degree_bound
 
-        combo_cap = min(cfg.combination_cap, cap)
-        for m in range(combo_cap + 1):
-            for n in range(combo_cap + 1):
-                def combo_operator(d=d, m=m, n=n):
-                    coeffs = coefficients(m, n, d)
-                    return _each_monomial(monomials, lambda f: _poly_difference(
-                        image(m, image(n, f)), CartesianPolynomial.linear_combination(
-                            d, ((c, image(k, f)) for k, c in enumerate(coeffs)))))
-                yield ("operator_linear_combination",
-                       {"d": d, "m": m, "n": n}, combo_operator)
+        def self_adjoint(n=n):
+            # rows[i] = (D_i, [D_i <M_n f_i, g_j> for each j]), so
+            # <f_i, M_n f_j> is rows[j][1][i] / D_j; a pair can first fail
+            # at i < j, as (j, i) repeats (i, j)
+            rows = [moment_numerators(image(n, f), exponents) for f in monomials]
+            for i, (den_i, row_i) in enumerate(rows):
+                for j in range(i + 1, len(rows)):
+                    den_j, row_j = rows[j]
+                    if row_i[j] * den_j != row_j[i] * den_i:
+                        return {"f": monomials[i].to_json_dict()["terms"],
+                                "g": monomials[j].to_json_dict()["terms"],
+                                "lhs": format_rational(Fraction(row_i[j], den_i)),
+                                "rhs": format_rational(Fraction(row_j[i], den_j))}
+            return None
+        yield "operator_self_adjoint", {"d": d, "n": n}, self_adjoint
+
+        def integral_preserved(n=n):
+            def changed(f):
+                lhs, rhs = integrate_simplex(image(n, f)), integrate_simplex(f)
+                return None if lhs == rhs else {"lhs": format_rational(lhs),
+                                                "rhs": format_rational(rhs)}
+            return _each_monomial(monomials, changed)
+        yield "operator_integral_preservation", {"d": d, "n": n}, integral_preserved
+
+    for m in range(cap + 1):
+        for n in range(m + 1, cap + 1):
+            yield "operator_commutativity", {"d": d, "m": m, "n": n}, \
+                lambda m=m, n=n: _each_monomial(monomials, lambda f: _poly_difference(
+                    image(m, image(n, f)), image(n, image(m, f))))
+
+    combo_cap = min(cfg.combination_cap, cap)
+    for m in range(combo_cap + 1):
+        for n in range(combo_cap + 1):
+            def combo_operator(m=m, n=n):
+                coeffs = coefficients(m, n, d)
+                return _each_monomial(monomials, lambda f: _poly_difference(
+                    image(m, image(n, f)), CartesianPolynomial.linear_combination(
+                        d, ((c, image(k, f)) for k, c in enumerate(coeffs)))))
+            yield ("operator_linear_combination",
+                   {"d": d, "m": m, "n": n}, combo_operator)
 
 
 def _moment_jobs(cfg: SuiteConfig) -> Iterator[Job]:

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bdk.cli import PolynomialParseError, main, parse_polynomial
+from bdk.cli import PolynomialParseError, build_parser, main, parse_polynomial
 from bdk.combinat import parse_rational
 from bdk.polynomials import CartesianPolynomial
 
@@ -477,6 +477,69 @@ class TestTable:
                                "--grid", "2", "--out", "/nonexistent-dir/t.csv")
         assert code == 2
         assert "cannot write" in err
+
+
+#: A complete argument list for each subcommand, in `bdk --help` order.
+COMPLETE_ARGV = {
+    "eval": ["--d", "1", "--m", "1", "--n", "1", "--x", "0", "--y", "0"],
+    "coeffs": ["--d", "1", "--m", "1", "--n", "1"],
+    "apply": ["--d", "1", "--degrees", "1", "--poly", "x1"],
+    "table": ["--d", "1", "--m", "1", "--n", "1", "--grid", "2"],
+    "verify": [],
+}
+
+
+def parse_outcome(capsys, parser, argv):
+    """The exit code, parsed values, stdout and stderr of parser.parse_args(argv)."""
+    try:
+        code, values = 0, vars(parser.parse_args(argv))
+    except SystemExit as exc:
+        code, values = exc.code, None
+    captured = capsys.readouterr()
+    return code, values, captured.out, captured.err
+
+
+class TestParser:
+    @pytest.mark.parametrize("command", list(COMPLETE_ARGV))
+    def test_one_subcommand_parser_reads_as_the_full_parser(self, capsys, monkeypatch,
+                                                            command):
+        monkeypatch.setenv("COLUMNS", "80")
+        complete = [command, *COMPLETE_ARGV[command]]
+        # help, a complete request, a flag missing its value, and a stray
+        # argument, which the top-level parser reports with its usage line
+        cases = [([command, "--help"], 0), (complete, 0), ([command, "--d"], 2),
+                 ([*complete, "stray"], 2)]
+        for argv, code in cases:
+            one = parse_outcome(capsys, build_parser(command), argv)
+            assert one == parse_outcome(capsys, build_parser(), argv), argv
+            assert one[0] == code, argv
+        assert one[3].startswith("usage: bdk [-h] {eval,coeffs,apply,table,verify} ...\n")
+
+    @pytest.mark.parametrize("argv, code", [(["--help"], 0), (["nosuch"], 2), ([], 2)])
+    def test_top_level_lists_every_subcommand(self, capsys, argv, code):
+        got, out, err = run_cli(capsys, *argv)
+        assert got == code
+        assert "{eval,coeffs,apply,table,verify}" in out + err
+        if argv == ["--help"]:
+            for command in COMPLETE_ARGV:
+                assert f"\n    {command} " in out, command
+        if argv == ["nosuch"]:
+            assert ("argument command: invalid choice: 'nosuch' (choose from 'eval', "
+                    "'coeffs', 'apply', 'table', 'verify')") in err
+        if not argv:
+            assert "the following arguments are required: command" in err
+
+    def test_a_request_builds_only_its_subcommand(self, capsys, monkeypatch):
+        import bdk.cli
+
+        built = []
+        monkeypatch.setattr(bdk.cli, "build_parser",
+                            lambda command=None: built.append(command) or build_parser(command))
+        assert run_cli(capsys, "coeffs", "--d", "1", "--m", "1", "--n", "1") == \
+            (0, '["2/3", "1/3"]\n1\n', "")
+        assert built == ["coeffs"]
+        code, _, _, err = parse_outcome(capsys, build_parser("coeffs"), ["apply"])
+        assert code == 2 and "(choose from 'coeffs')" in err
 
 
 class BuiltConfig(Exception):

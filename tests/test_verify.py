@@ -466,6 +466,13 @@ class TestRunSuite:
     def test_default_report_body_is_pinned(self, default_report):
         assert hashlib.sha256(default_report.body_bytes()).hexdigest() == DEFAULT_BODY_SHA256
 
+    def test_jobs_built_before_any_runs_give_the_pinned_body(self, monkeypatch):
+        # each job reads its own dimension's monomials, not the last dimension built
+        iter_jobs = bdk.verify._iter_jobs
+        monkeypatch.setattr(bdk.verify, "_iter_jobs", lambda cfg: list(iter_jobs(cfg)))
+        report = run_suite(SuiteConfig())
+        assert hashlib.sha256(report.body_bytes()).hexdigest() == DEFAULT_BODY_SHA256
+
     def test_default_check_count_is_the_benchmarks(self, default_report):
         # the benchmark counts each check of a default run as one operation
         assert len(default_report.checks) == load_oracle().VERIFY_CHECKS
