@@ -21,7 +21,8 @@ import json
 import re
 import sys
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple, Union
+from itertools import product
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .combinat import format_rational, parse_rational
 from .durrmeyer import compose_apply, composition_coefficients
@@ -85,12 +86,13 @@ def parse_polynomial(text: str, d: int) -> CartesianPolynomial:
 
     The grammar is deliberately small: signed terms joined by '+'/'-',
     each term a '*'-separated product of a rational constant and simple
-    powers of x1..xd.
+    powers of x1..xd.  The terms are summed per monomial, and the
+    polynomial is built once from the sums.
     """
     tokens = _tokenize(text)
     if not tokens:
         raise PolynomialParseError("empty polynomial expression", 0)
-    poly = CartesianPolynomial.zero(d)
+    terms: Dict[Tuple[int, ...], Fraction] = {}
     i = 0
     while i < len(tokens):
         sign = 1
@@ -128,8 +130,9 @@ def parse_polynomial(text: str, d: int) -> CartesianPolynomial:
             i += 1
         if expect_factor:
             raise PolynomialParseError("term with no factors", tokens[min(i, len(tokens) - 1)][2])
-        poly = poly + CartesianPolynomial.monomial(d, exps, coef)
-    return poly
+        key = tuple(exps)
+        terms[key] = terms.get(key, 0) + coef
+    return CartesianPolynomial(d, terms)
 
 
 # -- shared flag helpers ---------------------------------------------------
@@ -241,15 +244,10 @@ def _cmd_apply(args) -> int:
 
 
 def _grid_points(d: int, grid: int) -> List[Tuple[Fraction, ...]]:
+    """The grid points of spacing 1/(grid-1) in the simplex, in lexicographic order."""
     step = Fraction(1, grid - 1)
-    if d == 1:
-        return [(i * step,) for i in range(grid)]
-    points = []
-    for i in range(grid):
-        for j in range(grid):
-            if i + j <= grid - 1:
-                points.append((i * step, j * step))
-    return points
+    return [tuple(i * step for i in index) for index in product(range(grid), repeat=d)
+            if sum(index) < grid]
 
 
 def _cmd_table(args) -> int:

@@ -36,12 +36,7 @@ __all__ = [
     "falling_factorial",
     "multinomial",
     "index_factorial",
-    "clear_denominators",
     "enumerate_multi_indices",
-    "check_index",
-    "check_dimension",
-    "check_degree",
-    "check_rational",
 ]
 
 #: Exact arbitrary-precision rational; always reduced, denominator > 0.

@@ -219,15 +219,13 @@ class DiagonalKernelForm:
             raise ValueError(f"a diagonal form of index degree {top} has no "
                              f"coordinates at degrees ({m}, {n})")
         d = self.d
-        x_indices = list(_multi_indices(m, d))
-        y_indices = x_indices if n == m else list(_multi_indices(n, d))
         den, factors = clear_denominators(w / (comb(m, j) * comb(n, j)) for j, w in self.terms)
         rows = _outer_products(((factor, x_column, y_column)
                                 for (j, _), factor in zip(self.terms, factors)
                                 for x_column, y_column in zip(_elevation(j, m, d),
                                                               _elevation(j, n, d))),
-                               len(x_indices), len(y_indices))
-        return BernsteinKernelForm(d, self.scale / den, x_indices, y_indices, rows)
+                               comb(m + d, d), comb(n + d, d))
+        return BernsteinKernelForm(d, self.scale / den, m, n, rows)
 
     def evaluate(self, x: Point, y: Point) -> Fraction:
         (row,) = self.evaluate_grid([x], [y])
@@ -274,8 +272,9 @@ class DiagonalKernelForm:
 class BernsteinKernelForm:
     """Kernel in the product Bernstein basis: scale * sum_{b, a} C[b][a] B_a(x) B_b(y).
 
-    x_indices lists the indices a of the outermost degree m, y_indices the
-    indices b of the innermost degree n, and rows[i] is the integer row
+    m is the degree of the x indices a (the outermost operator's) and n that
+    of the y indices b (the innermost's); `x_indices` and `y_indices` list
+    them as `enumerate_multi_indices` does, and rows[i] is the integer row
     C[y_indices[i]] over x_indices.  This is the definitional kernel as
     `kernel_definition_coordinates` computes it, before anything is
     expanded into monomials, and a closed form as
@@ -283,15 +282,18 @@ class BernsteinKernelForm:
     are compared by `first_coordinate_difference`.
     """
 
-    __slots__ = ("d", "scale", "x_indices", "y_indices", "rows", "__weakref__")
+    __slots__ = ("d", "scale", "m", "n", "rows", "__weakref__")
 
-    def __init__(self, d: int, scale: Fraction, x_indices: List[Tuple[int, ...]],
-                 y_indices: List[Tuple[int, ...]], rows: List[List[int]]):
-        self.d = d
-        self.scale = scale
-        self.x_indices = x_indices
-        self.y_indices = y_indices
-        self.rows = rows
+    def __init__(self, d: int, scale: Fraction, m: int, n: int, rows: List[List[int]]):
+        self.d, self.scale, self.m, self.n, self.rows = d, scale, m, n, rows
+
+    @property
+    def x_indices(self) -> Tuple[Tuple[int, ...], ...]:
+        return _multi_indices(self.m, self.d)
+
+    @property
+    def y_indices(self) -> Tuple[Tuple[int, ...], ...]:
+        return _multi_indices(self.n, self.d)
 
     def evaluate(self, x: Point, y: Point) -> Fraction:
         """K(x, y) as one integer sum over the coordinates.
@@ -303,8 +305,7 @@ class BernsteinKernelForm:
         one dot product per row, and one Fraction at the end.
         """
         x_mults = list(map(_multinomial, self.x_indices))
-        y_mults = x_mults if self.y_indices == self.x_indices else \
-            list(map(_multinomial, self.y_indices))
+        y_mults = x_mults if self.n == self.m else list(map(_multinomial, self.y_indices))
         qx_top, vx = _basis_vector(x, self.d, self.x_indices, x_mults)
         qy_top, vy = _basis_vector(y, self.d, self.y_indices, y_mults)
         total = sum(v * sum(map(mul, row, vx)) for v, row in zip(vy, self.rows))
@@ -320,7 +321,7 @@ class BernsteinKernelForm:
 
     def transpose(self) -> "BernsteinKernelForm":
         """Swap the roles of x and y."""
-        return BernsteinKernelForm(self.d, self.scale, self.y_indices, self.x_indices,
+        return BernsteinKernelForm(self.d, self.scale, self.n, self.m,
                                    [list(column) for column in zip(*self.rows)])
 
     def elevate(self, m: int, n: int) -> "BernsteinKernelForm":
@@ -333,14 +334,13 @@ class BernsteinKernelForm:
         row by row, the x side the same way on the transpose.
         """
         m, n = check_degree(m), check_degree(n)
-        m0, n0 = sum(self.x_indices[0]), sum(self.y_indices[0])
-        if m < m0 or n < n0:
-            raise ValueError(f"cannot lower degrees ({m0}, {n0}) to ({m}, {n})")
+        if m < self.m or n < self.n:
+            raise ValueError(f"cannot lower degrees ({self.m}, {self.n}) to ({m}, {n})")
         form = self._elevate_y(n)
-        return form if m == m0 else form.transpose()._elevate_y(m).transpose()
+        return form if m == self.m else form.transpose()._elevate_y(m).transpose()
 
     def _elevate_y(self, n: int) -> "BernsteinKernelForm":
-        n0 = sum(self.y_indices[0])
+        n0 = self.n
         if n == n0:
             return self
         d = self.d
@@ -353,8 +353,7 @@ class BernsteinKernelForm:
                 if v is None:
                     v = scaled[e] = [e * c for c in row]
                 rows[i] = list(map(add, rows[i], v))
-        return BernsteinKernelForm(d, self.scale / comb(n, n0), self.x_indices,
-                                   list(_multi_indices(n, d)), rows)
+        return BernsteinKernelForm(d, self.scale / comb(n, n0), self.m, n, rows)
 
     def expand(self) -> KernelPolynomial:
         """The canonical map: each B_a(x) B_b(y) multiplied out into monomials.
@@ -364,7 +363,7 @@ class BernsteinKernelForm:
         scale is applied at the end.
         """
         x_side = _basis_terms(self.x_indices)
-        y_side = x_side if self.y_indices == self.x_indices else _basis_terms(self.y_indices)
+        y_side = x_side if self.n == self.m else _basis_terms(self.y_indices)
         acc: Dict[Tuple[int, ...], int] = {}
         for row, y_terms in zip(self.rows, y_side):
             inner: Dict[Tuple[int, ...], int] = {}
@@ -426,8 +425,8 @@ def kernel_definition_coordinates(degrees: Sequence[int], d: int) -> BernsteinKe
     if not degrees:
         raise ValueError("a composition needs at least one degree")
     d = check_dimension(d)
-    outer = list(_multi_indices(degrees[0], d))
-    innermost = outer if degrees[-1] == degrees[0] else list(_multi_indices(degrees[-1], d))
+    outer = _multi_indices(degrees[0], d)
+    innermost = _multi_indices(degrees[-1], d)
     if len(degrees) == 1:
         rows = [[int(alpha == beta) for beta in outer] for alpha in innermost]
     else:
@@ -455,7 +454,7 @@ def kernel_definition_coordinates(degrees: Sequence[int], d: int) -> BernsteinKe
         den *= _FACT[n]
     for a, b in zip(degrees, degrees[1:]):
         den *= _FACT[a + b + d]
-    return BernsteinKernelForm(d, Fraction(num, den), outer, innermost, rows)
+    return BernsteinKernelForm(d, Fraction(num, den), degrees[0], degrees[-1], rows)
 
 
 def kernel_definition_twofold(m: int, n: int, d: int) -> BernsteinKernelForm:
@@ -504,8 +503,7 @@ def kernel_legendre(m: int, n: int) -> BernsteinKernelForm:
         for k in range(min(m, n) + 1))
     rows = _outer_products(((factor, _legendre_column(k, m), _legendre_column(k, n))
                             for k, factor in enumerate(factors)), m + 1, n + 1)
-    return BernsteinKernelForm(1, Fraction(1, den), list(_multi_indices(m, 1)),
-                               list(_multi_indices(n, 1)), rows)
+    return BernsteinKernelForm(1, Fraction(1, den), m, n, rows)
 
 
 def _legendre_column(k: int, m: int) -> List[Tuple[int, int]]:
@@ -651,7 +649,7 @@ def first_coordinate_difference(lhs: BernsteinKernelForm,
     identical; otherwise a witness with the indices a and b and both
     coefficients, for failure reports.
     """
-    if (lhs.d, lhs.x_indices, lhs.y_indices) != (rhs.d, rhs.x_indices, rhs.y_indices):
+    if (lhs.d, lhs.m, lhs.n) != (rhs.d, rhs.m, rhs.n):
         raise ValueError("kernels in Bernstein coordinates are compared on one basis")
     p = lhs.scale.numerator * rhs.scale.denominator
     q = rhs.scale.numerator * lhs.scale.denominator

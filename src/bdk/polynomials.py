@@ -9,8 +9,8 @@ operator images this way.  A kernel K(x, y) is the same sparse type in the
 
 A polynomial is stored as one positive denominator over an integer map,
 p = nums / den, reduced so that gcd(den, *nums) == 1; equality and hashing
-compare the pair.  The exponent -> Fraction map `terms` is a view derived
-from it on first read, for display and tests; no exact path reads it.
+compare the pair.  The exponent -> Fraction map `terms` is built from it
+on each read, for display and tests; no exact path reads it.
 Exact sums are accumulated in Python ints: Dirichlet integrals share one
 factorial denominator, and an integer fast path ends with one rational
 scale for the whole map (`CartesianPolynomial.from_integers`), which
@@ -45,12 +45,8 @@ __all__ = [
     "CartesianPolynomial",
     "bernstein_basis",
     "bernstein_value",
-    "check_polynomial",
     "integrate_simplex",
     "inner_product",
-    "integer_point",
-    "moment_numerators",
-    "monomial_numerators",
 ]
 
 Exponents = Tuple[int, ...]
@@ -105,10 +101,10 @@ class CartesianPolynomial:
     exponents: one block here, two for a kernel K(x, y) (x's exponents,
     then y's).  Instances are treated as immutable; all operators return
     new objects, and the hash is computed once, on first use.  `terms` is
-    a derived exponent -> Fraction view for display and tests.
+    an exponent -> Fraction map built on each read, for display and tests.
     """
 
-    __slots__ = ("d", "den", "nums", "_terms", "_hash")
+    __slots__ = ("d", "den", "nums", "_hash")
 
     #: Exponent blocks of d entries in each key; fixed per class.
     BLOCKS = 1
@@ -135,7 +131,7 @@ class CartesianPolynomial:
         if g != 1:
             den //= g
             nums = {e: c // g for e, c in nums.items()}
-        self.den, self.nums, self._terms, self._hash = den, nums, None, None
+        self.den, self.nums, self._hash = den, nums, None
 
     @classmethod
     def _make(cls, d: int, den: int, nums: Dict[Exponents, int]) -> "CartesianPolynomial":
@@ -148,13 +144,10 @@ class CartesianPolynomial:
 
     @property
     def terms(self) -> Dict[Exponents, Fraction]:
-        """Exponents -> Fraction coefficient, built from den and nums on
-        first read and kept; treat it as read-only.  Display and tests read
-        it; no exact path does."""
-        if self._terms is None:
-            den = self.den
-            self._terms = {e: Fraction(c, den) for e, c in self.nums.items()}
-        return self._terms
+        """Exponents -> Fraction coefficient, built from den and nums on each
+        read.  Display and tests read it; no exact path does."""
+        den = self.den
+        return {e: Fraction(c, den) for e, c in self.nums.items()}
 
     # -- constructors -------------------------------------------------
 

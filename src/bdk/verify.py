@@ -21,6 +21,7 @@ from fractions import Fraction
 from functools import cache, partial
 from typing import Callable, Iterator, List, NamedTuple, Optional, Tuple
 
+from . import __version__ as ARTIFACT_VERSION
 from .combinat import _FACT, _multi_indices, check_degree, check_dimension, format_rational
 from .durrmeyer import apply_operator, composition_coefficients
 from .kernels import (
@@ -37,17 +38,9 @@ from .kernels import (
 )
 from .polynomials import CartesianPolynomial, integrate_simplex, moment_numerators
 
-__all__ = [
-    "SuiteConfig",
-    "CheckRecord",
-    "VerificationReport",
-    "run_suite",
-    "DEFAULT_DEGREE_CAPS",
-    "FAMILY_CAPS",
-]
+__all__ = ["SuiteConfig", "VerificationReport", "run_suite"]
 
 REPORT_SCHEMA = "bdk-report/2"
-ARTIFACT_VERSION = "0.1.0"
 
 #: The default two-fold degree bound of each dimension.
 DEFAULT_DEGREE_CAPS = {1: 8, 2: 6, 3: 4}
@@ -192,8 +185,7 @@ def _stochastic(form: BernsteinKernelForm) -> Optional[dict]:
     scale n!/(n+d)!, and the B_a(x) are independent and sum to 1; so each
     integer column sum is compared with 1/unit by cross-multiplying.  The
     witness names the first outermost index a that fails."""
-    n = sum(form.y_indices[0])
-    unit = form.scale * Fraction(_FACT[n], _FACT[n + form.d])
+    unit = form.scale * Fraction(_FACT[form.n], _FACT[form.n + form.d])
     for a, total in zip(form.x_indices, map(sum, zip(*form.rows))):
         if total * unit.numerator != unit.denominator:
             return {"a": list(a), "lhs": format_rational(unit * total), "rhs": "1"}

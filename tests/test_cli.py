@@ -314,6 +314,12 @@ class TestPolynomialGrammar:
     def test_repeated_variable_multiplies(self):
         assert parse_polynomial("x1*x1", 1).terms == {(2,): Fraction(1)}
 
+    def test_cancelling_terms_give_zero(self):
+        assert parse_polynomial("x1 + x1 - 2*x1", 1) == CartesianPolynomial.zero(1)
+
+    def test_repeated_monomial_terms_add(self):
+        assert parse_polynomial("x1*x1 + x1^2", 1) == CartesianPolynomial.monomial(1, (2,), 2)
+
     def test_error_carries_position(self):
         with pytest.raises(PolynomialParseError) as exc:
             parse_polynomial("x1 + @", 1)

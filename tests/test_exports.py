@@ -1,4 +1,5 @@
-"""Every exported name resolves, and no `__all__` lists a name twice."""
+"""Every exported name resolves, no `__all__` lists a name twice, and each
+name `bdk` exports is listed by exactly one module."""
 import importlib
 import pkgutil
 
@@ -22,6 +23,15 @@ def test_all_names_resolve_once(module_name):
     assert len(names) == len(set(names)), sorted(n for n in names if names.count(n) > 1)
     missing = [n for n in names if not hasattr(module, n)]
     assert not missing, missing
+
+
+def test_each_exported_name_is_listed_by_exactly_one_module():
+    # bdk re-exports every module's __all__ but bdk.cli's, which it does not import
+    lists = [importlib.import_module(m).__all__ for m in MODULES if m not in ("bdk", "bdk.cli")]
+    owners = {name: sum(name in names for names in lists) for name in bdk.__all__}
+    assert owners.pop("__version__") == 0
+    assert set(owners.values()) == {1}, sorted(n for n, k in owners.items() if k != 1)
+    assert len(bdk.__all__) == 1 + sum(map(len, lists))
 
 
 def test_multi_index_class_is_gone():

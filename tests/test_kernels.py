@@ -33,11 +33,15 @@ from bdk.polynomials import (
     inner_product,
     integrate_simplex,
 )
-from bdk.verify import _stochastic
+from bdk.verify import DEFAULT_DEGREE_CAPS, _stochastic
 
 from sampling import sample_simplex_point
 
 F = Fraction
+
+#: Every (d, m, n) of the default two-fold checks.
+DEFAULT_TWOFOLD = [(d, m, n) for d, cap in DEFAULT_DEGREE_CAPS.items()
+                   for m in range(cap + 1) for n in range(cap + 1)]
 
 # K_{1,1} = (2/3) * (1 + (1-x)(1-y) + x y), expanded by hand
 K11_TERMS = {
@@ -225,6 +229,12 @@ class TestTwofoldKernels:
         form = kernel_closed_twofold(3, 7, 2)
         assert form.max_index_degree() == 3
 
+    @pytest.mark.parametrize("d, m, n", DEFAULT_TWOFOLD)
+    def test_closed_index_degrees_are_zero_to_min_degree(self, d, m, n):
+        terms = kernel_closed_twofold(m, n, d).terms
+        assert [j for j, _ in terms] == list(range(min(m, n) + 1))
+        assert all(w != 0 for _, w in terms)
+
     def test_stochastic_in_y(self):
         for d in (1, 2):
             kernel = kernel_definition_twofold(2, 1, d).expand()
@@ -254,7 +264,7 @@ class TestLegendreKernel:
     def test_one_one_coordinates(self):
         # (2/3) (1 + (1-x)(1-y) + x y) with 1 = B_(1,0) + B_(0,1), B_(1,0) = 1-x, B_(0,1) = x
         form = kernel_legendre(1, 1)
-        assert form.x_indices == form.y_indices == [(1, 0), (0, 1)]
+        assert form.x_indices == form.y_indices == ((1, 0), (0, 1))
         assert form.terms == {((1, 0), (1, 0)): F(4, 3), ((0, 1), (1, 0)): F(2, 3),
                               ((1, 0), (0, 1)): F(2, 3), ((0, 1), (0, 1)): F(4, 3)}
 
@@ -265,8 +275,8 @@ class TestLegendreKernel:
         for m in range(6):
             for n in range(6):
                 legendre = kernel_legendre(m, n)
-                assert legendre.x_indices == enumerate_multi_indices(m, 1)
-                assert legendre.y_indices == enumerate_multi_indices(n, 1)
+                assert legendre.x_indices == tuple(enumerate_multi_indices(m, 1))
+                assert legendre.y_indices == tuple(enumerate_multi_indices(n, 1))
                 assert legendre.expand() == to_canonical(kernel_closed_twofold(m, n, 1)), (m, n)
 
 
@@ -380,8 +390,8 @@ class TestCoordinateForm:
     def test_shape_and_scale(self):
         # M_2 o M_1 at d = 1: rows over |b| = 1 (y), columns over |a| = 2 (x)
         coords = kernel_definition_coordinates((2, 1), 1)
-        assert coords.x_indices == [(2, 0), (1, 1), (0, 2)]
-        assert coords.y_indices == [(1, 0), (0, 1)]
+        assert coords.x_indices == ((2, 0), (1, 1), (0, 2))
+        assert coords.y_indices == ((1, 0), (0, 1))
         # mult(a) mult(b) (a+b)!, and S = 3! 2! / (2! 1! 4!)
         assert coords.rows == [[6, 4, 2], [2, 4, 6]]
         assert coords.scale == F(1, 4)
@@ -415,6 +425,14 @@ class TestCoordinateForm:
         coords.rows[1][2] += 4  # C[(0, 1)][(0, 2)]: scale 1/4 and int B_b = 1/2
         assert _stochastic(coords) == {"a": [0, 2], "lhs": "3/2", "rhs": "1"}
 
+    @pytest.mark.parametrize("d, m, n", DEFAULT_TWOFOLD)
+    def test_reversed_degrees_transpose_the_coordinates(self, d, m, n):
+        # each operator is self-adjoint, so C_{n,m} = C_{m,n} transposed, entry by entry
+        swapped = kernel_definition_coordinates((n, m), d)
+        transposed = kernel_definition_coordinates((m, n), d).transpose()
+        assert (swapped.d, swapped.m, swapped.n, swapped.scale, swapped.rows) == \
+            (transposed.d, transposed.m, transposed.n, transposed.scale, transposed.rows)
+
     def test_a_single_operator_has_identity_coordinates(self):
         coords = kernel_definition_coordinates((2,), 2)
         size = len(coords.x_indices)
@@ -442,11 +460,11 @@ def bernstein_forms(draw):
     """A kernel in Bernstein coordinates with a random integer matrix."""
     d = draw(st.integers(1, 3))
     m, n = draw(st.integers(0, 3 if d < 3 else 2)), draw(st.integers(0, 3 if d < 3 else 2))
-    x_indices, y_indices = enumerate_multi_indices(m, d), enumerate_multi_indices(n, d)
+    width, height = len(enumerate_multi_indices(m, d)), len(enumerate_multi_indices(n, d))
     entry = st.integers(-50, 50)
-    rows = draw(st.lists(st.lists(entry, min_size=len(x_indices), max_size=len(x_indices)),
-                         min_size=len(y_indices), max_size=len(y_indices)))
-    return BernsteinKernelForm(d, draw(nonzero_rationals), x_indices, y_indices, rows)
+    rows = draw(st.lists(st.lists(entry, min_size=width, max_size=width),
+                         min_size=height, max_size=height))
+    return BernsteinKernelForm(d, draw(nonzero_rationals), m, n, rows)
 
 
 class TestClosedCoordinates:
@@ -458,17 +476,17 @@ class TestClosedCoordinates:
     def test_coordinates_expand_to_the_canonical_map(self, case):
         form, m, n = case
         coords = form.coordinates(m, n)
-        assert coords.x_indices == enumerate_multi_indices(m, form.d)
-        assert coords.y_indices == enumerate_multi_indices(n, form.d)
+        assert coords.x_indices == tuple(enumerate_multi_indices(m, form.d))
+        assert coords.y_indices == tuple(enumerate_multi_indices(n, form.d))
         assert coords.expand() == to_canonical(form)
 
     @settings(max_examples=40, deadline=None)
     @given(bernstein_forms(), st.integers(0, 2), st.integers(0, 2))
     def test_elevation_keeps_the_kernel(self, form, up_x, up_y):
-        m, n = sum(form.x_indices[0]) + up_x, sum(form.y_indices[0]) + up_y
+        m, n = form.m + up_x, form.n + up_y
         elevated = form.elevate(m, n)
-        assert elevated.x_indices == enumerate_multi_indices(m, form.d)
-        assert elevated.y_indices == enumerate_multi_indices(n, form.d)
+        assert elevated.x_indices == tuple(enumerate_multi_indices(m, form.d))
+        assert elevated.y_indices == tuple(enumerate_multi_indices(n, form.d))
         assert elevated.expand() == form.expand()
         assert elevated.transpose().expand() == form.expand().transpose()
 
@@ -480,7 +498,7 @@ class TestClosedCoordinates:
 
     def test_elevation_lowers_the_scale(self):
         # B^1_(1,0) = B^2_(2,0) + B^2_(1,1) / 2: coefficients C(a, l) = 2, 1, scale / C(2, 1)
-        form = BernsteinKernelForm(1, F(3), [(1, 0), (0, 1)], [(0, 0)], [[1, 0]])
+        form = BernsteinKernelForm(1, F(3), 1, 0, [[1, 0]])
         elevated = form.elevate(2, 0)
         assert elevated.rows == [[2, 1, 0]] and elevated.scale == F(3, 2)
         with pytest.raises(ValueError, match="cannot lower"):
@@ -496,7 +514,7 @@ class TestClosedCoordinates:
 
     def test_difference_cross_multiplies_the_scales(self):
         coords = kernel_definition_twofold(2, 1, 1)
-        same = BernsteinKernelForm(1, coords.scale / 3, coords.x_indices, coords.y_indices,
+        same = BernsteinKernelForm(1, coords.scale / 3, coords.m, coords.n,
                                    [[3 * c for c in row] for row in coords.rows])
         assert first_coordinate_difference(coords, same) is None
         same.rows[1][2] += 1  # C[(0, 1)][(0, 2)]

@@ -191,7 +191,7 @@ def perturb_off_diagonal(build):
     a = (0, ..., 0, m), is one more whenever the outer and inner degrees differ."""
     def perturbed(*args):
         form = build(*args)
-        if sum(form.x_indices[0]) != sum(form.y_indices[0]):
+        if form.m != form.n:
             form.rows[0][-1] += 1
         return form
     return perturbed
@@ -750,7 +750,7 @@ class TestReportSerialization:
         report = run_suite(tiny_config())
         obj = report.to_json_dict()
         assert obj["schema"] == REPORT_SCHEMA
-        assert obj["version"]
+        assert obj["version"] == bdk.__version__
         assert obj["summary"]["total"] == len(obj["checks"])
         assert obj["config"] == tiny_config().to_json_dict()
         assert "total_ms" in obj
