@@ -24,7 +24,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from .combinat import format_rational, parse_rational
+from .combinat import check_dimension, format_rational, parse_rational
 from .durrmeyer import compose_apply, composition_coefficients
 from .kernels import (
     BernsteinKernelForm,
@@ -89,6 +89,7 @@ def parse_polynomial(text: str, d: int) -> CartesianPolynomial:
     powers of x1..xd.  The terms are summed per monomial, and the
     polynomial is built once from the sums.
     """
+    check_dimension(d)
     tokens = _tokenize(text)
     if not tokens:
         raise PolynomialParseError("empty polynomial expression", 0)
@@ -187,11 +188,8 @@ def _build_kernel(form: str, m: int, n: int, d: int
         return kernel_closed_twofold(m, n, d)
     if d != 1:
         raise UsageError(f"--form {form} is univariate; it requires --d 1")
-    if form == "univariate":
-        return kernel_univariate_twofold(m, n)
-    if form == "legendre":
-        return kernel_legendre(m, n)
-    raise UsageError(f"unknown kernel form {form!r}")
+    # argparse's choices leave 'univariate' and 'legendre' here
+    return kernel_univariate_twofold(m, n) if form == "univariate" else kernel_legendre(m, n)
 
 
 def _to_float(value: Fraction) -> float:

@@ -116,12 +116,14 @@ def _as_int(value, what: str) -> int:
     """value as an int; ValueError naming it when it is not an integer.
 
     operator.index refuses floats, Fractions and strings, which int()
-    would truncate or parse.
+    would truncate or parse; a bool, which it takes as 0 or 1, is refused too.
     """
     try:
-        return operator.index(value)
+        if not isinstance(value, bool):
+            return operator.index(value)
     except TypeError:
-        raise ValueError(f"{what} must be an integer, got {value!r}") from None
+        pass
+    raise ValueError(f"{what} must be an integer, got {value!r}")
 
 
 def check_dimension(d: int, what: str = "simplex dimension") -> int:
@@ -146,14 +148,16 @@ def check_rational(value, what: str) -> Fraction:
     """value as a Fraction; ValueError naming it unless it is an int or a Fraction.
 
     A float is refused, as `parse_rational` refuses decimal text: 0.1 would
-    be stored as 3602879701896397/36028797018963968.
+    be stored as 3602879701896397/36028797018963968.  So is a bool.
     """
     if isinstance(value, Fraction):
         return value
     try:
-        return Fraction(operator.index(value))
+        if not isinstance(value, bool):
+            return Fraction(operator.index(value))
     except TypeError:
-        raise ValueError(f"{what} must be an int or a Fraction, got {value!r}") from None
+        pass
+    raise ValueError(f"{what} must be an int or a Fraction, got {value!r}")
 
 
 def check_index(parts: Iterable[int], d: Optional[int] = None) -> Tuple[int, ...]:

@@ -20,7 +20,7 @@ from operator import mul
 from typing import List, Sequence, Tuple
 
 from .combinat import _FACT, _multi_indices, _multinomial, check_degree, check_dimension
-from .polynomials import CartesianPolynomial, bernstein_basis, check_polynomial
+from .polynomials import CartesianPolynomial, bernstein_basis, bernstein_sum, check_polynomial
 
 __all__ = [
     "apply_operator",
@@ -43,19 +43,13 @@ def apply_operator(n: int, f: CartesianPolynomial) -> CartesianPolynomial:
     (a+(0,e))! over |a| = n, which `_moment_column` keeps per (n, e).
     """
     n, d = check_degree(n), check_polynomial(f).d
-    if f.is_zero():
-        return CartesianPolynomial.zero(d)
     top = n + f.total_degree() + d
     weights = [c * (_FACT[top] // _FACT[n + sum(exps) + d]) for exps, c in f.nums.items()]
     columns = [_moment_column(n, exps) for exps in f.nums]
-    image = {}
-    for alpha, moments in zip(_multi_indices(n, d), zip(*columns)):
-        total = sum(map(mul, weights, moments))
-        if not total:
-            continue
-        total *= _multinomial(alpha)
-        for exps, b in bernstein_basis(alpha).nums.items():
-            image[exps] = image.get(exps, 0) + total * b
+    # a zero f has no columns, so no totals and an empty image
+    totals = (sum(map(mul, weights, moments)) for moments in zip(*columns))
+    image = bernstein_sum((total * _multinomial(alpha), bernstein_basis(alpha).nums.items())
+                          for alpha, total in zip(_multi_indices(n, d), totals) if total)
     scale = Fraction(_FACT[n + d], _FACT[n] * f.den * _FACT[top])
     return CartesianPolynomial.from_integers(d, image, scale)
 

@@ -65,6 +65,7 @@ from .polynomials import (
     Scalar,
     _dirichlet_terms,
     bernstein_basis,
+    bernstein_sum,
     check_polynomial,
     integer_point,
     monomial_numerators,
@@ -123,10 +124,7 @@ class KernelPolynomial(CartesianPolynomial):
         check_polynomial(fy)
         if fx.d != fy.d:
             raise ValueError("dimension mismatch in outer product")
-        y_nums = fy.nums.items()
-        return cls._make(fx.d, fx.den * fy.den, {ex + ey: cx * cy
-                                                 for ex, cx in fx.nums.items()
-                                                 for ey, cy in y_nums})
+        return cls._make(fx.d, fx.den * fy.den, _add_outer({}, fx.nums, fy.nums))
 
     def transpose(self) -> "KernelPolynomial":
         """Swap the roles of x and y."""
@@ -304,10 +302,9 @@ class BernsteinKernelForm:
             K(x, y) = scale * sum_b v_b(y) (sum_a C[b][a] v_a(x)) / (qx^m qy^n):
         one dot product per row, and one Fraction at the end.
         """
-        x_mults = list(map(_multinomial, self.x_indices))
-        y_mults = x_mults if self.n == self.m else list(map(_multinomial, self.y_indices))
-        qx_top, vx = _basis_vector(x, self.d, self.x_indices, x_mults)
-        qy_top, vy = _basis_vector(y, self.d, self.y_indices, y_mults)
+        x_indices, y_indices = self.x_indices, self.y_indices
+        qx_top, vx = _basis_vector(x, self.d, x_indices, list(map(_multinomial, x_indices)))
+        qy_top, vy = _basis_vector(y, self.d, y_indices, list(map(_multinomial, y_indices)))
         total = sum(v * sum(map(mul, row, vx)) for v, row in zip(vy, self.rows))
         return Fraction(self.scale.numerator * total,
                         self.scale.denominator * qx_top * qy_top)
@@ -358,23 +355,15 @@ class BernsteinKernelForm:
     def expand(self) -> KernelPolynomial:
         """The canonical map: each B_a(x) B_b(y) multiplied out into monomials.
 
-        For each row b the x side  sum_a C[b][a] B_a(x)  is accumulated once as
-        an integer map, then multiplied against the terms of B_b(y); the one
-        scale is applied at the end.
+        For each row b the x side  sum_a C[b][a] B_a(x)  is multiplied out once
+        (`bernstein_sum`) and its outer product with B_b(y) accumulated, each
+        basis looked up once per side; the one scale is applied at the end.
         """
-        x_side = _basis_terms(self.x_indices)
-        y_side = x_side if self.n == self.m else _basis_terms(self.y_indices)
+        x_terms = [list(bernstein_basis(a).nums.items()) for a in self.x_indices]
         acc: Dict[Tuple[int, ...], int] = {}
-        for row, y_terms in zip(self.rows, y_side):
-            inner: Dict[Tuple[int, ...], int] = {}
-            for c, x_terms in zip(row, x_side):
-                if c:
-                    for ex, cx in x_terms:
-                        inner[ex] = inner.get(ex, 0) + c * cx
-            for ey, cy in y_terms:
-                for ex, cx in inner.items():
-                    key = ex + ey
-                    acc[key] = acc.get(key, 0) + cx * cy
+        for row, y_basis in zip(self.rows, map(bernstein_basis, self.y_indices)):
+            x_side = bernstein_sum((c, t) for c, t in zip(row, x_terms) if c)
+            _add_outer(acc, x_side, y_basis.nums)
         return KernelPolynomial.from_integers(self.d, acc, self.scale)
 
     def __repr__(self) -> str:
@@ -395,11 +384,6 @@ def kernel_single(n: int, d: int) -> DiagonalKernelForm:
     n, d = check_degree(n), check_dimension(d)
     scale = Fraction(_FACT[n + d], _FACT[n])
     return DiagonalKernelForm(d, scale, [(n, 1)])
-
-
-def _basis_terms(indices: Sequence[Tuple[int, ...]]) -> List[List[Tuple[Tuple[int, ...], int]]]:
-    """The integer terms of B_a, expanded into cartesian monomials, for each index a."""
-    return [list(bernstein_basis(alpha).nums.items()) for alpha in indices]
 
 
 def kernel_definition_coordinates(degrees: Sequence[int], d: int) -> BernsteinKernelForm:
@@ -488,7 +472,7 @@ def kernel_legendre(m: int, n: int) -> BernsteinKernelForm:
     where s_(k) is the falling factorial and L_k is the alternating
     Bernstein combination sum_i (-1)^i C(k,i) B_(k-i,i), i.e. the shifted
     Legendre polynomial on [0,1] up to sign.  Degree elevation
-    (`_elevation`) writes L_k = sum_{|a|=m} u_k[a] / C(m,k) B_a with the
+    (`_elevated`) writes L_k = sum_{|a|=m} u_k[a] / C(m,k) B_a with the
     integers  u_k[a] = sum_i (-1)^i C(k,i) C(a, (k-i,i)),  and v_k likewise
     at degree n.  So, with w_k the weight above, the coefficient of
     B_a(x) B_b(y) is
@@ -501,21 +485,12 @@ def kernel_legendre(m: int, n: int) -> BernsteinKernelForm:
                  falling_factorial(m + k + 1, k) * falling_factorial(n + k + 1, k)
                  * comb(m, k) * comb(n, k))
         for k in range(min(m, n) + 1))
-    rows = _outer_products(((factor, _legendre_column(k, m), _legendre_column(k, n))
+    # L_k over enumerate_multi_indices(k, 1), whose indices are (k-i, i) in ascending i
+    legendre = [[(k, [(-1) ** i * comb(k, i) for i in range(k + 1)])] for k in range(len(factors))]
+    rows = _outer_products(((factor, list(enumerate(_elevated(legendre[k], m, 1))),
+                             list(enumerate(_elevated(legendre[k], n, 1))))
                             for k, factor in enumerate(factors)), m + 1, n + 1)
     return BernsteinKernelForm(1, Fraction(1, den), m, n, rows)
-
-
-def _legendre_column(k: int, m: int) -> List[Tuple[int, int]]:
-    """The (i, u_k[a]) pairs of `kernel_legendre`: C(m, k) L_k at degree m >= k,
-    i the position of a in `enumerate_multi_indices(m, 1)`."""
-    u = [0] * (m + 1)
-    # the columns follow enumerate_multi_indices(k, 1): (k-i, i) in ascending i
-    for i, column in enumerate(_elevation(k, m, 1)):
-        c_i = -comb(k, i) if i % 2 else comb(k, i)
-        for position, e in column:
-            u[position] += c_i * e
-    return list(enumerate(u))
 
 
 def kernel_definition_threefold(n3: int, n2: int, n1: int, d: int) -> BernsteinKernelForm:
@@ -566,22 +541,17 @@ def _inner_sum_coordinates(n: int, beta: Tuple[int, ...]) -> Tuple[tuple, tuple,
     The left side is already in that basis: left[i] = (a+beta)!/a! for
     a = alphas[i].  On the right, the term of l <= beta has the weight
     W_l = C(n, |l|) beta! prod_v C(beta_v, l_v), and degree elevation
-    (`_elevation`) writes its B_l as sum_{|a|=n, a>=l} C(a, l)/C(n, |l|) B_a,
-    so  right[i] = sum_l W_l C(a, l) / C(n, |l|),  an integer as C(n, |l|)
-    divides W_l.  Terms with |l| > n vanish, as C(n, |l|) = 0 there.
+    (`_elevated`) writes its B_l as sum_{|a|=n, a>=l} C(a, l)/C(n, |l|) B_a,
+    so  right[i] = sum_l beta! prod_v C(beta_v, l_v) C(a, l).  The weight is
+    zero unless l <= beta, and terms with |l| > n vanish, as C(n, |l|) = 0.
     """
     d = len(beta) - 1
     alphas = _multi_indices(n, d)
     left = [prod(_FACT[a + b] // _FACT[a] for a, b in zip(alpha, beta)) for alpha in alphas]
     beta_fact = prod(map(_FACT.__getitem__, beta))
-    right = [0] * len(alphas)
-    for j in range(min(n, sum(beta)) + 1):
-        for ell, column in zip(_multi_indices(j, d), _elevation(j, n, d)):
-            weight = comb(n, j) * beta_fact * prod(map(comb, beta, ell))
-            if weight:  # zero unless l <= beta
-                share = weight // comb(n, j)  # the elevation divides by C(n, j)
-                for i, e in column:
-                    right[i] += share * e
+    right = _elevated(((j, [beta_fact * prod(map(comb, beta, ell))
+                            for ell in _multi_indices(j, d)])
+                       for j in range(min(n, sum(beta)) + 1)), n, d)
     return alphas, tuple(left), tuple(right)
 
 
@@ -595,12 +565,8 @@ def to_canonical(form: DiagonalKernelForm) -> KernelPolynomial:
     den, weights = clear_denominators(w for _, w in form.terms)
     acc: Dict[Tuple[int, ...], int] = {}
     for (j, _), w in zip(form.terms, weights):
-        for terms in _basis_terms(_multi_indices(j, form.d)):
-            for ex, cx in terms:
-                cx *= w
-                for ey, cy in terms:
-                    key = ex + ey
-                    acc[key] = acc.get(key, 0) + cx * cy
+        for basis in map(bernstein_basis, _multi_indices(j, form.d)):
+            _add_outer(acc, bernstein_sum([(w, basis.nums.items())]), basis.nums)
     return KernelPolynomial.from_integers(form.d, acc, form.scale / den)
 
 
@@ -622,6 +588,29 @@ def _elevation(j: int, m: int, d: int) -> Tuple[Tuple[Tuple[int, int], ...], ...
         above = [tuple(map(add, ell, c)) for c in shifts]
         columns.append(tuple((position[a], prod(map(comb, a, ell))) for a in above))
     return tuple(columns)
+
+
+def _elevated(blocks: Iterable[Tuple[int, Sequence[int]]], m: int, d: int) -> List[int]:
+    """Dense degree-m coordinates of sum_j C(m, j) sum_{|l|=j} c_l B_l for blocks
+    (j, [c_l in `enumerate_multi_indices(j, d)` order]), j <= m: through the
+    `_elevation` columns, entry i is sum_l c_l C(a, l), a the i-th index of degree m."""
+    out = [0] * comb(m + d, d)
+    for j, coefficients in blocks:
+        for c, column in zip(coefficients, _elevation(j, m, d)):
+            if c:
+                for i, e in column:
+                    out[i] += c * e
+    return out
+
+
+def _add_outer(acc: Dict, x_terms: Dict, y_terms: Dict) -> Dict:
+    """Add the outer product x_terms(x) y_terms(y) of two integer maps to acc; keys x, then y."""
+    y_items = list(y_terms.items())  # a list is faster to loop over than a dict view
+    for ex, cx in x_terms.items():
+        for ey, cy in y_items:
+            key = ex + ey
+            acc[key] = acc.get(key, 0) + cx * cy
+    return acc
 
 
 def _outer_products(terms: Iterable[Tuple[int, Sequence[Tuple[int, int]],

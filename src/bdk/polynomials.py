@@ -231,17 +231,15 @@ class CartesianPolynomial:
         return self._make(self.d, self.den, {e: -c for e, c in self.nums.items()})
 
     def __mul__(self, other):
-        if isinstance(other, CartesianPolynomial):
-            self._check_compatible(other)
-            out: Dict[Exponents, int] = {}
-            for e1, c1 in self.nums.items():
-                for e2, c2 in other.nums.items():
-                    key = tuple(a + b for a, b in zip(e1, e2))
-                    out[key] = out.get(key, 0) + c1 * c2
-            return self._make(self.d, self.den * other.den, out)
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        return NotImplemented
+        if not isinstance(other, CartesianPolynomial):
+            return self.__rmul__(other)  # a scalar commutes with p
+        self._check_compatible(other)
+        out: Dict[Exponents, int] = {}
+        for e1, c1 in self.nums.items():
+            for e2, c2 in other.nums.items():
+                key = tuple(a + b for a, b in zip(e1, e2))
+                out[key] = out.get(key, 0) + c1 * c2
+        return self._make(self.d, self.den * other.den, out)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -366,6 +364,17 @@ def bernstein_basis(alpha: Sequence[int]) -> CartesianPolynomial:
     return CartesianPolynomial.from_integers(d, terms)
 
 
+def bernstein_sum(pairs: Iterable[Tuple[int, Iterable]]) -> Dict[Exponents, int]:
+    """The integer map of sum c * B over (c, terms of B) pairs, each c an int and
+    each B a `bernstein_basis` polynomial, whose (exponents, integer) terms are over
+    den 1: the one place such a sum is multiplied out.  Callers leave out c = 0."""
+    out: Dict[Exponents, int] = {}
+    for c, terms in pairs:
+        for e, b in terms:
+            out[e] = out.get(e, 0) + c * b
+    return out
+
+
 def bernstein_value(alpha: Sequence[int], pt: Sequence[Scalar]) -> Fraction:
     """Evaluate B_alpha at a point directly from barycentric values.
 
@@ -441,8 +450,6 @@ def moment_numerators(p: CartesianPolynomial,
     if any(len(e) != d for e in keys):
         raise ValueError(f"every key must have {d} exponents")
     terms = list(p.nums.items())
-    if not terms:
-        return 1, [0] * len(keys)
     top = p.total_degree() + max(map(sum, keys), default=0)
     row = [sum(_dirichlet_terms(((tuple(map(add, e, k)), c) for k, c in terms), d, top))
            for e in keys]

@@ -416,6 +416,27 @@ class TestApply:
         assert (code, err) == (0, "")
         assert json.loads(out) == {"d": 1, "terms": [{"coef": c, "exp": [e]} for c, e in terms]}
 
+    @pytest.mark.parametrize("poly, message", [
+        (" ", "parse error at position 0: empty polynomial expression"),
+        ("*x1", "parse error at position 0: '*' without a preceding factor"),
+        ("2*", "parse error at position 1: term with no factors"),
+    ])
+    def test_malformed_polynomial_is_usage_error(self, capsys, poly, message):
+        code, out, err = run_cli(capsys, "apply", "--d", "1", "--degrees", "1", "--poly", poly)
+        assert (code, out) == (2, "")
+        assert err == f"bdk: error: {message}\n"
+
+    @pytest.mark.parametrize("poly", ["x1", "1"])
+    def test_dimension_is_checked_before_the_polynomial(self, capsys, poly):
+        code, out, err = run_cli(capsys, "apply", "--d", "0", "--degrees", "2", "--poly", poly)
+        assert (code, out) == (2, "")
+        assert err == "bdk: error: simplex dimension must be >= 1, got 0\n"
+
+    def test_non_integer_degree_is_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "apply", "--d", "1", "--degrees", "1,a", "--poly", "x1")
+        assert (code, out) == (2, "")
+        assert err == "bdk: error: --degrees: invalid literal for int() with base 10: 'a'\n"
+
     def test_degrees_with_spaces_still_parse(self, capsys):
         _, spaced, _ = run_cli(capsys, "apply", "--d", "1", "--degrees", "2, 3", "--poly", "x1")
         _, plain, _ = run_cli(capsys, "apply", "--d", "1", "--degrees", "2,3", "--poly", "x1")
@@ -477,6 +498,12 @@ class TestTable:
         code, _, err = run_cli(capsys, "table", "--d", "3", "--m", "1", "--n", "1",
                                "--grid", "2")
         assert code == 2
+
+    def test_grid_below_two_is_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "table", "--d", "1", "--m", "1", "--n", "1",
+                                 "--grid", "1")
+        assert (code, out) == (2, "")
+        assert err == "bdk: error: --grid must be >= 2\n"
 
     def test_unwritable_path(self, capsys):
         code, _, err = run_cli(capsys, "table", "--d", "1", "--m", "1", "--n", "1",

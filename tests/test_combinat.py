@@ -60,7 +60,8 @@ class TestCheckDimension:
     def test_accepts_positive_int(self):
         assert check_dimension(3) == 3
 
-    @pytest.mark.parametrize("bad", [0, -1, 1.5, "2"])
+    # a bool is an int to operator.index, but not a dimension
+    @pytest.mark.parametrize("bad", [0, -1, 1.5, "2", True])
     def test_rejects(self, bad):
         with pytest.raises(ValueError):
             check_dimension(bad)
@@ -79,6 +80,7 @@ BAD_DEGREE_CALLS = [
     (kernel_single, (1.5, 1)),
     (kernel_closed_twofold, (2.5, 2, 1)),
     (kernel_closed_twofold, (2, -2, 1)),
+    (kernel_closed_twofold, (True, 2, 1)),
     (kernel_univariate_twofold, (1, 1.5)),
     (kernel_legendre, (-1, 1)),
     (kernel_closed_threefold, (1, 1, 0.5)),
@@ -213,6 +215,10 @@ class TestFallingFactorial:
     def test_vanishes_past_integer_argument(self):
         assert falling_factorial(2, 3) == 0
 
+    def test_negative_k_rejected(self):
+        with pytest.raises(ValueError, match="^falling factorial needs k >= 0$"):
+            falling_factorial(3, -1)
+
 
 class TestFactorialCache:
     def test_matches_math_factorial_beyond_bound(self):
@@ -228,6 +234,10 @@ class TestIndexFactorial:
     def test_product_of_part_factorials(self):
         assert index_factorial((3, 2, 0)) == 12
         assert index_factorial((1, 1, 1)) == 1
+
+    def test_negative_part_rejected(self):
+        with pytest.raises(ValueError, match="^index factorial needs nonnegative parts$"):
+            index_factorial((2, -1))
 
 
 class TestRationalStrings:

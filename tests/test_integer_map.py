@@ -210,7 +210,7 @@ class TestFirstDifference:
 
 
 class TestExactScalarsOnly:
-    @pytest.mark.parametrize("bad", [0.1, 1.0, "1/2", "3"])
+    @pytest.mark.parametrize("bad", [0.1, 1.0, "1/2", "3", True])
     def test_polynomial_coefficients(self, bad):
         message = f"coefficient must be an int or a Fraction, got {bad!r}"
         with pytest.raises(ValueError, match=message):
@@ -230,7 +230,7 @@ class TestExactScalarsOnly:
         with pytest.raises(ValueError, match="scale"):
             CartesianPolynomial.from_integers(1, {(1,): 3}, bad)
 
-    @pytest.mark.parametrize("bad", [0.5, "2"])
+    @pytest.mark.parametrize("bad", [0.5, "2", False])
     def test_diagonal_form_scale_and_weights(self, bad):
         with pytest.raises(ValueError, match=f"scale must be an int or a Fraction, got {bad!r}"):
             DiagonalKernelForm(1, bad, [(0, 1)])

@@ -138,6 +138,9 @@ class TestKernelIsAPolynomial:
             kernel + CartesianPolynomial.constant(1, 1)
         with pytest.raises(ValueError):
             KernelPolynomial.outer(kernel, kernel)
+        with pytest.raises(ValueError,
+                           match="^cannot combine KernelPolynomial with CartesianPolynomial$"):
+            kernel * CartesianPolynomial.constant(1, 1)
 
 
 class TestDiagonalKernelForm:

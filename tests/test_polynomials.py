@@ -57,7 +57,7 @@ class TestConstruction:
         with pytest.raises(ValueError):
             CartesianPolynomial(1, {(-1,): 1})
 
-    @pytest.mark.parametrize("bad", [1.9, "1", Fraction(1)])
+    @pytest.mark.parametrize("bad", [1.9, "1", Fraction(1), True])
     def test_non_integer_exponent_rejected(self, bad):
         with pytest.raises(ValueError, match="exponent"):
             CartesianPolynomial(1, {(bad,): 1})

@@ -242,6 +242,22 @@ def bump_lemma_side(coordinates):
     return perturbed
 
 
+def bump_lemma_left(coordinates):
+    """Inner-sum lemma coordinates whose left side at a = (n, 0, ..., 0) is one more."""
+    def perturbed(n, beta):
+        alphas, left, right = coordinates(n, beta)
+        return alphas, (left[0] + 1,) + left[1:], right
+    return perturbed
+
+
+def double_single_scale(build):
+    """A single-operator kernel builder whose scale (n+d)!/n! is doubled."""
+    def doubled(n, d):
+        form = build(n, d)
+        return DiagonalKernelForm(form.d, 2 * form.scale, form.terms)
+    return doubled
+
+
 #: The mutant table: for each mutant, its monkeypatches as (module, name,
 #: wrapper of the original), and the families it fails on `mutated_run`'s config.
 MUTANTS = {
@@ -275,6 +291,12 @@ MUTANTS = {
     "lemma_side": (
         [(bdk.verify, "_inner_sum_coordinates", bump_lemma_side)],
         {"inner_sum_collapse"}),
+    "lemma_left": (
+        [(bdk.verify, "_inner_sum_coordinates", bump_lemma_left)],
+        {"inner_sum_collapse"}),
+    "single_scale": (
+        [(bdk.verify, "kernel_single", double_single_scale)],
+        {"single_stochastic_in_y", "composition_linear_combination_kernel"}),
     "moment_column": (
         [(bdk.durrmeyer, "_moment_column", bump_moment_column)],
         {"operator_self_adjoint", "operator_integral_preservation", "operator_commutativity",
@@ -363,12 +385,13 @@ class TestSuiteConfig:
             SuiteConfig(d_range=(1, 2, 1))
 
     @pytest.mark.parametrize("bad, problem", [(1.5, "an integer"), ("2", "an integer"),
-                                              (-1, ">= 0")])
+                                              (-1, ">= 0"), (True, "an integer")])
     def test_rejects_max_degree_that_is_not_a_degree(self, bad, problem):
         with pytest.raises(ValueError, match=f"^max_degree must be {problem}"):
             SuiteConfig(d_range=(1,), max_degree=bad)
 
-    @pytest.mark.parametrize("bad, problem", [(1.0, "an integer"), (0, ">= 1")])
+    @pytest.mark.parametrize("bad, problem", [(1.0, "an integer"), (0, ">= 1"),
+                                              (True, "an integer")])
     def test_rejects_dimension_that_is_not_one_or_more(self, bad, problem):
         with pytest.raises(ValueError, match=f"^d_range entry must be {problem}"):
             SuiteConfig(d_range=(bad,), max_degree=1)
@@ -614,6 +637,16 @@ class TestRunSuite:
             assert witness["beta"] == [record.params["beta_degree"]] + [0] * d
             assert witness["a"] == [n] + [0] * d
             assert int(witness["rhs"]) - int(witness["lhs"]) == 1
+
+    def test_lemma_check_catches_a_perturbed_left_side(self, monkeypatch):
+        report = mutated_run(monkeypatch, "lemma_left")
+        records = [c for c in report.checks if c.name == "inner_sum_collapse"]
+        assert records and not any(record.passed for record in records)
+        for record in records:
+            d, n = record.params["d"], record.params["n"]
+            assert record.witness["beta"] == [record.params["beta_degree"]] + [0] * d
+            assert record.witness["a"] == [n] + [0] * d
+            assert int(record.witness["lhs"]) - int(record.witness["rhs"]) == 1
 
     def test_stochastic_check_catches_a_perturbed_coordinate(self, monkeypatch):
         monkeypatch.setattr(bdk.verify, "kernel_definition_twofold",
