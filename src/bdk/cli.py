@@ -9,9 +9,9 @@ Subcommands:
 
 Exact values cross this boundary as 'p/q' strings; floats appear only in
 table emission and the optional --float echo.  Exit codes: 0 success,
-1 verification failure, 2 usage error, 3 incomplete verification (the
-time budget ran out before every check ran, and none of those that ran
-failed).
+1 verification failure, 2 usage error (any ValueError), 3 incomplete
+verification (the time budget ran out before every check ran, and none of
+those that ran failed).
 """
 from __future__ import annotations
 
@@ -46,11 +46,7 @@ EXIT_USAGE = 2
 EXIT_INCOMPLETE = 3
 
 
-class UsageError(Exception):
-    """Invalid flag combination or malformed value; maps to exit code 2."""
-
-
-class PolynomialParseError(UsageError):
+class PolynomialParseError(ValueError):
     def __init__(self, message: str, position: int):
         super().__init__(f"parse error at position {position}: {message}")
         self.position = position
@@ -143,25 +139,26 @@ def _fields(raw: str, flag: str) -> List[str]:
     """The comma-separated fields of raw; an empty one is a usage error."""
     parts = raw.split(",")
     if not all(p.strip() for p in parts):
-        raise UsageError(f"{flag}: empty field in {raw!r}")
+        raise ValueError(f"{flag}: empty field in {raw!r}")
     return parts
 
 
 def _parse_point(raw: str, d: int, flag: str) -> Tuple[Fraction, ...]:
     parts = _fields(raw, flag)
     if len(parts) != d:
-        raise UsageError(f"{flag} needs {d} comma-separated rationals, got {len(parts)}")
+        raise ValueError(f"{flag} needs {d} comma-separated rationals, got {len(parts)}")
     try:
         return tuple(parse_rational(p) for p in parts)
     except ValueError as exc:
-        raise UsageError(f"{flag}: {exc}") from exc
+        raise ValueError(f"{flag}: {exc}") from exc
 
 
 def _parse_ints(raw: str, flag: str) -> Tuple[int, ...]:
+    parts = _fields(raw, flag)
     try:
-        return tuple(int(p) for p in _fields(raw, flag))
+        return tuple(int(p) for p in parts)
     except ValueError as exc:
-        raise UsageError(f"{flag}: {exc}") from exc
+        raise ValueError(f"{flag}: {exc}") from exc
 
 
 def _write_file(path: str, flag: str, text: str, mode: str = "w") -> None:
@@ -174,7 +171,7 @@ def _write_file(path: str, flag: str, text: str, mode: str = "w") -> None:
         with open(path, mode, encoding="utf-8") as fh:
             fh.write(text)
     except OSError as exc:
-        raise UsageError(f"{flag}: cannot write {path!r}: {exc}") from exc
+        raise ValueError(f"{flag}: cannot write {path!r}: {exc}") from exc
 
 
 def _build_kernel(form: str, m: int, n: int, d: int
@@ -187,7 +184,7 @@ def _build_kernel(form: str, m: int, n: int, d: int
     if form == "closed":
         return kernel_closed_twofold(m, n, d)
     if d != 1:
-        raise UsageError(f"--form {form} is univariate; it requires --d 1")
+        raise ValueError(f"--form {form} is univariate; it requires --d 1")
     # argparse's choices leave 'univariate' and 'legendre' here
     return kernel_univariate_twofold(m, n) if form == "univariate" else kernel_legendre(m, n)
 
@@ -252,9 +249,9 @@ def _cmd_table(args) -> int:
     import csv  # only table emission writes CSV; other requests skip the import
 
     if args.d not in (1, 2):
-        raise UsageError("--d must be 1 or 2 for table emission")
+        raise ValueError("--d must be 1 or 2 for table emission")
     if args.grid < 2:
-        raise UsageError("--grid must be >= 2")
+        raise ValueError("--grid must be >= 2")
     kernel = kernel_closed_twofold(args.m, args.n, args.d)
     points = _grid_points(args.d, args.grid)
     coords = [[float(c) for c in pt] for pt in points]
@@ -262,7 +259,7 @@ def _cmd_table(args) -> int:
     try:
         fh = open(args.out, "w", newline="", encoding="utf-8") if args.out != "-" else sys.stdout
     except OSError as exc:
-        raise UsageError(f"--out: cannot write {args.out!r}: {exc}") from exc
+        raise ValueError(f"--out: cannot write {args.out!r}: {exc}") from exc
     try:
         writer = csv.writer(fh)
         writer.writerow(header)
@@ -412,7 +409,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         return args.func(args)
-    except (UsageError, ValueError) as exc:
+    except ValueError as exc:
         print(f"bdk: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -9,9 +9,10 @@ This module is the one home of the exact tables the library reads: the
 process-wide factorial table `_FACT`, the multinomial of each multi-index
 (`_multinomial`) and the enumeration of each (degree, dimension)
 (`_multi_indices`).  Each entry is computed on its first lookup and kept.
-The public functions check their inputs and read the same tables; the
-library's inner loops read the tables directly, without the checks and
-without a call per entry.
+The public functions check their inputs through `_as_int` and
+`check_degree`, which refuse a float, a Fraction or a bool, and read the
+same tables; the library's inner loops read the tables directly, without
+the checks and without a call per entry.
 
 A multi-index on the d-simplex is a plain tuple of d+1 nonnegative ints.
 `check_index`, `check_dimension`, `check_degree` and `check_rational`
@@ -28,7 +29,6 @@ from functools import lru_cache
 from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 __all__ = [
-    "Rational",
     "parse_rational",
     "format_rational",
     "factorial",
@@ -38,9 +38,6 @@ __all__ = [
     "index_factorial",
     "enumerate_multi_indices",
 ]
-
-#: Exact arbitrary-precision rational; always reduced, denominator > 0.
-Rational = Fraction
 
 _RATIONAL_RE = re.compile(r"^([+-]?\d+)(?:/(\d+))?$")
 
@@ -86,10 +83,8 @@ _FACT = _Factorials()
 
 
 def factorial(n: int) -> int:
-    """n! as an exact integer."""
-    if n < 0:
-        raise ValueError("factorial of negative integer")
-    return _FACT[operator.index(n)]
+    """n! as an exact integer, for an integer n >= 0."""
+    return _FACT[check_degree(n, "factorial argument")]
 
 
 @lru_cache(maxsize=None)
@@ -182,19 +177,16 @@ def multinomial(parts: Sequence[int]) -> int:
     The zero convention on negative parts lets downstream summation
     formulas run without boundary guards.
     """
-    if any(p < 0 for p in parts):
-        return 0
-    return _multinomial(tuple(map(operator.index, parts)))
+    parts = tuple(_as_int(p, "multinomial part") for p in parts)
+    return 0 if any(p < 0 for p in parts) else _multinomial(parts)
 
 
 def index_factorial(parts: Sequence[int]) -> int:
     """parts! = product of the factorials of the parts."""
+    parts = [_as_int(p, "index factorial part") for p in parts]
     if any(p < 0 for p in parts):
         raise ValueError("index factorial needs nonnegative parts")
-    out = 1
-    for p in parts:
-        out *= _FACT[operator.index(p)]
-    return out
+    return math.prod(map(_FACT.__getitem__, parts))
 
 
 def binomial(s: int, k: int) -> int:
@@ -203,6 +195,7 @@ def binomial(s: int, k: int) -> int:
     Defined through the product s(s-1)...(s-k+1)/k!, which is always an
     exact integer; C(s, 0) = 1 for every s and C(s, k) = 0 for 0 <= s < k.
     """
+    s, k = _as_int(s, "binomial argument s"), _as_int(k, "binomial argument k")
     if k < 0:
         raise ValueError("binomial needs k >= 0")
     if k == 0:
@@ -213,7 +206,8 @@ def binomial(s: int, k: int) -> int:
 
 
 def falling_factorial(s: int, k: int) -> int:
-    """s(s-1)...(s-k+1), with the empty product 1 when k = 0."""
+    """s(s-1)...(s-k+1) for integers s and k >= 0, with the empty product 1 when k = 0."""
+    s, k = _as_int(s, "falling factorial argument s"), _as_int(k, "falling factorial argument k")
     if k < 0:
         raise ValueError("falling factorial needs k >= 0")
     out = 1

@@ -65,8 +65,10 @@ from .polynomials import (
     Scalar,
     _dirichlet_terms,
     bernstein_basis,
+    bernstein_numerators,
     bernstein_sum,
     check_polynomial,
+    difference_witness,
     integer_point,
     monomial_numerators,
 )
@@ -90,16 +92,6 @@ __all__ = [
 ]
 
 Point = Sequence[Scalar]
-
-
-def _basis_vector(pt: Point, d: int, indices: Sequence[Tuple[int, ...]],
-                  mults: Sequence[int]) -> Tuple[int, List[int]]:
-    """(q^top, [q^top B_a(p) for a in indices]) for a point p = A / q in
-    barycentric integer form, top = max |a|: each entry is the integer
-    mult(a) prod A_v^a_v q^(top-|a|), mults holding the mult(a)."""
-    q, bary = integer_point(pt, d)
-    q_top, values = monomial_numerators(q, bary, indices)
-    return q_top, list(map(mul, mults, values))
 
 
 class KernelPolynomial(CartesianPolynomial):
@@ -233,11 +225,11 @@ class DiagonalKernelForm:
                       ys: Sequence[Point]) -> Iterator[List[Fraction]]:
         """Yield [K(x, y) for y in ys] for each x in xs.
 
-        A point p = A / q in barycentric integer form has the integer basis
-        vector  v_l = q^top B_l(p) = mult(l) prod A_v^l_v q^(top-|l|),
-        top = max |l|, computed once per point.  With w_j = W_j / D over a
-        common denominator, each value is the one integer dot product
-            K(x, y) = scale * sum_l W_|l| v_l(x) v_l(y) / (D qx^top qy^top).
+        A point p = A / q in barycentric integer form has the integer vector
+        v_l = prod A_v^l_v q^(top-|l|) = q^top B_l(p) / mult(l), top = max |l|,
+        computed once per point.  With w_j = W_j / D over a common denominator
+        and mult(l)^2 folded into the weights once, each value is the one sum
+            K(x, y) = scale * sum_l W_|l| mult(l)^2 v_l(x) v_l(y) / (D qx^top qy^top).
         """
         w_den, degree_weights = clear_denominators(w for _, w in self.terms)
         indices: List[Tuple[int, ...]] = []
@@ -245,12 +237,11 @@ class DiagonalKernelForm:
         for (j, _), w in zip(self.terms, degree_weights):
             block = _multi_indices(j, self.d)
             indices += block
-            weights += [w] * len(block)
-        mults = list(map(_multinomial, indices))
+            weights += [w * _multinomial(ell) ** 2 for ell in block]
         num, den = self.scale.numerator, self.scale.denominator * w_den
-        columns = [_basis_vector(y, self.d, indices, mults) for y in ys]
+        columns = [monomial_numerators(*integer_point(y, self.d), indices) for y in ys]
         for x in xs:
-            qx_top, vx = _basis_vector(x, self.d, indices, mults)
+            qx_top, vx = monomial_numerators(*integer_point(x, self.d), indices)
             wx = list(map(mul, weights, vx))
             yield [Fraction(num * sum(map(mul, wx, vy)), den * qx_top * qy_top)
                    for qy_top, vy in columns]
@@ -298,13 +289,12 @@ class BernsteinKernelForm:
 
         A point p = A / q in barycentric integer form has the integer basis
         vector  v_a = q^m B_a(p) = mult(a) prod A_v^a_v  over the indices of
-        degree m, computed once per point.  Then
+        degree m (`bernstein_numerators`), computed once per point.  Then
             K(x, y) = scale * sum_b v_b(y) (sum_a C[b][a] v_a(x)) / (qx^m qy^n):
         one dot product per row, and one Fraction at the end.
         """
-        x_indices, y_indices = self.x_indices, self.y_indices
-        qx_top, vx = _basis_vector(x, self.d, x_indices, list(map(_multinomial, x_indices)))
-        qy_top, vy = _basis_vector(y, self.d, y_indices, list(map(_multinomial, y_indices)))
+        qx_top, vx = bernstein_numerators(x, self.d, self.x_indices)
+        qy_top, vy = bernstein_numerators(y, self.d, self.y_indices)
         total = sum(v * sum(map(mul, row, vx)) for v, row in zip(vy, self.rows))
         return Fraction(self.scale.numerator * total,
                         self.scale.denominator * qx_top * qy_top)
@@ -527,7 +517,7 @@ def inner_sum_identity(n: int, beta: Sequence[int], y: Point) -> Tuple[Fraction,
     """
     n, beta = check_degree(n), check_index(beta)
     alphas, left, right = _inner_sum_coordinates(n, beta)
-    q_top, values = _basis_vector(y, len(beta) - 1, alphas, list(map(_multinomial, alphas)))
+    q_top, values = bernstein_numerators(y, len(beta) - 1, alphas)
     return (Fraction(sum(map(mul, left, values)), q_top),
             Fraction(sum(map(mul, right, values)), q_top))
 
@@ -636,36 +626,34 @@ def first_coordinate_difference(lhs: BernsteinKernelForm,
     B_a(x) B_b(y) agree exactly when  p q' C[b][a] = p' q C'[b][a], so the
     rows are compared as integers.  Returns None when the kernels are
     identical; otherwise a witness with the indices a and b and both
-    coefficients, for failure reports.
+    coefficients, for failure reports.  Forms of other degrees, row counts
+    or row lengths are not on one basis: ValueError.
     """
-    if (lhs.d, lhs.m, lhs.n) != (rhs.d, rhs.m, rhs.n):
-        raise ValueError("kernels in Bernstein coordinates are compared on one basis")
-    p = lhs.scale.numerator * rhs.scale.denominator
-    q = rhs.scale.numerator * lhs.scale.denominator
-    g = gcd(p, q) or 1
-    p, q = p // g, q // g
-    for b, left, right in zip(lhs.y_indices, lhs.rows, rhs.rows):
-        if left != right if p == q else [p * c for c in left] != [q * c for c in right]:
-            for a, u, v in zip(lhs.x_indices, left, right):
-                if p * u != q * v:
-                    return {"a": list(a), "b": list(b), "lhs": format_rational(lhs.scale * u),
-                            "rhs": format_rational(rhs.scale * v)}
-    return None
+    if (lhs.d, lhs.m, lhs.n, len(lhs.rows)) == (rhs.d, rhs.m, rhs.n, len(rhs.rows)):
+        p = lhs.scale.numerator * rhs.scale.denominator
+        q = rhs.scale.numerator * lhs.scale.denominator
+        g = gcd(p, q) or 1
+        p, q = p // g, q // g
+        for b, left, right in zip(lhs.y_indices, lhs.rows, rhs.rows):
+            if left != right if p == q else [p * c for c in left] != [q * c for c in right]:
+                for a, u, v in zip(lhs.x_indices, left, right):
+                    if p * u != q * v:
+                        return {"a": list(a), "b": list(b), "lhs": format_rational(lhs.scale * u),
+                                "rhs": format_rational(rhs.scale * v)}
+                break  # the rows differ in length alone
+        else:
+            return None
+    raise ValueError("kernels in Bernstein coordinates are compared on one basis")
 
 
 def first_kernel_difference(lhs: KernelPolynomial, rhs: KernelPolynomial) -> Optional[dict]:
     """First monomial (in canonical order) where two kernels disagree.
 
-    Returns None when the kernels are identical; otherwise a witness dict
-    with the exponent pair and both coefficients, for failure reports.
+    Returns None when the kernels are identical; otherwise the witness of
+    `difference_witness`, its key split into the exponents of x and of y.
     """
-    found = lhs.first_difference(rhs)
+    found = difference_witness(lhs, rhs)
     if found is None:
         return None
-    key, a, b = found
-    return {
-        "exp_x": list(key[:lhs.d]),
-        "exp_y": list(key[lhs.d:]),
-        "lhs": format_rational(a),
-        "rhs": format_rational(b),
-    }
+    exp = found.pop("exp")
+    return {"exp_x": exp[:lhs.d], "exp_y": exp[lhs.d:], **found}

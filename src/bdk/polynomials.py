@@ -90,6 +90,15 @@ def monomial_numerators(q: int, nums: Sequence[int],
     return q ** top, values
 
 
+def bernstein_numerators(pt: Sequence[Scalar], d: int,
+                         indices: Sequence[Sequence[int]]) -> Tuple[int, List[int]]:
+    """q^top and the integers q^top B_a(pt) = mult(a) prod A_v^a_v q^(top-|a|)
+    for each multi-index a, top = max |a|, pt = A / q (`integer_point`)."""
+    q, bary = integer_point(pt, d)
+    q_top, values = monomial_numerators(q, bary, indices)
+    return q_top, list(map(mul, map(_multinomial, indices), values))
+
+
 class CartesianPolynomial:
     """Sparse exact polynomial in x_1..x_d, stored as an integer map over one
     denominator.
@@ -188,11 +197,12 @@ class CartesianPolynomial:
 
     # -- ring operations ----------------------------------------------
 
-    def _check_compatible(self, other: "CartesianPolynomial") -> None:
-        if self.d != other.d:
-            raise ValueError(f"dimension mismatch: {self.d} vs {other.d}")
-        if self.BLOCKS != other.BLOCKS:
-            raise ValueError(f"cannot combine {type(self).__name__} with {type(other).__name__}")
+    @classmethod
+    def _check_compatible(cls, d: int, other: "CartesianPolynomial") -> None:
+        if d != other.d:
+            raise ValueError(f"dimension mismatch: {d} vs {other.d}")
+        if cls.BLOCKS != other.BLOCKS:
+            raise ValueError(f"cannot combine {cls.__name__} with {type(other).__name__}")
 
     @classmethod
     def linear_combination(cls, d: int, pairs: Iterable[Tuple[Scalar, "CartesianPolynomial"]]
@@ -205,10 +215,7 @@ class CartesianPolynomial:
         """
         pairs = [(check_rational(c, "coefficient"), p) for c, p in pairs]
         for _, p in pairs:
-            if p.d != d:
-                raise ValueError(f"dimension mismatch: {d} vs {p.d}")
-            if p.BLOCKS != cls.BLOCKS:
-                raise ValueError(f"cannot combine {cls.__name__} with {type(p).__name__}")
+            cls._check_compatible(d, p)
         den = lcm(*(c.denominator * p.den for c, p in pairs))
         out: Dict[Exponents, int] = {}
         for c, p in pairs:
@@ -233,7 +240,7 @@ class CartesianPolynomial:
     def __mul__(self, other):
         if not isinstance(other, CartesianPolynomial):
             return self.__rmul__(other)  # a scalar commutes with p
-        self._check_compatible(other)
+        self._check_compatible(self.d, other)
         out: Dict[Exponents, int] = {}
         for e1, c1 in self.nums.items():
             for e2, c2 in other.nums.items():
@@ -283,7 +290,7 @@ class CartesianPolynomial:
                          ) -> Optional[Tuple[Exponents, Fraction, Fraction]]:
         """(key, self's coefficient, other's) at the first key, in canonical
         order, where the two differ; None when they are equal."""
-        self._check_compatible(other)
+        self._check_compatible(self.d, other)
         da, db = self.den, other.den
         if da == db and self.nums == other.nums:
             return None
@@ -332,6 +339,16 @@ def check_polynomial(p: CartesianPolynomial) -> CartesianPolynomial:
     return p
 
 
+def difference_witness(lhs: CartesianPolynomial, rhs: CartesianPolynomial) -> Optional[dict]:
+    """None when the polynomials are equal, else a failure-report witness: the
+    first difference (`first_difference`), coefficients as 'p/q' strings."""
+    found = lhs.first_difference(rhs)
+    if found is None:
+        return None
+    key, a, b = found
+    return {"exp": list(key), "lhs": format_rational(a), "rhs": format_rational(b)}
+
+
 @lru_cache(maxsize=None)
 def _x0_power(a0: int, d: int) -> Tuple[Tuple[Exponents, int], ...]:
     """The signed integer terms of x_0^a0 = (1 - x_1 - ... - x_d)^a0.
@@ -376,16 +393,11 @@ def bernstein_sum(pairs: Iterable[Tuple[int, Iterable]]) -> Dict[Exponents, int]
 
 
 def bernstein_value(alpha: Sequence[int], pt: Sequence[Scalar]) -> Fraction:
-    """Evaluate B_alpha at a point directly from barycentric values.
-
-    Avoids the cartesian expansion; used where only values are needed.
-    With the point's integer form (q; A_0..A_d),
-    B_alpha = mult(alpha) prod A_v^alpha_v / q^|alpha|.
-    """
+    """B_alpha at a point, from its barycentric integers (`bernstein_numerators`)
+    rather than the cartesian expansion."""
     alpha = check_index(alpha)
-    q, bary = integer_point(pt, len(alpha) - 1)
-    q_top, (value,) = monomial_numerators(q, bary, [alpha])
-    return Fraction(_multinomial(alpha) * value, q_top)
+    q_top, (value,) = bernstein_numerators(pt, len(alpha) - 1, [alpha])
+    return Fraction(value, q_top)
 
 
 def _dirichlet_terms(weighted: Iterable[Tuple[Exponents, int]], d: int,

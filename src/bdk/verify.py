@@ -36,7 +36,8 @@ from .kernels import (
     kernel_legendre,
     kernel_single,
 )
-from .polynomials import CartesianPolynomial, integrate_simplex, moment_numerators
+from .polynomials import (CartesianPolynomial, difference_witness, integrate_simplex,
+                          moment_numerators)
 
 __all__ = ["SuiteConfig", "VerificationReport", "run_suite"]
 
@@ -192,15 +193,6 @@ def _stochastic(form: BernsteinKernelForm) -> Optional[dict]:
     return None
 
 
-def _poly_difference(lhs: CartesianPolynomial, rhs: CartesianPolynomial) -> Optional[dict]:
-    """None when the polynomials are equal, else their first differing monomial."""
-    found = lhs.first_difference(rhs)
-    if found is None:
-        return None
-    key, a, b = found
-    return {"exp": list(key), "lhs": format_rational(a), "rhs": format_rational(b)}
-
-
 def _each_monomial(monomials: List[CartesianPolynomial],
                    check: Callable[[CartesianPolynomial], Optional[dict]]) -> Optional[dict]:
     """None when check(f) finds no witness for any f in monomials; otherwise
@@ -230,7 +222,9 @@ def _iter_jobs(cfg: SuiteConfig) -> Iterator[Job]:
     freed with the last job that can read it.  The composition coefficients
     and the single-operator kernels are read by more than one degree pair,
     and the coefficients by operator_linear_combination too, so they are
-    kept for the run; every other kernel is kept for its degree pair only.
+    kept for the run; every other kernel is kept for its degree pair only,
+    and the operator images (`apply_operator`) for their dimension's
+    operator checks.
     """
     coefficients = cache(composition_coefficients)
     single = cache(kernel_single)
@@ -244,7 +238,9 @@ def _iter_jobs(cfg: SuiteConfig) -> Iterator[Job]:
     if 1 in cfg.d_range:
         yield from _threefold_jobs(cfg)
         yield from _moment_jobs(cfg)
-    yield from _operator_jobs(cfg, coefficients)
+    for d in cfg.d_range:
+        if d <= 2:
+            yield from _operator_jobs(cfg, d, cache(apply_operator), coefficients)
     yield from _lemma_jobs(cfg)
 
 
@@ -354,16 +350,9 @@ def _threefold_jobs(cfg: SuiteConfig) -> Iterator[Job]:
                        {"degrees": [a, b, c]}, permuted)
 
 
-def _operator_jobs(cfg: SuiteConfig, coefficients: Callable) -> Iterator[Job]:
-    image = cache(apply_operator)
-    for d in cfg.d_range:
-        if d <= 2:
-            yield from _operator_dimension_jobs(cfg, d, image, coefficients)
-
-
-def _operator_dimension_jobs(cfg: SuiteConfig, d: int, image: Callable,
-                             coefficients: Callable) -> Iterator[Job]:
-    """The operator checks in dimension d.
+def _operator_jobs(cfg: SuiteConfig, d: int, image: Callable,
+                   coefficients: Callable) -> Iterator[Job]:
+    """The operator checks in dimension d, image the cached `apply_operator`.
 
     Each call has its own monomials and exponents, so a job keeps reading
     its own dimension's even when every job is built before any runs.
@@ -376,7 +365,7 @@ def _operator_dimension_jobs(cfg: SuiteConfig, d: int, image: Callable,
     for n in range(cap + 1):
         def constant_preserved(n=n):
             one = CartesianPolynomial.constant(d, 1)
-            return _poly_difference(image(n, one), one)
+            return difference_witness(image(n, one), one)
         yield "operator_constant_preservation", {"d": d, "n": n}, constant_preserved
 
         def degree_bound(n=n):
@@ -413,7 +402,7 @@ def _operator_dimension_jobs(cfg: SuiteConfig, d: int, image: Callable,
     for m in range(cap + 1):
         for n in range(m + 1, cap + 1):
             yield "operator_commutativity", {"d": d, "m": m, "n": n}, \
-                lambda m=m, n=n: _each_monomial(monomials, lambda f: _poly_difference(
+                lambda m=m, n=n: _each_monomial(monomials, lambda f: difference_witness(
                     image(m, image(n, f)), image(n, image(m, f))))
 
     combo_cap = min(cfg.combination_cap, cap)
@@ -421,7 +410,7 @@ def _operator_dimension_jobs(cfg: SuiteConfig, d: int, image: Callable,
         for n in range(combo_cap + 1):
             def combo_operator(m=m, n=n):
                 coeffs = coefficients(m, n, d)
-                return _each_monomial(monomials, lambda f: _poly_difference(
+                return _each_monomial(monomials, lambda f: difference_witness(
                     image(m, image(n, f)), CartesianPolynomial.linear_combination(
                         d, ((c, image(k, f)) for k, c in enumerate(coeffs)))))
             yield ("operator_linear_combination",
@@ -434,7 +423,7 @@ def _moment_jobs(cfg: SuiteConfig) -> Iterator[Job]:
             expected = CartesianPolynomial(
                 1, {(0,): Fraction(1, n + 2), (1,): Fraction(n, n + 2)})
             return _each_monomial([CartesianPolynomial.variable(1, 1)],
-                                  lambda x: _poly_difference(apply_operator(n, x), expected))
+                                  lambda x: difference_witness(apply_operator(n, x), expected))
         yield "univariate_first_moment", {"n": n}, first_moment
 
 

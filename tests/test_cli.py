@@ -264,7 +264,7 @@ class TestNoCanonicalization:
         code, _, _ = run_cli(capsys, "table", "--d", "2", "--m", "2", "--n", "3",
                              "--grid", "4", "--out", str(path))
         assert code == 0
-        assert len(list(csv.DictReader(path.open()))) == 100
+        assert len(list(csv.DictReader(path.read_text().splitlines()))) == 100
 
     def test_dump_kernel_still_canonicalizes(self, capsys):
         with pytest.raises(AssertionError, match="to_canonical called"):
@@ -449,7 +449,7 @@ class TestTable:
         code, _, _ = run_cli(capsys, "table", "--d", "1", "--m", "1", "--n", "1",
                              "--grid", "2", "--out", str(path))
         assert code == 0
-        rows = list(csv.DictReader(path.open()))
+        rows = list(csv.DictReader(path.read_text().splitlines()))
         values = {(r["x1"], r["y1"]): float(r["K"]) for r in rows}
         third = float(Fraction(4, 3))
         two_thirds = float(Fraction(2, 3))
@@ -462,7 +462,7 @@ class TestTable:
         path = tmp_path / "flat.csv"
         run_cli(capsys, "table", "--d", "1", "--m", "0", "--n", "0",
                 "--grid", "3", "--out", str(path))
-        rows = list(csv.DictReader(path.open()))
+        rows = list(csv.DictReader(path.read_text().splitlines()))
         assert len(rows) == 9
         assert all(float(r["K"]) == 1.0 for r in rows)
 
@@ -470,13 +470,13 @@ class TestTable:
         path = tmp_path / "n.csv"
         run_cli(capsys, "table", "--d", "1", "--m", "2", "--n", "1",
                 "--grid", "4", "--out", str(path))
-        assert len(list(csv.DictReader(path.open()))) == 16
+        assert len(list(csv.DictReader(path.read_text().splitlines()))) == 16
 
     def test_d2_emits_only_simplex_points(self, capsys, tmp_path):
         path = tmp_path / "d2.csv"
         run_cli(capsys, "table", "--d", "2", "--m", "1", "--n", "1",
                 "--grid", "3", "--out", str(path))
-        rows = list(csv.DictReader(path.open()))
+        rows = list(csv.DictReader(path.read_text().splitlines()))
         assert len(rows) == 36  # 6 admissible grid points, squared
         for r in rows:
             assert float(r["x1"]) + float(r["x2"]) <= 1.0 + 1e-12

@@ -92,6 +92,26 @@ BAD_DEGREE_CALLS = [
 ]
 
 
+#: each public combinatorial function, with an argument that is not an int:
+#: a float, or a bool, which operator.index alone would read as 0 or 1
+BAD_INTEGER_CALLS = [
+    (factorial, (True,)),
+    (factorial, (1.5,)),
+    (multinomial, ((True, 1),)),
+    (index_factorial, ((True,),)),
+    (binomial, (2.5, 1)),
+    (falling_factorial, (2.5, 2)),
+    (falling_factorial, (3, 0.5)),
+]
+
+
+@pytest.mark.parametrize("call, args", BAD_INTEGER_CALLS,
+                         ids=[f"{call.__name__}{args}" for call, args in BAD_INTEGER_CALLS])
+def test_public_functions_reject_arguments_that_are_not_integers(call, args):
+    with pytest.raises(ValueError, match="must be an integer"):
+        call(*args)
+
+
 class TestCheckDegree:
     def test_accepts_nonnegative_int(self):
         assert check_degree(0) == 0
@@ -153,6 +173,7 @@ class TestMultinomial:
         assert multinomial((2, 1, 0)) == 3
         assert multinomial((0, 0, 0, 0)) == 1
         assert multinomial((1, -1, 2)) == 0
+        assert multinomial((2, -1)) == 0
 
     def test_matches_direct_factorials(self):
         for d in range(1, 4):

@@ -142,6 +142,28 @@ class TestKernelIsAPolynomial:
                            match="^cannot combine KernelPolynomial with CartesianPolynomial$"):
             kernel * CartesianPolynomial.constant(1, 1)
 
+    MIXES = {
+        "+": lambda a, b: a + b,
+        "*": lambda a, b: a * b,
+        "linear_combination": lambda a, b: type(a).linear_combination(a.d, [(1, a), (1, b)]),
+        "first_difference": lambda a, b: a.first_difference(b),
+    }
+
+    @pytest.mark.parametrize("op", MIXES)
+    def test_mixed_operands_name_both_sides(self, op):
+        combine = self.MIXES[op]
+        kernel, poly = KernelPolynomial(1, {(1, 0): 1}), CartesianPolynomial(1, {(1,): 1})
+        with pytest.raises(ValueError,
+                           match="^cannot combine KernelPolynomial with CartesianPolynomial$"):
+            combine(kernel, poly)
+        with pytest.raises(ValueError,
+                           match="^cannot combine CartesianPolynomial with KernelPolynomial$"):
+            combine(poly, kernel)
+        with pytest.raises(ValueError, match="^dimension mismatch: 1 vs 2$"):
+            combine(poly, CartesianPolynomial.variable(2, 1))
+        with pytest.raises(ValueError, match="^dimension mismatch: 2 vs 1$"):
+            combine(KernelPolynomial.variable(2, 1), kernel)
+
 
 class TestDiagonalKernelForm:
     def test_rejects_zero_weight(self):
@@ -525,6 +547,22 @@ class TestClosedCoordinates:
             "a": [0, 2], "b": [0, 1], "lhs": "3/2", "rhs": "19/12"}
         with pytest.raises(ValueError, match="one basis"):
             first_coordinate_difference(coords, coords.transpose())
+
+    @pytest.mark.parametrize("shape", ["short rows", "short scaled rows", "missing rows"])
+    def test_difference_refuses_rows_of_another_shape(self, shape):
+        # rows compared by zip alone would stop at the shorter side and find
+        # no differing entry, so the two kernels would read as identical
+        k = kernel_definition_twofold(2, 2, 1)
+        if shape == "missing rows":
+            other = BernsteinKernelForm(1, k.scale, 2, 2, k.rows[:1])
+        else:
+            factor = 3 if shape == "short scaled rows" else 1
+            other = BernsteinKernelForm(1, k.scale / factor, 2, 2,
+                                        [[factor * c for c in row[:2]] for row in k.rows])
+        for lhs, rhs in ((k, other), (other, k)):
+            with pytest.raises(ValueError, match="^kernels in Bernstein coordinates are "
+                                                 "compared on one basis$"):
+                first_coordinate_difference(lhs, rhs)
 
     def test_a_mix_of_single_kernels_is_one_diagonal_form(self):
         # sum_k c_k K_k with K_k = scale_k * sum_{|l|=k} B_l(x) B_l(y) has

@@ -11,6 +11,7 @@ from bdk.polynomials import (
     CartesianPolynomial,
     bernstein_basis,
     bernstein_value,
+    difference_witness,
     inner_product,
     integer_point,
     integrate_simplex,
@@ -122,6 +123,13 @@ class TestRingOperations:
         assert diff == poly(1, {(0,): F(1, 3)})
         assert (diff.den, diff.nums) == (3, {(0,): 1})
         assert p - q == poly(1, {(0,): F(1, 6)})
+
+    def test_difference_witness(self):
+        # the witness of a failing polynomial identity in a verify report
+        p = poly(2, {(0, 0): F(1, 2), (1, 0): F(1, 3)})
+        q = poly(2, {(0, 0): F(1, 2), (0, 1): F(-5, 4), (1, 0): F(1, 3)})
+        assert difference_witness(p, p.scale(1)) is None
+        assert difference_witness(p, q) == {"exp": [0, 1], "lhs": "0", "rhs": "-5/4"}
 
     def test_linear_combination_checks_each_term(self):
         x = CartesianPolynomial.variable(2, 1)
