@@ -22,7 +22,7 @@ import re
 import sys
 from fractions import Fraction
 from itertools import product
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from .combinat import check_dimension, format_rational, parse_rational
 from .durrmeyer import compose_apply, composition_coefficients
@@ -135,28 +135,21 @@ def parse_polynomial(text: str, d: int) -> CartesianPolynomial:
 # -- shared flag helpers ---------------------------------------------------
 
 
-def _fields(raw: str, flag: str) -> List[str]:
-    """The comma-separated fields of raw; an empty one is a usage error."""
+def _parse_list(raw: str, flag: str, convert: Callable[[str], object],
+                count: Optional[int] = None) -> tuple:
+    """The comma-separated fields of raw, each through convert.
+
+    Usage errors, checked in this order: an empty field, a field count
+    other than count (when given; only a point has one), and the first
+    field convert refuses, its message prefixed by the flag.
+    """
     parts = raw.split(",")
     if not all(p.strip() for p in parts):
         raise ValueError(f"{flag}: empty field in {raw!r}")
-    return parts
-
-
-def _parse_point(raw: str, d: int, flag: str) -> Tuple[Fraction, ...]:
-    parts = _fields(raw, flag)
-    if len(parts) != d:
-        raise ValueError(f"{flag} needs {d} comma-separated rationals, got {len(parts)}")
+    if count is not None and len(parts) != count:
+        raise ValueError(f"{flag} needs {count} comma-separated rationals, got {len(parts)}")
     try:
-        return tuple(parse_rational(p) for p in parts)
-    except ValueError as exc:
-        raise ValueError(f"{flag}: {exc}") from exc
-
-
-def _parse_ints(raw: str, flag: str) -> Tuple[int, ...]:
-    parts = _fields(raw, flag)
-    try:
-        return tuple(int(p) for p in parts)
+        return tuple(map(convert, parts))
     except ValueError as exc:
         raise ValueError(f"{flag}: {exc}") from exc
 
@@ -203,8 +196,8 @@ def _to_float(value: Fraction) -> float:
 
 def _cmd_eval(args) -> int:
     kernel = _build_kernel(args.form, args.m, args.n, args.d)
-    x = _parse_point(args.x, args.d, "--x")
-    y = _parse_point(args.y, args.d, "--y")
+    x = _parse_list(args.x, "--x", parse_rational, args.d)
+    y = _parse_list(args.y, "--y", parse_rational, args.d)
     dump = args.dump_kernel
     if dump and dump != "-":
         _write_file(dump, "--dump-kernel", "", "a")
@@ -231,7 +224,7 @@ def _cmd_coeffs(args) -> int:
 
 
 def _cmd_apply(args) -> int:
-    degrees = _parse_ints(args.degrees, "--degrees")
+    degrees = _parse_list(args.degrees, "--degrees", int)
     poly = parse_polynomial(args.poly, args.d)
     image = compose_apply(degrees, poly)
     print(json.dumps(image.to_json_dict(), sort_keys=True))
@@ -273,7 +266,7 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    cfg = SuiteConfig(d_range=_parse_ints(args.d, "--d"), max_degree=args.max_degree,
+    cfg = SuiteConfig(d_range=_parse_list(args.d, "--d", int), max_degree=args.max_degree,
                       time_budget_s=args.time_budget, corrupt_scale=args.self_test_corrupt)
     if args.report:
         _write_file(args.report, "--report", "", "a")
@@ -297,67 +290,45 @@ def _cmd_verify(args) -> int:
 # -- parser ----------------------------------------------------------------
 
 
-def _add_eval(sub) -> None:
-    p_eval = sub.add_parser("eval", help="evaluate a composition kernel at rational points")
-    p_eval.add_argument("--d", type=int, required=True, help="simplex dimension")
-    p_eval.add_argument("--m", type=int, required=True, help="outer operator degree")
-    p_eval.add_argument("--n", type=int, required=True, help="inner operator degree")
-    p_eval.add_argument("--x", required=True, help="d comma-separated rationals p/q")
-    p_eval.add_argument("--y", required=True, help="d comma-separated rationals p/q")
-    p_eval.add_argument("--form", default="closed",
-                        choices=["definition", "closed", "univariate", "legendre"])
-    p_eval.add_argument("--float", action="store_true",
-                        help="also print a 17-significant-digit decimal")
-    p_eval.add_argument("--dump-kernel", metavar="PATH",
-                        help="write the canonical kernel JSON to PATH ('-' for stdout)")
-    p_eval.set_defaults(func=_cmd_eval)
+_REQUIRED_INT = dict(type=int, required=True)
 
-
-def _add_coeffs(sub) -> None:
-    p_coeffs = sub.add_parser("coeffs", help="linear-combination coefficients of a composition")
-    p_coeffs.add_argument("--d", type=int, required=True)
-    p_coeffs.add_argument("--m", type=int, required=True)
-    p_coeffs.add_argument("--n", type=int, required=True)
-    p_coeffs.set_defaults(func=_cmd_coeffs)
-
-
-def _add_apply(sub) -> None:
-    p_apply = sub.add_parser("apply", help="apply composed operators to a polynomial")
-    p_apply.add_argument("--d", type=int, required=True)
-    p_apply.add_argument("--degrees", required=True,
-                         help="comma-separated degrees, outermost first")
-    p_apply.add_argument("--poly", required=True,
-                         help="polynomial like '2/3*x1^2*x2 - x1 + 1'")
-    p_apply.set_defaults(func=_cmd_apply)
-
-
-def _add_table(sub) -> None:
-    p_table = sub.add_parser("table", help="CSV float table of kernel values on a grid")
-    p_table.add_argument("--d", type=int, required=True)
-    p_table.add_argument("--m", type=int, required=True)
-    p_table.add_argument("--n", type=int, required=True)
-    p_table.add_argument("--grid", type=int, required=True)
-    p_table.add_argument("--out", default="-", help="output CSV path ('-' for stdout)")
-    p_table.set_defaults(func=_cmd_table)
-
-
-def _add_verify(sub) -> None:
-    p_verify = sub.add_parser("verify", help="run the identity verification suite")
-    p_verify.add_argument("--d", default=",".join(map(str, DEFAULT_DEGREE_CAPS)),
-                          help="comma-separated dimensions")
-    p_verify.add_argument("--max-degree", type=int, default=None,
-                          help="cap all check families at this degree")
-    p_verify.add_argument("--time-budget", type=float, default=None,
-                          help="soft wall-clock budget in seconds")
-    p_verify.add_argument("--report", metavar="PATH", help="write the JSON report here")
-    p_verify.add_argument("--self-test-corrupt", action="store_true",
-                          help="corrupt the closed-form prefactor to prove failures are caught")
-    p_verify.set_defaults(func=_cmd_verify)
-
-
-#: Each subcommand's parser builder, in the order `bdk --help` lists them.
-_SUBCOMMANDS = {"eval": _add_eval, "coeffs": _add_coeffs, "apply": _add_apply,
-                "table": _add_table, "verify": _add_verify}
+#: Each subcommand, in the order `bdk --help` lists them: its handler, its
+#: help line, and the `add_argument` keywords of each of its flags.
+_SUBCOMMANDS = {
+    "eval": (_cmd_eval, "evaluate a composition kernel at rational points", {
+        "--d": dict(_REQUIRED_INT, help="simplex dimension"),
+        "--m": dict(_REQUIRED_INT, help="outer operator degree"),
+        "--n": dict(_REQUIRED_INT, help="inner operator degree"),
+        "--x": dict(required=True, help="d comma-separated rationals p/q"),
+        "--y": dict(required=True, help="d comma-separated rationals p/q"),
+        "--form": dict(default="closed", choices=["definition", "closed", "univariate",
+                                                   "legendre"]),
+        "--float": dict(action="store_true", help="also print a 17-significant-digit decimal"),
+        "--dump-kernel": dict(metavar="PATH",
+                              help="write the canonical kernel JSON to PATH ('-' for stdout)"),
+    }),
+    "coeffs": (_cmd_coeffs, "linear-combination coefficients of a composition",
+               {"--d": _REQUIRED_INT, "--m": _REQUIRED_INT, "--n": _REQUIRED_INT}),
+    "apply": (_cmd_apply, "apply composed operators to a polynomial", {
+        "--d": _REQUIRED_INT,
+        "--degrees": dict(required=True, help="comma-separated degrees, outermost first"),
+        "--poly": dict(required=True, help="polynomial like '2/3*x1^2*x2 - x1 + 1'"),
+    }),
+    "table": (_cmd_table, "CSV float table of kernel values on a grid", {
+        "--d": _REQUIRED_INT, "--m": _REQUIRED_INT, "--n": _REQUIRED_INT, "--grid": _REQUIRED_INT,
+        "--out": dict(default="-", help="output CSV path ('-' for stdout)"),
+    }),
+    "verify": (_cmd_verify, "run the identity verification suite", {
+        "--d": dict(default=",".join(map(str, DEFAULT_DEGREE_CAPS)),
+                    help="comma-separated dimensions"),
+        "--max-degree": dict(type=int, help="cap all check families at this degree"),
+        "--time-budget": dict(type=float, help="soft wall-clock budget in seconds"),
+        "--report": dict(metavar="PATH", help="write the JSON report here"),
+        "--self-test-corrupt": dict(
+            action="store_true",
+            help="corrupt the closed-form prefactor to prove failures are caught"),
+    }),
+}
 
 
 def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
@@ -378,9 +349,12 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
     sub = parser.add_subparsers(
         dest="command", required=True,
         metavar="{" + ",".join(_SUBCOMMANDS) + "}" if single else None)
-    for name, add in _SUBCOMMANDS.items():
+    for name, (handler, help_line, flags) in _SUBCOMMANDS.items():
         if not single or name == command:
-            add(sub)
+            sub_parser = sub.add_parser(name, help=help_line)
+            for flag, keywords in flags.items():
+                sub_parser.add_argument(flag, **keywords)
+            sub_parser.set_defaults(func=handler)
     return parser
 
 

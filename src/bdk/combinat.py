@@ -229,14 +229,10 @@ def enumerate_multi_indices(n: int, d: int) -> List[Tuple[int, ...]]:
 
 @lru_cache(maxsize=None)
 def _multi_indices(n: int, d: int) -> Tuple[Tuple[int, ...], ...]:
-    """The enumeration of `enumerate_multi_indices(n, d)`, kept as one tuple."""
-    return tuple(_compositions(n, d + 1))
-
-
-def _compositions(total: int, parts: int):
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total, -1, -1):
-        for rest in _compositions(total - head, parts - 1):
-            yield (head,) + rest
+    """The enumeration of `enumerate_multi_indices(n, d)`, kept as one tuple:
+    each first part from n down to 0, followed by each index of the
+    remaining degree in one dimension fewer."""
+    if d == 0:
+        return ((n,),)
+    return tuple((head,) + rest for head in range(n, -1, -1)
+                 for rest in _multi_indices(n - head, d - 1))

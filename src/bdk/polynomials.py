@@ -171,7 +171,7 @@ class CartesianPolynomial:
     @classmethod
     def variable(cls, d: int, i: int) -> "CartesianPolynomial":
         """The coordinate polynomial in the i-th of the key's variables."""
-        width = cls.BLOCKS * d
+        width, i = cls.BLOCKS * d, _as_int(i, "variable index")
         if not 1 <= i <= width:
             raise ValueError(f"variable index {i} out of range 1..{width}")
         exps = tuple(1 if j == i - 1 else 0 for j in range(width))

@@ -216,32 +216,30 @@ def _monomials_up_to(d: int, max_degree: int) -> List[CartesianPolynomial]:
 
 
 def _iter_jobs(cfg: SuiteConfig) -> Iterator[Job]:
-    """Every check, each artifact a cached local of the jobs that read it.
+    """Every check, dimension by dimension: at d = 1 the three-fold checks,
+    then the degree pairs, then at d <= 2 the operator and lemma checks.
 
-    A cached artifact is built by the first check that calls for it and
-    freed with the last job that can read it.  The composition coefficients
-    and the single-operator kernels are read by more than one degree pair,
-    and the coefficients by operator_linear_combination too, so they are
-    kept for the run; every other kernel is kept for its degree pair only,
-    and the operator images (`apply_operator`) for their dimension's
-    operator checks.
+    Each artifact is a cached local of the jobs that read it, built by the
+    first check that calls for it and freed with the last job that can
+    read it.  The composition coefficients and the single-operator kernels
+    are read by more than one degree pair, and the coefficients by
+    operator_linear_combination too, so they are kept for the run; every
+    other kernel is kept for its degree pair only, and the operator images
+    (`apply_operator`) for their dimension's operator checks.
     """
     coefficients = cache(composition_coefficients)
     single = cache(kernel_single)
     for d in cfg.d_range:
         top = cfg.degree_caps[d]
         if d == 1:
+            yield from _threefold_jobs(cfg)
             top = max(top, cfg.univariate_cap, cfg.legendre_cap)
         for n in range(top + 1):
             for m in range(n + 1):
                 yield from _pair_jobs(cfg, d, m, n, single, coefficients)
-    if 1 in cfg.d_range:
-        yield from _threefold_jobs(cfg)
-        yield from _moment_jobs(cfg)
-    for d in cfg.d_range:
         if d <= 2:
             yield from _operator_jobs(cfg, d, cache(apply_operator), coefficients)
-    yield from _lemma_jobs(cfg)
+            yield from _lemma_jobs(cfg, d)
 
 
 def _pair_jobs(cfg: SuiteConfig, d: int, m: int, n: int,
@@ -352,7 +350,8 @@ def _threefold_jobs(cfg: SuiteConfig) -> Iterator[Job]:
 
 def _operator_jobs(cfg: SuiteConfig, d: int, image: Callable,
                    coefficients: Callable) -> Iterator[Job]:
-    """The operator checks in dimension d, image the cached `apply_operator`.
+    """The operator checks in dimension d, image the cached `apply_operator`,
+    and at d = 1 the first moments, which read the same images.
 
     Each call has its own monomials and exponents, so a job keeps reading
     its own dimension's even when every job is built before any runs.
@@ -416,35 +415,30 @@ def _operator_jobs(cfg: SuiteConfig, d: int, image: Callable,
             yield ("operator_linear_combination",
                    {"d": d, "m": m, "n": n}, combo_operator)
 
+    if d == 1:
+        for n in range(cfg.moment_cap + 1):
+            def first_moment(n=n):
+                expected = CartesianPolynomial(
+                    1, {(0,): Fraction(1, n + 2), (1,): Fraction(n, n + 2)})
+                return _each_monomial([CartesianPolynomial.variable(1, 1)],
+                                      lambda x: difference_witness(image(n, x), expected))
+            yield "univariate_first_moment", {"n": n}, first_moment
 
-def _moment_jobs(cfg: SuiteConfig) -> Iterator[Job]:
-    for n in range(cfg.moment_cap + 1):
-        def first_moment(n=n):
-            expected = CartesianPolynomial(
-                1, {(0,): Fraction(1, n + 2), (1,): Fraction(n, n + 2)})
-            return _each_monomial([CartesianPolynomial.variable(1, 1)],
-                                  lambda x: difference_witness(apply_operator(n, x), expected))
-        yield "univariate_first_moment", {"n": n}, first_moment
 
-
-def _lemma_jobs(cfg: SuiteConfig) -> Iterator[Job]:
-    for d in cfg.d_range:
-        if d > 2:
-            continue
-        for n in range(cfg.lemma_cap + 1):
-            for beta_degree in range(cfg.lemma_cap + 1):
-                def lemma(d=d, n=n, beta_degree=beta_degree):
-                    # the B_a of degree n are a basis: both sides agree as
-                    # polynomials exactly when their coordinates do
-                    for beta in _multi_indices(beta_degree, d):
-                        alphas, left, right = _inner_sum_coordinates(n, beta)
-                        for a, lhs, rhs in zip(alphas, left, right):
-                            if lhs != rhs:
-                                return {"beta": list(beta), "a": list(a),
-                                        "lhs": format_rational(lhs), "rhs": format_rational(rhs)}
-                    return None
-                yield ("inner_sum_collapse",
-                       {"d": d, "n": n, "beta_degree": beta_degree}, lemma)
+def _lemma_jobs(cfg: SuiteConfig, d: int) -> Iterator[Job]:
+    for n in range(cfg.lemma_cap + 1):
+        for beta_degree in range(cfg.lemma_cap + 1):
+            def lemma(n=n, beta_degree=beta_degree):
+                # the B_a of degree n are a basis: both sides agree as
+                # polynomials exactly when their coordinates do
+                for beta in _multi_indices(beta_degree, d):
+                    alphas, left, right = _inner_sum_coordinates(n, beta)
+                    for a, lhs, rhs in zip(alphas, left, right):
+                        if lhs != rhs:
+                            return {"beta": list(beta), "a": list(a),
+                                    "lhs": format_rational(lhs), "rhs": format_rational(rhs)}
+                return None
+            yield "inner_sum_collapse", {"d": d, "n": n, "beta_degree": beta_degree}, lemma
 
 
 def run_suite(cfg: SuiteConfig) -> VerificationReport:

@@ -828,6 +828,40 @@ class TestVerifyCommand:
         assert "twofold_closed_equals_definition" in names
 
 
+#: A malformed comma-separated flag and its exact error line: an empty field,
+#: then the field count of a point, then each field's own conversion.
+LIST_FLAG_ERRORS = [
+    (["eval", "--d", "2", "--m", "1", "--n", "1", "--x", "1/2", "--y", "1/3,1/3"],
+     "--x needs 2 comma-separated rationals, got 1"),
+    (["eval", "--d", "1", "--m", "1", "--n", "1", "--x", "1/2", "--y", "0.5"],
+     "--y: not a rational 'p/q' string: '0.5'"),
+    (["eval", "--d", "2", "--m", "1", "--n", "1", "--x", "0.5", "--y", "1/3,1/3"],
+     "--x needs 2 comma-separated rationals, got 1"),
+    (["eval", "--d", "2", "--m", "1", "--n", "1", "--x", ",1/2,1/3", "--y", "1/3,1/3"],
+     "--x: empty field in ',1/2,1/3'"),
+    (["apply", "--d", "1", "--degrees", "2,,3", "--poly", "x1"],
+     "--degrees: empty field in '2,,3'"),
+    (["apply", "--d", "1", "--degrees", "1.5", "--poly", "x1"],
+     "--degrees: invalid literal for int() with base 10: '1.5'"),
+    (["verify", "--d", "1, ", "--max-degree", "0"], "--d: empty field in '1, '"),
+    (["verify", "--d", "1,x", "--max-degree", "0"],
+     "--d: invalid literal for int() with base 10: 'x'"),
+]
+
+
+class TestListFlags:
+    @pytest.mark.parametrize("argv, message", LIST_FLAG_ERRORS,
+                             ids=[" ".join(argv) for argv, _ in LIST_FLAG_ERRORS])
+    def test_error_line_is_pinned(self, capsys, monkeypatch, argv, message):
+        import bdk.cli
+
+        def refuse(cfg):
+            raise AssertionError("the suite ran")
+
+        monkeypatch.setattr(bdk.cli, "run_suite", refuse)
+        assert run_cli(capsys, *argv) == (2, "", f"bdk: error: {message}\n")
+
+
 class TestTopLevel:
     def test_no_command_is_usage_error(self, capsys):
         assert run_cli(capsys)[0] == 2

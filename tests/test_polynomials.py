@@ -72,6 +72,11 @@ class TestConstruction:
         with pytest.raises(ValueError):
             CartesianPolynomial.variable(2, 3)
 
+    @pytest.mark.parametrize("d, i", [(2, True), (1, 1.0), (1, "1"), (1, Fraction(1))])
+    def test_variable_index_must_be_an_integer(self, d, i):
+        with pytest.raises(ValueError, match="^variable index must be an integer, got "):
+            CartesianPolynomial.variable(d, i)
+
 
 class TestRingOperations:
     def test_multiply_example(self):

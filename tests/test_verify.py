@@ -601,6 +601,21 @@ class TestRunSuite:
         assert sorted((p["d"], p["n"], p["beta_degree"]) for p in params) == [
             (d, n, k) for d in (1, 2) for n in range(cap + 1) for k in range(cap + 1)]
 
+    def test_each_first_moment_image_is_built_once(self, monkeypatch):
+        # the first moments read the d = 1 operator checks' images
+        x = CartesianPolynomial.variable(1, 1)
+        original = bdk.verify.apply_operator
+        calls = []
+
+        def counted(n, f):
+            if f == x:
+                calls.append(n)
+            return original(n, f)
+        monkeypatch.setattr(bdk.verify, "apply_operator", counted)
+        cfg = SuiteConfig(d_range=(1,))
+        assert run_suite(cfg).ok
+        assert sorted(calls) == list(range(cfg.moment_cap + 1))
+
     @pytest.mark.parametrize("mutant", sorted(MUTANTS))
     def test_each_mutant_fails_exactly_its_families_with_witnesses(self, mutant, monkeypatch):
         report = mutated_run(monkeypatch, mutant)
