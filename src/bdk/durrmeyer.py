@@ -9,21 +9,42 @@ Operators here act on exact polynomials only, which is enough to verify
 polynomial kernel identities: a degree-N identity is pinned down by
 finitely many monomial images; kernel identities are decided separately,
 in Bernstein coordinates (`bdk.kernels`).
+
+The image has two bodies that share no code.  `apply_operator` is the
+definition: it enumerates every index a with |a| = n, so it costs
+C(n+d, d) moment columns and Bernstein expansions; `bdk.verify` reads it.
+`operator_image` is the closed form that `compose_apply`, and so
+`bdk apply`, reads.  For a monomial x^e in x_1..x_d (Derriennic, J. Approx.
+Theory 1985) it follows in three steps:
+
+1. Dirichlet's formula gives the moment ratio
+       <x^e, B_a> / <1, B_a> = prod_v (a_v+1)^(e_v) / ((n+d+1)...(n+d+|e|)),
+   with (.)^(k) the rising factorial and a_1..a_d the cartesian parts of a.
+2. A rising factorial expands in falling factorials:
+       (a+1)^(e) = sum_{j<=e} C(e, j)^2 (e-j)! a_(j).
+3. The multinomial's factorial moments give
+       sum_a B_a(x) prod_v (a_v)_(j_v) = n_(|j|) x^j,
+   which is 0 for |j| > n.
+
+So M_n x^e = sum_{j<=e, |j|<=n} prod_v C(e_v, j_v)^2 (e_v-j_v)! n_(|j|) x^j
+/ ((n+d+1)...(n+d+|e|)), and a term costs prod_v (e_v+1) products,
+whatever n is.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate
-from math import comb
+from itertools import accumulate, product
+from math import comb, perm, prod
 from operator import mul
-from typing import List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .combinat import _FACT, _multi_indices, _multinomial, check_degree, check_dimension
 from .polynomials import CartesianPolynomial, bernstein_basis, bernstein_sum, check_polynomial
 
 __all__ = [
     "apply_operator",
+    "operator_image",
     "compose_apply",
     "composition_coefficients",
 ]
@@ -73,16 +94,52 @@ def _moment_column(n: int, exps: Tuple[int, ...]) -> Tuple[int, ...]:
     return tuple(column)
 
 
+def operator_image(n: int, f: CartesianPolynomial) -> CartesianPolynomial:
+    """Exact image M_n f in closed form, without enumerating Bernstein indices.
+
+    For f = sum_e F_e x^e / D of total degree top,
+        M_n x^e = sum_{j<=e, |j|<=n} prod_v C(e_v, j_v)^2 (e_v-j_v)!
+                  * n_(|j|) x^j / ((n+d+1)...(n+d+|e|))
+    (module docstring: a moment ratio, a rising factorial written in falling
+    factorials, and the multinomial's factorial moments).  The sum runs in
+    integers over the one denominator perm(n+d+top, top) * D, so term e
+    carries perm(n+d+top, top-|e|).  The only `_FACT` entry read is
+    (e_v - min(e_v, n))! per exponent, at most deg f; n_(|j|) is
+    `math.perm(n, |j|)`, so cost and memory do not depend on n.  It equals
+    `apply_operator(n, f)` and never calls it.
+    """
+    n, d = check_degree(n), check_polynomial(f).d
+    top = max(f.total_degree(), 0)
+    shift = n + d + top
+    image: Dict[Tuple[int, ...], int] = {}
+    for exps, c in f.nums.items():
+        c *= perm(shift, top - sum(exps))
+        # per coordinate v: the pairs (j_v, C(e_v, j_v)^2 (e_v-j_v)!), j_v <= min(e_v, n),
+        # each (e_v-j_v)! from the one before
+        choices = []
+        for e in exps:
+            low = e - min(e, n)
+            facts = accumulate(range(low + 1, e + 1), mul, initial=_FACT[low])
+            choices.append([(j, comb(e, j) ** 2 * fact)
+                            for j, fact in zip(range(e - low, -1, -1), facts)])
+        for pairs in product(*choices):
+            key, weights = zip(*pairs)
+            k = sum(key)
+            if k <= n:
+                image[key] = image.get(key, 0) + c * perm(n, k) * prod(weights)
+    return CartesianPolynomial.from_integers(d, image, Fraction(1, perm(shift, top) * f.den))
+
+
 def compose_apply(degrees: Sequence[int], f: CartesianPolynomial) -> CartesianPolynomial:
     """Apply a composition of operators, rightmost (innermost) first.
 
     Degrees [m, n] mean M_m o M_n, so f passes through M_n before M_m.
     Every degree is checked before any is applied.  An empty list returns
-    f unchanged.
+    f unchanged.  Each operator is the closed form `operator_image`.
     """
     out = f
     for n in reversed([check_degree(n) for n in degrees]):
-        out = apply_operator(n, out)
+        out = operator_image(n, out)
     return out
 
 

@@ -2,6 +2,7 @@ import csv
 import hashlib
 import json
 import os
+import random
 import shlex
 import subprocess
 import sys
@@ -13,7 +14,9 @@ from hypothesis import given, settings, strategies as st
 
 from bdk.cli import PolynomialParseError, build_parser, main, parse_polynomial
 from bdk.combinat import parse_rational
+from bdk.durrmeyer import apply_operator
 from bdk.polynomials import CartesianPolynomial
+from sampling import sample_polynomial
 
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -441,6 +444,30 @@ class TestApply:
         _, spaced, _ = run_cli(capsys, "apply", "--d", "1", "--degrees", "2, 3", "--poly", "x1")
         _, plain, _ = run_cli(capsys, "apply", "--d", "1", "--degrees", "2,3", "--poly", "x1")
         assert spaced == plain != ""
+
+
+#: (d, degrees, degree of f): the request shapes of the benchmark's cli_apply workload
+APPLY_SHAPES = [(1, (40, 30, 20), 9), (2, (10,), 5), (2, (8, 6), 5), (2, (10, 8, 6), 5),
+                (3, (8,), 4), (3, (6, 5), 4)]
+
+
+class TestApplyMatchesDefinition:
+    """`bdk apply` prints the closed image byte for byte as the definitional
+    chain of `apply_operator` would print it."""
+
+    @pytest.mark.parametrize("d, degrees, degree", APPLY_SHAPES,
+                             ids=[f"d{d}-{'_'.join(map(str, ns))}" for d, ns, _ in APPLY_SHAPES])
+    def test_stdout_equals_the_definitional_chain(self, capsys, d, degrees, degree):
+        rng = random.Random(f"apply/{d}/{degrees}")
+        for _ in range(3):
+            f = sample_polynomial(rng, d, degree)
+            want = f
+            for n in reversed(degrees):
+                want = apply_operator(n, want)
+            argv = ["apply", "--d", str(d), "--degrees", ",".join(map(str, degrees)),
+                    "--poly", print_polynomial(f)]
+            expected = json.dumps(want.to_json_dict(), sort_keys=True) + "\n"
+            assert run_cli(capsys, *argv) == (0, expected, "")
 
 
 class TestTable:

@@ -19,7 +19,7 @@ from bdk.combinat import (
 )
 from fractions import Fraction
 
-from bdk.durrmeyer import apply_operator, compose_apply, composition_coefficients
+from bdk.durrmeyer import apply_operator, compose_apply, composition_coefficients, operator_image
 from bdk.kernels import (
     DiagonalKernelForm,
     inner_sum_identity,
@@ -73,6 +73,9 @@ X1 = CartesianPolynomial.variable(1, 1)
 BAD_DEGREE_CALLS = [
     (apply_operator, (1.5, X1)),
     (apply_operator, (-1, X1)),
+    (operator_image, (1.5, X1)),
+    (operator_image, (True, X1)),
+    (operator_image, (-1, X1)),
     (compose_apply, ([3, -1], X1)),
     (composition_coefficients, (2.5, 1, 1)),
     (enumerate_multi_indices, (1.5, 1)),

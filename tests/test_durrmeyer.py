@@ -1,11 +1,17 @@
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-from bdk.combinat import enumerate_multi_indices
-from bdk.durrmeyer import apply_operator, compose_apply, composition_coefficients
+import bdk.cli
+import bdk.durrmeyer
+import bdk.polynomials
+from bdk.combinat import _FACT, enumerate_multi_indices
+from bdk.durrmeyer import apply_operator, compose_apply, composition_coefficients, operator_image
 from bdk.polynomials import CartesianPolynomial, inner_product, integrate_simplex
+from bdk.verify import SuiteConfig, run_suite
+from sampling import sample_polynomial
 
 
 def monomials(d, max_degree):
@@ -123,3 +129,83 @@ class TestCompositionCoefficients:
             composition_coefficients(-1, 2, 1)
         with pytest.raises(ValueError):
             composition_coefficients(1, 2, 0)
+
+
+#: (d, largest n): every monomial of degree <= 4 is imaged under M_0..M_n
+EQUIVALENCE_RANGES = [(1, 8), (2, 8), (3, 5)]
+
+
+class TestOperatorImage:
+    """The closed image equals the definitional `apply_operator` exactly."""
+
+    @pytest.mark.parametrize("d, top", EQUIVALENCE_RANGES)
+    def test_every_monomial_of_degree_at_most_four(self, d, top):
+        # n < |e| is included: the terms with |j| > n vanish there
+        for f in monomials(d, 4):
+            for n in range(top + 1):
+                assert operator_image(n, f) == apply_operator(n, f), (f.nums, n)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_seeded_random_polynomials(self, d):
+        rng = random.Random(f"operator_image/{d}")
+        for _ in range(20):
+            f = sample_polynomial(rng, d, rng.randint(0, 5), rng.randint(1, 6))
+            n = rng.randint(0, 8 if d < 3 else 5)
+            assert operator_image(n, f) == apply_operator(n, f), (f.nums, n)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_zero_polynomial(self, d):
+        zero = CartesianPolynomial.zero(d)
+        for n in range(4):
+            assert operator_image(n, zero) == apply_operator(n, zero) == zero
+
+    def test_degree_below_the_polynomial_degree(self):
+        # M_1 x1^3 x2 = (1 + 3 x1 + x2) / 140 at d = 2: only |j| <= 1 survives
+        f = CartesianPolynomial.monomial(2, (3, 1))
+        assert operator_image(1, f).terms == {(0, 0): Fraction(1, 140), (1, 0): Fraction(3, 140),
+                                              (0, 1): Fraction(1, 140)}
+        assert operator_image(1, f) == apply_operator(1, f)
+
+    def test_bad_degree_raises_before_any_image(self, monkeypatch):
+        # compose_apply checks every degree before it applies the first
+        def refuse(n, f):
+            raise AssertionError("an image was computed")
+
+        monkeypatch.setattr(bdk.durrmeyer, "operator_image", refuse)
+        with pytest.raises(ValueError, match="degree"):
+            compose_apply([3, -1], CartesianPolynomial.variable(1, 1))
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("the other side was called")
+
+
+class TestClosedImageIndependence:
+    """`bdk apply` enumerates no Bernstein index, and the definitional side
+    never reads the closed image."""
+
+    def test_closed_side_reads_no_index(self, monkeypatch, capsys):
+        for module, name in [(bdk.durrmeyer, "apply_operator"), (bdk.durrmeyer, "_moment_column"),
+                             (bdk.durrmeyer, "bernstein_basis"), (bdk.durrmeyer, "bernstein_sum"),
+                             (bdk.durrmeyer, "_multi_indices"),
+                             (bdk.polynomials, "bernstein_basis")]:
+            monkeypatch.setattr(module, name, _refuse)
+        f = CartesianPolynomial.monomial(2, (3, 1))
+        assert compose_apply([6, 4], f).total_degree() == 4
+        assert bdk.cli.main(["apply", "--d", "3", "--degrees", "40,8",
+                             "--poly", "x1^3*x2 - 2/5*x3"]) == 0
+        assert capsys.readouterr().out.count('"exp"') == 9
+
+    def test_definitional_side_reads_no_closed_image(self, monkeypatch):
+        monkeypatch.setattr(bdk.durrmeyer, "operator_image", _refuse)
+        x = CartesianPolynomial.variable(1, 1)
+        assert apply_operator(2, x).terms == {(0,): Fraction(1, 4), (1,): Fraction(1, 2)}
+        report = run_suite(SuiteConfig(d_range=(1,), max_degree=3))
+        assert report.ok and report.summary()["total"] > 0
+
+    def test_cost_does_not_depend_on_n(self):
+        # n_(|j|) comes from math.perm, so no n-sized factorial is tabled
+        before = set(_FACT)
+        image = operator_image(10**6, CartesianPolynomial.monomial(3, (3, 1, 0)))
+        assert len(image.nums) == 8
+        assert all(k < 10**6 for k in set(_FACT) - before)
