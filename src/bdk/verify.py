@@ -19,6 +19,7 @@ import math
 import time
 from fractions import Fraction
 from functools import cache, partial
+from itertools import chain, combinations, combinations_with_replacement, product
 from typing import Callable, Iterator, List, NamedTuple, Optional, Tuple
 
 from . import __version__ as ARTIFACT_VERSION
@@ -50,6 +51,36 @@ DEFAULT_DEGREE_CAPS = {1: 8, 2: 6, 3: 4}
 FAMILY_CAPS = {"threefold_cap": 5, "univariate_cap": 10, "legendre_cap": 8,
                "combination_cap": 5, "lemma_cap": 4, "operator_cap": 5,
                "operator_monomial_degree": 4, "moment_cap": 6}
+
+#: Where each check family runs: the group whose generator yields its jobs,
+#: the largest dimension it runs at (None: every one), the caps whose least
+#: bounds the largest degree its jobs name ("degree" is the dimension's
+#: degree cap, a number is itself), and the kind of witness it fails with.
+Family = NamedTuple("Family", [("group", str), ("max_d", Optional[int]), ("caps", tuple),
+                               ("witness", str)])
+FAMILIES = {name: Family(*row) for name, row in dict(
+    threefold_closed_equals_definition=("triple", 1, ("threefold_cap",), "coordinates"),
+    threefold_permutation_invariance=("triple", 1, ("threefold_cap", 3), "coordinates"),
+    twofold_closed_equals_definition=("pair", None, ("degree",), "coordinates"),
+    twofold_stochastic_in_y=("pair", None, ("degree",), "stochastic"),
+    twofold_symmetry_xy=("pair", None, ("degree",), "coordinates"),
+    diagonal_truncation=("pair", None, ("degree",), "truncation"),
+    univariate_twofold_path=("pair", 1, ("univariate_cap",), "coordinates"),
+    univariate_twofold_vs_definition=("pair", 1, ("univariate_cap",), "coordinates"),
+    legendre_equals_definition=("pair", 1, ("legendre_cap",), "coordinates"),
+    composition_coefficients_convex=("pair", 2, ("combination_cap", "degree"), "coefficients"),
+    composition_linear_combination_kernel=("pair", 2, ("combination_cap", "degree"), "coordinates"),
+    twofold_symmetry_degrees=("pair", None, ("degree",), "coordinates"),
+    single_stochastic_in_y=("pair", None, ("degree",), "stochastic"),
+    operator_constant_preservation=("operator", 2, ("operator_cap",), "polynomial"),
+    operator_degree_bound=("operator", 2, ("operator_cap",), "monomial"),
+    operator_self_adjoint=("operator", 2, ("operator_cap",), "monomial"),
+    operator_integral_preservation=("operator", 2, ("operator_cap",), "monomial"),
+    operator_commutativity=("operator", 2, ("operator_cap",), "monomial"),
+    operator_linear_combination=("operator", 2, ("combination_cap", "operator_cap"), "monomial"),
+    univariate_first_moment=("operator", 1, ("moment_cap",), "monomial"),
+    inner_sum_collapse=("lemma", 2, ("lemma_cap",), "lemma"),
+).items()}
 
 
 class SuiteConfig:
@@ -216,8 +247,11 @@ def _monomials_up_to(d: int, max_degree: int) -> List[CartesianPolynomial]:
 
 
 def _iter_jobs(cfg: SuiteConfig) -> Iterator[Job]:
-    """Every check, dimension by dimension: at d = 1 the three-fold checks,
-    then the degree pairs, then at d <= 2 the operator and lemma checks.
+    """Every check that FAMILIES runs, dimension by dimension: the three-fold
+    checks, the degree pairs, the operator checks, then the inner-sum lemma.
+    Each group yields its families' jobs up to their largest bound at d; the
+    one filter here keeps a job when the largest degree it names is within
+    its family's bound, which is -1 at a d the family does not run at.
 
     Each artifact is a cached local of the jobs that read it, built by the
     first check that calls for it and freed with the last job that can
@@ -229,30 +263,35 @@ def _iter_jobs(cfg: SuiteConfig) -> Iterator[Job]:
     """
     coefficients = cache(composition_coefficients)
     single = cache(kernel_single)
+    caps = {name: getattr(cfg, name) for name in FAMILY_CAPS}
     for d in cfg.d_range:
-        top = cfg.degree_caps[d]
-        if d == 1:
-            yield from _threefold_jobs(cfg)
-            top = max(top, cfg.univariate_cap, cfg.legendre_cap)
-        for n in range(top + 1):
-            for m in range(n + 1):
-                yield from _pair_jobs(cfg, d, m, n, single, coefficients)
-        if d <= 2:
-            yield from _operator_jobs(cfg, d, cache(apply_operator), coefficients)
-            yield from _lemma_jobs(cfg, d)
+        caps["degree"] = cfg.degree_caps[d]
+        bounds, top = {}, {}
+        for name, family in FAMILIES.items():
+            runs = family.max_d is None or d <= family.max_d
+            bounds[name] = min(caps.get(cap, cap) for cap in family.caps) if runs else -1
+            top[family.group] = max(top.get(family.group, -1), bounds[name])
+        pairs = (job for n in range(top["pair"] + 1) for m in range(n + 1)
+                 for job in _pair_jobs(cfg, d, m, n, single, coefficients))
+        operator = _operator_jobs(cfg, d, top["operator"], cache(apply_operator), coefficients)
+        for name, params, check in chain(_threefold_jobs(top["triple"]), pairs, operator,
+                                         _lemma_jobs(d, top["lemma"])):
+            # every param but d is a degree, or a list of them
+            degrees = [v for k, v in params.items() if k != "d"]
+            if max(max(v) if isinstance(v, list) else v for v in degrees) <= bounds[name]:
+                yield name, params, check
 
 
 def _pair_jobs(cfg: SuiteConfig, d: int, m: int, n: int,
                single: Callable, coefficients: Callable) -> Iterator[Job]:
     """Every check that reads a two-fold kernel of the degree pair {m, n},
-    m <= n, at dimension d, each family within its own bound: the checks of
-    (m, n) and of (n, m), then twofold_symmetry_degrees, which compares
-    their squares, or single_stochastic_in_y at m = n.
+    m <= n, at dimension d, whether or not its family runs there: the
+    checks of (m, n) and of (n, m), then twofold_symmetry_degrees, which
+    compares their squares, or single_stochastic_in_y at m = n.
 
     So the d = 1 kernel is built three independent ways, closed, Legendre
     and definitional, and each two of them are compared by one family.
     """
-    twofold = n <= cfg.degree_caps[d]
     squares = {}
 
     def oriented(m: int, n: int) -> Iterator[Job]:
@@ -266,102 +305,88 @@ def _pair_jobs(cfg: SuiteConfig, d: int, m: int, n: int,
             if m != n else definition
         params = {"d": d, "m": m, "n": n}
 
-        if twofold:
-            def closed_vs_def():
-                form = closed()
-                lhs = DiagonalKernelForm(d, 2 * form.scale, form.terms).coordinates(m, n) \
-                    if cfg.corrupt_scale else closed_coordinates()
-                return first_coordinate_difference(lhs, definition())
-            yield "twofold_closed_equals_definition", params, closed_vs_def
-            yield "twofold_stochastic_in_y", params, lambda: _stochastic(definition())
-            yield "twofold_symmetry_xy", params, \
-                lambda: first_coordinate_difference(square(), square().transpose())
+        def closed_vs_def():
+            form = closed()
+            lhs = DiagonalKernelForm(d, 2 * form.scale, form.terms).coordinates(m, n) \
+                if cfg.corrupt_scale else closed_coordinates()
+            return first_coordinate_difference(lhs, definition())
+        yield "twofold_closed_equals_definition", params, closed_vs_def
+        yield "twofold_stochastic_in_y", params, lambda: _stochastic(definition())
+        yield "twofold_symmetry_xy", params, \
+            lambda: first_coordinate_difference(square(), square().transpose())
 
-            def truncated():
-                degree = closed().max_index_degree()
-                return None if degree <= min(m, n) else {"max_index_degree": degree,
-                                                         "min_degree": min(m, n)}
-            yield "diagonal_truncation", params, truncated
+        def truncated():
+            degree = closed().max_index_degree()
+            return None if degree <= min(m, n) else {"max_index_degree": degree,
+                                                     "min_degree": min(m, n)}
+        yield "diagonal_truncation", params, truncated
 
-        if d == 1 and top <= cfg.univariate_cap:
-            yield "univariate_twofold_path", {"m": m, "n": n}, \
-                lambda: first_coordinate_difference(closed_coordinates(), legendre())
-            yield "univariate_twofold_vs_definition", {"m": m, "n": n}, \
-                lambda: first_coordinate_difference(closed_coordinates(), definition())
+        yield "univariate_twofold_path", {"m": m, "n": n}, \
+            lambda: first_coordinate_difference(closed_coordinates(), legendre())
+        yield "univariate_twofold_vs_definition", {"m": m, "n": n}, \
+            lambda: first_coordinate_difference(closed_coordinates(), definition())
+        yield "legendre_equals_definition", {"m": m, "n": n}, \
+            lambda: first_coordinate_difference(legendre(), definition())
 
-        if d == 1 and top <= cfg.legendre_cap:
-            yield "legendre_equals_definition", {"m": m, "n": n}, \
-                lambda: first_coordinate_difference(legendre(), definition())
+        def convex():
+            coeffs = coefficients(m, n, d)
+            total = sum(coeffs)
+            if total == 1 and all(c > 0 for c in coeffs):
+                return None
+            return {"sum": format_rational(total),
+                    "coefficients": [format_rational(c) for c in coeffs]}
+        yield "composition_coefficients_convex", params, convex
 
-        if d <= 2 and top <= min(cfg.combination_cap, cfg.degree_caps[d]):
-            def convex():
-                coeffs = coefficients(m, n, d)
-                total = sum(coeffs)
-                if total == 1 and all(c > 0 for c in coeffs):
-                    return None
-                return {"sum": format_rational(total),
-                        "coefficients": [format_rational(c) for c in coeffs]}
-            yield "composition_coefficients_convex", params, convex
-
-            def combo_kernel():
-                # each K_k is diagonal at degree k, so sum_k c_k K_k is one
-                # diagonal form with weight c_k (k+d)!/k! at degree k
-                mix = DiagonalKernelForm(d, 1, [(k, c * single(k, d).scale)
-                                                for k, c in enumerate(coefficients(m, n, d))])
-                return first_coordinate_difference(mix.coordinates(m, n), definition())
-            yield "composition_linear_combination_kernel", params, combo_kernel
+        def combo_kernel():
+            # each K_k is diagonal at degree k, so sum_k c_k K_k is one
+            # diagonal form with weight c_k (k+d)!/k! at degree k
+            mix = DiagonalKernelForm(d, 1, [(k, c * single(k, d).scale)
+                                            for k, c in enumerate(coefficients(m, n, d))])
+            return first_coordinate_difference(mix.coordinates(m, n), definition())
+        yield "composition_linear_combination_kernel", params, combo_kernel
 
     yield from oriented(m, n)
     if m < n:
         yield from oriented(n, m)
-        if twofold:
-            yield "twofold_symmetry_degrees", {"d": d, "m": m, "n": n}, \
-                lambda: first_coordinate_difference(squares[m, n](), squares[n, m]())
-    elif twofold:
+        yield "twofold_symmetry_degrees", {"d": d, "m": m, "n": n}, \
+            lambda: first_coordinate_difference(squares[m, n](), squares[n, m]())
+    else:
         yield "single_stochastic_in_y", {"d": d, "n": n}, \
             lambda: _stochastic(single(n, d).coordinates(n, n))
 
 
-def _threefold_jobs(cfg: SuiteConfig) -> Iterator[Job]:
+def _threefold_jobs(top: int) -> Iterator[Job]:
     threefold = cache(lambda a, b, c: kernel_definition_threefold(a, b, c, 1))
-    cap = cfg.threefold_cap
-    for a in range(cap + 1):
-        for b in range(cap + 1):
-            for c in range(cap + 1):
-                yield ("threefold_closed_equals_definition", {"n3": a, "n2": b, "n1": c},
-                       lambda a=a, b=b, c=c: first_coordinate_difference(
-                           kernel_closed_threefold(a, b, c).coordinates(a, c), threefold(a, b, c)))
+    for a, b, c in product(range(top + 1), repeat=3):
+        yield ("threefold_closed_equals_definition", {"n3": a, "n2": b, "n1": c},
+               lambda a=a, b=b, c=c: first_coordinate_difference(
+                   kernel_closed_threefold(a, b, c).coordinates(a, c), threefold(a, b, c)))
 
-    perm_cap = min(3, cap)
-    for a in range(perm_cap + 1):
-        for b in range(a, perm_cap + 1):
-            for c in range(b, perm_cap + 1):
-                def permuted(a=a, b=b, c=c):
-                    # a <= b <= c: every permutation's outer and inner degree is at most c
-                    base = threefold(a, b, c).elevate(c, c)
-                    for perm in {(a, c, b), (b, a, c), (b, c, a), (c, a, b), (c, b, a)}:
-                        diff = first_coordinate_difference(threefold(*perm).elevate(c, c), base)
-                        if diff is not None:
-                            return {**diff, "permutation": list(perm)}
-                    return None
-                yield ("threefold_permutation_invariance",
-                       {"degrees": [a, b, c]}, permuted)
+    for a, b, c in combinations_with_replacement(range(top + 1), 3):
+        def permuted(a=a, b=b, c=c):
+            # a <= b <= c: every permutation's outer and inner degree is at most c
+            base = threefold(a, b, c).elevate(c, c)
+            for perm in {(a, c, b), (b, a, c), (b, c, a), (c, a, b), (c, b, a)}:
+                diff = first_coordinate_difference(threefold(*perm).elevate(c, c), base)
+                if diff is not None:
+                    return {**diff, "permutation": list(perm)}
+            return None
+        yield "threefold_permutation_invariance", {"degrees": [a, b, c]}, permuted
 
 
-def _operator_jobs(cfg: SuiteConfig, d: int, image: Callable,
+def _operator_jobs(cfg: SuiteConfig, d: int, top: int, image: Callable,
                    coefficients: Callable) -> Iterator[Job]:
-    """The operator checks in dimension d, image the cached `apply_operator`,
-    and at d = 1 the first moments, which read the same images.
+    """The operator checks in dimension d up to degree top, image the cached
+    `apply_operator`, and the first moments, which read the same images.
 
     Each call has its own monomials and exponents, so a job keeps reading
     its own dimension's even when every job is built before any runs.
     """
-    cap = cfg.operator_cap
     monomials = _monomials_up_to(d, cfg.operator_monomial_degree)
     # each monomial is x^e with coefficient 1, so <p, g> is the moment at e
     exponents = [e for g in monomials for e in g.nums]
 
-    for n in range(cap + 1):
+    for n in range(top + 1):
         def constant_preserved(n=n):
             one = CartesianPolynomial.constant(d, 1)
             return difference_witness(image(n, one), one)
@@ -398,47 +423,41 @@ def _operator_jobs(cfg: SuiteConfig, d: int, image: Callable,
             return _each_monomial(monomials, changed)
         yield "operator_integral_preservation", {"d": d, "n": n}, integral_preserved
 
-    for m in range(cap + 1):
-        for n in range(m + 1, cap + 1):
-            yield "operator_commutativity", {"d": d, "m": m, "n": n}, \
-                lambda m=m, n=n: _each_monomial(monomials, lambda f: difference_witness(
-                    image(m, image(n, f)), image(n, image(m, f))))
+    for m, n in combinations(range(top + 1), 2):
+        yield "operator_commutativity", {"d": d, "m": m, "n": n}, \
+            lambda m=m, n=n: _each_monomial(monomials, lambda f: difference_witness(
+                image(m, image(n, f)), image(n, image(m, f))))
 
-    combo_cap = min(cfg.combination_cap, cap)
-    for m in range(combo_cap + 1):
-        for n in range(combo_cap + 1):
-            def combo_operator(m=m, n=n):
-                coeffs = coefficients(m, n, d)
-                return _each_monomial(monomials, lambda f: difference_witness(
-                    image(m, image(n, f)), CartesianPolynomial.linear_combination(
-                        d, ((c, image(k, f)) for k, c in enumerate(coeffs)))))
-            yield ("operator_linear_combination",
-                   {"d": d, "m": m, "n": n}, combo_operator)
+    for m, n in product(range(top + 1), repeat=2):
+        def combo_operator(m=m, n=n):
+            coeffs = coefficients(m, n, d)
+            return _each_monomial(monomials, lambda f: difference_witness(
+                image(m, image(n, f)), CartesianPolynomial.linear_combination(
+                    d, ((c, image(k, f)) for k, c in enumerate(coeffs)))))
+        yield "operator_linear_combination", {"d": d, "m": m, "n": n}, combo_operator
 
-    if d == 1:
-        for n in range(cfg.moment_cap + 1):
-            def first_moment(n=n):
-                expected = CartesianPolynomial(
-                    1, {(0,): Fraction(1, n + 2), (1,): Fraction(n, n + 2)})
-                return _each_monomial([CartesianPolynomial.variable(1, 1)],
-                                      lambda x: difference_witness(image(n, x), expected))
-            yield "univariate_first_moment", {"n": n}, first_moment
+    for n in range(top + 1):
+        def first_moment(n=n):
+            expected = CartesianPolynomial(
+                1, {(0,): Fraction(1, n + 2), (1,): Fraction(n, n + 2)})
+            return _each_monomial([CartesianPolynomial.variable(1, 1)],
+                                  lambda x: difference_witness(image(n, x), expected))
+        yield "univariate_first_moment", {"n": n}, first_moment
 
 
-def _lemma_jobs(cfg: SuiteConfig, d: int) -> Iterator[Job]:
-    for n in range(cfg.lemma_cap + 1):
-        for beta_degree in range(cfg.lemma_cap + 1):
-            def lemma(n=n, beta_degree=beta_degree):
-                # the B_a of degree n are a basis: both sides agree as
-                # polynomials exactly when their coordinates do
-                for beta in _multi_indices(beta_degree, d):
-                    alphas, left, right = _inner_sum_coordinates(n, beta)
-                    for a, lhs, rhs in zip(alphas, left, right):
-                        if lhs != rhs:
-                            return {"beta": list(beta), "a": list(a),
-                                    "lhs": format_rational(lhs), "rhs": format_rational(rhs)}
-                return None
-            yield "inner_sum_collapse", {"d": d, "n": n, "beta_degree": beta_degree}, lemma
+def _lemma_jobs(d: int, top: int) -> Iterator[Job]:
+    for n, beta_degree in product(range(top + 1), repeat=2):
+        def lemma(n=n, beta_degree=beta_degree):
+            # the B_a of degree n are a basis: both sides agree as
+            # polynomials exactly when their coordinates do
+            for beta in _multi_indices(beta_degree, d):
+                alphas, left, right = _inner_sum_coordinates(n, beta)
+                for a, lhs, rhs in zip(alphas, left, right):
+                    if lhs != rhs:
+                        return {"beta": list(beta), "a": list(a),
+                                "lhs": format_rational(lhs), "rhs": format_rational(rhs)}
+            return None
+        yield "inner_sum_collapse", {"d": d, "n": n, "beta_degree": beta_degree}, lemma
 
 
 def run_suite(cfg: SuiteConfig) -> VerificationReport:

@@ -3,6 +3,7 @@ import importlib.util
 import json
 import math
 import random
+import re
 import weakref
 from fractions import Fraction
 from itertools import combinations_with_replacement
@@ -19,6 +20,7 @@ from bdk.combinat import enumerate_multi_indices
 from bdk.kernels import DiagonalKernelForm
 from bdk.polynomials import CartesianPolynomial
 from bdk.verify import (
+    FAMILIES,
     FAMILY_CAPS,
     REPORT_SCHEMA,
     SuiteConfig,
@@ -42,6 +44,10 @@ D3_BODY_SHA256 = "9ecb2000155af2275c24cb81c3601055e5ff03497bf5e297d141598340ba11
 #: (`--self-test-corrupt`), and how many of its checks fail.
 CORRUPT_BODY_SHA256 = "ccbf7ca5ba2a0223b428925f0eac71f61ee73ce33037ed7080d5127ae997caad"
 CORRUPT_FAILURES = 155
+
+#: sha256 of the report body of SuiteConfig(d_range=(1, 2), max_degree=7), whose
+#: bounds disagree: combination 5 < degree 7, moment 6 > operator 5, lemma 4.
+MIXED_BOUNDS_BODY_SHA256 = "3da1d1fb25a58c58027a0788e48f51053dee0154498d40c09c046cdc6b60c673"
 
 
 #: The benchmark's reference checks, loaded by path as they are not part of the package.
@@ -88,9 +94,16 @@ def run_counted(cfg):
     return report, counts
 
 
+def dimensions(cfg, family):
+    """The dimensions of cfg that FAMILIES runs family at."""
+    max_d = FAMILIES[family].max_d
+    return [d for d in cfg.d_range if max_d is None or d <= max_d]
+
+
 def expected_work(cfg):
     """The call counts of run_counted(cfg) when each distinct input is built once."""
-    operator_dims = [d for d in cfg.d_range if d <= 2]
+    operator_dims = dimensions(cfg, "operator_self_adjoint")
+    combination_dims = dimensions(cfg, "composition_linear_combination_kernel")
     monomials = {d: comb(cfg.operator_monomial_degree + d, d) for d in operator_dims}
     singles = sum(cfg.degree_caps[d] + 1 for d in cfg.d_range)
     # every kernel is compared in Bernstein coordinates; the Legendre form is
@@ -103,7 +116,8 @@ def expected_work(cfg):
         twofold[1] = max(twofold[1], cfg.univariate_cap)
     twofold_keys = sum((cap + 1) ** 2 for cap in twofold.values())
     # one lemma check per (n, beta degree), one pair of coordinate vectors per beta
-    betas = sum((cfg.lemma_cap + 1) * comb(cfg.lemma_cap + d + 1, d + 1) for d in operator_dims)
+    betas = sum((cfg.lemma_cap + 1) * comb(cfg.lemma_cap + d + 1, d + 1)
+                for d in dimensions(cfg, "inner_sum_collapse"))
     # one square per (d, m, n) with m != n, each a raise; the permutation check
     # elevates its base and each other ordering of a <= b <= c to (c, c), a
     # raise unless the outer and inner degrees are both c already
@@ -121,7 +135,7 @@ def expected_work(cfg):
         # single_stochastic_in_y, once per (d, k)
         + singles
         # composition_linear_combination_kernel, once per (d, m, n)
-        + sum((min(cfg.combination_cap, cfg.degree_caps[d]) + 1) ** 2 for d in operator_dims)
+        + sum((min(cfg.combination_cap, cfg.degree_caps[d]) + 1) ** 2 for d in combination_dims)
         # threefold_closed_equals_definition, once per (a, b, c)
         + ((cfg.threefold_cap + 1) ** 3 if 1 in cfg.d_range else 0))
     return {
@@ -138,9 +152,9 @@ def expected_work(cfg):
         # one list per (d, m, n) that composition_coefficients_convex or
         # operator_linear_combination reads
         "composition_coefficients": sum(
-            (max(min(cfg.combination_cap, cfg.degree_caps[d]),
-                 min(cfg.combination_cap, cfg.operator_cap)) + 1) ** 2
-            for d in operator_dims),
+            (max(min(cfg.combination_cap, cfg.degree_caps[d]) if d in combination_dims else -1,
+                 min(cfg.combination_cap, cfg.operator_cap) if d in operator_dims else -1)
+             + 1) ** 2 for d in cfg.d_range),
     }
 
 
@@ -260,6 +274,10 @@ def double_single_scale(build):
 
 #: The mutant table: for each mutant, its monkeypatches as (module, name,
 #: wrapper of the original), and the families it fails on `mutated_run`'s config.
+#: The sets are written out, not derived from the constructions each family
+#: compares: a helper mutant breaks only part of a side, so first_multinomial
+#: spares operator_degree_bound and operator_self_adjoint, and moment_column
+#: spares operator_constant_preservation and operator_degree_bound.
 MUTANTS = {
     "top_closed_weight": (
         [(bdk.verify, name, bump_top_weight) for name in (
@@ -315,18 +333,6 @@ MUTANTS = {
         {"composition_coefficients_convex", "composition_linear_combination_kernel",
          "operator_linear_combination"}),
 }
-
-#: The families that compare two kernels in Bernstein coordinates, those that
-#: integrate one there, and those whose witness names the monomial f that failed.
-COORDINATE_FAMILIES = ("twofold_closed_equals_definition", "univariate_twofold_vs_definition",
-                       "univariate_twofold_path", "legendre_equals_definition",
-                       "threefold_closed_equals_definition", "twofold_symmetry_xy",
-                       "twofold_symmetry_degrees", "threefold_permutation_invariance",
-                       "composition_linear_combination_kernel")
-STOCHASTIC_FAMILIES = ("twofold_stochastic_in_y", "single_stochastic_in_y")
-MONOMIAL_FAMILIES = ("operator_degree_bound", "operator_self_adjoint",
-                     "operator_integral_preservation", "operator_commutativity",
-                     "operator_linear_combination", "univariate_first_moment")
 
 
 def mutated_run(mp, mutant):
@@ -500,6 +506,12 @@ class TestRunSuite:
         # the benchmark counts each check of a default run as one operation
         assert len(default_report.checks) == load_oracle().VERIFY_CHECKS
 
+    def test_mixed_bounds_report_body_is_pinned(self):
+        report = run_suite(SuiteConfig(d_range=(1, 2), max_degree=7))
+        assert report.ok
+        assert len(report.checks) == 1363
+        assert hashlib.sha256(report.body_bytes()).hexdigest() == MIXED_BOUNDS_BODY_SHA256
+
     def test_d3_report_body_is_pinned(self, d3_report):
         report = d3_report
         assert report.ok
@@ -527,31 +539,12 @@ class TestRunSuite:
         assert report.ok
 
     def test_check_names_cover_every_identity_family(self):
-        report = run_suite(tiny_config())
-        names = {c.name for c in report.checks}
-        assert names == {
-            "twofold_closed_equals_definition",
-            "twofold_stochastic_in_y",
-            "twofold_symmetry_xy",
-            "twofold_symmetry_degrees",
-            "diagonal_truncation",
-            "single_stochastic_in_y",
-            "univariate_twofold_path",
-            "univariate_twofold_vs_definition",
-            "legendre_equals_definition",
-            "threefold_closed_equals_definition",
-            "threefold_permutation_invariance",
-            "composition_coefficients_convex",
-            "composition_linear_combination_kernel",
-            "operator_constant_preservation",
-            "operator_degree_bound",
-            "operator_self_adjoint",
-            "operator_integral_preservation",
-            "operator_commutativity",
-            "operator_linear_combination",
-            "univariate_first_moment",
-            "inner_sum_collapse",
-        }
+        assert {c.name for c in run_suite(tiny_config()).checks} == set(FAMILIES)
+
+    def test_readme_lists_exactly_the_families(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        section = readme.split("\n## Check families\n", 1)[1].split("\n#", 1)[0]
+        assert re.findall(r"^\| `(\w+)`", section, re.M) == list(FAMILIES)
 
     def test_default_run_builds_each_input_once(self, default_run):
         _, counts = default_run
@@ -621,15 +614,15 @@ class TestRunSuite:
         report = mutated_run(monkeypatch, mutant)
         assert {c.name for c in report.failures} == MUTANTS[mutant][1]
         for record in report.failures:
-            witness = record.witness
+            witness, kind = record.witness, FAMILIES[record.name].witness
             if "error" in witness:
                 # a form the comparison cannot take fails with the message
                 assert set(witness) == {"error"}, record
-            elif record.name in COORDINATE_FAMILIES:
+            elif kind == "coordinates":
                 assert {"a", "b", "lhs", "rhs"} <= set(witness), record
-            elif record.name in STOCHASTIC_FAMILIES:
+            elif kind == "stochastic":
                 assert set(witness) == {"a", "lhs", "rhs"}, record
-            elif record.name in MONOMIAL_FAMILIES:
+            elif kind == "monomial":
                 assert "f" in witness, record
             else:
                 assert witness, record
@@ -637,7 +630,9 @@ class TestRunSuite:
     def test_every_family_of_the_default_report_is_killed(self, default_report):
         # each mutant fails exactly its listed families (the test above)
         killed = set().union(*(families for _, families in MUTANTS.values()))
-        assert {c.name for c in default_report.checks} <= killed
+        assert {c.name for c in default_report.checks} == set(FAMILIES)
+        for family in FAMILIES:
+            assert family in killed, family
 
     def test_lemma_check_catches_a_perturbed_side(self, monkeypatch):
         report = mutated_run(monkeypatch, "lemma_side")
