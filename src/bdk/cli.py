@@ -24,7 +24,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-from .combinat import check_dimension, format_rational, parse_rational
+from .combinat import check_degree, check_dimension, format_rational, parse_rational
 from .durrmeyer import compose_apply, composition_coefficients
 from .kernels import (
     BernsteinKernelForm,
@@ -32,7 +32,6 @@ from .kernels import (
     kernel_closed_twofold,
     kernel_definition_twofold,
     kernel_legendre,
-    kernel_univariate_twofold,
     to_canonical,
 )
 from .polynomials import CartesianPolynomial
@@ -174,12 +173,10 @@ def _build_kernel(form: str, m: int, n: int, d: int
     evaluated as it stands; only --dump-kernel writes its canonical map."""
     if form == "definition":
         return kernel_definition_twofold(m, n, d)
-    if form == "closed":
-        return kernel_closed_twofold(m, n, d)
-    if d != 1:
-        raise ValueError(f"--form {form} is univariate; it requires --d 1")
-    # argparse's choices leave 'univariate' and 'legendre' here
-    return kernel_univariate_twofold(m, n) if form == "univariate" else kernel_legendre(m, n)
+    if form == "legendre":
+        return kernel_legendre(m, n)
+    # 'univariate' is the closed form; `_cmd_eval` has checked that d is 1
+    return kernel_closed_twofold(m, n, d)
 
 
 def _to_float(value: Fraction) -> float:
@@ -195,12 +192,16 @@ def _to_float(value: Fraction) -> float:
 
 
 def _cmd_eval(args) -> int:
-    kernel = _build_kernel(args.form, args.m, args.n, args.d)
-    x = _parse_list(args.x, "--x", parse_rational, args.d)
-    y = _parse_list(args.y, "--y", parse_rational, args.d)
+    # every input is checked before the build, which can take long
+    m, n, d = check_degree(args.m), check_degree(args.n), check_dimension(args.d)
+    if args.form in ("univariate", "legendre") and d != 1:
+        raise ValueError(f"--form {args.form} is univariate; it requires --d 1")
+    x = _parse_list(args.x, "--x", parse_rational, d)
+    y = _parse_list(args.y, "--y", parse_rational, d)
     dump = args.dump_kernel
     if dump and dump != "-":
         _write_file(dump, "--dump-kernel", "", "a")
+    kernel = _build_kernel(args.form, m, n, d)
     value = kernel.evaluate(x, y)
     print(format_rational(value))
     if args.float:

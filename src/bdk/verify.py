@@ -68,8 +68,8 @@ FAMILIES = {name: Family(*row) for name, row in dict(
     univariate_twofold_path=("pair", 1, ("univariate_cap",), "coordinates"),
     univariate_twofold_vs_definition=("pair", 1, ("univariate_cap",), "coordinates"),
     legendre_equals_definition=("pair", 1, ("legendre_cap",), "coordinates"),
-    composition_coefficients_convex=("pair", 2, ("combination_cap", "degree"), "coefficients"),
-    composition_linear_combination_kernel=("pair", 2, ("combination_cap", "degree"), "coordinates"),
+    composition_coefficients_convex=("pair", 2, ("combination_cap",), "coefficients"),
+    composition_linear_combination_kernel=("pair", 2, ("combination_cap",), "coordinates"),
     twofold_symmetry_degrees=("pair", None, ("degree",), "coordinates"),
     single_stochastic_in_y=("pair", None, ("degree",), "stochastic"),
     operator_constant_preservation=("operator", 2, ("operator_cap",), "polynomial"),
@@ -77,7 +77,7 @@ FAMILIES = {name: Family(*row) for name, row in dict(
     operator_self_adjoint=("operator", 2, ("operator_cap",), "monomial"),
     operator_integral_preservation=("operator", 2, ("operator_cap",), "monomial"),
     operator_commutativity=("operator", 2, ("operator_cap",), "monomial"),
-    operator_linear_combination=("operator", 2, ("combination_cap", "operator_cap"), "monomial"),
+    operator_linear_combination=("operator", 2, ("operator_cap",), "monomial"),
     univariate_first_moment=("operator", 1, ("moment_cap",), "monomial"),
     inner_sum_collapse=("lemma", 2, ("lemma_cap",), "lemma"),
 ).items()}
@@ -140,17 +140,23 @@ class SuiteConfig:
 class CheckRecord(NamedTuple):
     name: str
     params: dict
-    passed: bool
     witness: Optional[dict]
     wall_ms: float
+
+    @property
+    def passed(self) -> bool:
+        return self.witness is None
 
 
 class VerificationReport(NamedTuple):
     config: dict
     checks: List[CheckRecord]
-    complete: bool
     incomplete_reason: Optional[str]
     total_ms: float
+
+    @property
+    def complete(self) -> bool:
+        return self.incomplete_reason is None
 
     @property
     def failures(self) -> List[CheckRecord]:
@@ -272,8 +278,9 @@ def _iter_jobs(cfg: SuiteConfig) -> Iterator[Job]:
             bounds[name] = min(caps.get(cap, cap) for cap in family.caps) if runs else -1
             top[family.group] = max(top.get(family.group, -1), bounds[name])
         pairs = (job for n in range(top["pair"] + 1) for m in range(n + 1)
-                 for job in _pair_jobs(cfg, d, m, n, single, coefficients))
-        operator = _operator_jobs(cfg, d, top["operator"], cache(apply_operator), coefficients)
+                 for job in _pair_jobs(d, m, n, single, coefficients, cfg.corrupt_scale))
+        operator = _operator_jobs(d, top["operator"], cfg.operator_monomial_degree,
+                                  cache(apply_operator), coefficients)
         for name, params, check in chain(_threefold_jobs(top["triple"]), pairs, operator,
                                          _lemma_jobs(d, top["lemma"])):
             # every param but d is a degree, or a list of them
@@ -282,8 +289,8 @@ def _iter_jobs(cfg: SuiteConfig) -> Iterator[Job]:
                 yield name, params, check
 
 
-def _pair_jobs(cfg: SuiteConfig, d: int, m: int, n: int,
-               single: Callable, coefficients: Callable) -> Iterator[Job]:
+def _pair_jobs(d: int, m: int, n: int, single: Callable, coefficients: Callable,
+               corrupt_scale: bool) -> Iterator[Job]:
     """Every check that reads a two-fold kernel of the degree pair {m, n},
     m <= n, at dimension d, whether or not its family runs there: the
     checks of (m, n) and of (n, m), then twofold_symmetry_degrees, which
@@ -308,7 +315,7 @@ def _pair_jobs(cfg: SuiteConfig, d: int, m: int, n: int,
         def closed_vs_def():
             form = closed()
             lhs = DiagonalKernelForm(d, 2 * form.scale, form.terms).coordinates(m, n) \
-                if cfg.corrupt_scale else closed_coordinates()
+                if corrupt_scale else closed_coordinates()
             return first_coordinate_difference(lhs, definition())
         yield "twofold_closed_equals_definition", params, closed_vs_def
         yield "twofold_stochastic_in_y", params, lambda: _stochastic(definition())
@@ -374,7 +381,7 @@ def _threefold_jobs(top: int) -> Iterator[Job]:
         yield "threefold_permutation_invariance", {"degrees": [a, b, c]}, permuted
 
 
-def _operator_jobs(cfg: SuiteConfig, d: int, top: int, image: Callable,
+def _operator_jobs(d: int, top: int, monomial_degree: int, image: Callable,
                    coefficients: Callable) -> Iterator[Job]:
     """The operator checks in dimension d up to degree top, image the cached
     `apply_operator`, and the first moments, which read the same images.
@@ -382,7 +389,7 @@ def _operator_jobs(cfg: SuiteConfig, d: int, top: int, image: Callable,
     Each call has its own monomials and exponents, so a job keeps reading
     its own dimension's even when every job is built before any runs.
     """
-    monomials = _monomials_up_to(d, cfg.operator_monomial_degree)
+    monomials = _monomials_up_to(d, monomial_degree)
     # each monomial is x^e with coefficient 1, so <p, g> is the moment at e
     exponents = [e for g in monomials for e in g.nums]
 
@@ -484,14 +491,12 @@ def run_suite(cfg: SuiteConfig) -> VerificationReport:
             # a form the comparison cannot take (say, a closed form above the
             # degrees it is written at) fails its check, it does not end the run
             witness = {"error": str(exc)}
-        checks.append(CheckRecord(name, params, witness is None, witness,
-                                  (time.perf_counter() - t0) * 1000.0))
+        checks.append(CheckRecord(name, params, witness, (time.perf_counter() - t0) * 1000.0))
 
     checks.sort(key=lambda c: (c.name, canonical_json_bytes(c.params)))
     return VerificationReport(
         config=cfg.to_json_dict(),
         checks=checks,
-        complete=incomplete_reason is None,
         incomplete_reason=incomplete_reason,
         total_ms=(time.perf_counter() - start) * 1000.0,
     )

@@ -28,6 +28,22 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+#: Each malformed input of `bdk eval` alone, over a valid d = 1 request:
+#: its flag, its value and its error line, with {missing} a path in a
+#: missing directory.
+EVAL_INPUT_ERRORS = [
+    ("--d", "0", "simplex dimension must be >= 1, got 0"),
+    ("--m", "-1", "degree must be >= 0, got -1"),
+    ("--n", "-2", "degree must be >= 0, got -2"),
+    ("--x", "1/2,1/3", "--x needs 1 comma-separated rationals, got 2"),
+    ("--x", "0.5", "--x: not a rational 'p/q' string: '0.5'"),
+    ("--y", "1/5,", "--y: empty field in '1/5,'"),
+    ("--y", "a", "--y: not a rational 'p/q' string: 'a'"),
+    ("--dump-kernel", "{missing}", "--dump-kernel: cannot write {missing!r}: "
+                                   "[Errno 2] No such file or directory: {missing!r}"),
+]
+
+
 class TestEval:
     def test_closed_value(self, capsys):
         code, out, _ = run_cli(capsys, "eval", "--d", "1", "--m", "1", "--n", "1",
@@ -143,6 +159,31 @@ class TestEval:
         assert out == ""
         assert "bdk: error: --dump-kernel: cannot write" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("form", ["definition", "closed", "univariate", "legendre"])
+    @pytest.mark.parametrize("flag, value, line", EVAL_INPUT_ERRORS,
+                             ids=[f"{flag} {value}" for flag, value, _ in EVAL_INPUT_ERRORS])
+    def test_each_input_is_checked_before_the_build(self, capsys, monkeypatch, tmp_path,
+                                                    form, flag, value, line):
+        # a definitional build at (3, 40, 40) does not finish in 20 s; a
+        # malformed input must be refused without waiting for it
+        import bdk.cli
+
+        def refuse(*args):
+            raise AssertionError("the kernel was built")
+
+        builders = [name for name in vars(bdk.cli) if name.startswith("kernel_")]
+        assert builders == ["kernel_closed_twofold", "kernel_definition_twofold",
+                            "kernel_legendre"]
+        for name in builders:
+            monkeypatch.setattr(bdk.cli, name, refuse)
+        missing = str(tmp_path / "missing" / "k.json")
+        argv = {"--d": "1", "--m": "40", "--n": "40", "--x": "1/2", "--y": "1/5",
+                "--form": form, flag: value.format(missing=missing)}
+        code, out, err = run_cli(capsys, "eval", *(token for item in argv.items()
+                                                   for token in item))
+        assert (code, out) == (2, "")
+        assert err == f"bdk: error: {line.format(missing=missing)}\n"
 
     @pytest.mark.parametrize("raw", ["1/2,,1/3", ",1/2,1/3,", "1/2,1/3,", ",1/2,1/3",
                                      "1/2, ,1/3", ""])
@@ -838,8 +879,8 @@ class TestVerifyCommand:
 
         def cut_short(cfg):
             failed = CheckRecord("twofold_symmetry_xy", {"d": 1, "m": 0, "n": 0},
-                                 False, {"lhs": "1", "rhs": "2"}, 0.0)
-            return VerificationReport(cfg.to_json_dict(), [failed], False, "budget", 0.0)
+                                 {"lhs": "1", "rhs": "2"}, 0.0)
+            return VerificationReport(cfg.to_json_dict(), [failed], "budget", 0.0)
         monkeypatch.setattr(bdk.cli, "run_suite", cut_short)
         code, _, err = run_cli(capsys, "verify", "--d", "1", "--max-degree", "0")
         assert code == 1

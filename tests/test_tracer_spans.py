@@ -13,6 +13,7 @@ map they expand to is pinned beside them.  The tracer is loaded by path, as it i
 import importlib
 import importlib.util
 import inspect
+import json
 import os
 import subprocess
 import sys
@@ -101,15 +102,30 @@ sys.exit(code)
 """
 
 
-def test_traced_definition_eval_never_expands(tmp_path):
-    # the recorder reads counts off what each span returns; eval --form
-    # definition must hand it nothing whose reading expands the kernel
+def run_traced(tmp_path, *argv):
+    """The finished `bdk ARGS...` run of TRACED_EVAL, and its recorder summary."""
     env = {"PATH": os.environ.get("PATH", os.defpath),
            "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), str(TRACER.parent)])}
     summary = tmp_path / "trace.json"
-    argv = ["eval", "--d", "3", "--m", "6", "--n", "6", "--x", "5/97,21/97,33/97",
-            "--y", "48/97,12/97,30/97", "--form", "definition"]
     run = subprocess.run([sys.executable, "-c", TRACED_EVAL, str(summary), *argv], env=env,
                          capture_output=True, text=True, timeout=60)
     assert (run.returncode, run.stderr) == (0, "")
+    return run, json.loads(summary.read_text())
+
+
+def test_traced_definition_eval_never_expands(tmp_path):
+    # the recorder reads counts off what each span returns; eval --form
+    # definition must hand it nothing whose reading expands the kernel
+    run, _ = run_traced(tmp_path, "eval", "--d", "3", "--m", "6", "--n", "6",
+                        "--x", "5/97,21/97,33/97", "--y", "48/97,12/97,30/97",
+                        "--form", "definition")
     assert run.stdout == "140727262806359643835997208/45099753464703470019177665\n"
+
+
+def test_traced_univariate_eval_builds_one_closed_form(tmp_path):
+    # `kernel_univariate_twofold` only calls `kernel_closed_twofold`, and the
+    # tracer spans both as kernels.closed; eval calls the closed form once
+    run, summary = run_traced(tmp_path, "eval", "--d", "1", "--m", "4", "--n", "3",
+                              "--x", "1/3", "--y", "1/5", "--form", "univariate")
+    assert run.stdout == "2167/1750\n"
+    assert summary["layers"]["kernels.closed"][0] == 1

@@ -23,7 +23,9 @@ from bdk.verify import (
     FAMILIES,
     FAMILY_CAPS,
     REPORT_SCHEMA,
+    CheckRecord,
     SuiteConfig,
+    VerificationReport,
     _monomials_up_to,
     canonical_json_bytes,
     run_suite,
@@ -435,6 +437,19 @@ class TestSuiteConfig:
                 assert getattr(cfg, name) == min(cap, k), (name, k)
             assert cfg.degree_caps == {1: k, 2: k}
 
+    @pytest.mark.parametrize("max_degree", [None, *range(13)])
+    def test_the_dropped_caps_could_never_bind(self, max_degree):
+        # why the composition rows name no "degree" cap and
+        # operator_linear_combination no combination_cap: neither could bind
+        cfg = SuiteConfig(max_degree=max_degree)
+        assert cfg.combination_cap == cfg.operator_cap
+        for family in ("composition_coefficients_convex",
+                       "composition_linear_combination_kernel"):
+            assert FAMILIES[family].caps == ("combination_cap",)
+            for d in dimensions(cfg, family):
+                assert cfg.combination_cap <= cfg.degree_caps[d], (family, d)
+        assert FAMILIES["operator_linear_combination"].caps == ("operator_cap",)
+
     def test_config_echo_keeps_every_bound(self):
         assert SuiteConfig(d_range=(2, 1), max_degree=3).to_json_dict() == {
             "d_range": [2, 1], "degree_caps": {"1": 3, "2": 3}, "threefold_cap": 3,
@@ -544,7 +559,12 @@ class TestRunSuite:
     def test_readme_lists_exactly_the_families(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
         section = readme.split("\n## Check families\n", 1)[1].split("\n#", 1)[0]
-        assert re.findall(r"^\| `(\w+)`", section, re.M) == list(FAMILIES)
+        rows = re.findall(r"^\| `(\w+)` \|[^|]*\|([^|]*)\|", section, re.M)
+        assert [name for name, _ in rows] == list(FAMILIES)
+        # each default in the bound column is its named cap's, in order
+        for name, bound in rows:
+            assert [int(v) for v in re.findall(r"\((\d+)\)", bound)] == [
+                FAMILY_CAPS[cap] for cap in FAMILIES[name].caps if cap in FAMILY_CAPS], name
 
     def test_default_run_builds_each_input_once(self, default_run):
         _, counts = default_run
@@ -817,6 +837,27 @@ class TestReportSerialization:
 
 
 class TestVerificationReportHelpers:
+    def test_passed_and_complete_are_read_off_the_witness_and_the_reason(self):
+        assert CheckRecord._fields == ("name", "params", "witness", "wall_ms")
+        assert VerificationReport._fields == ("config", "checks", "incomplete_reason",
+                                              "total_ms")
+        failed = CheckRecord("twofold_symmetry_xy", {"d": 1, "m": 0, "n": 0},
+                             {"lhs": "1", "rhs": "2"}, 1.25)
+        held = failed._replace(witness=None)
+        assert (failed.passed, held.passed) == (False, True)
+        cut = VerificationReport({"d_range": [1]}, [failed, held], "budget", 2.5)
+        assert (cut.complete, cut._replace(incomplete_reason=None).complete) == (False, True)
+        assert cut.to_json_dict() == {
+            "schema": REPORT_SCHEMA, "version": bdk.__version__, "config": {"d_range": [1]},
+            "complete": False, "incomplete_reason": "budget",
+            "summary": {"total": 2, "passed": 1, "failed": 1},
+            "checks": [{"name": "twofold_symmetry_xy", "params": {"d": 1, "m": 0, "n": 0},
+                        "passed": False, "witness": {"lhs": "1", "rhs": "2"},
+                        "wall_ms": 1.25},
+                       {"name": "twofold_symmetry_xy", "params": {"d": 1, "m": 0, "n": 0},
+                        "passed": True, "witness": None, "wall_ms": 1.25}],
+            "total_ms": 2.5}
+
     def test_failures_property(self):
         report = run_suite(tiny_config(max_degree=1, corrupt_scale=True))
         summary = report.summary()
