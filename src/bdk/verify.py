@@ -20,10 +20,12 @@ import time
 from fractions import Fraction
 from functools import cache, partial
 from itertools import chain, combinations, combinations_with_replacement, product
+from operator import add
 from typing import Callable, Iterator, List, NamedTuple, Optional, Tuple
 
 from . import __version__ as ARTIFACT_VERSION
-from .combinat import _FACT, _multi_indices, check_degree, check_dimension, format_rational
+from .combinat import (_FACT, _multi_indices, check_degree, check_dimension, clear_denominators,
+                      format_rational)
 from .durrmeyer import apply_operator, composition_coefficients
 from .kernels import (
     BernsteinKernelForm,
@@ -37,8 +39,7 @@ from .kernels import (
     kernel_legendre,
     kernel_single,
 )
-from .polynomials import (CartesianPolynomial, difference_witness, integrate_simplex,
-                          moment_numerators)
+from .polynomials import CartesianPolynomial, difference_witness
 
 __all__ = ["SuiteConfig", "VerificationReport", "run_suite"]
 
@@ -230,14 +231,14 @@ def _stochastic(form: BernsteinKernelForm) -> Optional[dict]:
     return None
 
 
-def _each_monomial(monomials: List[CartesianPolynomial],
-                   check: Callable[[CartesianPolynomial], Optional[dict]]) -> Optional[dict]:
-    """None when check(f) finds no witness for any f in monomials; otherwise
-    the first witness, with the f that failed."""
-    for f in monomials:
-        diff = check(f)
+def _each_monomial(exponents: List[Tuple[int, ...]],
+                   check: Callable[[Tuple[int, ...]], Optional[dict]]) -> Optional[dict]:
+    """None when check(e) finds no witness for any e in exponents; otherwise
+    the first witness, with the monomial f = x^e that failed."""
+    for e in exponents:
+        diff = check(e)
         if diff is not None:
-            return {**diff, "f": f.to_json_dict()["terms"]}
+            return {**diff, "f": [{"exp": list(e), "coef": "1"}]}
     return None
 
 
@@ -264,8 +265,9 @@ def _iter_jobs(cfg: SuiteConfig) -> Iterator[Job]:
     read it.  The composition coefficients and the single-operator kernels
     are read by more than one degree pair, and the coefficients by
     operator_linear_combination too, so they are kept for the run; every
-    other kernel is kept for its degree pair only, and the operator images
-    (`apply_operator`) for their dimension's operator checks.
+    other kernel is kept for its degree pair only, and the operator group's
+    tables (monomial images and moments) for their dimension's operator
+    checks, which build every column and moment inside a check.
     """
     coefficients = cache(composition_coefficients)
     single = cache(kernel_single)
@@ -279,8 +281,7 @@ def _iter_jobs(cfg: SuiteConfig) -> Iterator[Job]:
             top[family.group] = max(top.get(family.group, -1), bounds[name])
         pairs = (job for n in range(top["pair"] + 1) for m in range(n + 1)
                  for job in _pair_jobs(d, m, n, single, coefficients, cfg.corrupt_scale))
-        operator = _operator_jobs(d, top["operator"], cfg.operator_monomial_degree,
-                                  cache(apply_operator), coefficients)
+        operator = _operator_jobs(d, top["operator"], cfg.operator_monomial_degree, coefficients)
         for name, params, check in chain(_threefold_jobs(top["triple"]), pairs, operator,
                                          _lemma_jobs(d, top["lemma"])):
             # every param but d is a degree, or a list of them
@@ -381,74 +382,133 @@ def _threefold_jobs(top: int) -> Iterator[Job]:
         yield "threefold_permutation_invariance", {"degrees": [a, b, c]}, permuted
 
 
-def _operator_jobs(d: int, top: int, monomial_degree: int, image: Callable,
-                   coefficients: Callable) -> Iterator[Job]:
-    """The operator checks in dimension d up to degree top, image the cached
-    `apply_operator`, and the first moments, which read the same images.
+class _Moments(dict):
+    """The Dirichlet moments in dimension d over one denominator W = (top+d)!:
+    self[k] = W int x^k = k! W / (|k|+d)!, filled on first read.  A check
+    fits top to the largest |k| it reads before it reads any."""
 
-    Each call has its own monomials and exponents, so a job keeps reading
+    def __init__(self, d: int):
+        self.d, self.top = d, 0
+
+    def fit(self, top: int) -> int:
+        """W, once top is at least the given degree; raising top empties the table."""
+        if top > self.top:
+            self.clear()
+            self.top = top
+        return _FACT[self.top + self.d]
+
+    def __missing__(self, k: Tuple[int, ...]) -> int:
+        value = self[k] = (math.prod(map(_FACT.__getitem__, k))
+                           * (_FACT[self.top + self.d] // _FACT[sum(k) + self.d]))
+        return value
+
+    def inner(self, p: CartesianPolynomial, e: Tuple[int, ...]) -> int:
+        """W p.den <p, x^e>."""
+        return sum(v * self[tuple(map(add, k, e))] for k, v in p.nums.items())
+
+
+def _combine(pairs: Iterator[Tuple[int, CartesianPolynomial]], den: int) -> Tuple[dict, int]:
+    """The integer map and denominator of sum w p / den over (w, p) pairs, w an
+    int and p a column of an operator table, each p brought over the lcm of
+    their denominators, unreduced: the one place operator images combine."""
+    pairs = list(pairs)
+    common = math.lcm(*(p.den for _, p in pairs))
+    out = {}
+    for w, p in pairs:
+        w *= common // p.den
+        for e, v in p.nums.items():
+            out[e] = out.get(e, 0) + w * v
+    return out, den * common
+
+
+def _combination_difference(d: int, lhs: Tuple[dict, int],
+                            rhs: Tuple[dict, int]) -> Optional[dict]:
+    """None when two (integer map, denominator) pairs cross-multiply equal,
+    else the `difference_witness` of their polynomials, built only then."""
+    (left, left_den), (right, right_den) = lhs, rhs
+    if all(left.get(e, 0) * right_den == right.get(e, 0) * left_den
+           for e in left.keys() | right.keys()):
+        return None
+    return difference_witness(*(CartesianPolynomial.from_integers(d, nums, Fraction(1, den))
+                                for nums, den in (lhs, rhs)))
+
+
+def _operator_jobs(d: int, top: int, monomial_degree: int,
+                   coefficients: Callable) -> Iterator[Job]:
+    """The operator checks in dimension d up to degree top, and the first
+    moments, all read off one table of monomial images.
+
+    Column (n, e) is `apply_operator(n, x^e)`, built by the first check that
+    reads it.  M_n is linear, so every other image is an integer combination
+    of columns (`_combine`): M_m(M_n x^e) reads column (m, e') for each term
+    x^e' of column (n, e), whatever its degree.  The integrals read one
+    `_Moments`.  Each call has its own tables and exponents, so a job reads
     its own dimension's even when every job is built before any runs.
     """
-    monomials = _monomials_up_to(d, monomial_degree)
-    # each monomial is x^e with coefficient 1, so <p, g> is the moment at e
-    exponents = [e for g in monomials for e in g.nums]
+    exponents = [e for g in _monomials_up_to(d, monomial_degree) for e in g.nums]
+    column = cache(lambda n, e: apply_operator(n, CartesianPolynomial.from_integers(d, {e: 1})))
+    moments = _Moments(d)
+
+    def composed(m: int, n: int, e: Tuple[int, ...]) -> Tuple[dict, int]:
+        inner = column(n, e)
+        return _combine(((v, column(m, k)) for k, v in inner.nums.items()), inner.den)
 
     for n in range(top + 1):
-        def constant_preserved(n=n):
-            one = CartesianPolynomial.constant(d, 1)
-            return difference_witness(image(n, one), one)
-        yield "operator_constant_preservation", {"d": d, "n": n}, constant_preserved
+        yield "operator_constant_preservation", {"d": d, "n": n}, lambda n=n: difference_witness(
+            column(n, (0,) * d), CartesianPolynomial.constant(d, 1))
 
         def degree_bound(n=n):
-            def above(f):
-                degree = image(n, f).total_degree()
+            def above(e):
+                degree = column(n, e).total_degree()
                 return {"image_degree": degree} if degree > n else None
-            return _each_monomial(monomials, above)
+            return _each_monomial(exponents, above)
         yield "operator_degree_bound", {"d": d, "n": n}, degree_bound
 
         def self_adjoint(n=n):
-            # rows[i] = (D_i, [D_i <M_n f_i, g_j> for each j]), so
-            # <f_i, M_n f_j> is rows[j][1][i] / D_j; a pair can first fail
-            # at i < j, as (j, i) repeats (i, j)
-            rows = [moment_numerators(image(n, f), exponents) for f in monomials]
-            for i, (den_i, row_i) in enumerate(rows):
-                for j in range(i + 1, len(rows)):
-                    den_j, row_j = rows[j]
-                    if row_i[j] * den_j != row_j[i] * den_i:
-                        return {"f": monomials[i].to_json_dict()["terms"],
-                                "g": monomials[j].to_json_dict()["terms"],
-                                "lhs": format_rational(Fraction(row_i[j], den_i)),
-                                "rhs": format_rational(Fraction(row_j[i], den_j))}
-            return None
+            # <M_n x^e, x^g> is moments.inner(images[e], g) / (D W), D the image's
+            # denominator; a pair can first fail at e before g, as (g, e) repeats (e, g)
+            images = {e: column(n, e) for e in exponents}
+            scale = moments.fit(max(p.total_degree() for p in images.values()) + monomial_degree)
+            def asymmetric(e):
+                f = images[e]
+                for g in exponents[exponents.index(e) + 1:]:
+                    lhs, rhs = moments.inner(f, g), moments.inner(images[g], e)
+                    if lhs * images[g].den != rhs * f.den:
+                        return {"g": [{"exp": list(g), "coef": "1"}],
+                                "lhs": format_rational(Fraction(lhs, f.den * scale)),
+                                "rhs": format_rational(Fraction(rhs, images[g].den * scale))}
+                return None
+            return _each_monomial(exponents, asymmetric)
         yield "operator_self_adjoint", {"d": d, "n": n}, self_adjoint
 
         def integral_preserved(n=n):
-            def changed(f):
-                lhs, rhs = integrate_simplex(image(n, f)), integrate_simplex(f)
-                return None if lhs == rhs else {"lhs": format_rational(lhs),
-                                                "rhs": format_rational(rhs)}
-            return _each_monomial(monomials, changed)
+            def changed(e):
+                image = column(n, e)
+                scale = moments.fit(max(image.total_degree(), sum(e)))
+                lhs, rhs = moments.inner(image, (0,) * d), moments[e]
+                return None if lhs == rhs * image.den else {
+                    "lhs": format_rational(Fraction(lhs, image.den * scale)),
+                    "rhs": format_rational(Fraction(rhs, scale))}
+            return _each_monomial(exponents, changed)
         yield "operator_integral_preservation", {"d": d, "n": n}, integral_preserved
 
     for m, n in combinations(range(top + 1), 2):
         yield "operator_commutativity", {"d": d, "m": m, "n": n}, \
-            lambda m=m, n=n: _each_monomial(monomials, lambda f: difference_witness(
-                image(m, image(n, f)), image(n, image(m, f))))
+            lambda m=m, n=n: _each_monomial(exponents, lambda e: _combination_difference(
+                d, composed(m, n, e), composed(n, m, e)))
 
     for m, n in product(range(top + 1), repeat=2):
         def combo_operator(m=m, n=n):
-            coeffs = coefficients(m, n, d)
-            return _each_monomial(monomials, lambda f: difference_witness(
-                image(m, image(n, f)), CartesianPolynomial.linear_combination(
-                    d, ((c, image(k, f)) for k, c in enumerate(coeffs)))))
+            den, weights = clear_denominators(coefficients(m, n, d))
+            return _each_monomial(exponents, lambda e: _combination_difference(
+                d, composed(m, n, e),
+                _combine(((w, column(k, e)) for k, w in enumerate(weights)), den)))
         yield "operator_linear_combination", {"d": d, "m": m, "n": n}, combo_operator
 
     for n in range(top + 1):
         def first_moment(n=n):
-            expected = CartesianPolynomial(
-                1, {(0,): Fraction(1, n + 2), (1,): Fraction(n, n + 2)})
-            return _each_monomial([CartesianPolynomial.variable(1, 1)],
-                                  lambda x: difference_witness(image(n, x), expected))
+            expected = CartesianPolynomial(1, {(0,): Fraction(1, n + 2), (1,): Fraction(n, n + 2)})
+            return _each_monomial([(1,)], lambda e: difference_witness(column(n, e), expected))
         yield "univariate_first_moment", {"n": n}, first_moment
 
 

@@ -6,6 +6,7 @@ import random
 import re
 import weakref
 from fractions import Fraction
+from functools import cache
 from itertools import combinations_with_replacement
 from math import comb
 from pathlib import Path
@@ -15,8 +16,10 @@ import pytest
 import bdk.cli
 import bdk.durrmeyer
 import bdk.kernels
+import bdk.polynomials
 import bdk.verify
-from bdk.combinat import enumerate_multi_indices
+from bdk.combinat import clear_denominators, enumerate_multi_indices
+from bdk.durrmeyer import apply_operator, composition_coefficients
 from bdk.kernels import DiagonalKernelForm
 from bdk.polynomials import CartesianPolynomial
 from bdk.verify import (
@@ -26,6 +29,7 @@ from bdk.verify import (
     CheckRecord,
     SuiteConfig,
     VerificationReport,
+    _combine,
     _monomials_up_to,
     canonical_json_bytes,
     run_suite,
@@ -64,25 +68,33 @@ def load_oracle():
 
 
 #: (module, name) of the functions whose calls the work-count tests count.
+#: bdk.polynomials' moment_numerators would count every moment row that
+#: integrate_simplex or inner_product builds; the operator checks read
+#: their own moment table instead.
 COUNTED = ((bdk.verify, "kernel_legendre"), (bdk.verify, "kernel_single"),
            (bdk.verify, "kernel_closed_twofold"),
            (bdk.verify, "kernel_definition_twofold"),
            (bdk.kernels.BernsteinKernelForm, "expand"),
            (bdk.kernels.BernsteinKernelForm, "elevate"),
            (bdk.kernels.DiagonalKernelForm, "coordinates"),
-           (bdk.verify, "moment_numerators"), (bdk.verify, "composition_coefficients"),
+           (bdk.verify, "apply_operator"),
+           (bdk.polynomials, "moment_numerators"), (bdk.verify, "composition_coefficients"),
            (bdk.verify, "_inner_sum_coordinates"))
 
 
 def run_counted(cfg):
     """The report of run_suite(cfg), the number of calls to each COUNTED name,
-    and under "raising_elevate" how many elevate calls changed a degree."""
+    and under "raising_elevate" how many elevate calls changed a degree.
+    Every apply_operator call must receive one monomial with coefficient 1."""
     counts = dict.fromkeys((name for _, name in COUNTED), 0)
     counts["raising_elevate"] = 0
 
     def counter(name, fn):
         def counted(*args, **kwargs):
             counts[name] += 1
+            if name == "apply_operator":
+                # one monomial x^e with coefficient 1
+                assert args[1].den == 1 and list(args[1].nums.values()) == [1], args
             result = fn(*args, **kwargs)
             if name == "elevate" and result is not args[0]:
                 counts["raising_elevate"] += 1
@@ -107,6 +119,13 @@ def expected_work(cfg):
     operator_dims = dimensions(cfg, "operator_self_adjoint")
     combination_dims = dimensions(cfg, "composition_linear_combination_kernel")
     monomials = {d: comb(cfg.operator_monomial_degree + d, d) for d in operator_dims}
+    # one image column per (d, n, e) read: every test monomial at each n up to
+    # operator_cap (M_n x^e has no term above x^e in degree, so a composition
+    # reads no other); the first moments read x up to moment_cap, which the
+    # operator checks read already up to operator_cap when x is a test monomial
+    columns = sum((cfg.operator_cap + 1) * monomials[d] for d in operator_dims)
+    if dimensions(cfg, "univariate_first_moment"):
+        columns += cfg.moment_cap - (cfg.operator_cap if cfg.operator_monomial_degree else -1)
     singles = sum(cfg.degree_caps[d] + 1 for d in cfg.d_range)
     # every kernel is compared in Bernstein coordinates; the Legendre form is
     # built once per (m, n) up to univariate_cap, which bounds legendre_cap
@@ -150,7 +169,8 @@ def expected_work(cfg):
         "raising_elevate": raising,
         "coordinates": closed_coordinates,
         "_inner_sum_coordinates": betas,
-        "moment_numerators": sum((cfg.operator_cap + 1) * monomials[d] for d in operator_dims),
+        "apply_operator": columns,
+        "moment_numerators": 0,
         # one list per (d, m, n) that composition_coefficients_convex or
         # operator_linear_combination reads
         "composition_coefficients": sum(
@@ -266,6 +286,16 @@ def bump_lemma_left(coordinates):
     return perturbed
 
 
+def bump_first_weight(combine):
+    """Combinations of operator images whose first weight is one more: a
+    composition M_m(M_n x^e) gains M_m of the first term of M_n x^e, and
+    sum_k c_k M_k x^e gains M_0 x^e over the coefficients' denominator."""
+    def bumped(pairs, den):
+        (w, p), *rest = pairs
+        return combine([(w + 1, p), *rest], den)
+    return bumped
+
+
 def double_single_scale(build):
     """A single-operator kernel builder whose scale (n+d)!/n! is doubled."""
     def doubled(n, d):
@@ -330,6 +360,9 @@ MUTANTS = {
         {"operator_constant_preservation", "operator_degree_bound", "operator_self_adjoint",
          "operator_integral_preservation", "operator_commutativity",
          "operator_linear_combination", "univariate_first_moment"}),
+    "combination_term": (
+        [(bdk.verify, "_combine", bump_first_weight)],
+        {"operator_commutativity", "operator_linear_combination"}),
     "last_coefficient": (
         [(bdk.verify, "composition_coefficients", move_last_coefficient)],
         {"composition_coefficients_convex", "composition_linear_combination_kernel",
@@ -475,6 +508,38 @@ class TestMonomials:
         assert monomials == list(dict.fromkeys(old_monomials_up_to(d, k)))
 
 
+def table_images(d, f, m, n):
+    """M_m(M_n f) and sum_k c_k M_k f as `bdk.verify` composes them: integer
+    combinations (`_combine`) of the monomial images apply_operator(k, x^e)."""
+    column = cache(lambda k, e: apply_operator(k, CartesianPolynomial.monomial(d, e)))
+    inner, inner_den = _combine(((v, column(n, e)) for e, v in f.nums.items()), f.den)
+    composed = _combine(((v, column(m, e)) for e, v in inner.items()), inner_den)
+    den, weights = clear_denominators(composition_coefficients(m, n, d))
+    mixed = _combine(((w * v, column(k, e)) for k, w in enumerate(weights)
+                      for e, v in f.nums.items()), den * f.den)
+    return [CartesianPolynomial.from_integers(d, nums, Fraction(1, den))
+            for nums, den in (composed, mixed)]
+
+
+class TestOperatorTable:
+    """The operator checks compose monomial images; apply_operator's
+    multi-term path gives the same images."""
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("n", range(6))
+    def test_combined_columns_equal_the_multi_term_images(self, d, n):
+        mixed = CartesianPolynomial(d, {(0,) * d: Fraction(-3, 2), (1,) * d: Fraction(2, 3),
+                                        (3,) + (0,) * (d - 1): -5, (0,) * (d - 1) + (4,): 1})
+        for f in [*_monomials_up_to(d, 4), mixed]:
+            for m in range(6):
+                composed, combined = table_images(d, f, m, n)
+                assert composed == apply_operator(m, apply_operator(n, f)), (f, m)
+                assert combined == CartesianPolynomial.linear_combination(
+                    d, ((c, apply_operator(k, f))
+                        for k, c in enumerate(composition_coefficients(m, n, d)))), (f, m)
+                assert composed == combined, (f, m)
+
+
 class TestSamplePoint:
     """The test-only sampler the point-evaluating tests draw from."""
 
@@ -572,7 +637,8 @@ class TestRunSuite:
                           "kernel_closed_twofold": 195, "kernel_definition_twofold": 195,
                           "expand": 0, "elevate": 214, "raising_elevate": 200,
                           "coordinates": 504, "_inner_sum_coordinates": 250,
-                          "moment_numerators": 120, "composition_coefficients": 72}
+                          "apply_operator": 121, "moment_numerators": 0,
+                          "composition_coefficients": 72}
         assert counts == expected_work(SuiteConfig())
 
     @pytest.mark.parametrize("cfg", [
@@ -581,11 +647,36 @@ class TestRunSuite:
         SuiteConfig(d_range=(1,)),
         tiny_config(d_range=(1, 2), max_degree=3),
         tiny_config(d_range=(2, 3), max_degree=1),
+        # the only test monomial is 1, so the first moments' x is read by them alone
+        tiny_config(d_range=(1, 2), max_degree=0),
     ])
     def test_small_run_builds_each_input_once(self, cfg):
         report, counts = run_counted(cfg)
         assert report.ok
         assert counts == expected_work(cfg)
+
+    def test_columns_and_moments_are_built_inside_checks_only(self, monkeypatch):
+        # job generation builds nothing; every image column and moment is
+        # built inside the timed call of the check that first reads it
+        inside, calls = [False], {"apply_operator": 0, "moment": 0}
+
+        def counter(name, fn):
+            def counted(*args):
+                assert inside[0], (name, args)
+                calls[name] += 1
+                return fn(*args)
+            return counted
+        monkeypatch.setattr(bdk.verify, "apply_operator",
+                            counter("apply_operator", bdk.verify.apply_operator))
+        monkeypatch.setattr(bdk.verify._Moments, "__missing__",
+                            counter("moment", bdk.verify._Moments.__missing__))
+        jobs = list(bdk.verify._iter_jobs(SuiteConfig()))
+        assert calls == {"apply_operator": 0, "moment": 0}
+        for _, _, check in jobs:
+            inside[0] = True
+            assert check() is None
+            inside[0] = False
+        assert calls["apply_operator"] == 121 and calls["moment"] > 0
 
     def test_operator_checks_catch_a_perturbed_image(self, monkeypatch):
         target = CartesianPolynomial.monomial(2, (2, 0))
