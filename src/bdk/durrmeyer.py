@@ -33,7 +33,6 @@ whatever n is.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from itertools import accumulate, product
 from math import comb, perm, prod
 from operator import mul
@@ -61,7 +60,7 @@ def apply_operator(n: int, f: CartesianPolynomial) -> CartesianPolynomial:
         sum_a mult(a) * [sum_e F_e N/(n+|e|+d)! (a+(0,e))!] * B_a
     times the single scale (n+d)! / (n! D N).  The bracket is a dot product
     of the weights F_e N/(n+|e|+d)! with the moment columns
-    (a+(0,e))! over |a| = n, which `_moment_column` keeps per (n, e).
+    (a+(0,e))! over |a| = n, which `_moment_column` builds per (n, e).
     """
     n, d = check_degree(n), check_polynomial(f).d
     top = n + f.total_degree() + d
@@ -75,15 +74,13 @@ def apply_operator(n: int, f: CartesianPolynomial) -> CartesianPolynomial:
     return CartesianPolynomial.from_integers(d, image, scale)
 
 
-@lru_cache(maxsize=None)
 def _moment_column(n: int, exps: Tuple[int, ...]) -> Tuple[int, ...]:
     """(a + (0, exps))! for each a of `enumerate_multi_indices(n, d)`, in
     that order, d = len(exps).
 
     The product is gathered one barycentric coordinate at a time: part v of
-    every a reads (a_v + shift_v)! from one table over a_v = 0..n.  Kept
-    per (n, exps), as every image under M_n of a polynomial with the term
-    x^exps reads the same column.
+    every a reads (a_v + shift_v)! from one table over a_v = 0..n.  Uncached:
+    `bdk verify` builds each (n, exps) column once, and `bdk apply` builds none.
     """
     indices = _multi_indices(n, len(exps))
     column = [1] * len(indices)

@@ -63,7 +63,7 @@ from .combinat import (
 from .polynomials import (
     CartesianPolynomial,
     Scalar,
-    _dirichlet_terms,
+    _Moments,
     bernstein_basis,
     bernstein_numerators,
     bernstein_sum,
@@ -136,15 +136,14 @@ class KernelPolynomial(CartesianPolynomial):
         For a stochastic kernel this must come out as the constant 1.  With
         K = C / D for an integer map C and N the top y degree, Dirichlet's
         formula makes the x^ex coefficient the integer
-        sum_ey C_e ey! (N+d)!/(|ey|+d)!  over the one denominator D (N+d)!.
+        sum_ey C_e ey! (N+d)!/(|ey|+d)! (one `_Moments` table) over D (N+d)!.
         """
-        d, nums = self.d, self.nums
-        top = max((sum(e[d:]) for e in nums), default=0)
-        values = _dirichlet_terms(((e[d:], c) for e, c in nums.items()), d, top)
+        d = self.d
+        top = max((sum(e[d:]) for e in self.nums), default=0)
+        moments = _Moments(d, top)
         acc: Dict[Tuple[int, ...], int] = {}
-        for e, w in zip(nums, values):
-            ex = e[:d]
-            acc[ex] = acc.get(ex, 0) + w
+        for e, c in self.nums.items():
+            acc[e[:d]] = acc.get(e[:d], 0) + c * moments[e[d:]]
         return CartesianPolynomial.from_integers(d, acc, Fraction(1, self.den * _FACT[top + d]))
 
     def __repr__(self) -> str:

@@ -3,30 +3,32 @@
 Polynomials live in the variables x_1..x_d with the dependent barycentric
 coordinate x_0 = 1 - x_1 - ... - x_d eliminated.  That makes the sparse
 exponent->coefficient map a canonical form: two expressions denote the
-same polynomial exactly when their maps are equal; `bdk.verify` compares
-operator images this way.  A kernel K(x, y) is the same sparse type in the
-2d variables x_1..x_d, y_1..y_d (`bdk.kernels`), built for output.
+same polynomial exactly when their maps are equal.  A kernel K(x, y) is
+the same sparse type in the 2d variables x_1..x_d, y_1..y_d
+(`bdk.kernels`), built for output.
 
 A polynomial is stored as one positive denominator over an integer map,
 p = nums / den, reduced so that gcd(den, *nums) == 1; equality and hashing
 compare the pair.  The exponent -> Fraction map `terms` is built from it
 on each read, for display and tests; no exact path reads it.
-Exact sums are accumulated in Python ints: Dirichlet integrals share one
-factorial denominator, and an integer fast path ends with one rational
-scale for the whole map (`CartesianPolynomial.from_integers`), which
-only multiplies nums and den and reduces them by one gcd.  Evaluation
-works the same way: a rational point is written over its common
-denominator q, each monomial is homogenised to the top degree with
-powers of q, and one Fraction is built from the integer sum
-(`monomial_numerators`).
+Exact sums are accumulated in Python ints, each integer-map job in one
+body that `bdk.verify` reads too: weighted sums (`_combine`), comparisons
+of (integer map, denominator) pairs, reduced or not (`_first_difference`),
+and Dirichlet moments over one factorial denominator (`_Moments`).  An
+integer fast path ends with one rational scale for the whole map
+(`CartesianPolynomial.from_integers`), which only multiplies nums and den
+and reduces them by one gcd.  Evaluation works the same way: a rational
+point is written over its common denominator q, each monomial is
+homogenised to the top degree with powers of q, and one Fraction is built
+from the integer sum (`monomial_numerators`).
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from operator import add, mul
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .combinat import (
     _FACT,
@@ -109,11 +111,10 @@ class CartesianPolynomial:
     when their d, den and nums are.  A key holds BLOCKS blocks of d
     exponents: one block here, two for a kernel K(x, y) (x's exponents,
     then y's).  Instances are treated as immutable; all operators return
-    new objects, and the hash is computed once, on first use.  `terms` is
-    an exponent -> Fraction map built on each read, for display and tests.
+    new objects.  `terms`, exponent -> Fraction built on each read, serves display and tests.
     """
 
-    __slots__ = ("d", "den", "nums", "_hash")
+    __slots__ = ("d", "den", "nums")
 
     #: Exponent blocks of d entries in each key; fixed per class.
     BLOCKS = 1
@@ -140,7 +141,7 @@ class CartesianPolynomial:
         if g != 1:
             den //= g
             nums = {e: c // g for e, c in nums.items()}
-        self.den, self.nums, self._hash = den, nums, None
+        self.den, self.nums = den, nums
 
     @classmethod
     def _make(cls, d: int, den: int, nums: Dict[Exponents, int]) -> "CartesianPolynomial":
@@ -209,20 +210,16 @@ class CartesianPolynomial:
                            ) -> "CartesianPolynomial":
         """sum c * p over the (c, p) pairs, each p of this class in dimension d.
 
-        Every term is brought over the one common denominator, the integer
-        maps are accumulated, and the sum is reduced once, where a chain of
-        `+` and `scale` would reduce after every step.
+        The coefficients are written over their common denominator, the
+        integer maps are summed by `_combine`, and the sum is reduced once,
+        where a chain of `+` and `scale` would reduce after every step.
         """
         pairs = [(check_rational(c, "coefficient"), p) for c, p in pairs]
         for _, p in pairs:
             cls._check_compatible(d, p)
-        den = lcm(*(c.denominator * p.den for c, p in pairs))
-        out: Dict[Exponents, int] = {}
-        for c, p in pairs:
-            factor = c.numerator * (den // (c.denominator * p.den))
-            for exps, v in p.nums.items():
-                out[exps] = out.get(exps, 0) + v * factor
-        return cls._make(d, den, out)
+        den, weights = clear_denominators(c for c, _ in pairs)
+        nums, den = _combine(zip(weights, (p for _, p in pairs)), den)
+        return cls._make(d, den, nums)
 
     def __add__(self, other: "CartesianPolynomial") -> "CartesianPolynomial":
         if not isinstance(other, CartesianPolynomial):
@@ -273,9 +270,7 @@ class CartesianPolynomial:
         return NotImplemented
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash((self.d, self.den, frozenset(self.nums.items())))
-        return self._hash
+        return hash((self.d, self.den, frozenset(self.nums.items())))
 
     # -- queries ------------------------------------------------------
 
@@ -289,15 +284,10 @@ class CartesianPolynomial:
     def first_difference(self, other: "CartesianPolynomial"
                          ) -> Optional[Tuple[Exponents, Fraction, Fraction]]:
         """(key, self's coefficient, other's) at the first key, in canonical
-        order, where the two differ; None when they are equal."""
+        order, where the two differ, else None (`_first_difference`)."""
         self._check_compatible(self.d, other)
-        da, db = self.den, other.den
-        if da == db and self.nums == other.nums:
-            return None
-        for key in sorted(self.nums.keys() | other.nums.keys()):
-            a, b = self.nums.get(key, 0), other.nums.get(key, 0)
-            if a * db != b * da:
-                return key, Fraction(a, da), Fraction(b, db)
+        if self.den != other.den or self.nums != other.nums:
+            return _first_difference((self.nums, self.den), (other.nums, other.den))
 
     def evaluate(self, pt: Sequence[Scalar]) -> Fraction:
         """p(pt) = sum_e P_e a^e q^(N-|e|) / (D q^N), with p = P / D, pt = a / q, N = deg p;
@@ -339,14 +329,41 @@ def check_polynomial(p: CartesianPolynomial) -> CartesianPolynomial:
     return p
 
 
-def difference_witness(lhs: CartesianPolynomial, rhs: CartesianPolynomial) -> Optional[dict]:
-    """None when the polynomials are equal, else a failure-report witness: the
-    first difference (`first_difference`), coefficients as 'p/q' strings."""
-    found = lhs.first_difference(rhs)
-    if found is None:
-        return None
-    key, a, b = found
-    return {"exp": list(key), "lhs": format_rational(a), "rhs": format_rational(b)}
+def _combine(pairs: Iterable[Tuple[int, CartesianPolynomial]], den: int) -> Tuple[dict, int]:
+    """The integer map and denominator of sum w p / den over (w, p) pairs, each
+    w an int, every p brought over the lcm of their denominators and nothing
+    reduced: the one weighted sum of integer maps."""
+    pairs = list(pairs)
+    common = lcm(*(p.den for _, p in pairs))
+    out: Dict[Exponents, int] = {}
+    for w, p in pairs:
+        w *= common // p.den
+        for e, v in p.nums.items():
+            out[e] = out.get(e, 0) + w * v
+    return out, den * common
+
+
+def _first_difference(lhs: Tuple[dict, int], rhs: Tuple[dict, int]) -> Optional[tuple]:
+    """(key, lhs's coefficient, rhs's) at the first key, in canonical order,
+    where two (integer map, denominator) pairs differ, else None.  The pairs
+    may be unreduced and hold zeros: every key is cross-multiplied, nothing is
+    sorted, and the Fractions do not see reduction."""
+    (left, da), (right, db) = lhs, rhs
+    differ = [e for e in left.keys() | right.keys() if left.get(e, 0) * db != right.get(e, 0) * da]
+    if differ:
+        key = min(differ)
+        return key, Fraction(left.get(key, 0), da), Fraction(right.get(key, 0), db)
+
+
+def difference_witness(lhs, rhs) -> Optional[dict]:
+    """None when the two sides are equal, else a failure-report witness: their
+    first difference, coefficients as 'p/q' strings.  Both sides are
+    polynomials (`first_difference`) or (integer map, denominator) pairs."""
+    found = lhs.first_difference(rhs) if isinstance(lhs, CartesianPolynomial) \
+        else _first_difference(lhs, rhs)
+    if found is not None:
+        key, a, b = found
+        return {"exp": list(key), "lhs": format_rational(a), "rhs": format_rational(b)}
 
 
 @lru_cache(maxsize=None)
@@ -400,25 +417,30 @@ def bernstein_value(alpha: Sequence[int], pt: Sequence[Scalar]) -> Fraction:
     return Fraction(value, q_top)
 
 
-def _dirichlet_terms(weighted: Iterable[Tuple[Exponents, int]], d: int,
-                     top: int) -> Iterator[int]:
-    """c * e! * (top+d)!/(|e|+d)! for each (e, c), |e| <= top.
+class _Moments(dict):
+    """The Dirichlet moments in dimension d over one denominator W = (top+d)!:
+    Dirichlet's formula with mu_0 = 0 gives int x^k = k! / (|k|+d)!, so
+    self[k] = W int x^k is an integer, filled on first read.  A reader fits
+    top to the largest |k| it reads before it reads any."""
 
-    Dirichlet's formula with mu_0 = 0 gives int x^e = e! / (|e|+d)!, so
-    each value is the integer c * int x^e over the shared denominator
-    (top+d)!.
-    """
-    full = _FACT[top + d]
-    cofactors: Dict[int, int] = {}  # |e| -> (top+d)!/(|e|+d)!, for the degrees present
-    for exps, c in weighted:
-        k = sum(exps)
-        cofactor = cofactors.get(k)
-        if cofactor is None:
-            cofactor = cofactors[k] = full // _FACT[k + d]
-        w = c * cofactor
-        for e in exps:
-            w *= _FACT[e]
-        yield w
+    def __init__(self, d: int, top: int):
+        self.d, self.top = d, top
+
+    def fit(self, top: int) -> int:
+        """W, once top is at least the given degree; raising top empties the table."""
+        if top > self.top:
+            self.clear()
+            self.top = top
+        return _FACT[self.top + self.d]
+
+    def __missing__(self, k: Exponents) -> int:
+        value = self[k] = prod(map(_FACT.__getitem__, k)) * (_FACT[self.top + self.d]
+                                                             // _FACT[sum(k) + self.d])
+        return value
+
+    def inner(self, p: CartesianPolynomial, e: Exponents) -> int:
+        """W p.den <p, x^e>."""
+        return sum(v * self[tuple(map(add, k, e))] for k, v in p.nums.items())
 
 
 def integrate_simplex(p: CartesianPolynomial) -> Fraction:
@@ -454,15 +476,13 @@ def moment_numerators(p: CartesianPolynomial,
     Dirichlet's formula gives int x^e = e! / (|e|+d)!, so with p = P / den
     and N = deg p + max |e|,
         <p, x^e> = sum_e' P_e' (e+e')! (N+d)!/(|e+e'|+d)! / (den (N+d)!),
-    and D = den (N+d)! is shared by the whole batch.  A batch of keys is
-    one row of a Gram matrix, compared by cross-multiplying denominators.
+    and D = den (N+d)! is shared by the whole batch: one `_Moments` table
+    fitted to N.  A batch of keys is one row of a Gram matrix.
     """
     check_polynomial(p)
     d = p.d
     if any(len(e) != d for e in keys):
         raise ValueError(f"every key must have {d} exponents")
-    terms = list(p.nums.items())
     top = p.total_degree() + max(map(sum, keys), default=0)
-    row = [sum(_dirichlet_terms(((tuple(map(add, e, k)), c) for k, c in terms), d, top))
-           for e in keys]
-    return p.den * _FACT[top + d], row
+    moments = _Moments(d, top)
+    return p.den * _FACT[top + d], [moments.inner(p, e) for e in keys]

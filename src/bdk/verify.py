@@ -20,7 +20,6 @@ import time
 from fractions import Fraction
 from functools import cache, partial
 from itertools import chain, combinations, combinations_with_replacement, product
-from operator import add
 from typing import Callable, Iterator, List, NamedTuple, Optional, Tuple
 
 from . import __version__ as ARTIFACT_VERSION
@@ -39,7 +38,7 @@ from .kernels import (
     kernel_legendre,
     kernel_single,
 )
-from .polynomials import CartesianPolynomial, difference_witness
+from .polynomials import CartesianPolynomial, _combine, _Moments, difference_witness
 
 __all__ = ["SuiteConfig", "VerificationReport", "run_suite"]
 
@@ -266,8 +265,8 @@ def _iter_jobs(cfg: SuiteConfig) -> Iterator[Job]:
     are read by more than one degree pair, and the coefficients by
     operator_linear_combination too, so they are kept for the run; every
     other kernel is kept for its degree pair only, and the operator group's
-    tables (monomial images and moments) for their dimension's operator
-    checks, which build every column and moment inside a check.
+    tables (monomial images, and moments in a `bdk.polynomials._Moments`) for
+    their dimension's operator checks, which fill every entry inside a check.
     """
     coefficients = cache(composition_coefficients)
     single = cache(kernel_single)
@@ -382,57 +381,6 @@ def _threefold_jobs(top: int) -> Iterator[Job]:
         yield "threefold_permutation_invariance", {"degrees": [a, b, c]}, permuted
 
 
-class _Moments(dict):
-    """The Dirichlet moments in dimension d over one denominator W = (top+d)!:
-    self[k] = W int x^k = k! W / (|k|+d)!, filled on first read.  A check
-    fits top to the largest |k| it reads before it reads any."""
-
-    def __init__(self, d: int):
-        self.d, self.top = d, 0
-
-    def fit(self, top: int) -> int:
-        """W, once top is at least the given degree; raising top empties the table."""
-        if top > self.top:
-            self.clear()
-            self.top = top
-        return _FACT[self.top + self.d]
-
-    def __missing__(self, k: Tuple[int, ...]) -> int:
-        value = self[k] = (math.prod(map(_FACT.__getitem__, k))
-                           * (_FACT[self.top + self.d] // _FACT[sum(k) + self.d]))
-        return value
-
-    def inner(self, p: CartesianPolynomial, e: Tuple[int, ...]) -> int:
-        """W p.den <p, x^e>."""
-        return sum(v * self[tuple(map(add, k, e))] for k, v in p.nums.items())
-
-
-def _combine(pairs: Iterator[Tuple[int, CartesianPolynomial]], den: int) -> Tuple[dict, int]:
-    """The integer map and denominator of sum w p / den over (w, p) pairs, w an
-    int and p a column of an operator table, each p brought over the lcm of
-    their denominators, unreduced: the one place operator images combine."""
-    pairs = list(pairs)
-    common = math.lcm(*(p.den for _, p in pairs))
-    out = {}
-    for w, p in pairs:
-        w *= common // p.den
-        for e, v in p.nums.items():
-            out[e] = out.get(e, 0) + w * v
-    return out, den * common
-
-
-def _combination_difference(d: int, lhs: Tuple[dict, int],
-                            rhs: Tuple[dict, int]) -> Optional[dict]:
-    """None when two (integer map, denominator) pairs cross-multiply equal,
-    else the `difference_witness` of their polynomials, built only then."""
-    (left, left_den), (right, right_den) = lhs, rhs
-    if all(left.get(e, 0) * right_den == right.get(e, 0) * left_den
-           for e in left.keys() | right.keys()):
-        return None
-    return difference_witness(*(CartesianPolynomial.from_integers(d, nums, Fraction(1, den))
-                                for nums, den in (lhs, rhs)))
-
-
 def _operator_jobs(d: int, top: int, monomial_degree: int,
                    coefficients: Callable) -> Iterator[Job]:
     """The operator checks in dimension d up to degree top, and the first
@@ -441,13 +389,14 @@ def _operator_jobs(d: int, top: int, monomial_degree: int,
     Column (n, e) is `apply_operator(n, x^e)`, built by the first check that
     reads it.  M_n is linear, so every other image is an integer combination
     of columns (`_combine`): M_m(M_n x^e) reads column (m, e') for each term
-    x^e' of column (n, e), whatever its degree.  The integrals read one
-    `_Moments`.  Each call has its own tables and exponents, so a job reads
-    its own dimension's even when every job is built before any runs.
+    x^e' of column (n, e), whatever its degree; the sides are compared
+    unreduced (`difference_witness`) and the integrals read one `_Moments`.
+    Each call has its own tables and exponents, so a job reads its own
+    dimension's even when every job is built before any runs.
     """
     exponents = [e for g in _monomials_up_to(d, monomial_degree) for e in g.nums]
     column = cache(lambda n, e: apply_operator(n, CartesianPolynomial.from_integers(d, {e: 1})))
-    moments = _Moments(d)
+    moments = _Moments(d, 0)
 
     def composed(m: int, n: int, e: Tuple[int, ...]) -> Tuple[dict, int]:
         inner = column(n, e)
@@ -494,14 +443,14 @@ def _operator_jobs(d: int, top: int, monomial_degree: int,
 
     for m, n in combinations(range(top + 1), 2):
         yield "operator_commutativity", {"d": d, "m": m, "n": n}, \
-            lambda m=m, n=n: _each_monomial(exponents, lambda e: _combination_difference(
-                d, composed(m, n, e), composed(n, m, e)))
+            lambda m=m, n=n: _each_monomial(exponents, lambda e: difference_witness(
+                composed(m, n, e), composed(n, m, e)))
 
     for m, n in product(range(top + 1), repeat=2):
         def combo_operator(m=m, n=n):
             den, weights = clear_denominators(coefficients(m, n, d))
-            return _each_monomial(exponents, lambda e: _combination_difference(
-                d, composed(m, n, e),
+            return _each_monomial(exponents, lambda e: difference_witness(
+                composed(m, n, e),
                 _combine(((w, column(k, e)) for k, w in enumerate(weights)), den)))
         yield "operator_linear_combination", {"d": d, "m": m, "n": n}, combo_operator
 

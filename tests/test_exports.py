@@ -8,9 +8,11 @@ import pytest
 import bdk
 import bdk.cli
 import bdk.combinat
+import bdk.durrmeyer
 import bdk.kernels
 import bdk.polynomials
 import bdk.simplex_integrals
+import bdk.verify
 from bdk.verify import SuiteConfig
 
 MODULES = ["bdk", *(f"bdk.{m.name}" for m in pkgutil.iter_modules(bdk.__path__))]
@@ -66,12 +68,19 @@ def test_second_paths_and_unread_readers_are_gone():
     assert not hasattr(bdk.kernels.BernsteinKernelForm, "linear_combination")
     assert not hasattr(bdk.kernels.KernelPolynomial, "from_json_dict")
     assert not hasattr(bdk.polynomials.CartesianPolynomial, "from_json_dict")
+    # each integer-map job has one body, in bdk.polynomials, which bdk.verify imports
+    assert not hasattr(bdk.polynomials, "_dirichlet_terms")
+    assert not hasattr(bdk.verify, "_combination_difference")
+    assert bdk.verify._combine is bdk.polynomials._combine
+    assert bdk.verify._Moments is bdk.polynomials._Moments
 
 
 def test_caches_with_no_hits_are_gone():
     assert not hasattr(bdk.kernels._inner_sum_coordinates, "cache_info")
     assert not hasattr(bdk.simplex_integrals, "_monomial_integral_cached")
     assert not hasattr(bdk.simplex_integrals.monomial_integral, "cache_info")
+    assert not hasattr(bdk.durrmeyer._moment_column, "cache_info")
+    assert "_hash" not in bdk.polynomials.CartesianPolynomial.__slots__
 
 
 def test_threefold_cap_knob_is_gone(capsys):

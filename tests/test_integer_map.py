@@ -4,7 +4,8 @@ CartesianPolynomial (and so KernelPolynomial) stores den and nums with
 coefficient nums[e] / den, zeros dropped and gcd(den, *nums) == 1.  These
 tests check that invariant against plain Fraction dicts: one value built
 several ways gives equal objects with equal hashes, JSON round-trips,
-`first_difference` agrees with a Fraction-dict scan, exact scalars are
+`first_difference` agrees with a Fraction-dict scan and gives the same
+answer on unreduced pairs (`_first_difference`), exact scalars are
 the only ones accepted, and the verify path never builds the Fraction
 `terms` view.
 """
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bdk.kernels import DiagonalKernelForm, KernelPolynomial, kernel_closed_twofold, to_canonical
-from bdk.polynomials import CartesianPolynomial
+from bdk.polynomials import CartesianPolynomial, _first_difference
 from bdk.verify import SuiteConfig, run_suite
 
 F = Fraction
@@ -200,6 +201,31 @@ class TestFirstDifference:
         assert found == ref_first_difference(a, b)
         if found is not None:
             assert all(type(v) is Fraction for v in found[1:])
+        assert (found is None) == (a == b)
+
+    @SETTINGS
+    @given(st.data())
+    def test_unreduced_pairs_match_the_reduced_comparison(self, data):
+        # bdk verify compares operator images as unreduced (integer map,
+        # denominator) pairs: each side here is scaled by its own integer
+        # and keeps some zero entries
+        cls = data.draw(st.sampled_from([CartesianPolynomial, KernelPolynomial]))
+        d = data.draw(dims)
+        a = data.draw(polys(cls, d))
+        b = data.draw(st.sampled_from(["same", "one term", "any"]))
+        if b == "same":
+            b = a
+        elif b == "one term":
+            b = a + cls(d, data.draw(coefficient_maps(d, cls.BLOCKS, max_size=1)))
+        else:
+            b = data.draw(polys(cls, d))
+
+        def unreduced(p):
+            k = data.draw(st.integers(1, 50))
+            zeros = data.draw(st.lists(keys_for(d, cls.BLOCKS), max_size=3))
+            return {**dict.fromkeys(zeros, 0), **{e: k * v for e, v in p.nums.items()}}, k * p.den
+        found = _first_difference(unreduced(a), unreduced(b))
+        assert found == a.first_difference(b)
         assert (found is None) == (a == b)
 
     def test_same_values_over_different_denominators(self):

@@ -21,7 +21,7 @@ import bdk.verify
 from bdk.combinat import clear_denominators, enumerate_multi_indices
 from bdk.durrmeyer import apply_operator, composition_coefficients
 from bdk.kernels import DiagonalKernelForm
-from bdk.polynomials import CartesianPolynomial
+from bdk.polynomials import CartesianPolynomial, _combine
 from bdk.verify import (
     FAMILIES,
     FAMILY_CAPS,
@@ -29,7 +29,6 @@ from bdk.verify import (
     CheckRecord,
     SuiteConfig,
     VerificationReport,
-    _combine,
     _monomials_up_to,
     canonical_json_bytes,
     run_suite,
@@ -361,7 +360,7 @@ MUTANTS = {
          "operator_integral_preservation", "operator_commutativity",
          "operator_linear_combination", "univariate_first_moment"}),
     "combination_term": (
-        [(bdk.verify, "_combine", bump_first_weight)],
+        [(module, "_combine", bump_first_weight) for module in (bdk.polynomials, bdk.verify)],
         {"operator_commutativity", "operator_linear_combination"}),
     "last_coefficient": (
         [(bdk.verify, "composition_coefficients", move_last_coefficient)],
@@ -510,7 +509,8 @@ class TestMonomials:
 
 def table_images(d, f, m, n):
     """M_m(M_n f) and sum_k c_k M_k f as `bdk.verify` composes them: integer
-    combinations (`_combine`) of the monomial images apply_operator(k, x^e)."""
+    combinations (`bdk.polynomials._combine`) of the monomial images
+    apply_operator(k, x^e)."""
     column = cache(lambda k, e: apply_operator(k, CartesianPolynomial.monomial(d, e)))
     inner, inner_den = _combine(((v, column(n, e)) for e, v in f.nums.items()), f.den)
     composed = _combine(((v, column(m, e)) for e, v in inner.items()), inner_den)
@@ -668,8 +668,8 @@ class TestRunSuite:
             return counted
         monkeypatch.setattr(bdk.verify, "apply_operator",
                             counter("apply_operator", bdk.verify.apply_operator))
-        monkeypatch.setattr(bdk.verify._Moments, "__missing__",
-                            counter("moment", bdk.verify._Moments.__missing__))
+        monkeypatch.setattr(bdk.polynomials._Moments, "__missing__",
+                            counter("moment", bdk.polynomials._Moments.__missing__))
         jobs = list(bdk.verify._iter_jobs(SuiteConfig()))
         assert calls == {"apply_operator": 0, "moment": 0}
         for _, _, check in jobs:
