@@ -20,6 +20,7 @@ import gc
 import json
 import re
 import sys
+from contextlib import nullcontext
 from fractions import Fraction
 from itertools import product
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
@@ -250,19 +251,17 @@ def _cmd_table(args) -> int:
     points = _grid_points(args.d, args.grid)
     coords = [[float(c) for c in pt] for pt in points]
     header = [f"x{i + 1}" for i in range(args.d)] + [f"y{i + 1}" for i in range(args.d)] + ["K"]
+    # a write can fail after the open succeeds (a full disk), and the close flushes
     try:
-        fh = open(args.out, "w", newline="", encoding="utf-8") if args.out != "-" else sys.stdout
+        with open(args.out, "w", newline="", encoding="utf-8") if args.out != "-" \
+                else nullcontext(sys.stdout) as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            for x, row in zip(coords, kernel.evaluate_grid(points, points)):
+                for y, value in zip(coords, row):
+                    writer.writerow(x + y + [_to_float(value)])
     except OSError as exc:
         raise ValueError(f"--out: cannot write {args.out!r}: {exc}") from exc
-    try:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for x, row in zip(coords, kernel.evaluate_grid(points, points)):
-            for y, value in zip(coords, row):
-                writer.writerow(x + y + [_to_float(value)])
-    finally:
-        if fh is not sys.stdout:
-            fh.close()
     return EXIT_OK
 
 

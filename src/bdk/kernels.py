@@ -136,7 +136,7 @@ class KernelPolynomial(CartesianPolynomial):
         For a stochastic kernel this must come out as the constant 1.  With
         K = C / D for an integer map C and N the top y degree, Dirichlet's
         formula makes the x^ex coefficient the integer
-        sum_ey C_e ey! (N+d)!/(|ey|+d)! (one `_Moments` table) over D (N+d)!.
+        sum_ey C_e ey! (N+d)!/(|ey|+d)! (one `_Moments` of degree N) over D (N+d)!.
         """
         d = self.d
         top = max((sum(e[d:]) for e in self.nums), default=0)
@@ -144,7 +144,7 @@ class KernelPolynomial(CartesianPolynomial):
         acc: Dict[Tuple[int, ...], int] = {}
         for e, c in self.nums.items():
             acc[e[:d]] = acc.get(e[:d], 0) + c * moments[e[d:]]
-        return CartesianPolynomial.from_integers(d, acc, Fraction(1, self.den * _FACT[top + d]))
+        return CartesianPolynomial.from_integers(d, acc, Fraction(1, self.den * moments.scale))
 
     def __repr__(self) -> str:
         return f"<kernel d={self.d} terms={len(self.nums)}>"

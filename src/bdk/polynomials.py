@@ -14,13 +14,14 @@ on each read, for display and tests; no exact path reads it.
 Exact sums are accumulated in Python ints, each integer-map job in one
 body that `bdk.verify` reads too: weighted sums (`_combine`), comparisons
 of (integer map, denominator) pairs, reduced or not (`_first_difference`),
-and Dirichlet moments over one factorial denominator (`_Moments`).  An
-integer fast path ends with one rational scale for the whole map
-(`CartesianPolynomial.from_integers`), which only multiplies nums and den
-and reduces them by one gcd.  Evaluation works the same way: a rational
-point is written over its common denominator q, each monomial is
-homogenised to the top degree with powers of q, and one Fraction is built
-from the integer sum (`monomial_numerators`).
+and Dirichlet moments over one factorial denominator (`_Moments`, whose
+degree is fixed when it is built).  An integer fast path ends with one
+rational scale for the whole map (`CartesianPolynomial.from_integers`),
+which only multiplies nums and den and reduces them by one gcd.
+Evaluation works the same way: a rational point is written over its
+common denominator q, each monomial is homogenised to the top degree with
+powers of q, and one Fraction is built from the integer sum
+(`monomial_numerators`).
 """
 from __future__ import annotations
 
@@ -418,28 +419,24 @@ def bernstein_value(alpha: Sequence[int], pt: Sequence[Scalar]) -> Fraction:
 
 
 class _Moments(dict):
-    """The Dirichlet moments in dimension d over one denominator W = (top+d)!:
-    Dirichlet's formula with mu_0 = 0 gives int x^k = k! / (|k|+d)!, so
-    self[k] = W int x^k is an integer, filled on first read.  A reader fits
-    top to the largest |k| it reads before it reads any."""
+    """The Dirichlet moments in dimension d up to degree top, over the one
+    denominator scale = (top+d)! fixed when the table is built: Dirichlet's
+    formula with mu_0 = 0 gives int x^k = k! / (|k|+d)!, so self[k] =
+    scale * int x^k is an integer, filled on first read.  A key of degree
+    above top raises ValueError."""
 
     def __init__(self, d: int, top: int):
-        self.d, self.top = d, top
-
-    def fit(self, top: int) -> int:
-        """W, once top is at least the given degree; raising top empties the table."""
-        if top > self.top:
-            self.clear()
-            self.top = top
-        return _FACT[self.top + self.d]
+        self.d, self.top, self.scale = d, top, _FACT[top + d]
 
     def __missing__(self, k: Exponents) -> int:
-        value = self[k] = prod(map(_FACT.__getitem__, k)) * (_FACT[self.top + self.d]
-                                                             // _FACT[sum(k) + self.d])
+        degree = sum(k)
+        if degree > self.top:
+            raise ValueError(f"moment of degree {degree} read from a table of degree {self.top}")
+        value = self[k] = prod(map(_FACT.__getitem__, k)) * (self.scale // _FACT[degree + self.d])
         return value
 
     def inner(self, p: CartesianPolynomial, e: Exponents) -> int:
-        """W p.den <p, x^e>."""
+        """scale * p.den * <p, x^e>."""
         return sum(v * self[tuple(map(add, k, e))] for k, v in p.nums.items())
 
 
@@ -477,7 +474,7 @@ def moment_numerators(p: CartesianPolynomial,
     and N = deg p + max |e|,
         <p, x^e> = sum_e' P_e' (e+e')! (N+d)!/(|e+e'|+d)! / (den (N+d)!),
     and D = den (N+d)! is shared by the whole batch: one `_Moments` table
-    fitted to N.  A batch of keys is one row of a Gram matrix.
+    of degree N.  A batch of keys is one row of a Gram matrix.
     """
     check_polynomial(p)
     d = p.d
@@ -485,4 +482,4 @@ def moment_numerators(p: CartesianPolynomial,
         raise ValueError(f"every key must have {d} exponents")
     top = p.total_degree() + max(map(sum, keys), default=0)
     moments = _Moments(d, top)
-    return p.den * _FACT[top + d], [moments.inner(p, e) for e in keys]
+    return p.den * moments.scale, [moments.inner(p, e) for e in keys]

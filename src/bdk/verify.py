@@ -241,17 +241,6 @@ def _each_monomial(exponents: List[Tuple[int, ...]],
     return None
 
 
-def _monomials_up_to(d: int, max_degree: int) -> List[CartesianPolynomial]:
-    """Each monomial in x_1..x_d of degree <= max_degree once, by degree.
-
-    The degree-deg monomials are the multi-indices of degree deg with a
-    zero slack slot, in enumeration order.
-    """
-    return [CartesianPolynomial.monomial(d, mi[1:])
-            for deg in range(max_degree + 1)
-            for mi in _multi_indices(deg, d) if mi[0] == 0]
-
-
 def _iter_jobs(cfg: SuiteConfig) -> Iterator[Job]:
     """Every check that FAMILIES runs, dimension by dimension: the three-fold
     checks, the degree pairs, the operator checks, then the inner-sum lemma.
@@ -265,8 +254,9 @@ def _iter_jobs(cfg: SuiteConfig) -> Iterator[Job]:
     are read by more than one degree pair, and the coefficients by
     operator_linear_combination too, so they are kept for the run; every
     other kernel is kept for its degree pair only, and the operator group's
-    tables (monomial images, and moments in a `bdk.polynomials._Moments`) for
-    their dimension's operator checks, which fill every entry inside a check.
+    tables (monomial images, and one `bdk.polynomials._Moments` whose degree
+    is set when it is built) for their dimension's operator checks, which
+    fill each entry once, inside a check.
     """
     coefficients = cache(composition_coefficients)
     single = cache(kernel_single)
@@ -386,17 +376,20 @@ def _operator_jobs(d: int, top: int, monomial_degree: int,
     """The operator checks in dimension d up to degree top, and the first
     moments, all read off one table of monomial images.
 
+    The test monomials x^e are those of degree <= monomial_degree, by degree.
     Column (n, e) is `apply_operator(n, x^e)`, built by the first check that
     reads it.  M_n is linear, so every other image is an integer combination
     of columns (`_combine`): M_m(M_n x^e) reads column (m, e') for each term
     x^e' of column (n, e), whatever its degree; the sides are compared
-    unreduced (`difference_witness`) and the integrals read one `_Moments`.
+    unreduced (`difference_witness`).  The integrals read one `_Moments` of
+    degree top + monomial_degree: an image has degree <= n <= top (the
+    degree bound), and an inner product adds one test monomial's degree.
     Each call has its own tables and exponents, so a job reads its own
     dimension's even when every job is built before any runs.
     """
-    exponents = [e for g in _monomials_up_to(d, monomial_degree) for e in g.nums]
+    exponents = [e for deg in range(monomial_degree + 1) for e in _multi_indices(deg, d - 1)]
     column = cache(lambda n, e: apply_operator(n, CartesianPolynomial.from_integers(d, {e: 1})))
-    moments = _Moments(d, 0)
+    moments = _Moments(d, top + monomial_degree)
 
     def composed(m: int, n: int, e: Tuple[int, ...]) -> Tuple[dict, int]:
         inner = column(n, e)
@@ -414,18 +407,18 @@ def _operator_jobs(d: int, top: int, monomial_degree: int,
         yield "operator_degree_bound", {"d": d, "n": n}, degree_bound
 
         def self_adjoint(n=n):
-            # <M_n x^e, x^g> is moments.inner(images[e], g) / (D W), D the image's
-            # denominator; a pair can first fail at e before g, as (g, e) repeats (e, g)
-            images = {e: column(n, e) for e in exponents}
-            scale = moments.fit(max(p.total_degree() for p in images.values()) + monomial_degree)
+            # <M_n x^e, x^g> = moments.inner(f, g) / (D moments.scale) for
+            # f = M_n x^e over D; (g, e) repeats (e, g), so g runs past e only
+            images = [(e, column(n, e)) for e in exponents]
+            later = {e: (f, images[i + 1:]) for i, (e, f) in enumerate(images)}
             def asymmetric(e):
-                f = images[e]
-                for g in exponents[exponents.index(e) + 1:]:
-                    lhs, rhs = moments.inner(f, g), moments.inner(images[g], e)
-                    if lhs * images[g].den != rhs * f.den:
+                f, rest = later[e]
+                for g, h in rest:
+                    lhs, rhs = moments.inner(f, g), moments.inner(h, e)
+                    if lhs * h.den != rhs * f.den:
                         return {"g": [{"exp": list(g), "coef": "1"}],
-                                "lhs": format_rational(Fraction(lhs, f.den * scale)),
-                                "rhs": format_rational(Fraction(rhs, images[g].den * scale))}
+                                "lhs": format_rational(Fraction(lhs, f.den * moments.scale)),
+                                "rhs": format_rational(Fraction(rhs, h.den * moments.scale))}
                 return None
             return _each_monomial(exponents, asymmetric)
         yield "operator_self_adjoint", {"d": d, "n": n}, self_adjoint
@@ -433,11 +426,10 @@ def _operator_jobs(d: int, top: int, monomial_degree: int,
         def integral_preserved(n=n):
             def changed(e):
                 image = column(n, e)
-                scale = moments.fit(max(image.total_degree(), sum(e)))
                 lhs, rhs = moments.inner(image, (0,) * d), moments[e]
                 return None if lhs == rhs * image.den else {
-                    "lhs": format_rational(Fraction(lhs, image.den * scale)),
-                    "rhs": format_rational(Fraction(rhs, scale))}
+                    "lhs": format_rational(Fraction(lhs, image.den * moments.scale)),
+                    "rhs": format_rational(Fraction(rhs, moments.scale))}
             return _each_monomial(exponents, changed)
         yield "operator_integral_preservation", {"d": d, "n": n}, integral_preserved
 

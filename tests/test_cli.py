@@ -579,6 +579,14 @@ class TestTable:
         assert code == 2
         assert "cannot write" in err
 
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_write_fails_after_open(self, capsys):
+        # the open succeeds and the writes fail: a usage error, not a traceback
+        code, out, err = run_cli(capsys, "table", "--d", "1", "--m", "2", "--n", "2",
+                                 "--grid", "5", "--out", "/dev/full")
+        assert (code, out) == (2, "")
+        assert err.startswith("bdk: error: --out: cannot write '/dev/full': [Errno 28]")
+
 
 #: A complete argument list for each subcommand, in `bdk --help` order.
 COMPLETE_ARGV = {

@@ -35,6 +35,7 @@ from bdk.polynomials import (
     CartesianPolynomial,
     bernstein_basis,
     inner_product,
+    _Moments,
     integrate_simplex,
     moment_numerators,
 )
@@ -270,6 +271,22 @@ class TestReferenceEquivalence:
         for e, value in zip(keys, row):
             g = CartesianPolynomial.monomial(p.d, e)
             assert Fraction(value, den) == inner_product(p, g) == ref_inner_product(p, g)
+
+    @SETTINGS
+    @given(st.integers(1, 3), st.integers(0, 8))
+    def test_moment_table(self, d, top):
+        # Dirichlet's formula over W = (top+d)! up to degree top; above it the table refuses
+        table = _Moments(d, top)
+        assert table.scale == math.factorial(top + d)
+        for mi in enumerate_multi_indices(top, d):
+            k = mi[1:]
+            ref = F(math.prod(map(math.factorial, k)), math.factorial(sum(k) + d))
+            assert table[k] == table.scale * ref
+        assert len(table) == math.comb(top + d, d)
+        for k in [(top + 1,) + (0,) * (d - 1), (0,) * (d - 1) + (top + 1,)]:
+            with pytest.raises(ValueError, match=f"degree {top + 1} .* degree {top}$"):
+                table[k]
+            assert k not in table
 
     @SETTINGS
     @given(st.data())

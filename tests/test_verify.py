@@ -5,6 +5,7 @@ import math
 import random
 import re
 import weakref
+from collections import Counter
 from fractions import Fraction
 from functools import cache
 from itertools import combinations_with_replacement
@@ -29,7 +30,6 @@ from bdk.verify import (
     CheckRecord,
     SuiteConfig,
     VerificationReport,
-    _monomials_up_to,
     canonical_json_bytes,
     run_suite,
 )
@@ -498,13 +498,27 @@ def old_monomials_up_to(d, max_degree):
             for mi in enumerate_multi_indices(deg, d)]
 
 
+def monomials_up_to(d, max_degree):
+    """Each monomial of degree <= max_degree once, in first-appearance order."""
+    return list(dict.fromkeys(old_monomials_up_to(d, max_degree)))
+
+
 class TestMonomials:
     @pytest.mark.parametrize("d", [1, 2, 3])
     @pytest.mark.parametrize("k", range(6))
-    def test_each_monomial_once_in_first_appearance_order(self, d, k):
-        monomials = _monomials_up_to(d, k)
-        assert len(monomials) == len(set(monomials)) == comb(k + d, d)
-        assert monomials == list(dict.fromkeys(old_monomials_up_to(d, k)))
+    def test_each_monomial_once_in_first_appearance_order(self, d, k, monkeypatch):
+        # operator_degree_bound reads the image of each test monomial in turn
+        read = []
+
+        def recording(n, f):
+            read.append(f)
+            return apply_operator(n, f)
+        monkeypatch.setattr(bdk.verify, "apply_operator", recording)
+        for name, _, check in bdk.verify._operator_jobs(d, 0, k, composition_coefficients):
+            if name == "operator_degree_bound":
+                assert check() is None
+        assert len(read) == comb(k + d, d)
+        assert read == monomials_up_to(d, k)
 
 
 def table_images(d, f, m, n):
@@ -530,7 +544,7 @@ class TestOperatorTable:
     def test_combined_columns_equal_the_multi_term_images(self, d, n):
         mixed = CartesianPolynomial(d, {(0,) * d: Fraction(-3, 2), (1,) * d: Fraction(2, 3),
                                         (3,) + (0,) * (d - 1): -5, (0,) * (d - 1) + (4,): 1})
-        for f in [*_monomials_up_to(d, 4), mixed]:
+        for f in [*monomials_up_to(d, 4), mixed]:
             for m in range(6):
                 composed, combined = table_images(d, f, m, n)
                 assert composed == apply_operator(m, apply_operator(n, f)), (f, m)
@@ -677,6 +691,21 @@ class TestRunSuite:
             assert check() is None
             inside[0] = False
         assert calls["apply_operator"] == 121 and calls["moment"] > 0
+
+    def test_default_run_fills_each_moment_once(self, monkeypatch):
+        # one moment table per dimension the operator checks run at (d <= 2),
+        # sized before any check runs, and no entry of it computed twice
+        fills, tables = Counter(), {}
+        missing = bdk.polynomials._Moments.__missing__
+
+        def counted(table, k):
+            tables[id(table)] = table
+            fills[id(table), k] += 1
+            return missing(table, k)
+        monkeypatch.setattr(bdk.polynomials._Moments, "__missing__", counted)
+        assert run_suite(SuiteConfig()).ok
+        assert sorted(table.d for table in tables.values()) == [1, 2]
+        assert len(fills) == sum(fills.values()) == 51
 
     def test_operator_checks_catch_a_perturbed_image(self, monkeypatch):
         target = CartesianPolynomial.monomial(2, (2, 0))
