@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import gc
 import json
+import os
 import re
 import sys
 from contextlib import nullcontext
@@ -167,6 +168,17 @@ def _write_file(path: str, flag: str, text: str, mode: str = "w") -> None:
         raise ValueError(f"{flag}: cannot write {path!r}: {exc}") from exc
 
 
+def _write_stdout(*lines: str) -> None:
+    """Write each line to stdout and flush them; a write that fails (a
+    closed pipe, a full disk) is a usage error, as a file that cannot be
+    written is, not a traceback."""
+    try:
+        sys.stdout.write("".join(line + "\n" for line in lines))
+        sys.stdout.flush()
+    except OSError as exc:
+        raise ValueError(f"cannot write to stdout: {exc}") from exc
+
+
 def _build_kernel(form: str, m: int, n: int, d: int
                   ) -> Union[DiagonalKernelForm, BernsteinKernelForm]:
     """The kernel as built: diagonal for 'closed' and 'univariate', in
@@ -204,15 +216,13 @@ def _cmd_eval(args) -> int:
         _write_file(dump, "--dump-kernel", "", "a")
     kernel = _build_kernel(args.form, m, n, d)
     value = kernel.evaluate(x, y)
-    print(format_rational(value))
-    if args.float:
-        print(f"{_to_float(value):.17g}")
+    _write_stdout(format_rational(value), *([f"{_to_float(value):.17g}"] if args.float else []))
     if dump:
         kernel = to_canonical(kernel) if isinstance(kernel, DiagonalKernelForm) \
             else kernel.expand()
         payload = json.dumps(kernel.to_json_dict(), sort_keys=True)
         if dump == "-":
-            print(payload)
+            _write_stdout(payload)
         else:
             _write_file(dump, "--dump-kernel", payload + "\n")
     return EXIT_OK
@@ -220,8 +230,7 @@ def _cmd_eval(args) -> int:
 
 def _cmd_coeffs(args) -> int:
     coeffs = composition_coefficients(args.m, args.n, args.d)
-    print(json.dumps([format_rational(c) for c in coeffs]))
-    print(format_rational(sum(coeffs)))
+    _write_stdout(json.dumps([format_rational(c) for c in coeffs]), format_rational(sum(coeffs)))
     return EXIT_OK
 
 
@@ -229,7 +238,7 @@ def _cmd_apply(args) -> int:
     degrees = _parse_list(args.degrees, "--degrees", int)
     poly = parse_polynomial(args.poly, args.d)
     image = compose_apply(degrees, poly)
-    print(json.dumps(image.to_json_dict(), sort_keys=True))
+    _write_stdout(json.dumps(image.to_json_dict(), sort_keys=True))
     return EXIT_OK
 
 
@@ -251,7 +260,8 @@ def _cmd_table(args) -> int:
     points = _grid_points(args.d, args.grid)
     coords = [[float(c) for c in pt] for pt in points]
     header = [f"x{i + 1}" for i in range(args.d)] + [f"y{i + 1}" for i in range(args.d)] + ["K"]
-    # a write can fail after the open succeeds (a full disk), and the close flushes
+    # a write can fail after the open succeeds (a full disk), and the flush
+    # reports it for stdout as the close does for a file
     try:
         with open(args.out, "w", newline="", encoding="utf-8") if args.out != "-" \
                 else nullcontext(sys.stdout) as fh:
@@ -260,7 +270,10 @@ def _cmd_table(args) -> int:
             for x, row in zip(coords, kernel.evaluate_grid(points, points)):
                 for y, value in zip(coords, row):
                     writer.writerow(x + y + [_to_float(value)])
+            fh.flush()
     except OSError as exc:
+        if args.out == "-":
+            raise ValueError(f"cannot write to stdout: {exc}") from exc
         raise ValueError(f"--out: cannot write {args.out!r}: {exc}") from exc
     return EXIT_OK
 
@@ -275,7 +288,7 @@ def _cmd_verify(args) -> int:
     if args.report:
         _write_file(args.report, "--report", payload + "\n")
     else:
-        print(payload)
+        _write_stdout(payload)
 
     summary = report.summary()
     status = f"{summary['total']} checks, {summary['passed']} passed, {summary['failed']} failed"
@@ -390,6 +403,19 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 def cli_entry() -> None:
     code = main()
+    try:
+        sys.stdout.flush()
+    except OSError as exc:
+        # a write that main() did not flush failed: report it; one it did
+        # flush was reported there, as a usage error
+        if code != EXIT_USAGE:
+            print(f"bdk: error: cannot write to stdout: {exc}", file=sys.stderr)
+            code = EXIT_USAGE
+        # the bytes that failed are still buffered: send them nowhere, so the
+        # flush at exit does not fail again (and exit 120)
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     # Move every live object out of the collector's reach, so the full
     # collection at interpreter exit skips them; the OS reclaims the memory.
     # Only here: tests and tracers call main() in-process and go on running.

@@ -7,8 +7,15 @@ bases on the simplex, so exactness is non-negotiable; no floats appear.
 
 This module is the one home of the exact tables the library reads: the
 process-wide factorial table `_FACT`, the multinomial of each multi-index
-(`_multinomial`) and the enumeration of each (degree, dimension)
-(`_multi_indices`).  Each entry is computed on its first lookup and kept.
+(`_multinomial`), the enumeration of each (degree, dimension)
+(`_multi_indices`), the same enumeration one slot at a time
+(`_index_slots`) and the Pascal diagonals p -> (k -> C(p+k, k)), one table
+grown to the largest degree asked for (`_binomial_shifts`).  Each entry is
+computed on its first lookup and kept.  A product over the d+1 parts of
+every index, such as (a+b)!, is one table per part, so `_slot_products`
+gathers it one slot at a time, with no Python loop over the parts of an
+index; `_slot_product_rows` gathers such rows for every index of a second
+level at once, as the Gram rows between two levels of a kernel are.
 The public functions check their inputs through `_as_int` and
 `check_degree`, which refuse a float, a Fraction or a bool, and read the
 same tables; the library's inner loops read the tables directly, without
@@ -21,6 +28,7 @@ scalars.
 """
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 import re
@@ -236,3 +244,61 @@ def _multi_indices(n: int, d: int) -> Tuple[Tuple[int, ...], ...]:
         return ((n,),)
     return tuple((head,) + rest for head in range(n, -1, -1)
                  for rest in _multi_indices(n - head, d - 1))
+
+
+#: _PASCAL[p][k] = C(p+k, k): row p is a diagonal of Pascal's triangle.
+_PASCAL: List[List[int]] = []
+
+
+def _binomial_shifts(top: int) -> List[List[int]]:
+    """The one table p -> (k -> C(p+k, k)), with every p, k <= top.  It is
+    grown in place to the largest top asked for, and its readers only index
+    it, so the table for one top serves every smaller one."""
+    size = len(_PASCAL)
+    if top >= size:
+        for p, row in enumerate(_PASCAL):
+            row.extend(math.comb(p + k, k) for k in range(size, top + 1))
+        _PASCAL.extend([math.comb(p + k, k) for k in range(top + 1)] for p in range(size, top + 1))
+    return _PASCAL
+
+
+@lru_cache(maxsize=None)
+def _index_slots(n: int, d: int) -> Tuple[Tuple[int, ...], ...]:
+    """The enumeration of `_multi_indices(n, d)` one slot at a time: entry v
+    lists part v of every index, in order.  Kept per (n, d)."""
+    return tuple(zip(*_multi_indices(n, d)))
+
+
+def _slot_products(slots: Sequence[Sequence[int]], tables: Iterable[Sequence[int]]) -> List[int]:
+    """prod_v tables[v][i_v] for every index i, the indices given one slot
+    at a time (`_index_slots`) and the tables one per slot, in slot order.
+
+    A product over the d+1 parts of each index, such as (a+b)!, is one table
+    per part over its values 0..n; so the product over every index is one
+    C-level gather and one multiply pass per slot, with no Python loop per
+    index."""
+    pairs = zip(slots, tables)
+    slot, table = next(pairs)
+    values = map(table.__getitem__, slot)
+    for slot, table in pairs:
+        values = map(operator.mul, values, map(table.__getitem__, slot))
+    return list(values)
+
+
+def _slot_product_rows(outer: Sequence[Sequence[int]], slots: Sequence[Sequence[int]],
+                       table: Sequence[Sequence[int]], scale: int = 1) -> List[List[int]]:
+    """scale * prod_v table[a_v][i_v] for every outer index a and every index
+    i, both given one slot at a time: one row per a, in order, each
+    `_slot_products(slots, map(table.__getitem__, a))` times scale.
+
+    All rows are gathered at once, one list comprehension over the (a, i)
+    pairs and one multiply pass per slot, so a level of one- or two-entry
+    rows pays no call per row.  For a single row with one table per slot,
+    `_slot_products` is cheaper: it builds no comprehension and no split."""
+    values = itertools.repeat(scale)
+    for parts, slot in zip(outer, slots):
+        values = map(operator.mul, values,
+                     [row[i] for row in map(table.__getitem__, parts) for i in slot])
+    size = len(slots[0])
+    values = list(values)
+    return [values[i:i + size] for i in range(0, len(values), size)]

@@ -38,7 +38,8 @@ from math import comb, perm, prod
 from operator import mul
 from typing import Dict, List, Sequence, Tuple
 
-from .combinat import _FACT, _multi_indices, _multinomial, check_degree, check_dimension
+from .combinat import (_FACT, _index_slots, _multi_indices, _multinomial, _slot_products,
+                       check_degree, check_dimension)
 from .polynomials import CartesianPolynomial, bernstein_basis, bernstein_sum, check_polynomial
 
 __all__ = [
@@ -78,17 +79,15 @@ def _moment_column(n: int, exps: Tuple[int, ...]) -> Tuple[int, ...]:
     """(a + (0, exps))! for each a of `enumerate_multi_indices(n, d)`, in
     that order, d = len(exps).
 
-    The product is gathered one barycentric coordinate at a time: part v of
-    every a reads (a_v + shift_v)! from one table over a_v = 0..n.  Uncached:
-    `bdk verify` builds each (n, exps) column once, and `bdk apply` builds none.
+    The product is gathered one barycentric coordinate at a time
+    (`_slot_products`): part v of every a reads (a_v + shift_v)! from one
+    table over a_v = 0..n.  Uncached: `bdk verify` builds each (n, exps)
+    column once, and `bdk apply` builds none.
     """
-    indices = _multi_indices(n, len(exps))
-    column = [1] * len(indices)
-    for parts, shift in zip(zip(*indices), (0, *exps)):
-        # (k + shift)! for k = 0..n, each from the one before
-        table = list(accumulate(range(shift + 1, shift + n + 1), mul, initial=_FACT[shift]))
-        column = list(map(mul, column, map(table.__getitem__, parts)))
-    return tuple(column)
+    # (k + shift)! for k = 0..n, each from the one before
+    tables = (accumulate(range(shift + 1, shift + n + 1), mul, initial=_FACT[shift])
+              for shift in (0, *exps))
+    return tuple(_slot_products(_index_slots(n, len(exps)), map(list, tables)))
 
 
 def operator_image(n: int, f: CartesianPolynomial) -> CartesianPolynomial:

@@ -34,8 +34,15 @@ dependent coordinates x_0, y_0 eliminated), the map `to_canonical` and
 The definitional builder and canonicalization accumulate Python ints and
 apply one rational scale per output coefficient at the end.  They use
 Dirichlet's formula  int x^mu = mu! / (|mu|+d)!  on barycentric exponents
-and mult(a) = |a|!/a!, the coefficient of x^a in B_a.  Factorials,
-multinomials and index enumerations are read from the shared tables of
+and mult(a) = |a|!/a!, the coefficient of x^a in B_a.  The builder's
+Gram rows mult(b) mult(c) (b+c)! = |b|! |c|! prod_v C(b_v+c_v, c_v), and
+the lemma's left side (a+beta)!/a! = beta! prod_v C(a_v+beta_v, a_v), are
+products over the d+1 slots of an index, gathered one slot at a time from
+one shared table of binomials: all Gram rows between two levels at once
+(`bdk.combinat._slot_product_rows`), with no call per row, and the
+lemma's one row by `bdk.combinat._slot_products`; neither has a Python
+loop over the slots of an entry.  Factorials, multinomials, index
+enumerations and that table are read from
 `bdk.combinat`; no builder keeps its own.  Evaluation is exact integer
 arithmetic too, and a diagonal form or a form in Bernstein coordinates is
 evaluated as it stands, without expanding it into the canonical map.
@@ -50,8 +57,12 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .combinat import (
     _FACT,
+    _binomial_shifts,
+    _index_slots,
     _multi_indices,
     _multinomial,
+    _slot_product_rows,
+    _slot_products,
     check_degree,
     check_dimension,
     check_index,
@@ -387,46 +398,44 @@ def kernel_definition_coordinates(degrees: Sequence[int], d: int) -> BernsteinKe
         mult(b_1) mult(b_r) prod_{1<i<r} mult(b_i)^2 prod_i (b_i+b_{i+1})!
     times the one scale
         S = prod_i (n_i+d)!/n_i!  /  prod_i (n_i+n_{i+1}+d)!;
-    a single operator (r = 1) has weight 1 on each pair b_r = b_1.  For each
-    innermost index b_1 the chain weights are carried outward one level at
-    a time as one integer vector over that level's indices; the last vector
-    is the row C[b_1] over the outermost indices.  The Gram rows between two
-    later levels are shared by every b_1; no matrix over a whole chain is
-    ever held.
+    a single operator (r = 1) has weight 1 on each pair b_r = b_1.  Each
+    interior mult(b_i)^2 is split between its two neighbours, and
+        mult(b) mult(c) (b+c)! = |b|! |c|! G(b, c),  G(b, c) = prod_v C(b_v+c_v, c_v),
+    so the integer is  K prod_i G(b_i, b_{i+1})  with the one constant
+    K = prod_i n_i! n_{i+1}!.  For each innermost index b_1 the chain is
+    carried outward one level at a time as one integer vector over that
+    level's indices; K multiplies the first, and the last is the row C[b_1]
+    over the outermost indices.  All Gram rows G(b, c) between two levels
+    are gathered in one call, one slot at a time (`_slot_product_rows`):
+    part b_v reads row b_v of the table p -> (k -> C(p+k, k)).  The Gram
+    rows between two later levels are shared by every b_1; no matrix over
+    a whole chain is ever held.
     """
     degrees = [check_degree(n) for n in degrees]
     if not degrees:
         raise ValueError("a composition needs at least one degree")
     d = check_dimension(d)
-    outer = _multi_indices(degrees[0], d)
-    innermost = _multi_indices(degrees[-1], d)
-    if len(degrees) == 1:
-        rows = [[int(alpha == beta) for beta in outer] for alpha in innermost]
-    else:
-        # the levels after b_1, outward, as (b, weight) pairs: interior indices
-        # weigh mult(b)^2, the outer ones mult(b)
-        levels = [[(beta, _multinomial(beta) ** 2) for beta in _multi_indices(n, d)]
-                  for n in degrees[-2:0:-1]]
-        levels.append([(beta, _multinomial(beta)) for beta in outer])
-        # prod(map(get, map(add, a, b))) is (a+b)! = prod_v (a_v+b_v)! for indices a, b
-        get = _FACT.__getitem__
-        # for each index b of a later level: (its weight, [(b+c)! for c in the level before])
-        steps = [[(w, [prod(map(get, map(add, beta, c))) for c, _ in before])
-                  for beta, w in level]
-                 for before, level in zip(levels, levels[1:])]
-        rows = []
-        for alpha in innermost:
-            mult_a = _multinomial(alpha)
-            vector = [mult_a * w * prod(map(get, map(add, alpha, beta))) for beta, w in levels[0]]
-            for step in steps:
-                vector = [w * sum(map(mul, vector, row)) for w, row in step]
-            rows.append(vector)
     num = den = 1
     for n in degrees:
         num *= _FACT[n + d]
         den *= _FACT[n]
+    weight = 1
     for a, b in zip(degrees, degrees[1:]):
         den *= _FACT[a + b + d]
+        weight *= _FACT[a] * _FACT[b]
+    if len(degrees) == 1:
+        indices = _multi_indices(degrees[0], d)
+        rows = [[int(alpha == beta) for beta in indices] for alpha in indices]
+    else:
+        table = _binomial_shifts(max(degrees))
+        # each level's indices one slot at a time, from b_1 outward
+        levels = [_index_slots(n, d) for n in reversed(degrees)]
+        # for each b_1, K G(b_1, b_2) over every b_2
+        rows = _slot_product_rows(levels[0], levels[1], table, weight)
+        for before, level in zip(levels[1:], levels[2:]):
+            # for each b of this level, its Gram row G(b, c) over the level before
+            step = _slot_product_rows(level, before, table)
+            rows = [[sum(map(mul, vector, row)) for row in step] for vector in rows]
     return BernsteinKernelForm(d, Fraction(num, den), degrees[0], degrees[-1], rows)
 
 
@@ -528,16 +537,19 @@ def _inner_sum_coordinates(n: int, beta: Tuple[int, ...]) -> Tuple[tuple, tuple,
     asks for each (n, beta) once.
 
     The left side is already in that basis: left[i] = (a+beta)!/a! for
-    a = alphas[i].  On the right, the term of l <= beta has the weight
-    W_l = C(n, |l|) beta! prod_v C(beta_v, l_v), and degree elevation
-    (`_elevated`) writes its B_l as sum_{|a|=n, a>=l} C(a, l)/C(n, |l|) B_a,
-    so  right[i] = sum_l beta! prod_v C(beta_v, l_v) C(a, l).  The weight is
+    a = alphas[i], which is beta! prod_v C(a_v+beta_v, a_v), gathered one
+    slot at a time (`_slot_products`, part v reading row beta_v of the
+    table p -> (k -> C(p+k, k))).  On the right, the term of l <= beta has
+    the weight W_l = C(n, |l|) beta! prod_v C(beta_v, l_v), and degree
+    elevation (`_elevated`) writes its B_l as
+    sum_{|a|=n, a>=l} C(a, l)/C(n, |l|) B_a, so  right[i] = sum_l beta! prod_v C(beta_v, l_v) C(a, l).  The weight is
     zero unless l <= beta, and terms with |l| > n vanish, as C(n, |l|) = 0.
     """
     d = len(beta) - 1
     alphas = _multi_indices(n, d)
-    left = [prod(_FACT[a + b] // _FACT[a] for a, b in zip(alpha, beta)) for alpha in alphas]
     beta_fact = prod(map(_FACT.__getitem__, beta))
+    tables = map(_binomial_shifts(max(n, *beta)).__getitem__, beta)
+    left = [beta_fact * c for c in _slot_products(_index_slots(n, d), tables)]
     right = _elevated(((j, [beta_fact * prod(map(comb, beta, ell))
                             for ell in _multi_indices(j, d)])
                        for j in range(min(n, sum(beta)) + 1)), n, d)

@@ -11,6 +11,13 @@ exact-arithmetic mismatches can be debugged directly from the report.  A
 check returns its witness when its identity fails and None when it holds,
 so it passes exactly when it returns no witness; a check that raises
 ValueError fails with the message as its witness.
+
+The operator checks read one table of monomial images and one table of
+integer Dirichlet moments per dimension, each entry built by the first
+check that reads it.  Self-adjointness is decided from moment rows: row k
+holds the moments of x^k against every test monomial (`_moment_row`), so
+the inner products of one image with every test monomial are one sum of
+scaled rows, one `map` pass per term of the image.
 """
 from __future__ import annotations
 
@@ -20,6 +27,7 @@ import time
 from fractions import Fraction
 from functools import cache, partial
 from itertools import chain, combinations, combinations_with_replacement, product
+from operator import add
 from typing import Callable, Iterator, List, NamedTuple, Optional, Tuple
 
 from . import __version__ as ARTIFACT_VERSION
@@ -241,6 +249,13 @@ def _each_monomial(exponents: List[Tuple[int, ...]],
     return None
 
 
+def _moment_row(moments: _Moments, k: Tuple[int, ...],
+                exponents: List[Tuple[int, ...]]) -> List[int]:
+    """moments[k + g] for each g in exponents: scale * <x^k, x^g> against every
+    test monomial."""
+    return [moments[tuple(map(add, k, g))] for g in exponents]
+
+
 def _iter_jobs(cfg: SuiteConfig) -> Iterator[Job]:
     """Every check that FAMILIES runs, dimension by dimension: the three-fold
     checks, the degree pairs, the operator checks, then the inner-sum lemma.
@@ -254,9 +269,9 @@ def _iter_jobs(cfg: SuiteConfig) -> Iterator[Job]:
     are read by more than one degree pair, and the coefficients by
     operator_linear_combination too, so they are kept for the run; every
     other kernel is kept for its degree pair only, and the operator group's
-    tables (monomial images, and one `bdk.polynomials._Moments` whose degree
-    is set when it is built) for their dimension's operator checks, which
-    fill each entry once, inside a check.
+    tables (monomial images, one `bdk.polynomials._Moments` whose degree
+    is set when it is built, and its moment rows) for their dimension's
+    operator checks, which fill each entry once, inside a check.
     """
     coefficients = cache(composition_coefficients)
     single = cache(kernel_single)
@@ -384,12 +399,15 @@ def _operator_jobs(d: int, top: int, monomial_degree: int,
     unreduced (`difference_witness`).  The integrals read one `_Moments` of
     degree top + monomial_degree: an image has degree <= n <= top (the
     degree bound), and an inner product adds one test monomial's degree.
+    Self-adjointness reads it one moment row per term x^k (`_moment_row`),
+    each built by the first check that reads it and kept for the dimension.
     Each call has its own tables and exponents, so a job reads its own
     dimension's even when every job is built before any runs.
     """
     exponents = [e for deg in range(monomial_degree + 1) for e in _multi_indices(deg, d - 1)]
     column = cache(lambda n, e: apply_operator(n, CartesianPolynomial.from_integers(d, {e: 1})))
     moments = _Moments(d, top + monomial_degree)
+    moment_row = cache(lambda k: _moment_row(moments, k, exponents))
 
     def composed(m: int, n: int, e: Tuple[int, ...]) -> Tuple[dict, int]:
         inner = column(n, e)
@@ -407,16 +425,24 @@ def _operator_jobs(d: int, top: int, monomial_degree: int,
         yield "operator_degree_bound", {"d": d, "n": n}, degree_bound
 
         def self_adjoint(n=n):
-            # <M_n x^e, x^g> = moments.inner(f, g) / (D moments.scale) for
-            # f = M_n x^e over D; (g, e) repeats (e, g), so g runs past e only
-            images = [(e, column(n, e)) for e in exponents]
-            later = {e: (f, images[i + 1:]) for i, (e, f) in enumerate(images)}
+            # gram[i][j] = <M_n x^e_i, x^e_j> D moments.scale for the image
+            # M_n x^e_i over D: the sum over its terms v x^k of v times row k;
+            # (g, e) repeats (e, g), so g runs past e only
+            images = [column(n, e) for e in exponents]
+            gram = []
+            for f in images:
+                row = [0] * len(exponents)
+                for k, v in f.nums.items():
+                    row = list(map(add, row, map(v.__mul__, moment_row(k))))
+                gram.append(row)
+            position = {e: i for i, e in enumerate(exponents)}
             def asymmetric(e):
-                f, rest = later[e]
-                for g, h in rest:
-                    lhs, rhs = moments.inner(f, g), moments.inner(h, e)
+                i = position[e]
+                f = images[i]
+                for j in range(i + 1, len(exponents)):
+                    h, lhs, rhs = images[j], gram[i][j], gram[j][i]
                     if lhs * h.den != rhs * f.den:
-                        return {"g": [{"exp": list(g), "coef": "1"}],
+                        return {"g": [{"exp": list(exponents[j]), "coef": "1"}],
                                 "lhs": format_rational(Fraction(lhs, f.den * moments.scale)),
                                 "rhs": format_rational(Fraction(rhs, h.den * moments.scale))}
                 return None

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import bdk.cli
 from bdk.cli import PolynomialParseError, build_parser, main, parse_polynomial
 from bdk.combinat import parse_rational
 from bdk.durrmeyer import apply_operator
@@ -596,6 +597,61 @@ COMPLETE_ARGV = {
     "table": ["--d", "1", "--m", "1", "--n", "1", "--grid", "2"],
     "verify": [],
 }
+
+
+#: One request of each subcommand that prints its answer to stdout.
+STDOUT_ARGV = {
+    "eval": [*COMPLETE_ARGV["eval"], "--float"],
+    "coeffs": COMPLETE_ARGV["coeffs"],
+    "apply": COMPLETE_ARGV["apply"],
+    "table": COMPLETE_ARGV["table"],
+    "verify": ["--d", "1", "--max-degree", "1"],
+}
+
+
+def run_child(argv, stdout):
+    """`python -m bdk.cli argv` in a child whose stdout is the given file or
+    descriptor, importing the bdk this process imported."""
+    env = {"PATH": os.environ.get("PATH", os.defpath),
+           "PYTHONPATH": str(Path(bdk.cli.__file__).resolve().parents[1])}
+    return subprocess.run([sys.executable, "-m", "bdk.cli", *argv], stdout=stdout,
+                          stderr=subprocess.PIPE, env=env, text=True, timeout=60)
+
+
+class TestStdoutWriteFails:
+    """A failed write to stdout is a usage error (exit 2, one error line), as
+    a file that cannot be written is; exit 1 is left to failed verification."""
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("command", list(STDOUT_ARGV))
+    def test_full_device(self, command):
+        with open("/dev/full", "w") as full:
+            run = run_child([command, *STDOUT_ARGV[command]], full)
+        assert run.returncode == 2, run.stderr
+        assert run.stderr.startswith("bdk: error: cannot write to stdout: [Errno 28]")
+        assert run.stderr.count("\n") == 1, run.stderr
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_output_that_main_leaves_buffered(self):
+        # argparse prints the help and exits 0 without a flush: the flush at
+        # the end of the run reports the failed write
+        with open("/dev/full", "w") as full:
+            run = run_child(["--help"], full)
+        assert run.returncode == 2, run.stderr
+        assert run.stderr.startswith("bdk: error: cannot write to stdout: [Errno 28]")
+        assert run.stderr.count("\n") == 1, run.stderr
+
+    @pytest.mark.parametrize("command", list(STDOUT_ARGV))
+    def test_closed_pipe(self, command):
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            run = run_child([command, *STDOUT_ARGV[command]], write)
+        finally:
+            os.close(write)
+        assert run.returncode == 2, run.stderr
+        assert run.stderr.startswith("bdk: error: cannot write to stdout: [Errno 32]")
+        assert run.stderr.count("\n") == 1, run.stderr
 
 
 def parse_outcome(capsys, parser, argv):

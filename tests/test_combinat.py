@@ -5,6 +5,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from bdk.combinat import (
+    _binomial_shifts,
+    _index_slots,
+    _slot_product_rows,
+    _slot_products,
     binomial,
     check_degree,
     check_dimension,
@@ -252,6 +256,37 @@ class TestFactorialCache:
     def test_negative_argument(self):
         with pytest.raises(ValueError):
             factorial(-1)
+
+
+class TestSlotProducts:
+    @given(st.integers(0, 6), st.integers(1, 3), st.data())
+    def test_equals_the_product_per_index(self, n, d, data):
+        # one table per slot over the part values 0..n; degree 0 has the one
+        # index (0, ..., 0), which reads entry 0 of every table
+        tables = [data.draw(st.lists(st.integers(-99, 99), min_size=n + 1, max_size=n + 1))
+                  for _ in range(d + 1)]
+        indices = enumerate_multi_indices(n, d)
+        assert _index_slots(n, d) == tuple(zip(*indices))
+        assert _slot_products(_index_slots(n, d), iter(tables)) == [
+            math.prod(table[part] for table, part in zip(tables, index)) for index in indices]
+
+    @given(st.integers(0, 5), st.integers(0, 5), st.integers(1, 3), st.integers(-9, 9), st.data())
+    def test_rows_equal_the_product_per_pair_of_indices(self, m, n, d, scale, data):
+        # row a_v of the table is read at part i_v of every index; degree 0
+        # gives one row, or one entry per row
+        table = [data.draw(st.lists(st.integers(-99, 99), min_size=n + 1, max_size=n + 1))
+                 for _ in range(m + 1)]
+        indices = enumerate_multi_indices(n, d)
+        assert _slot_product_rows(_index_slots(m, d), _index_slots(n, d), table, scale) == [
+            [scale * math.prod(table[p][k] for p, k in zip(a, i)) for i in indices]
+            for a in enumerate_multi_indices(m, d)]
+
+    def test_binomial_shifts_is_one_table_grown_to_the_largest_top(self):
+        small = _binomial_shifts(2)
+        assert all(small[p][k] == math.comb(p + k, k) for p in range(3) for k in range(3))
+        large = _binomial_shifts(9)
+        assert large is small is _binomial_shifts(4)
+        assert all(large[p][k] == math.comb(p + k, k) for p in range(10) for k in range(10))
 
 
 class TestIndexFactorial:

@@ -33,6 +33,7 @@ from bdk.polynomials import (
     inner_product,
     integrate_simplex,
 )
+from bdk.simplex_integrals import bernstein_product_integral, inner_one_bernstein
 from bdk.verify import DEFAULT_DEGREE_CAPS, _stochastic
 
 from sampling import sample_simplex_point
@@ -350,9 +351,34 @@ def applied(kernel, f):
     return (kernel * KernelPolynomial.outer(one, f)).integrate_y()
 
 
+def chain_reference(degrees, d):
+    """The coefficient of B_a(x) B_b(y), keyed (a, b), of the kernel of
+    M_{n_r} o ... o M_{n_1} (degrees outermost first), from the definition
+    alone: the Fraction sum over every index chain a = b_r, ..., b_1 = b of
+    prod_i <B_{b_i}, B_{b_{i+1}}> / prod_i <1, B_{b_i}>; nonzero entries only."""
+    out = {}
+    for chain in product(*(enumerate_multi_indices(n, d) for n in degrees)):
+        value = F(1)
+        for b in chain:
+            value /= inner_one_bernstein(b, d)
+        for b, c in zip(chain, chain[1:]):
+            value *= bernstein_product_integral(b, c, d)
+        key = (chain[0], chain[-1])
+        out[key] = out.get(key, 0) + value
+    return {key: value for key, value in out.items() if value}
+
+
 class TestChainDefinition:
     """kernel_definition_coordinates, expanded, against the single kernel and
     against operator application."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("degrees", [(3,), (3, 1), (0, 2), (3, 1, 2), (2, 0, 3),
+                                         (1, 3, 0, 2), (2, 1, 3, 1)])
+    def test_coordinates_equal_the_gram_sum_over_every_chain(self, d, degrees):
+        # unequal degrees at every level, so a step that reads a neighbouring
+        # level's degree, or its indices, builds another kernel
+        assert kernel_definition_coordinates(degrees, d).terms == chain_reference(degrees, d)
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_one_operator_is_the_single_kernel(self, d):

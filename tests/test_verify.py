@@ -243,6 +243,15 @@ def bump_moment_column(column):
     return bumped
 
 
+def bump_last_moment(row):
+    """Moment rows whose entry at the last test monomial g is one more: each
+    <M_n x^e, x^g> at that g gains the sum of its image's numerators."""
+    def bumped(moments, k, exponents):
+        *rest, last = row(moments, k, exponents)
+        return [*rest, last + 1]
+    return bumped
+
+
 def double_first_multinomial(multinomial):
     """Multinomials whose value at the first index of each degree,
     (n, 0, ..., 0), is doubled: M_n weighs B_(n,0,...,0) twice."""
@@ -307,8 +316,9 @@ def double_single_scale(build):
 #: wrapper of the original), and the families it fails on `mutated_run`'s config.
 #: The sets are written out, not derived from the constructions each family
 #: compares: a helper mutant breaks only part of a side, so first_multinomial
-#: spares operator_degree_bound and operator_self_adjoint, and moment_column
-#: spares operator_constant_preservation and operator_degree_bound.
+#: spares operator_degree_bound and operator_self_adjoint, moment_column
+#: spares operator_constant_preservation and operator_degree_bound, and
+#: moment_row, read by operator_self_adjoint alone, spares every other family.
 MUTANTS = {
     "top_closed_weight": (
         [(bdk.verify, name, bump_top_weight) for name in (
@@ -350,6 +360,9 @@ MUTANTS = {
         [(bdk.durrmeyer, "_moment_column", bump_moment_column)],
         {"operator_self_adjoint", "operator_integral_preservation", "operator_commutativity",
          "operator_linear_combination", "univariate_first_moment"}),
+    "moment_row": (
+        [(bdk.verify, "_moment_row", bump_last_moment)],
+        {"operator_self_adjoint"}),
     "first_multinomial": (
         [(bdk.durrmeyer, "_multinomial", double_first_multinomial)],
         {"operator_constant_preservation", "operator_integral_preservation",
@@ -694,7 +707,10 @@ class TestRunSuite:
 
     def test_default_run_fills_each_moment_once(self, monkeypatch):
         # one moment table per dimension the operator checks run at (d <= 2),
-        # sized before any check runs, and no entry of it computed twice
+        # sized before any check runs, and no entry of it computed twice; a
+        # moment row reads every test monomial, so the diagonal entries
+        # <M_n x^e, x^e>, which no pair compares, fill x^8 at d = 1 and
+        # x1^8, x2^8 at d = 2 as well: 51 keys the pairs read, and these 3
         fills, tables = Counter(), {}
         missing = bdk.polynomials._Moments.__missing__
 
@@ -705,7 +721,7 @@ class TestRunSuite:
         monkeypatch.setattr(bdk.polynomials._Moments, "__missing__", counted)
         assert run_suite(SuiteConfig()).ok
         assert sorted(table.d for table in tables.values()) == [1, 2]
-        assert len(fills) == sum(fills.values()) == 51
+        assert len(fills) == sum(fills.values()) == 54
 
     def test_operator_checks_catch_a_perturbed_image(self, monkeypatch):
         target = CartesianPolynomial.monomial(2, (2, 0))
@@ -773,6 +789,20 @@ class TestRunSuite:
         assert {c.name for c in default_report.checks} == set(FAMILIES)
         for family in FAMILIES:
             assert family in killed, family
+
+    def test_self_adjoint_witness_of_a_perturbed_moment_row(self, monkeypatch):
+        # the first pair that differs is (1, x^g) for the last test monomial
+        # g: <1, x^g> gains 1 / (moments.scale) with scale (2+2+d)!.  These
+        # witnesses were recorded from the pairwise Dirichlet sums that the
+        # moment rows replace, with the same moments bumped
+        report = mutated_run(monkeypatch, "moment_row")
+        witnesses = {(c.params["d"], c.params["n"]): c.witness for c in report.failures}
+        expected = {1: ([0], [2], "41/120", "1/3"), 2: ([0, 0], [0, 2], "61/720", "1/12")}
+        assert set(witnesses) == {(d, n) for d in (1, 2) for n in range(3)}
+        for (d, n), witness in witnesses.items():
+            f, g, lhs, rhs = expected[d]
+            assert witness == {"f": [{"exp": f, "coef": "1"}], "g": [{"exp": g, "coef": "1"}],
+                               "lhs": lhs, "rhs": rhs}, (d, n)
 
     def test_lemma_check_catches_a_perturbed_side(self, monkeypatch):
         report = mutated_run(monkeypatch, "lemma_side")
