@@ -115,6 +115,19 @@ def clear_denominators(values: Iterable[Union[int, Fraction]]) -> Tuple[int, Lis
     return den, [v.numerator * (den // v.denominator) for v in values]
 
 
+def _common_denominator(ratios: Iterable[Tuple[int, int]]) -> Tuple[int, List[int]]:
+    """`clear_denominators` of the rationals num / den, given as pairs of ints
+    with den > 0: each reduced by its gcd, as a Fraction would be, but with
+    no Fraction built."""
+    nums, dens = [], []
+    for num, den in ratios:
+        g = math.gcd(num, den)
+        nums.append(num // g)
+        dens.append(den // g)
+    common = math.lcm(*dens)
+    return common, [num * (common // den) for num, den in zip(nums, dens)]
+
+
 def _as_int(value, what: str) -> int:
     """value as an int; ValueError naming it when it is not an integer.
 

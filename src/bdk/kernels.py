@@ -35,13 +35,17 @@ The definitional builder and canonicalization accumulate Python ints and
 apply one rational scale per output coefficient at the end.  They use
 Dirichlet's formula  int x^mu = mu! / (|mu|+d)!  on barycentric exponents
 and mult(a) = |a|!/a!, the coefficient of x^a in B_a.  The builder's
-Gram rows mult(b) mult(c) (b+c)! = |b|! |c|! prod_v C(b_v+c_v, c_v), and
+Gram rows mult(b) mult(c) (b+c)! = |b|! |c|! prod_v C(b_v+c_v, c_v), the
+closed side's elevation coefficients C(a, l) = prod_v C(a_v, l_v), and
 the lemma's left side (a+beta)!/a! = beta! prod_v C(a_v+beta_v, a_v), are
 products over the d+1 slots of an index, gathered one slot at a time from
-one shared table of binomials: all Gram rows between two levels at once
+one shared table of binomials: all Gram rows between two levels, and all
+elevation columns from one degree to another, at once
 (`bdk.combinat._slot_product_rows`), with no call per row, and the
-lemma's one row by `bdk.combinat._slot_products`; neither has a Python
-loop over the slots of an entry.  Factorials, multinomials, index
+lemma's one row by `bdk.combinat._slot_products`; none has a Python
+loop over the slots of an entry.  The closed forms' per-degree factors
+are reduced over their common denominator in integers, with no Fraction
+per weight.  Factorials, multinomials, index
 enumerations and that table are read from
 `bdk.combinat`; no builder keeps its own.  Evaluation is exact integer
 arithmetic too, and a diagonal form or a form in Bernstein coordinates is
@@ -52,12 +56,13 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd, prod
-from operator import add, mul
+from operator import add, itemgetter, mul
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .combinat import (
     _FACT,
     _binomial_shifts,
+    _common_denominator,
     _index_slots,
     _multi_indices,
     _multinomial,
@@ -68,7 +73,6 @@ from .combinat import (
     check_index,
     check_rational,
     clear_denominators,
-    falling_factorial,
     format_rational,
 )
 from .polynomials import (
@@ -187,9 +191,8 @@ class DiagonalKernelForm:
     def __init__(self, d: int, scale, terms):
         self.d = check_dimension(d)
         self.scale = check_rational(scale, "scale")
-        self.terms = tuple(sorted(((check_degree(j), check_rational(w, "weight"))
-                                   for j, w in terms),
-                                  key=lambda t: t[0]))
+        self.terms = tuple(sorted([(check_degree(j), check_rational(w, "weight"))
+                                   for j, w in terms], key=itemgetter(0)))
         degrees = [j for j, _ in self.terms]
         if len(set(degrees)) != len(degrees):
             raise ValueError("diagonal degrees must not repeat")
@@ -207,9 +210,10 @@ class DiagonalKernelForm:
         sum_{|a|=m, a>=l} C(a, l)/C(m, j) B_a, so the coefficient of
         B_a(x) B_b(y) is
             scale * sum_{|l| <= min(m, n)} w_|l| / (C(m, |l|) C(n, |l|)) * C(a, l) C(b, l).
-        With those degree factors over a common denominator D, each l adds
-        its integer factor times the outer product of its two elevation
-        columns, and the scale is scale / D.  Only the weights are read.
+        With those degree factors over a common denominator D, reduced in
+        integers (`_common_denominator`), each l adds its integer factor
+        times the outer product of its two elevation columns, and the scale
+        is scale / D.  Only the weights are read.
         The indices are listed as `kernel_definition_coordinates((m, n), d)`
         lists them.
         """
@@ -219,7 +223,8 @@ class DiagonalKernelForm:
             raise ValueError(f"a diagonal form of index degree {top} has no "
                              f"coordinates at degrees ({m}, {n})")
         d = self.d
-        den, factors = clear_denominators(w / (comb(m, j) * comb(n, j)) for j, w in self.terms)
+        den, factors = _common_denominator((w.numerator, w.denominator * comb(m, j) * comb(n, j))
+                                           for j, w in self.terms)
         rows = _outer_products(((factor, x_column, y_column)
                                 for (j, _), factor in zip(self.terms, factors)
                                 for x_column, y_column in zip(_elevation(j, m, d),
@@ -461,7 +466,24 @@ def kernel_univariate_twofold(m: int, n: int) -> DiagonalKernelForm:
     return kernel_closed_twofold(m, n, 1)
 
 
-def kernel_legendre(m: int, n: int) -> BernsteinKernelForm:
+class _LegendreColumns(dict):
+    """(k, m) -> u_k, the degree-m coordinates of C(m, k) L_k (`kernel_legendre`)
+    as sparse (position, integer) pairs, each computed on its first lookup
+    and kept.  One table shared by several `kernel_legendre` calls builds
+    each column once, whatever the other degree of each call."""
+
+    __slots__ = ()
+
+    def __missing__(self, key: Tuple[int, int]) -> List[Tuple[int, int]]:
+        k, m = key
+        # L_k over enumerate_multi_indices(k, 1), whose indices are (k-i, i) in ascending i
+        dense = _elevated([(k, [(-1) ** i * comb(k, i) for i in range(k + 1)])], m, 1)
+        value = self[key] = [(i, u) for i, u in enumerate(dense) if u]
+        return value
+
+
+def kernel_legendre(m: int, n: int, columns: Optional[_LegendreColumns] = None
+                    ) -> BernsteinKernelForm:
     """Univariate kernel through its shifted-Legendre expansion, in Bernstein
     coordinates over degrees (m, n).
 
@@ -476,17 +498,19 @@ def kernel_legendre(m: int, n: int) -> BernsteinKernelForm:
     B_a(x) B_b(y) is
         sum_k w_k / (C(m,k) C(n,k)) * u_k[a] v_k[b]:
     an integer sum over the factors' common denominator D, and scale 1 / D.
+    As m_(k) / C(m,k) = k! and (m+k+1)_(k) = (m+k+1)!/(m+1)!, each factor is
+    the ratio of integers  (2k+1) k!^2 (m+1)! (n+1)! / ((m+k+1)! (n+k+1)!).
+    The columns u_k and v_k are read from columns, a fresh
+    `_LegendreColumns` unless one is passed to share across calls.
     """
     m, n = check_degree(m), check_degree(n)
-    den, factors = clear_denominators(
-        Fraction(falling_factorial(m, k) * falling_factorial(n, k) * (2 * k + 1),
-                 falling_factorial(m + k + 1, k) * falling_factorial(n + k + 1, k)
-                 * comb(m, k) * comb(n, k))
+    head = _FACT[m + 1] * _FACT[n + 1]
+    den, factors = _common_denominator(
+        ((2 * k + 1) * _FACT[k] ** 2 * head, _FACT[m + k + 1] * _FACT[n + k + 1])
         for k in range(min(m, n) + 1))
-    # L_k over enumerate_multi_indices(k, 1), whose indices are (k-i, i) in ascending i
-    legendre = [[(k, [(-1) ** i * comb(k, i) for i in range(k + 1)])] for k in range(len(factors))]
-    rows = _outer_products(((factor, list(enumerate(_elevated(legendre[k], m, 1))),
-                             list(enumerate(_elevated(legendre[k], n, 1))))
+    if columns is None:
+        columns = _LegendreColumns()
+    rows = _outer_products(((factor, columns[k, m], columns[k, n])
                             for k, factor in enumerate(factors)), m + 1, n + 1)
     return BernsteinKernelForm(1, Fraction(1, den), m, n, rows)
 
@@ -581,14 +605,24 @@ def _elevation(j: int, m: int, d: int) -> Tuple[Tuple[Tuple[int, int], ...], ...
     (i, C(a, l)) over those a, i the position of a in
     `enumerate_multi_indices(m, d)`; the columns follow
     `enumerate_multi_indices(j, d)`.  Built once per (j, m, d).
+
+    The a >= l are l + c over the indices c of degree m - j, and
+    C(a_v, l_v) = C(l_v + c_v, c_v), so every column is gathered at once,
+    one slot at a time over both levels (`_index_slots`): the values are
+    the rows l of `_slot_product_rows` on the table p -> (k -> C(p+k, k))
+    (`_binomial_shifts`), and the positions one dict lookup per a, over
+    the zipped per-slot sums l_v + c_v.
     """
-    position = {a: i for i, a in enumerate(_multi_indices(m, d))}
-    shifts = _multi_indices(m - j, d)
-    columns = []
-    for ell in _multi_indices(j, d):
-        above = [tuple(map(add, ell, c)) for c in shifts]
-        columns.append(tuple((position[a], prod(map(comb, a, ell))) for a in above))
-    return tuple(columns)
+    indices = _multi_indices(m, d)
+    position = dict(zip(indices, range(len(indices))))
+    ells, shifts = _index_slots(j, d), _index_slots(m - j, d)
+    values = _slot_product_rows(ells, shifts, _binomial_shifts(m))
+    # part v of a = l + c for every (l, c) pair, in the order of the rows
+    above = zip(*[[part + c for part in parts for c in slot] for parts, slot in zip(ells, shifts)])
+    positions = list(map(position.__getitem__, above))
+    size = len(shifts[0])
+    return tuple(tuple(zip(positions[start:start + size], row))
+                 for start, row in zip(range(0, len(positions), size), values))
 
 
 def _elevated(blocks: Iterable[Tuple[int, Sequence[int]]], m: int, d: int) -> List[int]:
@@ -645,8 +679,11 @@ def first_coordinate_difference(lhs: BernsteinKernelForm,
         q = rhs.scale.numerator * lhs.scale.denominator
         g = gcd(p, q) or 1
         p, q = p // g, q // g
+        # equal nonzero scales compare the rows as they are; two zero scales
+        # compare rows of zeros, so only their lengths can differ
+        raw = p == q != 0
         for b, left, right in zip(lhs.y_indices, lhs.rows, rhs.rows):
-            if left != right if p == q else [p * c for c in left] != [q * c for c in right]:
+            if left != right if raw else [p * c for c in left] != [q * c for c in right]:
                 for a, u, v in zip(lhs.x_indices, left, right):
                     if p * u != q * v:
                         return {"a": list(a), "b": list(b), "lhs": format_rational(lhs.scale * u),

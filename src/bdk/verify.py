@@ -25,7 +25,7 @@ import json
 import math
 import time
 from fractions import Fraction
-from functools import cache, partial
+from functools import cache
 from itertools import chain, combinations, combinations_with_replacement, product
 from operator import add
 from typing import Callable, Iterator, List, NamedTuple, Optional, Tuple
@@ -38,6 +38,7 @@ from .kernels import (
     BernsteinKernelForm,
     DiagonalKernelForm,
     _inner_sum_coordinates,
+    _LegendreColumns,
     first_coordinate_difference,
     kernel_closed_threefold,
     kernel_closed_twofold,
@@ -223,6 +224,21 @@ Check = Callable[[], Optional[dict]]
 Job = Tuple[str, dict, Check]
 
 
+def _once(build: Callable) -> Callable:
+    """A call that returns build() and keeps it: build runs on the first call
+    and is dropped, and every later call returns the kept value.  A one-slot
+    memo, about ten times cheaper to make than a `functools.cache` wrapper,
+    which copies the wrapped function's attributes."""
+    value = None
+
+    def kept():
+        nonlocal build, value
+        if build is not None:
+            value, build = build(), None
+        return value
+    return kept
+
+
 def _stochastic(form: BernsteinKernelForm) -> Optional[dict]:
     """None when the y integral of a kernel is 1.
 
@@ -267,14 +283,18 @@ def _iter_jobs(cfg: SuiteConfig) -> Iterator[Job]:
     first check that calls for it and freed with the last job that can
     read it.  The composition coefficients and the single-operator kernels
     are read by more than one degree pair, and the coefficients by
-    operator_linear_combination too, so they are kept for the run; every
-    other kernel is kept for its degree pair only, and the operator group's
-    tables (monomial images, one `bdk.polynomials._Moments` whose degree
-    is set when it is built, and its moment rows) for their dimension's
-    operator checks, which fill each entry once, inside a check.
+    operator_linear_combination too, so they are kept for the run, as are
+    the elevated Legendre columns, each read by every degree pair whose
+    degrees reach its own (`bdk.kernels._LegendreColumns`); every other
+    kernel is kept for its degree pair only, and the operator group's
+    tables (monomial images, their compositions, one
+    `bdk.polynomials._Moments` whose degree is set when it is built, and
+    its moment rows) for their dimension's operator checks, which fill
+    each entry once, inside a check.
     """
     coefficients = cache(composition_coefficients)
     single = cache(kernel_single)
+    legendre_columns = _LegendreColumns()
     caps = {name: getattr(cfg, name) for name in FAMILY_CAPS}
     for d in cfg.d_range:
         caps["degree"] = cfg.degree_caps[d]
@@ -284,7 +304,8 @@ def _iter_jobs(cfg: SuiteConfig) -> Iterator[Job]:
             bounds[name] = min(caps.get(cap, cap) for cap in family.caps) if runs else -1
             top[family.group] = max(top.get(family.group, -1), bounds[name])
         pairs = (job for n in range(top["pair"] + 1) for m in range(n + 1)
-                 for job in _pair_jobs(d, m, n, single, coefficients, cfg.corrupt_scale))
+                 for job in _pair_jobs(d, m, n, single, coefficients, legendre_columns,
+                                       cfg.corrupt_scale))
         operator = _operator_jobs(d, top["operator"], cfg.operator_monomial_degree, coefficients)
         for name, params, check in chain(_threefold_jobs(top["triple"]), pairs, operator,
                                          _lemma_jobs(d, top["lemma"])):
@@ -295,7 +316,7 @@ def _iter_jobs(cfg: SuiteConfig) -> Iterator[Job]:
 
 
 def _pair_jobs(d: int, m: int, n: int, single: Callable, coefficients: Callable,
-               corrupt_scale: bool) -> Iterator[Job]:
+               legendre_columns: _LegendreColumns, corrupt_scale: bool) -> Iterator[Job]:
     """Every check that reads a two-fold kernel of the degree pair {m, n},
     m <= n, at dimension d, whether or not its family runs there: the
     checks of (m, n) and of (n, m), then twofold_symmetry_degrees, which
@@ -303,17 +324,18 @@ def _pair_jobs(d: int, m: int, n: int, single: Callable, coefficients: Callable,
 
     So the d = 1 kernel is built three independent ways, closed, Legendre
     and definitional, and each two of them are compared by one family.
+    Each kernel is built by the first check that reads it (`_once`).
     """
     squares = {}
 
     def oriented(m: int, n: int) -> Iterator[Job]:
-        definition = cache(partial(kernel_definition_twofold, m, n, d))
-        closed = cache(partial(kernel_closed_twofold, m, n, d))
-        closed_coordinates = cache(lambda: closed().coordinates(m, n))
-        legendre = cache(partial(kernel_legendre, m, n))
+        definition = _once(lambda: kernel_definition_twofold(m, n, d))
+        closed = _once(lambda: kernel_closed_twofold(m, n, d))
+        closed_coordinates = _once(lambda: closed().coordinates(m, n))
+        legendre = _once(lambda: kernel_legendre(m, n, legendre_columns))
         top = max(m, n)
         # at m = n the coordinates are the square already
-        square = squares[m, n] = cache(lambda: definition().elevate(top, top)) \
+        square = squares[m, n] = _once(lambda: definition().elevate(top, top)) \
             if m != n else definition
         params = {"d": d, "m": m, "n": n}
 
@@ -395,10 +417,12 @@ def _operator_jobs(d: int, top: int, monomial_degree: int,
     Column (n, e) is `apply_operator(n, x^e)`, built by the first check that
     reads it.  M_n is linear, so every other image is an integer combination
     of columns (`_combine`): M_m(M_n x^e) reads column (m, e') for each term
-    x^e' of column (n, e), whatever its degree; the sides are compared
-    unreduced (`difference_witness`).  The integrals read one `_Moments` of
-    degree top + monomial_degree: an image has degree <= n <= top (the
-    degree bound), and an inner product adds one test monomial's degree.
+    x^e' of column (n, e), whatever its degree, and is kept too, as both
+    operator_commutativity and operator_linear_combination read it; the
+    sides are compared unreduced (`difference_witness`).  The integrals
+    read one `_Moments` of degree top + monomial_degree: an image has
+    degree <= n <= top (the degree bound), and an inner product adds one
+    test monomial's degree.
     Self-adjointness reads it one moment row per term x^k (`_moment_row`),
     each built by the first check that reads it and kept for the dimension.
     Each call has its own tables and exponents, so a job reads its own
@@ -409,6 +433,7 @@ def _operator_jobs(d: int, top: int, monomial_degree: int,
     moments = _Moments(d, top + monomial_degree)
     moment_row = cache(lambda k: _moment_row(moments, k, exponents))
 
+    @cache
     def composed(m: int, n: int, e: Tuple[int, ...]) -> Tuple[dict, int]:
         inner = column(n, e)
         return _combine(((v, column(m, k)) for k, v in inner.nums.items()), inner.den)

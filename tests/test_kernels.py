@@ -2,12 +2,13 @@ import random
 from fractions import Fraction
 from itertools import permutations, product
 from math import comb, factorial, prod
+from operator import add
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import bdk.kernels
-from bdk.combinat import enumerate_multi_indices, index_factorial
+from bdk.combinat import clear_denominators, enumerate_multi_indices, index_factorial
 from bdk.kernels import (
     BernsteinKernelForm,
     DiagonalKernelForm,
@@ -590,6 +591,23 @@ class TestClosedCoordinates:
                                                  "compared on one basis$"):
                 first_coordinate_difference(lhs, rhs)
 
+    def test_two_zero_kernels_do_not_differ(self):
+        # with both scales 0 every entry is 0 after scaling, whatever the rows
+        lhs = DiagonalKernelForm(1, 0, [(0, 1)]).coordinates(1, 1)
+        rhs = DiagonalKernelForm(1, 0, [(1, 1)]).coordinates(1, 1)
+        assert lhs.rows != rhs.rows
+        assert first_coordinate_difference(lhs, rhs) is None
+        short = BernsteinKernelForm(1, F(0), 1, 1, [row[:1] for row in rhs.rows])
+        with pytest.raises(ValueError, match="one basis"):
+            first_coordinate_difference(lhs, short)
+
+    def test_one_zero_scale_still_differs_at_a_nonzero_entry(self):
+        zero = DiagonalKernelForm(1, 0, [(0, 1)]).coordinates(1, 1)
+        other = DiagonalKernelForm(1, 1, [(1, 1)]).coordinates(1, 1)
+        witness = {"a": [1, 0], "b": [1, 0], "lhs": "0", "rhs": "1"}
+        assert first_coordinate_difference(zero, other) == witness
+        assert first_coordinate_difference(other, zero) == {**witness, "lhs": "1", "rhs": "0"}
+
     def test_a_mix_of_single_kernels_is_one_diagonal_form(self):
         # sum_k c_k K_k with K_k = scale_k * sum_{|l|=k} B_l(x) B_l(y) has
         # weight c_k scale_k at degree k
@@ -599,6 +617,76 @@ class TestClosedCoordinates:
         expected = sum((c * to_canonical(kernel_single(k, 2)) for k, c in enumerate(coeffs)),
                        KernelPolynomial(2, {}))
         assert mix.coordinates(2, 3).expand() == to_canonical(mix) == expected
+
+
+def reference_elevation(j, m, d):
+    """`_elevation` by its definition: for each l of degree j, the pairs
+    (position of a, C(a, l) = prod_v C(a_v, l_v)) over a = l + c, c of degree m - j."""
+    position = {a: i for i, a in enumerate(enumerate_multi_indices(m, d))}
+    shifts = enumerate_multi_indices(m - j, d)
+    columns = []
+    for ell in enumerate_multi_indices(j, d):
+        above = [tuple(map(add, ell, c)) for c in shifts]
+        columns.append(tuple((position[a], prod(map(comb, a, ell))) for a in above))
+    return tuple(columns)
+
+
+def falling(s, k):
+    return prod(range(s - k + 1, s + 1))
+
+
+def reference_legendre(m, n):
+    """`kernel_legendre`'s rows and scale, with each factor built as a Fraction
+    from falling factorials and each column u_k[(m-t, t)] summed directly."""
+    den, factors = clear_denominators(
+        F(falling(m, k) * falling(n, k) * (2 * k + 1),
+          falling(m + k + 1, k) * falling(n + k + 1, k) * comb(m, k) * comb(n, k))
+        for k in range(min(m, n) + 1))
+
+    def column(k, degree):
+        return [sum((-1) ** i * comb(k, i) * comb(degree - t, k - i) * comb(t, i)
+                    for i in range(k + 1)) for t in range(degree + 1)]
+    us = [column(k, m) for k in range(len(factors))]
+    vs = [column(k, n) for k in range(len(factors))]
+    rows = [[sum(w * u[a] * v[b] for w, u, v in zip(factors, us, vs)) for a in range(m + 1)]
+            for b in range(n + 1)]
+    return rows, F(1, den)
+
+
+class TestBuildersAgainstTheirDefinitions:
+    """The integer builders against the definitions they compute, rows and
+    scale alike: a failure witness prints scale times entry, so an equal
+    kernel with other rows or another scale would still change reports."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_elevation_columns(self, d):
+        for m in range(9):
+            for j in range(m + 1):
+                assert bdk.kernels._elevation(j, m, d) == reference_elevation(j, m, d), (j, m, d)
+
+    def test_legendre_rows_and_scale(self):
+        shared = bdk.kernels._LegendreColumns()
+        for m in range(17):
+            for n in range(17):
+                rows, scale = reference_legendre(m, n)
+                for form in (kernel_legendre(m, n), kernel_legendre(m, n, shared)):
+                    assert (form.rows, form.scale) == (rows, scale), (m, n)
+
+    @settings(max_examples=60, deadline=None)
+    @given(diagonal_forms_and_degrees())
+    def test_diagonal_coordinates_rows_and_scale(self, case):
+        form, m, n = case
+        d = form.d
+        den, factors = clear_denominators(w / (comb(m, j) * comb(n, j)) for j, w in form.terms)
+        rows = [[0] * comb(m + d, d) for _ in range(comb(n + d, d))]
+        for (j, _), factor in zip(form.terms, factors):
+            for x_column, y_column in zip(reference_elevation(j, m, d),
+                                          reference_elevation(j, n, d)):
+                for i, e in y_column:
+                    for k, c in x_column:
+                        rows[i][k] += factor * e * c
+        coords = form.coordinates(m, n)
+        assert (coords.rows, coords.scale) == (rows, form.scale / den)
 
 
 class TestInnerSumIdentity:

@@ -7,7 +7,7 @@ import re
 import weakref
 from collections import Counter
 from fractions import Fraction
-from functools import cache
+from functools import cache, lru_cache
 from itertools import combinations_with_replacement
 from math import comb
 from pathlib import Path
@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 
 import bdk.cli
+import bdk.combinat
 import bdk.durrmeyer
 import bdk.kernels
 import bdk.polynomials
@@ -312,6 +313,23 @@ def double_single_scale(build):
     return doubled
 
 
+def bump_binomial(table):
+    """A copy of the shared binomial table p -> (k -> C(p+k, k)) whose entry
+    C(2, 1), row 1 and column 1, is 3.  The closed elevation columns, the
+    definitional Gram rows and the lemma's left side all read that table."""
+    bdk.combinat._binomial_shifts(1)  # the entry exists before the copy
+    bumped = [list(row) for row in table]
+    bumped[1][1] += 1
+    return bumped
+
+
+def fresh_cache(cached):
+    """The function behind an lru_cache, behind an empty cache of its own: a
+    run reads no entry built before the patch, and every entry built under
+    it goes when the patch is undone."""
+    return lru_cache(maxsize=None)(cached.__wrapped__)
+
+
 #: The mutant table: for each mutant, its monkeypatches as (module, name,
 #: wrapper of the original), and the families it fails on `mutated_run`'s config.
 #: The sets are written out, not derived from the constructions each family
@@ -319,6 +337,10 @@ def double_single_scale(build):
 #: spares operator_degree_bound and operator_self_adjoint, moment_column
 #: spares operator_constant_preservation and operator_degree_bound, and
 #: moment_row, read by operator_self_adjoint alone, spares every other family.
+#: shared_binomial is read by the definitional and the closed side alike,
+#: and still fails every family that compares two of them; it spares
+#: single_stochastic_in_y, whose kernel is written at its own degree and so
+#: reads only the table's column C(p, 0) = 1.
 MUTANTS = {
     "top_closed_weight": (
         [(bdk.verify, name, bump_top_weight) for name in (
@@ -347,6 +369,13 @@ MUTANTS = {
         [(bdk.verify, "kernel_closed_twofold", extra_closed_degree)],
         {"twofold_closed_equals_definition", "univariate_twofold_path",
          "univariate_twofold_vs_definition", "diagonal_truncation"}),
+    "shared_binomial": (
+        [(bdk.combinat, "_PASCAL", bump_binomial), (bdk.kernels, "_elevation", fresh_cache)],
+        {"twofold_closed_equals_definition", "univariate_twofold_path",
+         "univariate_twofold_vs_definition", "legendre_equals_definition",
+         "threefold_closed_equals_definition", "threefold_permutation_invariance",
+         "twofold_symmetry_xy", "twofold_symmetry_degrees", "twofold_stochastic_in_y",
+         "composition_linear_combination_kernel", "inner_sum_collapse"}),
     "lemma_side": (
         [(bdk.verify, "_inner_sum_coordinates", bump_lemma_side)],
         {"inner_sum_collapse"}),
