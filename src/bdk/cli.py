@@ -21,10 +21,10 @@ import json
 import os
 import re
 import sys
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from fractions import Fraction
 from itertools import product
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, TextIO, Tuple, Union
 
 from .combinat import check_degree, check_dimension, format_rational, parse_rational
 from .durrmeyer import compose_apply, composition_coefficients
@@ -155,28 +155,36 @@ def _parse_list(raw: str, flag: str, convert: Callable[[str], object],
         raise ValueError(f"{flag}: {exc}") from exc
 
 
+@contextmanager
+def _output(path: str, flag: str, mode: str = "w") -> Iterator[TextIO]:
+    """The output to write to: stdout for path '-', else the file path opened
+    in mode, flushed before the block ends.  An OSError in the open, a write
+    or the flush (a closed pipe, a full disk, a missing directory) is a usage
+    error naming the output, not a traceback."""
+    try:
+        with nullcontext(sys.stdout) if path == "-" \
+                else open(path, mode, newline="", encoding="utf-8") as fh:
+            yield fh
+            fh.flush()
+    except OSError as exc:
+        if path == "-":
+            raise ValueError(f"cannot write to stdout: {exc}") from exc
+        raise ValueError(f"{flag}: cannot write {path!r}: {exc}") from exc
+
+
 def _write_file(path: str, flag: str, text: str, mode: str = "w") -> None:
-    """Write text to path; a path that cannot be written is a usage error.
+    """Write text to path, or to stdout for '-'.
 
     Mode "a" with empty text checks, before any output or long work, that
     path can be written, and leaves what it holds as it is.
     """
-    try:
-        with open(path, mode, encoding="utf-8") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise ValueError(f"{flag}: cannot write {path!r}: {exc}") from exc
+    with _output(path, flag, mode) as fh:
+        fh.write(text)
 
 
 def _write_stdout(*lines: str) -> None:
-    """Write each line to stdout and flush them; a write that fails (a
-    closed pipe, a full disk) is a usage error, as a file that cannot be
-    written is, not a traceback."""
-    try:
-        sys.stdout.write("".join(line + "\n" for line in lines))
-        sys.stdout.flush()
-    except OSError as exc:
-        raise ValueError(f"cannot write to stdout: {exc}") from exc
+    """Write each line to stdout and flush them."""
+    _write_file("-", "", "".join(line + "\n" for line in lines))
 
 
 def _build_kernel(form: str, m: int, n: int, d: int
@@ -220,11 +228,7 @@ def _cmd_eval(args) -> int:
     if dump:
         kernel = to_canonical(kernel) if isinstance(kernel, DiagonalKernelForm) \
             else kernel.expand()
-        payload = json.dumps(kernel.to_json_dict(), sort_keys=True)
-        if dump == "-":
-            _write_stdout(payload)
-        else:
-            _write_file(dump, "--dump-kernel", payload + "\n")
+        _write_file(dump, "--dump-kernel", json.dumps(kernel.to_json_dict(), sort_keys=True) + "\n")
     return EXIT_OK
 
 
@@ -260,21 +264,12 @@ def _cmd_table(args) -> int:
     points = _grid_points(args.d, args.grid)
     coords = [[float(c) for c in pt] for pt in points]
     header = [f"x{i + 1}" for i in range(args.d)] + [f"y{i + 1}" for i in range(args.d)] + ["K"]
-    # a write can fail after the open succeeds (a full disk), and the flush
-    # reports it for stdout as the close does for a file
-    try:
-        with open(args.out, "w", newline="", encoding="utf-8") if args.out != "-" \
-                else nullcontext(sys.stdout) as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            for x, row in zip(coords, kernel.evaluate_grid(points, points)):
-                for y, value in zip(coords, row):
-                    writer.writerow(x + y + [_to_float(value)])
-            fh.flush()
-    except OSError as exc:
-        if args.out == "-":
-            raise ValueError(f"cannot write to stdout: {exc}") from exc
-        raise ValueError(f"--out: cannot write {args.out!r}: {exc}") from exc
+    with _output(args.out, "--out") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for x, row in zip(coords, kernel.evaluate_grid(points, points)):
+            for y, value in zip(coords, row):
+                writer.writerow(x + y + [_to_float(value)])
     return EXIT_OK
 
 
@@ -284,11 +279,8 @@ def _cmd_verify(args) -> int:
     if args.report:
         _write_file(args.report, "--report", "", "a")
     report = run_suite(cfg)
-    payload = json.dumps(report.to_json_dict(), sort_keys=True)
-    if args.report:
-        _write_file(args.report, "--report", payload + "\n")
-    else:
-        _write_stdout(payload)
+    _write_file(args.report or "-", "--report",
+                json.dumps(report.to_json_dict(), sort_keys=True) + "\n")
 
     summary = report.summary()
     status = f"{summary['total']} checks, {summary['passed']} passed, {summary['failed']} failed"

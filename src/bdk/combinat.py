@@ -110,9 +110,7 @@ def clear_denominators(values: Iterable[Union[int, Fraction]]) -> Tuple[int, Lis
     D is the least common multiple of the denominators (1 for no values),
     so every value equals its integer divided by D exactly.
     """
-    values = list(values)
-    den = math.lcm(*(v.denominator for v in values)) if values else 1
-    return den, [v.numerator * (den // v.denominator) for v in values]
+    return _common_denominator((v.numerator, v.denominator) for v in values)
 
 
 def _common_denominator(ratios: Iterable[Tuple[int, int]]) -> Tuple[int, List[int]]:

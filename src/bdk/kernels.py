@@ -47,8 +47,11 @@ loop over the slots of an entry.  The closed forms' per-degree factors
 are reduced over their common denominator in integers, with no Fraction
 per weight.  Factorials, multinomials, index
 enumerations and that table are read from
-`bdk.combinat`; no builder keeps its own.  Evaluation is exact integer
-arithmetic too, and a diagonal form or a form in Bernstein coordinates is
+`bdk.combinat`; no builder keeps its own.  The tables derived here, the
+elevation columns (`_elevation`) and the elevated Legendre columns
+(`_legendre_column`), have the one policy of those tables: each is an
+`lru_cache` kept for the process and built once per key.  Evaluation is
+exact integer arithmetic too, and a diagonal form or a form in Bernstein coordinates is
 evaluated as it stands, without expanding it into the canonical map.
 """
 from __future__ import annotations
@@ -466,24 +469,7 @@ def kernel_univariate_twofold(m: int, n: int) -> DiagonalKernelForm:
     return kernel_closed_twofold(m, n, 1)
 
 
-class _LegendreColumns(dict):
-    """(k, m) -> u_k, the degree-m coordinates of C(m, k) L_k (`kernel_legendre`)
-    as sparse (position, integer) pairs, each computed on its first lookup
-    and kept.  One table shared by several `kernel_legendre` calls builds
-    each column once, whatever the other degree of each call."""
-
-    __slots__ = ()
-
-    def __missing__(self, key: Tuple[int, int]) -> List[Tuple[int, int]]:
-        k, m = key
-        # L_k over enumerate_multi_indices(k, 1), whose indices are (k-i, i) in ascending i
-        dense = _elevated([(k, [(-1) ** i * comb(k, i) for i in range(k + 1)])], m, 1)
-        value = self[key] = [(i, u) for i, u in enumerate(dense) if u]
-        return value
-
-
-def kernel_legendre(m: int, n: int, columns: Optional[_LegendreColumns] = None
-                    ) -> BernsteinKernelForm:
+def kernel_legendre(m: int, n: int) -> BernsteinKernelForm:
     """Univariate kernel through its shifted-Legendre expansion, in Bernstein
     coordinates over degrees (m, n).
 
@@ -500,17 +486,15 @@ def kernel_legendre(m: int, n: int, columns: Optional[_LegendreColumns] = None
     an integer sum over the factors' common denominator D, and scale 1 / D.
     As m_(k) / C(m,k) = k! and (m+k+1)_(k) = (m+k+1)!/(m+1)!, each factor is
     the ratio of integers  (2k+1) k!^2 (m+1)! (n+1)! / ((m+k+1)! (n+k+1)!).
-    The columns u_k and v_k are read from columns, a fresh
-    `_LegendreColumns` unless one is passed to share across calls.
+    The columns u_k and v_k are read from `_legendre_column`, which builds
+    each once per process, whatever the other degree of each call.
     """
     m, n = check_degree(m), check_degree(n)
     head = _FACT[m + 1] * _FACT[n + 1]
     den, factors = _common_denominator(
         ((2 * k + 1) * _FACT[k] ** 2 * head, _FACT[m + k + 1] * _FACT[n + k + 1])
         for k in range(min(m, n) + 1))
-    if columns is None:
-        columns = _LegendreColumns()
-    rows = _outer_products(((factor, columns[k, m], columns[k, n])
+    rows = _outer_products(((factor, _legendre_column(k, m), _legendre_column(k, n))
                             for k, factor in enumerate(factors)), m + 1, n + 1)
     return BernsteinKernelForm(1, Fraction(1, den), m, n, rows)
 
@@ -623,6 +607,15 @@ def _elevation(j: int, m: int, d: int) -> Tuple[Tuple[Tuple[int, int], ...], ...
     size = len(shifts[0])
     return tuple(tuple(zip(positions[start:start + size], row))
                  for start, row in zip(range(0, len(positions), size), values))
+
+
+@lru_cache(maxsize=None)
+def _legendre_column(k: int, m: int) -> Tuple[Tuple[int, int], ...]:
+    """u_k, the degree-m coordinates of C(m, k) L_k (`kernel_legendre`), as
+    sparse (position, integer) pairs.  Built once per (k, m)."""
+    # L_k over enumerate_multi_indices(k, 1), whose indices are (k-i, i) in ascending i
+    dense = _elevated([(k, [(-1) ** i * comb(k, i) for i in range(k + 1)])], m, 1)
+    return tuple((i, u) for i, u in enumerate(dense) if u)
 
 
 def _elevated(blocks: Iterable[Tuple[int, Sequence[int]]], m: int, d: int) -> List[int]:

@@ -336,12 +336,7 @@ def _combine(pairs: Iterable[Tuple[int, CartesianPolynomial]], den: int) -> Tupl
     reduced: the one weighted sum of integer maps."""
     pairs = list(pairs)
     common = lcm(*(p.den for _, p in pairs))
-    out: Dict[Exponents, int] = {}
-    for w, p in pairs:
-        w *= common // p.den
-        for e, v in p.nums.items():
-            out[e] = out.get(e, 0) + w * v
-    return out, den * common
+    return bernstein_sum((w * (common // p.den), p.nums.items()) for w, p in pairs), den * common
 
 
 def _first_difference(lhs: Tuple[dict, int], rhs: Tuple[dict, int]) -> Optional[tuple]:
@@ -401,8 +396,10 @@ def bernstein_basis(alpha: Sequence[int]) -> CartesianPolynomial:
 
 def bernstein_sum(pairs: Iterable[Tuple[int, Iterable]]) -> Dict[Exponents, int]:
     """The integer map of sum c * B over (c, terms of B) pairs, each c an int and
-    each B a `bernstein_basis` polynomial, whose (exponents, integer) terms are over
-    den 1: the one place such a sum is multiplied out.  Callers leave out c = 0."""
+    each B given by its (exponents, integer) terms: the one loop that accumulates
+    weighted integer maps.  Each B is a `bernstein_basis` polynomial when a
+    combination of the basis is multiplied out, and any integer map for
+    `_combine`.  Callers may leave out c = 0."""
     out: Dict[Exponents, int] = {}
     for c, terms in pairs:
         for e, b in terms:

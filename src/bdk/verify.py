@@ -38,7 +38,6 @@ from .kernels import (
     BernsteinKernelForm,
     DiagonalKernelForm,
     _inner_sum_coordinates,
-    _LegendreColumns,
     first_coordinate_difference,
     kernel_closed_threefold,
     kernel_closed_twofold,
@@ -283,9 +282,10 @@ def _iter_jobs(cfg: SuiteConfig) -> Iterator[Job]:
     first check that calls for it and freed with the last job that can
     read it.  The composition coefficients and the single-operator kernels
     are read by more than one degree pair, and the coefficients by
-    operator_linear_combination too, so they are kept for the run, as are
-    the elevated Legendre columns, each read by every degree pair whose
-    degrees reach its own (`bdk.kernels._LegendreColumns`); every other
+    operator_linear_combination too, so they are kept for the run; the
+    elevated Legendre columns, each read by every degree pair whose
+    degrees reach its own, are kept for the process by
+    `bdk.kernels._legendre_column`, as the elevation columns are; every other
     kernel is kept for its degree pair only, and the operator group's
     tables (monomial images, their compositions, one
     `bdk.polynomials._Moments` whose degree is set when it is built, and
@@ -294,7 +294,6 @@ def _iter_jobs(cfg: SuiteConfig) -> Iterator[Job]:
     """
     coefficients = cache(composition_coefficients)
     single = cache(kernel_single)
-    legendre_columns = _LegendreColumns()
     caps = {name: getattr(cfg, name) for name in FAMILY_CAPS}
     for d in cfg.d_range:
         caps["degree"] = cfg.degree_caps[d]
@@ -304,8 +303,7 @@ def _iter_jobs(cfg: SuiteConfig) -> Iterator[Job]:
             bounds[name] = min(caps.get(cap, cap) for cap in family.caps) if runs else -1
             top[family.group] = max(top.get(family.group, -1), bounds[name])
         pairs = (job for n in range(top["pair"] + 1) for m in range(n + 1)
-                 for job in _pair_jobs(d, m, n, single, coefficients, legendre_columns,
-                                       cfg.corrupt_scale))
+                 for job in _pair_jobs(d, m, n, single, coefficients, cfg.corrupt_scale))
         operator = _operator_jobs(d, top["operator"], cfg.operator_monomial_degree, coefficients)
         for name, params, check in chain(_threefold_jobs(top["triple"]), pairs, operator,
                                          _lemma_jobs(d, top["lemma"])):
@@ -316,7 +314,7 @@ def _iter_jobs(cfg: SuiteConfig) -> Iterator[Job]:
 
 
 def _pair_jobs(d: int, m: int, n: int, single: Callable, coefficients: Callable,
-               legendre_columns: _LegendreColumns, corrupt_scale: bool) -> Iterator[Job]:
+               corrupt_scale: bool) -> Iterator[Job]:
     """Every check that reads a two-fold kernel of the degree pair {m, n},
     m <= n, at dimension d, whether or not its family runs there: the
     checks of (m, n) and of (n, m), then twofold_symmetry_degrees, which
@@ -332,7 +330,7 @@ def _pair_jobs(d: int, m: int, n: int, single: Callable, coefficients: Callable,
         definition = _once(lambda: kernel_definition_twofold(m, n, d))
         closed = _once(lambda: kernel_closed_twofold(m, n, d))
         closed_coordinates = _once(lambda: closed().coordinates(m, n))
-        legendre = _once(lambda: kernel_legendre(m, n, legendre_columns))
+        legendre = _once(lambda: kernel_legendre(m, n))
         top = max(m, n)
         # at m = n the coordinates are the square already
         square = squares[m, n] = _once(lambda: definition().elevate(top, top)) \

@@ -1,5 +1,6 @@
 """Every exported name resolves, no `__all__` lists a name twice, and each
 name `bdk` exports is listed by exactly one module."""
+import functools
 import importlib
 import pkgutil
 
@@ -13,7 +14,7 @@ import bdk.kernels
 import bdk.polynomials
 import bdk.simplex_integrals
 import bdk.verify
-from bdk.verify import SuiteConfig
+from bdk.verify import SuiteConfig, run_suite
 
 MODULES = ["bdk", *(f"bdk.{m.name}" for m in pkgutil.iter_modules(bdk.__path__))]
 
@@ -73,6 +74,21 @@ def test_second_paths_and_unread_readers_are_gone():
     assert not hasattr(bdk.verify, "_combination_difference")
     assert bdk.verify._combine is bdk.polynomials._combine
     assert bdk.verify._Moments is bdk.polynomials._Moments
+
+
+def test_per_run_legendre_table_is_gone(monkeypatch):
+    # the elevated Legendre columns are one process-wide cache, as the
+    # elevation columns are, and kernel_legendre takes no table of them
+    assert not hasattr(bdk.kernels, "_LegendreColumns")
+    with pytest.raises(TypeError):
+        bdk.kernels.kernel_legendre(1, 1, {})
+    column = bdk.kernels._legendre_column
+    fresh = functools.lru_cache(**column.cache_parameters())(column.__wrapped__)
+    monkeypatch.setattr(bdk.kernels, "_legendre_column", fresh)
+    run_suite(SuiteConfig())
+    # each (k, m) with k <= m <= univariate_cap = 10 is built once
+    info = fresh.cache_info()
+    assert info.misses == 66 and info.hits > 0
 
 
 def test_caches_with_no_hits_are_gone():

@@ -4,6 +4,7 @@ import json
 import math
 import random
 import re
+import sys
 import weakref
 from collections import Counter
 from fractions import Fraction
@@ -22,7 +23,8 @@ import bdk.polynomials
 import bdk.verify
 from bdk.combinat import clear_denominators, enumerate_multi_indices
 from bdk.durrmeyer import apply_operator, composition_coefficients
-from bdk.kernels import DiagonalKernelForm
+from bdk.kernels import (DiagonalKernelForm, first_coordinate_difference, kernel_closed_twofold,
+                         kernel_legendre)
 from bdk.polynomials import CartesianPolynomial, _combine
 from bdk.verify import (
     FAMILIES,
@@ -324,10 +326,10 @@ def bump_binomial(table):
 
 
 def fresh_cache(cached):
-    """The function behind an lru_cache, behind an empty cache of its own: a
-    run reads no entry built before the patch, and every entry built under
-    it goes when the patch is undone."""
-    return lru_cache(maxsize=None)(cached.__wrapped__)
+    """The function behind an lru_cache, behind an empty cache of its own with
+    the same parameters: a run reads no entry built before the patch, and
+    every entry built under it goes when the patch is undone."""
+    return lru_cache(**cached.cache_parameters())(cached.__wrapped__)
 
 
 #: The mutant table: for each mutant, its monkeypatches as (module, name,
@@ -370,7 +372,7 @@ MUTANTS = {
         {"twofold_closed_equals_definition", "univariate_twofold_path",
          "univariate_twofold_vs_definition", "diagonal_truncation"}),
     "shared_binomial": (
-        [(bdk.combinat, "_PASCAL", bump_binomial), (bdk.kernels, "_elevation", fresh_cache)],
+        [(bdk.combinat, "_PASCAL", bump_binomial)],
         {"twofold_closed_equals_definition", "univariate_twofold_path",
          "univariate_twofold_vs_definition", "legendre_equals_definition",
          "threefold_closed_equals_definition", "threefold_permutation_invariance",
@@ -413,7 +415,17 @@ MUTANTS = {
 
 def mutated_run(mp, mutant):
     """The report of run_suite on a small config, d = 1 and 2 up to degree 2,
-    with the named mutant patched in through the monkeypatch mp."""
+    with the named mutant patched in through the monkeypatch mp.
+
+    First every cached function of every bdk module gets a fresh cache
+    (`fresh_cache`), so the mutant sees no entry that an earlier run built,
+    and no entry built under the mutant outlives it: the families a mutant
+    fails do not depend on what ran before it."""
+    for module in [module for name, module in sorted(sys.modules.items())
+                   if module is not None and (name == "bdk" or name.startswith("bdk."))]:
+        for name, value in list(vars(module).items()):
+            if hasattr(value, "cache_clear"):
+                mp.setattr(module, name, fresh_cache(value))
     for module, name, mutate in MUTANTS[mutant][0]:
         mp.setattr(module, name, mutate(getattr(module, name)))
     return run_suite(tiny_config(d_range=(1, 2)))
@@ -811,6 +823,24 @@ class TestRunSuite:
                 assert "f" in witness, record
             else:
                 assert witness, record
+
+    def test_mutants_fail_their_families_after_a_warm_run(self, default_report, monkeypatch):
+        # the default run has filled the process-wide elevation and Legendre
+        # caches, which both mutants change; each still fails exactly its row,
+        # and no mutated entry is left in those caches once it is undone
+        for mutant in ("elevation_coefficient", "shared_binomial"):
+            with monkeypatch.context() as mp:
+                report = mutated_run(mp, mutant)
+            assert {c.name for c in report.failures} == MUTANTS[mutant][1], mutant
+        # B_(1,0) = (3 B_(3,0) + 2 B_(2,1) + B_(1,2)) / 3, and B_(0,1) mirrored
+        assert bdk.kernels._elevation(1, 3, 1) == (((0, 3), (1, 2), (2, 1)),
+                                                   ((1, 1), (2, 2), (3, 3)))
+        # u_2 at degree 4: sum_i (-1)^i C(2, i) C(4 - t, 2 - i) C(t, i) for t = 0..4
+        assert bdk.kernels._legendre_column(2, 4) == ((0, 6), (1, -3), (2, -6), (3, -3), (4, 6))
+        for m in range(3):
+            for n in range(3):
+                closed = kernel_closed_twofold(m, n, 1).coordinates(m, n)
+                assert first_coordinate_difference(closed, kernel_legendre(m, n)) is None
 
     def test_every_family_of_the_default_report_is_killed(self, default_report):
         # each mutant fails exactly its listed families (the test above)
