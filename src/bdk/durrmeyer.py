@@ -144,11 +144,11 @@ def composition_coefficients(m: int, n: int, d: int) -> List[Fraction]:
 
     c_k = (m+d)! (n+d)! / (m+n+d)! * C(m,k) C(n,k) k! / (k+d)!.
     All coefficients are positive and sum to one, so the composition is a
-    convex combination of the operators themselves.
+    convex combination of the operators themselves.  Each c_k is built as
+    one `Fraction` of two integer products, (m+d)! (n+d)! C(m,k) C(n,k) k!
+    over (m+n+d)! (k+d)!, so it is reduced once.
     """
     m, n, d = check_degree(m), check_degree(n), check_dimension(d)
-    prefactor = Fraction(_FACT[m + d] * _FACT[n + d], _FACT[m + n + d])
-    return [
-        prefactor * comb(m, k) * comb(n, k) * Fraction(_FACT[k], _FACT[k + d])
-        for k in range(min(m, n) + 1)
-    ]
+    head, foot = _FACT[m + d] * _FACT[n + d], _FACT[m + n + d]
+    return [Fraction(head * comb(m, k) * comb(n, k) * _FACT[k], foot * _FACT[k + d])
+            for k in range(min(m, n) + 1)]

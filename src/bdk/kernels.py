@@ -662,7 +662,9 @@ def first_coordinate_difference(lhs: BernsteinKernelForm,
 
     With lhs.scale = p/q and rhs.scale = p'/q', the coefficients of
     B_a(x) B_b(y) agree exactly when  p q' C[b][a] = p' q C'[b][a], so the
-    rows are compared as integers.  Returns None when the kernels are
+    rows are compared as integers, with the two factors reduced by their
+    gcd; a side whose factor is 1 is compared as it is, so only the other
+    side's rows are multiplied.  Returns None when the kernels are
     identical; otherwise a witness with the indices a and b and both
     coefficients, for failure reports.  Forms of other degrees, row counts
     or row lengths are not on one basis: ValueError.
@@ -674,9 +676,11 @@ def first_coordinate_difference(lhs: BernsteinKernelForm,
         p, q = p // g, q // g
         # equal nonzero scales compare the rows as they are; two zero scales
         # compare rows of zeros, so only their lengths can differ
-        raw = p == q != 0
+        if p == q != 0:
+            p = q = 1
         for b, left, right in zip(lhs.y_indices, lhs.rows, rhs.rows):
-            if left != right if raw else [p * c for c in left] != [q * c for c in right]:
+            if ((left if p == 1 else [p * c for c in left])
+                    != (right if q == 1 else [q * c for c in right])):
                 for a, u, v in zip(lhs.x_indices, left, right):
                     if p * u != q * v:
                         return {"a": list(a), "b": list(b), "lhs": format_rational(lhs.scale * u),

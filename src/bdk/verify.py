@@ -323,13 +323,33 @@ def _pair_jobs(d: int, m: int, n: int, single: Callable, coefficients: Callable,
     So the d = 1 kernel is built three independent ways, closed, Legendre
     and definitional, and each two of them are compared by one family.
     Each kernel is built by the first check that reads it (`_once`).
+
+    The pair writes each distinct closed coordinate matrix once.  The
+    closed forms of (m, n) and (n, m) are equal, and `coordinates` is
+    symmetric in its two degrees (its factors w_j / (C(m,j) C(n,j)) and
+    outer products are the same for both), so the orientation read
+    second takes the transpose of the first's matrix when the two closed
+    forms compare equal, and builds its own otherwise; the matrix leaves
+    the pair's table when it is taken.  The mix sum_k c_k K_k of
+    composition_linear_combination_kernel reads the closed matrix of its
+    orientation when its (degree, scale * weight) pairs are the closed
+    form's, and is elevated itself otherwise.
     """
-    squares = {}
+    squares, matrices = {}, {}
 
     def oriented(m: int, n: int) -> Iterator[Job]:
         definition = _once(lambda: kernel_definition_twofold(m, n, d))
         closed = _once(lambda: kernel_closed_twofold(m, n, d))
-        closed_coordinates = _once(lambda: closed().coordinates(m, n))
+
+        def coordinates():
+            mirror = matrices.pop((n, m), None)
+            if mirror is not None and mirror[0] == closed():
+                return mirror[1].transpose()
+            written = closed().coordinates(m, n)
+            if m != n:
+                matrices[m, n] = closed(), written
+            return written
+        closed_coordinates = _once(coordinates)
         legendre = _once(lambda: kernel_legendre(m, n))
         top = max(m, n)
         # at m = n the coordinates are the square already
@@ -362,19 +382,23 @@ def _pair_jobs(d: int, m: int, n: int, single: Callable, coefficients: Callable,
 
         def convex():
             coeffs = coefficients(m, n, d)
-            total = sum(coeffs)
-            if total == 1 and all(c > 0 for c in coeffs):
+            den, nums = clear_denominators(coeffs)
+            if sum(nums) == den and all(c > 0 for c in nums):
                 return None
-            return {"sum": format_rational(total),
+            return {"sum": format_rational(sum(coeffs)),
                     "coefficients": [format_rational(c) for c in coeffs]}
         yield "composition_coefficients_convex", params, convex
 
         def combo_kernel():
             # each K_k is diagonal at degree k, so sum_k c_k K_k is one
-            # diagonal form with weight c_k (k+d)!/k! at degree k
+            # diagonal form with weight c_k (k+d)!/k! at degree k; its scale
+            # is 1, so its terms are its (degree, scale * weight) pairs
             mix = DiagonalKernelForm(d, 1, [(k, c * single(k, d).scale)
                                             for k, c in enumerate(coefficients(m, n, d))])
-            return first_coordinate_difference(mix.coordinates(m, n), definition())
+            form = closed()
+            lhs = closed_coordinates() if mix.terms == tuple(
+                (j, form.scale * w) for j, w in form.terms) else mix.coordinates(m, n)
+            return first_coordinate_difference(lhs, definition())
         yield "composition_linear_combination_kernel", params, combo_kernel
 
     yield from oriented(m, n)

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, strategies as st
@@ -102,6 +103,19 @@ class TestCompositionCoefficients:
         assert len(coeffs) == min(m, n) + 1
         assert sum(coeffs) == 1
         assert all(c > 0 for c in coeffs)
+
+    def test_equals_the_prefactor_products(self):
+        # the coefficients as first written, a Fraction per factor:
+        # (m+d)! (n+d)! / (m+n+d)! * C(m,k) C(n,k) * k!/(k+d)!
+        for d in range(1, 7):
+            for m in range(13):
+                for n in range(13):
+                    prefactor = Fraction(_FACT[m + d] * _FACT[n + d], _FACT[m + n + d])
+                    coeffs = composition_coefficients(m, n, d)
+                    assert all(type(c) is Fraction for c in coeffs), (m, n, d)
+                    assert coeffs == [
+                        prefactor * comb(m, k) * comb(n, k) * Fraction(_FACT[k], _FACT[k + d])
+                        for k in range(min(m, n) + 1)], (m, n, d)
 
     def test_symmetry_in_degrees(self):
         for d in (1, 2):

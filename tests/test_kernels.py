@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import bdk.kernels
-from bdk.combinat import clear_denominators, enumerate_multi_indices, index_factorial
+from bdk.combinat import (clear_denominators, enumerate_multi_indices, format_rational,
+                          index_factorial)
 from bdk.kernels import (
     BernsteinKernelForm,
     DiagonalKernelForm,
@@ -519,6 +520,20 @@ def bernstein_forms(draw):
     return BernsteinKernelForm(d, draw(nonzero_rationals), m, n, rows)
 
 
+def crossed_difference(lhs, rhs):
+    """The first coefficient where two forms on one basis differ, every row of
+    both sides multiplied by the other side's scale: the reference for
+    `first_coordinate_difference` on rows of one shape."""
+    p = lhs.scale.numerator * rhs.scale.denominator
+    q = rhs.scale.numerator * lhs.scale.denominator
+    for b, left, right in zip(lhs.y_indices, lhs.rows, rhs.rows):
+        for a, u, v in zip(lhs.x_indices, left, right):
+            if p * u != q * v:
+                return {"a": list(a), "b": list(b), "lhs": format_rational(lhs.scale * u),
+                        "rhs": format_rational(rhs.scale * v)}
+    return None
+
+
 class TestClosedCoordinates:
     """DiagonalKernelForm.coordinates and BernsteinKernelForm.elevate: degree
     elevation into the product basis, checked against the canonical map."""
@@ -574,6 +589,32 @@ class TestClosedCoordinates:
             "a": [0, 2], "b": [0, 1], "lhs": "3/2", "rhs": "19/12"}
         with pytest.raises(ValueError, match="one basis"):
             first_coordinate_difference(coords, coords.transpose())
+
+    @settings(max_examples=150, deadline=None)
+    @given(bernstein_forms(), st.sampled_from(["p/1", "1/q", "p/q", "1/1", "0", "0/0"]),
+           st.integers(2, 30), st.sampled_from([1, -1]), st.booleans(), st.data())
+    def test_one_sided_difference_is_the_cross_multiplied_one(self, form, kind, p, sign,
+                                                              perturb, data):
+        # lhs.scale / rhs.scale reduces to the factor pair the kind names
+        # (p/1 multiplies only the right rows, 1/q only the left ones, p/q
+        # both, 1/1 neither; 0 is a zero left scale, 0/0 two zero scales),
+        # and the rows are written so that every coefficient agrees
+        ratio = {"p/1": F(sign * p), "1/q": F(sign, p), "p/q": F(sign * p, p + 1),
+                 "1/1": F(1), "0": F(0), "0/0": F(0)}[kind]
+        scale = F(0) if kind == "0/0" else form.scale
+        num, den = ratio.numerator, ratio.denominator
+        rhs = BernsteinKernelForm(form.d, scale, form.m, form.n,
+                                  [[num * c for c in row] for row in form.rows])
+        lhs = BernsteinKernelForm(form.d, scale * ratio, form.m, form.n,
+                                  [[den * c for c in row] for row in form.rows])
+        if perturb:
+            i = data.draw(st.integers(0, len(lhs.rows) - 1))
+            k = data.draw(st.integers(0, len(lhs.rows[i]) - 1))
+            lhs.rows[i][k] += data.draw(st.sampled_from([1, -1, 7]))
+        found = first_coordinate_difference(lhs, rhs)
+        assert found == crossed_difference(lhs, rhs)
+        assert (found is None) == (not perturb or lhs.scale == 0)
+        assert first_coordinate_difference(rhs, lhs) == crossed_difference(rhs, lhs)
 
     @pytest.mark.parametrize("shape", ["short rows", "short scaled rows", "missing rows"])
     def test_difference_refuses_rows_of_another_shape(self, shape):

@@ -9,7 +9,7 @@ import weakref
 from collections import Counter
 from fractions import Fraction
 from functools import cache, lru_cache
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 from math import comb
 from pathlib import Path
 
@@ -24,7 +24,7 @@ import bdk.verify
 from bdk.combinat import clear_denominators, enumerate_multi_indices
 from bdk.durrmeyer import apply_operator, composition_coefficients
 from bdk.kernels import (DiagonalKernelForm, first_coordinate_difference, kernel_closed_twofold,
-                         kernel_legendre)
+                         kernel_legendre, kernel_single)
 from bdk.polynomials import CartesianPolynomial, _combine
 from bdk.verify import (
     FAMILIES,
@@ -150,15 +150,13 @@ def expected_work(cfg):
             forms = [(a, b, c), *{(a, c, b), (b, a, c), (b, c, a), (c, a, b), (c, b, a)}]
             elevations += len(forms)
             raising += sum(1 for outer, _, inner in forms if (outer, inner) != (c, c))
+    # the two-fold closed coordinates, once per (d, {m, n}): (n, m) takes the
+    # transpose of (m, n)'s matrix, and composition_linear_combination_kernel
+    # reads it, as its mix equals the closed form
     closed_coordinates = (
-        # twofold_closed_equals_definition at d > 1, once per (d, m, n)
-        sum((cfg.degree_caps[d] + 1) ** 2 for d in cfg.d_range if d > 1)
-        # the d = 1 closed coordinates, once per (m, n)
-        + ((twofold[1] + 1) ** 2 if 1 in cfg.d_range else 0)
+        sum((cap + 1) * (cap + 2) // 2 for cap in twofold.values())
         # single_stochastic_in_y, once per (d, k)
         + singles
-        # composition_linear_combination_kernel, once per (d, m, n)
-        + sum((min(cfg.combination_cap, cfg.degree_caps[d]) + 1) ** 2 for d in combination_dims)
         # threefold_closed_equals_definition, once per (a, b, c)
         + ((cfg.threefold_cap + 1) ** 3 if 1 in cfg.d_range else 0))
     return {
@@ -704,7 +702,7 @@ class TestRunSuite:
         assert counts == {"kernel_legendre": 121, "kernel_single": 21,
                           "kernel_closed_twofold": 195, "kernel_definition_twofold": 195,
                           "expand": 0, "elevate": 214, "raising_elevate": 200,
-                          "coordinates": 504, "_inner_sum_coordinates": 250,
+                          "coordinates": 346, "_inner_sum_coordinates": 250,
                           "apply_operator": 121, "moment_numerators": 0,
                           "composition_coefficients": 72}
         assert counts == expected_work(SuiteConfig())
@@ -1015,6 +1013,72 @@ class TestRunSuite:
         report = run_suite(tiny_config())
         keys = [(c.name, canonical_json_bytes(c.params)) for c in report.checks]
         assert keys == sorted(keys)
+
+
+class TestPairSharing:
+    """The premises on which a degree pair writes each closed matrix once: the
+    (n, m) orientation takes the transpose of (m, n)'s, and the kernel mix
+    of composition_linear_combination_kernel reads it."""
+
+    def test_mirrored_closed_forms_are_equal_and_their_coordinates_transposes(self):
+        cfg = SuiteConfig()
+        # the d = 1 closed coordinates reach univariate_cap
+        caps = {**cfg.degree_caps, 1: max(cfg.degree_caps[1], cfg.univariate_cap)}
+        for d, cap in caps.items():
+            for m, n in combinations_with_replacement(range(cap + 1), 2):
+                if m == n:
+                    continue
+                closed = kernel_closed_twofold(m, n, d)
+                assert kernel_closed_twofold(n, m, d) == closed, (d, m, n)
+                direct, mirrored = closed.coordinates(n, m), closed.coordinates(m, n).transpose()
+                assert (direct.d, direct.m, direct.n, direct.scale, direct.rows) == (
+                    mirrored.d, mirrored.m, mirrored.n, mirrored.scale, mirrored.rows), (d, m, n)
+
+    def test_every_default_mix_is_the_closed_form(self):
+        cfg = SuiteConfig()
+        for d in dimensions(cfg, "composition_linear_combination_kernel"):
+            cap = min(cfg.combination_cap, cfg.degree_caps[d])
+            for m, n in product(range(cap + 1), repeat=2):
+                mix = [(k, c * kernel_single(k, d).scale)
+                       for k, c in enumerate(composition_coefficients(m, n, d))]
+                closed = kernel_closed_twofold(m, n, d)
+                assert mix == [(j, closed.scale * w) for j, w in closed.terms], (d, m, n)
+
+    def test_a_mix_unlike_the_closed_form_is_elevated(self, monkeypatch):
+        # a doubled K_k doubles the mix, which then differs from the closed
+        # form: the mix is elevated, and every check fails with its witness
+        report = mutated_run(monkeypatch, "single_scale")
+        records = [c for c in report.checks if c.name == "composition_linear_combination_kernel"]
+        assert records
+        for record in records:
+            assert set(record.witness) == {"a", "b", "lhs", "rhs"}, record
+            assert Fraction(record.witness["lhs"]) == 2 * Fraction(record.witness["rhs"]), record
+
+    def test_closed_matrices_are_freed_with_their_pair(self, monkeypatch):
+        # a weak reference to each closed matrix written or transposed, with
+        # its (d, {m, n}); a matrix of another pair is never alive at a write
+        matrices = []
+
+        def alive():
+            return {pair for pair, ref in matrices if ref() is not None}
+
+        def coordinates(self, m, n, original=DiagonalKernelForm.coordinates):
+            pair = (self.d, frozenset((m, n)))
+            assert alive() <= {pair}
+            matrix = original(self, m, n)
+            matrices.append((pair, weakref.ref(matrix)))
+            return matrix
+
+        def transpose(self, original=bdk.kernels.BernsteinKernelForm.transpose):
+            matrix = original(self)
+            for pair, ref in list(matrices):
+                if ref() is self:
+                    matrices.append((pair, weakref.ref(matrix)))
+            return matrix
+        monkeypatch.setattr(DiagonalKernelForm, "coordinates", coordinates)
+        monkeypatch.setattr(bdk.kernels.BernsteinKernelForm, "transpose", transpose)
+        assert run_suite(tiny_config(d_range=(1, 2), max_degree=3)).ok
+        assert matrices and not alive()
 
 
 class TestReportSerialization:
