@@ -28,7 +28,6 @@ scalars.
 """
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 import re
@@ -108,9 +107,12 @@ def clear_denominators(values: Iterable[Union[int, Fraction]]) -> Tuple[int, Lis
     """Common denominator D of the values and the integers D * v, in order.
 
     D is the least common multiple of the denominators (1 for no values),
-    so every value equals its integer divided by D exactly.
+    so every value equals its integer divided by D exactly.  An int or a
+    Fraction is already in lowest terms, so no gcd is taken.
     """
-    return _common_denominator((v.numerator, v.denominator) for v in values)
+    values = list(values)
+    common = math.lcm(*[v.denominator for v in values])
+    return common, [v.numerator * (common // v.denominator) for v in values]
 
 
 def _common_denominator(ratios: Iterable[Tuple[int, int]]) -> Tuple[int, List[int]]:
@@ -297,19 +299,18 @@ def _slot_products(slots: Sequence[Sequence[int]], tables: Iterable[Sequence[int
 
 
 def _slot_product_rows(outer: Sequence[Sequence[int]], slots: Sequence[Sequence[int]],
-                       table: Sequence[Sequence[int]], scale: int = 1) -> List[List[int]]:
-    """scale * prod_v table[a_v][i_v] for every outer index a and every index
-    i, both given one slot at a time: one row per a, in order, each
-    `_slot_products(slots, map(table.__getitem__, a))` times scale.
-
-    All rows are gathered at once, one list comprehension over the (a, i)
-    pairs and one multiply pass per slot, so a level of one- or two-entry
-    rows pays no call per row.  For a single row with one table per slot,
-    `_slot_products` is cheaper: it builds no comprehension and no split."""
-    values = itertools.repeat(scale)
-    for parts, slot in zip(outer, slots):
-        values = map(operator.mul, values,
-                     [row[i] for row in map(table.__getitem__, parts) for i in slot])
+                       table: Sequence[Sequence[int]]) -> List[List[int]]:
+    """prod_v table[a_v][i_v] for every outer index a and every index i, both
+    given one slot at a time: one row per a, in order, each
+    `_slot_products(slots, map(table.__getitem__, a))`.  All rows are
+    gathered at once, one list comprehension per slot over the (a, i) pairs,
+    so a level of short rows pays no call per row; for a single row
+    `_slot_products` is cheaper."""
+    gathered = ([row[i] for row in map(table.__getitem__, parts) for i in slot]
+                for parts, slot in zip(outer, slots))
+    values = next(gathered)
+    for column in gathered:
+        values = map(operator.mul, values, column)
     size = len(slots[0])
     values = list(values)
     return [values[i:i + size] for i in range(0, len(values), size)]

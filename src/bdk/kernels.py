@@ -4,62 +4,45 @@ A composition M_{n_r} o ... o M_{n_1} acts by integration against a
 bivariate polynomial kernel K(x, y).  This module builds that kernel in
 independent ways:
 
-* the definitional form: `kernel_definition_coordinates`, a brute-force
-  sum over Bernstein index chains b_r, ..., b_1 of any length, straight
-  from the operator definition -- the oracle.  It yields one integer
-  coefficient per basis product B_{b_r}(x) B_{b_1}(y), a
-  `BernsteinKernelForm`, as do `kernel_definition_twofold` and
-  `_threefold`;
-* diagonal closed forms: a factorial prefactor times a short sum of
-  products B_l(x) B_l(y) over a single multi-index l, with a weight that
-  depends on l only through its degree |l|; one weight per degree is stored;
-* for d = 1, the shifted-Legendre expansion `kernel_legendre`, a weighted
-  sum of products L_k(x) L_k(y), also written as a `BernsteinKernelForm`.
+* the definitional form `kernel_definition_coordinates`, a brute-force sum
+  over Bernstein index chains straight from the operator definition -- the
+  oracle -- as a `BernsteinKernelForm`: small integer rows over one scale;
+* diagonal closed forms (`DiagonalKernelForm`): one integer weight per
+  index degree |l| of the products B_l(x) B_l(y), over one scale;
+* for d = 1, the shifted-Legendre expansion `kernel_legendre`, also a
+  `BernsteinKernelForm`.
 
-Claimed identities are decided in Bernstein coordinates.  The products
-B_a(x) B_b(y), |a| = m and |b| = n, form a basis of the kernels of those
-degrees, so two kernels are equal exactly when their coefficient matrices
-in that basis are: `DiagonalKernelForm.coordinates` and `kernel_legendre`
-write a sum of outer products there by degree elevation,
-`BernsteinKernelForm.elevate` raises either side of a form to a higher
-degree, and `first_coordinate_difference` compares two forms entry by
-entry with their scales cross-multiplied.  The collapse lemma behind the
-diagonal forms is decided the same way: `_inner_sum_coordinates` writes
-both of its sides over the degree-n Bernstein basis, and
-`inner_sum_identity` evaluates them at a point.  Every form also canonicalizes
-to a sparse polynomial in the 2d variables x_1..x_d, y_1..y_d (the
-dependent coordinates x_0, y_0 eliminated), the map `to_canonical` and
-`BernsteinKernelForm.expand` build for output.
+Claimed identities are decided in Bernstein coordinates: the products
+B_a(x) B_b(y), |a| = m and |b| = n, are a basis, so two kernels are equal
+exactly when their coefficient matrices are.  `DiagonalKernelForm.coordinates`
+and `kernel_legendre` write sums of outer products there by degree
+elevation, `BernsteinKernelForm.elevate` raises a form's degrees, and
+`first_coordinate_difference` compares two forms entry by entry with their
+scales cross-multiplied; two forms of one scale compare their rows as they
+are.  The collapse lemma is decided the same way (`_inner_sum_coordinates`).
+Every form also canonicalizes to a sparse polynomial in x_1..x_d, y_1..y_d
+(`to_canonical`, `BernsteinKernelForm.expand`) for output.
 
-The definitional builder and canonicalization accumulate Python ints and
-apply one rational scale per output coefficient at the end.  They use
-Dirichlet's formula  int x^mu = mu! / (|mu|+d)!  on barycentric exponents
-and mult(a) = |a|!/a!, the coefficient of x^a in B_a.  The builder's
-Gram rows mult(b) mult(c) (b+c)! = |b|! |c|! prod_v C(b_v+c_v, c_v), the
-closed side's elevation coefficients C(a, l) = prod_v C(a_v, l_v), and
-the lemma's left side (a+beta)!/a! = beta! prod_v C(a_v+beta_v, a_v), are
-products over the d+1 slots of an index, gathered one slot at a time from
-one shared table of binomials: all Gram rows between two levels, and all
-elevation columns from one degree to another, at once
-(`bdk.combinat._slot_product_rows`), with no call per row, and the
-lemma's one row by `bdk.combinat._slot_products`; none has a Python
-loop over the slots of an entry.  The closed forms' per-degree factors
-are reduced over their common denominator in integers, with no Fraction
-per weight.  Factorials, multinomials, index
-enumerations and that table are read from
-`bdk.combinat`; no builder keeps its own.  The tables derived here, the
-elevation columns (`_elevation`) and the elevated Legendre columns
-(`_legendre_column`), have the one policy of those tables: each is an
-`lru_cache` kept for the process and built once per key.  Evaluation is
-exact integer arithmetic too, and a diagonal form or a form in Bernstein coordinates is
-evaluated as it stands, without expanding it into the canonical map.
+Everything accumulates Python ints and applies one rational scale at the
+end, by Dirichlet's formula  int x^mu = mu! / (|mu|+d)!  and
+mult(a) = |a|!/a!.  The Gram rows G(b, c) = prod_v C(b_v+c_v, c_v), the
+elevation coefficients C(a, l) = prod_v C(a_v, l_v) and the lemma's
+(a+beta)!/a! = beta! prod_v C(a_v+beta_v, a_v) are products over the d+1
+slots of an index, gathered one slot at a time from one shared table of
+binomials (`bdk.combinat._slot_product_rows`, `_slot_products`), with no
+Python loop over the slots of an entry.  Factorials, multinomials, index
+enumerations and that table are read from `bdk.combinat`; the tables
+derived here, the elevation columns (`_elevation`) and the elevated
+Legendre columns (`_legendre_column`), are `lru_cache`s kept for the
+process and built once per key.  A diagonal form or a form in Bernstein
+coordinates is evaluated as it stands, without its canonical map.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd, prod
-from operator import add, itemgetter, mul
+from operator import add, mul
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .combinat import (
@@ -183,24 +166,36 @@ class KernelPolynomial(CartesianPolynomial):
 class DiagonalKernelForm:
     """Structured kernel: scale * sum over degrees j of w_j * sum_{|l|=j} B_l(x) B_l(y).
 
-    The whole point of the closed-form results is that composition kernels
-    admit this shape, with only matching-index basis products and a weight
-    that depends on the index only through its degree.  terms holds the
-    (j, w_j) pairs in ascending j, each weight nonzero.
+    Composition kernels admit this shape: only matching-index basis
+    products, with a weight that depends on the index only through its
+    degree.  terms holds the (j, w_j) pairs in ascending j: nonzero integer
+    weights with gcd 1, the first positive, over the one rational scale.
+    Fraction weights are cleared into the scale, as are a common factor and
+    sign, and every zero form (scale 0, or no terms) is one zero kernel, so
+    equal kernels compare equal and hash equal.
     """
 
     __slots__ = ("d", "scale", "terms")
 
     def __init__(self, d: int, scale, terms):
         self.d = check_dimension(d)
-        self.scale = check_rational(scale, "scale")
-        self.terms = tuple(sorted([(check_degree(j), check_rational(w, "weight"))
-                                   for j, w in terms], key=itemgetter(0)))
-        degrees = [j for j, _ in self.terms]
+        scale = check_rational(scale, "scale")
+        degrees, weights = tuple(zip(*terms)) or ((), ())
+        if not {int}.issuperset(map(type, degrees)) or min(degrees, default=0) < 0:
+            degrees = [check_degree(j) for j in degrees]
         if len(set(degrees)) != len(degrees):
             raise ValueError("diagonal degrees must not repeat")
-        if not all(w for _, w in self.terms):
+        if not {int}.issuperset(map(type, weights)):
+            den, weights = clear_denominators([check_rational(w, "weight") for w in weights])
+            scale /= den
+        if not all(weights):
             raise ValueError("diagonal weights must be nonzero")
+        terms = sorted(zip(degrees, weights))
+        g = -gcd(*weights) if terms and terms[0][1] < 0 else gcd(*weights)
+        if g not in (0, 1):
+            terms = [(j, w // g) for j, w in terms]
+            scale = Fraction(scale.numerator * g, scale.denominator)
+        self.scale, self.terms = scale, tuple(terms)
 
     def max_index_degree(self) -> int:
         """Largest |l| appearing; -1 when the form is empty."""
@@ -213,11 +208,12 @@ class DiagonalKernelForm:
         sum_{|a|=m, a>=l} C(a, l)/C(m, j) B_a, so the coefficient of
         B_a(x) B_b(y) is
             scale * sum_{|l| <= min(m, n)} w_|l| / (C(m, |l|) C(n, |l|)) * C(a, l) C(b, l).
-        With those degree factors over a common denominator D, reduced in
-        integers (`_common_denominator`), each l adds its integer factor
-        times the outer product of its two elevation columns, and the scale
-        is scale / D.  Only the weights are read.
-        The indices are listed as `kernel_definition_coordinates((m, n), d)`
+        The factors w_j / (C(m,j) C(n,j)) are put over their common
+        denominator D in integers (`_common_denominator`), each l adds its
+        factor times the outer product of its two elevation columns, and the
+        scale is scale / D.  A two-fold closed form has D = 1 and every
+        factor 1: its rows are the definitional Gram rows, over the same
+        scale.  The indices are listed as `kernel_definition_coordinates`
         lists them.
         """
         m, n = check_degree(m), check_degree(n)
@@ -226,14 +222,13 @@ class DiagonalKernelForm:
             raise ValueError(f"a diagonal form of index degree {top} has no "
                              f"coordinates at degrees ({m}, {n})")
         d = self.d
-        den, factors = _common_denominator((w.numerator, w.denominator * comb(m, j) * comb(n, j))
-                                           for j, w in self.terms)
+        den, factors = _common_denominator((w, comb(m, j) * comb(n, j)) for j, w in self.terms)
         rows = _outer_products(((factor, x_column, y_column)
                                 for (j, _), factor in zip(self.terms, factors)
                                 for x_column, y_column in zip(_elevation(j, m, d),
                                                               _elevation(j, n, d))),
                                comb(m + d, d), comb(n + d, d))
-        return BernsteinKernelForm(d, self.scale / den, m, n, rows)
+        return BernsteinKernelForm(d, self.scale if den == 1 else self.scale / den, m, n, rows)
 
     def evaluate(self, x: Point, y: Point) -> Fraction:
         (row,) = self.evaluate_grid([x], [y])
@@ -245,18 +240,17 @@ class DiagonalKernelForm:
 
         A point p = A / q in barycentric integer form has the integer vector
         v_l = prod A_v^l_v q^(top-|l|) = q^top B_l(p) / mult(l), top = max |l|,
-        computed once per point.  With w_j = W_j / D over a common denominator
-        and mult(l)^2 folded into the weights once, each value is the one sum
-            K(x, y) = scale * sum_l W_|l| mult(l)^2 v_l(x) v_l(y) / (D qx^top qy^top).
+        computed once per point.  With the integer weights w_j and mult(l)^2
+        folded into them once, each value is the one sum
+            K(x, y) = scale * sum_l w_|l| mult(l)^2 v_l(x) v_l(y) / (qx^top qy^top).
         """
-        w_den, degree_weights = clear_denominators(w for _, w in self.terms)
         indices: List[Tuple[int, ...]] = []
         weights: List[int] = []
-        for (j, _), w in zip(self.terms, degree_weights):
+        for j, w in self.terms:
             block = _multi_indices(j, self.d)
             indices += block
             weights += [w * _multinomial(ell) ** 2 for ell in block]
-        num, den = self.scale.numerator, self.scale.denominator * w_den
+        num, den = self.scale.numerator, self.scale.denominator
         columns = [monomial_numerators(*integer_point(y, self.d), indices) for y in ys]
         for x in xs:
             qx_top, vx = monomial_numerators(*integer_point(x, self.d), indices)
@@ -264,13 +258,16 @@ class DiagonalKernelForm:
             yield [Fraction(num * sum(map(mul, wx, vy)), den * qx_top * qy_top)
                    for qy_top, vy in columns]
 
+    def _key(self) -> tuple:  # a zero form is its dimension alone
+        return (self.d, self.scale, self.terms) if self.scale and self.terms else (self.d,)
+
     def __eq__(self, other: object) -> bool:
         if isinstance(other, DiagonalKernelForm):
-            return (self.d, self.scale, self.terms) == (other.d, other.scale, other.terms)
+            return self._key() == other._key()
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash((self.d, self.scale, self.terms))
+        return hash(self._key())
 
     def __repr__(self) -> str:
         return f"<diagonal-kernel d={self.d} scale={self.scale} terms={len(self.terms)}>"
@@ -410,10 +407,12 @@ def kernel_definition_coordinates(degrees: Sequence[int], d: int) -> BernsteinKe
     interior mult(b_i)^2 is split between its two neighbours, and
         mult(b) mult(c) (b+c)! = |b|! |c|! G(b, c),  G(b, c) = prod_v C(b_v+c_v, c_v),
     so the integer is  K prod_i G(b_i, b_{i+1})  with the one constant
-    K = prod_i n_i! n_{i+1}!.  For each innermost index b_1 the chain is
-    carried outward one level at a time as one integer vector over that
-    level's indices; K multiplies the first, and the last is the row C[b_1]
-    over the outermost indices.  All Gram rows G(b, c) between two levels
+    K = prod_i n_i! n_{i+1}!, which goes into the scale S K.  For two
+    operators the row C[b] is G(a, b) over the x indices a, and S K is the
+    closed form's scale: by Vandermonde in each slot, both sides are one
+    matrix.  For each innermost index b_1 the chain is carried outward one
+    level at a time as one integer vector over that level's indices; the
+    last is the row C[b_1].  All Gram rows G(b, c) between two levels
     are gathered in one call, one slot at a time (`_slot_product_rows`):
     part b_v reads row b_v of the table p -> (k -> C(p+k, k)).  The Gram
     rows between two later levels are shared by every b_1; no matrix over
@@ -423,14 +422,9 @@ def kernel_definition_coordinates(degrees: Sequence[int], d: int) -> BernsteinKe
     if not degrees:
         raise ValueError("a composition needs at least one degree")
     d = check_dimension(d)
-    num = den = 1
-    for n in degrees:
-        num *= _FACT[n + d]
-        den *= _FACT[n]
-    weight = 1
-    for a, b in zip(degrees, degrees[1:]):
-        den *= _FACT[a + b + d]
-        weight *= _FACT[a] * _FACT[b]
+    pairs = list(zip(degrees, degrees[1:]))
+    num = prod(_FACT[n + d] for n in degrees) * prod(_FACT[a] * _FACT[b] for a, b in pairs)
+    den = prod(_FACT[n] for n in degrees) * prod(_FACT[a + b + d] for a, b in pairs)
     if len(degrees) == 1:
         indices = _multi_indices(degrees[0], d)
         rows = [[int(alpha == beta) for beta in indices] for alpha in indices]
@@ -438,8 +432,8 @@ def kernel_definition_coordinates(degrees: Sequence[int], d: int) -> BernsteinKe
         table = _binomial_shifts(max(degrees))
         # each level's indices one slot at a time, from b_1 outward
         levels = [_index_slots(n, d) for n in reversed(degrees)]
-        # for each b_1, K G(b_1, b_2) over every b_2
-        rows = _slot_product_rows(levels[0], levels[1], table, weight)
+        # for each b_1, G(b_1, b_2) over every b_2
+        rows = _slot_product_rows(levels[0], levels[1], table)
         for before, level in zip(levels[1:], levels[2:]):
             # for each b of this level, its Gram row G(b, c) over the level before
             step = _slot_product_rows(level, before, table)
@@ -511,15 +505,16 @@ def kernel_closed_threefold(n3: int, n2: int, n1: int) -> DiagonalKernelForm:
     scale = (n3+1)! (n2+1)! (n1+1)! (n3+n2+n1+1)!
             / ((n3+n2+1)! (n3+n1+1)! (n2+n1+1)!),
     weight_k = C(n3,k) C(n2,k) C(n1,k) / C(n3+n2+n1+1, k); symmetric in
-    the three degrees.
+    the three degrees.  The weights' common denominator goes into the scale.
     """
     n3, n2, n1 = check_degree(n3), check_degree(n2), check_degree(n1)
     total = n3 + n2 + n1
+    den, weights = _common_denominator((comb(n3, k) * comb(n2, k) * comb(n1, k),
+                                        comb(total + 1, k))
+                                       for k in range(min(n3, n2, n1) + 1))
     scale = Fraction(_FACT[n3 + 1] * _FACT[n2 + 1] * _FACT[n1 + 1] * _FACT[total + 1],
-                     _FACT[n3 + n2 + 1] * _FACT[n3 + n1 + 1] * _FACT[n2 + n1 + 1])
-    return DiagonalKernelForm(1, scale, [
-        (k, Fraction(comb(n3, k) * comb(n2, k) * comb(n1, k), comb(total + 1, k)))
-        for k in range(min(n3, n2, n1) + 1)])
+                     _FACT[n3 + n2 + 1] * _FACT[n3 + n1 + 1] * _FACT[n2 + n1 + 1] * den)
+    return DiagonalKernelForm(1, scale, enumerate(weights))
 
 
 def inner_sum_identity(n: int, beta: Sequence[int], y: Point) -> Tuple[Fraction, Fraction]:
@@ -567,16 +562,15 @@ def _inner_sum_coordinates(n: int, beta: Tuple[int, ...]) -> Tuple[tuple, tuple,
 def to_canonical(form: DiagonalKernelForm) -> KernelPolynomial:
     """Expand a diagonal form into the canonical bivariate map.
 
-    With the weights over their common denominator D, w_j = W_j / D, the
-    map is the integer sum  sum_l W_|l| b_l[ex] b_l[ey]  over the integer
-    coefficients b_l of B_l, times the one scale  scale / D.
+    The map is the integer sum  sum_l w_|l| b_l[ex] b_l[ey]  over the
+    integer weights w_j and the integer coefficients b_l of B_l, times the
+    one scale.
     """
-    den, weights = clear_denominators(w for _, w in form.terms)
     acc: Dict[Tuple[int, ...], int] = {}
-    for (j, _), w in zip(form.terms, weights):
+    for j, w in form.terms:
         for basis in map(bernstein_basis, _multi_indices(j, form.d)):
             _add_outer(acc, bernstein_sum([(w, basis.nums.items())]), basis.nums)
-    return KernelPolynomial.from_integers(form.d, acc, form.scale / den)
+    return KernelPolynomial.from_integers(form.d, acc, form.scale)
 
 
 @lru_cache(maxsize=None)

@@ -324,16 +324,15 @@ def _pair_jobs(d: int, m: int, n: int, single: Callable, coefficients: Callable,
     and definitional, and each two of them are compared by one family.
     Each kernel is built by the first check that reads it (`_once`).
 
-    The pair writes each distinct closed coordinate matrix once.  The
+    The pair writes each distinct closed coordinate matrix once: the
     closed forms of (m, n) and (n, m) are equal, and `coordinates` is
-    symmetric in its two degrees (its factors w_j / (C(m,j) C(n,j)) and
-    outer products are the same for both), so the orientation read
-    second takes the transpose of the first's matrix when the two closed
-    forms compare equal, and builds its own otherwise; the matrix leaves
-    the pair's table when it is taken.  The mix sum_k c_k K_k of
-    composition_linear_combination_kernel reads the closed matrix of its
-    orientation when its (degree, scale * weight) pairs are the closed
-    form's, and is elevated itself otherwise.
+    symmetric in its two degrees, so the orientation read second takes
+    the transpose of the first's matrix when the two forms compare equal.
+    The mix sum_k c_k K_k of composition_linear_combination_kernel is built
+    in integers from the coefficients and each single kernel in full, and
+    reads the closed matrix when it equals the closed form (equal diagonal
+    kernels compare equal).  A closed matrix and the definitional one have
+    one scale, so their rows are compared as they are.
     """
     squares, matrices = {}, {}
 
@@ -390,14 +389,18 @@ def _pair_jobs(d: int, m: int, n: int, single: Callable, coefficients: Callable,
         yield "composition_coefficients_convex", params, convex
 
         def combo_kernel():
-            # each K_k is diagonal at degree k, so sum_k c_k K_k is one
-            # diagonal form with weight c_k (k+d)!/k! at degree k; its scale
-            # is 1, so its terms are its (degree, scale * weight) pairs
-            mix = DiagonalKernelForm(d, 1, [(k, c * single(k, d).scale)
-                                            for k, c in enumerate(coefficients(m, n, d))])
-            form = closed()
-            lhs = closed_coordinates() if mix.terms == tuple(
-                (j, form.scale * w) for j, w in form.terms) else mix.coordinates(m, n)
+            # each K_k is diagonal, so sum_k c_k K_k is one diagonal form: with
+            # c_k = C_k / D and the scales of the K_k = P_k / Q, each term w
+            # at degree j of K_k adds C_k P_k w at j, over the one scale 1 / (D Q)
+            den, nums = clear_denominators(coefficients(m, n, d))
+            singles = [single(k, d) for k in range(len(nums))]
+            scale_den, scales = clear_denominators(form.scale for form in singles)
+            weights = {}
+            for c, s, form in zip(nums, scales, singles):
+                for j, w in form.terms:
+                    weights[j] = weights.get(j, 0) + c * s * w
+            mix = DiagonalKernelForm(d, Fraction(1, den * scale_den), weights.items())
+            lhs = closed_coordinates() if mix == closed() else mix.coordinates(m, n)
             return first_coordinate_difference(lhs, definition())
         yield "composition_linear_combination_kernel", params, combo_kernel
 

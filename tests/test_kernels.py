@@ -5,7 +5,7 @@ from math import comb, factorial, prod
 from operator import add
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import bdk.kernels
 from bdk.combinat import (clear_denominators, enumerate_multi_indices, format_rational,
@@ -53,6 +53,36 @@ K11_TERMS = {
     (0, 1): F(-2, 3),
     (1, 1): F(4, 3),
 }
+
+
+small_rationals = st.fractions(min_value=-6, max_value=6, max_denominator=6)
+
+
+@st.composite
+def diagonal_form_pairs(draw):
+    """(lhs, rhs, m): two diagonal forms of one dimension with index degrees
+    at most m <= 4.  rhs is lhs with its weights times r and its scale over
+    r, the same kernel, or that with one weight or the scale changed, or a
+    fresh draw; scales are negative, zero or positive."""
+    d = draw(st.integers(1, 2))
+    m = draw(st.integers(0, 4))
+
+    def form():
+        degrees = draw(st.lists(st.integers(0, m), unique=True, max_size=3))
+        return DiagonalKernelForm(d, draw(small_rationals),
+                                  [(j, draw(small_rationals.filter(bool))) for j in degrees])
+    lhs = form()
+    ratio = draw(small_rationals.filter(bool))
+    terms = [(j, w * ratio) for j, w in lhs.terms]
+    scale = lhs.scale / ratio
+    change = draw(st.sampled_from(["none", "weight", "scale", "fresh"]))
+    if change == "weight" and terms:
+        j, w = terms[-1]
+        terms[-1] = (j, w + 1 or 1)
+    elif change == "scale":
+        scale = draw(st.sampled_from([0, -scale, 2 * scale, scale + 1]))
+    rhs = form() if change == "fresh" else DiagonalKernelForm(d, scale, terms)
+    return lhs, rhs, m
 
 
 class TestKernelPolynomial:
@@ -182,12 +212,38 @@ class TestDiagonalKernelForm:
             DiagonalKernelForm(2, 1, [(1, 1), (0, 3), (1, F(1, 2))])
 
     def test_sorts_degrees(self):
+        # the weights 7, -1, 2/5 over their denominator 5 are 35, -5, 2,
+        # with gcd 1 and the first positive, so the scale is 1/2 / 5
         form = DiagonalKernelForm(2, F(1, 2), [(3, F(2, 5)), (0, 7), (1, -1)])
-        assert form.terms == ((0, F(7)), (1, F(-1)), (3, F(2, 5)))
-        assert all(type(w) is Fraction for _, w in form.terms)
+        assert form.terms == ((0, 35), (1, -5), (3, 2))
+        assert all(type(w) is int for _, w in form.terms)
+        assert form.scale == F(1, 10)
         assert form.max_index_degree() == 3
         assert form == DiagonalKernelForm(2, F(1, 2), [(0, 7), (1, -1), (3, F(2, 5))])
         assert DiagonalKernelForm(2, 1, []).max_index_degree() == -1
+
+    def test_a_common_factor_and_sign_move_into_the_scale(self):
+        form = DiagonalKernelForm(1, F(3, 7), [(2, -6), (0, -4)])
+        assert (form.scale, form.terms) == (F(-6, 7), ((0, 2), (2, 3)))
+        assert DiagonalKernelForm(1, 2, [(0, 1)]) == DiagonalKernelForm(1, 1, [(0, 2)])
+        assert DiagonalKernelForm(1, -1, [(0, 1)]) == DiagonalKernelForm(1, 1, [(0, -1)])
+        # every zero form is the one zero kernel of its dimension
+        zeros = [DiagonalKernelForm(1, 0, [(0, 1)]), DiagonalKernelForm(1, 0, [(1, 5)]),
+                 DiagonalKernelForm(1, 3, [])]
+        assert len(set(zeros)) == 1 and zeros[0] == zeros[2]
+        assert zeros[0] != DiagonalKernelForm(2, 0, [])
+
+    @settings(max_examples=300, deadline=None)
+    @given(diagonal_form_pairs())
+    @example((DiagonalKernelForm(1, 2, [(0, 1)]), DiagonalKernelForm(1, 1, [(0, 2)]), 0))
+    @example((DiagonalKernelForm(2, 0, [(0, 1)]), DiagonalKernelForm(2, 0, [(1, 3)]), 1))
+    @example((DiagonalKernelForm(1, -3, [(1, 2)]), DiagonalKernelForm(1, 6, [(1, -1)]), 2))
+    def test_equal_exactly_when_the_coordinates_agree(self, pair):
+        lhs, rhs, m = pair
+        same = first_coordinate_difference(lhs.coordinates(m, m), rhs.coordinates(m, m)) is None
+        assert (lhs == rhs) == (rhs == lhs) == same
+        if same:
+            assert hash(lhs) == hash(rhs)
 
     def test_closed_builders_enumerate_no_index(self, monkeypatch):
         calls = []
@@ -445,9 +501,9 @@ class TestCoordinateForm:
         coords = kernel_definition_coordinates((2, 1), 1)
         assert coords.x_indices == ((2, 0), (1, 1), (0, 2))
         assert coords.y_indices == ((1, 0), (0, 1))
-        # mult(a) mult(b) (a+b)!, and S = 3! 2! / (2! 1! 4!)
-        assert coords.rows == [[6, 4, 2], [2, 4, 6]]
-        assert coords.scale == F(1, 4)
+        # G(a, b) = prod_v C(a_v+b_v, a_v), and S K = 3! 2! / (2! 1! 4!) * 2! 1!
+        assert coords.rows == [[3, 2, 1], [1, 2, 3]]
+        assert coords.scale == F(1, 2)
         # terms: scale * C[b][a], keyed by (a, b)
         assert coords.terms == {((2, 0), (1, 0)): F(3, 2), ((1, 1), (1, 0)): F(1),
                                 ((0, 2), (1, 0)): F(1, 2), ((2, 0), (0, 1)): F(1, 2),
@@ -475,8 +531,21 @@ class TestCoordinateForm:
 
     def test_stochastic_check_reads_each_column(self):
         coords = kernel_definition_coordinates((2, 1), 1)
-        coords.rows[1][2] += 4  # C[(0, 1)][(0, 2)]: scale 1/4 and int B_b = 1/2
+        coords.rows[1][2] += 2  # C[(0, 1)][(0, 2)]: scale 1/2 and int B_b = 1/2
         assert _stochastic(coords) == {"a": [0, 2], "lhs": "3/2", "rhs": "1"}
+
+    @pytest.mark.parametrize("d, m, n", DEFAULT_TWOFOLD)
+    def test_closed_and_definitional_coordinates_are_one_matrix(self, d, m, n):
+        # Vandermonde in each slot makes both sides scale * prod_v C(a_v+b_v, a_v)
+        # with the closed scale (m+d)! (n+d)! / (m+n+d)!: the constant m! n!
+        # is in the definitional scale, and the rows compare as they are
+        closed = kernel_closed_twofold(m, n, d).coordinates(m, n)
+        definition = kernel_definition_twofold(m, n, d)
+        assert closed.scale == definition.scale == \
+            F(factorial(m + d) * factorial(n + d), factorial(m + n + d))
+        assert closed.rows == definition.rows == [
+            [prod(map(comb, map(add, a, b), a)) for a in definition.x_indices]
+            for b in definition.y_indices]
 
     @pytest.mark.parametrize("d, m, n", DEFAULT_TWOFOLD)
     def test_reversed_degrees_transpose_the_coordinates(self, d, m, n):
@@ -586,7 +655,7 @@ class TestClosedCoordinates:
         assert first_coordinate_difference(coords, same) is None
         same.rows[1][2] += 1  # C[(0, 1)][(0, 2)]
         assert first_coordinate_difference(coords, same) == {
-            "a": [0, 2], "b": [0, 1], "lhs": "3/2", "rhs": "19/12"}
+            "a": [0, 2], "b": [0, 1], "lhs": "3/2", "rhs": "5/3"}
         with pytest.raises(ValueError, match="one basis"):
             first_coordinate_difference(coords, coords.transpose())
 
@@ -716,7 +785,7 @@ class TestBuildersAgainstTheirDefinitions:
     def test_diagonal_coordinates_rows_and_scale(self, case):
         form, m, n = case
         d = form.d
-        den, factors = clear_denominators(w / (comb(m, j) * comb(n, j)) for j, w in form.terms)
+        den, factors = clear_denominators(F(w, comb(m, j) * comb(n, j)) for j, w in form.terms)
         rows = [[0] * comb(m + d, d) for _ in range(comb(n + d, d))]
         for (j, _), factor in zip(form.terms, factors):
             for x_column, y_column in zip(reference_elevation(j, m, d),

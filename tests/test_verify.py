@@ -233,6 +233,18 @@ def perturb_off_diagonal(build):
     return perturbed
 
 
+def bump_gram_constant(build):
+    """A definitional builder whose scale has its constant
+    K = prod_i n_i! n_{i+1}! one more: S K becomes S (K + 1)."""
+    def bumped(*args):
+        form, degrees = build(*args), args[:-1]
+        gram = math.prod(math.factorial(a) * math.factorial(b)
+                         for a, b in zip(degrees, degrees[1:]))
+        form.scale = form.scale / gram * (gram + 1)
+        return form
+    return bumped
+
+
 def bump_moment_column(column):
     """Moment columns whose first entry, at a = (2, 0, ..., 0), is one more in
     every column of degree n = 2 and exponent degree |e| = 1."""
@@ -340,14 +352,16 @@ def fresh_cache(cached):
 #: shared_binomial is read by the definitional and the closed side alike,
 #: and still fails every family that compares two of them; it spares
 #: single_stochastic_in_y, whose kernel is written at its own degree and so
-#: reads only the table's column C(p, 0) = 1.
+#: reads only the table's column C(p, 0) = 1.  definition_gram_constant
+#: scales a pair's definitional kernels by one factor, the same in both
+#: orientations (K = m! n!), so it spares the two symmetry families.
 MUTANTS = {
     "top_closed_weight": (
         [(bdk.verify, name, bump_top_weight) for name in (
             "kernel_closed_twofold", "kernel_closed_threefold", "kernel_single")],
         {"twofold_closed_equals_definition", "univariate_twofold_path",
          "univariate_twofold_vs_definition", "threefold_closed_equals_definition",
-         "single_stochastic_in_y"}),
+         "single_stochastic_in_y", "composition_linear_combination_kernel"}),
     "elevation_coefficient": (
         [(bdk.kernels, "_elevation", bump_elevation)],
         {"twofold_closed_equals_definition", "univariate_twofold_path",
@@ -362,6 +376,13 @@ MUTANTS = {
          "legendre_equals_definition", "threefold_closed_equals_definition",
          "threefold_permutation_invariance", "twofold_symmetry_xy", "twofold_symmetry_degrees",
          "twofold_stochastic_in_y", "composition_linear_combination_kernel"}),
+    "definition_gram_constant": (
+        [(bdk.verify, name, bump_gram_constant) for name in (
+            "kernel_definition_twofold", "kernel_definition_threefold")],
+        {"twofold_closed_equals_definition", "univariate_twofold_vs_definition",
+         "legendre_equals_definition", "threefold_closed_equals_definition",
+         "threefold_permutation_invariance", "twofold_stochastic_in_y",
+         "composition_linear_combination_kernel"}),
     "legendre_entry": (
         [(bdk.verify, "kernel_legendre", bump_first_row)],
         {"univariate_twofold_path", "legendre_equals_definition"}),
