@@ -97,10 +97,7 @@ def factorial(n: int) -> int:
 @lru_cache(maxsize=None)
 def _multinomial(parts: Tuple[int, ...]) -> int:
     """|parts|! / parts! for a tuple of nonnegative ints, kept per index."""
-    out = _FACT[sum(parts)]
-    for p in parts:
-        out //= _FACT[p]
-    return out
+    return _FACT[sum(parts)] // math.prod(map(_FACT.__getitem__, parts))
 
 
 def clear_denominators(values: Iterable[Union[int, Fraction]]) -> Tuple[int, List[int]]:
@@ -214,15 +211,12 @@ def binomial(s: int, k: int) -> int:
     """C(s, k) for integer s (possibly negative) and k >= 0.
 
     Defined through the product s(s-1)...(s-k+1)/k!, which is always an
-    exact integer; C(s, 0) = 1 for every s and C(s, k) = 0 for 0 <= s < k.
+    exact integer; the product itself gives C(s, 0) = 1 for every s (it is
+    empty) and C(s, k) = 0 for 0 <= s < k (it has the factor 0).
     """
     s, k = _as_int(s, "binomial argument s"), _as_int(k, "binomial argument k")
     if k < 0:
         raise ValueError("binomial needs k >= 0")
-    if k == 0:
-        return 1
-    if 0 <= s < k:
-        return 0
     return falling_factorial(s, k) // _FACT[k]
 
 
@@ -231,10 +225,7 @@ def falling_factorial(s: int, k: int) -> int:
     s, k = _as_int(s, "falling factorial argument s"), _as_int(k, "falling factorial argument k")
     if k < 0:
         raise ValueError("falling factorial needs k >= 0")
-    out = 1
-    for i in range(k):
-        out *= s - i
-    return out
+    return math.prod(range(s, s - k, -1))
 
 
 def enumerate_multi_indices(n: int, d: int) -> List[Tuple[int, ...]]:

@@ -332,7 +332,10 @@ def _pair_jobs(d: int, m: int, n: int, single: Callable, coefficients: Callable,
     in integers from the coefficients and each single kernel in full, and
     reads the closed matrix when it equals the closed form (equal diagonal
     kernels compare equal).  A closed matrix and the definitional one have
-    one scale, so their rows are compared as they are.
+    one scale, so their rows are compared as they are.  With corrupt_scale
+    (the self-test) twofold_closed_equals_definition doubles the scale of
+    the closed matrix it reads, the one the honest check compares, and
+    writes no matrix of its own.
     """
     squares, matrices = {}, {}
 
@@ -357,9 +360,11 @@ def _pair_jobs(d: int, m: int, n: int, single: Callable, coefficients: Callable,
         params = {"d": d, "m": m, "n": n}
 
         def closed_vs_def():
-            form = closed()
-            lhs = DiagonalKernelForm(d, 2 * form.scale, form.terms).coordinates(m, n) \
-                if corrupt_scale else closed_coordinates()
+            """The closed matrix, at twice its scale under the self-test, against
+            the definitional one."""
+            lhs = closed_coordinates()
+            if corrupt_scale:
+                lhs = BernsteinKernelForm(d, 2 * lhs.scale, m, n, lhs.rows)
             return first_coordinate_difference(lhs, definition())
         yield "twofold_closed_equals_definition", params, closed_vs_def
         yield "twofold_stochastic_in_y", params, lambda: _stochastic(definition())
@@ -485,18 +490,15 @@ def _operator_jobs(d: int, top: int, monomial_degree: int,
                 for k, v in f.nums.items():
                     row = list(map(add, row, map(v.__mul__, moment_row(k))))
                 gram.append(row)
-            position = {e: i for i, e in enumerate(exponents)}
-            def asymmetric(e):
-                i = position[e]
-                f = images[i]
-                for j in range(i + 1, len(exponents)):
+            for i, f in enumerate(images):
+                for j in range(i + 1, len(images)):
                     h, lhs, rhs = images[j], gram[i][j], gram[j][i]
                     if lhs * h.den != rhs * f.den:
                         return {"g": [{"exp": list(exponents[j]), "coef": "1"}],
                                 "lhs": format_rational(Fraction(lhs, f.den * moments.scale)),
-                                "rhs": format_rational(Fraction(rhs, h.den * moments.scale))}
-                return None
-            return _each_monomial(exponents, asymmetric)
+                                "rhs": format_rational(Fraction(rhs, h.den * moments.scale)),
+                                "f": [{"exp": list(exponents[i]), "coef": "1"}]}
+            return None
         yield "operator_self_adjoint", {"d": d, "n": n}, self_adjoint
 
         def integral_preserved(n=n):

@@ -728,6 +728,16 @@ class TestRunSuite:
                           "composition_coefficients": 72}
         assert counts == expected_work(SuiteConfig())
 
+    def test_the_self_test_corrupts_the_matrix_the_check_reads(self, default_run):
+        # the corrupt run doubles the scale of the closed matrix the honest
+        # check compares, so it writes the same matrices as the default run,
+        # and every witness reads a closed coefficient twice the definitional one
+        report, counts = run_counted(SuiteConfig(corrupt_scale=True))
+        assert counts["coordinates"] == default_run[1]["coordinates"] == 346
+        assert len(report.failures) == CORRUPT_FAILURES
+        for record in report.failures:
+            assert Fraction(record.witness["lhs"]) == 2 * Fraction(record.witness["rhs"]), record
+
     @pytest.mark.parametrize("cfg", [
         tiny_config(),
         # the default d = 1 bounds, where univariate_cap (10) != legendre_cap (8)
