@@ -657,21 +657,18 @@ def first_coordinate_difference(lhs: BernsteinKernelForm,
     With lhs.scale = p/q and rhs.scale = p'/q', the coefficients of
     B_a(x) B_b(y) agree exactly when  p q' C[b][a] = p' q C'[b][a], so the
     rows are compared as integers, with the two factors reduced by their
-    gcd; a side whose factor is 1 is compared as it is, so only the other
-    side's rows are multiplied.  Returns None when the kernels are
-    identical; otherwise a witness with the indices a and b and both
-    coefficients, for failure reports.  Forms of other degrees, row counts
-    or row lengths are not on one basis: ValueError.
+    gcd.  A side whose factor is 1 is compared as it is, so equal positive
+    scales multiply no row; two zero scales compare rows of zeros, so only
+    their lengths can differ.  Returns None when the kernels are identical;
+    otherwise a witness with the indices a and b and both coefficients, for
+    failure reports.  Forms of other degrees, row counts or row lengths are
+    not on one basis: ValueError.
     """
     if (lhs.d, lhs.m, lhs.n, len(lhs.rows)) == (rhs.d, rhs.m, rhs.n, len(rhs.rows)):
         p = lhs.scale.numerator * rhs.scale.denominator
         q = rhs.scale.numerator * lhs.scale.denominator
         g = gcd(p, q) or 1
         p, q = p // g, q // g
-        # equal nonzero scales compare the rows as they are; two zero scales
-        # compare rows of zeros, so only their lengths can differ
-        if p == q != 0:
-            p = q = 1
         for b, left, right in zip(lhs.y_indices, lhs.rows, rhs.rows):
             if ((left if p == 1 else [p * c for c in left])
                     != (right if q == 1 else [q * c for c in right])):

@@ -444,45 +444,24 @@ class _Moments(dict):
 
 
 def integrate_simplex(p: CartesianPolynomial) -> Fraction:
-    """Exact integral of p over the standard d-simplex.
-
-    This is <p, 1>, the moment of `moment_numerators` at the key 0: each
-    cartesian monomial is lifted to barycentric exponents with mu_0 = 0 and
-    integrated by the Dirichlet formula over the one denominator
-    den (N+d)!, N = deg p.
-    """
-    den, (value,) = moment_numerators(p, [(0,) * p.d])
-    return Fraction(value, den)
+    """Exact integral of p over the standard d-simplex: <p, 1>
+    (`inner_product`)."""
+    return inner_product(p, CartesianPolynomial.constant(p.d, 1))
 
 
 def inner_product(f: CartesianPolynomial, g: CartesianPolynomial) -> Fraction:
     """<f, g> over the standard simplex, computed exactly.
 
-    With g = G / D_g for an integer map G, the product is never built:
-    <f, g> = sum_e G_e <f, x^e> / D_g, over the moments of f against the
-    keys of g (`moment_numerators`), which share one denominator.
+    With f = F / D_f and g = G / D_g for integer maps F and G, the product is
+    never built: <f, g> = sum_e G_e <f, x^e> / D_g, and Dirichlet's formula
+    gives every <f, x^e> over the one denominator D_f (N+d)!, N = deg f +
+    deg g: one `_Moments` table of degree N (0 when both are zero, whose
+    degrees are -1).
     """
+    check_polynomial(f)
     check_polynomial(g)
     if f.d != g.d:
         raise ValueError(f"dimension mismatch: {f.d} vs {g.d}")
-    den, moments = moment_numerators(f, list(g.nums))
-    return Fraction(sum(map(mul, g.nums.values(), moments)), den * g.den)
-
-
-def moment_numerators(p: CartesianPolynomial,
-                      keys: Sequence[Exponents]) -> Tuple[int, List[int]]:
-    """A denominator D and the integers D * <p, x^e> for each key e.
-
-    Dirichlet's formula gives int x^e = e! / (|e|+d)!, so with p = P / den
-    and N = deg p + max |e|,
-        <p, x^e> = sum_e' P_e' (e+e')! (N+d)!/(|e+e'|+d)! / (den (N+d)!),
-    and D = den (N+d)! is shared by the whole batch: one `_Moments` table
-    of degree N.  A batch of keys is one row of a Gram matrix.
-    """
-    check_polynomial(p)
-    d = p.d
-    if any(len(e) != d for e in keys):
-        raise ValueError(f"every key must have {d} exponents")
-    top = p.total_degree() + max(map(sum, keys), default=0)
-    moments = _Moments(d, top)
-    return p.den * moments.scale, [moments.inner(p, e) for e in keys]
+    moments = _Moments(f.d, max(f.total_degree() + g.total_degree(), 0))
+    return Fraction(sum(c * moments.inner(f, e) for e, c in g.nums.items()),
+                    f.den * moments.scale * g.den)

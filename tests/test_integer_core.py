@@ -37,7 +37,6 @@ from bdk.polynomials import (
     inner_product,
     _Moments,
     integrate_simplex,
-    moment_numerators,
 )
 from bdk.simplex_integrals import (
     bernstein_product_integral,
@@ -262,15 +261,20 @@ class TestReferenceEquivalence:
 
     @SETTINGS
     @given(st.data())
-    def test_moment_numerators(self, data):
+    def test_inner_product_against_monomials(self, data):
+        # a row of a Gram matrix: one inner product per monomial, and their
+        # weighted sum is the inner product with the whole polynomial
         p = data.draw(polynomials())
         keys = data.draw(st.lists(st.sampled_from(
-            [mi[1:] for k in range(5) for mi in enumerate_multi_indices(k, p.d)]), max_size=6))
-        den, row = moment_numerators(p, keys)
-        assert len(row) == len(keys)
+            [mi[1:] for k in range(5) for mi in enumerate_multi_indices(k, p.d)]),
+            max_size=6, unique=True))
+        weights = data.draw(st.lists(st.fractions(-3, 3, max_denominator=5),
+                                     min_size=len(keys), max_size=len(keys)))
+        row = [inner_product(p, CartesianPolynomial.monomial(p.d, e)) for e in keys]
         for e, value in zip(keys, row):
-            g = CartesianPolynomial.monomial(p.d, e)
-            assert Fraction(value, den) == inner_product(p, g) == ref_inner_product(p, g)
+            assert value == ref_inner_product(p, CartesianPolynomial.monomial(p.d, e))
+        g = CartesianPolynomial(p.d, dict(zip(keys, weights)))
+        assert inner_product(p, g) == sum(map(Fraction.__mul__, weights, row))
 
     @SETTINGS
     @given(st.integers(1, 3), st.integers(0, 8))
@@ -335,7 +339,7 @@ class TestReferenceEquivalence:
         for n in (0, 1, 3):
             assert apply_operator(n, zero).is_zero()
             assert_identical(apply_operator(n, half), half)
-        assert inner_product(zero, half) == 0
+        assert inner_product(zero, half) == inner_product(zero, zero) == 0
         assert inner_product(half, half) == ref_inner_product(half, half)
 
 
@@ -371,13 +375,14 @@ class TestIntegerHelpers:
         assert inner_product(f, g) == ref_inner_product(f, g)
         assert_identical(apply_operator(2, f), ref_apply_operator(2, f))
 
-    def test_moment_numerators_rejects_keys_of_another_dimension_and_kernels(self):
+    def test_inner_product_refuses_another_dimension(self):
         p = CartesianPolynomial(2, {(0, 1): F(1, 3)})
-        assert moment_numerators(p, []) == (p.den * math.factorial(1 + 2), [])
-        with pytest.raises(ValueError, match="2 exponents"):
-            moment_numerators(p, [(0, 1), (1,)])
-        with pytest.raises(ValueError, match="KernelPolynomial"):
-            moment_numerators(KernelPolynomial.zero(1), [(0,)])
+        assert inner_product(p, CartesianPolynomial.zero(2)) == 0
+        with pytest.raises(ValueError, match=r"^dimension mismatch: 2 vs 1$"):
+            inner_product(p, CartesianPolynomial.constant(1, 1))
+        # a zero of another dimension has no terms to misread, and is refused too
+        with pytest.raises(ValueError, match=r"^dimension mismatch: 2 vs 1$"):
+            inner_product(p, CartesianPolynomial.zero(1))
 
     def test_den_nums_round_trip(self):
         poly = CartesianPolynomial(2, {(0, 1): F(1, 3), (2, 0): F(-5, 2)})
@@ -436,15 +441,15 @@ def empty_tables():
 
 def build_each_layer():
     """A definitional kernel at d = 2 and its closed form's coordinates, a
-    Legendre kernel, an operator image, a row of its moments and a basis
-    polynomial."""
+    Legendre kernel, an operator image, its inner product with a three-term
+    polynomial and a basis polynomial."""
     coordinates = kernel_definition_twofold(4, 3, 2)
     assert first_coordinate_difference(
         kernel_closed_twofold(4, 3, 2).coordinates(4, 3), coordinates) is None
     kernel_legendre(5, 3)
     f = CartesianPolynomial(2, {(2, 1): F(-3, 7), (0, 3): F(5, 2), (1, 0): 1})
     image = apply_operator(4, f)
-    moment_numerators(image, [(0, 0), (1, 0), (2, 1)])
+    inner_product(image, CartesianPolynomial(2, {(0, 0): 1, (1, 0): 1, (2, 1): 1}))
     bernstein_basis((2, 1, 3))
 
 

@@ -282,7 +282,7 @@ class TestIntegration:
                              bernstein_basis((0, 1))) == Fraction(1, 6)
 
     def test_inner_product_dimension_mismatch(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^dimension mismatch: 1 vs 2$"):
             inner_product(CartesianPolynomial.constant(1, 1),
                           CartesianPolynomial.constant(2, 1))
 

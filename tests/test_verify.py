@@ -70,9 +70,9 @@ def load_oracle():
 
 
 #: (module, name) of the functions whose calls the work-count tests count.
-#: bdk.polynomials' moment_numerators would count every moment row that
-#: integrate_simplex or inner_product builds; the operator checks read
-#: their own moment table instead.
+#: bdk.polynomials' inner_product would count every reference integral
+#: (integrate_simplex reads it too); the operator checks read their own
+#: moment table instead.
 COUNTED = ((bdk.verify, "kernel_legendre"), (bdk.verify, "kernel_single"),
            (bdk.verify, "kernel_closed_twofold"),
            (bdk.verify, "kernel_definition_twofold"),
@@ -80,7 +80,7 @@ COUNTED = ((bdk.verify, "kernel_legendre"), (bdk.verify, "kernel_single"),
            (bdk.kernels.BernsteinKernelForm, "elevate"),
            (bdk.kernels.DiagonalKernelForm, "coordinates"),
            (bdk.verify, "apply_operator"),
-           (bdk.polynomials, "moment_numerators"), (bdk.verify, "composition_coefficients"),
+           (bdk.polynomials, "inner_product"), (bdk.verify, "composition_coefficients"),
            (bdk.verify, "_inner_sum_coordinates"))
 
 
@@ -170,7 +170,7 @@ def expected_work(cfg):
         "coordinates": closed_coordinates,
         "_inner_sum_coordinates": betas,
         "apply_operator": columns,
-        "moment_numerators": 0,
+        "inner_product": 0,
         # one list per (d, m, n) that composition_coefficients_convex or
         # operator_linear_combination reads
         "composition_coefficients": sum(
@@ -724,7 +724,7 @@ class TestRunSuite:
                           "kernel_closed_twofold": 195, "kernel_definition_twofold": 195,
                           "expand": 0, "elevate": 214, "raising_elevate": 200,
                           "coordinates": 346, "_inner_sum_coordinates": 250,
-                          "apply_operator": 121, "moment_numerators": 0,
+                          "apply_operator": 121, "inner_product": 0,
                           "composition_coefficients": 72}
         assert counts == expected_work(SuiteConfig())
 
