@@ -336,30 +336,17 @@ _SUBCOMMANDS = {
 }
 
 
-def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
-    """The bdk parser.  When command names a subcommand, only that
-    subcommand's parser is built; otherwise all of them are.
-
-    A request pays for the one parser it uses, and reads the same help,
-    usage and errors as with all five.  Once a subcommand's name is read,
-    the top level can print only its usage line, which lists the names
-    through the metavar.  Otherwise the metavar stays unset: argparse
-    names the subcommand argument by its metavar, and "bdk" alone and
-    "bdk nosuch" report it as 'command'.
-    """
+def build_parser() -> argparse.ArgumentParser:
+    """The bdk parser, with one subparser per entry of `_SUBCOMMANDS`."""
     parser = argparse.ArgumentParser(
         prog="bdk",
         description="Exact Bernstein-Durrmeyer kernel algebra on the simplex.")
-    single = command in _SUBCOMMANDS
-    sub = parser.add_subparsers(
-        dest="command", required=True,
-        metavar="{" + ",".join(_SUBCOMMANDS) + "}" if single else None)
+    sub = parser.add_subparsers(dest="command", required=True)
     for name, (handler, help_line, flags) in _SUBCOMMANDS.items():
-        if not single or name == command:
-            sub_parser = sub.add_parser(name, help=help_line)
-            for flag, keywords in flags.items():
-                sub_parser.add_argument(flag, **keywords)
-            sub_parser.set_defaults(func=handler)
+        sub_parser = sub.add_parser(name, help=help_line)
+        for flag, keywords in flags.items():
+            sub_parser.add_argument(flag, **keywords)
+        sub_parser.set_defaults(func=handler)
     return parser
 
 
@@ -383,7 +370,7 @@ def _attach_dash_values(argv: Sequence[str]) -> List[str]:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = _attach_dash_values(sys.argv[1:] if argv is None else argv)
     try:
-        args = build_parser(argv[0] if argv else None).parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:

@@ -419,23 +419,19 @@ class _Moments(dict):
     """The Dirichlet moments in dimension d up to degree top, over the one
     denominator scale = (top+d)! fixed when the table is built: Dirichlet's
     formula with mu_0 = 0 gives int x^k = k! / (|k|+d)!, so self[k] =
-    scale * int x^k is an integer, filled on first read.  The quotient
-    scale / (j+d)! is kept per degree j, so each degree divides once.  A
-    key of degree above top raises ValueError."""
+    scale * int x^k is an integer, filled on first read.  A key of degree
+    above top raises ValueError."""
 
     def __init__(self, d: int, top: int):
         self.d, self.top, self.scale = d, top, _FACT[top + d]
-        self.quotients: Dict[int, int] = {}
 
     def __missing__(self, k: Exponents) -> int:
         degree = sum(k)
-        quotient = self.quotients.get(degree)
-        if quotient is None:
-            if degree > self.top:
-                raise ValueError(f"moment of degree {degree} read from a table of degree "
-                                 f"{self.top}")
-            quotient = self.quotients[degree] = self.scale // _FACT[degree + self.d]
-        value = self[k] = prod(map(_FACT.__getitem__, k)) * quotient
+        if degree > self.top:
+            raise ValueError(f"moment of degree {degree} read from a table of degree "
+                             f"{self.top}")
+        value = self[k] = (prod(map(_FACT.__getitem__, k))
+                           * (self.scale // _FACT[degree + self.d]))
         return value
 
     def inner(self, p: CartesianPolynomial, e: Exponents) -> int:

@@ -223,21 +223,6 @@ Check = Callable[[], Optional[dict]]
 Job = Tuple[str, dict, Check]
 
 
-def _once(build: Callable) -> Callable:
-    """A call that returns build() and keeps it: build runs on the first call
-    and is dropped, and every later call returns the kept value.  A one-slot
-    memo, about ten times cheaper to make than a `functools.cache` wrapper,
-    which copies the wrapped function's attributes."""
-    value = None
-
-    def kept():
-        nonlocal build, value
-        if build is not None:
-            value, build = build(), None
-        return value
-    return kept
-
-
 def _stochastic(form: BernsteinKernelForm) -> Optional[dict]:
     """None when the y integral of a kernel is 1.
 
@@ -322,7 +307,8 @@ def _pair_jobs(d: int, m: int, n: int, single: Callable, coefficients: Callable,
 
     So the d = 1 kernel is built three independent ways, closed, Legendre
     and definitional, and each two of them are compared by one family.
-    Each kernel is built by the first check that reads it (`_once`).
+    Each kernel is built by the first check that reads it, and kept by a
+    `functools.cache` local for the pair's later checks.
 
     The pair writes each distinct closed coordinate matrix once: the
     closed forms of (m, n) and (n, m) are equal, and `coordinates` is
@@ -340,10 +326,11 @@ def _pair_jobs(d: int, m: int, n: int, single: Callable, coefficients: Callable,
     squares, matrices = {}, {}
 
     def oriented(m: int, n: int) -> Iterator[Job]:
-        definition = _once(lambda: kernel_definition_twofold(m, n, d))
-        closed = _once(lambda: kernel_closed_twofold(m, n, d))
+        definition = cache(lambda: kernel_definition_twofold(m, n, d))
+        closed = cache(lambda: kernel_closed_twofold(m, n, d))
 
-        def coordinates():
+        @cache
+        def closed_coordinates():
             mirror = matrices.pop((n, m), None)
             if mirror is not None and mirror[0] == closed():
                 return mirror[1].transpose()
@@ -351,11 +338,10 @@ def _pair_jobs(d: int, m: int, n: int, single: Callable, coefficients: Callable,
             if m != n:
                 matrices[m, n] = closed(), written
             return written
-        closed_coordinates = _once(coordinates)
-        legendre = _once(lambda: kernel_legendre(m, n))
+        legendre = cache(lambda: kernel_legendre(m, n))
         top = max(m, n)
         # at m = n the coordinates are the square already
-        square = squares[m, n] = _once(lambda: definition().elevate(top, top)) \
+        square = squares[m, n] = cache(lambda: definition().elevate(top, top)) \
             if m != n else definition
         params = {"d": d, "m": m, "n": n}
 

@@ -666,8 +666,7 @@ def parse_outcome(capsys, parser, argv):
 
 class TestParser:
     @pytest.mark.parametrize("command", list(COMPLETE_ARGV))
-    def test_one_subcommand_parser_reads_as_the_full_parser(self, capsys, monkeypatch,
-                                                            command):
+    def test_each_subcommand_parses_and_reports_usage(self, capsys, monkeypatch, command):
         monkeypatch.setenv("COLUMNS", "80")
         complete = [command, *COMPLETE_ARGV[command]]
         # help, a complete request, a flag missing its value, and a stray
@@ -675,10 +674,23 @@ class TestParser:
         cases = [([command, "--help"], 0), (complete, 0), ([command, "--d"], 2),
                  ([*complete, "stray"], 2)]
         for argv, code in cases:
-            one = parse_outcome(capsys, build_parser(command), argv)
-            assert one == parse_outcome(capsys, build_parser(), argv), argv
-            assert one[0] == code, argv
-        assert one[3].startswith("usage: bdk [-h] {eval,coeffs,apply,table,verify} ...\n")
+            outcome = parse_outcome(capsys, build_parser(), argv)
+            assert outcome[0] == code, argv
+        assert outcome[3].startswith("usage: bdk [-h] {eval,coeffs,apply,table,verify} ...\n")
+
+    def test_a_request_reads_only_its_subcommand(self, capsys):
+        # one parser serves every request: each complete request reaches its
+        # own handler with its own flags, and a second subcommand name is stray
+        parser = build_parser()
+        for command, (handler, _, flags) in bdk.cli._SUBCOMMANDS.items():
+            complete = [command, *COMPLETE_ARGV[command]]
+            code, values, _, _ = parse_outcome(capsys, parser, complete)
+            assert code == 0 and values.pop("command") == command
+            assert values.pop("func") is handler
+            assert set(values) == {flag[2:].replace("-", "_") for flag in flags}
+            other = "apply" if command != "apply" else "coeffs"
+            code, _, _, err = parse_outcome(capsys, parser, [*complete, other])
+            assert code == 2 and err.endswith(f"unrecognized arguments: {other}\n"), err
 
     @pytest.mark.parametrize("argv, code", [(["--help"], 0), (["nosuch"], 2), ([], 2)])
     def test_top_level_lists_every_subcommand(self, capsys, argv, code):
@@ -693,18 +705,6 @@ class TestParser:
                     "'coeffs', 'apply', 'table', 'verify')") in err
         if not argv:
             assert "the following arguments are required: command" in err
-
-    def test_a_request_builds_only_its_subcommand(self, capsys, monkeypatch):
-        import bdk.cli
-
-        built = []
-        monkeypatch.setattr(bdk.cli, "build_parser",
-                            lambda command=None: built.append(command) or build_parser(command))
-        assert run_cli(capsys, "coeffs", "--d", "1", "--m", "1", "--n", "1") == \
-            (0, '["2/3", "1/3"]\n1\n', "")
-        assert built == ["coeffs"]
-        code, _, _, err = parse_outcome(capsys, build_parser("coeffs"), ["apply"])
-        assert code == 2 and "(choose from 'coeffs')" in err
 
 
 class BuiltConfig(Exception):
