@@ -58,6 +58,18 @@ CORRUPT_FAILURES = 155
 MIXED_BOUNDS_BODY_SHA256 = "3da1d1fb25a58c58027a0788e48f51053dee0154498d40c09c046cdc6b60c673"
 
 
+#: (SuiteConfig keywords, job count, sha256 of the ordered name + "\0" +
+#: canonical params + "\n" of every job `_iter_jobs` yields): the job plan,
+#: whose order the report's sort hides.
+JOB_PLANS = [
+    ({}, 1618, "1cfa084511a09fa11d0c1ad58b3ffede5ed1163e475b6f873b9601d3bf16be7d"),
+    ({"d_range": (1,)}, 1107, "9861f3ad92f531526f42cb926b54d1e7d7e9d7c328b5a823ca2d4f8f34d02558"),
+    ({"max_degree": 10}, 2560, "3dbe0a2d68bc2711eb9abf1766143106fb68c8fb0c553c41cd2e967f945efef5"),
+    ({"d_range": (1,), "max_degree": 2}, 160,
+     "29305a49556fcdeaea05648db46a4478e5e5eb43863294f3cdc68fee75e719e0"),
+]
+
+
 #: The benchmark's reference checks, loaded by path as they are not part of the package.
 ORACLE = Path(__file__).resolve().parents[1] / "bench" / "oracle.py"
 
@@ -587,7 +599,9 @@ class TestMonomials:
             read.append(f)
             return apply_operator(n, f)
         monkeypatch.setattr(bdk.verify, "apply_operator", recording)
-        for name, _, check in bdk.verify._operator_jobs(d, 0, k, composition_coefficients):
+        jobs = bdk.verify._operator_jobs(d, 0, dict.fromkeys(FAMILIES, 0), k,
+                                         composition_coefficients)
+        for name, _, check in jobs:
             if name == "operator_degree_bound":
                 assert check() is None
         assert len(read) == comb(k + d, d)
@@ -668,6 +682,14 @@ class TestRunSuite:
         monkeypatch.setattr(bdk.verify, "_iter_jobs", lambda cfg: list(iter_jobs(cfg)))
         report = run_suite(SuiteConfig())
         assert hashlib.sha256(report.body_bytes()).hexdigest() == DEFAULT_BODY_SHA256
+
+    @pytest.mark.parametrize("keywords, count, digest", JOB_PLANS)
+    def test_job_plan_is_pinned(self, keywords, count, digest):
+        # run order decides which checks a --time-budget run reaches and which
+        # check pays each build; the report's sort would hide any change to it
+        plan = [name.encode() + b"\0" + canonical_json_bytes(params) + b"\n"
+                for name, params, _ in bdk.verify._iter_jobs(SuiteConfig(**keywords))]
+        assert (len(plan), hashlib.sha256(b"".join(plan)).hexdigest()) == (count, digest)
 
     def test_default_check_count_is_the_benchmarks(self, default_report):
         # the benchmark counts each check of a default run as one operation
@@ -753,9 +775,16 @@ class TestRunSuite:
         assert counts == expected_work(cfg)
 
     def test_columns_and_moments_are_built_inside_checks_only(self, monkeypatch):
-        # job generation builds nothing; every image column and moment is
-        # built inside the timed call of the check that first reads it
-        inside, calls = [False], {"apply_operator": 0, "moment": 0}
+        # job generation builds nothing; every image column, moment, kernel,
+        # closed matrix and elevation is built inside the timed call of the
+        # check that first reads it
+        built = [(bdk.verify, name) for name in (
+            "apply_operator", "kernel_definition_twofold", "kernel_definition_threefold",
+            "kernel_closed_twofold", "kernel_closed_threefold", "kernel_legendre",
+            "kernel_single")]
+        built += [(bdk.polynomials._Moments, "__missing__"),
+                  (DiagonalKernelForm, "coordinates"), (bdk.kernels.BernsteinKernelForm, "elevate")]
+        inside, calls = [False], dict.fromkeys((name for _, name in built), 0)
 
         def counter(name, fn):
             def counted(*args):
@@ -763,17 +792,15 @@ class TestRunSuite:
                 calls[name] += 1
                 return fn(*args)
             return counted
-        monkeypatch.setattr(bdk.verify, "apply_operator",
-                            counter("apply_operator", bdk.verify.apply_operator))
-        monkeypatch.setattr(bdk.polynomials._Moments, "__missing__",
-                            counter("moment", bdk.polynomials._Moments.__missing__))
+        for owner, name in built:
+            monkeypatch.setattr(owner, name, counter(name, getattr(owner, name)))
         jobs = list(bdk.verify._iter_jobs(SuiteConfig()))
-        assert calls == {"apply_operator": 0, "moment": 0}
+        assert not any(calls.values()), calls
         for _, _, check in jobs:
             inside[0] = True
             assert check() is None
             inside[0] = False
-        assert calls["apply_operator"] == 121 and calls["moment"] > 0
+        assert calls["apply_operator"] == 121 and all(calls.values()), calls
 
     def test_default_run_fills_each_moment_once(self, monkeypatch):
         # one moment table per dimension the operator checks run at (d <= 2),
