@@ -81,7 +81,10 @@ class _Factorials(dict):
     __slots__ = ()
 
     def __missing__(self, k: int) -> int:
-        value = self[k] = math.factorial(k)
+        try:
+            value = self[k] = math.factorial(k)
+        except OverflowError:  # k past sys.maxsize: a usage error, not a crash
+            raise ValueError(f"{k}! is too large to compute") from None
         return value
 
 

@@ -7,8 +7,10 @@ independent ways:
 * the definitional form `kernel_definition_coordinates`, a brute-force sum
   over Bernstein index chains straight from the operator definition -- the
   oracle -- as a `BernsteinKernelForm`: small integer rows over one scale;
-* diagonal closed forms (`DiagonalKernelForm`): one integer weight per
-  index degree |l| of the products B_l(x) B_l(y), over one scale;
+* the closed form `kernel_closed`, a `DiagonalKernelForm`: one integer
+  weight per index degree |l| of the products B_l(x) B_l(y), over one
+  scale, reduced one operator at a time by the paper's composition
+  theorem (`kernel_single` and the two-fold and three-fold names call it);
 * for d = 1, the shifted-Legendre expansion `kernel_legendre`, also a
   `BernsteinKernelForm`.
 
@@ -78,6 +80,7 @@ __all__ = [
     "KernelPolynomial",
     "DiagonalKernelForm",
     "BernsteinKernelForm",
+    "kernel_closed",
     "kernel_single",
     "kernel_definition_coordinates",
     "kernel_definition_twofold",
@@ -379,16 +382,32 @@ class BernsteinKernelForm:
 # -- kernel builders ----------------------------------------------------
 
 
-def kernel_single(n: int, d: int) -> DiagonalKernelForm:
-    """Kernel of a single operator M_n.
+def kernel_closed(degrees: Sequence[int], d: int) -> DiagonalKernelForm:
+    """Diagonal closed form of M_{n_r} o ... o M_{n_1}, degrees outermost first.
 
-    K_n(x,y) = sum over |a|=n of B_a(x) B_a(y) / <1, B_a>; since <1, B_a>
-    depends only on the degree, this is (n+d)!/n! times the unit-weight
-    diagonal sum.
+    With U_j = sum_{|l|=j} B_l(x) B_l(y), M_n has the kernel (n+d)!/n! U_n, and
+    the paper's theorem reads  M_n o U_j = j! (n+d)!/(n+j+d)! sum_k C(n,k) C(j,k) U_k.
+    Applied once per operator from the innermost outward, it takes
+    scale * sum_j v_j U_j, of top degree J, to the integer weights
+        v'_k = C(n,k) sum_j v_j j! C(j,k) (n+J+d)!/(n+j+d)!
+    over the scale times (n+d)!/(n+J+d)!: a pair gives the paper's C(m,k) C(n,k).
     """
-    n, d = check_degree(n), check_dimension(d)
-    scale = Fraction(_FACT[n + d], _FACT[n])
-    return DiagonalKernelForm(d, scale, [(n, 1)])
+    degrees, d = [check_degree(n) for n in degrees], check_dimension(d)
+    if not degrees:
+        raise ValueError("a composition needs at least one degree")
+    top, *outer = reversed(degrees)
+    weights, num, den = {top: 1}, _FACT[top + d], _FACT[top]
+    for n in outer:
+        head, top = _FACT[n + top + d], min(n, top)
+        lifted = [(j, v * _FACT[j] * (head // _FACT[n + j + d])) for j, v in weights.items()]
+        weights = {k: comb(n, k) * sum(v * comb(j, k) for j, v in lifted) for k in range(top + 1)}
+        num, den = num * _FACT[n + d], den * head
+    return DiagonalKernelForm(d, Fraction(num, den), weights.items())
+
+
+def kernel_single(n: int, d: int) -> DiagonalKernelForm:
+    """Kernel of a single operator M_n, (n+d)!/n! U_n; see `kernel_closed`."""
+    return kernel_closed((n,), d)
 
 
 def kernel_definition_coordinates(degrees: Sequence[int], d: int) -> BernsteinKernelForm:
@@ -418,10 +437,9 @@ def kernel_definition_coordinates(degrees: Sequence[int], d: int) -> BernsteinKe
     rows between two later levels are shared by every b_1; no matrix over
     a whole chain is ever held.
     """
-    degrees = [check_degree(n) for n in degrees]
+    degrees, d = [check_degree(n) for n in degrees], check_dimension(d)
     if not degrees:
         raise ValueError("a composition needs at least one degree")
-    d = check_dimension(d)
     pairs = list(zip(degrees, degrees[1:]))
     num = prod(_FACT[n + d] for n in degrees) * prod(_FACT[a] * _FACT[b] for a, b in pairs)
     den = prod(_FACT[n] for n in degrees) * prod(_FACT[a + b + d] for a, b in pairs)
@@ -447,15 +465,8 @@ def kernel_definition_twofold(m: int, n: int, d: int) -> BernsteinKernelForm:
 
 
 def kernel_closed_twofold(m: int, n: int, d: int) -> DiagonalKernelForm:
-    """Diagonal closed form of the M_m o M_n kernel.
-
-    scale = (m+d)! (n+d)! / (m+n+d)!, weight C(m,|l|) C(n,|l|) for every
-    multi-index l; the binomials cut the sum off at |l| = min(m, n).
-    """
-    m, n, d = check_degree(m), check_degree(n), check_dimension(d)
-    scale = Fraction(_FACT[m + d] * _FACT[n + d], _FACT[m + n + d])
-    return DiagonalKernelForm(d, scale, [(k, comb(m, k) * comb(n, k))
-                                         for k in range(min(m, n) + 1)])
+    """Diagonal closed form of the M_m o M_n kernel; see `kernel_closed`."""
+    return kernel_closed((m, n), d)
 
 
 def kernel_univariate_twofold(m: int, n: int) -> DiagonalKernelForm:
@@ -494,27 +505,13 @@ def kernel_legendre(m: int, n: int) -> BernsteinKernelForm:
 
 
 def kernel_definition_threefold(n3: int, n2: int, n1: int, d: int) -> BernsteinKernelForm:
-    """Brute-force kernel of M_n3 o M_n2 o M_n1 (innermost n1); see
-    `kernel_definition_coordinates`."""
+    """Brute-force kernel of M_n3 o M_n2 o M_n1; see `kernel_definition_coordinates`."""
     return kernel_definition_coordinates((n3, n2, n1), d)
 
 
 def kernel_closed_threefold(n3: int, n2: int, n1: int) -> DiagonalKernelForm:
-    """Univariate (d=1) diagonal closed form for a three-operator composition.
-
-    scale = (n3+1)! (n2+1)! (n1+1)! (n3+n2+n1+1)!
-            / ((n3+n2+1)! (n3+n1+1)! (n2+n1+1)!),
-    weight_k = C(n3,k) C(n2,k) C(n1,k) / C(n3+n2+n1+1, k); symmetric in
-    the three degrees.  The weights' common denominator goes into the scale.
-    """
-    n3, n2, n1 = check_degree(n3), check_degree(n2), check_degree(n1)
-    total = n3 + n2 + n1
-    den, weights = _common_denominator((comb(n3, k) * comb(n2, k) * comb(n1, k),
-                                        comb(total + 1, k))
-                                       for k in range(min(n3, n2, n1) + 1))
-    scale = Fraction(_FACT[n3 + 1] * _FACT[n2 + 1] * _FACT[n1 + 1] * _FACT[total + 1],
-                     _FACT[n3 + n2 + 1] * _FACT[n3 + n1 + 1] * _FACT[n2 + n1 + 1] * den)
-    return DiagonalKernelForm(1, scale, enumerate(weights))
+    """Univariate (d=1) closed form of M_n3 o M_n2 o M_n1; see `kernel_closed`."""
+    return kernel_closed((n3, n2, n1), 1)
 
 
 def inner_sum_identity(n: int, beta: Sequence[int], y: Point) -> Tuple[Fraction, Fraction]:

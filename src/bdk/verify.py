@@ -467,9 +467,9 @@ def _operator_jobs(d: int, top: int, bounds: dict, monomial_degree: int,
     x^e' of column (n, e), whatever its degree, and is kept too, as both
     operator_commutativity and operator_linear_combination read it; the
     sides are compared unreduced (`difference_witness`).  The integrals
-    read one `_Moments` of degree top + monomial_degree: an image has
-    degree <= n <= top (the degree bound), and an inner product adds one
-    test monomial's degree.
+    read one `_Moments` of degree min(top, monomial_degree) + monomial_degree:
+    M_n x^e has degree <= min(n, |e|), and an inner product adds a test
+    monomial's degree.
     Self-adjointness reads it one moment row per term x^k (`_moment_row`),
     each built by the first check that reads it and kept for the dimension.
     Each call has its own tables and exponents, so a job reads its own
@@ -477,7 +477,7 @@ def _operator_jobs(d: int, top: int, bounds: dict, monomial_degree: int,
     """
     exponents = [e for deg in range(monomial_degree + 1) for e in _multi_indices(deg, d - 1)]
     column = cache(lambda n, e: apply_operator(n, CartesianPolynomial.from_integers(d, {e: 1})))
-    moments = _Moments(d, top + monomial_degree)
+    moments = _Moments(d, min(top, monomial_degree) + monomial_degree)
     moment_row = cache(lambda k: _moment_row(moments, k, exponents))
 
     @cache

@@ -3,6 +3,7 @@ import hashlib
 import json
 import os
 import random
+import re
 import shlex
 import subprocess
 import sys
@@ -486,6 +487,18 @@ class TestApply:
         _, spaced, _ = run_cli(capsys, "apply", "--d", "1", "--degrees", "2, 3", "--poly", "x1")
         _, plain, _ = run_cli(capsys, "apply", "--d", "1", "--degrees", "2,3", "--poly", "x1")
         assert spaced == plain != ""
+
+
+@pytest.mark.parametrize("argv", [
+    ("eval", "--d", "1", "--m", "99999999999999999999", "--n", "3", "--x", "1/2", "--y", "1/3"),
+    ("apply", "--d", "2", "--degrees", "3", "--poly", "x1^99999999999999999999"),
+], ids=["eval", "apply"])
+def test_a_factorial_past_the_largest_argument_is_a_usage_error(capsys, argv):
+    # math.factorial raises OverflowError past sys.maxsize: a traceback and
+    # exit 1, the code of a failed verification, before the table refused it
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert re.fullmatch(r"bdk: error: \d+! is too large to compute\n", err), err
 
 
 #: (d, degrees, degree of f): the request shapes of the benchmark's cli_apply workload

@@ -1,10 +1,12 @@
 import math
 import re
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
 
 from bdk.combinat import (
+    _FACT,
     _binomial_shifts,
     _index_slots,
     _slot_product_rows,
@@ -27,6 +29,7 @@ from bdk.durrmeyer import apply_operator, compose_apply, composition_coefficient
 from bdk.kernels import (
     DiagonalKernelForm,
     inner_sum_identity,
+    kernel_closed,
     kernel_closed_threefold,
     kernel_closed_twofold,
     kernel_definition_coordinates,
@@ -96,6 +99,8 @@ BAD_DEGREE_CALLS = [
     (DiagonalKernelForm, (1, 1, [(-1, 1)])),
     (kernel_definition_coordinates, ((2, 1.5), 1)),
     (kernel_definition_coordinates, ((2, -1, 1), 1)),
+    (kernel_closed, ((2, 1.5), 1)),
+    (kernel_closed, ((2, -1, 1), 1)),
 ]
 
 
@@ -117,6 +122,18 @@ BAD_INTEGER_CALLS = [
 def test_public_functions_reject_arguments_that_are_not_integers(call, args):
     with pytest.raises(ValueError, match="must be an integer"):
         call(*args)
+
+
+@pytest.mark.parametrize("call, args", [
+    (factorial, (sys.maxsize + 1,)),
+    (kernel_closed, ((sys.maxsize - 1, 3), 2)),
+])
+def test_a_factorial_past_the_largest_argument_is_a_value_error(call, args):
+    # math.factorial raises OverflowError past sys.maxsize, which the CLI
+    # would pass on as a traceback; the table refuses it as a usage error
+    with pytest.raises(ValueError, match=r"^\d+! is too large to compute$"):
+        call(*args)
+    assert max(_FACT, default=0) <= sys.maxsize
 
 
 class TestCheckDegree:

@@ -105,3 +105,16 @@ def test_threefold_cap_knob_is_gone(capsys):
         SuiteConfig(threefold_cap=1)
     assert bdk.cli.main(["verify", "--threefold-cap", "1"]) == 2
     assert "unrecognized arguments: --threefold-cap 1" in capsys.readouterr().err
+
+
+def test_every_closed_builder_is_one_call_to_kernel_closed(monkeypatch):
+    # one closed formula serves every chain; the named builders keep their
+    # names (the benchmark's span recorder looks them up) and call it
+    assert bdk.kernel_closed is bdk.kernels.kernel_closed
+    calls = []
+    monkeypatch.setattr(bdk.kernels, "kernel_closed",
+                        lambda degrees, d: calls.append((tuple(degrees), d)) or len(calls))
+    assert [bdk.kernels.kernel_single(4, 2), bdk.kernels.kernel_closed_twofold(5, 3, 2),
+            bdk.kernels.kernel_univariate_twofold(3, 6),
+            bdk.kernels.kernel_closed_threefold(4, 2, 3)] == [1, 2, 3, 4]
+    assert calls == [((4,), 2), ((5, 3), 2), ((3, 6), 1), ((4, 2, 3), 1)]

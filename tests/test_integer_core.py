@@ -398,9 +398,9 @@ def test_definitional_builders_use_no_closed_form_code(monkeypatch, d):
     def forbidden(*args, **kwargs):
         raise AssertionError("a definitional builder called closed-form code")
 
-    for name in ("kernel_closed_twofold", "kernel_closed_threefold", "kernel_single",
-                 "to_canonical", "DiagonalKernelForm", "_outer_products", "_elevation",
-                 "kernel_legendre"):
+    for name in ("kernel_closed", "kernel_closed_twofold", "kernel_closed_threefold",
+                 "kernel_single", "to_canonical", "DiagonalKernelForm", "_outer_products",
+                 "_elevation", "kernel_legendre"):
         monkeypatch.setattr(bdk.kernels, name, forbidden)
     two = bdk.kernels.kernel_definition_twofold(3, 2, d).expand()
     three = bdk.kernels.kernel_definition_threefold(2, 1, 2, d).expand()

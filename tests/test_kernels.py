@@ -17,6 +17,7 @@ from bdk.kernels import (
     first_coordinate_difference,
     first_kernel_difference,
     inner_sum_identity,
+    kernel_closed,
     kernel_closed_threefold,
     kernel_closed_twofold,
     kernel_definition_coordinates,
@@ -467,6 +468,76 @@ class TestChainDefinition:
     def test_rejects_an_empty_chain(self):
         with pytest.raises(ValueError, match="at least one degree"):
             kernel_definition_coordinates((), 1)
+
+
+#: (d, number of degrees, largest degree): every chain of 3 and 4 degrees
+#: up to these bounds, about 3600 chains in all
+CHAIN_BOUNDS = [(1, 3, 6), (1, 4, 6), (2, 3, 4), (2, 4, 4), (3, 3, 3), (3, 4, 2)]
+
+
+def paper_twofold(m, n, d):
+    """The paper's two-fold closed form: (m+d)! (n+d)!/(m+n+d)! times the
+    weights C(m,k) C(n,k), k <= min(m, n)."""
+    scale = F(factorial(m + d) * factorial(n + d), factorial(m + n + d))
+    return DiagonalKernelForm(d, scale, [(k, comb(m, k) * comb(n, k))
+                                         for k in range(min(m, n) + 1)])
+
+
+def paper_threefold(n3, n2, n1):
+    """The paper's d = 1 three-fold closed form: the weights
+    C(n3,k) C(n2,k) C(n1,k)/C(n3+n2+n1+1,k) over the factorial prefactor
+    (n3+1)! (n2+1)! (n1+1)! (n3+n2+n1+1)!/((n3+n2+1)! (n3+n1+1)! (n2+n1+1)!)."""
+    total = n3 + n2 + n1
+    scale = F(factorial(n3 + 1) * factorial(n2 + 1) * factorial(n1 + 1) * factorial(total + 1),
+              factorial(n3 + n2 + 1) * factorial(n3 + n1 + 1) * factorial(n2 + n1 + 1))
+    return DiagonalKernelForm(1, scale, [(k, F(comb(n3, k) * comb(n2, k) * comb(n1, k),
+                                               comb(total + 1, k)))
+                                         for k in range(min(n3, n2, n1) + 1)])
+
+
+class TestChainClosed:
+    """kernel_closed, the one closed builder, against the definitional
+    builder on whole chains and against the paper's own formulas."""
+
+    @pytest.mark.parametrize("d, r, top", CHAIN_BOUNDS)
+    def test_coordinates_equal_the_definition_on_every_chain(self, d, r, top):
+        for degrees in product(range(top + 1), repeat=r):
+            closed = kernel_closed(degrees, d).coordinates(degrees[0], degrees[-1])
+            definition = kernel_definition_coordinates(degrees, d)
+            assert first_coordinate_difference(closed, definition) is None, degrees
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_weights_are_positive_and_the_y_integral_is_one(self, d):
+        # each B_l of degree j integrates to j!/(j+d)!, and the B_l(x) of one
+        # degree sum to 1, so int K(x, y) dy = scale sum_j w_j j!/(j+d)!
+        for r in (1, 2, 3, 4):
+            for degrees in product(range(4), repeat=r):
+                form = kernel_closed(degrees, d)
+                assert form.scale > 0 and all(w > 0 for _, w in form.terms), degrees
+                assert form.scale * sum(F(w * factorial(j), factorial(j + d))
+                                        for j, w in form.terms) == 1, degrees
+        form = kernel_closed((2, 1, 3), d)
+        assert to_canonical(form).integrate_y() == CartesianPolynomial.constant(d, 1)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 5])
+    def test_a_pair_is_the_papers_twofold_form(self, d):
+        for m in range(12):
+            for n in range(12):
+                assert kernel_closed((m, n), d) == paper_twofold(m, n, d), (m, n)
+
+    def test_a_univariate_triple_is_the_papers_threefold_form(self):
+        for degrees in product(range(9), repeat=3):
+            assert kernel_closed(degrees, 1) == paper_threefold(*degrees), degrees
+
+    def test_the_operators_commute(self):
+        # M_m o M_n = M_n o M_m, so every order of one chain is one form
+        for d in (1, 2):
+            for degrees in ((3, 1, 2), (0, 2, 4), (2, 2, 1, 3)):
+                assert len({kernel_closed(p, d) for p in permutations(degrees)}) == 1
+
+    def test_rejects_an_empty_chain(self):
+        with pytest.raises(ValueError, match="at least one degree"):
+            kernel_closed((), 1)
 
 
 def rational_points(d):

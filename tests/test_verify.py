@@ -1,10 +1,12 @@
 import hashlib
 import importlib.util
+import inspect
 import json
 import math
 import random
 import re
 import sys
+import textwrap
 import weakref
 from collections import Counter
 from fractions import Fraction
@@ -347,6 +349,21 @@ def bump_binomial(table):
     return bumped
 
 
+def edited_source(old, new):
+    """A mutator that rebuilds a function from its source with the text old,
+    which must occur there exactly once, replaced by new: an edit inside the
+    body, where no wrapper of the function's result reaches.  The rebuilt
+    function reads the globals of the original's module."""
+    def rebuild(function):
+        source = textwrap.dedent(inspect.getsource(function))
+        assert source.count(old) == 1, (function.__name__, old)
+        namespace = {}
+        exec(compile(source.replace(old, new), inspect.getfile(function), "exec"),
+             function.__globals__, namespace)
+        return namespace[function.__name__]
+    return rebuild
+
+
 def fresh_cache(cached):
     """The function behind an lru_cache, behind an empty cache of its own with
     the same parameters: a run reads no entry built before the patch, and
@@ -366,7 +383,10 @@ def fresh_cache(cached):
 #: single_stochastic_in_y, whose kernel is written at its own degree and so
 #: reads only the table's column C(p, 0) = 1.  definition_gram_constant
 #: scales a pair's definitional kernels by one factor, the same in both
-#: orientations (K = m! n!), so it spares the two symmetry families.
+#: orientations (K = m! n!), so it spares the two symmetry families.  The
+#: two chain_step mutants edit the reduction step inside `kernel_closed`; a
+#: single operator takes no step, so they spare single_stochastic_in_y and
+#: composition_linear_combination_kernel, whose mix sums single kernels.
 MUTANTS = {
     "top_closed_weight": (
         [(bdk.verify, name, bump_top_weight) for name in (
@@ -374,6 +394,14 @@ MUTANTS = {
         {"twofold_closed_equals_definition", "univariate_twofold_path",
          "univariate_twofold_vs_definition", "threefold_closed_equals_definition",
          "single_stochastic_in_y", "composition_linear_combination_kernel"}),
+    "chain_step_binomial": (
+        [(bdk.kernels, "kernel_closed", edited_source("comb(j, k)", "comb(j + 1, k)"))],
+        {"twofold_closed_equals_definition", "univariate_twofold_path",
+         "univariate_twofold_vs_definition", "threefold_closed_equals_definition"}),
+    "chain_step_inner_degree": (
+        [(bdk.kernels, "kernel_closed", edited_source("_FACT[n + j + d]", "_FACT[n + j + d - 1]"))],
+        {"twofold_closed_equals_definition", "univariate_twofold_path",
+         "univariate_twofold_vs_definition", "threefold_closed_equals_definition"}),
     "elevation_coefficient": (
         [(bdk.kernels, "_elevation", bump_elevation)],
         {"twofold_closed_equals_definition", "univariate_twofold_path",
