@@ -369,15 +369,22 @@ def _attach_dash_values(argv: Sequence[str]) -> List[str]:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = _attach_dash_values(sys.argv[1:] if argv is None else argv)
+    # exact answers and inputs of any size: lift the interpreter's limit on
+    # int <-> str digits (3.11 on, 3.10.7 on; 0 is none) while main runs
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    if limit:
+        sys.set_int_max_str_digits(0)
     try:
         args = build_parser().parse_args(argv)
+        return args.func(args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    try:
-        return args.func(args)
     except ValueError as exc:
         print(f"bdk: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 def cli_entry() -> None:

@@ -53,7 +53,6 @@ from .combinat import (
     _common_denominator,
     _index_slots,
     _multi_indices,
-    _multinomial,
     _slot_product_rows,
     _slot_products,
     check_degree,
@@ -72,8 +71,6 @@ from .polynomials import (
     bernstein_sum,
     check_polynomial,
     difference_witness,
-    integer_point,
-    monomial_numerators,
 )
 
 __all__ = [
@@ -145,9 +142,7 @@ class KernelPolynomial(CartesianPolynomial):
         d = self.d
         top = max((sum(e[d:]) for e in self.nums), default=0)
         moments = _Moments(d, top)
-        acc: Dict[Tuple[int, ...], int] = {}
-        for e, c in self.nums.items():
-            acc[e[:d]] = acc.get(e[:d], 0) + c * moments[e[d:]]
+        acc = bernstein_sum((c, [(e[:d], moments[e[d:]])]) for e, c in self.nums.items())
         return CartesianPolynomial.from_integers(d, acc, Fraction(1, self.den * moments.scale))
 
     def __repr__(self) -> str:
@@ -242,21 +237,21 @@ class DiagonalKernelForm:
         """Yield [K(x, y) for y in ys] for each x in xs.
 
         A point p = A / q in barycentric integer form has the integer vector
-        v_l = prod A_v^l_v q^(top-|l|) = q^top B_l(p) / mult(l), top = max |l|,
-        computed once per point.  With the integer weights w_j and mult(l)^2
-        folded into them once, each value is the one sum
-            K(x, y) = scale * sum_l w_|l| mult(l)^2 v_l(x) v_l(y) / (qx^top qy^top).
+        v_l = q^top B_l(p), top = max |l| (`bernstein_numerators`), computed
+        once per point.  With the integer weight w_|l| listed once per index,
+        each value is the one sum
+            K(x, y) = scale * sum_l w_|l| v_l(x) v_l(y) / (qx^top qy^top).
         """
         indices: List[Tuple[int, ...]] = []
         weights: List[int] = []
         for j, w in self.terms:
             block = _multi_indices(j, self.d)
             indices += block
-            weights += [w * _multinomial(ell) ** 2 for ell in block]
+            weights += [w] * len(block)
         num, den = self.scale.numerator, self.scale.denominator
-        columns = [monomial_numerators(*integer_point(y, self.d), indices) for y in ys]
+        columns = [bernstein_numerators(y, self.d, indices) for y in ys]
         for x in xs:
-            qx_top, vx = monomial_numerators(*integer_point(x, self.d), indices)
+            qx_top, vx = bernstein_numerators(x, self.d, indices)
             wx = list(map(mul, weights, vx))
             yield [Fraction(num * sum(map(mul, wx, vy)), den * qx_top * qy_top)
                    for qy_top, vy in columns]

@@ -239,11 +239,9 @@ class CartesianPolynomial:
         if not isinstance(other, CartesianPolynomial):
             return self.__rmul__(other)  # a scalar commutes with p
         self._check_compatible(self.d, other)
-        out: Dict[Exponents, int] = {}
-        for e1, c1 in self.nums.items():
-            for e2, c2 in other.nums.items():
-                key = tuple(a + b for a, b in zip(e1, e2))
-                out[key] = out.get(key, 0) + c1 * c2
+        right = other.nums.items()
+        out = bernstein_sum((c1, [(tuple(map(add, e1, e2)), c2) for e2, c2 in right])
+                            for e1, c1 in self.nums.items())
         return self._make(self.d, self.den * other.den, out)
 
     def __rmul__(self, other):
@@ -362,36 +360,34 @@ def difference_witness(lhs, rhs) -> Optional[dict]:
         return {"exp": list(key), "lhs": format_rational(a), "rhs": format_rational(b)}
 
 
-@lru_cache(maxsize=None)
-def _x0_power(a0: int, d: int) -> Tuple[Tuple[Exponents, int], ...]:
-    """The signed integer terms of x_0^a0 = (1 - x_1 - ... - x_d)^a0.
-
-    By the multinomial theorem the coefficient of x^k, |k| <= a0, is
-    (-1)^|k| a0! / ((a0 - |k|)! k!); the pairs (k, coefficient) follow the
-    enumeration order of the (d+1)-part compositions of a0.  The power
-    depends only on (a0, d), so it is expanded once per pair.
-    """
-    return tuple((kappa[1:], (-1) ** (a0 - kappa[0]) * _multinomial(kappa))
-                 for kappa in _multi_indices(a0, d))
-
-
-@lru_cache(maxsize=None)
 def bernstein_basis(alpha: Sequence[int]) -> CartesianPolynomial:
     """The Bernstein basis polynomial C(|a|,a) x_0^a0 x_1^a1 ... x_d^ad,
     fully expanded into cartesian monomials.
 
-    alpha is a hashable multi-index, normally a tuple; the result is cached
-    per index.  The expansion is the cached power x_0^a0 with
-    x_0 = 1 - x_1 - ... - x_d substituted, each term shifted by
-    (a1, ..., ad) and scaled by C(|a|,a); all coefficients are integers.
+    The result is cached per index, in the one cache that
+    `bernstein_basis.cache_info()` reports: it is keyed on the parts and
+    their types, so (1.0, 0) or (True, False) misses the entry of (1, 0) and
+    is refused as any invalid index is.  By the multinomial theorem
+    x_0^a0 = (1 - x_1 - ... - x_d)^a0 has the coefficient
+    (-1)^|k| a0! / ((a0 - |k|)! k!) at x^k, |k| <= a0; each term is shifted by
+    (a1, ..., ad) and scaled by C(|a|,a), so all coefficients are integers.
     """
+    return _bernstein_basis(*alpha)
+
+
+@lru_cache(maxsize=None, typed=True)
+def _bernstein_basis(*alpha: int) -> CartesianPolynomial:
     alpha = check_index(alpha)
-    d = len(alpha) - 1
-    rest = alpha[1:]
+    d, a0, rest = len(alpha) - 1, alpha[0], alpha[1:]
     scale = _multinomial(alpha)
-    # distinct powers of x_0 have distinct exponents, so nothing accumulates
-    terms = {tuple(map(add, k, rest)): scale * c for k, c in _x0_power(alpha[0], d)}
+    signed = (scale, -scale)  # by the parity of |k|
+    # kappa = (a0 - |k|, k): distinct k, so nothing accumulates
+    terms = {tuple(map(add, kappa[1:], rest)): signed[(a0 - kappa[0]) & 1] * _multinomial(kappa)
+             for kappa in _multi_indices(a0, d)}
     return CartesianPolynomial.from_integers(d, terms)
+
+
+bernstein_basis.cache_info = _bernstein_basis.cache_info
 
 
 def bernstein_sum(pairs: Iterable[Tuple[int, Iterable]]) -> Dict[Exponents, int]:

@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import io
 import json
 import os
 import random
@@ -7,6 +8,7 @@ import re
 import shlex
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
 
@@ -1038,3 +1040,108 @@ def test_readme_cli_block_runs(tmp_path):
     for command, out in README_STDOUT.items():
         assert stated[command] == out, command
     assert (tmp_path / "kernel.csv").is_file() and (tmp_path / "report.json").is_file()
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="the interpreter limits no int <-> str conversion")
+@pytest.mark.parametrize("digits", [1500, 5000])
+def test_an_exact_answer_past_the_int_digit_limit_is_printed(capsys, digits):
+    # the value of a 1500-digit point has more than 4300 digits, past
+    # Python's default limit on int <-> str conversions; main lifts the limit
+    # while it runs, so the answer is printed, and a 5000-digit input is read
+    limit = sys.get_int_max_str_digits()
+    code, out, err = run_cli(capsys, "eval", "--d", "1", "--m", "3", "--n", "3",
+                             "--x", "1/" + "7" * digits, "--y", "1/3")
+    assert (code, err) == (0, "")
+    assert sys.get_int_max_str_digits() == limit
+    value = out.splitlines()[0]
+    assert len(value) > 4300 and re.fullmatch(r"\d+/\d+", value)
+    if digits == 1500:
+        assert len(out) == 9006
+
+
+#: Tokens that no bdk flag reads as a number, or that one reads and another refuses.
+MALFORMED = ["1/0", "1.5", "x4", "@", ""]
+
+
+def spoiled(draw, values):
+    """A value drawn from values, or one time in ten a malformed token."""
+    return draw(st.sampled_from(MALFORMED)) if not draw(st.integers(0, 9)) else draw(values)
+
+
+def comma_fields(draw, values, size):
+    return ",".join(spoiled(draw, values) for _ in range(size))
+
+
+def ints(low, high):
+    return st.integers(low, high).map(str)
+
+
+RATIONALS = st.one_of(st.builds("{}/{}".format, st.integers(-3, 9), st.integers(1, 9)),
+                      ints(-2, 2))
+
+
+def point(draw, d):
+    """d comma-separated rationals, one time in four any count from 1 to 5."""
+    size = d if d > 0 and draw(st.integers(0, 3)) else draw(st.integers(1, 5))
+    return comma_fields(draw, RATIONALS, size)
+
+
+def degrees(draw, d):
+    return comma_fields(draw, ints(-1, 6), draw(st.integers(1, 3)))
+
+
+def polynomial(draw, d):
+    """One to three terms c*xv^e in x1..xd (x1 alone for d < 1), joined by + or -."""
+    terms = st.builds("{}*x{}^{}".format, RATIONALS, st.integers(1, max(d, 1)),
+                      st.integers(0, 8))
+    return comma_fields(draw, terms, draw(st.integers(1, 3))).replace(
+        ",", draw(st.sampled_from("+-")))
+
+
+#: The flags of each drawn request and the values drawn for each: a
+#: strategy, None for a flag that takes no value, or a function of draw and
+#: the drawn dimension d for a comma-separated value.
+CONTRACT_FLAGS = {
+    "eval": {"--d": ints(-1, 4), "--m": ints(-1, 6), "--n": ints(-1, 6), "--x": point,
+             "--y": point,
+             "--form": st.sampled_from(["closed", "definition", "univariate", "legendre"]),
+             "--float": None},
+    "coeffs": {"--d": ints(-1, 4), "--m": ints(-1, 6), "--n": ints(-1, 6)},
+    "apply": {"--d": ints(-1, 4), "--degrees": degrees, "--poly": polynomial},
+    "table": {"--d": ints(-1, 4), "--m": ints(-1, 6), "--n": ints(-1, 6), "--grid": ints(-1, 5)},
+}
+
+
+@st.composite
+def cli_requests(draw):
+    """A small, partly malformed argv of eval, coeffs, apply or table: each
+    flag left out one time in ten, each value drawn from a small range, and
+    each value or list field malformed one time in ten."""
+    command = draw(st.sampled_from(list(CONTRACT_FLAGS)))
+    argv, d = [command], 0
+    for flag, values in CONTRACT_FLAGS[command].items():
+        if not draw(st.integers(0, 9)):
+            continue
+        if values is None:
+            argv.append(flag)
+            continue
+        value = values(draw, d) if callable(values) else spoiled(draw, values)
+        if flag == "--d" and value.lstrip("-").isdigit():
+            d = int(value)
+        argv += [flag, value]
+    return argv
+
+
+class TestContract:
+    @settings(max_examples=200, deadline=None)
+    @given(cli_requests())
+    def test_every_request_succeeds_or_is_a_usage_error(self, argv):
+        # exit 0 or 2, never a traceback, and a usage error ends with its error line
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 2), (argv, code, err.getvalue())
+        if code == 2:
+            last = err.getvalue().splitlines()[-1]
+            assert re.match(r"bdk( \w+)?: error: ", last), (argv, last)

@@ -99,6 +99,13 @@ def test_caches_with_no_hits_are_gone():
     assert "_hash" not in bdk.polynomials.CartesianPolynomial.__slots__
 
 
+def test_second_bernstein_bodies_are_gone():
+    # the basis keeps one cache, and kernel values read bernstein_numerators
+    assert not hasattr(bdk.polynomials, "_x0_power")
+    for name in ("integer_point", "monomial_numerators", "_multinomial"):
+        assert not hasattr(bdk.kernels, name), name
+
+
 def test_threefold_cap_knob_is_gone(capsys):
     # --max-degree bounds the three-fold family with every other one
     with pytest.raises(TypeError, match="threefold_cap"):

@@ -223,6 +223,18 @@ class TestBernsteinBasis:
         info = bernstein_basis.cache_info()
         assert info.hits >= 0 and info.misses >= 0
 
+    @pytest.mark.parametrize("alpha", [(1.0, 0), (True, False)])
+    def test_cached_index_does_not_admit_an_equal_float_or_bool(self, alpha):
+        # (1.0, 0) and (True, False) equal (1, 0) and hash as it does: the
+        # cache keys each part with its type, so they miss and are refused
+        assert bernstein_basis((1, 0)).terms == {(0,): 1, (1,): -1}
+        before = bernstein_basis.cache_info()
+        with pytest.raises(ValueError, match="multi-index part must be an integer"):
+            bernstein_basis(alpha)
+        bernstein_basis((1, 0))
+        after = bernstein_basis.cache_info()
+        assert (after.hits - before.hits, after.misses - before.misses) == (1, 1)
+
 
 class TestEvaluation:
     def test_bernstein_midpoint(self):
