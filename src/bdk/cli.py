@@ -26,7 +26,8 @@ from fractions import Fraction
 from itertools import product
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, TextIO, Tuple, Union
 
-from .combinat import check_degree, check_dimension, format_rational, parse_rational
+from .combinat import (check_degree, check_dimension, clear_denominators, format_rational,
+                       parse_rational)
 from .durrmeyer import compose_apply, composition_coefficients
 from .kernels import (
     BernsteinKernelForm,
@@ -234,7 +235,9 @@ def _cmd_eval(args) -> int:
 
 def _cmd_coeffs(args) -> int:
     coeffs = composition_coefficients(args.m, args.n, args.d)
-    _write_stdout(json.dumps([format_rational(c) for c in coeffs]), format_rational(sum(coeffs)))
+    den, nums = clear_denominators(coeffs)  # one lcm, where sum() reduces after each term
+    _write_stdout(json.dumps([format_rational(c) for c in coeffs]),
+                  format_rational(Fraction(sum(nums), den)))
     return EXIT_OK
 
 

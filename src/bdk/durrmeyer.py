@@ -144,11 +144,13 @@ def composition_coefficients(m: int, n: int, d: int) -> List[Fraction]:
 
     c_k = (m+d)! (n+d)! / (m+n+d)! * C(m,k) C(n,k) k! / (k+d)!.
     All coefficients are positive and sum to one, so the composition is a
-    convex combination of the operators themselves.  Each c_k is built as
-    one `Fraction` of two integer products, (m+d)! (n+d)! C(m,k) C(n,k) k!
-    over (m+n+d)! (k+d)!, so it is reduced once.
+    convex combination of the operators themselves.  The list is the ratio
+    recurrence from c_0 = (m+d)! (n+d)! / ((m+n+d)! d!):
+        c_{k+1} = c_k (m-k)(n-k) / ((k+1)(k+d+1)),
+    so the products of size (m+n+d)! are built once, not once per k.
     """
     m, n, d = check_degree(m), check_degree(n), check_dimension(d)
-    head, foot = _FACT[m + d] * _FACT[n + d], _FACT[m + n + d]
-    return [Fraction(head * comb(m, k) * comb(n, k) * _FACT[k], foot * _FACT[k + d])
-            for k in range(min(m, n) + 1)]
+    coefficients = [Fraction(_FACT[m + d] * _FACT[n + d], _FACT[m + n + d] * _FACT[d])]
+    for k in range(min(m, n)):
+        coefficients.append(coefficients[-1] * Fraction((m - k) * (n - k), (k + 1) * (k + d + 1)))
+    return coefficients

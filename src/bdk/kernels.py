@@ -22,8 +22,9 @@ elevation, `BernsteinKernelForm.elevate` raises a form's degrees, and
 `first_coordinate_difference` compares two forms entry by entry with their
 scales cross-multiplied; two forms of one scale compare their rows as they
 are.  The collapse lemma is decided the same way (`_inner_sum_coordinates`).
-Every form also canonicalizes to a sparse polynomial in x_1..x_d, y_1..y_d
-(`to_canonical`, `BernsteinKernelForm.expand`) for output.
+For output every form is multiplied out into a sparse polynomial in
+x_1..x_d, y_1..y_d by one path, `BernsteinKernelForm.expand` on whole rows
+(`to_canonical` first writes a diagonal form in coordinates).
 
 Everything accumulates Python ints and applies one rational scale at the
 end, by Dirichlet's formula  int x^mu = mu! / (|mu|+d)!  and
@@ -66,8 +67,8 @@ from .polynomials import (
     CartesianPolynomial,
     Scalar,
     _Moments,
-    bernstein_basis,
     bernstein_numerators,
+    bernstein_rows,
     bernstein_sum,
     check_polynomial,
     difference_witness,
@@ -104,7 +105,7 @@ class KernelPolynomial(CartesianPolynomial):
     CartesianPolynomial, so equality of kernels is literal map equality.
     A kernel is always its built map: one kept in another basis has its
     own type, `DiagonalKernelForm` or `BernsteinKernelForm`, and becomes a
-    map only through `to_canonical` or `BernsteinKernelForm.expand`.
+    map only through `BernsteinKernelForm.expand` (`to_canonical` calls it).
     """
 
     __slots__ = ()
@@ -112,12 +113,11 @@ class KernelPolynomial(CartesianPolynomial):
 
     @classmethod
     def outer(cls, fx: CartesianPolynomial, fy: CartesianPolynomial) -> "KernelPolynomial":
-        """The separable kernel fx(x) * fy(y)."""
-        check_polynomial(fx)
-        check_polynomial(fy)
-        if fx.d != fy.d:
+        """The separable kernel fx(x) * fy(y): distinct exponent pairs never share a key."""
+        if check_polynomial(fx).d != check_polynomial(fy).d:
             raise ValueError("dimension mismatch in outer product")
-        return cls._make(fx.d, fx.den * fy.den, _add_outer({}, fx.nums, fy.nums))
+        return cls._make(fx.d, fx.den * fy.den, {ex + ey: cx * cy for ex, cx in fx.nums.items()
+                                                 for ey, cy in fy.nums.items()})
 
     def transpose(self) -> "KernelPolynomial":
         """Swap the roles of x and y."""
@@ -356,18 +356,14 @@ class BernsteinKernelForm:
         return BernsteinKernelForm(d, self.scale / comb(n, n0), self.m, n, rows)
 
     def expand(self) -> KernelPolynomial:
-        """The canonical map: each B_a(x) B_b(y) multiplied out into monomials.
-
-        For each row b the x side  sum_a C[b][a] B_a(x)  is multiplied out once
-        (`bernstein_sum`) and its outer product with B_b(y) accumulated, each
-        basis looked up once per side; the one scale is applied at the end.
-        """
-        x_terms = [list(bernstein_basis(a).nums.items()) for a in self.x_indices]
-        acc: Dict[Tuple[int, ...], int] = {}
-        for row, y_basis in zip(self.rows, map(bernstein_basis, self.y_indices)):
-            x_side = bernstein_sum((c, t) for c, t in zip(row, x_terms) if c)
-            _add_outer(acc, x_side, y_basis.nums)
-        return KernelPolynomial.from_integers(self.d, acc, self.scale)
+        """The canonical map: each B_a(x) B_b(y) multiplied out into monomials,
+        the y side  sum_b C[b] B_b(y)  on whole rows (`bernstein_rows`), then the
+        columns of the result, one row per y exponent, on the x side."""
+        y_side = bernstein_rows(self.rows, self.n, self.d)
+        x_side = bernstein_rows(zip(*y_side), self.m, self.d)
+        y_exponents = [b[1:] for b in self.y_indices]
+        terms = {a[1:] + e: c for a, row in zip(self.x_indices, x_side) for e, c in zip(y_exponents, row) if c}
+        return KernelPolynomial.from_integers(self.d, terms, self.scale)
 
     def __repr__(self) -> str:
         return (f"<bernstein-kernel d={self.d} scale={self.scale} "
@@ -552,17 +548,11 @@ def _inner_sum_coordinates(n: int, beta: Tuple[int, ...]) -> Tuple[tuple, tuple,
 
 
 def to_canonical(form: DiagonalKernelForm) -> KernelPolynomial:
-    """Expand a diagonal form into the canonical bivariate map.
-
-    The map is the integer sum  sum_l w_|l| b_l[ex] b_l[ey]  over the
-    integer weights w_j and the integer coefficients b_l of B_l, times the
-    one scale.
-    """
-    acc: Dict[Tuple[int, ...], int] = {}
-    for j, w in form.terms:
-        for basis in map(bernstein_basis, _multi_indices(j, form.d)):
-            _add_outer(acc, bernstein_sum([(w, basis.nums.items())]), basis.nums)
-    return KernelPolynomial.from_integers(form.d, acc, form.scale)
+    """Expand a diagonal form into the canonical bivariate map: its
+    coordinates at degrees (N, N), N = max(top index degree, 0), multiplied
+    out by `BernsteinKernelForm.expand`."""
+    top = max(form.max_index_degree(), 0)
+    return form.coordinates(top, top).expand()
 
 
 @lru_cache(maxsize=None)
@@ -615,16 +605,6 @@ def _elevated(blocks: Iterable[Tuple[int, Sequence[int]]], m: int, d: int) -> Li
                 for i, e in column:
                     out[i] += c * e
     return out
-
-
-def _add_outer(acc: Dict, x_terms: Dict, y_terms: Dict) -> Dict:
-    """Add the outer product x_terms(x) y_terms(y) of two integer maps to acc; keys x, then y."""
-    y_items = list(y_terms.items())  # a list is faster to loop over than a dict view
-    for ex, cx in x_terms.items():
-        for ey, cy in y_items:
-            key = ex + ey
-            acc[key] = acc.get(key, 0) + cx * cy
-    return acc
 
 
 def _outer_products(terms: Iterable[Tuple[int, Sequence[Tuple[int, int]],

@@ -28,7 +28,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm, prod
-from operator import add, mul
+from operator import add, mul, sub
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .combinat import (
@@ -392,15 +392,34 @@ bernstein_basis.cache_info = _bernstein_basis.cache_info
 
 def bernstein_sum(pairs: Iterable[Tuple[int, Iterable]]) -> Dict[Exponents, int]:
     """The integer map of sum c * B over (c, terms of B) pairs, each c an int and
-    each B given by its (exponents, integer) terms: the one loop that accumulates
-    weighted integer maps.  Each B is a `bernstein_basis` polynomial when a
-    combination of the basis is multiplied out, and any integer map for
-    `_combine`.  Callers may leave out c = 0."""
+    each B its (exponents, integer) terms: the one loop that accumulates weighted
+    integer maps, `bernstein_basis` polynomials or any others.  Callers may leave
+    out c = 0."""
     out: Dict[Exponents, int] = {}
     for c, terms in pairs:
         for e, b in terms:
             out[e] = out.get(e, 0) + c * b
     return out
+
+
+def bernstein_rows(rows: Iterable[Sequence[int]], n: int, d: int) -> List[Sequence[int]]:
+    """sum_a r_a B_a multiplied out, for integer rows r_a over the indices a of
+    degree n (`_multi_indices(n, d)`): entry i is the row of x^k, k = a[1:], a the
+    i-th index.  This is the vertex Taylor expansion: with x_0 = 1 - x_1 - ... - x_d
+    the x^k row is mult((n-|k|, k)) (Delta^k r)_(n,0,...,0), Delta_v r_a =
+    r_{a+e_v-e_0} - r_a.  One slot v at a time, each line of indices on which only
+    a_0 and a_v vary becomes, in ascending a_v, its forward differences at the
+    line's start (the in-place difference table), one `map(sub)` per row."""
+    indices, rows = _multi_indices(n, d), list(rows)
+    for v in range(1, d + 1):
+        lines: Dict[Exponents, List[int]] = {}
+        for i, a in enumerate(indices):
+            lines.setdefault(a[1:v] + a[v + 1:], []).append(i)
+        for line in lines.values():
+            for start in range(1, len(line)):
+                for t in range(len(line) - 1, start - 1, -1):
+                    rows[line[t]] = list(map(sub, rows[line[t]], rows[line[t - 1]]))
+    return [row if f == 1 else [f * c for c in row] for f, row in zip(map(_multinomial, indices), rows)]
 
 
 def bernstein_value(alpha: Sequence[int], pt: Sequence[Scalar]) -> Fraction:

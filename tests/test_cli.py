@@ -253,8 +253,8 @@ class TestDefinitionInCoordinates:
         def refuse(*args, **kwargs):
             raise AssertionError("expanded into monomials")
 
-        for module in (bdk.polynomials, bdk.kernels):
-            monkeypatch.setattr(module, "bernstein_basis", refuse)
+        monkeypatch.setattr(bdk.polynomials, "bernstein_basis", refuse)
+        monkeypatch.setattr(bdk.kernels, "bernstein_rows", refuse)
         monkeypatch.setattr(bdk.kernels.BernsteinKernelForm, "expand", refuse)
         code, out, _ = run_cli(capsys, *self.eval_argv(2, 3, 2, "1/5,1/5", "1/7,2/7"), "--float")
         assert code == 0

@@ -117,6 +117,19 @@ class TestCompositionCoefficients:
                         prefactor * comb(m, k) * comb(n, k) * Fraction(_FACT[k], _FACT[k + d])
                         for k in range(min(m, n) + 1)], (m, n, d)
 
+    @staticmethod
+    def product_formula(m, n, d):
+        # each c_k as one Fraction of two integer products,
+        # (m+d)! (n+d)! C(m,k) C(n,k) k! over (m+n+d)! (k+d)!
+        head, foot = _FACT[m + d] * _FACT[n + d], _FACT[m + n + d]
+        return [Fraction(head * comb(m, k) * comb(n, k) * _FACT[k], foot * _FACT[k + d])
+                for k in range(min(m, n) + 1)]
+
+    def test_ratio_recurrence_equals_the_product_formula(self):
+        cases = [(m, n, d) for d in range(1, 5) for m in range(13) for n in range(13)]
+        for m, n, d in cases + [(300, 200, 5)]:
+            assert composition_coefficients(m, n, d) == self.product_formula(m, n, d), (m, n, d)
+
     def test_symmetry_in_degrees(self):
         for d in (1, 2):
             for m in range(5):

@@ -106,6 +106,14 @@ def test_second_bernstein_bodies_are_gone():
         assert not hasattr(bdk.kernels, name), name
 
 
+def test_second_expansion_bodies_are_gone():
+    # a kernel is multiplied out only by BernsteinKernelForm.expand, which reads
+    # the one row helper in bdk.polynomials; to_canonical goes through it
+    assert not hasattr(bdk.kernels, "_add_outer")
+    assert not hasattr(bdk.kernels, "bernstein_basis")
+    assert bdk.kernels.bernstein_rows is bdk.polynomials.bernstein_rows
+
+
 def test_threefold_cap_knob_is_gone(capsys):
     # --max-degree bounds the three-fold family with every other one
     with pytest.raises(TypeError, match="threefold_cap"):

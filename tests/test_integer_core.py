@@ -7,6 +7,9 @@ accumulate Python ints and apply one rational scale at the end; they must
 return exactly the same maps and values, coefficient types included.
 `loop_apply_operator` is the integer per-index loop that `apply_operator`
 ran before its moment columns were cached, kept as a second oracle.
+`ref_expand` multiplies every basis product B_a(x) B_b(y) out through
+`bernstein_basis`, an oracle for `BernsteinKernelForm.expand`, which reads
+no basis.
 """
 import math
 import sys
@@ -20,6 +23,7 @@ import bdk.kernels
 from bdk.combinat import clear_denominators, enumerate_multi_indices, factorial
 from bdk.durrmeyer import apply_operator, compose_apply
 from bdk.kernels import (
+    BernsteinKernelForm,
     DiagonalKernelForm,
     KernelPolynomial,
     first_coordinate_difference,
@@ -164,6 +168,17 @@ def ref_to_canonical(form):
     return KernelPolynomial(form.d, acc)
 
 
+def ref_expand(form):
+    acc = {}
+    for b, row in zip(form.y_indices, form.rows):
+        y_terms = bernstein_basis(b).nums.items()
+        for a, c in zip(form.x_indices, row):
+            for ex, cx in bernstein_basis(a).nums.items():
+                for ey, cy in y_terms:
+                    acc[ex + ey] = acc.get(ex + ey, 0) + c * cx * cy
+    return KernelPolynomial.from_integers(form.d, acc, form.scale)
+
+
 # -- strategies -------------------------------------------------------------
 
 dims = st.integers(min_value=1, max_value=3)
@@ -200,6 +215,21 @@ def diagonal_forms(draw):
     return DiagonalKernelForm(d, draw(rationals), terms)
 
 
+@st.composite
+def bernstein_forms(draw):
+    """Forms in Bernstein coordinates: any degrees, 0 and m != n included, and
+    integer rows with negative entries and rows of zeros."""
+    d = draw(st.integers(1, 4))
+    degree = st.integers(0, {1: 6, 2: 4, 3: 3, 4: 2}[d])
+    m, n = draw(degree), draw(degree)
+    width = math.comb(m + d, d)
+    row = st.one_of(st.builds(lambda: [0] * width),
+                    st.lists(st.integers(-30, 30), min_size=width, max_size=width))
+    height = math.comb(n + d, d)
+    rows = draw(st.lists(row, min_size=height, max_size=height))
+    return BernsteinKernelForm(d, draw(nonzero_rationals), m, n, rows)
+
+
 def assert_identical(new, ref):
     """Same map, and every coefficient a Fraction, so the JSON is the same too."""
     assert new.d == ref.d
@@ -227,6 +257,11 @@ class TestReferenceEquivalence:
         n3, n2, n1 = data.draw(deg), data.draw(deg), data.draw(deg)
         assert_identical(kernel_definition_threefold(n3, n2, n1, d).expand(),
                          ref_definition_threefold(n3, n2, n1, d))
+
+    @settings(max_examples=60, deadline=None)
+    @given(bernstein_forms())
+    def test_expand_multiplies_out_every_basis_product(self, form):
+        assert_identical(form.expand(), ref_expand(form))
 
     @SETTINGS
     @given(diagonal_forms())
