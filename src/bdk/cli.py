@@ -15,16 +15,16 @@ those that ran failed).
 """
 from __future__ import annotations
 
-import argparse
 import gc
-import json
 import os
 import re
 import sys
 from contextlib import contextmanager, nullcontext
 from fractions import Fraction
 from itertools import product
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, TextIO, Tuple, Union
+from types import SimpleNamespace
+from typing import (TYPE_CHECKING, Callable, Dict, Iterator, List, Optional, Sequence, TextIO,
+                    Tuple, Union)
 
 from .combinat import (check_degree, check_dimension, clear_denominators, format_rational,
                        parse_rational)
@@ -39,6 +39,9 @@ from .kernels import (
 )
 from .polynomials import CartesianPolynomial
 from .verify import DEFAULT_DEGREE_CAPS, SuiteConfig, run_suite
+
+if TYPE_CHECKING:
+    import argparse
 
 __all__ = ["main", "parse_polynomial", "PolynomialParseError"]
 
@@ -201,13 +204,23 @@ def _build_kernel(form: str, m: int, n: int, d: int
     return kernel_closed_twofold(m, n, d)
 
 
-def _to_float(value: Fraction) -> float:
-    """The nearest float to value, and past the float range its IEEE
-    rounding, inf or -inf, where float() raises OverflowError instead."""
+def _to_float(num: int, den: int) -> float:
+    """The nearest float to num / den, den > 0, and past the float range its
+    IEEE rounding, inf or -inf, where the division raises OverflowError.
+    Int true division rounds correctly, as float() of a Fraction does
+    through it, so no Fraction is built."""
     try:
-        return float(value)
+        return num / den
     except OverflowError:
-        return float("inf") if value > 0 else float("-inf")
+        return float("inf") if num > 0 else float("-inf")
+
+
+def _check_size(value: Optional[int], flag: str) -> None:
+    """Refuse a degree, dimension, exponent or grid size past sys.maxsize,
+    naming its flag: no factorial, index or grid of that size can be built,
+    and the library's refusal would name the factorial, not the flag."""
+    if value is not None and value > sys.maxsize:
+        raise ValueError(f"{flag}: {value} is too large (the largest is {sys.maxsize})")
 
 
 # -- subcommands -----------------------------------------------------------
@@ -225,8 +238,11 @@ def _cmd_eval(args) -> int:
         _write_file(dump, "--dump-kernel", "", "a")
     kernel = _build_kernel(args.form, m, n, d)
     value = kernel.evaluate(x, y)
-    _write_stdout(format_rational(value), *([f"{_to_float(value):.17g}"] if args.float else []))
+    echo = [f"{_to_float(value.numerator, value.denominator):.17g}"] if args.float else []
+    _write_stdout(format_rational(value), *echo)
     if dump:
+        import json
+
         kernel = to_canonical(kernel) if isinstance(kernel, DiagonalKernelForm) \
             else kernel.expand()
         _write_file(dump, "--dump-kernel", json.dumps(kernel.to_json_dict(), sort_keys=True) + "\n")
@@ -234,6 +250,8 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_coeffs(args) -> int:
+    import json
+
     coeffs = composition_coefficients(args.m, args.n, args.d)
     den, nums = clear_denominators(coeffs)  # one lcm, where sum() reduces after each term
     _write_stdout(json.dumps([format_rational(c) for c in coeffs]),
@@ -242,8 +260,11 @@ def _cmd_coeffs(args) -> int:
 
 
 def _cmd_apply(args) -> int:
+    import json
+
     degrees = _parse_list(args.degrees, "--degrees", int)
     poly = parse_polynomial(args.poly, args.d)
+    _check_size(poly.total_degree(), "--poly")
     image = compose_apply(degrees, poly)
     _write_stdout(json.dumps(image.to_json_dict(), sort_keys=True))
     return EXIT_OK
@@ -270,13 +291,15 @@ def _cmd_table(args) -> int:
     with _output(args.out, "--out") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for x, row in zip(coords, kernel.evaluate_grid(points, points)):
+        for x, row in zip(coords, kernel.evaluate_grid(points, points, _to_float)):
             for y, value in zip(coords, row):
-                writer.writerow(x + y + [_to_float(value)])
+                writer.writerow(x + y + [value])
     return EXIT_OK
 
 
 def _cmd_verify(args) -> int:
+    import json
+
     cfg = SuiteConfig(d_range=_parse_list(args.d, "--d", int), max_degree=args.max_degree,
                       time_budget_s=args.time_budget, corrupt_scale=args.self_test_corrupt)
     if args.report:
@@ -340,7 +363,10 @@ _SUBCOMMANDS = {
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """The bdk parser, with one subparser per entry of `_SUBCOMMANDS`."""
+    """The bdk parser, with one subparser per entry of `_SUBCOMMANDS`.  Only
+    a request that `_plain_args` leaves to it imports argparse."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="bdk",
         description="Exact Bernstein-Durrmeyer kernel algebra on the simplex.")
@@ -351,6 +377,60 @@ def build_parser() -> argparse.ArgumentParser:
             sub_parser.add_argument(flag, **keywords)
         sub_parser.set_defaults(func=handler)
     return parser
+
+
+def _dest(flag: str) -> str:
+    """The attribute argparse stores a long flag's value under."""
+    return flag[2:].replace("-", "_")
+
+
+def _plain_args(argv: Sequence[str]) -> Optional[SimpleNamespace]:
+    """The values `build_parser().parse_args(argv)` would return, read
+    straight from `_SUBCOMMANDS`, for a plain request; None for any other.
+
+    A plain request names a subcommand, then gives each flag of it at most
+    once, spelled in full: a store_true flag alone, any other as
+    '--flag value' (a value not starting with '-') or '--flag=value'.
+    Each value is one its type and choices accept, and every required flag
+    is there.  Everything else (help, an abbreviation, a repeat, a bad
+    value, a stray token) is argparse's to parse or refuse, so its help,
+    usage lines, messages and exit codes are the ones bdk prints.
+    """
+    if not argv or argv[0] not in _SUBCOMMANDS:
+        return None
+    handler, _, flags = _SUBCOMMANDS[argv[0]]
+    given = {}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        flag, joined, value = token.partition("=")
+        keywords = flags.get(flag)
+        if keywords is None or flag in given:
+            return None
+        if keywords.get("action") == "store_true":
+            if joined:
+                return None
+            given[flag] = True
+            continue
+        if not joined:
+            value = next(tokens, "-")  # a missing value is argparse's to report
+            if value.startswith("-"):
+                return None
+        if value == "--":  # argparse drops a '--' value
+            return None
+        try:
+            value = keywords.get("type", str)(value)
+        except (TypeError, ValueError):
+            return None
+        if value not in keywords.get("choices", (value,)):
+            return None
+        given[flag] = value
+    values = SimpleNamespace(command=argv[0], func=handler)
+    for flag, keywords in flags.items():
+        if flag not in given and keywords.get("required"):
+            return None
+        default = False if keywords.get("action") == "store_true" else None
+        setattr(values, _dest(flag), given.get(flag, keywords.get("default", default)))
+    return values
 
 
 def _attach_dash_values(argv: Sequence[str]) -> List[str]:
@@ -378,7 +458,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if limit:
         sys.set_int_max_str_digits(0)
     try:
-        args = build_parser().parse_args(argv)
+        args = _plain_args(argv) or build_parser().parse_args(argv)
+        for flag, keywords in _SUBCOMMANDS[args.command][2].items():
+            if keywords.get("type") is int:
+                _check_size(getattr(args, _dest(flag)), flag)
         return args.func(args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE

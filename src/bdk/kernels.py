@@ -46,7 +46,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd, prod
 from operator import add, mul
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, TypeVar
 
 from .combinat import (
     _FACT,
@@ -94,6 +94,7 @@ __all__ = [
 ]
 
 Point = Sequence[Scalar]
+T = TypeVar("T")
 
 
 class KernelPolynomial(CartesianPolynomial):
@@ -155,8 +156,8 @@ class KernelPolynomial(CartesianPolynomial):
             "form": "canonical",
             "scale": "1",
             "terms": [
-                {"exp_x": list(e[:d]), "exp_y": list(e[d:]), "coef": format_rational(c)}
-                for e, c in self.sorted_terms()
+                {"exp_x": list(e[:d]), "exp_y": list(e[d:]), "coef": c}
+                for e, c in self._coefficient_texts()
             ],
         }
 
@@ -232,9 +233,12 @@ class DiagonalKernelForm:
         (row,) = self.evaluate_grid([x], [y])
         return row[0]
 
-    def evaluate_grid(self, xs: Sequence[Point],
-                      ys: Sequence[Point]) -> Iterator[List[Fraction]]:
-        """Yield [K(x, y) for y in ys] for each x in xs.
+    def evaluate_grid(self, xs: Sequence[Point], ys: Sequence[Point],
+                      ratio: Callable[[int, int], T] = Fraction) -> Iterator[List[T]]:
+        """Yield [K(x, y) for y in ys] for each x in xs, each value
+        ratio(numerator, denominator) of two ints with a positive
+        denominator: exact by default, a float where `bdk table` passes a
+        float division, with no Fraction built per value.
 
         A point p = A / q in barycentric integer form has the integer vector
         v_l = q^top B_l(p), top = max |l| (`bernstein_numerators`), computed
@@ -253,7 +257,7 @@ class DiagonalKernelForm:
         for x in xs:
             qx_top, vx = bernstein_numerators(x, self.d, indices)
             wx = list(map(mul, weights, vx))
-            yield [Fraction(num * sum(map(mul, wx, vy)), den * qx_top * qy_top)
+            yield [ratio(num * sum(map(mul, wx, vy)), den * qx_top * qy_top)
                    for qy_top, vy in columns]
 
     def _key(self) -> tuple:  # a zero form is its dimension alone

@@ -300,6 +300,17 @@ class CartesianPolynomial:
         den = self.den
         return [(e, Fraction(c, den)) for e, c in sorted(self.nums.items())]
 
+    def _coefficient_texts(self) -> List[Tuple[Exponents, str]]:
+        """(key, coefficient) for each term in `sorted_terms` order, each
+        coefficient written as `format_rational` writes it, from its integer
+        and den with one gcd, without a Fraction."""
+        den = self.den
+        texts = []
+        for e, c in sorted(self.nums.items()):
+            g = gcd(c, den)
+            texts.append((e, f"{c // g}/{den // g}" if g != den else str(c // g)))
+        return texts
+
     def __repr__(self) -> str:
         if not self.nums:
             return "<poly 0>"
@@ -315,8 +326,8 @@ class CartesianPolynomial:
         return {
             "d": self.d,
             "terms": [
-                {"exp": list(exps), "coef": format_rational(coef)}
-                for exps, coef in self.sorted_terms()
+                {"exp": list(exps), "coef": coef}
+                for exps, coef in self._coefficient_texts()
             ],
         }
 

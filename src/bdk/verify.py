@@ -21,7 +21,6 @@ scaled rows, one `map` pass per term of the image.
 """
 from __future__ import annotations
 
-import json
 import math
 import time
 from fractions import Fraction
@@ -208,12 +207,18 @@ class VerificationReport(NamedTuple):
         return canonical_json_bytes(self.to_json_dict(include_timing=False))
 
 
-#: One encoder for every canonical serialization; without indent it runs in C.
-_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+@cache
+def _canonical_encoder():
+    """One encoder for every canonical serialization; without indent it runs
+    in C.  It is built on first use, so a request that writes no JSON does
+    not import json."""
+    import json
+
+    return json.JSONEncoder(sort_keys=True, separators=(",", ":"), ensure_ascii=False)
 
 
 def canonical_json_bytes(obj: dict) -> bytes:
-    return _CANONICAL.encode(obj).encode("utf-8")
+    return _canonical_encoder().encode(obj).encode("utf-8")
 
 
 # -- check construction ---------------------------------------------------

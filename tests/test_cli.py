@@ -491,16 +491,37 @@ class TestApply:
         assert spaced == plain != ""
 
 
-@pytest.mark.parametrize("argv", [
-    ("eval", "--d", "1", "--m", "99999999999999999999", "--n", "3", "--x", "1/2", "--y", "1/3"),
-    ("apply", "--d", "2", "--degrees", "3", "--poly", "x1^99999999999999999999"),
-], ids=["eval", "apply"])
-def test_a_factorial_past_the_largest_argument_is_a_usage_error(capsys, argv):
+@pytest.mark.parametrize("argv, flag", [
+    (("eval", "--d", "1", "--m", "99999999999999999999", "--n", "3", "--x", "1/2", "--y", "1/3"),
+     "--m"),
+    (("apply", "--d", "2", "--degrees", "3", "--poly", "x1^99999999999999999999"), "--poly"),
+    (("coeffs", "--d", "99999999999999999999", "--m", "1", "--n", "1"), "--d"),
+    (("table", "--d", "1", "--m", "1", "--n", "1", "--grid", "99999999999999999999"), "--grid"),
+    (("verify", "--max-degree", "99999999999999999999"), "--max-degree"),
+], ids=["eval", "apply", "coeffs", "table", "verify"])
+def test_a_factorial_past_the_largest_argument_is_a_usage_error(capsys, monkeypatch, argv, flag):
     # math.factorial raises OverflowError past sys.maxsize: a traceback and
-    # exit 1, the code of a failed verification, before the table refused it
+    # exit 1, the code of a failed verification, before the table refused it;
+    # the refusal names the flag the user typed, not the factorial it needed.
+    # A grid or a suite of that size would never end, so neither may start.
+    def refuse(*args):
+        raise AssertionError("a size past sys.maxsize reached the work")
+
+    monkeypatch.setattr(bdk.cli, "_grid_points", refuse)
+    monkeypatch.setattr(bdk.cli, "run_suite", refuse)
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (2, "")
-    assert re.fullmatch(r"bdk: error: \d+! is too large to compute\n", err), err
+    assert err == (f"bdk: error: {flag}: 99999999999999999999 is too large "
+                   f"(the largest is {sys.maxsize})\n")
+
+
+def test_an_operator_degree_past_the_largest_argument_still_applies(capsys):
+    # the closed image of a low-degree polynomial takes no factorial of the
+    # operator degree, so --degrees is not refused: M_n x = (n x + 1)/(n + 2)
+    n = 99999999999999999999
+    assert run_cli(capsys, "apply", "--d", "1", "--degrees", str(n), "--poly", "x1") == (
+        0, json.dumps({"d": 1, "terms": [{"coef": f"1/{n + 2}", "exp": [0]},
+                                         {"coef": f"{n}/{n + 2}", "exp": [1]}]}) + "\n", "")
 
 
 #: (d, degrees, degree of f): the request shapes of the benchmark's cli_apply workload
@@ -1145,3 +1166,77 @@ class TestContract:
         if code == 2:
             last = err.getvalue().splitlines()[-1]
             assert re.match(r"bdk( \w+)?: error: ", last), (argv, last)
+
+
+def joined(argv):
+    """argv with each value given as one '--flag=value' token with its flag."""
+    out = []
+    for token in argv:
+        if out and out[-1].startswith("--") and "=" not in out[-1] and not token.startswith("--"):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
+def plain_as_argparse(argv):
+    """The plain path's values for argv as `main` reads it, checked to be
+    the values argparse returns whenever the plain path returns any."""
+    argv = bdk.cli._attach_dash_values(argv)
+    plain = bdk.cli._plain_args(argv)
+    if plain is not None:
+        assert vars(plain) == vars(build_parser().parse_args(argv)), argv
+    return plain
+
+
+#: Requests the plain path leaves to argparse, after the complete `eval`
+#: request of COMPLETE_ARGV: the tokens added, and the exit code and last
+#: stderr line (stdout's first line for help) that bdk gave when argparse
+#: parsed every request.
+ARGPARSE_ONLY = [
+    (["-h"], 0, "usage: bdk eval [-h] --d D --m M --n N --x X --y Y"),
+    (["--deg", "3"], 2, "bdk: error: unrecognized arguments: --deg 3"),
+    (["--m", "2"], 0, "3/2"),
+    (["stray"], 2, "bdk: error: unrecognized arguments: stray"),
+    (["--form", "bogus"], 2, "bdk eval: error: argument --form: invalid choice: 'bogus' "
+                             "(choose from 'definition', 'closed', 'univariate', 'legendre')"),
+    (["--m", "x"], 2, "bdk eval: error: argument --m: invalid int value: 'x'"),
+    (["--float=1"], 2, "bdk eval: error: argument --float: ignored explicit argument '1'"),
+    (["--dump-kernel"], 2, "bdk eval: error: argument --dump-kernel: expected one argument"),
+    (["--dump-kernel", "--float"], 2,
+     "bdk eval: error: argument --dump-kernel: expected one argument"),
+]
+
+
+class TestPlainPath:
+    """`main` builds the values of a plain request from `_SUBCOMMANDS`
+    without argparse; every other request is argparse's, byte for byte."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(cli_requests(), st.booleans())
+    def test_plain_values_are_argparse_values(self, argv, join):
+        plain_as_argparse(joined(argv) if join else argv)
+
+    @pytest.mark.parametrize("join", [False, True], ids=["spaced", "joined"])
+    @pytest.mark.parametrize("argv", [[command, *flags] for argvs in (COMPLETE_ARGV, STDOUT_ARGV)
+                                      for command, flags in argvs.items()])
+    def test_every_complete_request_is_plain(self, argv, join):
+        assert plain_as_argparse(joined(argv) if join else argv) is not None
+
+    def test_an_abbreviation_is_argparse_s(self, capsys):
+        # --deg abbreviates --degrees: argparse takes it, the plain path does not
+        argv = ["apply", "--d", "1", "--deg", "2", "--poly", "x1"]
+        assert bdk.cli._plain_args(argv) is None
+        assert run_cli(capsys, *argv) == run_cli(capsys, *argv[:3], "--degrees", *argv[4:])
+
+    @pytest.mark.parametrize("tokens, code, line", ARGPARSE_ONLY,
+                             ids=[" ".join(tokens) for tokens, *_ in ARGPARSE_ONLY])
+    def test_other_requests_are_argparse_s(self, capsys, monkeypatch, tokens, code, line):
+        monkeypatch.setenv("COLUMNS", "80")
+        argv = bdk.cli._attach_dash_values(["eval", *COMPLETE_ARGV["eval"], *tokens])
+        assert bdk.cli._plain_args(argv) is None
+        got, out, err = run_cli(capsys, *argv)
+        assert (got, (err or out).splitlines()[-1 if err else 0]) == (code, line)
+        if code == 2 and err.startswith("usage:"):
+            # the whole of stderr is what argparse itself prints
+            assert parse_outcome(capsys, build_parser(), argv)[2:] == ("", err)
